@@ -22,7 +22,7 @@ from .metrics import (
     multiscale_assessment, willmott_dr,
 )
 from .learners import (
-    DEFAULT_GRIDS, EnsembleModel, FeatureMatrix, LearnerSpec, StackFit,
+    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, StackFit,
     cv_predict, fit_stack, grid_search, kfold_indices, predict_grid, train_base,
 )
 from .carbon import (

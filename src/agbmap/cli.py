@@ -8,7 +8,6 @@ or validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -57,22 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> PipelineConfig:
-    path = Path(args.config)
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read configuration {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"configuration {path} is not valid JSON: {e}") from e
-    # overrides change the effective configuration, so they feed the hash too
+    overrides = {}
     if args.seed is not None:
-        if isinstance(raw, dict):
-            raw["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.out is not None:
-        if isinstance(raw, dict):
-            raw["output_dir"] = str(Path(args.out).resolve())
-    return PipelineConfig.from_document(raw, base_dir=path.parent)
+        overrides["output_dir"] = str(Path(args.out).resolve())
+    return PipelineConfig.load(args.config, overrides)
 
 
 def _handle_synth(args) -> int:

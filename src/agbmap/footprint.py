@@ -3,9 +3,11 @@
 The footprint is the union of four disjoint circles of radius 7.32 m: one at
 the plot center and three at 36.6 m, at azimuths 120/240/360 degrees clockwise
 from north. Overlap areas between the footprint and each raster cell are
-computed by adaptive subdivision: cells (and sub-cells) wholly inside or
-outside a circle are resolved exactly, and only the boundary band is refined,
-down to a guaranteed error below 1e-4 of one subplot's area per circle.
+exact, in closed form. The area of a circle inside an axis-aligned cell
+follows by inclusion-exclusion from a corner primitive G(x, y), the signed area
+of the disc inside the box spanned by its center and (x, y), which integrates
+to sqrt/asin terms. G is evaluated once on the cell corners of a window around
+each circle, so every cell's area costs four lookups and three additions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .grid import Grid
 from .inventory import SUBPLOT_RADIUS_M, SUBPLOT_OFFSET_M, SUBPLOT_AZIMUTHS_DEG
 
 SUBPLOT_AREA_M2 = math.pi * SUBPLOT_RADIUS_M ** 2
-AREA_TOLERANCE = 1e-4  # relative to one subplot's area, per circle
-_MAX_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -61,81 +61,57 @@ def pixel_overlap_weights(footprint: PlotFootprint, grid: Grid) -> OverlapWeight
     Cells outside the grid extent are dropped, so a footprint straddling the
     edge yields weights summing to less than the footprint area, and one
     entirely outside yields no entries. Cell validity is ignored here; masking
-    belongs to extraction.
+    belongs to extraction. Entries are sorted by (col, row).
     """
-    acc: dict[tuple[int, int], float] = {}
-    for cx, cy in footprint.subplot_centers():
-        _accumulate_circle(acc, grid, cx, cy, SUBPLOT_RADIUS_M)
-    if not acc:
-        return OverlapWeights(cols=np.empty(0, dtype=int),
-                              rows=np.empty(0, dtype=int),
-                              weights=np.empty(0, dtype=float))
-    keys = sorted(acc)
-    cols = np.array([k[0] for k in keys], dtype=int)
-    rows = np.array([k[1] for k in keys], dtype=int)
-    weights = np.array([acc[k] for k in keys], dtype=float)
-    return OverlapWeights(cols=cols, rows=rows, weights=weights)
+    r, cs = SUBPLOT_RADIUS_M, grid.cellsize
+    centers = np.array(footprint.subplot_centers())
+    # a window of n x n cells starting at the cell under each circle's
+    # north-west bounding-box corner always covers the circle
+    n = math.ceil(2.0 * r / cs) + 1
+    k = np.arange(n + 1)
+    col0 = np.floor((centers[:, 0] - r - grid.x_origin) / cs).astype(np.int64)
+    row0 = np.floor((grid.y_max - centers[:, 1] - r) / cs).astype(np.int64)
+    # cell edges relative to each circle's center: x west to east, y north to
+    # south; row 0 is the north row
+    ex = grid.x_origin + (col0[:, None] + k) * cs - centers[:, :1]
+    ey = grid.y_max - (row0[:, None] + k) * cs - centers[:, 1:]
+    g = _corner_area(ex[:, None, :], ey[:, :, None], r)  # (circle, y edge, x edge)
+    area = g[:, :-1, 1:] - g[:, :-1, :-1] - g[:, 1:, 1:] + g[:, 1:, :-1]
+
+    # cells whose nearest point lies on or outside the circle carry no area;
+    # zero them exactly rather than keep the round-off of the differences
+    dx = np.maximum(np.maximum(ex[:, :-1], -ex[:, 1:]), 0.0)
+    dy = np.maximum(np.maximum(ey[:, 1:], -ey[:, :-1]), 0.0)
+    cols = np.broadcast_to(col0[:, None, None] + k[None, None, :n], area.shape)
+    rows = np.broadcast_to(row0[:, None, None] + k[None, :n, None], area.shape)
+    keep = ((dx[:, None, :] ** 2 + dy[:, :, None] ** 2 < r * r) & (area > 0.0)
+            & (cols >= 0) & (cols < grid.ncols) & (rows >= 0) & (rows < grid.nrows))
+
+    # the circles are disjoint but may share cells: merge on a packed key,
+    # whose order is (col, row) order
+    keys, inverse = np.unique(cols[keep] * grid.nrows + rows[keep], return_inverse=True)
+    return OverlapWeights(cols=keys // grid.nrows, rows=keys % grid.nrows,
+                          weights=np.bincount(inverse, weights=area[keep],
+                                              minlength=keys.size))
 
 
-def _accumulate_circle(acc, grid: Grid, cx: float, cy: float, r: float) -> None:
-    """Add this circle's overlap area with each in-bounds cell into `acc`."""
-    cs = grid.cellsize
-    col_lo = max(0, int(math.floor((cx - r - grid.x_origin) / cs)))
-    col_hi = min(grid.ncols - 1, int(math.floor((cx + r - grid.x_origin) / cs)))
-    row_top = max(0, int(math.floor((grid.y_max - (cy + r)) / cs)))
-    row_bot = min(grid.nrows - 1, int(math.floor((grid.y_max - (cy - r)) / cs)))
-    if col_lo > col_hi or row_top > row_bot:
-        return
+def _corner_area(x, y, r: float):
+    """Signed area of the disc of radius r about the origin inside the box
+    with corners (0, 0) and (x, y); negative when exactly one of x, y is.
 
-    cols = np.arange(col_lo, col_hi + 1)
-    rows = np.arange(row_top, row_bot + 1)
-    cgrid, rgrid = np.meshgrid(cols, rows)
-    cgrid = cgrid.ravel()
-    rgrid = rgrid.ravel()
-    nwin = cgrid.size
-    # cell lower-left corners relative to the circle center; row 0 is the
-    # north row
-    u = grid.x_origin + cgrid * cs - cx
-    v = grid.y_max - (rgrid + 1) * cs - cy
-    pix = np.arange(nwin, dtype=np.int32)  # window-local index
-    s = float(cs)  # every square at a given depth has the same side
+    With |x| and |y| clamped to r, the disc's upper edge crosses height |y|
+    at a = min(sqrt(r^2 - y^2), |x|); the area is the rectangle a * |y| plus
+    the disc's strip between a and |x|.
+    """
+    ax = np.minimum(np.abs(x), r)
+    ay = np.minimum(np.abs(y), r)
+    a = np.minimum(np.sqrt(r * r - ay * ay), ax)
+    return np.sign(x) * np.sign(y) * (a * ay + _strip(ax, r) - _strip(a, r))
 
-    tol = AREA_TOLERANCE * SUBPLOT_AREA_M2
-    r2 = r * r
-    area = np.zeros(nwin, dtype=float)
 
-    for _depth in range(_MAX_DEPTH + 1):
-        # axis distance from the center to the square's midline; nearest point
-        # is that minus the half-side (clamped), farthest corner is that plus
-        h = s / 2.0
-        ax = np.abs(u + h)
-        ay = np.abs(v + h)
-        fx = ax + h
-        fy = ay + h
-        ins = fx * fx + fy * fy <= r2
-        if ins.any():
-            area += np.bincount(pix[ins], minlength=nwin) * (s * s)
-        nx = np.maximum(ax - h, 0.0)
-        ny = np.maximum(ay - h, 0.0)
-        unc = (nx * nx + ny * ny < r2) & ~ins
-        u, v, pix = u[unc], v[unc], pix[unc]
-        if u.size == 0:
-            break
-        # attribute half of the remaining uncertain band once it is thin
-        # enough; worst-case error is then half the band area <= tol
-        if u.size * (s * s) / 2.0 <= tol or _depth == _MAX_DEPTH:
-            area += np.bincount(pix, minlength=nwin) * (s * s / 2.0)
-            break
-        s = h
-        uh = u + s
-        vh = v + s
-        u = np.concatenate([u, uh, u, uh])
-        v = np.concatenate([v, v, vh, vh])
-        pix = np.tile(pix, 4)
-
-    for i in np.nonzero(area > 0.0)[0]:
-        key = (int(cgrid[i]), int(rgrid[i]))
-        acc[key] = acc.get(key, 0.0) + float(area[i])
+def _strip(t, r: float):
+    """Integral of sqrt(r^2 - s^2) for s from 0 to t, |t| <= r."""
+    return 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
 
 
 def weighted_mean(grid: Grid, weights: OverlapWeights) -> float | None:

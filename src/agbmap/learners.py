@@ -21,8 +21,6 @@ from .grid import Grid
 
 MODEL_FORMAT_VERSION = 1
 
-KINDS = ("knn", "bagged_trees", "boosted_trees")
-
 # default hyperparameter grids for model selection
 DEFAULT_GRIDS: dict[str, list[dict]] = {
     "knn": [{"k": k} for k in (1, 5, 10, 25)],
@@ -89,25 +87,6 @@ class LearnerSpec:
     @staticmethod
     def from_dict(d: dict) -> "LearnerSpec":
         return LearnerSpec.make(d["kind"], **d["hyperparameters"])
-
-
-@dataclass
-class FeatureMatrix:
-    """Plot-level predictor table: one row per plot, one named column per layer."""
-
-    ids: np.ndarray
-    names: list[str]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("values must be a 2-d array")
-        if self.values.shape != (self.ids.size, len(self.names)):
-            raise ValueError("ids/names do not match the values shape")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature values must be finite")
 
 
 def _as_2d(X) -> np.ndarray:

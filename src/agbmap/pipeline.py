@@ -39,7 +39,7 @@ from .metrics import (
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 STAGE_ORDER = ("ingest", "extract", "fit", "predict", "assess", "agree",
                "diff", "stocks", "rescale")
@@ -104,7 +104,9 @@ class PipelineConfig:
     config_hash: str = ""
 
     @classmethod
-    def load(cls, path) -> "PipelineConfig":
+    def load(cls, path, overrides=None) -> "PipelineConfig":
+        """Read a configuration file; `overrides` replace top-level keys of
+        the document before validation, so they feed the hash too."""
         path = Path(path)
         try:
             with open(path, encoding="utf-8") as f:
@@ -113,6 +115,8 @@ class PipelineConfig:
             raise ConfigError(f"cannot read configuration {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"configuration {path} is not valid JSON: {e}") from e
+        if overrides and isinstance(raw, dict):
+            raw = {**raw, **overrides}
         return cls.from_document(raw, base_dir=path.parent)
 
     @classmethod
@@ -212,7 +216,9 @@ def validate(config: PipelineConfig) -> list[str]:
                 findings.append(f"missing file: predictor {name!r} for {year} at {p}")
 
     if config.holdout_panel != "random":
-        if not isinstance(config.holdout_panel, int) or not 1 <= config.holdout_panel <= 5:
+        if (isinstance(config.holdout_panel, bool)
+                or not isinstance(config.holdout_panel, int)
+                or not 1 <= config.holdout_panel <= 5):
             findings.append(f"holdout_panel must be 1..5 or 'random', "
                             f"got {config.holdout_panel!r}")
     if not config.scales_km:
@@ -343,10 +349,6 @@ def _stage_dir(config: PipelineConfig, stage: str) -> Path:
 def _report_row(rep) -> dict:
     row = asdict(rep)
     return {k: row[k] for k in ASSESSMENT_COLUMNS}
-
-
-def _opt_float(text: str) -> float | None:
-    return float(text) if text != "" else None
 
 
 # -- stages ---------------------------------------------------------------
@@ -891,8 +893,9 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     """Execute the requested stages in dependency order.
 
     Stages not requested are reused from cache: their manifest entries must
-    exist, match the current configuration hash, and still have their files
-    on disk. Requested stages always re-execute (outputs are deterministic).
+    exist, come from a manifest of the current artifact version, match the
+    current configuration hash, and still have their files on disk.
+    Requested stages always re-execute (outputs are deterministic).
     """
     requested = set(STAGE_ORDER if stages is None else stages)
     unknown = sorted(requested - set(STAGE_ORDER))
@@ -903,6 +906,10 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.load(out_dir)
+    if manifest is not None and manifest.artifact_version != ARTIFACT_VERSION:
+        LOGGER.warning("discarding cached stages built under artifact version %s",
+                       manifest.artifact_version)
+        manifest = None
     if manifest is None:
         manifest = RunManifest(artifact_version=ARTIFACT_VERSION,
                                config_hash=config.config_hash)

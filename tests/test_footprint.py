@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agbmap.footprint import (
     SUBPLOT_AREA_M2, PlotFootprint, extract_weighted_mean, pixel_overlap_weights,
@@ -108,6 +109,63 @@ class TestOverlapWeights:
         assert np.all(w.weights > 0)
         keys = list(zip(w.cols.tolist(), w.rows.tolist()))
         assert keys == sorted(keys)
+
+
+def weight_of(w, col, row):
+    hit = (w.cols == col) & (w.rows == row)
+    assert hit.sum() == 1, (col, row)
+    return float(w.weights[hit][0])
+
+
+class TestExactGeometry:
+    """Closed-form cases the overlap areas must reproduce to round-off."""
+
+    def test_subplot_centered_on_cell_corner_splits_in_quarters(self):
+        # 10 m cells: the center subplot lies in the four cells around the
+        # corner (500, 500), and every other subplot lies outside them
+        grid = flat_grid(ncols=100, nrows=100, cellsize=10.0)
+        w = pixel_overlap_weights(PlotFootprint(x=500.0, y=500.0), grid)
+        row_above = int((grid.y_max - 500.0) / 10.0) - 1
+        for col in (49, 50):
+            for row in (row_above, row_above + 1):
+                assert weight_of(w, col, row) == pytest.approx(
+                    SUBPLOT_AREA_M2 / 4, rel=1e-12, abs=0)
+
+    def test_subplot_inside_one_cell_gets_its_full_area(self):
+        # 40 m cells: the center subplot (132.68..147.32 on both axes) lies
+        # inside cell [120, 160]^2, which no other subplot reaches
+        grid = flat_grid(ncols=10, nrows=10, cellsize=40.0)
+        w = pixel_overlap_weights(PlotFootprint(x=140.0, y=140.0), grid)
+        row = int((grid.y_max - 140.0) // 40.0)
+        assert weight_of(w, 3, row) == pytest.approx(SUBPLOT_AREA_M2, rel=1e-12, abs=0)
+
+    def test_interior_total_is_exact(self):
+        grid = flat_grid()
+        w = pixel_overlap_weights(PlotFootprint(x=617.3, y=512.9), grid)
+        assert w.total == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cs=st.floats(5.0, 300.0),
+           x=st.floats(150.0, 250.0), y=st.floats(150.0, 250.0))
+    def test_weights_bounded_and_total_exact(self, cs, x, y):
+        n = math.ceil(400.0 / cs)
+        grid = flat_grid(ncols=n, nrows=n, cellsize=cs)
+        fp = PlotFootprint(x=x, y=y)
+        w = pixel_overlap_weights(fp, grid)
+        assert w.total == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
+        centers = np.array(fp.subplot_centers())
+        for col, row, wt in zip(w.cols, w.rows, w.weights):
+            x0 = col * cs
+            y1 = grid.y_max - row * cs
+            # subplots whose circle reaches this cell; cells of 16 m and more
+            # can hold parts of two of them
+            dx = np.maximum.reduce([x0 - centers[:, 0], centers[:, 0] - x0 - cs,
+                                    np.zeros(4)])
+            dy = np.maximum.reduce([y1 - cs - centers[:, 1], centers[:, 1] - y1,
+                                    np.zeros(4)])
+            touching = int(np.sum(dx ** 2 + dy ** 2 < R * R))
+            assert touching >= 1
+            assert 0 < wt <= min(cs * cs, touching * SUBPLOT_AREA_M2) * (1 + 1e-12)
 
 
 class TestExtraction:

@@ -3,7 +3,7 @@ import pytest
 
 from agbmap.grid import Grid
 from agbmap.learners import (
-    DEFAULT_GRIDS, EnsembleModel, FeatureMatrix, LearnerSpec, StackFit,
+    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, StackFit,
     cv_predict, fit_stack, grid_search, kfold_indices, predict_grid, train_base,
 )
 
@@ -34,15 +34,6 @@ class TestSpecValidation:
     def test_unknown_hyperparameter(self):
         with pytest.raises(ValueError):
             LearnerSpec.make("knn", k=3, metric="manhattan")
-
-
-class TestFeatureMatrix:
-    def test_shape_checks(self):
-        FeatureMatrix(ids=["a", "b"], names=["f1", "f2"], values=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            FeatureMatrix(ids=["a"], names=["f1"], values=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            FeatureMatrix(ids=["a"], names=["f1"], values=np.array([[np.inf]]))
 
 
 class TestKnn:

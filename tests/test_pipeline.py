@@ -138,6 +138,9 @@ def test_validate_reports_domain_problems(small):
     assert any("train_frac" in f for f in findings)
     config = make_config(small.doc, small.root, scales_km=[])
     assert any("scales_km" in f for f in validate(config))
+    # bool is an int subclass and True == 1, a valid panel
+    config = make_config(small.doc, small.root, holdout_panel=True)
+    assert any("holdout_panel" in f for f in validate(config))
 
 
 # -- run orchestration ----------------------------------------------------
@@ -168,6 +171,18 @@ def test_run_detects_deleted_upstream_file(small, tmp_path):
     run(config, {"ingest"})
     (out / "ingest" / "model_dev.csv").unlink()
     with pytest.raises(PipelineError, match="absent on disk"):
+        run(config, {"extract"})
+
+
+def test_run_refuses_upstream_from_other_artifact_version(small, tmp_path):
+    out = tmp_path / "o"
+    config = make_config(small.doc, small.root, output_dir=str(out))
+    run(config, {"ingest"})
+    manifest_path = out / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["artifact_version"] += 1
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(PipelineError, match="missing upstream artifact"):
         run(config, {"extract"})
 
 
