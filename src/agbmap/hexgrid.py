@@ -156,17 +156,18 @@ def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> list[HexA
     locs = np.asarray(locations, dtype=np.float64)
     if locs.shape != (y.size, 2):
         raise ValueError("locations must be an (n, 2) array matching the pairs")
+    if y.size == 0:
+        return []
     ids = assign(locs, hexgrid)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (row, col) in enumerate(ids):
-        groups.setdefault((int(row), int(col)), []).append(i)
-    out = []
-    for hex_id in sorted(groups):
-        members = groups[hex_id]
-        out.append(HexAggregate(
-            hex_id=hex_id,
-            n_members=len(members),
-            y_mean=float(y[members].mean()),
-            yhat_mean=float(yhat[members].mean()),
-        ))
-    return out
+    # packed (row, col) key: sorting it orders cells by id; the stable sort
+    # keeps each cell's members in input order, so every mean sums the same
+    # values in the same order as indexing them by member list
+    span = hexgrid.col_max - hexgrid.col_min + 1
+    key = (ids[:, 0] - hexgrid.row_min) * span + (ids[:, 1] - hexgrid.col_min)
+    order = np.argsort(key, kind="stable")
+    key, ids, y, yhat = key[order], ids[order], y[order], yhat[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], key.size]
+    return [HexAggregate(hex_id=(int(ids[lo, 0]), int(ids[lo, 1])), n_members=hi - lo,
+                         y_mean=float(y[lo:hi].mean()), yhat_mean=float(yhat[lo:hi].mean()))
+            for lo, hi in zip(starts.tolist(), ends.tolist())]

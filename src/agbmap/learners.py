@@ -6,8 +6,10 @@ trees. Base models are combined by an ordinary least-squares stack fitted on
 out-of-fold predictions; final ensemble predictions are truncated below at
 zero, since the target is a nonnegative density.
 
-Every fit is a pure function of (data, hyperparameters, seed). Trees are kept
-as flat arrays so prediction over raster-sized inputs stays vectorized.
+Every fit is a pure function of (data, hyperparameters, seed). A tree model's
+trees are also kept as one flat forest of concatenated node arrays; predict
+walks all trees at once over chunks of cells, each tree as many steps as it is
+deep.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import numpy as np
 from .grid import Grid
 
 MODEL_FORMAT_VERSION = 1
+
+# node ids a forest walk holds per chunk of cells (chunk = this // trees)
+_WALK_ENTRIES = 65_536
 
 # default hyperparameter grids for model selection
 DEFAULT_GRIDS: dict[str, list[dict]] = {
@@ -56,25 +61,19 @@ class LearnerSpec:
             allowed = {"k"}
             if not (isinstance(hp.get("k"), int) and hp["k"] >= 1):
                 raise ValueError("knn needs an integer k >= 1")
-        elif self.kind == "bagged_trees":
-            allowed = {"trees", "max_depth", "max_features"}
+        elif self.kind in ("bagged_trees", "boosted_trees"):
+            bagged = self.kind == "bagged_trees"
+            allowed = {"trees", "max_depth", "max_features" if bagged else "learning_rate"}
             if not (isinstance(hp.get("trees"), int) and hp["trees"] >= 1):
-                raise ValueError("bagged_trees needs an integer trees >= 1")
-            d = hp.get("max_depth")
-            if d is not None and not (isinstance(d, int) and d >= 0):
-                raise ValueError("max_depth must be None or an integer >= 0")
-            if hp.get("max_features") not in ("sqrt", "third", None):
-                raise ValueError("max_features must be 'sqrt', 'third' or None")
-        elif self.kind == "boosted_trees":
-            allowed = {"trees", "learning_rate", "max_depth"}
-            if not (isinstance(hp.get("trees"), int) and hp["trees"] >= 1):
-                raise ValueError("boosted_trees needs an integer trees >= 1")
+                raise ValueError(f"{self.kind} needs an integer trees >= 1")
             lr = hp.get("learning_rate")
-            if not (isinstance(lr, (int, float)) and lr >= 0):
+            if not bagged and not (isinstance(lr, (int, float)) and lr >= 0):
                 raise ValueError("learning_rate must be a nonnegative number")
             d = hp.get("max_depth")
             if d is not None and not (isinstance(d, int) and d >= 0):
                 raise ValueError("max_depth must be None or an integer >= 0")
+            if bagged and hp.get("max_features") not in ("sqrt", "third", None):
+                raise ValueError("max_features must be 'sqrt', 'third' or None")
         else:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         extra = set(hp) - allowed
@@ -100,6 +99,9 @@ def _as_2d(X) -> np.ndarray:
 
 # -- regression tree ------------------------------------------------------
 
+_TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64,  # as in the model JSON
+                "left": np.int32, "right": np.int32, "value": np.float64}
+
 
 class RegressionTree:
     """CART-style regression tree stored as flat node arrays.
@@ -110,44 +112,32 @@ class RegressionTree:
     squared error, with first-candidate tie-breaking for determinism.
     """
 
-    def __init__(self, max_depth=None, max_features=None, min_samples_leaf=1):
+    def __init__(self, max_depth=None, max_features=None):
         self.max_depth = max_depth
         self.max_features = max_features
-        self.min_samples_leaf = min_samples_leaf
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.value = None
 
-    def fit(self, X, y, rng) -> "RegressionTree":
+    def fit(self, X, y, rng) -> np.ndarray:
+        """Grow the tree; returns its prediction for every training row."""
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
-        feature = []
-        threshold = []
-        left = []
-        right = []
-        value = []
+        columns = feature, threshold, left, right, value = [], [], [], [], []
 
         def new_node():
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
+            for column, empty in zip(columns, (-1, 0.0, -1, -1, 0.0)):
+                column.append(empty)
             return len(feature) - 1
 
-        msl = self.min_samples_leaf
+        fitted = np.empty(n, dtype=np.float64)
         root = new_node()
         stack = [(np.arange(n), 0, root)]
         while stack:
             idx, depth, nid = stack.pop()
             yn = y[idx]
-            value[nid] = float(yn.mean())
+            value[nid] = fitted[idx] = float(yn.mean())
             m = idx.size
             if (self.max_depth is not None and depth >= self.max_depth) \
-                    or m < 2 * msl or m < 2 or np.all(yn == yn[0]):
+                    or m < 2 or np.all(yn == yn[0]):
                 continue
             if self.max_features is not None and self.max_features < p:
                 feats = np.sort(rng.choice(p, size=self.max_features, replace=False))
@@ -166,8 +156,6 @@ class RegressionTree:
                 s1, s2 = c1[-1], c2[-1]
                 i = np.arange(1, m)
                 ok = xs[1:] > xs[:-1]
-                if msl > 1:
-                    ok &= (i >= msl) & (m - i >= msl)
                 if not np.any(ok):
                     continue
                 cost = (c2[:-1] - c1[:-1] ** 2 / i) \
@@ -195,44 +183,72 @@ class RegressionTree:
             stack.append((idx[~go_left], depth + 1, rid))
             stack.append((idx[go_left], depth + 1, lid))
 
-        self.feature = np.array(feature, dtype=np.int32)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.int32)
-        self.right = np.array(right, dtype=np.int32)
-        self.value = np.array(value, dtype=np.float64)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        X = _as_2d(X)
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            f = self.feature[node]
-            at_leaf = f < 0
-            if np.all(at_leaf):
-                break
-            go_left = X[np.arange(X.shape[0]), np.maximum(f, 0)] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(at_leaf, node, nxt).astype(np.int32)
-        return self.value[node]
+        for (name, dtype), column in zip(_TREE_ARRAYS.items(), columns):
+            setattr(self, name, np.array(column, dtype=dtype))
+        return fitted
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _TREE_ARRAYS}
 
     @staticmethod
     def from_dict(d: dict) -> "RegressionTree":
         t = RegressionTree()
-        t.feature = np.array(d["feature"], dtype=np.int32)
-        t.threshold = np.array(d["threshold"], dtype=np.float64)
-        t.left = np.array(d["left"], dtype=np.int32)
-        t.right = np.array(d["right"], dtype=np.int32)
-        t.value = np.array(d["value"], dtype=np.float64)
+        for name, dtype in _TREE_ARRAYS.items():
+            setattr(t, name, np.array(d[name], dtype=dtype))
         return t
+
+
+class _Forest:
+    """The trees of one model as one set of concatenated node arrays.
+
+    Child ids are offset per tree, and leaves point at themselves with a +inf
+    threshold, so a walk of as many gather, compare and child lookup steps as
+    a tree is deep takes every cell to its leaf in that tree, with no leaf
+    test. The walk keeps the trees deepest first, so each step is one slice.
+    """
+
+    def __init__(self, trees: list[RegressionTree]):
+        cat = {name: np.concatenate([getattr(t, name) for t in trees]) for name in _TREE_ARRAYS}
+        sizes = [t.value.size for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        leaf = cat["feature"] < 0
+        ids = np.arange(leaf.size)
+        left, right = (np.where(leaf, ids, cat[side] + np.repeat(roots, sizes))
+                       for side in ("left", "right"))
+        self.feature = np.where(leaf, 0, cat["feature"])
+        self.threshold = np.where(leaf, np.inf, cat["threshold"])
+        self.child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
+        self.value = cat["value"]
+        depth = np.zeros(leaf.size, dtype=np.int64)  # of each node
+        level = roots
+        while level.size:
+            level = level[~leaf[level]]
+            depth[left[level]] = depth[right[level]] = depth[level] + 1
+            level = np.concatenate([left[level], right[level]])
+        depth = np.maximum.reduceat(depth, roots)  # of each tree
+        order = np.argsort(-depth, kind="stable")
+        self.roots = roots[order]
+        self.unsort = np.argsort(order)
+        self.walking = [int(np.count_nonzero(depth > step)) for step in range(depth.max())]
+
+    def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
+        """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
+        out = np.empty(X.shape[0], dtype=np.float64)
+        chunk = max(1, _WALK_ENTRIES // self.roots.size)
+        for lo in range(0, X.shape[0], chunk):
+            xt = np.ascontiguousarray(X[lo:lo + chunk].T).ravel()  # feature-major
+            m = xt.size // X.shape[1]
+            cells, at = np.arange(m), self.feature * m  # xt[at[node] + cell] is x[cell, feature]
+            node = np.repeat(self.roots[:, None], m, axis=1)  # (trees, cells)
+            for k in self.walking:  # the k deepest trees take this step
+                top = node[:k]
+                go_right = xt[at[top] + cells] > self.threshold[top]
+                node[:k] = self.child[2 * top + go_right]
+            leaf = weight * self.value[node[self.unsort]]
+            leaf[0] += start
+            # cumsum adds row after row, the order of a per-tree `acc +=` loop
+            out[lo:lo + chunk] = np.cumsum(leaf, axis=0)[-1]
+        return out
 
 
 def _feature_count(mode, p: int) -> int | None:
@@ -319,6 +335,7 @@ class BaggedTreesModel:
         self.max_depth = max_depth
         self.max_features = max_features
         self.trees: list[RegressionTree] = []
+        self.forest = None
         self.constant = None
 
     def fit(self, X, y, rng) -> "BaggedTreesModel":
@@ -335,16 +352,14 @@ class BaggedTreesModel:
             tree = RegressionTree(max_depth=self.max_depth, max_features=k)
             tree.fit(X[boot], y[boot], rng)
             self.trees.append(tree)
+        self.forest = _Forest(self.trees)
         return self
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
         if self.constant is not None:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        return self.forest.accumulate(X, 0.0, 1.0) / len(self.trees)
 
     def to_dict(self) -> dict:
         return {
@@ -359,6 +374,7 @@ class BaggedTreesModel:
                              max_features=d["max_features"])
         m.constant = d["constant"]
         m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
+        m.forest = _Forest(m.trees) if m.trees else None
         return m
 
 
@@ -373,26 +389,22 @@ class BoostedTreesModel:
         self.max_depth = max_depth
         self.init_value = None
         self.trees: list[RegressionTree] = []
+        self.forest = None
 
     def fit(self, X, y, rng=None) -> "BoostedTreesModel":
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
         self.init_value = float(y.mean())
         current = np.full(y.shape, self.init_value)
-        dummy_rng = np.random.default_rng(0)  # no randomness is consumed
         for _ in range(self.n_trees):
-            tree = RegressionTree(max_depth=self.max_depth)
-            tree.fit(X, y - current, dummy_rng)
-            current = current + self.learning_rate * tree.predict(X)
+            tree = RegressionTree(max_depth=self.max_depth)  # all features: no rng draws
+            current = current + self.learning_rate * tree.fit(X, y - current, None)
             self.trees.append(tree)
+        self.forest = _Forest(self.trees)
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = _as_2d(X)
-        acc = np.full(X.shape[0], self.init_value, dtype=np.float64)
-        for tree in self.trees:
-            acc += self.learning_rate * tree.predict(X)
-        return acc
+        return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)
 
     def to_dict(self) -> dict:
         return {
@@ -409,6 +421,7 @@ class BoostedTreesModel:
                               max_depth=d["max_depth"])
         m.init_value = d["init_value"]
         m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
+        m.forest = _Forest(m.trees)
         return m
 
 
@@ -448,15 +461,7 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
     if n < k:
         raise ValueError(f"cannot split {n} rows into {k} folds")
     perm = np.random.default_rng(seed).permutation(n)
-    base = n // k
-    rem = n % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(np.sort(perm[start:start + size]))
-        start += size
-    return folds
+    return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
 def cv_predict(spec: LearnerSpec, X, y, k: int = 5, seed=0) -> np.ndarray:
@@ -580,12 +585,9 @@ class EnsembleModel:
         version = doc.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
-        specs = []
-        models = []
-        for entry in doc["base"]:
-            spec = LearnerSpec.from_dict(entry["spec"])
-            specs.append(spec)
-            models.append(_MODEL_CLASSES[spec.kind].from_dict(entry["model"]))
+        specs = [LearnerSpec.from_dict(entry["spec"]) for entry in doc["base"]]
+        models = [_MODEL_CLASSES[spec.kind].from_dict(entry["model"])
+                  for spec, entry in zip(specs, doc["base"])]
         return EnsembleModel(
             specs=specs,
             models=models,
@@ -609,9 +611,7 @@ def predict_grid(model: EnsembleModel, predictors: dict) -> Grid:
     for g in grids[1:]:
         if not first.aligned_with(g):
             raise ValueError("predictor grids are not aligned")
-    mask = np.ones((first.nrows, first.ncols), dtype=bool)
-    for g in grids:
-        mask &= g.mask
+    mask = np.logical_and.reduce([g.mask for g in grids])
     values = np.zeros((first.nrows, first.ncols), dtype=np.float64)
     if np.any(mask):
         X = np.column_stack([g.values[mask].astype(np.float64) for g in grids])

@@ -992,6 +992,11 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
     manifest = RunManifest.load(out_dir)
     if manifest is None:
         raise PipelineError(f"no run manifest under {out_dir}; nothing to report")
+    if manifest.artifact_version != ARTIFACT_VERSION:
+        raise PipelineError(
+            f"run manifest under {out_dir} is from artifact version "
+            f"{manifest.artifact_version}, this code writes version {ARTIFACT_VERSION}; "
+            "rerun the stages before reporting")
 
     lines = ["run report", "==========",
              f"output directory: {out_dir}",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agbmap.hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
 
@@ -130,3 +131,43 @@ class TestAggregation:
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
         with pytest.raises(ValueError):
             aggregate_pairs(Pairs([1.0], [2.0]), np.zeros((2, 2)), hg)
+
+    def test_empty_input_gives_no_cells(self):
+        hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
+        assert aggregate_pairs(Pairs([], []), np.zeros((0, 2)), hg) == []
+
+
+def dict_grouping(pairs, locations, hg):
+    """Frozen copy of the per-point dict grouping aggregate_pairs replaced."""
+    y = np.asarray(pairs.y, dtype=np.float64)
+    yhat = np.asarray(pairs.yhat, dtype=np.float64)
+    ids = assign(np.asarray(locations, dtype=np.float64), hg)
+    groups = {}
+    for i, (row, col) in enumerate(ids):
+        groups.setdefault((int(row), int(col)), []).append(i)
+    return [(hex_id, len(members), float(y[members].mean()), float(yhat[members].mean()))
+            for hex_id, members in sorted(groups.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 120),
+       n_stacked=st.integers(0, 30), n_ties=st.integers(0, 10),
+       spacing=st.sampled_from([150.0, 700.0, 1900.0, 4100.0, 30000.0]))
+def test_grouping_matches_dict_reference(seed, n_random, n_stacked, n_ties, spacing):
+    rng = np.random.default_rng(seed)
+    hg = make_hexgrid((0, 0, 20000, 15000), spacing=spacing)
+    pts = [np.column_stack([rng.uniform(0, 20000, n_random), rng.uniform(0, 15000, n_random)])]
+    # points stacked on a few centroids, and midpoints of vertically adjacent
+    # centroids (exact ties, which go to the lower id)
+    rows = rng.integers(0, max(1, hg.row_max), size=n_stacked + n_ties)
+    cols = rng.integers(0, max(1, hg.col_max), size=n_stacked + n_ties)
+    cx, cy = hg.center(rows, cols)
+    _, cy_above = hg.center(rows + 1, cols)
+    pts.append(np.column_stack([cx, cy])[:n_stacked])
+    pts.append(np.column_stack([cx, (cy + cy_above) / 2.0])[n_stacked:])
+    locs = np.concatenate(pts)
+    locs = locs[rng.permutation(len(locs))]
+    pairs = Pairs(rng.gamma(2.0, 50.0, len(locs)), rng.normal(100.0, 40.0, len(locs)))
+    got = [(g.hex_id, g.n_members, g.y_mean, g.yhat_mean)
+           for g in aggregate_pairs(pairs, locs, hg)]
+    assert got == dict_grouping(pairs, locs, hg)

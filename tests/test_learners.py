@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agbmap import learners
 from agbmap.grid import Grid
 from agbmap.learners import (
     DEFAULT_GRIDS, EnsembleModel, LearnerSpec, StackFit,
@@ -109,6 +110,124 @@ class TestTrees:
         b = train_base(spec, X, y, seed=2)
         q = toy_data(20, seed=9)[0]
         assert not np.array_equal(a.predict(q), b.predict(q))
+
+
+def per_tree_predict(tree: dict, X) -> np.ndarray:
+    """Frozen copy of the one-tree-at-a-time walk the flat forest replaced."""
+    feature = np.array(tree["feature"], dtype=np.int32)
+    threshold = np.array(tree["threshold"], dtype=np.float64)
+    left = np.array(tree["left"], dtype=np.int32)
+    right = np.array(tree["right"], dtype=np.int32)
+    value = np.array(tree["value"], dtype=np.float64)
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        f = feature[node]
+        at_leaf = f < 0
+        if np.all(at_leaf):
+            break
+        go_left = X[np.arange(X.shape[0]), np.maximum(f, 0)] <= threshold[node]
+        nxt = np.where(go_left, left[node], right[node])
+        node = np.where(at_leaf, node, nxt).astype(np.int32)
+    return value[node]
+
+
+def per_tree_model_predict(model, X) -> np.ndarray:
+    """Frozen copy of the per-tree accumulate loops of both tree kinds."""
+    d = model.to_dict()
+    if d["kind"] == "bagged_trees":
+        if d["constant"] is not None:
+            return np.full(X.shape[0], d["constant"], dtype=np.float64)
+        acc = np.zeros(X.shape[0], dtype=np.float64)
+        for tree in d["fitted_trees"]:
+            acc += per_tree_predict(tree, X)
+        return acc / len(d["fitted_trees"])
+    acc = np.full(X.shape[0], d["init_value"], dtype=np.float64)
+    for tree in d["fitted_trees"]:
+        acc += d["learning_rate"] * per_tree_predict(tree, X)
+    return acc
+
+
+def on_thresholds(model, X) -> np.ndarray:
+    """Rows of X with one feature set exactly to a split threshold (ties go left)."""
+    rows = []
+    for tree in model.to_dict()["fitted_trees"]:
+        for f, t in zip(tree["feature"], tree["threshold"]):
+            if f >= 0:
+                rows.append(X[len(rows) % len(X)].copy())
+                rows[-1][f] = t
+    return np.array(rows).reshape(-1, X.shape[1])
+
+
+class TestForestMatchesPerTreeWalk:
+    """The flat forest walk reproduces the per-tree walk bit for bit."""
+
+    @pytest.mark.parametrize("max_depth", [None, 8, 0])
+    @pytest.mark.parametrize("max_features", ["sqrt", "third", None])
+    def test_bagged(self, max_depth, max_features):
+        X, y = toy_data(60, p=6)
+        spec = LearnerSpec.make("bagged_trees", trees=15, max_depth=max_depth,
+                                max_features=max_features)
+        model = train_base(spec, X, y, seed=5)
+        q = np.vstack([toy_data(300, p=6, seed=8)[0], on_thresholds(model, X)])
+        assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
+
+    @pytest.mark.parametrize("learning_rate", [0.0, 0.1])
+    @pytest.mark.parametrize("constant_y", [False, True])
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_boosted(self, learning_rate, constant_y, max_depth):
+        X, y = toy_data(60)
+        if constant_y:
+            y = np.full_like(y, 4.25)  # every tree is a single leaf
+        spec = LearnerSpec.make("boosted_trees", trees=25, learning_rate=learning_rate,
+                                max_depth=max_depth)
+        model = train_base(spec, X, y, seed=0)
+        q = np.vstack([X, toy_data(200, seed=8)[0], on_thresholds(model, X)])
+        assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
+
+    @pytest.mark.parametrize("kind", ["bagged_trees", "boosted_trees"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, "non-multiple"])
+    def test_chunk_boundaries(self, kind, offset):
+        X, y = toy_data(50)
+        hp = ({"trees": 40, "max_depth": None, "max_features": "sqrt"}
+              if kind == "bagged_trees" else
+              {"trees": 40, "learning_rate": 0.1, "max_depth": 3})
+        model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=2)
+        chunk = learners._WALK_ENTRIES // 40
+        n = {None: 1, "non-multiple": 2 * chunk + chunk // 3}.get(offset)
+        n = chunk + offset if n is None else n
+        q = np.random.default_rng(n).uniform(-1, 11, size=(n, X.shape[1]))
+        assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
+
+    def test_json_round_trip(self):
+        X, y = toy_data(50)
+        specs = [LearnerSpec.make("bagged_trees", trees=12, max_depth=None, max_features="third"),
+                 LearnerSpec.make("boosted_trees", trees=30, learning_rate=0.1, max_depth=3)]
+        models = [train_base(s, X, y, seed=[1, i]) for i, s in enumerate(specs)]
+        ens = EnsembleModel(specs=specs, models=models,
+                            stack=StackFit(0.5, np.array([0.6, 0.4]), False),
+                            feature_names=[f"f{j}" for j in range(X.shape[1])],
+                            ybar_train=float(y.mean()))
+        text = ens.to_json()
+        clone = EnsembleModel.from_json(text)
+        assert clone.to_json() == text
+        q = toy_data(120, seed=4)[0]
+        for m in clone.models:
+            assert np.array_equal(m.predict(q), per_tree_model_predict(m, q))
+        assert np.array_equal(clone.predict(q), ens.predict(q))
+
+    def test_tree_fit_returns_its_walk_of_the_training_rows(self):
+        # boosting adds these fitted values to its running prediction
+        X, y = toy_data(70)
+        for max_depth in (None, 2):
+            tree = learners.RegressionTree(max_depth=max_depth)
+            fitted = tree.fit(X, y, None)
+            assert np.array_equal(fitted, per_tree_predict(tree.to_dict(), X))
+
+    def test_each_model_kind_defines_its_own_predict(self):
+        # the benchmark tracer wraps `predict` per class to book time by kind
+        classes = (learners.KnnModel, learners.BaggedTreesModel, learners.BoostedTreesModel)
+        assert all("predict" in vars(cls) for cls in classes)
+        assert len({cls.predict for cls in classes}) == len(classes)
 
 
 class TestCrossValidation:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from agbmap import (
-    ASSESSMENT_COLUMNS, ConfigError, EnsembleModel, Grid, PipelineConfig,
+    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, ConfigError, EnsembleModel, Grid, PipelineConfig,
     PipelineError, render_report, run, synthesize, validate, write_grid,
 )
 from agbmap.cli import main
@@ -184,6 +184,19 @@ def test_run_refuses_upstream_from_other_artifact_version(small, tmp_path):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(PipelineError, match="missing upstream artifact"):
         run(config, {"extract"})
+
+
+def test_report_refuses_manifest_from_other_artifact_version(small, tmp_path):
+    out = tmp_path / "o"
+    config = make_config(small.doc, small.root, output_dir=str(out))
+    run(config, {"ingest"})
+    manifest_path = out / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["artifact_version"] = ARTIFACT_VERSION - 1
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(PipelineError, match=f"version {ARTIFACT_VERSION - 1}.*"
+                                            f"version {ARTIFACT_VERSION}"):
+        render_report(config)
 
 
 def test_rerun_reproduces_identical_bytes(small):
