@@ -93,6 +93,20 @@ def make_hexgrid(bbox: tuple[float, float, float, float], spacing: float) -> Hex
                    row_min=row_min, row_max=row_max)
 
 
+def covering_hexgrid(points, spacing: float) -> HexGrid:
+    """Tessellation covering the bbox of a nonempty (n, 2) point array; an
+    axis on which all points coincide is padded by half a spacing each side.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
+    if xmax == xmin:
+        xmin, xmax = xmin - spacing / 2, xmax + spacing / 2
+    if ymax == ymin:
+        ymin, ymax = ymin - spacing / 2, ymax + spacing / 2
+    return make_hexgrid((xmin, ymin, xmax, ymax), spacing)
+
+
 def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     """Assign each point (n,2 array) to its cell; returns an (n,2) array of
     (row, col) ids.

@@ -320,7 +320,34 @@ class KnnModel:
         return m
 
 
-class BaggedTreesModel:
+class _TreeModel:
+    """Model JSON of the tree kinds: `trees`, the other constructor arguments
+    (`_ARGS`), the one fitted scalar (`_FITTED`) and the fitted trees. Each
+    kind keeps its own `predict`: the benchmark tracer books it by class.
+    """
+
+    kind: str
+    _ARGS: tuple[str, ...]
+    _FITTED: str
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind, "trees": self.n_trees,
+            **{name: getattr(self, name) for name in self._ARGS},
+            self._FITTED: getattr(self, self._FITTED),
+            "fitted_trees": [t.to_dict() for t in self.trees],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "_TreeModel":
+        m = cls(trees=int(d["trees"]), **{name: d[name] for name in cls._ARGS})
+        setattr(m, cls._FITTED, d[cls._FITTED])
+        m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
+        m.forest = _Forest(m.trees) if m.trees else None
+        return m
+
+
+class BaggedTreesModel(_TreeModel):
     """Bootstrap-aggregated trees with a random feature subset per split.
 
     max_depth=0 degenerates to the constant mean-of-targets predictor: with no
@@ -329,6 +356,8 @@ class BaggedTreesModel:
     """
 
     kind = "bagged_trees"
+    _ARGS = ("max_depth", "max_features")
+    _FITTED = "constant"
 
     def __init__(self, trees: int, max_depth=None, max_features="sqrt"):
         self.n_trees = trees
@@ -342,9 +371,9 @@ class BaggedTreesModel:
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
+        self.trees, self.forest, self.constant = [], None, None
         if self.max_depth == 0:
             self.constant = float(y.mean())
-            self.trees = []
             return self
         k = _feature_count(self.max_features, p)
         for _ in range(self.n_trees):
@@ -361,27 +390,13 @@ class BaggedTreesModel:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
         return self.forest.accumulate(X, 0.0, 1.0) / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "trees": self.n_trees, "max_depth": self.max_depth,
-            "max_features": self.max_features, "constant": self.constant,
-            "fitted_trees": [t.to_dict() for t in self.trees],
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "BaggedTreesModel":
-        m = BaggedTreesModel(trees=int(d["trees"]), max_depth=d["max_depth"],
-                             max_features=d["max_features"])
-        m.constant = d["constant"]
-        m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
-        m.forest = _Forest(m.trees) if m.trees else None
-        return m
-
-
-class BoostedTreesModel:
+class BoostedTreesModel(_TreeModel):
     """Least-squares gradient boosting: mean start, shrunken residual trees."""
 
     kind = "boosted_trees"
+    _ARGS = ("learning_rate", "max_depth")
+    _FITTED = "init_value"
 
     def __init__(self, trees: int, learning_rate: float, max_depth=3):
         self.n_trees = trees
@@ -394,6 +409,7 @@ class BoostedTreesModel:
     def fit(self, X, y, rng=None) -> "BoostedTreesModel":
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
+        self.trees, self.forest = [], None
         self.init_value = float(y.mean())
         current = np.full(y.shape, self.init_value)
         for _ in range(self.n_trees):
@@ -406,24 +422,6 @@ class BoostedTreesModel:
     def predict(self, X) -> np.ndarray:
         return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "trees": self.n_trees,
-            "learning_rate": self.learning_rate, "max_depth": self.max_depth,
-            "init_value": self.init_value,
-            "fitted_trees": [t.to_dict() for t in self.trees],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoostedTreesModel":
-        m = BoostedTreesModel(trees=int(d["trees"]),
-                              learning_rate=d["learning_rate"],
-                              max_depth=d["max_depth"])
-        m.init_value = d["init_value"]
-        m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
-        m.forest = _Forest(m.trees)
-        return m
-
 
 _MODEL_CLASSES = {
     "knn": KnnModel,
@@ -433,7 +431,11 @@ _MODEL_CLASSES = {
 
 
 def train_base(spec: LearnerSpec, X, y, seed) -> object:
-    """Fit one base learner; the result is a pure function of the inputs."""
+    """Fit one base learner; the result is a pure function of the inputs.
+
+    The spec's hyperparameters are its model class's constructor arguments
+    (defaults fill those it leaves out); `seed` seeds the fit's rng.
+    """
     spec.validate()
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.float64)
@@ -441,17 +443,7 @@ def train_base(spec: LearnerSpec, X, y, seed) -> object:
         raise ValueError("y must match the rows of X")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    rng = np.random.default_rng(seed)
-    hp = spec.hp
-    if spec.kind == "knn":
-        return KnnModel(k=hp["k"]).fit(X, y)
-    if spec.kind == "bagged_trees":
-        return BaggedTreesModel(trees=hp["trees"], max_depth=hp.get("max_depth"),
-                                max_features=hp.get("max_features", "sqrt")).fit(X, y, rng)
-    if spec.kind == "boosted_trees":
-        return BoostedTreesModel(trees=hp["trees"], learning_rate=hp["learning_rate"],
-                                 max_depth=hp.get("max_depth", 3)).fit(X, y, rng)
-    raise ValueError(f"unknown learner kind {spec.kind!r}")
+    return _MODEL_CLASSES[spec.kind](**spec.hp).fit(X, y, np.random.default_rng(seed))
 
 
 def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
@@ -478,16 +470,18 @@ def cv_predict(spec: LearnerSpec, X, y, k: int = 5, seed=0) -> np.ndarray:
     return oof
 
 
-def grid_search(specs, X, y, k: int = 5, seed=0, return_scores: bool = False):
+def grid_search(specs, X, y, k: int = 5, seed=0):
     """Pick the spec with the lowest k-fold CV RMSE; ties keep grid order.
 
-    All specs are scored on the same seeded folds.
+    All specs are cross-validated once, on the same seeded folds. Returns
+    `(best, best_oof, scores)`: the winner, its out-of-fold predictions (equal
+    to `cv_predict(best, X, y, k, seed)`) and `(spec, rmse)` in grid order.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("empty hyperparameter grid")
     y = np.asarray(y, dtype=np.float64)
-    best = None
+    best = best_oof = None
     best_rmse = np.inf
     scores = []
     for spec in specs:
@@ -496,10 +490,9 @@ def grid_search(specs, X, y, k: int = 5, seed=0, return_scores: bool = False):
         scores.append((spec, rmse))
         if rmse < best_rmse:
             best = spec
+            best_oof = oof
             best_rmse = rmse
-    if return_scores:
-        return best, scores
-    return best
+    return best, best_oof, scores
 
 
 @dataclass

@@ -13,25 +13,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hexgrid import aggregate_pairs, make_hexgrid
+from .hexgrid import aggregate_pairs, covering_hexgrid
 
 DEFAULT_SCALES_KM = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 
 @dataclass
 class PairedSample:
-    """Reference values y and predictions yhat, matched by id."""
+    """Reference values y and predictions yhat, matched by position."""
 
-    ids: np.ndarray
     y: np.ndarray
     yhat: np.ndarray
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids)
         self.y = np.asarray(self.y, dtype=np.float64)
         self.yhat = np.asarray(self.yhat, dtype=np.float64)
-        if self.y.ndim != 1 or self.y.shape != self.yhat.shape or self.ids.shape != self.y.shape:
-            raise ValueError("ids, y and yhat must be 1-d arrays of equal length")
+        if self.y.ndim != 1 or self.y.shape != self.yhat.shape:
+            raise ValueError("y and yhat must be 1-d arrays of equal length")
         if self.y.size == 0:
             raise ValueError("a paired sample cannot be empty")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.yhat))):
@@ -237,14 +235,7 @@ def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SC
             rep = replace(rep, dr=willmott_dr(pairs), scale_km=float(s_km))
             out.append(rep)
             continue
-        spacing_m = float(s_km) * 1000.0
-        xmin, ymin = locs.min(axis=0)
-        xmax, ymax = locs.max(axis=0)
-        if xmax == xmin:
-            xmin, xmax = xmin - spacing_m / 2, xmax + spacing_m / 2
-        if ymax == ymin:
-            ymin, ymax = ymin - spacing_m / 2, ymax + spacing_m / 2
-        hg = make_hexgrid((xmin, ymin, xmax, ymax), spacing_m)
+        hg = covering_hexgrid(locs, float(s_km) * 1000.0)
         aggs = aggregate_pairs(pairs, locs, hg)
         n_hex = len(aggs)
         if n_hex < 2:
@@ -254,7 +245,6 @@ def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SC
                 pph=pairs.n / n_hex if n_hex else None, scale_km=float(s_km)))
             continue
         hex_pairs = PairedSample(
-            ids=np.array([str(a.hex_id) for a in aggs]),
             y=np.array([a.y_mean for a in aggs]),
             yhat=np.array([a.yhat_mean for a in aggs]),
         )

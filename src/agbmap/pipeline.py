@@ -23,14 +23,14 @@ import numpy as np
 from . import carbon as carbon_mod
 from .footprint import PlotFootprint, pixel_overlap_weights, weighted_mean
 from .grid import Grid, difference, mask_landcover, percent_rank, read_grid, summarize, write_grid
-from .hexgrid import aggregate_pairs, make_hexgrid
+from .hexgrid import aggregate_pairs, covering_hexgrid
 from .inventory import (
     PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
     load_plots, load_trees, select_single_inventory, split_by_panel,
 )
 from .learners import (
-    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, cv_predict, fit_stack,
-    grid_search, predict_grid, train_base,
+    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search,
+    predict_grid, train_base,
 )
 from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
@@ -485,7 +485,6 @@ def _stage_fit(config: PipelineConfig) -> list[Path]:
     if len(rows) < 10:
         raise PipelineError(f"only {len(rows)} feature rows; too few to fit models")
     names = config.predictor_names()
-    ids = [r["plot_id"] for r in rows]
     X = np.array([[float(r[name]) for name in names] for r in rows], dtype=np.float64)
     y_by_allom = {
         "CRM": np.array([float(r["agb_crm"]) for r in rows]),
@@ -516,11 +515,10 @@ def _stage_fit(config: PipelineConfig) -> list[Path]:
         oof_cols = []
         model_info = {}
         for k_idx, kind in enumerate(kinds):
-            cv_seed = [config.seed, 310, a_idx, k_idx]
-            best, scores = grid_search(grids[kind], Xtr, ytr, k=config.cv_folds,
-                                       seed=cv_seed, return_scores=True)
+            best, oof, scores = grid_search(grids[kind], Xtr, ytr, k=config.cv_folds,
+                                            seed=[config.seed, 310, a_idx, k_idx])
             chosen.append(best)
-            oof_cols.append(cv_predict(best, Xtr, ytr, k=config.cv_folds, seed=cv_seed))
+            oof_cols.append(oof)
             model_info[kind] = {
                 "chosen": best.to_dict(),
                 "cv_rmse": {json.dumps(s.to_dict(), sort_keys=True): r
@@ -539,8 +537,7 @@ def _stage_fit(config: PipelineConfig) -> list[Path]:
             f.write(ens.to_json())
         outputs.append(model_path)
 
-        test_ids = [ids[i] for i in test_idx]
-        pairs = PairedSample(ids=test_ids, y=yte, yhat=ens.predict(Xte))
+        pairs = PairedSample(y=yte, yhat=ens.predict(Xte))
         rep = basic_metrics(pairs, ybar_train=float(ytr.mean()))
         row = _report_row(rep)
         row["dr"] = willmott_dr(pairs)
@@ -619,24 +616,23 @@ def _stage_assess(config: PipelineConfig) -> list[Path]:
             plot_weights = {
                 p.plot_id: pixel_overlap_weights(PlotFootprint(p.x, p.y), geom)
                 for p in assessment}
-        ids, ys, yhats, locs, pair_rows = [], [], [], [], []
+        ys, yhats, locs, pair_rows = [], [], [], []
         n_outside = 0
         for p in assessment:
             yhat = weighted_mean(maps[p.inventory_year], plot_weights[p.plot_id])
             if yhat is None:
                 n_outside += 1
                 continue
-            ids.append(p.plot_id)
             ys.append(p.agb(allometry))
             yhats.append(yhat)
             locs.append((p.x, p.y))
             pair_rows.append({"plot_id": p.plot_id, "x_m": p.x, "y_m": p.y,
                               "inventory_year": p.inventory_year,
                               "y": p.agb(allometry), "yhat": yhat})
-        if len(ids) < 2:
+        if len(ys) < 2:
             raise PipelineError(
-                f"only {len(ids)} assessment plots fall inside the mapped area")
-        pairs = PairedSample(ids=ids, y=np.array(ys), yhat=np.array(yhats))
+                f"only {len(ys)} assessment plots fall inside the mapped area")
+        pairs = PairedSample(y=np.array(ys), yhat=np.array(yhats))
         reports = multiscale_assessment(pairs, np.array(locs), spacings_km=scales,
                                         ybar_train=model.ybar_train)
         table_path = out / f"assessment_{allometry}.csv"
@@ -648,7 +644,7 @@ def _stage_assess(config: PipelineConfig) -> list[Path]:
         outputs.extend([table_path, pairs_path])
         plot_level = _report_row(reports[0])
         summary[allometry] = {
-            "n_pairs": len(ids),
+            "n_pairs": len(ys),
             "n_outside_mapped_area": n_outside,
             "ybar_train": model.ybar_train,
             "ks_reference_vs_predicted": ks_statistic(np.array(ys), np.array(yhats)),
@@ -665,7 +661,7 @@ def _agreement_row(scale_km, y, yhat) -> dict:
            "gmfr_intercept": None, "gmfr_slope": None}
     if y.size < 2:
         return row
-    pairs = PairedSample(ids=[str(i) for i in range(y.size)], y=y, yhat=yhat)
+    pairs = PairedSample(y=y, yhat=yhat)
     try:
         dec = ac_decompose(pairs)
         row.update(ac=dec.ac, ac_systematic=dec.ac_systematic,
@@ -696,13 +692,10 @@ def _stage_agree(config: PipelineConfig) -> list[Path]:
 
         rows = [_agreement_row(1.0, y, yhat)]
         for s_km in [s for s in config.scales_km if s != 1]:
-            spacing = float(s_km) * 1000.0
             if locs.size == 0:
                 rows.append(_agreement_row(float(s_km), np.empty(0), np.empty(0)))
                 continue
-            bbox = (float(locs[:, 0].min()), float(locs[:, 1].min()),
-                    float(locs[:, 0].max()), float(locs[:, 1].max()))
-            hexes = make_hexgrid(bbox, spacing)
+            hexes = covering_hexgrid(locs, float(s_km) * 1000.0)
             cells = aggregate_pairs(SimpleNamespace(y=y, yhat=yhat), locs, hexes)
             ym = np.array([c.y_mean for c in cells])
             yhm = np.array([c.yhat_mean for c in cells])

@@ -115,7 +115,7 @@ def test_01_error_metrics_match_direct_summation():
     worst = 0.0
     for y, yhat in check_suite():
         ybar_train = float(np.mean(y)) * 1.1 + 1.0
-        pairs = PairedSample(ids=np.arange(y.size), y=y, yhat=yhat)
+        pairs = PairedSample(y=y, yhat=yhat)
         rep = basic_metrics(pairs, ybar_train)
         want = oracle_basic(y.tolist(), yhat.tolist(), ybar_train)
         for name in ("rmse", "mae", "me", "r2", "pct_rmse", "pct_mae"):
@@ -133,32 +133,31 @@ def test_01_error_metrics_match_direct_summation():
 
 def test_02_agreement_decomposition_identity_and_symmetry():
     for y, yhat in check_suite():
-        pairs = PairedSample(ids=np.arange(y.size), y=y, yhat=yhat)
+        pairs = PairedSample(y=y, yhat=yhat)
         dec = ac_decompose(pairs)
         resid = (dec.ac_systematic + dec.ac_unsystematic - 1.0) - dec.ac
         assert abs(resid) <= 1e-12 * max(1.0, abs(dec.ac))
-        swapped = ac_decompose(PairedSample(ids=np.arange(y.size),
-                                            y=yhat, yhat=y))
+        swapped = ac_decompose(PairedSample(y=yhat, yhat=y))
         assert abs(dec.ac - swapped.ac) <= 1e-12 * max(1.0, abs(dec.ac))
 
 
 def test_03_refined_agreement_anchors_and_bounds():
     y = np.array([4.0, 9.0, 1.5])
-    same = PairedSample(ids=np.arange(3), y=y, yhat=y.copy())
+    same = PairedSample(y=y, yhat=y.copy())
     assert willmott_dr(same) == 1.0
-    low_error = PairedSample(ids=[0, 1], y=[1.0, 3.0], yhat=[2.0, 2.0])
+    low_error = PairedSample(y=[1.0, 3.0], yhat=[2.0, 2.0])
     assert willmott_dr(low_error) == 0.5
-    high_error = PairedSample(ids=[0, 1], y=[1.0, 3.0], yhat=[11.0, 13.0])
+    high_error = PairedSample(y=[1.0, 3.0], yhat=[11.0, 13.0])
     assert willmott_dr(high_error) == -0.8
     for yy, yhat in check_suite():
-        pairs = PairedSample(ids=np.arange(yy.size), y=yy, yhat=yhat)
+        pairs = PairedSample(y=yy, yhat=yhat)
         dr = willmott_dr(pairs)
         assert -1.0 <= dr <= 1.0
 
 
 def test_04_reported_figures_are_internally_consistent():
     # percent error normalization and plots-per-hexagon back-checks
-    two_points = PairedSample(ids=[0, 1], y=[100.0, 100.0],
+    two_points = PairedSample(y=[100.0, 100.0],
                               yhat=[100.0 + 60.33, 100.0 - 60.33])
     rep = basic_metrics(two_points, 131.24)
     assert round(rep.pct_rmse, 2) == 45.97
@@ -311,7 +310,7 @@ def test_08_end_to_end_runs_are_deterministic(tmp_path):
     y = rng.uniform(30.0, 200.0, n)
     yhat = y + rng.normal(0.0, 35.0, n)
     reports = multiscale_assessment(
-        PairedSample(ids=np.arange(n), y=y, yhat=yhat), locs,
+        PairedSample(y=y, yhat=yhat), locs,
         spacings_km=[2, 5, 10, 20, 50], ybar_train=float(np.mean(y)))
     curve = [rep.pct_rmse for rep in reports]
     assert all(b < a for a, b in zip(curve, curve[1:])), curve

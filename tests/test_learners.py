@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ class TestTrees:
         b = train_base(spec, X, y, seed=11)
         q = toy_data(20, seed=9)[0]
         assert np.array_equal(a.predict(q), b.predict(q))
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("bagged_trees", {"trees": 5, "max_depth": 8, "max_features": "sqrt"}),
+        ("bagged_trees", {"trees": 5, "max_depth": 0}),
+        ("boosted_trees", {"trees": 5, "learning_rate": 0.1, "max_depth": 3}),
+    ])
+    def test_refit_starts_from_empty_state(self, kind, hp):
+        X, y = toy_data(40)
+        once = learners._MODEL_CLASSES[kind](**hp).fit(X, y, np.random.default_rng(4))
+        twice = learners._MODEL_CLASSES[kind](**hp)
+        twice.fit(X[::-1] + 1.0, y[::-1] * 2.0, np.random.default_rng(9))
+        twice.fit(X, y, np.random.default_rng(4))
+        assert twice.to_dict() == once.to_dict()
+        q = toy_data(30, seed=6)[0]
+        assert np.array_equal(twice.predict(q), once.predict(q))
 
     def test_different_seed_different_model(self):
         X, y = toy_data(50)
@@ -223,6 +240,26 @@ class TestForestMatchesPerTreeWalk:
             fitted = tree.fit(X, y, None)
             assert np.array_equal(fitted, per_tree_predict(tree.to_dict(), X))
 
+    def test_model_json_keys_of_each_kind(self):
+        # one serializer writes both kinds; the model JSON stays what each
+        # kind wrote on its own (no format version bump)
+        X, y = toy_data(30)
+        cases = [("bagged_trees", {"trees": 3, "max_depth": 4, "max_features": "third"},
+                  "constant", None),
+                 ("bagged_trees", {"trees": 3, "max_depth": 0, "max_features": "sqrt"},
+                  "constant", float(y.mean())),
+                 ("boosted_trees", {"trees": 3, "learning_rate": 0.25, "max_depth": 2},
+                  "init_value", float(y.mean()))]
+        for kind, hp, scalar, value in cases:
+            model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=3)
+            d = model.to_dict()
+            assert sorted(d) == sorted(["kind", *hp, scalar, "fitted_trees"])
+            assert {k: d[k] for k in ("kind", *hp, scalar)} == {"kind": kind, **hp, scalar: value}
+            assert len(d["fitted_trees"]) == (0 if hp["max_depth"] == 0 else 3)
+            clone = type(model).from_dict(json.loads(json.dumps(d)))
+            assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
+            assert np.array_equal(clone.predict(X), model.predict(X))
+
     def test_each_model_kind_defines_its_own_predict(self):
         # the benchmark tracer wraps `predict` per class to book time by kind
         classes = (learners.KnnModel, learners.BaggedTreesModel, learners.BoostedTreesModel)
@@ -268,7 +305,8 @@ class TestGridSearch:
     def test_minimizes_cv_rmse(self):
         X, y = toy_data(60)
         specs = [LearnerSpec.make("knn", k=k) for k in (1, 5, 10, 25)]
-        best, scores = grid_search(specs, X, y, k=5, seed=3, return_scores=True)
+        best, _, scores = grid_search(specs, X, y, k=5, seed=3)
+        assert [s for s, _ in scores] == specs
         rmses = [r for _, r in scores]
         assert best == scores[int(np.argmin(rmses))][0]
         assert min(rmses) == dict((s, r) for s, r in scores)[best]
@@ -277,8 +315,26 @@ class TestGridSearch:
         X = np.random.default_rng(5).uniform(size=(20, 2))
         y = np.full(20, 7.0)  # every spec scores identically (RMSE 0)
         specs = [LearnerSpec.make("knn", k=k) for k in (5, 2, 3)]
-        best = grid_search(specs, X, y, k=5, seed=0)
+        best, _, _ = grid_search(specs, X, y, k=5, seed=0)
         assert best == specs[0]
+
+    @pytest.mark.parametrize("kind,grid", [
+        ("knn", [{"k": 1}, {"k": 4}, {"k": 12}]),
+        ("bagged_trees", [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
+                          {"trees": 6, "max_depth": None, "max_features": None}]),
+        ("boosted_trees", [{"trees": 8, "learning_rate": 0.05, "max_depth": 1},
+                           {"trees": 8, "learning_rate": 0.3, "max_depth": 3}]),
+    ])
+    def test_best_oof_is_the_winners_cross_validation(self, kind, grid):
+        # the pipeline stacks these columns instead of cross-validating the
+        # winner a second time
+        X, y = toy_data(45)
+        specs = [LearnerSpec.make(kind, **hp) for hp in grid]
+        seed = [2, 310, 0, 1]
+        best, best_oof, scores = grid_search(specs, X, y, k=5, seed=seed)
+        assert np.array_equal(best_oof, cv_predict(best, X, y, k=5, seed=seed))
+        rmse = float(np.sqrt(np.mean((y - best_oof) ** 2)))
+        assert rmse == dict(scores)[best] == min(r for _, r in scores)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

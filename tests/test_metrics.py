@@ -77,7 +77,7 @@ class TestBasicMetrics:
         for _ in range(30):
             n = int(rng.integers(2, 60))
             y, yhat = randpairs(rng, n)
-            pairs = PairedSample(ids=np.arange(n), y=y, yhat=yhat)
+            pairs = PairedSample(y=y, yhat=yhat)
             rep = basic_metrics(pairs, ybar_train=100.0)
             assert rep.rmse == pytest.approx(o_rmse(y, yhat), rel=1e-12)
             assert rep.mae == pytest.approx(o_mae(y, yhat), rel=1e-12)
@@ -88,21 +88,21 @@ class TestBasicMetrics:
 
     def test_perfect_prediction(self):
         y = np.array([1.0, 2.0, 3.0])
-        rep = basic_metrics(PairedSample(ids=np.arange(3), y=y, yhat=y.copy()), 2.0)
+        rep = basic_metrics(PairedSample(y=y, yhat=y.copy()), 2.0)
         assert rep.rmse == 0.0 and rep.mae == 0.0 and rep.me == 0.0
         assert rep.r2 == 1.0 and rep.pct_rmse == 0.0
 
     def test_r2_can_be_negative(self):
-        pairs = PairedSample(ids=np.arange(3), y=[1.0, 2.0, 3.0], yhat=[3.0, 3.0, 3.0])
+        pairs = PairedSample(y=[1.0, 2.0, 3.0], yhat=[3.0, 3.0, 3.0])
         rep = basic_metrics(pairs, 2.0)
         assert rep.r2 == pytest.approx(1 - 5 / 2)  # -1.5, unclamped
 
     def test_constant_reference_has_no_r2(self):
-        pairs = PairedSample(ids=np.arange(3), y=[2.0, 2.0, 2.0], yhat=[1.0, 2.0, 3.0])
+        pairs = PairedSample(y=[2.0, 2.0, 2.0], yhat=[1.0, 2.0, 3.0])
         assert basic_metrics(pairs, 2.0).r2 is None
 
     def test_nonpositive_normalizer_rejected(self):
-        pairs = PairedSample(ids=[0], y=[1.0], yhat=[1.0])
+        pairs = PairedSample(y=[1.0], yhat=[1.0])
         with pytest.raises(ValueError):
             basic_metrics(pairs, 0.0)
 
@@ -113,19 +113,19 @@ class TestBasicMetrics:
 
 class TestWillmottDr:
     def test_perfect_is_one(self):
-        pairs = PairedSample(ids=np.arange(3), y=[1.0, 2.0, 3.0], yhat=[1.0, 2.0, 3.0])
+        pairs = PairedSample(y=[1.0, 2.0, 3.0], yhat=[1.0, 2.0, 3.0])
         assert willmott_dr(pairs) == 1.0
 
     def test_first_branch_anchor(self):
-        pairs = PairedSample(ids=[0, 1], y=[1.0, 3.0], yhat=[2.0, 2.0])
+        pairs = PairedSample(y=[1.0, 3.0], yhat=[2.0, 2.0])
         assert willmott_dr(pairs) == pytest.approx(0.5, abs=1e-15)
 
     def test_second_branch_anchor(self):
-        pairs = PairedSample(ids=[0, 1], y=[1.0, 3.0], yhat=[11.0, 13.0])
+        pairs = PairedSample(y=[1.0, 3.0], yhat=[11.0, 13.0])
         assert willmott_dr(pairs) == pytest.approx(-0.8, abs=1e-15)
 
     def test_constant_reference_is_none(self):
-        pairs = PairedSample(ids=[0, 1], y=[2.0, 2.0], yhat=[1.0, 3.0])
+        pairs = PairedSample(y=[2.0, 2.0], yhat=[1.0, 3.0])
         assert willmott_dr(pairs) is None
 
     def test_oracle_and_bounds_random(self):
@@ -133,7 +133,7 @@ class TestWillmottDr:
         for _ in range(50):
             n = int(rng.integers(2, 40))
             y, yhat = randpairs(rng, n)
-            pairs = PairedSample(ids=np.arange(n), y=y, yhat=yhat)
+            pairs = PairedSample(y=y, yhat=yhat)
             dr = willmott_dr(pairs)
             assert dr == pytest.approx(o_dr(y, yhat), rel=1e-12, abs=1e-12)
             assert -1.0 <= dr <= 1.0
@@ -141,22 +141,22 @@ class TestWillmottDr:
     def test_asymmetric_in_arguments(self):
         y = np.array([1.0, 2.0, 3.0, 8.0])
         yhat = np.array([2.0, 2.5, 2.0, 4.0])
-        a = willmott_dr(PairedSample(ids=np.arange(4), y=y, yhat=yhat))
-        b = willmott_dr(PairedSample(ids=np.arange(4), y=yhat, yhat=y))
+        a = willmott_dr(PairedSample(y=y, yhat=yhat))
+        b = willmott_dr(PairedSample(y=yhat, yhat=y))
         assert a != b
 
 
 class TestGmfr:
     def test_double_slope_anchor(self):
         y = np.array([1.0, 2.0, 3.0])
-        fit = gmfr_fit(PairedSample(ids=np.arange(3), y=y, yhat=2 * y))
+        fit = gmfr_fit(PairedSample(y=y, yhat=2 * y))
         assert fit.b == pytest.approx(0.5, rel=1e-12)
         assert fit.a == pytest.approx(0.0, abs=1e-12)
 
     def test_line_passes_through_means(self):
         rng = np.random.default_rng(3)
         y, yhat = randpairs(rng, 25)
-        fit = gmfr_fit(PairedSample(ids=np.arange(25), y=y, yhat=yhat))
+        fit = gmfr_fit(PairedSample(y=y, yhat=yhat))
         assert fit.a + fit.b * yhat.mean() == pytest.approx(y.mean(), rel=1e-10)
 
     def test_oracle_random(self):
@@ -164,25 +164,25 @@ class TestGmfr:
         for _ in range(25):
             n = int(rng.integers(3, 50))
             y, yhat = randpairs(rng, n)
-            fit = gmfr_fit(PairedSample(ids=np.arange(n), y=y, yhat=yhat))
+            fit = gmfr_fit(PairedSample(y=y, yhat=yhat))
             a_ref, b_ref = o_gmfr(list(y), list(yhat))
             assert fit.b == pytest.approx(b_ref, rel=1e-12)
             assert fit.a == pytest.approx(a_ref, rel=1e-9, abs=1e-9)
 
     def test_negative_correlation_gives_negative_slope(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        fit = gmfr_fit(PairedSample(ids=np.arange(4), y=y, yhat=-2 * y + 10))
+        fit = gmfr_fit(PairedSample(y=y, yhat=-2 * y + 10))
         assert fit.b == pytest.approx(-0.5, rel=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            gmfr_fit(PairedSample(ids=[0, 1], y=[1.0, 1.0], yhat=[1.0, 2.0]))
+            gmfr_fit(PairedSample(y=[1.0, 1.0], yhat=[1.0, 2.0]))
 
 
 class TestAcDecomposition:
     def test_identical_maps_give_ac_one(self):
         y = np.array([1.0, 5.0, 9.0])
-        dec = ac_decompose(PairedSample(ids=np.arange(3), y=y, yhat=y.copy()))
+        dec = ac_decompose(PairedSample(y=y, yhat=y.copy()))
         assert dec.ac == 1.0
         assert dec.ac_systematic == 1.0
         assert dec.ac_unsystematic == 1.0
@@ -192,7 +192,7 @@ class TestAcDecomposition:
         for _ in range(30):
             n = int(rng.integers(3, 60))
             y, yhat = randpairs(rng, n)
-            dec = ac_decompose(PairedSample(ids=np.arange(n), y=y, yhat=yhat))
+            dec = ac_decompose(PairedSample(y=y, yhat=yhat))
             ssd, spd, d = o_ac_parts(list(y), list(yhat))
             assert dec.ac == pytest.approx(1 - ssd / d, rel=1e-10)
             assert dec.ac_unsystematic == pytest.approx(1 - spd / d, rel=1e-10)
@@ -202,27 +202,27 @@ class TestAcDecomposition:
         rng = np.random.default_rng(12)
         for _ in range(20):
             y, yhat = randpairs(rng, 30)
-            dec = ac_decompose(PairedSample(ids=np.arange(30), y=y, yhat=yhat))
+            dec = ac_decompose(PairedSample(y=y, yhat=yhat))
             lhs = dec.ac_systematic + dec.ac_unsystematic - 1.0
             assert abs(lhs - dec.ac) <= 1e-12 * max(1.0, abs(dec.ac))
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         y, yhat = randpairs(rng, 40)
-        a = ac_decompose(PairedSample(ids=np.arange(40), y=y, yhat=yhat))
-        b = ac_decompose(PairedSample(ids=np.arange(40), y=yhat, yhat=y))
+        a = ac_decompose(PairedSample(y=y, yhat=yhat))
+        b = ac_decompose(PairedSample(y=yhat, yhat=y))
         assert a.ac == pytest.approx(b.ac, rel=1e-12)
 
     def test_pure_offset_is_fully_systematic(self):
         y = np.array([10.0, 20.0, 30.0, 40.0])
-        dec = ac_decompose(PairedSample(ids=np.arange(4), y=y, yhat=y + 5.0))
+        dec = ac_decompose(PairedSample(y=y, yhat=y + 5.0))
         assert dec.spd_u == pytest.approx(0.0, abs=1e-10)
         assert dec.ac_unsystematic == pytest.approx(1.0, abs=1e-12)
         assert dec.ac < 1.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            ac_decompose(PairedSample(ids=[0, 1], y=[3.0, 3.0], yhat=[3.0, 3.0]))
+            ac_decompose(PairedSample(y=[3.0, 3.0], yhat=[3.0, 3.0]))
 
 
 class TestEcdfKs:
@@ -277,7 +277,7 @@ class TestMultiscale:
         n = 80
         y, yhat = randpairs(rng, n)
         locs = np.column_stack([rng.uniform(0, 5e4, n), rng.uniform(0, 5e4, n)])
-        pairs = PairedSample(ids=np.arange(n), y=y, yhat=yhat)
+        pairs = PairedSample(y=y, yhat=yhat)
         rows = multiscale_assessment(pairs, locs, spacings_km=(1, 5), ybar_train=120.0)
         assert rows[0].scale_km == 1.0
         assert rows[0].pph is None
@@ -294,7 +294,7 @@ class TestMultiscale:
         locs = np.column_stack([rng.uniform(0, side, n), rng.uniform(0, side, n)])
         y = 100 + 30 * np.sin(locs[:, 0] / 3e4) + 20 * np.cos(locs[:, 1] / 2e4)
         yhat = y + rng.normal(0, 35, n)
-        pairs = PairedSample(ids=np.arange(n), y=y, yhat=yhat)
+        pairs = PairedSample(y=y, yhat=yhat)
         rows = multiscale_assessment(pairs, locs, spacings_km=(1, 10, 40),
                                      ybar_train=float(y.mean()))
         assert rows[0].pct_rmse > rows[1].pct_rmse > rows[2].pct_rmse
@@ -304,13 +304,13 @@ class TestMultiscale:
         n = 200
         locs = np.column_stack([rng.uniform(0, 3e4, n), rng.uniform(0, 3e4, n)])
         y, yhat = randpairs(rng, n)
-        pairs = PairedSample(ids=np.arange(n), y=y, yhat=yhat)
+        pairs = PairedSample(y=y, yhat=yhat)
         rows = multiscale_assessment(pairs, locs, spacings_km=(10,), ybar_train=100.0)
         assert rows[0].pph == pytest.approx(n / rows[0].n)
 
     def test_single_cell_scale_reports_no_metrics(self):
         locs = np.array([[0.0, 0.0], [10.0, 10.0]])
-        pairs = PairedSample(ids=[0, 1], y=[1.0, 2.0], yhat=[1.5, 2.5])
+        pairs = PairedSample(y=[1.0, 2.0], yhat=[1.5, 2.5])
         rows = multiscale_assessment(pairs, locs, spacings_km=(50,), ybar_train=1.0)
         assert rows[0].n == 1
         assert rows[0].rmse is None and rows[0].r2 is None
@@ -331,7 +331,7 @@ paired = st.integers(2, 40).flatmap(
 @given(paired)
 def test_rmse_dominates_mae_dominates_me(data):
     y, yhat = data
-    pairs = PairedSample(ids=np.arange(len(y)), y=y, yhat=yhat)
+    pairs = PairedSample(y=y, yhat=yhat)
     rep = basic_metrics(pairs, ybar_train=1.0)
     assert rep.rmse + 1e-9 >= rep.mae >= abs(rep.me) - 1e-9
 
@@ -340,7 +340,7 @@ def test_rmse_dominates_mae_dominates_me(data):
 @given(paired)
 def test_dr_bounded(data):
     y, yhat = data
-    pairs = PairedSample(ids=np.arange(len(y)), y=y, yhat=yhat)
+    pairs = PairedSample(y=y, yhat=yhat)
     dr = willmott_dr(pairs)
     if dr is not None:
         assert -1.0 <= dr <= 1.0
@@ -350,7 +350,7 @@ def test_dr_bounded(data):
 @given(paired)
 def test_ac_identity_and_bound(data):
     y, yhat = data
-    pairs = PairedSample(ids=np.arange(len(y)), y=y, yhat=yhat)
+    pairs = PairedSample(y=y, yhat=yhat)
     try:
         dec = ac_decompose(pairs)
     except ValueError:

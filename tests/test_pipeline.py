@@ -301,6 +301,59 @@ def test_agree_outputs(small):
                 assert float(r["ac"]) <= 1.0 + 1e-12
 
 
+def test_fit_cross_validates_each_spec_once(small, tmp_path, monkeypatch):
+    # the winner's out-of-fold column comes from model selection, not from a
+    # second cross-validation
+    import agbmap.learners
+    import agbmap.pipeline
+
+    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
+    run(config, ["ingest", "extract"])
+    calls = []
+    original = agbmap.learners.cv_predict
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(agbmap.learners, "cv_predict", counting)
+    monkeypatch.setattr(agbmap.pipeline, "cv_predict", counting, raising=False)
+    run(config, ["fit"])
+    n_specs = sum(len(grid) for grid in config.spec_grids().values())
+    assert len(calls) == 2 * n_specs
+
+
+def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
+    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
+    run(config, ["ingest", "extract", "fit", "predict"])
+    crm_path = tmp_path / "o" / "predict" / "agb_2005_CRM.bin"
+    crm = read_grid(crm_path)
+    nsvb = read_grid(tmp_path / "o" / "predict" / "agb_2005_NSVB.bin")
+    joint = crm.mask & nsvb.mask
+    col = int(np.argmax(joint.sum(axis=0)))
+    one_column = np.zeros_like(joint)
+    one_column[:, col] = True
+    one_cell = np.zeros_like(joint)
+    one_cell[int(np.flatnonzero(joint[:, col])[0]), col] = True
+    metrics = ["ac", "ac_systematic", "ac_unsystematic", "gmfr_intercept", "gmfr_slope"]
+    for keep in (one_column, one_cell):
+        write_grid(crm.with_values(crm.values, crm.mask & keep, units=crm.units), crm_path)
+        run(config, ["agree"])
+        rows = read_rows(tmp_path / "o" / "agree" / "agreement_2005.csv")
+        assert [float(r["scale_km"]) for r in rows] == [1.0] + [
+            float(s) for s in config.scales_km if s != 1]
+        n_joint = int((joint & keep).sum())
+        assert int(rows[0]["n"]) == n_joint
+        n_hexes = [int(r["n"]) for r in rows[1:]]
+        assert all(1 <= n <= n_joint for n in n_hexes)
+        assert n_hexes == sorted(n_hexes, reverse=True)
+        for r in rows:
+            if int(r["n"]) < 2:
+                assert all(r[m] == "" for m in metrics)
+    # the single cell: one hex at every scale, no metric anywhere
+    assert n_joint == 1 and n_hexes == [1] * len(n_hexes)
+
+
 def test_diff_change_invariant(small):
     pred = small.root / "run" / "predict"
     grids = {f"{y}_{a}": read_grid(pred / f"agb_{y}_{a}.bin")
