@@ -31,7 +31,7 @@ from .carbon import (
     rescale_fit, stock_change, weighted_carbon_fraction,
 )
 from .pipeline import (
-    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, DEPENDENCIES, STAGE_ORDER,
+    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, STAGE_ORDER,
     ConfigError, PipelineConfig, PipelineError, RunManifest, render_report,
     run, validate,
 )

@@ -120,13 +120,10 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     x = pts[:, 0]
     y = pts[:, 1]
     r = hexgrid.circumradius
-    n = x.size
 
     c_est = np.rint((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
-    cand_d2 = np.empty((9, n), dtype=np.float64)
-    cand_row = np.empty((9, n), dtype=np.int64)
-    cand_col = np.empty((9, n), dtype=np.int64)
-    k = 0
+    span = hexgrid.col_max - hexgrid.col_min + 3
+    best = None  # nearest candidate so far: distance, (row, col) order, row, col
     for dc in (-1, 0, 1):
         col = c_est + dc
         off = (col % 2) * (SQRT3 * r / 2.0)
@@ -134,20 +131,16 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
         for dr in (-1, 0, 1):
             row = r_est + dr
             cx, cy = hexgrid.center(row, col)
-            cand_d2[k] = (x - cx) ** 2 + (y - cy) ** 2
-            cand_row[k] = row
-            cand_col[k] = col
-            k += 1
-
-    dmin = cand_d2.min(axis=0)
-    # among exact-distance ties, the lowest (row, col) wins
-    span = hexgrid.col_max - hexgrid.col_min + 3
-    order = (cand_row - (hexgrid.row_min - 1)) * span + (cand_col - (hexgrid.col_min - 1))
-    order = np.where(cand_d2 == dmin, order, np.iinfo(np.int64).max)
-    pick = order.argmin(axis=0)
-    idx = np.arange(n)
-    rows = cand_row[pick, idx]
-    cols = cand_col[pick, idx]
+            d2 = (x - cx) ** 2 + (y - cy) ** 2
+            order = (row - (hexgrid.row_min - 1)) * span + (col - (hexgrid.col_min - 1))
+            if best is None:
+                best = (d2, order, row, col.copy())  # `col` serves the next rows too
+                continue
+            # among exact-distance ties, the lowest (row, col) wins
+            closer = (d2 < best[0]) | ((d2 == best[0]) & (order < best[1]))
+            for kept, new in zip(best, (d2, order, row, col)):
+                np.copyto(kept, new, where=closer)
+    rows, cols = best[2], best[3]
 
     inside = ((rows >= hexgrid.row_min) & (rows <= hexgrid.row_max)
               & (cols >= hexgrid.col_min) & (cols <= hexgrid.col_max))

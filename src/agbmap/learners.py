@@ -23,8 +23,9 @@ from .grid import Grid
 
 MODEL_FORMAT_VERSION = 1
 
-# node ids a forest walk holds per chunk of cells (chunk = this // trees)
-_WALK_ENTRIES = 65_536
+# entries of the per-chunk work arrays of a predict: node ids of a forest walk
+# (chunk = this // trees), distances of a knn query (chunk = this // training rows)
+_CHUNK_ENTRIES = 65_536
 
 # default hyperparameter grids for model selection
 DEFAULT_GRIDS: dict[str, list[dict]] = {
@@ -234,7 +235,7 @@ class _Forest:
     def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
         out = np.empty(X.shape[0], dtype=np.float64)
-        chunk = max(1, _WALK_ENTRIES // self.roots.size)
+        chunk = max(1, _CHUNK_ENTRIES // self.roots.size)
         for lo in range(0, X.shape[0], chunk):
             xt = np.ascontiguousarray(X[lo:lo + chunk].T).ravel()  # feature-major
             m = xt.size // X.shape[1]
@@ -294,7 +295,7 @@ class KnnModel:
         Q = (X - self.mu) / self.sigma
         out = np.empty(Q.shape[0], dtype=np.float64)
         train_norm = np.sum(self.X ** 2, axis=1)
-        chunk = max(1, int(2_000_000 // max(1, self.X.shape[0])))
+        chunk = max(1, _CHUNK_ENTRIES // self.X.shape[0])
         for lo in range(0, Q.shape[0], chunk):
             q = Q[lo:lo + chunk]
             d2 = np.sum(q ** 2, axis=1)[:, None] + train_norm[None, :] - 2.0 * q @ self.X.T

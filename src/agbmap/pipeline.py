@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,24 +42,14 @@ LOGGER = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 2
 
-STAGE_ORDER = ("ingest", "extract", "fit", "predict", "assess", "agree",
-               "diff", "stocks", "rescale")
-DEPENDENCIES = {
-    "ingest": (),
-    "extract": ("ingest",),
-    "fit": ("extract",),
-    "predict": ("fit",),
-    "assess": ("ingest", "predict"),
-    "agree": ("predict",),
-    "diff": ("predict",),
-    "stocks": ("ingest", "predict"),
-    "rescale": ("predict",),
-}
-
 ALLOMETRIES = ("CRM", "NSVB")
 
 ASSESSMENT_COLUMNS = ("scale_km", "n", "pph", "mae", "pct_mae", "rmse",
                       "pct_rmse", "me", "r2", "dr")
+TEST_METRIC_COLUMNS = ("allometry", "n", "mae", "pct_mae", "rmse", "pct_rmse",
+                       "me", "r2", "dr")
+AGREEMENT_COLUMNS = ("scale_km", "n", "ac", "ac_systematic", "ac_unsystematic",
+                     "gmfr_intercept", "gmfr_slope")
 
 
 class ConfigError(ValueError):
@@ -70,13 +61,6 @@ class PipelineError(RuntimeError):
 
 
 # -- configuration --------------------------------------------------------
-
-_REQUIRED_KEYS = {"seed", "output_dir", "holdout_panel", "scales_km",
-                  "removed_landcover_classes", "trees", "plots",
-                  "carbon_fractions", "elevation", "years"}
-_OPTIONAL_KEYS = {"learner_grids", "region_area_ha", "cv_folds",
-                  "train_frac", "rescale_sample"}
-
 
 @dataclass
 class YearInputs:
@@ -176,11 +160,7 @@ class PipelineConfig:
             carbon_fractions=path_of(raw["carbon_fractions"], "carbon_fractions"),
             elevation=path_of(raw["elevation"], "elevation"),
             years=dict(sorted(years.items())),
-            learner_grids=grids,
-            region_area_ha=raw.get("region_area_ha"),
-            cv_folds=raw.get("cv_folds", 5),
-            train_frac=raw.get("train_frac", 0.8),
-            rescale_sample=raw.get("rescale_sample", 1_000_000),
+            **{key: raw[key] for key in _OPTIONAL_KEYS if key in raw},
             config_hash=hashlib.sha256(canonical.encode()).hexdigest(),
         )
         return cfg
@@ -197,6 +177,12 @@ class PipelineConfig:
             if not out[kind]:
                 raise ConfigError(f"empty hyperparameter grid for {kind!r}")
         return out
+
+
+# one document key per field; a field without a default is a required key
+_KEYS = {f.name: f.default for f in fields(PipelineConfig) if f.name != "config_hash"}
+_REQUIRED_KEYS = {key for key, default in _KEYS.items() if default is MISSING}
+_OPTIONAL_KEYS = _KEYS.keys() - _REQUIRED_KEYS
 
 
 def validate(config: PipelineConfig) -> list[str]:
@@ -340,12 +326,6 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _stage_dir(config: PipelineConfig, stage: str) -> Path:
-    d = Path(config.output_dir) / stage
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _report_row(rep) -> dict:
     row = asdict(rep)
     return {k: row[k] for k in ASSESSMENT_COLUMNS}
@@ -353,8 +333,24 @@ def _report_row(rep) -> dict:
 
 # -- stages ---------------------------------------------------------------
 
-def _stage_ingest(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "ingest")
+# stage name -> stage function, in run order. `run()` looks each function up
+# here when it calls it, so a wrapper bound into this table sees every call.
+_STAGES: dict = {}
+
+
+def _stage(*needs):
+    """Register `_stage_<name>` as the next stage; it reads the outputs of
+    the stages named in `needs`. A stage function takes the configuration and
+    its own, empty, output directory."""
+    def register(fn):
+        fn.needs = needs
+        _STAGES[fn.__name__.removeprefix("_stage_")] = fn
+        return fn
+    return register
+
+
+@_stage()
+def _stage_ingest(config: PipelineConfig, out: Path) -> None:
     trees = load_trees(config.trees)
     plot_rows = load_plots(config.plots)
     known_years = set(config.years)
@@ -393,21 +389,18 @@ def _stage_ingest(config: PipelineConfig) -> list[Path]:
     all_rows = ([plot_dict(p, "development") for p in partition.dev]
                 + [plot_dict(p, "assessment") for p in partition.assessment])
     all_rows.sort(key=lambda r: r["plot_id"])
-    plots_path = out / "plots.csv"
-    _write_csv(plots_path,
+    _write_csv(out / "plots.csv",
                ["plot_id", "x_m", "y_m", "inventory_year", "panel",
                 "forested_fraction", "max_canopy_height_m", "agb_crm",
                 "agb_nsvb", "role"], all_rows)
 
     dev_rows = sorted((plot_dict(p) for p in model_dev), key=lambda r: r["plot_id"])
-    dev_path = out / "model_dev.csv"
-    _write_csv(dev_path,
+    _write_csv(out / "model_dev.csv",
                ["plot_id", "x_m", "y_m", "inventory_year", "panel",
                 "forested_fraction", "max_canopy_height_m", "agb_crm",
                 "agb_nsvb"], dev_rows)
 
-    summary_path = out / "summary.json"
-    _write_json(summary_path, {
+    _write_json(out / "summary.json", {
         "n_plot_rows": len(plot_rows),
         "n_selected": len(selected),
         "n_development": len(partition.dev),
@@ -416,7 +409,6 @@ def _stage_ingest(config: PipelineConfig) -> list[Path]:
         "holdout_panel": partition.holdout_panel,
         "per_year": {str(y): len(v) for y, v in sorted(by_year.items())},
     })
-    return [plots_path, dev_path, summary_path]
 
 
 def _plots_from_rows(rows) -> list[PlotRecord]:
@@ -433,8 +425,8 @@ def _plots_from_rows(rows) -> list[PlotRecord]:
     return out
 
 
-def _stage_extract(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "extract")
+@_stage("ingest")
+def _stage_extract(config: PipelineConfig, out: Path) -> None:
     dev = _plots_from_rows(_read_csv(Path(config.output_dir) / "ingest" / "model_dev.csv"))
     names = config.predictor_names()
 
@@ -467,20 +459,17 @@ def _stage_extract(config: PipelineConfig) -> list[Path]:
         LOGGER.warning("extraction dropped %d plots with no overlapping valid cells",
                        n_dropped)
 
-    features_path = out / "features.csv"
-    _write_csv(features_path,
+    _write_csv(out / "features.csv",
                ["plot_id", "inventory_year", "agb_crm", "agb_nsvb"] + names, rows)
-    summary_path = out / "summary.json"
-    _write_json(summary_path, {
+    _write_json(out / "summary.json", {
         "n_rows": len(rows),
         "n_dropped_no_coverage": n_dropped,
         "predictors": names,
     })
-    return [features_path, summary_path]
 
 
-def _stage_fit(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "fit")
+@_stage("extract")
+def _stage_fit(config: PipelineConfig, out: Path) -> None:
     rows = _read_csv(Path(config.output_dir) / "extract" / "features.csv")
     if len(rows) < 10:
         raise PipelineError(f"only {len(rows)} feature rows; too few to fit models")
@@ -500,7 +489,6 @@ def _stage_fit(config: PipelineConfig) -> list[Path]:
 
     grids = config.spec_grids()
     kinds = sorted(grids)
-    outputs = []
     summary: dict = {
         "n_rows": n, "n_train": int(n_train), "n_test": int(n - n_train),
         "kinds": kinds, "models": {},
@@ -532,35 +520,25 @@ def _stage_fit(config: PipelineConfig) -> list[Path]:
                   for k_idx, spec in enumerate(chosen)]
         ens = EnsembleModel(specs=chosen, models=models, stack=stack,
                             feature_names=names, ybar_train=float(ytr.mean()))
-        model_path = out / f"model_{allometry}.json"
-        with open(model_path, "w", encoding="utf-8") as f:
+        with open(out / f"model_{allometry}.json", "w", encoding="utf-8") as f:
             f.write(ens.to_json())
-        outputs.append(model_path)
 
         pairs = PairedSample(y=yte, yhat=ens.predict(Xte))
-        rep = basic_metrics(pairs, ybar_train=float(ytr.mean()))
-        row = _report_row(rep)
+        row = _report_row(basic_metrics(pairs, ybar_train=float(ytr.mean())))
         row["dr"] = willmott_dr(pairs)
-        row["scale_km"] = None
-        row["pph"] = None
-        row = {"allometry": allometry, **{k: row[k] for k in ASSESSMENT_COLUMNS
-                                         if k not in ("scale_km", "pph")}}
-        test_rows.append(row)
+        test_metrics = {k: row[k] for k in TEST_METRIC_COLUMNS[1:]}
+        test_rows.append({"allometry": allometry, **test_metrics})
         summary["models"][allometry] = {
             "base": model_info,
             "stack_intercept": stack.intercept,
             "stack_coefficients": list(stack.coefficients),
             "rank_deficient": bool(stack.rank_deficient),
             "ybar_train": float(ytr.mean()),
-            "test_metrics": {k: row[k] for k in row if k != "allometry"},
+            "test_metrics": test_metrics,
         }
 
-    test_path = out / "test_metrics.csv"
-    _write_csv(test_path, ["allometry", "n", "mae", "pct_mae", "rmse",
-                           "pct_rmse", "me", "r2", "dr"], test_rows)
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
-    return outputs + [test_path, summary_path]
+    _write_csv(out / "test_metrics.csv", TEST_METRIC_COLUMNS, test_rows)
+    _write_json(out / "summary.json", summary)
 
 
 def _load_model(config: PipelineConfig, allometry: str) -> EnsembleModel:
@@ -573,9 +551,8 @@ def _map_path(config: PipelineConfig, kind: str, year: int, allometry: str) -> P
     return Path(config.output_dir) / "predict" / f"{kind}_{year}_{allometry}.bin"
 
 
-def _stage_predict(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "predict")
-    outputs = []
+@_stage("fit")
+def _stage_predict(config: PipelineConfig, out: Path) -> None:
     map_summaries = {}
     for allometry in ALLOMETRIES:
         model = _load_model(config, allometry)
@@ -585,26 +562,19 @@ def _stage_predict(config: PipelineConfig) -> list[Path]:
             pred = predict_grid(model, layers)
             lc = read_grid(config.years[year].landcover)
             masked = mask_landcover(pred, lc, config.removed_landcover_classes)
-            agb_path = _map_path(config, "agb", year, allometry)
-            write_grid(masked, agb_path)
-            ranked = percent_rank(masked)
-            rank_path = _map_path(config, "pctrank", year, allometry)
-            write_grid(ranked, rank_path)
-            outputs.extend([agb_path, rank_path])
+            write_grid(masked, _map_path(config, "agb", year, allometry))
+            write_grid(percent_rank(masked), _map_path(config, "pctrank", year, allometry))
             map_summaries[f"{year}_{allometry}"] = asdict(summarize(masked))
-    summary_path = out / "summary.json"
-    _write_json(summary_path, {"maps": map_summaries})
-    return outputs + [summary_path]
+    _write_json(out / "summary.json", {"maps": map_summaries})
 
 
-def _stage_assess(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "assess")
+@_stage("ingest", "predict")
+def _stage_assess(config: PipelineConfig, out: Path) -> None:
     rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
     assessment = _plots_from_rows([r for r in rows if r["role"] == "assessment"])
     assessment.sort(key=lambda p: p.plot_id)
 
     scales = [1] + [s for s in config.scales_km if s != 1]
-    outputs = []
     summary: dict = {}
     plot_weights = {}  # shared across allometries; maps share one geometry
     for allometry in ALLOMETRIES:
@@ -635,13 +605,10 @@ def _stage_assess(config: PipelineConfig) -> list[Path]:
         pairs = PairedSample(y=np.array(ys), yhat=np.array(yhats))
         reports = multiscale_assessment(pairs, np.array(locs), spacings_km=scales,
                                         ybar_train=model.ybar_train)
-        table_path = out / f"assessment_{allometry}.csv"
-        _write_csv(table_path, list(ASSESSMENT_COLUMNS),
+        _write_csv(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
                    [_report_row(rep) for rep in reports])
-        pairs_path = out / f"pairs_{allometry}.csv"
-        _write_csv(pairs_path, ["plot_id", "x_m", "y_m", "inventory_year",
-                                "y", "yhat"], pair_rows)
-        outputs.extend([table_path, pairs_path])
+        _write_csv(out / f"pairs_{allometry}.csv",
+                   ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
         plot_level = _report_row(reports[0])
         summary[allometry] = {
             "n_pairs": len(ys),
@@ -650,9 +617,7 @@ def _stage_assess(config: PipelineConfig) -> list[Path]:
             "ks_reference_vs_predicted": ks_statistic(np.array(ys), np.array(yhats)),
             "plot_to_pixel": plot_level,
         }
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
-    return outputs + [summary_path]
+    _write_json(out / "summary.json", summary)
 
 
 def _agreement_row(scale_km, y, yhat) -> dict:
@@ -676,9 +641,8 @@ def _agreement_row(scale_km, y, yhat) -> dict:
     return row
 
 
-def _stage_agree(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "agree")
-    outputs = []
+@_stage("predict")
+def _stage_agree(config: PipelineConfig, out: Path) -> None:
     summary = {}
     for year in sorted(config.years):
         crm = read_grid(_map_path(config, "agb", year, "CRM"))
@@ -687,8 +651,8 @@ def _stage_agree(config: PipelineConfig) -> list[Path]:
         y = crm.values[joint].astype(np.float64)
         yhat = nsvb.values[joint].astype(np.float64)
         xs, ys_axis = crm.cell_centers()
-        xx, yy = np.meshgrid(xs, ys_axis)
-        locs = np.column_stack([xx[joint], yy[joint]])
+        rows_at, cols_at = np.nonzero(joint)  # row-major, as `crm.values[joint]`
+        locs = np.column_stack([xs[cols_at], ys_axis[rows_at]])
 
         rows = [_agreement_row(1.0, y, yhat)]
         for s_km in [s for s in config.scales_km if s != 1]:
@@ -700,26 +664,17 @@ def _stage_agree(config: PipelineConfig) -> list[Path]:
             ym = np.array([c.y_mean for c in cells])
             yhm = np.array([c.yhat_mean for c in cells])
             rows.append(_agreement_row(float(s_km), ym, yhm))
-        table_path = out / f"agreement_{year}.csv"
-        _write_csv(table_path, ["scale_km", "n", "ac", "ac_systematic",
-                                "ac_unsystematic", "gmfr_intercept", "gmfr_slope"],
-                   rows)
-        outputs.append(table_path)
+        _write_csv(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows)
         summary[str(year)] = {"n_joint_cells": int(y.size), "cell_level": rows[0]}
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
-    return outputs + [summary_path]
+    _write_json(out / "summary.json", summary)
 
 
-def _stage_diff(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "diff")
-    outputs = []
+@_stage("predict")
+def _stage_diff(config: PipelineConfig, out: Path) -> None:
     summaries = {}
 
     def emit(name: str, grid: Grid) -> None:
-        p = out / f"{name}.bin"
-        write_grid(grid, p)
-        outputs.append(p)
+        write_grid(grid, out / f"{name}.bin")
         summaries[name] = asdict(summarize(grid))
 
     for year in sorted(config.years):
@@ -741,13 +696,11 @@ def _stage_diff(config: PipelineConfig) -> list[Path]:
             emit(f"change_{allometry}", changes[allometry])
         emit("change_diff", difference(changes["NSVB"], changes["CRM"]))
 
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summaries)
-    return outputs + [summary_path]
+    _write_json(out / "summary.json", summaries)
 
 
-def _stage_stocks(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "stocks")
+@_stage("ingest", "predict")
+def _stage_stocks(config: PipelineConfig, out: Path) -> None:
     rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
     plots = _plots_from_rows(rows)
     fraction_rows = carbon_mod.load_carbon_fractions(config.carbon_fractions)
@@ -807,10 +760,9 @@ def _stage_stocks(config: PipelineConfig) -> list[Path]:
                     "total_mt": delta, "region_area_ha": pair[last].region_area_ha,
                 })
 
-    stocks_path = out / "stocks.csv"
-    _write_csv(stocks_path, ["quantity", "method", "allometry", "area_basis",
-                             "year", "total_mt", "region_area_ha"],
-               stock_rows + change_rows)
+    _write_csv(out / "stocks.csv",
+               ["quantity", "method", "allometry", "area_basis", "year",
+                "total_mt", "region_area_ha"], stock_rows + change_rows)
 
     # design minus model, the sign convention used for comparison columns
     model_basis = "given" if config.region_area_ha is not None else "extent"
@@ -828,23 +780,21 @@ def _stage_stocks(config: PipelineConfig) -> list[Path]:
                 "design_minus_model_mt": e.total_mt - m.total_mt,
             })
     diff_rows.sort(key=lambda r: (r["quantity"], r["allometry"], r["year"]))
-    diff_path = out / "design_minus_model.csv"
-    _write_csv(diff_path, ["quantity", "allometry", "year", "design_mt",
-                           "model_mt", "design_minus_model_mt"], diff_rows)
+    _write_csv(out / "design_minus_model.csv",
+               ["quantity", "allometry", "year", "design_mt", "model_mt",
+                "design_minus_model_mt"], diff_rows)
 
-    summary_path = out / "stocks.json"
-    _write_json(summary_path, {
+    _write_json(out / "stocks.json", {
         "note": carbon_mod.DESIGN_ESTIMATOR_NOTE,
         "carbon_fractions": {str(y): fractions[y] for y in years},
         "stocks": stock_rows + change_rows,
         "design_minus_model": diff_rows,
         "model_basis_for_comparison": model_basis,
     })
-    return [stocks_path, diff_path, summary_path]
 
 
-def _stage_rescale(config: PipelineConfig) -> list[Path]:
-    out = _stage_dir(config, "rescale")
+@_stage("predict")
+def _stage_rescale(config: PipelineConfig, out: Path) -> None:
     elevation = read_grid(config.elevation)
     rows = []
     for y_idx, year in enumerate(sorted(config.years)):
@@ -860,26 +810,13 @@ def _stage_rescale(config: PipelineConfig) -> list[Path]:
                      "n_train": fit.n_train, "n_test": fit.n_test,
                      "test_rmse": fit.test_rmse, "test_mae": fit.test_mae,
                      "test_me": fit.test_me, "test_r2": fit.test_r2})
-    table_path = out / "rescale.csv"
-    _write_csv(table_path, ["year", "intercept", "coef_source", "coef_elevation",
-                            "n_train", "n_test", "test_rmse", "test_mae",
-                            "test_me", "test_r2"], rows)
-    summary_path = out / "summary.json"
-    _write_json(summary_path, {str(r["year"]): r for r in rows})
-    return [table_path, summary_path]
+    _write_csv(out / "rescale.csv",
+               ["year", "intercept", "coef_source", "coef_elevation", "n_train",
+                "n_test", "test_rmse", "test_mae", "test_me", "test_r2"], rows)
+    _write_json(out / "summary.json", {str(r["year"]): r for r in rows})
 
 
-_STAGE_FUNCTIONS = {
-    "ingest": _stage_ingest,
-    "extract": _stage_extract,
-    "fit": _stage_fit,
-    "predict": _stage_predict,
-    "assess": _stage_assess,
-    "agree": _stage_agree,
-    "diff": _stage_diff,
-    "stocks": _stage_stocks,
-    "rescale": _stage_rescale,
-}
+STAGE_ORDER = tuple(_STAGES)
 
 
 def run(config: PipelineConfig, stages=None) -> RunManifest:
@@ -888,7 +825,10 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     Stages not requested are reused from cache: their manifest entries must
     exist, come from a manifest of the current artifact version, match the
     current configuration hash, and still have their files on disk.
-    Requested stages always re-execute (outputs are deterministic).
+    Requested stages always re-execute (outputs are deterministic). Their
+    records are dropped before the first one runs; each stage then runs in
+    its emptied directory, and its record lists the files the directory holds
+    afterwards, so a stage that raises leaves no record and no stale file.
     """
     requested = set(STAGE_ORDER if stages is None else stages)
     unknown = sorted(requested - set(STAGE_ORDER))
@@ -908,7 +848,7 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
                                config_hash=config.config_hash)
 
     for stage in ordered:
-        for dep in DEPENDENCIES[stage]:
+        for dep in _STAGES[stage].needs:
             if dep in requested:
                 continue  # runs earlier in this invocation
             rec = manifest.stages.get(dep)
@@ -927,15 +867,24 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
                     f"is recorded in the manifest but absent on disk")
 
     for stage in ordered:
+        manifest.stages.pop(stage, None)
+    manifest.config_hash = config.config_hash
+    manifest.save(out_dir)
+
+    for stage in ordered:
         LOGGER.info("running stage %s", stage)
+        stage_dir = out_dir / stage
+        if stage_dir.exists():
+            shutil.rmtree(stage_dir)
+        stage_dir.mkdir()
         start = time.perf_counter()
-        outputs = _STAGE_FUNCTIONS[stage](config)
+        _STAGES[stage](config, stage_dir)
         elapsed = time.perf_counter() - start
-        rel = [p.relative_to(out_dir).as_posix() for p in outputs]
-        manifest.stages[stage] = StageRecord(outputs=rel,
+        outputs = sorted(p.relative_to(out_dir).as_posix()
+                         for p in stage_dir.rglob("*") if p.is_file())
+        manifest.stages[stage] = StageRecord(outputs=outputs,
                                              config_hash=config.config_hash,
                                              elapsed_s=elapsed)
-        manifest.config_hash = config.config_hash
         manifest.save(out_dir)
     return manifest
 
@@ -997,9 +946,15 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
              f"stages completed: {', '.join(s for s in STAGE_ORDER if s in manifest.stages)}",
              ""]
 
+    def recorded(stage, pattern):
+        """The files the manifest records for `stage` that match `pattern`."""
+        rec = manifest.stages.get(stage)
+        paths = [out_dir / p for p in rec.outputs] if rec else []
+        return [p for p in paths if p.match(pattern) and p.is_file()]
+
     def stage_file(stage, name):
-        p = out_dir / stage / name
-        return p if stage in manifest.stages and p.is_file() else None
+        found = recorded(stage, name)
+        return found[0] if found else None
 
     p = stage_file("ingest", "summary.json")
     if p:
@@ -1012,9 +967,8 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
 
     p = stage_file("fit", "test_metrics.csv")
     if p:
-        lines += _render_table("model test-set metrics",
-                               ["allometry", "n", "mae", "pct_mae", "rmse",
-                                "pct_rmse", "me", "r2", "dr"], _read_csv(p))
+        lines += _render_table("model test-set metrics", TEST_METRIC_COLUMNS,
+                               _read_csv(p))
         lines.append("")
 
     for allometry in ALLOMETRIES:
@@ -1022,7 +976,7 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
         if p:
             lines += _render_table(
                 f"map assessment, {allometry} (scale 1 = plot to pixel)",
-                list(ASSESSMENT_COLUMNS), _read_csv(p))
+                ASSESSMENT_COLUMNS, _read_csv(p))
             lines.append("")
 
     p = stage_file("assess", "summary.json")
@@ -1035,19 +989,15 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
                              f"{_fmt_num(s[allometry]['ks_reference_vs_predicted'])}")
         lines.append("")
 
-    agree_files = sorted(out_dir.glob("agree/agreement_*.csv")) \
-        if "agree" in manifest.stages else []
-    for p in agree_files:
+    for p in recorded("agree", "agreement_*.csv"):
         year = p.stem.split("_")[-1]
         lines += _render_table(f"two-map agreement, {year} (CRM vs NSVB)",
-                               ["scale_km", "n", "ac", "ac_systematic",
-                                "ac_unsystematic", "gmfr_intercept", "gmfr_slope"],
-                               _read_csv(p), places=4)
+                               AGREEMENT_COLUMNS, _read_csv(p), places=4)
         lines.append("")
 
     if "diff" in manifest.stages:
         rows = []
-        for p in sorted(out_dir.glob("diff/*.bin")):
+        for p in recorded("diff", "*.bin"):
             g = read_grid(p)
             if cap is not None:
                 vals = np.clip(g.values, -abs(cap), abs(cap))

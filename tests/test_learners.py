@@ -66,6 +66,15 @@ class TestKnn:
         q2 = X2[:5].copy()
         assert np.allclose(m1.predict(q), m2.predict(q2))
 
+    def test_chunked_predict_matches_one_chunk(self, monkeypatch):
+        X, y = toy_data(40)
+        model = train_base(LearnerSpec.make("knn", k=3), X, y, seed=0)
+        chunk = learners._CHUNK_ENTRIES // 40
+        q = np.random.default_rng(4).uniform(-1, 11, size=(2 * chunk + chunk // 3, X.shape[1]))
+        chunked = model.predict(q)
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 40 * q.shape[0])
+        assert np.array_equal(chunked, model.predict(q))
+
 
 class TestTrees:
     def test_bagged_depth0_is_exactly_mean(self):
@@ -209,7 +218,7 @@ class TestForestMatchesPerTreeWalk:
               if kind == "bagged_trees" else
               {"trees": 40, "learning_rate": 0.1, "max_depth": 3})
         model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=2)
-        chunk = learners._WALK_ENTRIES // 40
+        chunk = learners._CHUNK_ENTRIES // 40
         n = {None: 1, "non-multiple": 2 * chunk + chunk // 3}.get(offset)
         n = chunk + offset if n is None else n
         q = np.random.default_rng(n).uniform(-1, 11, size=(n, X.shape[1]))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 
 from agbmap import (
     ARTIFACT_VERSION, ASSESSMENT_COLUMNS, ConfigError, EnsembleModel, Grid, PipelineConfig,
-    PipelineError, render_report, run, synthesize, validate, write_grid,
+    PipelineError, RunManifest, render_report, run, synthesize, validate, write_grid,
 )
 from agbmap.cli import main
 from agbmap.grid import read_grid
@@ -214,6 +215,65 @@ def test_requested_stage_reuses_cached_upstream(small):
     assert amap.stat().st_mtime_ns == stamp, "predict should not rerun"
     assert "diff" in manifest.stages
     assert (small.root / "run" / "diff" / "change_diff.bin").is_file()
+
+
+def copy_of_small(small, root):
+    """The dataset and run of `small` under `root`; its paths are relative to
+    the configuration, so the copy has the same configuration hash."""
+    shutil.copytree(small.root, root)
+    config = PipelineConfig.load(root / "config.json")
+    assert config.config_hash == small.config.config_hash
+    return config
+
+
+def test_rerun_with_fewer_years_leaves_no_stale_outputs(small, tmp_path):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    for name, column in (("plots.csv", "inventory_year"),
+                         ("trees.csv", "inventory_year"),
+                         ("carbon_fractions.csv", "year")):
+        with open(root / "inputs" / name, newline="") as f:
+            rows = list(csv.reader(f))
+        at = rows[0].index(column)
+        with open(root / "inputs" / name, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [rows[0]] + [r for r in rows[1:] if r[at] != "2005"])
+    doc = json.loads(json.dumps(small.doc))
+    del doc["years"]["2005"]
+    config = PipelineConfig.from_document(doc, base_dir=root)
+
+    manifest = run(config)
+    for stage, rec in manifest.stages.items():
+        on_disk = sorted(p.relative_to(root / "run").as_posix()
+                         for p in (root / "run" / stage).rglob("*") if p.is_file())
+        assert rec.outputs == on_disk, stage
+    assert manifest.stages["agree"].outputs == ["agree/agreement_2019.csv",
+                                                "agree/summary.json"]
+    assert manifest.stages["diff"].outputs == ["diff/agb_diff_2019.bin",
+                                               "diff/pctrank_diff_2019.bin",
+                                               "diff/summary.json"]
+    text = render_report(config)
+    assert "two-map agreement, 2019" in text and "agb_diff_2019" in text
+    assert "agreement, 2005" not in text
+    assert "_2005" not in text and "change_" not in text
+
+
+def test_failed_stage_leaves_no_record(small, tmp_path, monkeypatch):
+    import agbmap.pipeline
+
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+
+    def failing(grid):
+        raise RuntimeError("percent rank failed")
+
+    monkeypatch.setattr(agbmap.pipeline, "percent_rank", failing)
+    with pytest.raises(RuntimeError, match="percent rank failed"):
+        run(config, {"predict"})
+    assert (root / "run" / "predict" / "agb_2005_CRM.bin").is_file()
+    assert "predict" not in RunManifest.load(root / "run").stages
+    with pytest.raises(PipelineError, match="missing upstream artifact"):
+        run(config, {"diff"})
 
 
 # -- stage outputs --------------------------------------------------------
