@@ -172,9 +172,9 @@ def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
 
     Draws up to n_sample jointly valid cells without replacement (all of them
     when fewer exist), splits train/test by train_frac, and solves the normal
-    equations with a pivoted factorization. A reciprocal condition number
-    below 1e-10 on the normal matrix raises. train_frac=1 leaves the test
-    metrics absent.
+    equations with `np.linalg.solve` after a condition check: a reciprocal
+    2-norm condition number below 1e-10 on the normal matrix raises.
+    train_frac=1 leaves the test metrics absent.
     """
     if not (target_grid.aligned_with(source_grid) and target_grid.aligned_with(elevation_grid)):
         raise ValueError("grids are not aligned")

@@ -6,10 +6,13 @@ trees. Base models are combined by an ordinary least-squares stack fitted on
 out-of-fold predictions; final ensemble predictions are truncated below at
 zero, since the target is a nonnegative density.
 
-Every fit is a pure function of (data, hyperparameters, seed). A tree model's
-trees are also kept as one flat forest of concatenated node arrays; predict
-walks all trees at once over chunks of cells, each tree as many steps as it is
-deep.
+Every fit is a pure function of (data, hyperparameters, seed). Trees grow
+level by level, all trees of a bagged model together, each boosted tree on
+features presorted once per model; each bagged tree draws from its own rng,
+spawned from the fit's. So a fit's first t trees cut at depth d are the fit of
+those hyperparameters, and model selection cross-validates each nested family
+of specs once. A tree model's trees are one node table; predict walks all trees
+at once over chunks of cells, each tree as many steps as it is deep.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .grid import Grid
 
 MODEL_FORMAT_VERSION = 1
 
-# entries of the per-chunk work arrays of a predict: node ids of a forest walk
-# (chunk = this // trees), distances of a knn query (chunk = this // training rows)
+# entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
+# // trees), distances of a knn query (chunk = this // training rows), and split
+# costs of a tree level (candidates = this // rows of the widest node)
 _CHUNK_ENTRIES = 65_536
 
 # default hyperparameter grids for model selection
@@ -98,128 +102,162 @@ def _as_2d(X) -> np.ndarray:
     return X
 
 
-# -- regression tree ------------------------------------------------------
-
+# -- regression trees -----------------------------------------------------
+#
+# A node table holds trees end to end: `left` and `right` are ids in the table,
+# -1 at leaves, which have feature -1 and threshold 0. A model numbers each
+# tree depth first: the children of its k-th internal node in preorder are its
+# nodes 2k + 1 (x[feature] <= threshold) and 2k + 2.
 _TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64,  # as in the model JSON
                 "left": np.int32, "right": np.int32, "value": np.float64}
 
 
-class RegressionTree:
-    """CART-style regression tree stored as flat node arrays.
+def _concat(tables: list[dict]) -> tuple[dict, np.ndarray]:
+    """Node tables end to end, children offset per table; and each one's first node."""
+    sizes = [t["value"].size for t in tables]
+    roots = np.cumsum([0] + sizes[:-1])
+    cat = {name: np.concatenate([t[name] for t in tables]) for name in _TREE_ARRAYS}
+    for side in ("left", "right"):
+        cat[side] = np.where(cat["feature"] < 0, -1, cat[side] + np.repeat(roots, sizes))
+    return cat, roots
 
-    `max_features` limits the candidate features drawn (without replacement)
-    at each split; None considers all of them. Split search is exhaustive over
-    midpoints between distinct sorted values, minimizing the summed child
-    squared error, with first-candidate tie-breaking for determinism.
+
+def _preorder(roots, max_depth, feature, threshold, left, right, value) -> tuple[dict, np.ndarray]:
+    """The trees at `roots` of a node table (children after their parent), cut
+    at `max_depth` and numbered depth first, as a new table; and its roots."""
+    inner = []  # per depth, the nodes that split above the cut
+    level = roots
+    while level.size and (max_depth is None or len(inner) < max_depth):
+        level = level[feature[level] >= 0]
+        inner.append(level)
+        level = np.concatenate([left[level], right[level]])
+    below = np.zeros(feature.size, dtype=np.int64)  # internal nodes in the subtree
+    for v in reversed(inner):
+        below[v] = 1 + below[left[v]] + below[right[v]]
+    sizes = 1 + 2 * below[roots]
+    new = np.zeros(feature.size, dtype=np.int64)
+    new[roots] = np.cumsum(sizes) - sizes
+    pre = new.copy()  # its tree's first new id + 2 per internal node before it in preorder
+    out = {name: np.full(sizes.sum(), empty, dtype=dtype) for (name, dtype), empty
+           in zip(_TREE_ARRAYS.items(), (-1, 0.0, -1, -1, 0.0))}
+    out["value"][new[roots]] = value[roots]
+    for v in inner:
+        lo, hi = left[v], right[v]
+        new[lo], new[hi] = pre[v] + 1, pre[v] + 2
+        pre[lo], pre[hi] = pre[v] + 2, pre[v] + 2 + 2 * below[lo]
+        for name, column in (("feature", feature[v]), ("threshold", threshold[v]),
+                             ("left", new[lo]), ("right", new[hi])):
+            out[name][new[v]] = column
+        out["value"][new[lo]], out["value"][new[hi]] = value[lo], value[hi]
+    return out, new[roots]
+
+
+def _grow(X, y, order, max_depth, max_features, rngs) -> tuple[dict, np.ndarray]:
+    """Grow a regression tree on each sample, all together, level by level.
+
+    X is (trees, n, p), y (trees, n) and `order` X's stable argsort along axis
+    1. A node is a leaf at `max_depth`, below two rows or with equal targets;
+    its value is the mean of its targets in row order. Otherwise it splits at
+    the midpoint between distinct sorted values that minimizes the summed child
+    squared error, ties going to the first feature, then the first midpoint.
+    With `max_features` below p, each tree's rng draws that many candidate
+    features per node, one call per level. Returns a node table (tree b rooted
+    at node b) and each row's leaf value, (trees, n).
     """
-
-    def __init__(self, max_depth=None, max_features=None):
-        self.max_depth = max_depth
-        self.max_features = max_features
-
-    def fit(self, X, y, rng) -> np.ndarray:
-        """Grow the tree; returns its prediction for every training row."""
-        X = _as_2d(X)
-        y = np.asarray(y, dtype=np.float64)
-        n, p = X.shape
-        columns = feature, threshold, left, right, value = [], [], [], [], []
-
-        def new_node():
-            for column, empty in zip(columns, (-1, 0.0, -1, -1, 0.0)):
-                column.append(empty)
-            return len(feature) - 1
-
-        fitted = np.empty(n, dtype=np.float64)
-        root = new_node()
-        stack = [(np.arange(n), 0, root)]
-        while stack:
-            idx, depth, nid = stack.pop()
-            yn = y[idx]
-            value[nid] = fitted[idx] = float(yn.mean())
-            m = idx.size
-            if (self.max_depth is not None and depth >= self.max_depth) \
-                    or m < 2 or np.all(yn == yn[0]):
-                continue
-            if self.max_features is not None and self.max_features < p:
-                feats = np.sort(rng.choice(p, size=self.max_features, replace=False))
-            else:
-                feats = np.arange(p)
-            best = None  # (cost, f, threshold)
-            for f in feats:
-                col = X[idx, f]
-                order = np.argsort(col, kind="stable")
-                xs = col[order]
-                if xs[0] == xs[-1]:
-                    continue
-                ys = yn[order]
-                c1 = np.cumsum(ys)
-                c2 = np.cumsum(ys * ys)
-                s1, s2 = c1[-1], c2[-1]
-                i = np.arange(1, m)
-                ok = xs[1:] > xs[:-1]
-                if not np.any(ok):
-                    continue
-                cost = (c2[:-1] - c1[:-1] ** 2 / i) \
-                    + ((s2 - c2[:-1]) - (s1 - c1[:-1]) ** 2 / (m - i))
-                cost = np.where(ok, cost, np.inf)
-                j = int(np.argmin(cost))
-                if best is None or cost[j] < best[0]:
-                    lo, hi = xs[j], xs[j + 1]
-                    thr = lo + (hi - lo) / 2.0
-                    if not (lo < thr < hi):
-                        thr = lo
-                    best = (float(cost[j]), int(f), float(thr))
-            if best is None:
-                continue
-            _, f_best, thr = best
-            go_left = X[idx, f_best] <= thr
-            lid = new_node()
-            rid = new_node()
-            feature[nid] = f_best
-            threshold[nid] = thr
-            left[nid] = lid
-            right[nid] = rid
-            # right pushed first so the left child is processed next (fixed
-            # preorder keeps the rng call sequence reproducible)
-            stack.append((idx[~go_left], depth + 1, rid))
-            stack.append((idx[go_left], depth + 1, lid))
-
-        for (name, dtype), column in zip(_TREE_ARRAYS.items(), columns):
-            setattr(self, name, np.array(column, dtype=dtype))
-        return fitted
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _TREE_ARRAYS}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RegressionTree":
-        t = RegressionTree()
-        for name, dtype in _TREE_ARRAYS.items():
-            setattr(t, name, np.array(d[name], dtype=dtype))
-        return t
+    B, n, p = X.shape
+    xe, ye = X.reshape(-1), y.reshape(-1)  # row e = b * n + i has feature f at xe[e * p + f]
+    # one row per feature holding the rows of each open node in ascending x,
+    # and a last row holding them in ascending e; nodes in level order
+    perm = np.vstack([(order + n * np.arange(B)[:, None, None]).transpose(2, 0, 1).reshape(p, -1),
+                      np.arange(B * n)])
+    size, tree, ids, table = np.full(B, n), np.arange(B), np.arange(B), []
+    leaf_of = np.empty(B * n, dtype=np.int64)
+    while True:
+        start, slot = np.cumsum(size) - size, np.repeat(np.arange(size.size), size)
+        leaf_of[perm[-1]] = ids[slot]
+        y_rows, width, sums = ye[perm[-1]], np.maximum(size, 7), np.empty(size.size)
+        # numpy sums each row of a 2-D array as it sums a 1-D one, and fewer than
+        # 8 values one by one from 0.0, so padding to 7 with zeros keeps `mean`
+        for w in np.unique(width):
+            same, col = np.flatnonzero(width == w), np.arange(w)
+            at = np.minimum(start[same, None] + col, y_rows.size - 1)
+            sums[same] = np.where(col < size[same, None], y_rows[at], 0.0).sum(axis=1)
+        level = {"value": sums / size, "threshold": np.zeros(size.size),
+                 **{name: np.full(size.size, -1) for name in ("feature", "left", "right")}}
+        table.append(level)
+        lo_y, hi_y = np.minimum.reduceat(y_rows, start), np.maximum.reduceat(y_rows, start)
+        node = np.flatnonzero((size >= 2) & (lo_y < hi_y) & (max_depth is None
+                                                              or len(table) <= max_depth))
+        if not node.size:
+            break
+        if max_features >= p:
+            feats = np.zeros((node.size, 1), dtype=np.int64) + np.arange(p)
+        else:
+            owner, count = np.unique(tree[node], return_counts=True)
+            draws = np.concatenate([rngs[b].random((c, p)) for b, c in zip(owner, count)])
+            feats = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :max_features], axis=1)
+        # score each (node, feature) candidate, in padded passes of at most
+        # _CHUNK_ENTRIES entries, widest nodes first
+        K, flat = feats.shape[1], perm.ravel()
+        cand, cand_f = np.repeat(node, K), feats.ravel()
+        cand_at, m_all = cand_f * perm.shape[1] + start[cand], size[cand]
+        cost_min, j_min = np.empty(cand.size), np.empty(cand.size, dtype=np.int64)
+        by_width = np.argsort(-m_all, kind="stable")
+        while by_width.size:
+            c, by_width = np.split(by_width, [max(1, _CHUNK_ENTRIES // m_all[by_width[0]])])
+            m, col = m_all[c][:, None], np.arange(m_all[c[0]])
+            e = flat[cand_at[c][:, None] + np.minimum(col, m - 1)]  # pads with the last row
+            xs, ys = xe[e * p + cand_f[c][:, None]], np.where(col < m, ye[e], 0.0)
+            c1, c2 = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
+            s1, s2, c1, c2, i = c1[:, -1:], c2[:, -1:], c1[:, :-1], c2[:, :-1], col[1:]
+            cost = (c2 - c1 ** 2 / i) + ((s2 - c2) - (s1 - c1) ** 2 / np.maximum(m - i, 1))
+            cost = np.where(xs[:, 1:] > xs[:, :-1], cost, np.inf)
+            j_min[c], cost_min[c] = np.argmin(cost, axis=1), cost.min(axis=1)
+        pick = np.arange(node.size) * K + np.argmin(cost_min.reshape(-1, K), axis=1)
+        pick = pick[cost_min[pick] < np.inf]
+        if not pick.size:
+            break
+        split, f, S = cand[pick], cand_f[pick], pick.size
+        lo_x, hi_x = xe[flat[cand_at[pick] + j_min[pick] + [[0], [1]]] * p + f]
+        mid = lo_x + (hi_x - lo_x) / 2.0
+        thr = np.where((lo_x < mid) & (mid < hi_x), mid, lo_x)
+        children = ids[-1] + 1 + np.arange(2 * S)
+        for name, column in (("feature", f), ("threshold", thr),
+                             ("left", children[0::2]), ("right", children[1::2])):
+            level[name][split] = column
+        # each row of `perm` sorts its rows by child, left before right, and
+        # drops the rows of leaves
+        rank = np.full(size.size, -1)
+        rank[split] = np.arange(S)
+        r = rank[slot]
+        goes_left = np.zeros(B * n, dtype=bool)
+        goes_left[perm[-1]] = xe[perm[-1] * p + f[r]] <= thr[r]
+        key = np.where(r < 0, 2 * S, 2 * r + ~goes_left[perm])
+        size = np.bincount(key[-1], minlength=2 * S + 1)[:-1]
+        perm = perm[np.arange(p + 1)[:, None], np.argsort(key, axis=1, kind="stable")]
+        perm, tree, ids = perm[:, :size.sum()], np.repeat(tree[split], 2), children
+    cat = {name: np.concatenate([level[name] for level in table]) for name in table[0]}
+    return cat, cat["value"][leaf_of].reshape(B, n)
 
 
 class _Forest:
-    """The trees of one model as one set of concatenated node arrays.
+    """The trees of one model as one node table, walked all at once.
 
-    Child ids are offset per tree, and leaves point at themselves with a +inf
-    threshold, so a walk of as many gather, compare and child lookup steps as
-    a tree is deep takes every cell to its leaf in that tree, with no leaf
-    test. The walk keeps the trees deepest first, so each step is one slice.
+    Leaves point at themselves with a +inf threshold, so a walk of as many
+    gather, compare and child lookup steps as a tree is deep takes every cell
+    to its leaf in that tree, with no leaf test. The walk keeps the trees
+    deepest first, so each step is one slice.
     """
 
-    def __init__(self, trees: list[RegressionTree]):
-        cat = {name: np.concatenate([getattr(t, name) for t in trees]) for name in _TREE_ARRAYS}
-        sizes = [t.value.size for t in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        leaf = cat["feature"] < 0
+    def __init__(self, table: dict, roots: np.ndarray):
+        self.table, self.tree_roots = table, roots  # as stored, in model order
+        leaf = table["feature"] < 0
         ids = np.arange(leaf.size)
-        left, right = (np.where(leaf, ids, cat[side] + np.repeat(roots, sizes))
-                       for side in ("left", "right"))
-        self.feature = np.where(leaf, 0, cat["feature"])
-        self.threshold = np.where(leaf, np.inf, cat["threshold"])
+        left, right = (np.where(leaf, ids, table[side]) for side in ("left", "right"))
+        self.feature = np.where(leaf, 0, table["feature"])
+        self.threshold = np.where(leaf, np.inf, table["threshold"])
         self.child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
-        self.value = cat["value"]
+        self.value = table["value"]
         depth = np.zeros(leaf.size, dtype=np.int64)  # of each node
         level = roots
         while level.size:
@@ -231,6 +269,16 @@ class _Forest:
         self.roots = roots[order]
         self.unsort = np.argsort(order)
         self.walking = [int(np.count_nonzero(depth > step)) for step in range(depth.max())]
+
+    def tree_dicts(self) -> list[dict]:
+        """Each tree's node arrays as the model JSON holds them, ids from its root."""
+        trees, ends = [], [*self.tree_roots[1:], self.value.size]
+        for lo, hi in zip(self.tree_roots, ends):
+            tree = {name: column[lo:hi] for name, column in self.table.items()}
+            tree["left"], tree["right"] = (np.where(tree[side] < 0, -1, tree[side] - lo)
+                                           for side in ("left", "right"))
+            trees.append({name: column.tolist() for name, column in tree.items()})
+        return trees
 
     def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
@@ -252,16 +300,6 @@ class _Forest:
         return out
 
 
-def _feature_count(mode, p: int) -> int | None:
-    if mode is None:
-        return None
-    if mode == "sqrt":
-        return max(1, int(round(np.sqrt(p))))
-    if mode == "third":
-        return max(1, int(round(p / 3)))
-    raise ValueError(f"unknown max_features mode {mode!r}")
-
-
 # -- learner kinds --------------------------------------------------------
 
 
@@ -269,13 +307,11 @@ class KnnModel:
     """k-nearest-neighbor mean with internally standardized features."""
 
     kind = "knn"
+    _FITTED = ("mu", "sigma", "X", "y")  # float arrays of the model JSON
 
     def __init__(self, k: int):
         self.k = k
-        self.mu = None
-        self.sigma = None
-        self.X = None
-        self.y = None
+        self.mu = self.sigma = self.X = self.y = None
 
     def fit(self, X, y, rng=None) -> "KnnModel":
         X = _as_2d(X)
@@ -305,19 +341,14 @@ class KnnModel:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "k": self.k,
-            "mu": self.mu.tolist(), "sigma": self.sigma.tolist(),
-            "X": self.X.tolist(), "y": self.y.tolist(),
-        }
+        return {"kind": self.kind, "k": self.k,
+                **{name: getattr(self, name).tolist() for name in self._FITTED}}
 
     @staticmethod
     def from_dict(d: dict) -> "KnnModel":
         m = KnnModel(k=int(d["k"]))
-        m.mu = np.array(d["mu"], dtype=np.float64)
-        m.sigma = np.array(d["sigma"], dtype=np.float64)
-        m.X = np.array(d["X"], dtype=np.float64)
-        m.y = np.array(d["y"], dtype=np.float64)
+        for name in KnnModel._FITTED:
+            setattr(m, name, np.array(d[name], dtype=np.float64))
         return m
 
 
@@ -336,24 +367,39 @@ class _TreeModel:
             "kind": self.kind, "trees": self.n_trees,
             **{name: getattr(self, name) for name in self._ARGS},
             self._FITTED: getattr(self, self._FITTED),
-            "fitted_trees": [t.to_dict() for t in self.trees],
+            "fitted_trees": self.forest.tree_dicts() if self.forest is not None else [],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "_TreeModel":
         m = cls(trees=int(d["trees"]), **{name: d[name] for name in cls._ARGS})
         setattr(m, cls._FITTED, d[cls._FITTED])
-        m.trees = [RegressionTree.from_dict(t) for t in d["fitted_trees"]]
-        m.forest = _Forest(m.trees) if m.trees else None
+        if d["fitted_trees"]:
+            m.forest = _Forest(*_concat([{name: np.array(t[name], dtype=dtype)
+                                          for name, dtype in _TREE_ARRAYS.items()}
+                                         for t in d["fitted_trees"]]))
+        return m
+
+    def nested(self, trees: int, max_depth) -> "_TreeModel":
+        """This model's first `trees` trees cut at `max_depth`: the model a fit
+        with those hyperparameters makes from the same data and seed."""
+        m = type(self)(trees=trees, **{**{a: getattr(self, a) for a in self._ARGS},
+                                       "max_depth": max_depth})
+        setattr(m, self._FITTED, getattr(self, self._FITTED))
+        if self.forest is not None:
+            m.forest = _Forest(*_preorder(self.forest.tree_roots[:trees], max_depth,
+                                          **self.forest.table))
         return m
 
 
 class BaggedTreesModel(_TreeModel):
     """Bootstrap-aggregated trees with a random feature subset per split.
 
-    max_depth=0 degenerates to the constant mean-of-targets predictor: with no
-    splits allowed there is nothing for resampling to vary, so no trees are
-    grown.
+    Each tree draws its bootstrap sample and then its split candidates from
+    its own rng, spawned from the fit's, so the first t trees of a fit cut at
+    depth d are the fit of (t, d). max_depth=0 degenerates to the constant
+    mean-of-targets predictor: with no splits allowed there is nothing for
+    resampling to vary, so no trees are grown.
     """
 
     kind = "bagged_trees"
@@ -364,7 +410,6 @@ class BaggedTreesModel(_TreeModel):
         self.n_trees = trees
         self.max_depth = max_depth
         self.max_features = max_features
-        self.trees: list[RegressionTree] = []
         self.forest = None
         self.constant = None
 
@@ -372,24 +417,24 @@ class BaggedTreesModel(_TreeModel):
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
-        self.trees, self.forest, self.constant = [], None, None
+        self.forest, self.constant = None, None
         if self.max_depth == 0:
             self.constant = float(y.mean())
             return self
-        k = _feature_count(self.max_features, p)
-        for _ in range(self.n_trees):
-            boot = rng.integers(0, n, size=n)
-            tree = RegressionTree(max_depth=self.max_depth, max_features=k)
-            tree.fit(X[boot], y[boot], rng)
-            self.trees.append(tree)
-        self.forest = _Forest(self.trees)
+        rngs = rng.spawn(self.n_trees)
+        boot = np.array([r.integers(0, n, size=n) for r in rngs])
+        Xb = X[boot]
+        k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.max_features]
+        table, _ = _grow(Xb, y[boot], np.argsort(Xb, axis=1, kind="stable"),
+                         self.max_depth, max(1, int(round(k))), rngs)
+        self.forest = _Forest(*_preorder(np.arange(self.n_trees), None, **table))
         return self
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
         if self.constant is not None:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
-        return self.forest.accumulate(X, 0.0, 1.0) / len(self.trees)
+        return self.forest.accumulate(X, 0.0, 1.0) / self.forest.tree_roots.size
 
 
 class BoostedTreesModel(_TreeModel):
@@ -404,20 +449,22 @@ class BoostedTreesModel(_TreeModel):
         self.learning_rate = float(learning_rate)
         self.max_depth = max_depth
         self.init_value = None
-        self.trees: list[RegressionTree] = []
         self.forest = None
 
     def fit(self, X, y, rng=None) -> "BoostedTreesModel":
         X = _as_2d(X)
         y = np.asarray(y, dtype=np.float64)
-        self.trees, self.forest = [], None
         self.init_value = float(y.mean())
         current = np.full(y.shape, self.init_value)
+        order = np.argsort(X, axis=0, kind="stable")[None]  # X is the same for every tree
+        tables = []
         for _ in range(self.n_trees):
-            tree = RegressionTree(max_depth=self.max_depth)  # all features: no rng draws
-            current = current + self.learning_rate * tree.fit(X, y - current, None)
-            self.trees.append(tree)
-        self.forest = _Forest(self.trees)
+            table, fitted = _grow(X[None], (y - current)[None], order, self.max_depth,
+                                  X.shape[1], None)
+            current = current + self.learning_rate * fitted[0]
+            tables.append(table)
+        cat, roots = _concat(tables)
+        self.forest = _Forest(*_preorder(roots, None, **cat))
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -457,43 +504,69 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
     return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
-def cv_predict(spec: LearnerSpec, X, y, k: int = 5, seed=0) -> np.ndarray:
-    """Out-of-fold predictions under a seeded k-fold split."""
+def _family(spec: LearnerSpec):
+    """Specs of one family nest: one kind, and the same arguments besides
+    `trees` and, for bagged trees that grow any, `max_depth`."""
+    if spec.kind == "knn":
+        return spec
+    model = _MODEL_CLASSES[spec.kind](**spec.hp)
+    args = {a: getattr(model, a) for a in model._ARGS}
+    if spec.kind == "bagged_trees" and args["max_depth"] != 0:
+        del args["max_depth"]
+    return spec.kind, tuple(sorted(args.items()))
+
+
+def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
+    """Out-of-fold predictions of one nested family under a seeded k-fold split.
+
+    Each fold fits the family's head (most trees, greatest depth) and predicts
+    with each member's nested part of it: column j is the cross-validation of
+    `specs[j]` alone.
+    """
+    specs = list(specs)
+    if not specs or len({_family(s) for s in specs}) != 1:
+        raise ValueError("cv_predict needs the specs of one nested family")
+    members = [_MODEL_CLASSES[s.kind](**s.hp) for s in specs]  # unfitted: their arguments
+    head = specs[0]
+    if head.kind != "knn":
+        depths = [m.max_depth for m in members]
+        deepest = None if None in depths else max(depths)
+        head = LearnerSpec.make(head.kind, **{**head.hp, "max_depth": deepest,
+                                              "trees": max(m.n_trees for m in members)})
     X = _as_2d(X)
     y = np.asarray(y, dtype=np.float64)
-    folds = kfold_indices(X.shape[0], k, seed)
-    oof = np.empty(X.shape[0], dtype=np.float64)
-    for i, test_idx in enumerate(folds):
+    oof = np.empty((X.shape[0], len(specs)), dtype=np.float64)
+    for i, test_idx in enumerate(kfold_indices(X.shape[0], k, seed)):
         train_mask = np.ones(X.shape[0], dtype=bool)
         train_mask[test_idx] = False
-        model = train_base(spec, X[train_mask], y[train_mask], seed=[seed, i])
-        oof[test_idx] = model.predict(X[test_idx])
+        model = train_base(head, X[train_mask], y[train_mask], seed=[seed, i])
+        for j, (spec, member) in enumerate(zip(specs, members)):
+            fit = model if spec == head else model.nested(member.n_trees, member.max_depth)
+            oof[test_idx, j] = fit.predict(X[test_idx])
     return oof
 
 
 def grid_search(specs, X, y, k: int = 5, seed=0):
     """Pick the spec with the lowest k-fold CV RMSE; ties keep grid order.
 
-    All specs are cross-validated once, on the same seeded folds. Returns
-    `(best, best_oof, scores)`: the winner, its out-of-fold predictions (equal
-    to `cv_predict(best, X, y, k, seed)`) and `(spec, rmse)` in grid order.
+    Each nested family of specs is cross-validated once, on the same seeded
+    folds. Returns `(best, best_oof, scores)`: the winner, its out-of-fold
+    predictions (those of `cv_predict([best], X, y, k, seed)`) and `(spec,
+    rmse)` in grid order.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("empty hyperparameter grid")
     y = np.asarray(y, dtype=np.float64)
-    best = best_oof = None
-    best_rmse = np.inf
-    scores = []
+    families: dict = {}
     for spec in specs:
-        oof = cv_predict(spec, X, y, k=k, seed=seed)
-        rmse = float(np.sqrt(np.mean((y - oof) ** 2)))
-        scores.append((spec, rmse))
-        if rmse < best_rmse:
-            best = spec
-            best_oof = oof
-            best_rmse = rmse
-    return best, best_oof, scores
+        families.setdefault(_family(spec), []).append(spec)
+    oof = {}
+    for family in families.values():
+        oof.update(zip(family, cv_predict(family, X, y, k=k, seed=seed).T))
+    scores = [(spec, float(np.sqrt(np.mean((y - oof[spec]) ** 2)))) for spec in specs]
+    best = min(scores, key=lambda score: score[1])[0]
+    return best, oof[best], scores
 
 
 @dataclass
@@ -509,9 +582,7 @@ class StackFit:
         return self.intercept + columns @ self.coefficients
 
     def to_dict(self) -> dict:
-        return {"intercept": self.intercept,
-                "coefficients": self.coefficients.tolist(),
-                "rank_deficient": self.rank_deficient}
+        return {**vars(self), "coefficients": self.coefficients.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "StackFit":

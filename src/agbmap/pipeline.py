@@ -40,7 +40,7 @@ from .metrics import (
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 ALLOMETRIES = ("CRM", "NSVB")
 

@@ -66,6 +66,18 @@ class TestKnn:
         q2 = X2[:5].copy()
         assert np.allclose(m1.predict(q), m2.predict(q2))
 
+    def test_distance_ties_go_to_the_lower_training_row(self):
+        # rows 1, 3, 4 are one point and rows 0, 5 another; a query on the
+        # first takes its copies in row order, then the second's, in row order
+        a, b = [1.0, 2.0, 3.0], [1.5, 2.5, 2.0]
+        X = np.array([b, a, [9.0, 9.0, 9.0], a, a, b, [-5.0, 0.0, 7.0]])
+        y = np.array([100.0, 1.0, 1e4, 10.0, 1000.0, 10000.0, 1e5])
+        q = np.array([a, a])
+        expected = {1: 1.0, 2: 5.5, 3: 337.0, 4: 277.75, 5: 2222.2}
+        for k, mean in expected.items():
+            model = train_base(LearnerSpec.make("knn", k=k), X, y, seed=0)
+            assert np.array_equal(model.predict(q), np.full(2, mean)), k
+
     def test_chunked_predict_matches_one_chunk(self, monkeypatch):
         X, y = toy_data(40)
         model = train_base(LearnerSpec.make("knn", k=3), X, y, seed=0)
@@ -245,9 +257,8 @@ class TestForestMatchesPerTreeWalk:
         # boosting adds these fitted values to its running prediction
         X, y = toy_data(70)
         for max_depth in (None, 2):
-            tree = learners.RegressionTree(max_depth=max_depth)
-            fitted = tree.fit(X, y, None)
-            assert np.array_equal(fitted, per_tree_predict(tree.to_dict(), X))
+            tree, fitted = grow(X, y, max_depth)
+            assert np.array_equal(fitted, per_tree_predict(tree, X))
 
     def test_model_json_keys_of_each_kind(self):
         # one serializer writes both kinds; the model JSON stays what each
@@ -276,6 +287,214 @@ class TestForestMatchesPerTreeWalk:
         assert len({cls.predict for cls in classes}) == len(classes)
 
 
+def frozen_fit(X, y, max_depth):
+    """Frozen copy of the depth-first fitter the level-wise grower replaced,
+    with all features as split candidates; returns (tree dict, fitted)."""
+    n, p = X.shape
+    columns = feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for column, empty in zip(columns, (-1, 0.0, -1, -1, 0.0)):
+            column.append(empty)
+        return len(feature) - 1
+
+    fitted = np.empty(n, dtype=np.float64)
+    root = new_node()
+    stack = [(np.arange(n), 0, root)]
+    while stack:
+        idx, depth, nid = stack.pop()
+        yn = y[idx]
+        value[nid] = fitted[idx] = float(yn.mean())
+        m = idx.size
+        if (max_depth is not None and depth >= max_depth) or m < 2 or np.all(yn == yn[0]):
+            continue
+        best = None  # (cost, f, threshold)
+        for f in range(p):
+            col = X[idx, f]
+            order = np.argsort(col, kind="stable")
+            xs = col[order]
+            if xs[0] == xs[-1]:
+                continue
+            ys = yn[order]
+            c1 = np.cumsum(ys)
+            c2 = np.cumsum(ys * ys)
+            s1, s2 = c1[-1], c2[-1]
+            i = np.arange(1, m)
+            ok = xs[1:] > xs[:-1]
+            if not np.any(ok):
+                continue
+            cost = (c2[:-1] - c1[:-1] ** 2 / i) \
+                + ((s2 - c2[:-1]) - (s1 - c1[:-1]) ** 2 / (m - i))
+            cost = np.where(ok, cost, np.inf)
+            j = int(np.argmin(cost))
+            if best is None or cost[j] < best[0]:
+                lo, hi = xs[j], xs[j + 1]
+                thr = lo + (hi - lo) / 2.0
+                if not (lo < thr < hi):
+                    thr = lo
+                best = (float(cost[j]), int(f), float(thr))
+        if best is None:
+            continue
+        _, f_best, thr = best
+        go_left = X[idx, f_best] <= thr
+        lid = new_node()
+        rid = new_node()
+        feature[nid] = f_best
+        threshold[nid] = thr
+        left[nid] = lid
+        right[nid] = rid
+        stack.append((idx[~go_left], depth + 1, rid))
+        stack.append((idx[go_left], depth + 1, lid))
+    names = ("feature", "threshold", "left", "right", "value")
+    return dict(zip(names, columns)), fitted
+
+
+def same_tree(a, b):
+    # json keeps the sign of a zero, which == does not
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def grow_together(samples, max_depth):
+    """The level-wise grower on several (X, y) samples of one shape at once,
+    all features candidates; returns each tree's dict and the fitted values."""
+    X = np.stack([x for x, _ in samples])
+    y = np.stack([t for _, t in samples])
+    table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"), max_depth,
+                                   X.shape[2], None)
+    forest = learners._Forest(*learners._preorder(np.arange(len(samples)), None, **table))
+    return forest.tree_dicts(), fitted
+
+
+def grow(X, y, max_depth):
+    (tree,), (fitted,) = grow_together([(X, y)], max_depth)
+    return tree, fitted
+
+
+def grower_cases():
+    rng = np.random.default_rng(12)
+    X, y = toy_data(40)
+    ties = np.round(X / 3.0)  # few distinct values per feature
+    const_col = X.copy()
+    const_col[:, 1] = 2.0
+    dup = np.vstack([X[:15], X[:15], X[5:10]])
+    dup_y = rng.normal(size=dup.shape[0])
+    return {
+        "ties_in_x": (ties, y),
+        "tied_targets": (ties, np.round(y / 10.0)),
+        "constant_column": (const_col, y),
+        "all_columns_constant": (np.ones((12, 3)), y[:12]),
+        "constant_y": (X, np.full(40, 3.5)),
+        "n1": (X[:1], y[:1]),
+        "n2": (X[:2], y[:2]),
+        "n2_equal_x": (np.ones((2, 4)), y[:2]),
+        "duplicated_rows": (dup, dup_y),
+        "negative_zero": (np.where(ties == 0, -0.0, ties), np.where(y > 0, -0.0, y)),
+        # neighbouring doubles whose midpoint rounds up to the larger one
+        "adjacent_floats": (np.column_stack([np.where(np.arange(20) % 3, 1 + 2**-51, 1 + 2**-52),
+                                             X[:20, 1]]), y[:20]),
+        "wide": toy_data(300, p=5, seed=3),
+    }
+
+
+class TestLevelWiseGrower:
+    """With all features as candidates, the level-wise grower makes the trees
+    of the depth-first fitter it replaced, array for array."""
+
+    @pytest.mark.parametrize("case", sorted(grower_cases()))
+    @pytest.mark.parametrize("max_depth", [0, 1, 3, None])
+    def test_matches_frozen_fitter(self, case, max_depth):
+        X, y = grower_cases()[case]
+        tree, fitted = grow(X, y, max_depth)
+        frozen, frozen_fitted = frozen_fit(X, y, max_depth)
+        assert same_tree(tree, frozen)
+        assert fitted.tobytes() == frozen_fitted.tobytes()
+
+    @pytest.mark.parametrize("max_depth", [2, None])
+    def test_trees_grown_together_match_frozen_fitter(self, max_depth):
+        X, y = toy_data(60)
+        boots = np.random.default_rng(1).integers(0, 60, size=(7, 60))
+        trees, fitted = grow_together([(X[b], y[b]) for b in boots], max_depth)
+        for b, tree, leaf_values in zip(boots, trees, fitted):
+            frozen, frozen_fitted = frozen_fit(X[b], y[b], max_depth)
+            assert same_tree(tree, frozen)
+            assert leaf_values.tobytes() == frozen_fitted.tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 7, 64, 333])
+    def test_samples_spanning_several_chunks(self, monkeypatch, entries):
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", entries)
+        X, y = toy_data(120, p=5, seed=4)
+        boots = np.random.default_rng(2).integers(0, 120, size=(3, 120))
+        trees, _ = grow_together([(X[b], np.round(y[b])) for b in boots], None)
+        for b, tree in zip(boots, trees):
+            assert same_tree(tree, frozen_fit(X[b], np.round(y[b]), None)[0])
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_boosted_model_is_the_frozen_fitters(self, max_depth):
+        X, y = toy_data(50)
+        hp = {"trees": 20, "learning_rate": 0.1, "max_depth": max_depth}
+        model = train_base(LearnerSpec.make("boosted_trees", **hp), X, y, seed=0)
+        init = float(y.mean())
+        current = np.full(y.shape, init)
+        trees = []
+        for _ in range(hp["trees"]):
+            tree, fitted = frozen_fit(X, y - current, max_depth)
+            current = current + hp["learning_rate"] * fitted
+            trees.append(tree)
+        frozen = {"kind": "boosted_trees", **hp, "init_value": init, "fitted_trees": trees}
+        assert json.dumps(model.to_dict(), sort_keys=True) == json.dumps(frozen, sort_keys=True)
+
+
+class TestNestedFits:
+    """A fit with fewer trees, or (bagged) a smaller depth, is a prefix of a
+    larger fit from the same seed, cut at its depth."""
+
+    @pytest.mark.parametrize("max_features", ["sqrt", "third", None])
+    def test_bagged(self, max_features):
+        X, y = toy_data(50, p=6)
+        head = LearnerSpec.make("bagged_trees", trees=12, max_depth=None,
+                                max_features=max_features)
+        model = train_base(head, X, y, seed=[4, 1])
+        for trees, max_depth in ((12, None), (12, 3), (5, None), (5, 1), (1, 6)):
+            spec = LearnerSpec.make("bagged_trees", trees=trees, max_depth=max_depth,
+                                    max_features=max_features)
+            alone = train_base(spec, X, y, seed=[4, 1])
+            assert same_tree(model.nested(trees, max_depth).to_dict(), alone.to_dict())
+
+    def test_boosted(self):
+        X, y = toy_data(50)
+        head = LearnerSpec.make("boosted_trees", trees=30, learning_rate=0.1, max_depth=3)
+        model = train_base(head, X, y, seed=0)
+        for trees in (30, 12, 1):
+            spec = LearnerSpec.make("boosted_trees", trees=trees, learning_rate=0.1, max_depth=3)
+            alone = train_base(spec, X, y, seed=0)
+            assert same_tree(model.nested(trees, 3).to_dict(), alone.to_dict())
+            q = toy_data(40, seed=5)[0]
+            assert np.array_equal(model.nested(trees, 3).predict(q), alone.predict(q))
+
+    @pytest.mark.parametrize("kind,family", [
+        ("bagged_trees", [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
+                          {"trees": 9, "max_depth": None, "max_features": "sqrt"},
+                          {"trees": 3, "max_depth": 5}]),
+        ("bagged_trees", [{"trees": 4, "max_depth": 0}, {"trees": 2, "max_depth": 0}]),
+        ("boosted_trees", [{"trees": 8, "learning_rate": 0.2},
+                           {"trees": 3, "learning_rate": 0.2, "max_depth": 3}]),
+        ("knn", [{"k": 3}]),
+    ])
+    def test_family_columns_equal_each_member_alone(self, kind, family):
+        X, y = toy_data(45)
+        specs = [LearnerSpec.make(kind, **hp) for hp in family]
+        together = cv_predict(specs, X, y, k=5, seed=[3, 1])
+        assert together.shape == (45, len(specs))
+        for j, spec in enumerate(specs):
+            assert np.array_equal(together[:, j], cv_predict([spec], X, y, k=5, seed=[3, 1])[:, 0])
+
+    def test_cv_predict_refuses_specs_of_two_families(self):
+        X, y = toy_data(20)
+        specs = [LearnerSpec.make("boosted_trees", trees=3, learning_rate=lr) for lr in (0.1, 0.2)]
+        with pytest.raises(ValueError, match="one nested family"):
+            cv_predict(specs, X, y)
+
+
 class TestCrossValidation:
     def test_fold_sizes_11_into_5(self):
         folds = kfold_indices(11, 5, seed=0)
@@ -300,14 +519,14 @@ class TestCrossValidation:
         for kind, hp in (("knn", {"k": 3}),
                          ("bagged_trees", {"trees": 5, "max_depth": 4, "max_features": None}),
                          ("boosted_trees", {"trees": 5, "learning_rate": 0.1, "max_depth": 2})):
-            oof = cv_predict(LearnerSpec.make(kind, **hp), X, y, k=5, seed=1)
+            oof = cv_predict([LearnerSpec.make(kind, **hp)], X, y, k=5, seed=1)
             assert np.allclose(oof, 5.0), kind
 
     def test_oof_deterministic(self):
         X, y = toy_data(30)
         spec = LearnerSpec.make("bagged_trees", trees=8, max_depth=6, max_features="sqrt")
-        assert np.array_equal(cv_predict(spec, X, y, k=5, seed=7),
-                              cv_predict(spec, X, y, k=5, seed=7))
+        assert np.array_equal(cv_predict([spec], X, y, k=5, seed=7),
+                              cv_predict([spec], X, y, k=5, seed=7))
 
 
 class TestGridSearch:
@@ -333,6 +552,12 @@ class TestGridSearch:
                           {"trees": 6, "max_depth": None, "max_features": None}]),
         ("boosted_trees", [{"trees": 8, "learning_rate": 0.05, "max_depth": 1},
                            {"trees": 8, "learning_rate": 0.3, "max_depth": 3}]),
+        # grids of one nested family each
+        ("bagged_trees", [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
+                          {"trees": 3, "max_depth": None, "max_features": "sqrt"},
+                          {"trees": 9, "max_depth": 4, "max_features": "sqrt"}]),
+        ("boosted_trees", [{"trees": 8, "learning_rate": 0.3, "max_depth": 1},
+                           {"trees": 2, "learning_rate": 0.3, "max_depth": 1}]),
     ])
     def test_best_oof_is_the_winners_cross_validation(self, kind, grid):
         # the pipeline stacks these columns instead of cross-validating the
@@ -341,7 +566,7 @@ class TestGridSearch:
         specs = [LearnerSpec.make(kind, **hp) for hp in grid]
         seed = [2, 310, 0, 1]
         best, best_oof, scores = grid_search(specs, X, y, k=5, seed=seed)
-        assert np.array_equal(best_oof, cv_predict(best, X, y, k=5, seed=seed))
+        assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=seed)[:, 0])
         rmse = float(np.sqrt(np.mean((y - best_oof) ** 2)))
         assert rmse == dict(scores)[best] == min(r for _, r in scores)
 
@@ -389,7 +614,7 @@ def small_ensemble(X, y, seed=0):
         LearnerSpec.make("knn", k=3),
         LearnerSpec.make("boosted_trees", trees=20, learning_rate=0.1, max_depth=2),
     ]
-    oof = np.column_stack([cv_predict(s, X, y, k=5, seed=seed) for s in specs])
+    oof = np.column_stack([cv_predict([s], X, y, k=5, seed=seed)[:, 0] for s in specs])
     stack = fit_stack(oof, y)
     models = [train_base(s, X, y, seed=[seed, i]) for i, s in enumerate(specs)]
     return EnsembleModel(specs=specs, models=models, stack=stack,

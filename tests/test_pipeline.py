@@ -361,13 +361,26 @@ def test_agree_outputs(small):
                 assert float(r["ac"]) <= 1.0 + 1e-12
 
 
-def test_fit_cross_validates_each_spec_once(small, tmp_path, monkeypatch):
-    # the winner's out-of-fold column comes from model selection, not from a
-    # second cross-validation
+def nested_family(kind, hp):
+    """Specs that nest: the same kind and arguments besides `trees` and, for
+    bagged trees that grow any, `max_depth` (defaults filled in)."""
+    hp = dict(hp)
+    hp.pop("trees", None)
+    if kind == "bagged_trees":
+        hp.setdefault("max_features", "sqrt")
+        if hp.get("max_depth") != 0:
+            hp.pop("max_depth", None)
+    if kind == "boosted_trees":
+        hp.setdefault("max_depth", 3)
+    return kind, json.dumps(hp, sort_keys=True)
+
+
+def fit_cv_calls(small, tmp_path, monkeypatch, doc):
+    """Run fit on `doc`; return its config and the family of each cv_predict call."""
     import agbmap.learners
     import agbmap.pipeline
 
-    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
+    config = make_config(doc, small.root, output_dir=str(tmp_path / "o"))
     run(config, ["ingest", "extract"])
     calls = []
     original = agbmap.learners.cv_predict
@@ -379,8 +392,34 @@ def test_fit_cross_validates_each_spec_once(small, tmp_path, monkeypatch):
     monkeypatch.setattr(agbmap.learners, "cv_predict", counting)
     monkeypatch.setattr(agbmap.pipeline, "cv_predict", counting, raising=False)
     run(config, ["fit"])
-    n_specs = sum(len(grid) for grid in config.spec_grids().values())
-    assert len(calls) == 2 * n_specs
+    return config, calls
+
+
+def test_fit_cross_validates_each_family_once(small, tmp_path, monkeypatch):
+    # the winner's out-of-fold column comes from model selection, not from a
+    # second cross-validation
+    config, calls = fit_cv_calls(small, tmp_path, monkeypatch, small.doc)
+    families = {nested_family(s.kind, s.hp) for grid in config.spec_grids().values()
+                for s in grid}
+    assert len(calls) == 2 * len(families)
+
+
+def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, monkeypatch):
+    grids = {
+        "knn": [{"k": 3}, {"k": 5}],
+        "bagged_trees": [{"trees": 4, "max_depth": 2}, {"trees": 3, "max_depth": None},
+                         {"trees": 5, "max_depth": 0}, {"trees": 2, "max_features": None}],
+        "boosted_trees": [{"trees": 6, "learning_rate": 0.1},
+                          {"trees": 2, "learning_rate": 0.1, "max_depth": 3},
+                          {"trees": 4, "learning_rate": 0.3}],
+    }
+    config, calls = fit_cv_calls(small, tmp_path, monkeypatch,
+                                 {**small.doc, "learner_grids": grids})
+    specs = [s for grid in config.spec_grids().values() for s in grid]
+    assert len(calls) == 2 * 7
+    assert all(len({nested_family(s.kind, s.hp) for s in family}) == 1 for family in calls)
+    assert sorted(map(repr, (s for family in calls for s in family))) == \
+        sorted(map(repr, 2 * specs))
 
 
 def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
