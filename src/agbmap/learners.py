@@ -7,12 +7,14 @@ out-of-fold predictions; final ensemble predictions are truncated below at
 zero, since the target is a nonnegative density.
 
 Every fit is a pure function of (data, hyperparameters, seed). Trees grow
-level by level, all trees of a bagged model together, each boosted tree on
-features presorted once per model; each bagged tree draws from its own rng,
-spawned from the fit's. So a fit's first t trees cut at depth d are the fit of
-those hyperparameters, and model selection cross-validates each nested family
-of specs once. A tree model's trees are one node table; predict walks all trees
-at once over chunks of cells, each tree as many steps as it is deep.
+level by level in batches, each tree on its own rows: all trees of a bagged
+fit, or tree t of a boosted fit on features presorted once, and those of all k
+folds of a cross-validation at once; a single fit is the batch of one. Each
+bagged tree draws from its own rng, spawned from the fit's. So a fit's first t
+trees cut at depth d are the fit of those hyperparameters, and model selection
+cross-validates each nested family of specs once. A tree model's trees are one
+node table; predict walks all trees at once over chunks of cells, each tree as
+many steps as it is deep.
 """
 
 from __future__ import annotations
@@ -152,26 +154,28 @@ def _preorder(roots, max_depth, feature, threshold, left, right, value) -> tuple
     return out, new[roots]
 
 
-def _grow(X, y, order, max_depth, max_features, rngs) -> tuple[dict, np.ndarray]:
+def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.ndarray]:
     """Grow a regression tree on each sample, all together, level by level.
 
-    X is (trees, n, p), y (trees, n) and `order` X's stable argsort along axis
-    1. A node is a leaf at `max_depth`, below two rows or with equal targets;
-    its value is the mean of its targets in row order. Otherwise it splits at
-    the midpoint between distinct sorted values that minimizes the summed child
-    squared error, ties going to the first feature, then the first midpoint.
-    With `max_features` below p, each tree's rng draws that many candidate
-    features per node, one call per level. Returns a node table (tree b rooted
-    at node b) and each row's leaf value, (trees, n).
+    X is (trees, n, p), y (trees, n), `order` X's stable argsort along axis 1
+    and `keep` (trees, n) marks the rows each tree is grown on. A node is a leaf
+    at `max_depth`, below two rows or with equal targets; its value is the mean
+    of its targets in row order. Otherwise it splits at the midpoint between
+    distinct sorted values that minimizes the summed child squared error, ties
+    going to the first feature, then the first midpoint. With `max_features`
+    below p, each tree's rng draws that many candidate features per node, one
+    call per level. Returns a node table (tree b rooted at node b) and each kept
+    row's leaf value, (trees, n).
     """
     B, n, p = X.shape
     xe, ye = X.reshape(-1), y.reshape(-1)  # row e = b * n + i has feature f at xe[e * p + f]
-    # one row per feature holding the rows of each open node in ascending x,
-    # and a last row holding them in ascending e; nodes in level order
+    # one row per feature holding the kept rows of each open node in ascending
+    # x, and a last row holding them in ascending e; nodes in level order
     perm = np.vstack([(order + n * np.arange(B)[:, None, None]).transpose(2, 0, 1).reshape(p, -1),
                       np.arange(B * n)])
-    size, tree, ids, table = np.full(B, n), np.arange(B), np.arange(B), []
-    leaf_of = np.empty(B * n, dtype=np.int64)
+    perm = perm[keep.reshape(-1)[perm]].reshape(p + 1, -1)
+    size, tree, ids, table = keep.sum(axis=1), np.arange(B), np.arange(B), []
+    leaf_of = np.zeros(B * n, dtype=np.int64)
     while True:
         start, slot = np.cumsum(size) - size, np.repeat(np.arange(size.size), size)
         leaf_of[perm[-1]] = ids[slot]
@@ -313,30 +317,26 @@ class KnnModel:
         self.k = k
         self.mu = self.sigma = self.X = self.y = None
 
-    def fit(self, X, y, rng=None) -> "KnnModel":
-        X = _as_2d(X)
-        y = np.asarray(y, dtype=np.float64)
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds the {X.shape[0]} training rows")
-        self.mu = X.mean(axis=0)
-        sigma = X.std(axis=0)
-        sigma[sigma == 0.0] = 1.0
-        self.sigma = sigma
-        self.X = (X - self.mu) / self.sigma
-        self.y = y.copy()
-        return self
+    def _fit_batch(self, models, X, y, keep, rngs) -> None:
+        for m, rows in zip(models, keep):  # one fold at a time
+            Xr, m.y = X[rows], y[rows]
+            if m.k > Xr.shape[0]:
+                raise ValueError(f"k={m.k} exceeds the {Xr.shape[0]} training rows")
+            m.mu, m.sigma = Xr.mean(axis=0), Xr.std(axis=0)
+            m.sigma[m.sigma == 0.0] = 1.0
+            m.X = (Xr - m.mu) / m.sigma
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
-        Q = (X - self.mu) / self.sigma
-        out = np.empty(Q.shape[0], dtype=np.float64)
-        train_norm = np.sum(self.X ** 2, axis=1)
+        Q = (X.T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
+        out = np.empty(Q.shape[1], dtype=np.float64)
         chunk = max(1, _CHUNK_ENTRIES // self.X.shape[0])
-        for lo in range(0, Q.shape[0], chunk):
-            q = Q[lo:lo + chunk]
-            d2 = np.sum(q ** 2, axis=1)[:, None] + train_norm[None, :] - 2.0 * q @ self.X.T
-            # stable sort: equal distances resolve by training-row order
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        for lo in range(0, Q.shape[1], chunk):
+            q = Q[:, lo:lo + chunk]
+            # (training rows, cells) of exact differences summed feature by
+            # feature; the stable sort resolves ties by training-row order
+            d2 = sum((self.X[:, f, None] - q[f]) ** 2 for f in range(len(q)))
+            nearest = np.argsort(d2.T, axis=1, kind="stable")[:, : self.k]
             out[lo:lo + chunk] = self.y[nearest].mean(axis=1)
         return out
 
@@ -413,22 +413,23 @@ class BaggedTreesModel(_TreeModel):
         self.forest = None
         self.constant = None
 
-    def fit(self, X, y, rng) -> "BaggedTreesModel":
-        X = _as_2d(X)
-        y = np.asarray(y, dtype=np.float64)
-        n, p = X.shape
-        self.forest, self.constant = None, None
+    def _fit_batch(self, models, X, y, keep, rngs) -> None:
+        for m, rows in zip(models, keep):
+            m.forest, m.constant = None, float(y[rows].mean()) if self.max_depth == 0 else None
         if self.max_depth == 0:
-            self.constant = float(y.mean())
-            return self
-        rngs = rng.spawn(self.n_trees)
-        boot = np.array([r.integers(0, n, size=n) for r in rngs])
+            return
+        T, p, sizes = self.n_trees, X.shape[1], np.repeat(keep.sum(axis=1), self.n_trees)
+        rngs = [r for rng in rngs for r in rng.spawn(T)]  # tree t of models[b] is b * T + t
+        boot = np.zeros((len(rngs), sizes.max()), dtype=np.int64)  # padded with row 0
+        for b, (rows, r) in enumerate(zip(np.repeat(keep, T, axis=0), rngs)):
+            boot[b, :sizes[b]] = np.flatnonzero(rows)[r.integers(0, sizes[b], size=sizes[b])]
         Xb = X[boot]
         k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.max_features]
         table, _ = _grow(Xb, y[boot], np.argsort(Xb, axis=1, kind="stable"),
-                         self.max_depth, max(1, int(round(k))), rngs)
-        self.forest = _Forest(*_preorder(np.arange(self.n_trees), None, **table))
-        return self
+                         np.arange(boot.shape[1]) < sizes[:, None], self.max_depth,
+                         max(1, int(round(k))), rngs)
+        for b, m in enumerate(models):
+            m.forest = _Forest(*_preorder(np.arange(b * T, (b + 1) * T), None, **table))
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
@@ -451,21 +452,21 @@ class BoostedTreesModel(_TreeModel):
         self.init_value = None
         self.forest = None
 
-    def fit(self, X, y, rng=None) -> "BoostedTreesModel":
-        X = _as_2d(X)
-        y = np.asarray(y, dtype=np.float64)
-        self.init_value = float(y.mean())
-        current = np.full(y.shape, self.init_value)
-        order = np.argsort(X, axis=0, kind="stable")[None]  # X is the same for every tree
+    def _fit_batch(self, models, X, y, keep, rngs) -> None:
+        """Fit models[b] on the rows keep[b]: tree t of every model grows in one
+        batch, on X presorted once, from each model's own mean and residuals."""
+        init = np.array([y[rows].mean() for rows in keep])
+        current = np.repeat(init[:, None], X.shape[0], axis=1)
+        Xb, order = (np.repeat(a[None], len(keep), axis=0)  # X is the same for every tree
+                     for a in (X, np.argsort(X, axis=0, kind="stable")))
         tables = []
         for _ in range(self.n_trees):
-            table, fitted = _grow(X[None], (y - current)[None], order, self.max_depth,
-                                  X.shape[1], None)
-            current = current + self.learning_rate * fitted[0]
+            table, fitted = _grow(Xb, y - current, order, keep, self.max_depth, X.shape[1], None)
+            current = current + self.learning_rate * fitted
             tables.append(table)
         cat, roots = _concat(tables)
-        self.forest = _Forest(*_preorder(roots, None, **cat))
-        return self
+        for b, m in enumerate(models):  # tree t of models[b] is node roots[t] + b
+            m.init_value, m.forest = float(init[b]), _Forest(*_preorder(roots + b, None, **cat))
 
     def predict(self, X) -> np.ndarray:
         return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)
@@ -478,11 +479,16 @@ _MODEL_CLASSES = {
 }
 
 
-def train_base(spec: LearnerSpec, X, y, seed) -> object:
+def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
     """Fit one base learner; the result is a pure function of the inputs.
 
     The spec's hyperparameters are its model class's constructor arguments
-    (defaults fill those it leaves out); `seed` seeds the fit's rng.
+    (defaults fill those it leaves out); `seed` seeds the fit's rng. Given
+    `held_out`, a list of k row-index arrays, it fits k models in one batch
+    and returns them: model i is the fit on the rows outside `held_out[i]`
+    from seed `[seed, i]`. A single fit is the batch of one. Each kind fits a
+    batch in `_fit_batch(models, X, y, keep, rngs)`: models[b] on the rows
+    keep[b] of X, y from rngs[b], with its own hyperparameters.
     """
     spec.validate()
     X = _as_2d(X)
@@ -491,7 +497,14 @@ def train_base(spec: LearnerSpec, X, y, seed) -> object:
         raise ValueError("y must match the rows of X")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    return _MODEL_CLASSES[spec.kind](**spec.hp).fit(X, y, np.random.default_rng(seed))
+    folds = [[]] if held_out is None else held_out
+    keep = np.ones((len(folds), X.shape[0]), dtype=bool)
+    for rows, out in zip(keep, folds):
+        rows[out] = False
+    seeds = [seed] if held_out is None else [[seed, i] for i in range(len(folds))]
+    models = [_MODEL_CLASSES[spec.kind](**spec.hp) for _ in folds]
+    models[0]._fit_batch(models, X, y, keep, [np.random.default_rng(s) for s in seeds])
+    return models[0] if held_out is None else models
 
 
 def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
@@ -519,9 +532,9 @@ def _family(spec: LearnerSpec):
 def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
     """Out-of-fold predictions of one nested family under a seeded k-fold split.
 
-    Each fold fits the family's head (most trees, greatest depth) and predicts
-    with each member's nested part of it: column j is the cross-validation of
-    `specs[j]` alone.
+    The k folds fit the family's head (most trees, greatest depth) in one batch,
+    and each predicts with each member's nested part of it: column j is the
+    cross-validation of `specs[j]` alone.
     """
     specs = list(specs)
     if not specs or len({_family(s) for s in specs}) != 1:
@@ -534,12 +547,9 @@ def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
         head = LearnerSpec.make(head.kind, **{**head.hp, "max_depth": deepest,
                                               "trees": max(m.n_trees for m in members)})
     X = _as_2d(X)
-    y = np.asarray(y, dtype=np.float64)
     oof = np.empty((X.shape[0], len(specs)), dtype=np.float64)
-    for i, test_idx in enumerate(kfold_indices(X.shape[0], k, seed)):
-        train_mask = np.ones(X.shape[0], dtype=bool)
-        train_mask[test_idx] = False
-        model = train_base(head, X[train_mask], y[train_mask], seed=[seed, i])
+    folds = kfold_indices(X.shape[0], k, seed)
+    for test_idx, model in zip(folds, train_base(head, X, y, seed, held_out=folds)):
         for j, (spec, member) in enumerate(zip(specs, members)):
             fit = model if spec == head else model.nested(member.n_trees, member.max_depth)
             oof[test_idx, j] = fit.predict(X[test_idx])

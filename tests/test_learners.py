@@ -78,6 +78,29 @@ class TestKnn:
             model = train_base(LearnerSpec.make("knn", k=k), X, y, seed=0)
             assert np.array_equal(model.predict(q), np.full(2, mean)), k
 
+    @pytest.mark.parametrize("first", ["q + d", "q - d"])
+    def test_equidistant_distinct_rows_go_to_the_lower_row(self, first):
+        # q sits halfway between two training rows; when both stay exactly
+        # equidistant after standardization, k = 1 takes the lower row
+        rng = np.random.default_rng(0)
+        ties = expansion_breaks = 0
+        for trial in range(300):
+            q, d = rng.uniform(0, 10, 4), rng.uniform(-1, 1, 4)
+            far = rng.uniform(0, 10, (3, 4)) + (10.0 if trial % 2 else -20.0)
+            pair = [q + d, q - d] if first == "q + d" else [q - d, q + d]
+            model = train_base(LearnerSpec.make("knn", k=1), np.vstack([*pair, far]),
+                               np.arange(1.0, 6.0), seed=0)
+            Q = (q[None] - model.mu) / model.sigma
+            d2 = [sum((Q[0, f] - model.X[r, f]) ** 2 for f in range(4)) for r in (0, 1)]
+            if d2[0] != d2[1]:
+                continue
+            ties += 1
+            assert model.predict(q[None])[0] == 1.0
+            # the |q|^2 + |x|^2 - 2 q.x expansion this distance replaced
+            expanded = np.sum(Q ** 2) + np.sum(model.X[:2] ** 2, axis=1) - 2.0 * model.X[:2] @ Q[0]
+            expansion_breaks += bool(expanded[0] != expanded[1])
+        assert ties >= 10 and expansion_breaks >= 1
+
     def test_chunked_predict_matches_one_chunk(self, monkeypatch):
         X, y = toy_data(40)
         model = train_base(LearnerSpec.make("knn", k=3), X, y, seed=0)
@@ -132,11 +155,12 @@ class TestTrees:
         ("boosted_trees", {"trees": 5, "learning_rate": 0.1, "max_depth": 3}),
     ])
     def test_refit_starts_from_empty_state(self, kind, hp):
+        # a batch fit sets every fitted attribute of the models it is given
         X, y = toy_data(40)
-        once = learners._MODEL_CLASSES[kind](**hp).fit(X, y, np.random.default_rng(4))
-        twice = learners._MODEL_CLASSES[kind](**hp)
-        twice.fit(X[::-1] + 1.0, y[::-1] * 2.0, np.random.default_rng(9))
-        twice.fit(X, y, np.random.default_rng(4))
+        once = train_base(LearnerSpec.make(kind, **hp), X, y, seed=4)
+        twice, keep = learners._MODEL_CLASSES[kind](**hp), np.ones((1, 40), dtype=bool)
+        twice._fit_batch([twice], X[::-1] + 1.0, y[::-1] * 2.0, keep, [np.random.default_rng(9)])
+        twice._fit_batch([twice], X, y, keep, [np.random.default_rng(4)])
         assert twice.to_dict() == once.to_dict()
         q = toy_data(30, seed=6)[0]
         assert np.array_equal(twice.predict(q), once.predict(q))
@@ -359,8 +383,8 @@ def grow_together(samples, max_depth):
     all features candidates; returns each tree's dict and the fitted values."""
     X = np.stack([x for x, _ in samples])
     y = np.stack([t for _, t in samples])
-    table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"), max_depth,
-                                   X.shape[2], None)
+    table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"),
+                                   np.ones(y.shape, dtype=bool), max_depth, X.shape[2], None)
     forest = learners._Forest(*learners._preorder(np.arange(len(samples)), None, **table))
     return forest.tree_dicts(), fitted
 
@@ -493,6 +517,73 @@ class TestNestedFits:
         specs = [LearnerSpec.make("boosted_trees", trees=3, learning_rate=lr) for lr in (0.1, 0.2)]
         with pytest.raises(ValueError, match="one nested family"):
             cv_predict(specs, X, y)
+
+
+def per_fold_cv(specs, X, y, k, seed) -> np.ndarray:
+    """cv_predict as one fit per fold of the family head, specs[0], each
+    member predicting with its nested part of the head."""
+    oof = np.empty((X.shape[0], len(specs)))
+    for i, test_idx in enumerate(kfold_indices(X.shape[0], k, seed)):
+        train = np.setdiff1d(np.arange(X.shape[0]), test_idx)
+        model = train_base(specs[0], X[train], y[train], seed=[seed, i])
+        for j, spec in enumerate(specs):
+            fit = model if spec.kind == "knn" else model.nested(spec.hp["trees"],
+                                                                spec.hp["max_depth"])
+            oof[test_idx, j] = fit.predict(X[test_idx])
+    return oof
+
+
+class TestBatchedFolds:
+    """cv_predict grows the k folds of a family in one batch; each column is
+    what fitting every fold on its own gives."""
+
+    @pytest.mark.parametrize("n,k", [(23, 5), (23, 3), (20, 5)])
+    @pytest.mark.parametrize("kind,family", [
+        ("knn", [{"k": 1}]),
+        ("knn", [{"k": 4}]),
+        ("bagged_trees", [{"trees": 4, "max_depth": 0}, {"trees": 2, "max_depth": 0}]),
+        ("bagged_trees", [{"trees": 6, "max_depth": None, "max_features": "sqrt"},
+                          {"trees": 3, "max_depth": 2, "max_features": "sqrt"}]),
+        ("bagged_trees", [{"trees": 5, "max_depth": 3, "max_features": "third"}]),
+        ("bagged_trees", [{"trees": 5, "max_depth": None, "max_features": None},
+                          {"trees": 5, "max_depth": 1, "max_features": None}]),
+        ("boosted_trees", [{"trees": 12, "learning_rate": 0.1, "max_depth": 3},
+                           {"trees": 5, "learning_rate": 0.1, "max_depth": 3}]),
+        ("boosted_trees", [{"trees": 6, "learning_rate": 0.3, "max_depth": None}]),
+    ])
+    def test_columns_equal_one_fit_per_fold(self, monkeypatch, n, k, kind, family):
+        X, y = toy_data(n, p=5, seed=n)
+        X[:, 2] = np.round(X[:, 2] / 3.0)  # ties in x
+        specs = [LearnerSpec.make(kind, **hp) for hp in family]
+        calls = []
+        batched = learners.train_base
+        monkeypatch.setattr(learners, "train_base", lambda *a, **kw: calls.append(a) or
+                            batched(*a, **kw))
+        oof = cv_predict(specs, X, y, k=k, seed=7)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.array_equal(oof, per_fold_cv(specs, X, y, k, 7))
+
+    @pytest.mark.parametrize("max_depth", [2, None])
+    @pytest.mark.parametrize("max_features", [5, 2])
+    def test_grow_with_masked_rows_equals_each_subset_alone(self, max_depth, max_features):
+        rng = np.random.default_rng(3)
+        X = np.round(rng.uniform(0, 8, size=(6, 30, 5)))
+        y = np.round(rng.normal(size=(6, 30)), 1)
+        keep = rng.random((6, 30)) < 0.6
+        keep[0], keep[1], keep[2] = True, np.arange(30) == 7, np.arange(30) < 2
+        table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"), keep,
+                                       max_depth, max_features,
+                                       [np.random.default_rng(b) for b in range(6)])
+        trees = learners._Forest(*learners._preorder(np.arange(6), None, **table)).tree_dicts()
+        for b in range(6):
+            xs, ys = X[b][keep[b]][None], y[b][keep[b]][None]
+            alone, alone_fitted = learners._grow(xs, ys, np.argsort(xs, axis=1, kind="stable"),
+                                                 np.ones(ys.shape, dtype=bool), max_depth,
+                                                 max_features, [np.random.default_rng(b)])
+            alone = learners._Forest(*learners._preorder(np.arange(1), None, **alone))
+            assert same_tree(trees[b], alone.tree_dicts()[0])
+            assert fitted[b][keep[b]].tobytes() == alone_fitted[0].tobytes()
 
 
 class TestCrossValidation:
