@@ -15,7 +15,7 @@ from .footprint import (
     OverlapWeights, PlotFootprint, extract_weighted_mean, pixel_overlap_weights,
     weighted_mean,
 )
-from .hexgrid import HexAggregate, HexGrid, aggregate_pairs, assign, make_hexgrid
+from .hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
 from .metrics import (
     DEFAULT_SCALES_KM, AcDecomposition, Ecdf, GmfrFit, MetricsReport, PairedSample,
     ac_decompose, basic_metrics, ecdf, gmfr_fit, ks_statistic,

@@ -174,69 +174,34 @@ def mask_landcover(pred: Grid, landcover: Grid, removed_classes) -> Grid:
     return pred.with_values(pred.values, mask)
 
 
-# -- file formats ---------------------------------------------------------
+# -- file format ----------------------------------------------------------
 
-_BINARY_HEADER_KEYS = {"ncols", "nrows", "x_origin", "y_origin", "cellsize", "units", "byte_order"}
+_HEADER_KEYS = {"ncols", "nrows", "x_origin", "y_origin", "cellsize", "units", "byte_order"}
 
 
-def write_grid(grid: Grid, path, format: str = "binary", nodata: float = -9999.0,
-               precision: int = 6) -> None:
-    """Write a grid to `path`.
-
-    format="binary": one JSON header line, then row-major little-endian
-    float32 values (north row first), then one validity byte per cell.
-    format="ascii": six-line plain-text header (ncols, nrows, xllcorner,
-    yllcorner, cellsize, NODATA_value) followed by whitespace-separated rows,
-    north first, with `precision` significant digits after the point. The
-    ascii form drops the units label.
+def write_grid(grid: Grid, path) -> None:
+    """Write a grid to `path`: one JSON header line, then row-major
+    little-endian float32 values (north row first), then one validity byte
+    per cell.
     """
-    if format == "binary":
-        header = {
-            "ncols": grid.ncols,
-            "nrows": grid.nrows,
-            "x_origin": grid.x_origin,
-            "y_origin": grid.y_origin,
-            "cellsize": grid.cellsize,
-            "units": grid.units,
-            "byte_order": "little",
-        }
-        with open(path, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            f.write(b"\n")
-            f.write(grid.values.astype("<f4").tobytes(order="C"))
-            f.write(grid.mask.astype(np.uint8).tobytes(order="C"))
-    elif format == "ascii":
-        valid_vals = grid.values[grid.mask]
-        if valid_vals.size and np.any(valid_vals == np.float32(nodata)):
-            raise ValueError("a valid cell equals the nodata sentinel; pick another sentinel")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"ncols {grid.ncols}\n")
-            f.write(f"nrows {grid.nrows}\n")
-            f.write(f"xllcorner {grid.x_origin!r}\n")
-            f.write(f"yllcorner {grid.y_origin!r}\n")
-            f.write(f"cellsize {grid.cellsize!r}\n")
-            f.write(f"NODATA_value {nodata!r}\n")
-            for r in range(grid.nrows):
-                row = [
-                    f"{grid.values[r, c]:.{precision}e}" if grid.mask[r, c] else f"{nodata!r}"
-                    for c in range(grid.ncols)
-                ]
-                f.write(" ".join(row))
-                f.write("\n")
-    else:
-        raise ValueError(f"unknown grid format: {format!r}")
+    header = {
+        "ncols": grid.ncols,
+        "nrows": grid.nrows,
+        "x_origin": grid.x_origin,
+        "y_origin": grid.y_origin,
+        "cellsize": grid.cellsize,
+        "units": grid.units,
+        "byte_order": "little",
+    }
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        f.write(b"\n")
+        f.write(grid.values.astype("<f4").tobytes(order="C"))
+        f.write(grid.mask.astype(np.uint8).tobytes(order="C"))
 
 
-def read_grid(path, format: str = "binary") -> Grid:
+def read_grid(path) -> Grid:
     """Read a grid written by :func:`write_grid`."""
-    if format == "binary":
-        return _read_binary(path)
-    if format == "ascii":
-        return _read_ascii(path)
-    raise ValueError(f"unknown grid format: {format!r}")
-
-
-def _read_binary(path) -> Grid:
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -246,7 +211,7 @@ def _read_binary(path) -> Grid:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise GridFormatError(f"malformed header: {e}") from e
-    if not isinstance(header, dict) or set(header) != _BINARY_HEADER_KEYS:
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         raise GridFormatError("header must hold exactly the grid geometry fields")
     if header["byte_order"] != "little":
         raise GridFormatError(f"unsupported byte order {header['byte_order']!r}")
@@ -273,57 +238,6 @@ def _read_binary(path) -> Grid:
         y_origin=float(header["y_origin"]),
         cellsize=float(header["cellsize"]),
         units=str(header["units"]),
-        values=values,
-        mask=mask,
-    )
-
-
-def _read_ascii(path) -> Grid:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    tokens = text.split()
-    header = {}
-    pos = 0
-    expected = ["ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "NODATA_value"]
-    for key in expected:
-        if pos >= len(tokens) or tokens[pos].lower() != key.lower():
-            raise GridFormatError(f"expected header key {key!r}")
-        if pos + 1 >= len(tokens):
-            raise GridFormatError(f"missing value for header key {key!r}")
-        header[key] = tokens[pos + 1]
-        pos += 2
-    try:
-        ncols = int(header["ncols"])
-        nrows = int(header["nrows"])
-        x_origin = float(header["xllcorner"])
-        y_origin = float(header["yllcorner"])
-        cellsize = float(header["cellsize"])
-        nodata = float(header["NODATA_value"])
-    except ValueError as e:
-        raise GridFormatError(f"malformed header value: {e}") from e
-    if ncols < 1 or nrows < 1:
-        raise GridFormatError("grid dimensions must be positive")
-    body = tokens[pos:]
-    if len(body) != ncols * nrows:
-        raise GridFormatError(
-            f"found {len(body)} cell values, expected {ncols * nrows}"
-        )
-    try:
-        flat = np.array([float(t) for t in body], dtype=np.float64)
-    except ValueError as e:
-        raise GridFormatError(f"malformed cell value: {e}") from e
-    values = flat.reshape(nrows, ncols)
-    mask = values != nodata
-    if not np.all(np.isfinite(values[mask])):
-        raise GridFormatError("non-finite value outside the nodata convention")
-    values[~mask] = 0.0
-    return Grid(
-        ncols=ncols,
-        nrows=nrows,
-        x_origin=x_origin,
-        y_origin=y_origin,
-        cellsize=cellsize,
-        units="",
         values=values,
         mask=mask,
     )

@@ -49,23 +49,6 @@ class HexGrid:
         y = self.y0 + row * (SQRT3 * r) + (col % 2) * (SQRT3 * r / 2.0)
         return x, y
 
-    def cells(self):
-        """All (id, center) pairs, id-sorted. id = (row, col)."""
-        out = []
-        for row in range(self.row_min, self.row_max + 1):
-            for col in range(self.col_min, self.col_max + 1):
-                x, y = self.center(row, col)
-                out.append(((row, col), (float(x), float(y))))
-        return out
-
-
-@dataclass(frozen=True)
-class HexAggregate:
-    hex_id: tuple[int, int]
-    n_members: int
-    y_mean: float
-    yhat_mean: float
-
 
 def make_hexgrid(bbox: tuple[float, float, float, float], spacing: float) -> HexGrid:
     """Tessellation whose cells cover the bbox (xmin, ymin, xmax, ymax).
@@ -121,14 +104,17 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     y = pts[:, 1]
     r = hexgrid.circumradius
 
-    c_est = np.rint((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
+    # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
+    # column floor(u) or floor(u) + 1; within a column a cell spans its
+    # centroid +- sqrt(3)*r/2 in y, so it lies in row floor(v) or floor(v) + 1
+    c_est = np.floor((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
     span = hexgrid.col_max - hexgrid.col_min + 3
     best = None  # nearest candidate so far: distance, (row, col) order, row, col
-    for dc in (-1, 0, 1):
+    for dc in (0, 1):
         col = c_est + dc
         off = (col % 2) * (SQRT3 * r / 2.0)
-        r_est = np.rint((y - hexgrid.y0 - off) / (SQRT3 * r)).astype(np.int64)
-        for dr in (-1, 0, 1):
+        r_est = np.floor((y - hexgrid.y0 - off) / (SQRT3 * r)).astype(np.int64)
+        for dr in (0, 1):
             row = r_est + dr
             cx, cy = hexgrid.center(row, col)
             d2 = (x - cx) ** 2 + (y - cy) ** 2
@@ -151,12 +137,13 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> list[HexAggregate]:
+def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     """Unweighted per-cell means of paired values.
 
     `pairs` needs `y` and `yhat` array attributes; `locations` is the matching
-    (n, 2) coordinate array. Only cells with at least one member are returned,
-    ordered by cell id.
+    (n, 2) coordinate array. Returns an (n_hex, 2) float64 array of
+    (y mean, yhat mean), one row per cell with at least one member, ordered
+    by cell id.
     """
     y = np.asarray(pairs.y, dtype=np.float64)
     yhat = np.asarray(pairs.yhat, dtype=np.float64)
@@ -164,7 +151,7 @@ def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> list[HexA
     if locs.shape != (y.size, 2):
         raise ValueError("locations must be an (n, 2) array matching the pairs")
     if y.size == 0:
-        return []
+        return np.empty((0, 2))
     ids = assign(locs, hexgrid)
     # packed (row, col) key: sorting it orders cells by id; the stable sort
     # keeps each cell's members in input order, so every mean sums the same
@@ -172,9 +159,8 @@ def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> list[HexA
     span = hexgrid.col_max - hexgrid.col_min + 1
     key = (ids[:, 0] - hexgrid.row_min) * span + (ids[:, 1] - hexgrid.col_min)
     order = np.argsort(key, kind="stable")
-    key, ids, y, yhat = key[order], ids[order], y[order], yhat[order]
+    key, y, yhat = key[order], y[order], yhat[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], key.size]
-    return [HexAggregate(hex_id=(int(ids[lo, 0]), int(ids[lo, 1])), n_members=hi - lo,
-                         y_mean=float(y[lo:hi].mean()), yhat_mean=float(yhat[lo:hi].mean()))
-            for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return np.array([(y[lo:hi].mean(), yhat[lo:hi].mean())
+                     for lo, hi in zip(starts.tolist(), ends.tolist())])

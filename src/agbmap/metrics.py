@@ -213,8 +213,35 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(fa(pooled) - fb(pooled))))
 
 
-def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SCALES_KM,
-                          ybar_train: float = None) -> list[MetricsReport]:
+def multiscale_pairs(y, yhat, locations,
+                     spacings_km) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The (scale_km, y, yhat) arrays compared at each scale of `spacings_km`.
+
+    The 1 km entry is the input itself (no aggregation). Every other scale
+    holds the unweighted per-hexagon means of y and yhat over a tessellation
+    covering the locations, one entry per occupied hexagon in cell-id order.
+    Zero points give empty arrays at every scale.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    locs = np.asarray(locations, dtype=np.float64)
+    if locs.shape != (y.size, 2):
+        raise ValueError("locations must be an (n, 2) array matching the pairs")
+    if y.shape == yhat.shape == (0,):
+        return [(float(s_km), y, yhat) for s_km in spacings_km]
+    pairs = PairedSample(y=y, yhat=yhat)
+    out = []
+    for s_km in spacings_km:
+        if s_km == 1:
+            out.append((float(s_km), pairs.y, pairs.yhat))
+            continue
+        means = aggregate_pairs(pairs, locs, covering_hexgrid(locs, float(s_km) * 1000.0))
+        out.append((float(s_km), means[:, 0], means[:, 1]))
+    return out
+
+
+def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SCALES_KM, *,
+                          ybar_train: float) -> list[MetricsReport]:
     """Accuracy metrics across hexagonal aggregation scales.
 
     The 1 km entry is the plot-to-pixel comparison (no aggregation). Larger
@@ -223,33 +250,15 @@ def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SC
     A scale with fewer than two occupied cells reports its n with all metrics
     absent.
     """
-    if ybar_train is None:
-        raise ValueError("ybar_train is required")
-    locs = np.asarray(locations, dtype=np.float64)
-    if locs.shape != (pairs.n, 2):
-        raise ValueError("locations must be an (n, 2) array matching the pairs")
     out = []
-    for s_km in spacings_km:
-        if s_km == 1:
-            rep = basic_metrics(pairs, ybar_train)
-            rep = replace(rep, dr=willmott_dr(pairs), scale_km=float(s_km))
-            out.append(rep)
-            continue
-        hg = covering_hexgrid(locs, float(s_km) * 1000.0)
-        aggs = aggregate_pairs(pairs, locs, hg)
-        n_hex = len(aggs)
-        if n_hex < 2:
+    for s_km, y, yhat in multiscale_pairs(pairs.y, pairs.yhat, locations, spacings_km):
+        pph = None if s_km == 1 else pairs.n / y.size
+        if s_km != 1 and y.size < 2:
             out.append(MetricsReport(
-                n=n_hex, rmse=None, mae=None, me=None, pct_rmse=None,
-                pct_mae=None, r2=None, dr=None,
-                pph=pairs.n / n_hex if n_hex else None, scale_km=float(s_km)))
+                n=y.size, rmse=None, mae=None, me=None, pct_rmse=None,
+                pct_mae=None, r2=None, dr=None, pph=pph, scale_km=s_km))
             continue
-        hex_pairs = PairedSample(
-            y=np.array([a.y_mean for a in aggs]),
-            yhat=np.array([a.yhat_mean for a in aggs]),
-        )
-        rep = basic_metrics(hex_pairs, ybar_train)
-        rep = replace(rep, dr=willmott_dr(hex_pairs),
-                      pph=pairs.n / n_hex, scale_km=float(s_km))
-        out.append(rep)
+        sample = PairedSample(y=y, yhat=yhat)
+        rep = basic_metrics(sample, ybar_train)
+        out.append(replace(rep, dr=willmott_dr(sample), pph=pph, scale_km=s_km))
     return out

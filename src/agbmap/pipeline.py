@@ -17,14 +17,12 @@ import shutil
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import carbon as carbon_mod
 from .footprint import PlotFootprint, pixel_overlap_weights, weighted_mean
 from .grid import Grid, difference, mask_landcover, percent_rank, read_grid, summarize, write_grid
-from .hexgrid import aggregate_pairs, covering_hexgrid
 from .inventory import (
     PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
     load_plots, load_trees, select_single_inventory, split_by_panel,
@@ -35,7 +33,7 @@ from .learners import (
 )
 from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
-    multiscale_assessment, willmott_dr,
+    multiscale_assessment, multiscale_pairs, willmott_dr,
 )
 
 LOGGER = logging.getLogger(__name__)
@@ -568,13 +566,18 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
     _write_json(out / "summary.json", {"maps": map_summaries})
 
 
+def _compared_scales(config: PipelineConfig) -> list[float]:
+    """The plot- or cell-level comparison (1 km) first, then every other
+    configured hexagon scale in configured order."""
+    return [1] + [s for s in config.scales_km if s != 1]
+
+
 @_stage("ingest", "predict")
 def _stage_assess(config: PipelineConfig, out: Path) -> None:
     rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
     assessment = _plots_from_rows([r for r in rows if r["role"] == "assessment"])
     assessment.sort(key=lambda p: p.plot_id)
 
-    scales = [1] + [s for s in config.scales_km if s != 1]
     summary: dict = {}
     plot_weights = {}  # shared across allometries; maps share one geometry
     for allometry in ALLOMETRIES:
@@ -603,7 +606,8 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
             raise PipelineError(
                 f"only {len(ys)} assessment plots fall inside the mapped area")
         pairs = PairedSample(y=np.array(ys), yhat=np.array(yhats))
-        reports = multiscale_assessment(pairs, np.array(locs), spacings_km=scales,
+        reports = multiscale_assessment(pairs, np.array(locs),
+                                        spacings_km=_compared_scales(config),
                                         ybar_train=model.ybar_train)
         _write_csv(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
                    [_report_row(rep) for rep in reports])
@@ -654,16 +658,8 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
         rows_at, cols_at = np.nonzero(joint)  # row-major, as `crm.values[joint]`
         locs = np.column_stack([xs[cols_at], ys_axis[rows_at]])
 
-        rows = [_agreement_row(1.0, y, yhat)]
-        for s_km in [s for s in config.scales_km if s != 1]:
-            if locs.size == 0:
-                rows.append(_agreement_row(float(s_km), np.empty(0), np.empty(0)))
-                continue
-            hexes = covering_hexgrid(locs, float(s_km) * 1000.0)
-            cells = aggregate_pairs(SimpleNamespace(y=y, yhat=yhat), locs, hexes)
-            ym = np.array([c.y_mean for c in cells])
-            yhm = np.array([c.yhat_mean for c in cells])
-            rows.append(_agreement_row(float(s_km), ym, yhm))
+        rows = [_agreement_row(*scale)
+                for scale in multiscale_pairs(y, yhat, locs, _compared_scales(config))]
         _write_csv(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows)
         summary[str(year)] = {"n_joint_cells": int(y.size), "cell_level": rows[0]}
     _write_json(out / "summary.json", summary)

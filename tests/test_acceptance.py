@@ -227,9 +227,9 @@ def test_06_hex_assignment_matches_brute_force():
         hg = make_hexgrid((0.0, 0.0, side, side), spacing)
         counts[spacing] = hg.n_cells
         got = assign(points, hg)
-        cells = hg.cells()
-        centers = np.array([c for _, c in cells])
-        ids = np.array([i for i, _ in cells])
+        ids = np.array([(r, c) for r in range(hg.row_min, hg.row_max + 1)
+                        for c in range(hg.col_min, hg.col_max + 1)])
+        centers = np.column_stack(hg.center(ids[:, 0], ids[:, 1]))
         # nearest centroid over every cell, chunked to bound memory
         for lo in range(0, points.shape[0], 1000):
             chunk = points[lo:lo + 1000]

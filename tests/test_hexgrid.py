@@ -57,10 +57,12 @@ class TestGeometry:
 
     def test_cells_listing_sorted_and_counted(self):
         hg = make_hexgrid((0, 0, 300, 300), spacing=100.0)
-        cells = hg.cells()
-        assert len(cells) == hg.n_cells
-        ids = [cid for cid, _ in cells]
+        ids = [(r, c) for r in range(hg.row_min, hg.row_max + 1)
+               for c in range(hg.col_min, hg.col_max + 1)]
+        assert len(ids) == hg.n_cells
         assert ids == sorted(ids)
+        cx, cy = hg.center(*np.array(ids).T)
+        assert np.array_equal(assign(np.column_stack([cx, cy]), hg), np.array(ids))
 
 
 class TestAssignment:
@@ -113,19 +115,16 @@ class TestAggregation:
         b = hg.center(1, 1)
         locs = np.array([a, a, b], dtype=float)
         pairs = Pairs(y=[10.0, 20.0, 7.0], yhat=[12.0, 18.0, 5.0])
-        aggs = aggregate_pairs(pairs, locs, hg)
-        assert [g.hex_id for g in aggs] == [(0, 0), (1, 1)]
-        assert aggs[0].n_members == 2
-        assert aggs[0].y_mean == pytest.approx(15.0)
-        assert aggs[0].yhat_mean == pytest.approx(15.0)
-        assert aggs[1].n_members == 1
-        assert aggs[1].y_mean == pytest.approx(7.0)
+        means = aggregate_pairs(pairs, locs, hg)
+        # rows in cell-id order: (0, 0) holds the first two points, (1, 1) the third
+        assert means.dtype == np.float64
+        assert means.tolist() == [[15.0, 15.0], [7.0, 5.0]]
 
     def test_only_occupied_cells_emitted(self):
         hg = make_hexgrid((0, 0, 100000, 100000), spacing=5000.0)
         locs = np.array([[50.0, 50.0]])
-        aggs = aggregate_pairs(Pairs([1.0], [2.0]), locs, hg)
-        assert len(aggs) == 1
+        means = aggregate_pairs(Pairs([1.0], [2.0]), locs, hg)
+        assert means.shape == (1, 2)
 
     def test_location_shape_checked(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
@@ -134,7 +133,7 @@ class TestAggregation:
 
     def test_empty_input_gives_no_cells(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
-        assert aggregate_pairs(Pairs([], []), np.zeros((0, 2)), hg) == []
+        assert aggregate_pairs(Pairs([], []), np.zeros((0, 2)), hg).shape == (0, 2)
 
 
 def dict_grouping(pairs, locations, hg):
@@ -168,6 +167,6 @@ def test_grouping_matches_dict_reference(seed, n_random, n_stacked, n_ties, spac
     locs = np.concatenate(pts)
     locs = locs[rng.permutation(len(locs))]
     pairs = Pairs(rng.gamma(2.0, 50.0, len(locs)), rng.normal(100.0, 40.0, len(locs)))
-    got = [(g.hex_id, g.n_members, g.y_mean, g.yhat_mean)
-           for g in aggregate_pairs(pairs, locs, hg)]
-    assert got == dict_grouping(pairs, locs, hg)
+    ref = dict_grouping(pairs, locs, hg)
+    assert aggregate_pairs(pairs, locs, hg).tolist() == [[y_mean, yhat_mean]
+                                                         for _, _, y_mean, yhat_mean in ref]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from agbmap.metrics import (
     PairedSample, ac_decompose, basic_metrics, ecdf, gmfr_fit, ks_statistic,
-    multiscale_assessment, willmott_dr,
+    multiscale_assessment, multiscale_pairs, willmott_dr,
 )
 
 
@@ -315,6 +315,22 @@ class TestMultiscale:
         assert rows[0].n == 1
         assert rows[0].rmse is None and rows[0].r2 is None
         assert rows[0].pph == 2.0
+
+    def test_pairs_per_scale(self):
+        empty = multiscale_pairs(np.empty(0), np.empty(0), np.empty((0, 2)), (1, 5, 20))
+        assert [s for s, _, _ in empty] == [1.0, 5.0, 20.0]
+        assert all(y.size == 0 and yhat.size == 0 for _, y, yhat in empty)
+        # three points within 100 m: one hexagon at every aggregated scale
+        locs = np.array([[0.0, 0.0], [30.0, 10.0], [60.0, 40.0]])
+        y = np.array([10.0, 20.0, 60.0])
+        yhat = np.array([12.0, 18.0, 33.0])
+        scales = multiscale_pairs(y, yhat, locs, (5, 1, 50))
+        assert [s for s, _, _ in scales] == [5.0, 1.0, 50.0]
+        for s_km, ys, yhats in scales:
+            if s_km == 1:
+                assert np.array_equal(ys, y) and np.array_equal(yhats, yhat)
+            else:
+                assert ys.tolist() == [30.0] and yhats.tolist() == [21.0]
 
 
 # -- property tests --------------------------------------------------------
