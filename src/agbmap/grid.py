@@ -9,6 +9,7 @@ row index counts down from the north edge.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,7 +177,9 @@ def mask_landcover(pred: Grid, landcover: Grid, removed_classes) -> Grid:
 
 # -- file format ----------------------------------------------------------
 
-_HEADER_KEYS = {"ncols", "nrows", "x_origin", "y_origin", "cellsize", "units", "byte_order"}
+# the header's fields and their JSON types; a bool is neither an integer nor a number
+_HEADER_TYPES = {"ncols": int, "nrows": int, "x_origin": (int, float), "y_origin": (int, float),
+                 "cellsize": (int, float), "units": str, "byte_order": str}
 
 
 def write_grid(grid: Grid, path) -> None:
@@ -211,11 +214,18 @@ def read_grid(path) -> Grid:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise GridFormatError(f"malformed header: {e}") from e
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+    if not isinstance(header, dict) or set(header) != set(_HEADER_TYPES):
         raise GridFormatError("header must hold exactly the grid geometry fields")
+    wrong = [key for key, types in _HEADER_TYPES.items()
+             if isinstance(header[key], bool) or not isinstance(header[key], types)]
+    if wrong:
+        raise GridFormatError(f"header fields of the wrong type: {wrong}")
     if header["byte_order"] != "little":
         raise GridFormatError(f"unsupported byte order {header['byte_order']!r}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    geometry = [header[key] for key in ("x_origin", "y_origin", "cellsize")]
+    if not all(abs(v) <= sys.float_info.max for v in geometry):  # no inf, nan or huge integer
+        raise GridFormatError("grid origins and cellsize must be finite")
+    ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
         raise GridFormatError("grid dimensions must be positive")
     n = ncols * nrows

@@ -13,8 +13,9 @@ folds of a cross-validation at once; a single fit is the batch of one. Each
 bagged tree draws from its own rng, spawned from the fit's. So a fit's first t
 trees cut at depth d are the fit of those hyperparameters, and model selection
 cross-validates each nested family of specs once. A tree model's trees are one
-node table; predict walks all trees at once over chunks of cells, each tree as
-many steps as it is deep.
+node table in level order, tree t at node t, numbered as the grower numbers
+them and stored so in the model file; predict walks all trees at once over
+chunks of cells, each tree as many steps as it is deep.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .grid import Grid
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
 # // trees), distances of a knn query (chunk = this // training rows), and split
@@ -106,10 +107,11 @@ def _as_2d(X) -> np.ndarray:
 
 # -- regression trees -----------------------------------------------------
 #
-# A node table holds trees end to end: `left` and `right` are ids in the table,
-# -1 at leaves, which have feature -1 and threshold 0. A model numbers each
-# tree depth first: the children of its k-th internal node in preorder are its
-# nodes 2k + 1 (x[feature] <= threshold) and 2k + 2.
+# A node table holds trees in level order, as `_grow` makes it and the model
+# JSON stores it: tree t is node t, and each later level lists the children of
+# the level above, left (x[feature] <= threshold) then right, in parent order.
+# `left` and `right` are ids in the table, -1 at leaves, which have feature -1
+# and threshold 0.
 _TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64,  # as in the model JSON
                 "left": np.int32, "right": np.int32, "value": np.float64}
 
@@ -124,34 +126,25 @@ def _concat(tables: list[dict]) -> tuple[dict, np.ndarray]:
     return cat, roots
 
 
-def _preorder(roots, max_depth, feature, threshold, left, right, value) -> tuple[dict, np.ndarray]:
-    """The trees at `roots` of a node table (children after their parent), cut
-    at `max_depth` and numbered depth first, as a new table; and its roots."""
-    inner = []  # per depth, the nodes that split above the cut
-    level = roots
-    while level.size and (max_depth is None or len(inner) < max_depth):
-        level = level[feature[level] >= 0]
-        inner.append(level)
-        level = np.concatenate([left[level], right[level]])
-    below = np.zeros(feature.size, dtype=np.int64)  # internal nodes in the subtree
-    for v in reversed(inner):
-        below[v] = 1 + below[left[v]] + below[right[v]]
-    sizes = 1 + 2 * below[roots]
-    new = np.zeros(feature.size, dtype=np.int64)
-    new[roots] = np.cumsum(sizes) - sizes
-    pre = new.copy()  # its tree's first new id + 2 per internal node before it in preorder
-    out = {name: np.full(sizes.sum(), empty, dtype=dtype) for (name, dtype), empty
-           in zip(_TREE_ARRAYS.items(), (-1, 0.0, -1, -1, 0.0))}
-    out["value"][new[roots]] = value[roots]
-    for v in inner:
-        lo, hi = left[v], right[v]
-        new[lo], new[hi] = pre[v] + 1, pre[v] + 2
-        pre[lo], pre[hi] = pre[v] + 2, pre[v] + 2 + 2 * below[lo]
-        for name, column in (("feature", feature[v]), ("threshold", threshold[v]),
-                             ("left", new[lo]), ("right", new[hi])):
-            out[name][new[v]] = column
-        out["value"][new[lo]], out["value"][new[hi]] = value[lo], value[hi]
-    return out, new[roots]
+def _gather(roots, max_depth, feature, threshold, left, right, value) -> dict:
+    """The trees at `roots` of a node table, cut at `max_depth`, as a new
+    level-order table: nodes numbered in the order a breadth-first walk visits
+    them, children left then right in parent order, so tree t is node t."""
+    levels = [np.asarray(roots)]
+    while max_depth is None or len(levels) <= max_depth:
+        split = levels[-1][feature[levels[-1]] >= 0]
+        if not split.size:
+            break
+        levels.append(np.column_stack([left[split], right[split]]).ravel())
+    old = np.concatenate(levels)
+    inner = feature[old] >= 0
+    inner[old.size - levels[-1].size:] = False  # the last level is all leaves or cut
+    children = np.arange(levels[0].size, old.size)
+    table = {"feature": np.where(inner, feature[old], -1),
+             "threshold": np.where(inner, threshold[old], 0.0),
+             "left": np.full(old.size, -1), "right": np.full(old.size, -1), "value": value[old]}
+    table["left"][inner], table["right"][inner] = children[0::2], children[1::2]
+    return {name: table[name].astype(dtype) for name, dtype in _TREE_ARRAYS.items()}
 
 
 def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.ndarray]:
@@ -245,7 +238,8 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
 
 
 class _Forest:
-    """The trees of one model as one node table, walked all at once.
+    """The `trees` trees of one model as one level-order node table (tree t
+    at node t), walked all at once.
 
     Leaves point at themselves with a +inf threshold, so a walk of as many
     gather, compare and child lookup steps as a tree is deep takes every cell
@@ -253,8 +247,8 @@ class _Forest:
     deepest first, so each step is one slice.
     """
 
-    def __init__(self, table: dict, roots: np.ndarray):
-        self.table, self.tree_roots = table, roots  # as stored, in model order
+    def __init__(self, table: dict, trees: int):
+        self.table = table  # as stored
         leaf = table["feature"] < 0
         ids = np.arange(leaf.size)
         left, right = (np.where(leaf, ids, table[side]) for side in ("left", "right"))
@@ -262,27 +256,16 @@ class _Forest:
         self.threshold = np.where(leaf, np.inf, table["threshold"])
         self.child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
         self.value = table["value"]
-        depth = np.zeros(leaf.size, dtype=np.int64)  # of each node
-        level = roots
+        depth = np.zeros(trees, dtype=np.int64)  # of each tree
+        level = tree = np.arange(trees)  # a level's nodes and their trees
         while level.size:
-            level = level[~leaf[level]]
-            depth[left[level]] = depth[right[level]] = depth[level] + 1
-            level = np.concatenate([left[level], right[level]])
-        depth = np.maximum.reduceat(depth, roots)  # of each tree
-        order = np.argsort(-depth, kind="stable")
-        self.roots = roots[order]
-        self.unsort = np.argsort(order)
+            inner = ~leaf[level]
+            level, tree = level[inner], tree[inner]
+            depth[tree] += 1  # once per tree with a split on this level
+            level, tree = np.concatenate([left[level], right[level]]), np.tile(tree, 2)
+        self.roots = np.argsort(-depth, kind="stable")  # deepest first; tree t is node t
+        self.unsort = np.argsort(self.roots)
         self.walking = [int(np.count_nonzero(depth > step)) for step in range(depth.max())]
-
-    def tree_dicts(self) -> list[dict]:
-        """Each tree's node arrays as the model JSON holds them, ids from its root."""
-        trees, ends = [], [*self.tree_roots[1:], self.value.size]
-        for lo, hi in zip(self.tree_roots, ends):
-            tree = {name: column[lo:hi] for name, column in self.table.items()}
-            tree["left"], tree["right"] = (np.where(tree[side] < 0, -1, tree[side] - lo)
-                                           for side in ("left", "right"))
-            trees.append({name: column.tolist() for name, column in tree.items()})
-        return trees
 
     def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
@@ -354,8 +337,10 @@ class KnnModel:
 
 class _TreeModel:
     """Model JSON of the tree kinds: `trees`, the other constructor arguments
-    (`_ARGS`), the one fitted scalar (`_FITTED`) and the fitted trees. Each
-    kind keeps its own `predict`: the benchmark tracer books it by class.
+    (`_ARGS`), the one fitted scalar (`_FITTED`) and `fitted_trees`, the
+    forest's level-order node table as one object of `_TREE_ARRAYS` columns
+    (null for a model that grows no trees). Each kind keeps its own
+    `predict`: the benchmark tracer books it by class.
     """
 
     kind: str
@@ -367,17 +352,17 @@ class _TreeModel:
             "kind": self.kind, "trees": self.n_trees,
             **{name: getattr(self, name) for name in self._ARGS},
             self._FITTED: getattr(self, self._FITTED),
-            "fitted_trees": self.forest.tree_dicts() if self.forest is not None else [],
+            "fitted_trees": None if self.forest is None else
+                            {name: column.tolist() for name, column in self.forest.table.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "_TreeModel":
         m = cls(trees=int(d["trees"]), **{name: d[name] for name in cls._ARGS})
         setattr(m, cls._FITTED, d[cls._FITTED])
-        if d["fitted_trees"]:
-            m.forest = _Forest(*_concat([{name: np.array(t[name], dtype=dtype)
-                                          for name, dtype in _TREE_ARRAYS.items()}
-                                         for t in d["fitted_trees"]]))
+        if d["fitted_trees"] is not None:
+            m.forest = _Forest({name: np.array(d["fitted_trees"][name], dtype=dtype)
+                                for name, dtype in _TREE_ARRAYS.items()}, m.n_trees)
         return m
 
     def nested(self, trees: int, max_depth) -> "_TreeModel":
@@ -387,8 +372,7 @@ class _TreeModel:
                                        "max_depth": max_depth})
         setattr(m, self._FITTED, getattr(self, self._FITTED))
         if self.forest is not None:
-            m.forest = _Forest(*_preorder(self.forest.tree_roots[:trees], max_depth,
-                                          **self.forest.table))
+            m.forest = _Forest(_gather(np.arange(trees), max_depth, **self.forest.table), trees)
         return m
 
 
@@ -429,13 +413,13 @@ class BaggedTreesModel(_TreeModel):
                          np.arange(boot.shape[1]) < sizes[:, None], self.max_depth,
                          max(1, int(round(k))), rngs)
         for b, m in enumerate(models):
-            m.forest = _Forest(*_preorder(np.arange(b * T, (b + 1) * T), None, **table))
+            m.forest = _Forest(_gather(np.arange(b * T, (b + 1) * T), None, **table), T)
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
         if self.constant is not None:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
-        return self.forest.accumulate(X, 0.0, 1.0) / self.forest.tree_roots.size
+        return self.forest.accumulate(X, 0.0, 1.0) / self.n_trees
 
 
 class BoostedTreesModel(_TreeModel):
@@ -466,7 +450,8 @@ class BoostedTreesModel(_TreeModel):
             tables.append(table)
         cat, roots = _concat(tables)
         for b, m in enumerate(models):  # tree t of models[b] is node roots[t] + b
-            m.init_value, m.forest = float(init[b]), _Forest(*_preorder(roots + b, None, **cat))
+            m.init_value = float(init[b])
+            m.forest = _Forest(_gather(roots + b, None, **cat), self.n_trees)
 
     def predict(self, X) -> np.ndarray:
         return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)

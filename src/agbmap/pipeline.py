@@ -38,7 +38,7 @@ from .metrics import (
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 ALLOMETRIES = ("CRM", "NSVB")
 
@@ -199,24 +199,28 @@ def validate(config: PipelineConfig) -> list[str]:
             if not Path(p).is_file():
                 findings.append(f"missing file: predictor {name!r} for {year} at {p}")
 
-    if config.holdout_panel != "random":
-        if (isinstance(config.holdout_panel, bool)
-                or not isinstance(config.holdout_panel, int)
-                or not 1 <= config.holdout_panel <= 5):
-            findings.append(f"holdout_panel must be 1..5 or 'random', "
-                            f"got {config.holdout_panel!r}")
+    def of_type(value, types) -> bool:  # a bool is an int, but no count or number here
+        return isinstance(value, types) and not isinstance(value, bool)
+
+    if config.holdout_panel != "random" and not (of_type(config.holdout_panel, int)
+                                                 and 1 <= config.holdout_panel <= 5):
+        findings.append(f"holdout_panel must be 1..5 or 'random', got {config.holdout_panel!r}")
     if not config.scales_km:
         findings.append("scales_km is empty")
     elif any(not isinstance(s, (int, float)) or s <= 0 for s in config.scales_km):
         findings.append("scales_km entries must be positive numbers")
     if any(not isinstance(c, (int, float)) for c in config.removed_landcover_classes):
         findings.append("removed_landcover_classes entries must be numeric")
-    if not 0.0 < config.train_frac < 1.0:
-        findings.append("train_frac must be in (0, 1)")
-    if not isinstance(config.cv_folds, int) or config.cv_folds < 2:
+    if not (of_type(config.train_frac, (int, float)) and 0.0 < config.train_frac < 1.0):
+        findings.append(f"train_frac must be a number in (0, 1), got {config.train_frac!r}")
+    if not (of_type(config.cv_folds, int) and config.cv_folds >= 2):
         findings.append("cv_folds must be an integer >= 2")
-    if config.region_area_ha is not None and not config.region_area_ha > 0:
-        findings.append("region_area_ha must be positive when given")
+    if config.region_area_ha is not None and not (of_type(config.region_area_ha, (int, float))
+                                                  and config.region_area_ha > 0):
+        findings.append(f"region_area_ha must be a positive number, got {config.region_area_ha!r}")
+    # rescale_fit needs at least 3 sampled cells, one per coefficient
+    if not (of_type(config.rescale_sample, int) and config.rescale_sample >= 3):
+        findings.append(f"rescale_sample must be an integer >= 3, got {config.rescale_sample!r}")
 
     try:
         grids = config.spec_grids()

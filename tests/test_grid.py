@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ class TestMalformedFiles:
     def test_bad_header_json(self, tmp_path):
         p = tmp_path / "g.bin"
         p.write_bytes(b"not json\n\x00\x00")
+        with pytest.raises(GridFormatError):
+            read_grid(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("ncols", 2.5), ("ncols", 2.0), ("ncols", "2"), ("nrows", True), ("nrows", None),
+        ("x_origin", None), ("y_origin", "0"), ("x_origin", float("inf")), ("y_origin", 10**400),
+        ("cellsize", True), ("cellsize", float("nan")), ("units", None), ("units", 5),
+    ])
+    def test_mistyped_header_field(self, tmp_path, key, value):
+        # the payload matches a 1 x 2 grid, so only the header type is wrong
+        p = tmp_path / "g.bin"
+        write_grid(make_grid([[1.0, 2.0]]), p)
+        header, payload = p.read_bytes().split(b"\n", 1)
+        p.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
         with pytest.raises(GridFormatError):
             read_grid(p)
 

@@ -174,49 +174,64 @@ class TestTrees:
         assert not np.array_equal(a.predict(q), b.predict(q))
 
 
-def per_tree_predict(tree: dict, X) -> np.ndarray:
-    """Frozen copy of the one-tree-at-a-time walk the flat forest replaced."""
-    feature = np.array(tree["feature"], dtype=np.int32)
-    threshold = np.array(tree["threshold"], dtype=np.float64)
-    left = np.array(tree["left"], dtype=np.int32)
-    right = np.array(tree["right"], dtype=np.int32)
-    value = np.array(tree["value"], dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
-        f = feature[node]
-        at_leaf = f < 0
-        if np.all(at_leaf):
-            break
-        go_left = X[np.arange(X.shape[0]), np.maximum(f, 0)] <= threshold[node]
-        nxt = np.where(go_left, left[node], right[node])
-        node = np.where(at_leaf, node, nxt).astype(np.int32)
-    return value[node]
+def canonical(table, node=0) -> list:
+    """The tree below `node` of a node table as nested lists [value, feature,
+    threshold, left, right], independent of how the table numbers its nodes;
+    a child id of -1 stays -1."""
+    kids = [canonical(table, int(c)) if c >= 0 else int(c)
+            for c in (table["left"][node], table["right"][node])]
+    return [float(table["value"][node]), int(table["feature"][node]),
+            float(table["threshold"][node]), *kids]
+
+
+def model_trees(model) -> list:
+    """A tree model's trees in model order, canonical, from its model JSON."""
+    d = model.to_dict()
+    return [] if d["fitted_trees"] is None else [canonical(d["fitted_trees"], t)
+                                                 for t in range(d["trees"])]
+
+
+def same_tree(a, b):
+    # json keeps the sign of a zero, which == does not
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def per_tree_predict(tree: list, X) -> np.ndarray:
+    """One canonical tree walked on its own, the reference for the flat forest
+    walk: a row goes left when x[feature] <= threshold."""
+    value, feature, threshold, left, right = tree
+    if feature < 0:
+        return np.full(X.shape[0], value)
+    go_left = X[:, feature] <= threshold
+    out = np.empty(X.shape[0])
+    out[go_left], out[~go_left] = (per_tree_predict(child, X[rows])
+                                   for child, rows in ((left, go_left), (right, ~go_left)))
+    return out
 
 
 def per_tree_model_predict(model, X) -> np.ndarray:
     """Frozen copy of the per-tree accumulate loops of both tree kinds."""
-    d = model.to_dict()
+    d, trees = model.to_dict(), model_trees(model)
     if d["kind"] == "bagged_trees":
         if d["constant"] is not None:
             return np.full(X.shape[0], d["constant"], dtype=np.float64)
         acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in d["fitted_trees"]:
+        for tree in trees:
             acc += per_tree_predict(tree, X)
-        return acc / len(d["fitted_trees"])
+        return acc / len(trees)
     acc = np.full(X.shape[0], d["init_value"], dtype=np.float64)
-    for tree in d["fitted_trees"]:
+    for tree in trees:
         acc += d["learning_rate"] * per_tree_predict(tree, X)
     return acc
 
 
 def on_thresholds(model, X) -> np.ndarray:
     """Rows of X with one feature set exactly to a split threshold (ties go left)."""
-    rows = []
-    for tree in model.to_dict()["fitted_trees"]:
-        for f, t in zip(tree["feature"], tree["threshold"]):
-            if f >= 0:
-                rows.append(X[len(rows) % len(X)].copy())
-                rows[-1][f] = t
+    rows, table = [], model.to_dict()["fitted_trees"] or {"feature": [], "threshold": []}
+    for f, t in zip(table["feature"], table["threshold"]):
+        if f >= 0:
+            rows.append(X[len(rows) % len(X)].copy())
+            rows[-1][f] = t
     return np.array(rows).reshape(-1, X.shape[1])
 
 
@@ -285,8 +300,8 @@ class TestForestMatchesPerTreeWalk:
             assert np.array_equal(fitted, per_tree_predict(tree, X))
 
     def test_model_json_keys_of_each_kind(self):
-        # one serializer writes both kinds; the model JSON stays what each
-        # kind wrote on its own (no format version bump)
+        # one serializer writes both kinds; `fitted_trees` is the node table
+        # as one object of columns, null when no trees are grown
         X, y = toy_data(30)
         cases = [("bagged_trees", {"trees": 3, "max_depth": 4, "max_features": "third"},
                   "constant", None),
@@ -299,7 +314,11 @@ class TestForestMatchesPerTreeWalk:
             d = model.to_dict()
             assert sorted(d) == sorted(["kind", *hp, scalar, "fitted_trees"])
             assert {k: d[k] for k in ("kind", *hp, scalar)} == {"kind": kind, **hp, scalar: value}
-            assert len(d["fitted_trees"]) == (0 if hp["max_depth"] == 0 else 3)
+            if hp["max_depth"] == 0:
+                assert d["fitted_trees"] is None
+            else:
+                assert sorted(d["fitted_trees"]) == sorted(learners._TREE_ARRAYS)
+                assert len(model_trees(model)) == 3
             clone = type(model).from_dict(json.loads(json.dumps(d)))
             assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
             assert np.array_equal(clone.predict(X), model.predict(X))
@@ -373,20 +392,14 @@ def frozen_fit(X, y, max_depth):
     return dict(zip(names, columns)), fitted
 
 
-def same_tree(a, b):
-    # json keeps the sign of a zero, which == does not
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def grow_together(samples, max_depth):
     """The level-wise grower on several (X, y) samples of one shape at once,
-    all features candidates; returns each tree's dict and the fitted values."""
+    all features candidates; returns each canonical tree and the fitted values."""
     X = np.stack([x for x, _ in samples])
     y = np.stack([t for _, t in samples])
     table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"),
                                    np.ones(y.shape, dtype=bool), max_depth, X.shape[2], None)
-    forest = learners._Forest(*learners._preorder(np.arange(len(samples)), None, **table))
-    return forest.tree_dicts(), fitted
+    return [canonical(table, b) for b in range(len(samples))], fitted
 
 
 def grow(X, y, max_depth):
@@ -430,7 +443,7 @@ class TestLevelWiseGrower:
         X, y = grower_cases()[case]
         tree, fitted = grow(X, y, max_depth)
         frozen, frozen_fitted = frozen_fit(X, y, max_depth)
-        assert same_tree(tree, frozen)
+        assert same_tree(tree, canonical(frozen))
         assert fitted.tobytes() == frozen_fitted.tobytes()
 
     @pytest.mark.parametrize("max_depth", [2, None])
@@ -440,7 +453,7 @@ class TestLevelWiseGrower:
         trees, fitted = grow_together([(X[b], y[b]) for b in boots], max_depth)
         for b, tree, leaf_values in zip(boots, trees, fitted):
             frozen, frozen_fitted = frozen_fit(X[b], y[b], max_depth)
-            assert same_tree(tree, frozen)
+            assert same_tree(tree, canonical(frozen))
             assert leaf_values.tobytes() == frozen_fitted.tobytes()
 
     @pytest.mark.parametrize("entries", [1, 7, 64, 333])
@@ -450,7 +463,7 @@ class TestLevelWiseGrower:
         boots = np.random.default_rng(2).integers(0, 120, size=(3, 120))
         trees, _ = grow_together([(X[b], np.round(y[b])) for b in boots], None)
         for b, tree in zip(boots, trees):
-            assert same_tree(tree, frozen_fit(X[b], np.round(y[b]), None)[0])
+            assert same_tree(tree, canonical(frozen_fit(X[b], np.round(y[b]), None)[0]))
 
     @pytest.mark.parametrize("max_depth", [3, None])
     def test_boosted_model_is_the_frozen_fitters(self, max_depth):
@@ -463,9 +476,9 @@ class TestLevelWiseGrower:
         for _ in range(hp["trees"]):
             tree, fitted = frozen_fit(X, y - current, max_depth)
             current = current + hp["learning_rate"] * fitted
-            trees.append(tree)
+            trees.append(canonical(tree))
         frozen = {"kind": "boosted_trees", **hp, "init_value": init, "fitted_trees": trees}
-        assert json.dumps(model.to_dict(), sort_keys=True) == json.dumps(frozen, sort_keys=True)
+        assert same_tree({**model.to_dict(), "fitted_trees": model_trees(model)}, frozen)
 
 
 class TestNestedFits:
@@ -575,15 +588,51 @@ class TestBatchedFolds:
         table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"), keep,
                                        max_depth, max_features,
                                        [np.random.default_rng(b) for b in range(6)])
-        trees = learners._Forest(*learners._preorder(np.arange(6), None, **table)).tree_dicts()
         for b in range(6):
             xs, ys = X[b][keep[b]][None], y[b][keep[b]][None]
             alone, alone_fitted = learners._grow(xs, ys, np.argsort(xs, axis=1, kind="stable"),
                                                  np.ones(ys.shape, dtype=bool), max_depth,
                                                  max_features, [np.random.default_rng(b)])
-            alone = learners._Forest(*learners._preorder(np.arange(1), None, **alone))
-            assert same_tree(trees[b], alone.tree_dicts()[0])
+            assert same_tree(canonical(table, b), canonical(alone))
             assert fitted[b][keep[b]].tobytes() == alone_fitted[0].tobytes()
+
+
+class TestLevelOrderTable:
+    """A tree model stores its trees as one level-order node table, tree t at
+    node t, numbered as the grower numbers them."""
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("bagged_trees", {"trees": 7, "max_depth": None, "max_features": "sqrt"}),
+        ("bagged_trees", {"trees": 7, "max_depth": 3, "max_features": None}),
+        ("boosted_trees", {"trees": 9, "learning_rate": 0.1, "max_depth": 3}),
+    ])
+    def test_stored_layout(self, monkeypatch, kind, hp):
+        X, y = toy_data(50)
+        grown, grow = [], learners._grow
+        monkeypatch.setattr(learners, "_grow", lambda *a: grown.append(grow(*a)) or grown[-1])
+        model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=2)
+        table = {name: np.array(column)
+                 for name, column in model.to_dict()["fitted_trees"].items()}
+        T, inner = hp["trees"], table["feature"] >= 0
+        # nodes 0..T-1 are the roots; every other node is a child, numbered in
+        # the order a breadth-first walk reaches it: left then right, in
+        # parent order, after its parent
+        children = np.column_stack([table["left"][inner], table["right"][inner]])
+        assert np.array_equal(children.ravel(), np.arange(T, table["value"].size))
+        assert np.all(children > np.flatnonzero(inner)[:, None])
+        assert np.all(table["left"][~inner] == -1) and np.all(table["right"][~inner] == -1)
+        if kind == "bagged_trees":  # a single fit is a batch of one: `_grow`'s table as is
+            [(grown_table, _)] = grown
+            gathered = learners._gather(np.arange(T), None, **grown_table)
+            for name in learners._TREE_ARRAYS:
+                assert np.array_equal(table[name], grown_table[name])
+                assert np.array_equal(gathered[name], grown_table[name])
+        else:  # the first tree's root mean is that of the first residuals
+            assert table["value"][0] == (y - y.mean()).mean()
+        stumps = learners._gather(np.arange(T), 0, **table)
+        assert stumps["value"].size == T
+        assert same_tree([canonical(stumps, t) for t in range(T)],
+                         [[float(v), -1, 0.0, -1, -1] for v in table["value"][:T]])
 
 
 class TestCrossValidation:
@@ -742,10 +791,12 @@ class TestEnsemble:
 
     def test_unsupported_version_rejected(self):
         X, y = toy_data(20)
-        doc = small_ensemble(X, y).to_json().replace('"format_version": 1',
-                                                     '"format_version": 99')
-        with pytest.raises(ValueError):
-            EnsembleModel.from_json(doc)
+        doc = json.loads(small_ensemble(X, y).to_json())
+        # format 1 stored one node table per tree, numbered depth first
+        for version in (1, learners.MODEL_FORMAT_VERSION + 1, None):
+            doc["format_version"] = version
+            with pytest.raises(ValueError, match="unsupported model format version"):
+                EnsembleModel.from_json(json.dumps(doc))
 
 
 def grid_of(values, mask=None):

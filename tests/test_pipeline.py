@@ -142,6 +142,14 @@ def test_validate_reports_domain_problems(small):
     # bool is an int subclass and True == 1, a valid panel
     config = make_config(small.doc, small.root, holdout_panel=True)
     assert any("holdout_panel" in f for f in validate(config))
+    # each is a finding, not an exception here or a failure in a late stage
+    for key, values in (("train_frac", ["abc", None, True]),
+                        ("region_area_ha", ["x", 0, True]),
+                        ("rescale_sample", [0, 2, -5, 1.5, 3.0, "abc", True, None])):
+        for value in values:
+            findings = validate(make_config(small.doc, small.root, **{key: value}))
+            assert any(key in f for f in findings), (key, value)
+    assert validate(make_config(small.doc, small.root, rescale_sample=3)) == []
 
 
 # -- run orchestration ----------------------------------------------------
@@ -511,6 +519,19 @@ def test_cli_synth_then_ingest(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "completed stages: ingest" in stdout
     assert "configuration hash" in stdout
+
+
+def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
+    # a mistyped header field is a validation finding, not a crash
+    shutil.copytree(small.root / "inputs", tmp_path / "inputs")
+    elevation = tmp_path / "inputs" / "elevation.bin"
+    header, payload = elevation.read_bytes().split(b"\n", 1)
+    elevation.write_bytes(json.dumps({**json.loads(header), "x_origin": None}).encode()
+                          + b"\n" + payload)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small.doc))
+    assert main(["ingest", "--config", str(config)]) == 1
+    assert "unreadable raster" in capsys.readouterr().err
 
 
 def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
