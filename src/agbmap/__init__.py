@@ -17,7 +17,7 @@ from .footprint import (
 )
 from .hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
 from .metrics import (
-    DEFAULT_SCALES_KM, AcDecomposition, Ecdf, GmfrFit, MetricsReport, PairedSample,
+    AcDecomposition, Ecdf, GmfrFit, MetricsReport, PairedSample,
     ac_decompose, basic_metrics, ecdf, gmfr_fit, ks_statistic,
     multiscale_assessment, willmott_dr,
 )

@@ -77,10 +77,6 @@ class Grid:
         )
 
     @property
-    def x_max(self) -> float:
-        return self.x_origin + self.ncols * self.cellsize
-
-    @property
     def y_max(self) -> float:
         return self.y_origin + self.nrows * self.cellsize
 

@@ -138,7 +138,8 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
 
 
 def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
-    """Unweighted per-cell means of paired values.
+    """Unweighted per-cell means of paired values: per-cell sums over counts,
+    members added in input order.
 
     `pairs` needs `y` and `yhat` array attributes; `locations` is the matching
     (n, 2) coordinate array. Returns an (n_hex, 2) float64 array of
@@ -153,14 +154,11 @@ def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> np.ndarra
     if y.size == 0:
         return np.empty((0, 2))
     ids = assign(locs, hexgrid)
-    # packed (row, col) key: sorting it orders cells by id; the stable sort
-    # keeps each cell's members in input order, so every mean sums the same
-    # values in the same order as indexing them by member list
+    # packed (row, col) key, so dense bins run in cell-id order
     span = hexgrid.col_max - hexgrid.col_min + 1
     key = (ids[:, 0] - hexgrid.row_min) * span + (ids[:, 1] - hexgrid.col_min)
-    order = np.argsort(key, kind="stable")
-    key, y, yhat = key[order], y[order], yhat[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    ends = np.r_[starts[1:], key.size]
-    return np.array([(y[lo:hi].mean(), yhat[lo:hi].mean())
-                     for lo, hi in zip(starts.tolist(), ends.tolist())])
+    count = np.bincount(key, minlength=hexgrid.n_cells)
+    occupied = count > 0
+    sums = np.stack([np.bincount(key, weights=v, minlength=hexgrid.n_cells)
+                     for v in (y, yhat)], axis=1)
+    return sums[occupied] / count[occupied, None]

@@ -48,6 +48,10 @@ DEFAULT_GRIDS: dict[str, list[dict]] = {
 }
 
 
+def of_type(value, types) -> bool:  # a bool is an int, but no count or number here
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     kind: str
@@ -67,18 +71,18 @@ class LearnerSpec:
         hp = self.hp
         if self.kind == "knn":
             allowed = {"k"}
-            if not (isinstance(hp.get("k"), int) and hp["k"] >= 1):
+            if not (of_type(hp.get("k"), int) and hp["k"] >= 1):
                 raise ValueError("knn needs an integer k >= 1")
         elif self.kind in ("bagged_trees", "boosted_trees"):
             bagged = self.kind == "bagged_trees"
             allowed = {"trees", "max_depth", "max_features" if bagged else "learning_rate"}
-            if not (isinstance(hp.get("trees"), int) and hp["trees"] >= 1):
+            if not (of_type(hp.get("trees"), int) and hp["trees"] >= 1):
                 raise ValueError(f"{self.kind} needs an integer trees >= 1")
             lr = hp.get("learning_rate")
-            if not bagged and not (isinstance(lr, (int, float)) and lr >= 0):
+            if not bagged and not (of_type(lr, (int, float)) and lr >= 0):
                 raise ValueError("learning_rate must be a nonnegative number")
             d = hp.get("max_depth")
-            if d is not None and not (isinstance(d, int) and d >= 0):
+            if d is not None and not (of_type(d, int) and d >= 0):
                 raise ValueError("max_depth must be None or an integer >= 0")
             if bagged and hp.get("max_features") not in ("sqrt", "third", None):
                 raise ValueError("max_features must be 'sqrt', 'third' or None")

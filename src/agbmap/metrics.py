@@ -15,8 +15,6 @@ import numpy as np
 
 from .hexgrid import aggregate_pairs, covering_hexgrid
 
-DEFAULT_SCALES_KM = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
-
 
 @dataclass
 class PairedSample:
@@ -62,14 +60,11 @@ class GmfrFit:
     """Geometric mean functional relationship y' = a + b*yhat.
 
     The symmetric line: slope magnitude sqrt(var(y)/var(yhat)), signed by the
-    correlation, intercept through the means. `y_fit` are fitted values on the
-    line given yhat; `yhat_fit` are the inverse fitted values given y.
+    correlation, intercept through the means.
     """
 
     a: float
     b: float
-    y_fit: np.ndarray
-    yhat_fit: np.ndarray
 
 
 @dataclass
@@ -111,17 +106,17 @@ def basic_metrics(pairs: PairedSample, ybar_train: float) -> MetricsReport:
     )
 
 
-def willmott_dr(pairs: PairedSample, c: float = 2.0) -> float | None:
+def willmott_dr(pairs: PairedSample) -> float | None:
     """Refined index of agreement in [-1, 1]; None for a constant reference.
 
-    With A = sum|yhat - y| and B = c * sum|y - ybar|:
+    With A = sum|yhat - y| and B = 2 * sum|y - ybar|:
     dr = 1 - A/B when A <= B, else B/A - 1.
     """
     a = float(np.sum(np.abs(pairs.yhat - pairs.y)))
     spread = float(np.sum(np.abs(pairs.y - pairs.y.mean())))
     if spread == 0.0:
         return None
-    b = c * spread
+    b = 2.0 * spread
     if a <= b:
         return 1.0 - a / b
     return b / a - 1.0
@@ -141,9 +136,7 @@ def gmfr_fit(pairs: PairedSample) -> GmfrFit:
     sign = -1.0 if cov < 0 else 1.0
     b = sign * float(np.sqrt(ss_y / ss_yh))
     a = float(ybar - b * yhbar)
-    y_fit = a + b * yhat
-    yhat_fit = -a / b + y / b
-    return GmfrFit(a=a, b=b, y_fit=y_fit, yhat_fit=yhat_fit)
+    return GmfrFit(a=a, b=b)
 
 
 def ac_decompose(pairs: PairedSample) -> AcDecomposition:
@@ -164,7 +157,9 @@ def ac_decompose(pairs: PairedSample) -> AcDecomposition:
         raise ValueError("degenerate agreement denominator: all values equal")
     ssd = float(np.sum((yhat - y) ** 2))
     fit = gmfr_fit(pairs)
-    spd_u = float(np.sum(np.abs(yhat - fit.yhat_fit) * np.abs(y - fit.y_fit)))
+    y_fit = fit.a + fit.b * yhat
+    yhat_fit = -fit.a / fit.b + y / fit.b
+    spd_u = float(np.sum(np.abs(yhat - yhat_fit) * np.abs(y - y_fit)))
     return AcDecomposition(
         ac=1.0 - ssd / d,
         ac_systematic=1.0 - (ssd - spd_u) / d,
@@ -240,7 +235,7 @@ def multiscale_pairs(y, yhat, locations,
     return out
 
 
-def multiscale_assessment(pairs: PairedSample, locations, spacings_km=DEFAULT_SCALES_KM, *,
+def multiscale_assessment(pairs: PairedSample, locations, spacings_km, *,
                           ybar_train: float) -> list[MetricsReport]:
     """Accuracy metrics across hexagonal aggregation scales.
 

@@ -24,11 +24,11 @@ from . import carbon as carbon_mod
 from .footprint import PlotFootprint, pixel_overlap_weights, weighted_mean
 from .grid import Grid, difference, mask_landcover, percent_rank, read_grid, summarize, write_grid
 from .inventory import (
-    PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
+    ALLOMETRIES, PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
     load_plots, load_trees, select_single_inventory, split_by_panel,
 )
 from .learners import (
-    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search,
+    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search, of_type,
     predict_grid, train_base,
 )
 from .metrics import (
@@ -38,9 +38,7 @@ from .metrics import (
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 4
-
-ALLOMETRIES = ("CRM", "NSVB")
+ARTIFACT_VERSION = 5
 
 ASSESSMENT_COLUMNS = ("scale_km", "n", "pph", "mae", "pct_mae", "rmse",
                       "pct_rmse", "me", "r2", "dr")
@@ -145,6 +143,9 @@ class PipelineConfig:
         grids = raw.get("learner_grids")
         if grids is not None and (not isinstance(grids, dict) or not grids):
             raise ConfigError("learner_grids must be a non-empty object when given")
+        for key in ("scales_km", "removed_landcover_classes"):
+            if not isinstance(raw[key], list):
+                raise ConfigError(f"{key} must be an array")
 
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         cfg = cls(
@@ -171,6 +172,8 @@ class PipelineConfig:
         raw = self.learner_grids if self.learner_grids is not None else DEFAULT_GRIDS
         out = {}
         for kind, grid in raw.items():
+            if not (isinstance(grid, list) and all(isinstance(hp, dict) for hp in grid)):
+                raise ConfigError(f"grid for {kind!r} must be an array of objects")
             out[kind] = [LearnerSpec.make(kind, **hp) for hp in grid]
             if not out[kind]:
                 raise ConfigError(f"empty hyperparameter grid for {kind!r}")
@@ -199,17 +202,14 @@ def validate(config: PipelineConfig) -> list[str]:
             if not Path(p).is_file():
                 findings.append(f"missing file: predictor {name!r} for {year} at {p}")
 
-    def of_type(value, types) -> bool:  # a bool is an int, but no count or number here
-        return isinstance(value, types) and not isinstance(value, bool)
-
     if config.holdout_panel != "random" and not (of_type(config.holdout_panel, int)
                                                  and 1 <= config.holdout_panel <= 5):
         findings.append(f"holdout_panel must be 1..5 or 'random', got {config.holdout_panel!r}")
     if not config.scales_km:
         findings.append("scales_km is empty")
-    elif any(not isinstance(s, (int, float)) or s <= 0 for s in config.scales_km):
+    elif any(not of_type(s, (int, float)) or s <= 0 for s in config.scales_km):
         findings.append("scales_km entries must be positive numbers")
-    if any(not isinstance(c, (int, float)) for c in config.removed_landcover_classes):
+    if any(not of_type(c, (int, float)) for c in config.removed_landcover_classes):
         findings.append("removed_landcover_classes entries must be numeric")
     if not (of_type(config.train_frac, (int, float)) and 0.0 < config.train_frac < 1.0):
         findings.append(f"train_frac must be a number in (0, 1), got {config.train_frac!r}")

@@ -136,15 +136,23 @@ class TestAggregation:
         assert aggregate_pairs(Pairs([], []), np.zeros((0, 2)), hg).shape == (0, 2)
 
 
+def in_order_mean(values):
+    """Members summed one by one in input order from 0.0, over their count."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total / len(values)
+
+
 def dict_grouping(pairs, locations, hg):
-    """Frozen copy of the per-point dict grouping aggregate_pairs replaced."""
+    """Per-point dict grouping, each cell's mean an in-order sequential sum."""
     y = np.asarray(pairs.y, dtype=np.float64)
     yhat = np.asarray(pairs.yhat, dtype=np.float64)
     ids = assign(np.asarray(locations, dtype=np.float64), hg)
     groups = {}
     for i, (row, col) in enumerate(ids):
         groups.setdefault((int(row), int(col)), []).append(i)
-    return [(hex_id, len(members), float(y[members].mean()), float(yhat[members].mean()))
+    return [(hex_id, len(members), in_order_mean(y[members]), in_order_mean(yhat[members]))
             for hex_id, members in sorted(groups.items())]
 
 
@@ -170,3 +178,34 @@ def test_grouping_matches_dict_reference(seed, n_random, n_stacked, n_ties, spac
     ref = dict_grouping(pairs, locs, hg)
     assert aggregate_pairs(pairs, locs, hg).tolist() == [[y_mean, yhat_mean]
                                                          for _, _, y_mean, yhat_mean in ref]
+
+
+def test_equals_block_fed_add_at_accumulator():
+    """Sums fed to one accumulator in uneven blocks through np.add.at equal
+    the in-memory means bit for bit, so block size cannot move a result."""
+    rng = np.random.default_rng(7)
+    hg = make_hexgrid((0, 0, 9000, 9000), spacing=3000.0)
+    n = 4000
+    # points jittered around the centroids of 12 cells, so each has many members
+    cells = rng.integers(0, 3, size=(12, 2))[rng.integers(0, 12, n)]
+    cx, cy = hg.center(cells[:, 0], cells[:, 1])
+    locs = np.column_stack([cx, cy]) + rng.uniform(-500.0, 500.0, (n, 2))
+    # float64 values with full mantissas, so summation order shows in the ulps
+    pairs = Pairs(rng.gamma(2.0, 50.0, n) / 3.0, rng.normal(100.0, 40.0, n) / 7.0)
+    ids = assign(locs, hg)
+    span = hg.col_max - hg.col_min + 1
+    key = (ids[:, 0] - hg.row_min) * span + (ids[:, 1] - hg.col_min)
+    count = np.zeros(hg.n_cells, dtype=np.int64)
+    sums = np.zeros((hg.n_cells, 2))
+    bounds = [0, 1, 700, 2501, n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.add.at(count, key[lo:hi], 1)
+        np.add.at(sums[:, 0], key[lo:hi], pairs.y[lo:hi])
+        np.add.at(sums[:, 1], key[lo:hi], pairs.yhat[lo:hi])
+    occupied = count > 0
+    assert count[occupied].min() >= 8
+    # pairwise summation (slice.mean()) differs from in-order sums here
+    assert any(pairs.y[key == k].mean() != sums[k, 0] / count[k]
+               for k in np.flatnonzero(occupied))
+    expected = sums[occupied] / count[occupied, None]
+    assert aggregate_pairs(pairs, locs, hg).tolist() == expected.tolist()

@@ -34,6 +34,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LearnerSpec.make("boosted_trees", trees=10, learning_rate=-0.1, max_depth=3)
 
+    @pytest.mark.parametrize("kind, hp", [
+        ("knn", {"k": True}),
+        ("bagged_trees", {"trees": True}),
+        ("bagged_trees", {"trees": 10, "max_depth": False}),
+        ("boosted_trees", {"trees": True, "learning_rate": 0.1}),
+        ("boosted_trees", {"trees": 10, "learning_rate": True}),
+        ("boosted_trees", {"trees": 10, "learning_rate": 0.1, "max_depth": True}),
+    ])
+    def test_bool_is_not_a_number(self, kind, hp):
+        with pytest.raises(ValueError):
+            LearnerSpec.make(kind, **hp)
+
     def test_unknown_hyperparameter(self):
         with pytest.raises(ValueError):
             LearnerSpec.make("knn", k=3, metric="manhattan")

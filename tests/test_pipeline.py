@@ -145,10 +145,16 @@ def test_validate_reports_domain_problems(small):
     # each is a finding, not an exception here or a failure in a late stage
     for key, values in (("train_frac", ["abc", None, True]),
                         ("region_area_ha", ["x", 0, True]),
-                        ("rescale_sample", [0, 2, -5, 1.5, 3.0, "abc", True, None])):
+                        ("rescale_sample", [0, 2, -5, 1.5, 3.0, "abc", True, None]),
+                        ("scales_km", [[True, 5], [5, False]]),
+                        ("removed_landcover_classes", [[True], [3, False]])):
         for value in values:
             findings = validate(make_config(small.doc, small.root, **{key: value}))
             assert any(key in f for f in findings), (key, value)
+    for grids in ({"knn": [{"k": True}]}, {"bagged_trees": [{"trees": True}]},
+                  {"knn": 5}, {"knn": [5]}, {"knn": [[1]]}):
+        findings = validate(make_config(small.doc, small.root, learner_grids=grids))
+        assert any("learner grid" in f for f in findings), grids
     assert validate(make_config(small.doc, small.root, rescale_sample=3)) == []
 
 
@@ -297,7 +303,7 @@ def test_ingest_outputs(small):
     for r in rows:
         assert (r["role"] == "assessment") == (int(r["panel"]) == holdout)
     dev_rows = read_rows(small.root / "run" / "ingest" / "model_dev.csv")
-    summary = json.load(open(small.root / "run" / "ingest" / "summary.json"))
+    summary = json.loads((small.root / "run" / "ingest" / "summary.json").read_text())
     assert summary["n_model_dev"] == len(dev_rows)
     assert summary["n_model_dev"] <= summary["n_development"]
     assert summary["n_assessment"] == sum(r["role"] == "assessment" for r in rows)
@@ -343,7 +349,7 @@ def test_predict_outputs(small):
 
 
 def test_assess_outputs(small):
-    summary = json.load(open(small.root / "run" / "assess" / "summary.json"))
+    summary = json.loads((small.root / "run" / "assess" / "summary.json").read_text())
     for allometry in ("CRM", "NSVB"):
         rows = read_rows(small.root / "run" / "assess" / f"assessment_{allometry}.csv")
         assert list(rows[0]) == list(ASSESSMENT_COLUMNS)
@@ -496,7 +502,7 @@ def test_stocks_outputs(small):
     for r in dm:
         diff = float(r["design_mt"]) - float(r["model_mt"])
         assert float(r["design_minus_model_mt"]) == pytest.approx(diff, abs=1e-9)
-    meta = json.load(open(small.root / "run" / "stocks" / "stocks.json"))
+    meta = json.loads((small.root / "run" / "stocks" / "stocks.json").read_text())
     assert meta["model_basis_for_comparison"] == "extent"
     assert "post-stratification" in meta["note"]
 
@@ -541,6 +547,21 @@ def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["ingest", "--config", str(bad)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reported", [
+    ("scales_km", 5, "scales_km"),
+    ("removed_landcover_classes", 3, "removed_landcover_classes"),
+    ("scales_km", "5", "scales_km"),
+    ("scales_km", [True, 5], "scales_km"),
+    ("learner_grids", {"knn": 5}, "learner grid"),
+])
+def test_cli_malformed_value_is_exit_1(small, tmp_path, capsys, key, value, reported):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**small.doc, key: value}))
+    assert main(["ingest", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and reported in err
 
 
 def test_cli_unknown_extra_stage_is_exit_1(small, capsys):
