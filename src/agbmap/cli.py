@@ -47,11 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stages", default="",
                        help="comma-separated additional stages to run")
 
-    p_report = sub.add_parser("report", parents=[common],
-                              help="print a consolidated run summary")
-    p_report.add_argument("--cap", type=float, default=None,
-                          help="clamp difference layers to +/- CAP in the "
-                               "rendered summary only")
+    sub.add_parser("report", parents=[common], help="print a consolidated run summary")
     return parser
 
 
@@ -94,7 +90,7 @@ def _handle_stage(args) -> int:
 
 def _handle_report(args) -> int:
     config = _load_config(args)
-    print(render_report(config, cap=args.cap))
+    print(render_report(config))
     return 0
 
 

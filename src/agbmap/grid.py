@@ -9,6 +9,7 @@ row index counts down from the north edge.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -17,6 +18,10 @@ import numpy as np
 
 class GridFormatError(ValueError):
     """Raised when a grid file cannot be parsed or violates the format."""
+
+
+# the fields two grids share when they are aligned
+GEOMETRY = ("ncols", "nrows", "x_origin", "y_origin", "cellsize")
 
 
 @dataclass
@@ -68,13 +73,7 @@ class Grid:
 
     def aligned_with(self, other: "Grid") -> bool:
         """True iff both grids share all five geometry fields exactly."""
-        return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.x_origin == other.x_origin
-            and self.y_origin == other.y_origin
-            and self.cellsize == other.cellsize
-        )
+        return all(getattr(self, key) == getattr(other, key) for key in GEOMETRY)
 
     @property
     def y_max(self) -> float:
@@ -92,16 +91,8 @@ class Grid:
     def with_values(self, values: np.ndarray, mask: np.ndarray | None = None,
                     units: str | None = None) -> "Grid":
         """New grid on the same geometry with different content."""
-        return Grid(
-            ncols=self.ncols,
-            nrows=self.nrows,
-            x_origin=self.x_origin,
-            y_origin=self.y_origin,
-            cellsize=self.cellsize,
-            units=self.units if units is None else units,
-            values=values,
-            mask=mask,
-        )
+        return Grid(**{key: getattr(self, key) for key in GEOMETRY},
+                    units=self.units if units is None else units, values=values, mask=mask)
 
 
 @dataclass
@@ -183,15 +174,7 @@ def write_grid(grid: Grid, path) -> None:
     little-endian float32 values (north row first), then one validity byte
     per cell.
     """
-    header = {
-        "ncols": grid.ncols,
-        "nrows": grid.nrows,
-        "x_origin": grid.x_origin,
-        "y_origin": grid.y_origin,
-        "cellsize": grid.cellsize,
-        "units": grid.units,
-        "byte_order": "little",
-    }
+    header = {**{key: getattr(grid, key) for key in (*GEOMETRY, "units")}, "byte_order": "little"}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
@@ -199,15 +182,24 @@ def write_grid(grid: Grid, path) -> None:
         f.write(grid.mask.astype(np.uint8).tobytes(order="C"))
 
 
-def read_grid(path) -> Grid:
-    """Read a grid written by :func:`write_grid`."""
+def finite_number(value) -> bool:
+    """An int or float, not a bool, and finite as a float: no nan, no inf and no
+    integer too large for a float (on which `math.isfinite` raises)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def read_header(path) -> dict:
+    """The checked header of a grid file written by :func:`write_grid`, as the
+    `Grid` fields besides values and mask, without reading the payload. The
+    file's size must fit the header's ncols and nrows."""
     with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
+        line = f.readline()
+        size = os.fstat(f.fileno()).st_size
+    if not line.endswith(b"\n"):
         raise GridFormatError("missing header line")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise GridFormatError(f"malformed header: {e}") from e
     if not isinstance(header, dict) or set(header) != set(_HEADER_TYPES):
@@ -216,34 +208,34 @@ def read_grid(path) -> Grid:
              if isinstance(header[key], bool) or not isinstance(header[key], types)]
     if wrong:
         raise GridFormatError(f"header fields of the wrong type: {wrong}")
-    if header["byte_order"] != "little":
-        raise GridFormatError(f"unsupported byte order {header['byte_order']!r}")
-    geometry = [header[key] for key in ("x_origin", "y_origin", "cellsize")]
-    if not all(abs(v) <= sys.float_info.max for v in geometry):  # no inf, nan or huge integer
+    byte_order = header.pop("byte_order")
+    if byte_order != "little":
+        raise GridFormatError(f"unsupported byte order {byte_order!r}")
+    floats = ("x_origin", "y_origin", "cellsize")
+    if not all(finite_number(header[key]) for key in floats):
         raise GridFormatError("grid origins and cellsize must be finite")
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
         raise GridFormatError("grid dimensions must be positive")
-    n = ncols * nrows
-    payload = raw[nl + 1:]
-    if len(payload) != 4 * n + n:
+    if size - len(line) != 5 * ncols * nrows:  # a float32 and a mask byte per cell
         raise GridFormatError(
-            f"payload holds {len(payload)} bytes, expected {4 * n + n}"
-        )
-    values = np.frombuffer(payload[: 4 * n], dtype="<f4").reshape(nrows, ncols)
-    mask = np.frombuffer(payload[4 * n:], dtype=np.uint8).reshape(nrows, ncols)
+            f"payload holds {size - len(line)} bytes, expected {5 * ncols * nrows}")
+    return {**header, **{key: float(header[key]) for key in floats}}
+
+
+def read_grid(path) -> Grid:
+    """Read a grid written by :func:`write_grid`."""
+    header = read_header(path)
+    shape = (header["nrows"], header["ncols"])
+    n = shape[0] * shape[1]
+    with open(path, "rb") as f:
+        f.readline()
+        payload = f.read()
+    values = np.frombuffer(payload, dtype="<f4", count=n).reshape(shape)
+    mask = np.frombuffer(payload, dtype=np.uint8, offset=4 * n).reshape(shape)
     if np.any(mask > 1):
         raise GridFormatError("mask bytes must be 0 or 1")
     mask = mask.astype(bool)
     if not np.all(np.isfinite(values[mask])):
         raise GridFormatError("non-finite value in a valid cell")
-    return Grid(
-        ncols=ncols,
-        nrows=nrows,
-        x_origin=float(header["x_origin"]),
-        y_origin=float(header["y_origin"]),
-        cellsize=float(header["cellsize"]),
-        units=str(header["units"]),
-        values=values,
-        mask=mask,
-    )
+    return Grid(values=values, mask=mask, **header)

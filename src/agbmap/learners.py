@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, finite_number
 
 MODEL_FORMAT_VERSION = 2
 
@@ -79,8 +79,8 @@ class LearnerSpec:
             if not (of_type(hp.get("trees"), int) and hp["trees"] >= 1):
                 raise ValueError(f"{self.kind} needs an integer trees >= 1")
             lr = hp.get("learning_rate")
-            if not bagged and not (of_type(lr, (int, float)) and lr >= 0):
-                raise ValueError("learning_rate must be a nonnegative number")
+            if not bagged and not (finite_number(lr) and lr >= 0):
+                raise ValueError("learning_rate must be a nonnegative finite number")
             d = hp.get("max_depth")
             if d is not None and not (of_type(d, int) and d >= 0):
                 raise ValueError("max_depth must be None or an integer >= 0")
@@ -412,12 +412,17 @@ class BaggedTreesModel(_TreeModel):
         for b, (rows, r) in enumerate(zip(np.repeat(keep, T, axis=0), rngs)):
             boot[b, :sizes[b]] = np.flatnonzero(rows)[r.integers(0, sizes[b], size=sizes[b])]
         Xb = X[boot]
-        k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.max_features]
         table, _ = _grow(Xb, y[boot], np.argsort(Xb, axis=1, kind="stable"),
                          np.arange(boot.shape[1]) < sizes[:, None], self.max_depth,
-                         max(1, int(round(k))), rngs)
+                         self.features_drawn(p), rngs)
         for b, m in enumerate(models):
             m.forest = _Forest(_gather(np.arange(b * T, (b + 1) * T), None, **table), T)
+
+    def features_drawn(self, p: int) -> int:
+        """How many of p features each split draws: fits that draw as many
+        grow the same trees, whatever `max_features` names the count."""
+        k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.max_features]
+        return max(1, int(round(k)))
 
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
@@ -506,15 +511,18 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
     return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
-def _family(spec: LearnerSpec):
+def _family(spec: LearnerSpec, p: int):
     """Specs of one family nest: one kind, and the same arguments besides
-    `trees` and, for bagged trees that grow any, `max_depth`."""
+    `trees` and, for bagged trees that grow any, `max_depth`. Bagged trees on
+    p features compare the count `max_features` draws, not its name."""
     if spec.kind == "knn":
         return spec
     model = _MODEL_CLASSES[spec.kind](**spec.hp)
     args = {a: getattr(model, a) for a in model._ARGS}
-    if spec.kind == "bagged_trees" and args["max_depth"] != 0:
-        del args["max_depth"]
+    if spec.kind == "bagged_trees":
+        args["max_features"] = model.features_drawn(p)
+        if args["max_depth"] != 0:
+            del args["max_depth"]
     return spec.kind, tuple(sorted(args.items()))
 
 
@@ -525,8 +533,8 @@ def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
     and each predicts with each member's nested part of it: column j is the
     cross-validation of `specs[j]` alone.
     """
-    specs = list(specs)
-    if not specs or len({_family(s) for s in specs}) != 1:
+    specs, X = list(specs), _as_2d(X)
+    if not specs or len({_family(s, X.shape[1]) for s in specs}) != 1:
         raise ValueError("cv_predict needs the specs of one nested family")
     members = [_MODEL_CLASSES[s.kind](**s.hp) for s in specs]  # unfitted: their arguments
     head = specs[0]
@@ -535,7 +543,6 @@ def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
         deepest = None if None in depths else max(depths)
         head = LearnerSpec.make(head.kind, **{**head.hp, "max_depth": deepest,
                                               "trees": max(m.n_trees for m in members)})
-    X = _as_2d(X)
     oof = np.empty((X.shape[0], len(specs)), dtype=np.float64)
     folds = kfold_indices(X.shape[0], k, seed)
     for test_idx, model in zip(folds, train_base(head, X, y, seed, held_out=folds)):
@@ -553,13 +560,13 @@ def grid_search(specs, X, y, k: int = 5, seed=0):
     predictions (those of `cv_predict([best], X, y, k, seed)`) and `(spec,
     rmse)` in grid order.
     """
-    specs = list(specs)
+    specs, X = list(specs), _as_2d(X)
     if not specs:
         raise ValueError("empty hyperparameter grid")
     y = np.asarray(y, dtype=np.float64)
     families: dict = {}
     for spec in specs:
-        families.setdefault(_family(spec), []).append(spec)
+        families.setdefault(_family(spec, X.shape[1]), []).append(spec)
     oof = {}
     for family in families.values():
         oof.update(zip(family, cv_predict(family, X, y, k=k, seed=seed).T))

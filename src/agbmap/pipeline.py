@@ -22,7 +22,10 @@ import numpy as np
 
 from . import carbon as carbon_mod
 from .footprint import PlotFootprint, pixel_overlap_weights, weighted_mean
-from .grid import Grid, difference, mask_landcover, percent_rank, read_grid, summarize, write_grid
+from .grid import (
+    GEOMETRY, Grid, difference, finite_number, mask_landcover, percent_rank, read_grid,
+    read_header, summarize, write_grid,
+)
 from .inventory import (
     ALLOMETRIES, PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
     load_plots, load_trees, select_single_inventory, split_by_panel,
@@ -207,17 +210,18 @@ def validate(config: PipelineConfig) -> list[str]:
         findings.append(f"holdout_panel must be 1..5 or 'random', got {config.holdout_panel!r}")
     if not config.scales_km:
         findings.append("scales_km is empty")
-    elif any(not of_type(s, (int, float)) or s <= 0 for s in config.scales_km):
-        findings.append("scales_km entries must be positive numbers")
-    if any(not of_type(c, (int, float)) for c in config.removed_landcover_classes):
-        findings.append("removed_landcover_classes entries must be numeric")
-    if not (of_type(config.train_frac, (int, float)) and 0.0 < config.train_frac < 1.0):
+    elif any(not finite_number(s) or s <= 0 for s in config.scales_km):
+        findings.append("scales_km entries must be positive finite numbers")
+    if any(not finite_number(c) for c in config.removed_landcover_classes):
+        findings.append("removed_landcover_classes entries must be finite numbers")
+    if not (finite_number(config.train_frac) and 0.0 < config.train_frac < 1.0):
         findings.append(f"train_frac must be a number in (0, 1), got {config.train_frac!r}")
     if not (of_type(config.cv_folds, int) and config.cv_folds >= 2):
         findings.append("cv_folds must be an integer >= 2")
-    if config.region_area_ha is not None and not (of_type(config.region_area_ha, (int, float))
+    if config.region_area_ha is not None and not (finite_number(config.region_area_ha)
                                                   and config.region_area_ha > 0):
-        findings.append(f"region_area_ha must be a positive number, got {config.region_area_ha!r}")
+        findings.append(
+            f"region_area_ha must be a positive finite number, got {config.region_area_ha!r}")
     # rescale_fit needs at least 3 sampled cells, one per coefficient
     if not (of_type(config.rescale_sample, int) and config.rescale_sample >= 3):
         findings.append(f"rescale_sample must be an integer >= 3, got {config.rescale_sample!r}")
@@ -239,17 +243,20 @@ def validate(config: PipelineConfig) -> list[str]:
                             "must apply to every year")
             break
 
+    # headers and file sizes only: a stage checks the cells of a layer it reads
+    def geometry(path):
+        header = read_header(path)
+        return [header[key] for key in GEOMETRY]
+
     if not findings:
         try:
-            ref = read_grid(config.elevation)
+            ref = geometry(config.elevation)
             for year, inputs in config.years.items():
                 for name, p in sorted(inputs.predictors.items()):
-                    g = read_grid(p)
-                    if not g.aligned_with(ref):
+                    if geometry(p) != ref:
                         findings.append(f"alignment: predictor {name!r} for {year} "
                                         f"does not match the elevation grid")
-                lc = read_grid(inputs.landcover)
-                if not lc.aligned_with(ref):
+                if geometry(inputs.landcover) != ref:
                     findings.append(f"alignment: landcover for {year} does not "
                                     f"match the elevation grid")
         except (OSError, ValueError) as e:
@@ -555,15 +562,15 @@ def _map_path(config: PipelineConfig, kind: str, year: int, allometry: str) -> P
 
 @_stage("fit")
 def _stage_predict(config: PipelineConfig, out: Path) -> None:
+    models = {allometry: _load_model(config, allometry) for allometry in ALLOMETRIES}
     map_summaries = {}
-    for allometry in ALLOMETRIES:
-        model = _load_model(config, allometry)
-        for year in sorted(config.years):
-            layers = {name: read_grid(p)
-                      for name, p in sorted(config.years[year].predictors.items())}
-            pred = predict_grid(model, layers)
-            lc = read_grid(config.years[year].landcover)
-            masked = mask_landcover(pred, lc, config.removed_landcover_classes)
+    for year in sorted(config.years):
+        inputs = config.years[year]
+        layers = {name: read_grid(p) for name, p in sorted(inputs.predictors.items())}
+        lc = read_grid(inputs.landcover)
+        for allometry, model in models.items():
+            masked = mask_landcover(predict_grid(model, layers), lc,
+                                    config.removed_landcover_classes)
             write_grid(masked, _map_path(config, "agb", year, allometry))
             write_grid(percent_rank(masked), _map_path(config, "pctrank", year, allometry))
             map_summaries[f"{year}_{allometry}"] = asdict(summarize(masked))
@@ -677,23 +684,18 @@ def _stage_diff(config: PipelineConfig, out: Path) -> None:
         write_grid(grid, out / f"{name}.bin")
         summaries[name] = asdict(summarize(grid))
 
-    for year in sorted(config.years):
-        crm = read_grid(_map_path(config, "agb", year, "CRM"))
-        nsvb = read_grid(_map_path(config, "agb", year, "NSVB"))
-        emit(f"agb_diff_{year}", difference(nsvb, crm))
-        crm_r = read_grid(_map_path(config, "pctrank", year, "CRM"))
-        nsvb_r = read_grid(_map_path(config, "pctrank", year, "NSVB"))
-        emit(f"pctrank_diff_{year}", difference(nsvb_r, crm_r))
-
     years = sorted(config.years)
+    agb = {}  # year -> allometry -> map
+    for year in years:
+        agb[year] = {a: read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES}
+        emit(f"agb_diff_{year}", difference(agb[year]["NSVB"], agb[year]["CRM"]))
+        ranks = {a: read_grid(_map_path(config, "pctrank", year, a)) for a in ALLOMETRIES}
+        emit(f"pctrank_diff_{year}", difference(ranks["NSVB"], ranks["CRM"]))
+
     if len(years) >= 2:
-        first, last = years[0], years[-1]
-        changes = {}
-        for allometry in ALLOMETRIES:
-            early = read_grid(_map_path(config, "agb", first, allometry))
-            late = read_grid(_map_path(config, "agb", last, allometry))
-            changes[allometry] = difference(late, early)
-            emit(f"change_{allometry}", changes[allometry])
+        changes = {a: difference(agb[years[-1]][a], agb[years[0]][a]) for a in ALLOMETRIES}
+        for allometry, change in changes.items():
+            emit(f"change_{allometry}", change)
         emit("change_diff", difference(changes["NSVB"], changes["CRM"]))
 
     _write_json(out / "summary.json", summaries)
@@ -924,12 +926,9 @@ def _render_table(title, fieldnames, rows, places=2) -> list[str]:
     return lines
 
 
-def render_report(config: PipelineConfig, cap: float | None = None) -> str:
-    """Human-readable summary of everything the run produced so far.
-
-    `cap` clamps difference-map values to [-cap, +cap] in the rendered
-    summaries only; stored grids are never modified.
-    """
+def render_report(config: PipelineConfig) -> str:
+    """Human-readable summary of everything the run produced so far, from the
+    tables and summaries the stages recorded; it reads no raster."""
     out_dir = Path(config.output_dir)
     manifest = RunManifest.load(out_dir)
     if manifest is None:
@@ -995,19 +994,12 @@ def render_report(config: PipelineConfig, cap: float | None = None) -> str:
                                AGREEMENT_COLUMNS, _read_csv(p), places=4)
         lines.append("")
 
-    if "diff" in manifest.stages:
-        rows = []
-        for p in recorded("diff", "*.bin"):
-            g = read_grid(p)
-            if cap is not None:
-                vals = np.clip(g.values, -abs(cap), abs(cap))
-                g = g.with_values(vals, g.mask.copy())
-            s = summarize(g)
-            rows.append({"layer": p.stem, "n": s.n_valid, "mean": s.mean,
-                         "min": s.min, "max": s.max})
-        title = "difference layers" + (f" (display cap +/- {abs(cap):g})"
-                                       if cap is not None else "")
-        lines += _render_table(title, ["layer", "n", "mean", "min", "max"], rows)
+    p = stage_file("diff", "summary.json")
+    if p:
+        with open(p, encoding="utf-8") as f:
+            s = json.load(f)  # keyed by layer name, in file order
+        rows = [{"layer": layer, "n": v["n_valid"], **v} for layer, v in s.items()]
+        lines += _render_table("difference layers", ["layer", "n", "mean", "min", "max"], rows)
         lines.append("")
 
     p = stage_file("stocks", "stocks.json")

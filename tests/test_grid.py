@@ -5,7 +5,7 @@ import pytest
 
 from agbmap.grid import (
     Grid, GridFormatError, difference, mask_landcover, percent_rank,
-    read_grid, summarize, write_grid,
+    read_grid, read_header, summarize, write_grid,
 )
 
 
@@ -79,6 +79,21 @@ class TestMalformedFiles:
         with pytest.raises(GridFormatError):
             read_grid(p)
 
+    def test_header_holds_the_grid_fields(self, tmp_path):
+        p = tmp_path / "g.bin"
+        write_grid(make_grid([[1.0, 2.0], [3.0, 4.0]], x_origin=-7), p)
+        assert read_header(p) == dict(ncols=2, nrows=2, x_origin=-7.0, y_origin=0.0,
+                                      cellsize=30.0, units="Mg/ha")
+
+    @pytest.mark.parametrize("pad", [1, 5])
+    def test_padded_binary_payload(self, tmp_path, pad):
+        p = tmp_path / "g.bin"
+        write_grid(make_grid([[1.0, 2.0], [3.0, 4.0]]), p)
+        p.write_bytes(p.read_bytes() + b"\x00" * pad)
+        for reader in (read_header, read_grid):
+            with pytest.raises(GridFormatError, match="payload"):
+                reader(p)
+
     def test_bad_header_json(self, tmp_path):
         p = tmp_path / "g.bin"
         p.write_bytes(b"not json\n\x00\x00")
@@ -96,8 +111,9 @@ class TestMalformedFiles:
         write_grid(make_grid([[1.0, 2.0]]), p)
         header, payload = p.read_bytes().split(b"\n", 1)
         p.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
-        with pytest.raises(GridFormatError):
-            read_grid(p)
+        for reader in (read_header, read_grid):
+            with pytest.raises(GridFormatError):
+                reader(p)
 
     @pytest.mark.parametrize("corrupt", ["mask_byte", "nan_in_valid_cell"])
     def test_corrupt_binary_payload(self, tmp_path, corrupt):
@@ -109,6 +125,7 @@ class TestMalformedFiles:
         else:
             raw[-10:-6] = np.array([np.nan], dtype="<f4").tobytes()
         p.write_bytes(bytes(raw))
+        read_header(p)  # the cells are checked when they are read
         with pytest.raises(GridFormatError):
             read_grid(p)
 

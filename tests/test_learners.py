@@ -46,6 +46,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LearnerSpec.make(kind, **hp)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "10**400"])
+    def test_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            LearnerSpec.make("boosted_trees", trees=3, learning_rate=lr)
+
     def test_unknown_hyperparameter(self):
         with pytest.raises(ValueError):
             LearnerSpec.make("knn", k=3, metric="manhattan")
@@ -112,6 +118,22 @@ class TestKnn:
             expanded = np.sum(Q ** 2) + np.sum(model.X[:2] ** 2, axis=1) - 2.0 * model.X[:2] @ Q[0]
             expansion_breaks += bool(expanded[0] != expanded[1])
         assert ties >= 10 and expansion_breaks >= 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_ties_at_the_kth_distance_across_a_chunk_edge(self, monkeypatch, k):
+        # rows 1, 3, 5 are copies of a and rows 0, 2, 6 copies of b: a query on
+        # a takes a's copies and then b's, each in training-row order, and one
+        # on b the other way round, in whichever chunk of cells it falls
+        a, b = [0.0, 0.0], [4.0, 4.0]
+        X = np.array([b, a, b, a, [20.0, -20.0], a, b])
+        y = np.array([8.0, 1.0, 16.0, 2.0, 1000.0, 4.0, 32.0])
+        order = ([1, 3, 5, 0, 2, 6, 4], [0, 2, 6, 1, 3, 5, 4])  # of a query on a, on b
+        q = np.array([a, b] * 4)
+        expected = np.array([y[order[i % 2][:k]].mean() for i in range(len(q))])
+        model = train_base(LearnerSpec.make("knn", k=k), X, y, seed=0)
+        assert np.array_equal(model.predict(q), expected)
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 3 * len(X))  # chunks of 3 cells
+        assert np.array_equal(model.predict(q), expected)
 
     def test_chunked_predict_matches_one_chunk(self, monkeypatch):
         X, y = toy_data(40)
@@ -721,6 +743,31 @@ class TestGridSearch:
         assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=seed)[:, 0])
         rmse = float(np.sqrt(np.mean((y - best_oof) ** 2)))
         assert rmse == dict(scores)[best] == min(r for _, r in scores)
+
+    def test_names_drawing_one_feature_count_share_a_cross_validation(self, monkeypatch):
+        # at p = 6 "sqrt" and "third" both draw 2 features per split, so they
+        # grow the same trees; the search gives what each alone would give
+        X, y = toy_data(45, p=6)
+        specs = [LearnerSpec.make("bagged_trees", **hp) for hp in (
+            {"trees": 6, "max_depth": 2, "max_features": "sqrt"},
+            {"trees": 6, "max_depth": None, "max_features": "third"},
+            {"trees": 4, "max_depth": 3, "max_features": None})]
+        seed = [2, 310, 0, 1]
+        alone = {s: cv_predict([s], X, y, k=5, seed=seed)[:, 0] for s in specs}
+        want = [(s, float(np.sqrt(np.mean((y - alone[s]) ** 2)))) for s in specs]
+        want_best = min(want, key=lambda score: score[1])[0]
+        calls = []
+        counted = learners.cv_predict
+        monkeypatch.setattr(learners, "cv_predict",
+                            lambda *a, **kw: calls.append(a) or counted(*a, **kw))
+        best, best_oof, scores = grid_search(specs, X, y, k=5, seed=seed)
+        assert len(calls) == len(specs) - 1  # one per drawn count, not per name
+        assert scores == want
+        assert best == want_best
+        assert np.array_equal(best_oof, alone[want_best])
+        final, reference = (train_base(s, X, y, seed=[2, 320, 0, 1]).to_dict()
+                            for s in (best, want_best))
+        assert json.dumps(final) == json.dumps(reference)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end pipeline, configuration, and CLI behavior on a small dataset."""
 
 import csv
+import functools
 import json
 import shutil
 from pathlib import Path
@@ -129,6 +130,18 @@ def test_validate_reports_misaligned_raster(small, tmp_path):
     config = PipelineConfig.from_document(doc, base_dir=small.root)
     findings = validate(config)
     assert any("alignment" in f and "brightness" in f for f in findings)
+
+
+# not finite as floats; `math.isfinite` would raise on the integer
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("key", ["scales_km", "removed_landcover_classes", "train_frac",
+                                 "region_area_ha"])
+def test_validate_rejects_non_finite_numbers(small, key, value):
+    if key in ("scales_km", "removed_landcover_classes"):
+        value = [5, value]
+    findings = validate(make_config(small.doc, small.root, **{key: value}))
+    assert any(key in f for f in findings), findings
 
 
 def test_validate_reports_domain_problems(small):
@@ -270,6 +283,34 @@ def test_rerun_with_fewer_years_leaves_no_stale_outputs(small, tmp_path):
     assert "two-map agreement, 2019" in text and "agb_diff_2019" in text
     assert "agreement, 2005" not in text
     assert "_2005" not in text and "change_" not in text
+
+
+def test_each_stage_reads_each_raster_once(small, tmp_path, monkeypatch):
+    import agbmap.pipeline
+
+    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
+    reads, reader = [], ["validate"]
+    read_grid = agbmap.pipeline.read_grid
+    monkeypatch.setattr(agbmap.pipeline, "read_grid",
+                        lambda path: reads.append((reader[0], Path(path))) or read_grid(path))
+    for name, fn in list(agbmap.pipeline._STAGES.items()):
+        @functools.wraps(fn)
+        def staged(config, out, name=name, fn=fn):
+            reader[0] = name
+            return fn(config, out)
+        monkeypatch.setitem(agbmap.pipeline._STAGES, name, staged)
+    assert validate(config) == []
+    run(config)
+    reader[0] = "report"
+    render_report(config)
+
+    assert len(set(reads)) == len(reads), "a stage read one raster twice"
+    assert not [r for r in reads if r[0] in ("validate", "report")]
+    # extract and predict read the predictors of every year, predict the
+    # landcover too; assess, agree and stocks read 2 maps a year, diff 4 and
+    # rescale 2 plus the elevation
+    years, predictors = len(config.years), len(config.predictor_names())
+    assert len(reads) == 2 * years * predictors + 13 * years + 1
 
 
 def test_failed_stage_leaves_no_record(small, tmp_path, monkeypatch):
@@ -540,6 +581,51 @@ def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
     assert "unreadable raster" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, literal, reported", [
+    ("scales_km", "[5, NaN]", "scales_km"),
+    ("removed_landcover_classes", "[Infinity]", "removed_landcover_classes"),
+    ("train_frac", "NaN", "train_frac"),
+    ("region_area_ha", "-Infinity", "region_area_ha"),
+    ("learner_grids", '{"boosted_trees": [{"trees": 3, "learning_rate": NaN}]}',
+     "learning_rate"),
+])
+def test_cli_non_finite_literal_is_exit_1(small, tmp_path, capsys, key, literal, reported):
+    shutil.copytree(small.root / "inputs", tmp_path / "inputs")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**small.doc, key: "@"}).replace('"@"', literal))
+    assert main(["ingest", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and reported in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change", ["truncate", "pad"])
+def test_cli_raster_of_wrong_size_is_exit_1(small, tmp_path, capsys, change):
+    # validate reads headers only, and compares the file size with them
+    shutil.copytree(small.root / "inputs", tmp_path / "inputs")
+    layer = tmp_path / "inputs" / "landcover_2019.bin"
+    raw = layer.read_bytes()
+    layer.write_bytes(raw[:-1] if change == "truncate" else raw + b"\x00")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small.doc))
+    assert main(["ingest", "--config", str(config)]) == 1
+    assert "unreadable raster" in capsys.readouterr().err
+
+
+def test_cli_bad_cell_is_found_by_the_stage_that_reads_it(small, tmp_path, capsys):
+    # a bad mask byte passes validate's header check; extract reads the layer
+    shutil.copytree(small.root / "inputs", tmp_path / "inputs")
+    layer = tmp_path / "inputs" / "pred_2005_greenness.bin"
+    raw = bytearray(layer.read_bytes())
+    raw[-1] = 2
+    layer.write_bytes(bytes(raw))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small.doc))
+    assert validate(PipelineConfig.load(config)) == []
+    assert main(["ingest", "--config", str(config), "--stages", "extract"]) == 2
+    assert "mask bytes must be 0 or 1" in capsys.readouterr().err
+
+
 def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
     doc = dict(small.doc)
     doc["plots"] = "missing.csv"
@@ -590,16 +676,6 @@ def test_cli_report(small, capsys):
     assert "stocks and stock changes" in stdout
     assert "map assessment, CRM" in stdout
     assert small.config.config_hash in stdout
-
-
-def test_cli_report_cap_is_display_only(small, capsys):
-    before = (small.root / "run" / "diff" / "change_diff.bin").read_bytes()
-    assert main(["report", "--config", str(small.cfg_path),
-                 "--cap", "5"]) == 0
-    stdout = capsys.readouterr().out
-    assert "display cap +/- 5" in stdout
-    after = (small.root / "run" / "diff" / "change_diff.bin").read_bytes()
-    assert after == before
 
 
 def test_cli_report_without_run_is_exit_2(small, tmp_path, capsys):
