@@ -15,12 +15,15 @@ trees cut at depth d are the fit of those hyperparameters, and model selection
 cross-validates each nested family of specs once. A tree model's trees are one
 node table in level order, tree t at node t, numbered as the grower numbers
 them and stored so in the model file; predict walks all trees at once over
-chunks of cells, each tree as many steps as it is deep.
+chunks of cells, each tree as many steps as it is deep. Forest and knn predicts
+run chunks on every CPU, one per worker in flight; maps are the same bits at any count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +33,12 @@ from .grid import Grid, finite_number
 MODEL_FORMAT_VERSION = 2
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
-# // trees), distances of a knn query (chunk = this // training rows), and split
-# costs of a tree level (candidates = this // rows of the widest node)
+# // trees) and distances of a knn query (chunk = this // training rows), one chunk
+# per worker in flight, and split costs of a tree level (candidates = this // rows
+# of the widest node); a predict's workers are the CPUs this process may run on
 _CHUNK_ENTRIES = 65_536
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # default hyperparameter grids for model selection
 DEFAULT_GRIDS: dict[str, list[dict]] = {
@@ -107,6 +113,24 @@ def _as_2d(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
     return X
+
+
+def _by_chunks(n: int, chunk: int, values) -> np.ndarray:
+    """`values(lo, hi)` of each chunk of range(n) in one array. The caller and w - 1
+    helper threads, w = min(_WORKERS, chunks), take every w-th chunk; the bodies
+    call no public function or model `predict`, so every span opens on the caller."""
+    out, starts = np.empty(n, dtype=np.float64), range(0, n, chunk)
+    w = min(_WORKERS, len(starts))
+
+    def take(i):
+        for lo in starts[i::w]:
+            out[lo:lo + chunk] = values(lo, min(lo + chunk, n))
+
+    with ThreadPoolExecutor(max(w - 1, 1)) as pool:  # a thread starts on its first submit
+        helpers = pool.map(take, range(1, w))
+        take(0)
+        list(helpers)  # re-raises a helper's exception
+    return out
 
 
 # -- regression trees -----------------------------------------------------
@@ -273,11 +297,8 @@ class _Forest:
 
     def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
-        out = np.empty(X.shape[0], dtype=np.float64)
-        chunk = max(1, _CHUNK_ENTRIES // self.roots.size)
-        for lo in range(0, X.shape[0], chunk):
-            xt = np.ascontiguousarray(X[lo:lo + chunk].T).ravel()  # feature-major
-            m = xt.size // X.shape[1]
+        def walk(lo, hi):
+            xt, m = np.ascontiguousarray(X[lo:hi].T).ravel(), hi - lo  # feature-major
             cells, at = np.arange(m), self.feature * m  # xt[at[node] + cell] is x[cell, feature]
             node = np.repeat(self.roots[:, None], m, axis=1)  # (trees, cells)
             for k in self.walking:  # the k deepest trees take this step
@@ -287,8 +308,9 @@ class _Forest:
             leaf = weight * self.value[node[self.unsort]]
             leaf[0] += start
             # cumsum adds row after row, the order of a per-tree `acc +=` loop
-            out[lo:lo + chunk] = np.cumsum(leaf, axis=0)[-1]
-        return out
+            return np.cumsum(leaf, axis=0)[-1]
+
+        return _by_chunks(X.shape[0], max(1, _CHUNK_ENTRIES // self.roots.size), walk)
 
 
 # -- learner kinds --------------------------------------------------------
@@ -314,18 +336,16 @@ class KnnModel:
             m.X = (Xr - m.mu) / m.sigma
 
     def predict(self, X) -> np.ndarray:
-        X = _as_2d(X)
-        Q = (X.T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
-        out = np.empty(Q.shape[1], dtype=np.float64)
-        chunk = max(1, _CHUNK_ENTRIES // self.X.shape[0])
-        for lo in range(0, Q.shape[1], chunk):
-            q = Q[:, lo:lo + chunk]
+        Q = (_as_2d(X).T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
+        def query(lo, hi):
+            q = Q[:, lo:hi]
             # (training rows, cells) of exact differences summed feature by
             # feature; the stable sort resolves ties by training-row order
             d2 = sum((self.X[:, f, None] - q[f]) ** 2 for f in range(len(q)))
             nearest = np.argsort(d2.T, axis=1, kind="stable")[:, : self.k]
-            out[lo:lo + chunk] = self.y[nearest].mean(axis=1)
-        return out
+            return self.y[nearest].mean(axis=1)
+
+        return _by_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // self.X.shape[0]), query)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k,
@@ -659,13 +679,9 @@ class EnsembleModel:
         specs = [LearnerSpec.from_dict(entry["spec"]) for entry in doc["base"]]
         models = [_MODEL_CLASSES[spec.kind].from_dict(entry["model"])
                   for spec, entry in zip(specs, doc["base"])]
-        return EnsembleModel(
-            specs=specs,
-            models=models,
-            stack=StackFit.from_dict(doc["stack"]),
-            feature_names=list(doc["feature_names"]),
-            ybar_train=float(doc["ybar_train"]),
-        )
+        return EnsembleModel(specs=specs, models=models, stack=StackFit.from_dict(doc["stack"]),
+                             feature_names=list(doc["feature_names"]),
+                             ybar_train=float(doc["ybar_train"]))
 
 
 def predict_grid(model: EnsembleModel, predictors: dict) -> Grid:
@@ -679,9 +695,8 @@ def predict_grid(model: EnsembleModel, predictors: dict) -> Grid:
         raise ValueError(f"missing predictor layers: {missing}")
     grids = [predictors[name] for name in model.feature_names]
     first = grids[0]
-    for g in grids[1:]:
-        if not first.aligned_with(g):
-            raise ValueError("predictor grids are not aligned")
+    if not all(first.aligned_with(g) for g in grids[1:]):
+        raise ValueError("predictor grids are not aligned")
     mask = np.logical_and.reduce([g.mask for g in grids])
     values = np.zeros((first.nrows, first.ncols), dtype=np.float64)
     if np.any(mask):

@@ -494,6 +494,9 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     perm = rng.permutation(n)
     n_train = int(round(config.train_frac * n))
     n_train = min(max(n_train, config.cv_folds), n - 1)
+    if n_train < config.cv_folds:  # known only now: validate does not count the rows
+        raise ConfigError(f"cv_folds {config.cv_folds} exceeds the {n_train} training rows "
+                          f"({n} model-development rows, one held out for testing)")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
     grids = config.spec_grids()

@@ -1,4 +1,7 @@
+import inspect
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -898,3 +901,131 @@ class TestPredictGrid:
                  units="", values=np.array([[5.0, 6.0]], dtype=np.float32))
         with pytest.raises(ValueError, match="aligned"):
             predict_grid(self.ens, {"a": a, "b": b})
+
+
+def spy_on_chunks(monkeypatch, fail_at=None):
+    """Record (chunk start, thread id, live threads) of every chunk body call;
+    the body of chunk number `fail_at` raises instead."""
+    calls, by_chunks = [], learners._by_chunks
+
+    def spy(n, chunk, values):
+        def body(lo, hi):
+            calls.append((lo, threading.get_ident(), threading.active_count()))
+            if fail_at is not None and lo == fail_at * chunk:
+                raise RuntimeError(f"chunk body at cell {lo}")
+            return values(lo, hi)
+        return by_chunks(n, chunk, body)
+
+    monkeypatch.setattr(learners, "_by_chunks", spy)
+    return calls
+
+
+THREADED_MODELS = {
+    "bagged depth 8": ("bagged_trees", {"trees": 40, "max_depth": 8, "max_features": "sqrt"}),
+    "bagged depth None": ("bagged_trees", {"trees": 40, "max_depth": None,
+                                           "max_features": "third"}),
+    "boosted": ("boosted_trees", {"trees": 40, "learning_rate": 0.1, "max_depth": 3}),
+    "knn": ("knn", {"k": 3}),
+}
+
+
+@pytest.fixture
+def frequent_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestChunksOnThreads:
+    """Forest and knn predicts spread their chunks over `_WORKERS` threads."""
+
+    @pytest.mark.parametrize("name", sorted(THREADED_MODELS))
+    @pytest.mark.usefixtures("frequent_thread_switches")
+    def test_same_bits_at_any_worker_count(self, monkeypatch, name):
+        # 40 training rows, each of 10 points 4 times: a knn query on a point
+        # has 4 rows at distance 0 for k = 3, and every second query is one of
+        # those points, so such ties fall on both sides of each chunk edge
+        X, y = toy_data(40)
+        X = np.repeat(X[:10], 4, axis=0)
+        kind, hp = THREADED_MODELS[name]
+        model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=3)
+        chunk = learners._CHUNK_ENTRIES // 40  # 40 trees or 40 training rows
+        calls, main = spy_on_chunks(monkeypatch), threading.get_ident()
+        threads = threading.active_count()
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + chunk // 3):
+            q = np.random.default_rng(n).uniform(-1, 11, size=(n, X.shape[1]))
+            q[::2] = X[np.arange(0, n, 2) % 40]
+            one_worker = None
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(learners, "_WORKERS", workers)
+                calls.clear()
+                got = model.predict(q)
+                one_worker = got if one_worker is None else one_worker
+                assert np.array_equal(got, one_worker), (n, workers)
+                assert sorted(lo for lo, _, _ in calls) == list(range(0, n, chunk))
+                # the caller takes chunks too: w - 1 helpers at most, where w
+                # is the smaller of the worker and chunk counts (8 workers on
+                # 2 chunks start one helper)
+                w = min(workers, len(range(0, n, chunk)))
+                helpers = {ident for _, ident, _ in calls} - {main}
+                assert (len(helpers) <= w - 1) and (w == 1 or helpers), (n, workers)
+                assert max(live for _, _, live in calls) <= threads + w - 1, (n, workers)
+
+    def test_traced_functions_run_on_the_calling_thread(self, monkeypatch):
+        # the benchmark tracer wraps every public function of the module and
+        # each model class's predict, and keeps one span stack: none of them
+        # may run on a helper thread
+        X, y = toy_data(50, p=2)
+        specs = [LearnerSpec.make("knn", k=3),
+                 LearnerSpec.make("bagged_trees", trees=10, max_depth=None),
+                 LearnerSpec.make("boosted_trees", trees=10, learning_rate=0.1)]
+        ens = EnsembleModel(specs=specs, models=[train_base(s, X, y, seed=0) for s in specs],
+                            stack=StackFit(0.0, np.full(3, 1 / 3), False),
+                            feature_names=["a", "b"], ybar_train=float(y.mean()))
+        grids = {name: grid_of(np.random.default_rng(j).uniform(0, 10, (60, 60)))
+                 for j, name in enumerate(ens.feature_names)}
+        monkeypatch.setattr(learners, "_WORKERS", 2)
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 1000)  # chunks of 20 or 100 cells
+        ran, main = [], threading.get_ident()
+
+        def record(fn, name):
+            def traced(*args, **kwargs):
+                ran.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return traced
+
+        for name, fn in list(vars(learners).items()):
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == learners.__name__):
+                monkeypatch.setattr(learners, name, record(fn, name))
+        for cls in (learners.KnnModel, learners.BaggedTreesModel,
+                    learners.BoostedTreesModel, EnsembleModel):
+            monkeypatch.setattr(cls, "predict", record(cls.predict, f"{cls.__name__}.predict"))
+        bodies = spy_on_chunks(monkeypatch)
+        out = learners.predict_grid(ens, grids)
+        assert {name for name, _ in ran} == {"predict_grid", "EnsembleModel.predict",
+                                             "KnnModel.predict", "BaggedTreesModel.predict",
+                                             "BoostedTreesModel.predict"}
+        assert {ident for _, ident in ran} == {main}
+        assert {ident for _, ident, _ in bodies} - {main}  # a helper took chunks
+        monkeypatch.undo()
+        monkeypatch.setattr(learners, "_WORKERS", 1)
+        assert np.array_equal(out.values, predict_grid(ens, grids).values)
+
+    @pytest.mark.parametrize("name", ["bagged depth 8", "boosted", "knn"])
+    @pytest.mark.parametrize("fail_at", [1, 0])  # a helper's chunk, then the caller's
+    def test_a_failing_chunk_raises_in_predict(self, monkeypatch, name, fail_at):
+        X, y = toy_data(40)
+        kind, hp = THREADED_MODELS[name]
+        model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=0)
+        q = toy_data(3 * learners._CHUNK_ENTRIES // 40, seed=1)[0]  # 3 chunks
+        monkeypatch.setattr(learners, "_WORKERS", 2)
+        calls = spy_on_chunks(monkeypatch, fail_at=fail_at)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk body at cell"):
+            model.predict(q)
+        assert threading.active_count() == threads
+        assert len({ident for _, ident, _ in calls}) == 2

@@ -650,6 +650,19 @@ def test_cli_malformed_value_is_exit_1(small, tmp_path, capsys, key, value, repo
     assert "invalid configuration" in err and reported in err
 
 
+def test_cli_more_cv_folds_than_training_rows_is_exit_1(tmp_path, capsys):
+    # the row count is known only after ingest and extract, so fit reports it
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--seed", "2",
+                 "--cells", "32", "--plots", "40"]) == 0
+    config = out / "config.json"
+    config.write_text(json.dumps({**load_doc(config), "cv_folds": 500}))
+    assert main(["ingest", "--config", str(config), "--stages", "extract,fit"]) == 1
+    rows = read_rows(out / "run" / "extract" / "features.csv")
+    err = capsys.readouterr().err
+    assert f"cv_folds 500 exceeds the {len(rows) - 1} training rows ({len(rows)} model" in err
+
+
 def test_cli_unknown_extra_stage_is_exit_1(small, capsys):
     assert main(["ingest", "--config", str(small.cfg_path),
                  "--stages", "bogus"]) == 1
