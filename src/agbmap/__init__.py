@@ -28,7 +28,7 @@ from .learners import (
 from .carbon import (
     CRM_CARBON_FRACTION, CarbonFractionRow, RescaleFit, StockEstimate,
     agb_to_agc, design_stock, load_carbon_fractions, model_stock,
-    rescale_fit, stock_change, weighted_carbon_fraction,
+    rescale_fit, weighted_carbon_fraction,
 )
 from .pipeline import (
     ARTIFACT_VERSION, ASSESSMENT_COLUMNS, STAGE_ORDER,

@@ -84,34 +84,15 @@ def weighted_carbon_fraction(rows) -> float:
     return sum(r.agb_share * r.fraction for r in rows)
 
 
-def model_stock(agb_grid: Grid, year: int, allometry: str,
-                area_basis: str = "extent",
-                region_area_ha: float | None = None) -> StockEstimate:
-    """Map-based stock: mean valid-cell density times the region area.
-
-    area_basis "extent" uses the full grid footprint (masked cells count as
-    area at the mean density); "valid" restricts the area to unmasked cells.
-    An explicit region_area_ha overrides both.
-    """
-    vals = agb_grid.values[agb_grid.mask]
-    if vals.size == 0:
+def model_stock(mean_density: float | None, area_ha: float, year: int, allometry: str,
+                area_basis: str) -> StockEstimate:
+    """Map-based stock: a map's mean valid-cell density (None if no cell is valid)
+    times an area, labelled with its basis: "extent", "valid" or "given"."""
+    if mean_density is None:
         raise ValueError("no valid cells to estimate a stock from")
-    mean_density = float(vals.astype(np.float64).mean())
-    cell_ha = agb_grid.cell_area_ha()
-    if region_area_ha is not None:
-        area = float(region_area_ha)
-        basis = "given"
-    elif area_basis == "extent":
-        area = agb_grid.ncols * agb_grid.nrows * cell_ha
-        basis = "extent"
-    elif area_basis == "valid":
-        area = int(vals.size) * cell_ha
-        basis = "valid"
-    else:
-        raise ValueError(f"unknown area basis {area_basis!r}")
     return StockEstimate(
         quantity="AGB", method="model", allometry=allometry, year=year,
-        total_mt=mean_density * area / 1e6, region_area_ha=area, area_basis=basis,
+        total_mt=mean_density * area_ha / 1e6, region_area_ha=area_ha, area_basis=area_basis,
     )
 
 
@@ -136,17 +117,6 @@ def agb_to_agc(stock: StockEstimate, fraction: float) -> StockEstimate:
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"carbon fraction {fraction!r} outside (0, 1)")
     return replace(stock, quantity="AGC", total_mt=stock.total_mt * fraction)
-
-
-def stock_change(later: StockEstimate, earlier: StockEstimate) -> float:
-    """Stock difference in Mt between two matching estimates (later - earlier)."""
-    for attr in ("quantity", "method", "allometry"):
-        if getattr(later, attr) != getattr(earlier, attr):
-            raise ValueError(
-                f"mismatched {attr}: {getattr(later, attr)!r} vs {getattr(earlier, attr)!r}")
-    if later.year == earlier.year:
-        raise ValueError("stock change needs two different years")
-    return later.total_mt - earlier.total_mt
 
 
 @dataclass

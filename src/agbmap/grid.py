@@ -79,9 +79,6 @@ class Grid:
     def y_max(self) -> float:
         return self.y_origin + self.nrows * self.cellsize
 
-    def cell_area_ha(self) -> float:
-        return self.cellsize * self.cellsize / 1e4
-
     def cell_centers(self):
         """Center coordinates as (xs[ncols], ys[nrows]), ys north to south."""
         xs = self.x_origin + (np.arange(self.ncols) + 0.5) * self.cellsize

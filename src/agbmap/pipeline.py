@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import shutil
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -290,6 +291,8 @@ class RunManifest:
             return None
         with open(p, encoding="utf-8") as f:
             doc = json.load(f)
+        if doc["artifact_version"] != ARTIFACT_VERSION:  # its records may not fit StageRecord
+            return cls(artifact_version=doc["artifact_version"], config_hash="")
         return cls(
             artifact_version=doc["artifact_version"],
             config_hash=doc["config_hash"],
@@ -302,7 +305,11 @@ class RunManifest:
             "config_hash": self.config_hash,
             "stages": {name: asdict(rec) for name, rec in self.stages.items()},
         }
-        _write_json(self.path_in(output_dir), doc)
+        # swapped in whole: an interrupted write leaves the old manifest and a stray .tmp
+        path = self.path_in(output_dir)
+        tmp = path.with_name(path.name + ".tmp")
+        _write_json(tmp, doc)
+        os.replace(tmp, path)
 
 
 # -- small output helpers -------------------------------------------------
@@ -706,9 +713,11 @@ def _stage_diff(config: PipelineConfig, out: Path) -> None:
 
 @_stage("ingest", "predict")
 def _stage_stocks(config: PipelineConfig, out: Path) -> None:
-    rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
-    plots = _plots_from_rows(rows)
+    # reads no raster: map means come from predict's summary, geometry from one header
+    plots = _plots_from_rows(_read_csv(Path(config.output_dir) / "ingest" / "plots.csv"))
     fraction_rows = carbon_mod.load_carbon_fractions(config.carbon_fractions)
+    with open(Path(config.output_dir) / "predict" / "summary.json", encoding="utf-8") as f:
+        maps = json.load(f)["maps"]
 
     years = sorted(config.years)
     fractions = {}
@@ -719,72 +728,50 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
         fractions[year] = {"CRM": carbon_mod.CRM_CARBON_FRACTION,
                            "NSVB": carbon_mod.weighted_carbon_fraction(year_rows)}
 
-    estimates: list[carbon_mod.StockEstimate] = []
+    header = read_header(_map_path(config, "agb", years[0], ALLOMETRIES[0]))
+    cell_ha = header["cellsize"] * header["cellsize"] / 1e4
+    extent_ha = header["ncols"] * header["nrows"] * cell_ha
+    given = config.region_area_ha is not None
+    design_area = config.region_area_ha if given else extent_ha
+    model_basis = "given" if given else "extent"  # design totals are compared with this one
+    areas = {"extent": extent_ha}  # and each map's own "valid" area, set per map below
+    if given:
+        areas["given"] = float(config.region_area_ha)
+
+    # (quantity, method, allometry, area basis, year) -> estimate; design has basis ""
+    table: dict[tuple, carbon_mod.StockEstimate] = {}
     for year in years:
         year_plots = [p for p in plots if p.inventory_year == year]
         for allometry in ALLOMETRIES:
-            grid = read_grid(_map_path(config, "agb", year, allometry))
-            design_area = (config.region_area_ha if config.region_area_ha is not None
-                           else grid.ncols * grid.nrows * grid.cell_area_ha())
-            model_variants = [
-                carbon_mod.model_stock(grid, year, allometry, area_basis="extent"),
-                carbon_mod.model_stock(grid, year, allometry, area_basis="valid"),
-            ]
-            if config.region_area_ha is not None:
-                model_variants.append(carbon_mod.model_stock(
-                    grid, year, allometry, region_area_ha=config.region_area_ha))
-            design = carbon_mod.design_stock(year_plots, design_area, year, allometry)
-            for est in model_variants + [design]:
-                estimates.append(est)
-                estimates.append(carbon_mod.agb_to_agc(est, fractions[year][allometry]))
+            summary = maps[f"{year}_{allometry}"]
+            areas["valid"] = summary["n_valid"] * cell_ha
+            found = [carbon_mod.model_stock(summary["mean"], area, year, allometry, basis)
+                     for basis, area in areas.items()]
+            if year_plots:  # a year mapped without plots has model totals only
+                found.append(carbon_mod.design_stock(year_plots, design_area, year, allometry))
+            for est in found:
+                for e in (est, carbon_mod.agb_to_agc(est, fractions[year][allometry])):
+                    table[(e.quantity, e.method, e.allometry, e.area_basis or "", e.year)] = e
+    keys = sorted(table)
 
-    def sort_key(e: carbon_mod.StockEstimate):
-        return (e.quantity, e.method, e.allometry, e.area_basis or "", e.year)
-
-    estimates.sort(key=sort_key)
-    stock_rows = [{
-        "quantity": e.quantity, "method": e.method, "allometry": e.allometry,
-        "area_basis": e.area_basis, "year": e.year, "total_mt": e.total_mt,
-        "region_area_ha": e.region_area_ha,
-    } for e in estimates]
-
-    change_rows = []
-    if len(years) >= 2:
-        first, last = years[0], years[-1]
-        groups: dict[tuple, dict[int, carbon_mod.StockEstimate]] = {}
-        for e in estimates:
-            groups.setdefault((e.quantity, e.method, e.allometry, e.area_basis),
-                              {})[e.year] = e
-        for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-            pair = groups[key]
-            if first in pair and last in pair:
-                delta = carbon_mod.stock_change(pair[last], pair[first])
-                change_rows.append({
-                    "quantity": key[0], "method": key[1], "allometry": key[2],
-                    "area_basis": key[3], "year": f"{last}-{first}",
-                    "total_mt": delta, "region_area_ha": pair[last].region_area_ha,
-                })
-
+    stock_rows = [asdict(table[key]) for key in keys]
+    first, last = years[0], years[-1]
+    change_rows = [{**asdict(table[key]), "year": f"{last}-{first}",
+                    "total_mt": table[key].total_mt - table[(*key[:4], first)].total_mt}
+                   for key in keys
+                   if first != last and key[4] == last and (*key[:4], first) in table]
     _write_csv(out / "stocks.csv",
                ["quantity", "method", "allometry", "area_basis", "year",
                 "total_mt", "region_area_ha"], stock_rows + change_rows)
 
     # design minus model, the sign convention used for comparison columns
-    model_basis = "given" if config.region_area_ha is not None else "extent"
-    by_key = {(e.quantity, e.method, e.allometry, e.area_basis, e.year): e
-              for e in estimates}
     diff_rows = []
-    for e in estimates:
-        if e.method != "design":
-            continue
-        m = by_key.get((e.quantity, "model", e.allometry, model_basis, e.year))
-        if m is not None:
-            diff_rows.append({
-                "quantity": e.quantity, "allometry": e.allometry, "year": e.year,
-                "design_mt": e.total_mt, "model_mt": m.total_mt,
-                "design_minus_model_mt": e.total_mt - m.total_mt,
-            })
-    diff_rows.sort(key=lambda r: (r["quantity"], r["allometry"], r["year"]))
+    for quantity, method, allometry, _, year in keys:
+        if method == "design":
+            d = table[(quantity, method, allometry, "", year)].total_mt
+            m = table[(quantity, "model", allometry, model_basis, year)].total_mt
+            diff_rows.append({"quantity": quantity, "allometry": allometry, "year": year,
+                              "design_mt": d, "model_mt": m, "design_minus_model_mt": d - m})
     _write_csv(out / "design_minus_model.csv",
                ["quantity", "allometry", "year", "design_mt", "model_mt",
                 "design_minus_model_mt"], diff_rows)

@@ -4,9 +4,9 @@ import pytest
 from agbmap.carbon import (
     CRM_CARBON_FRACTION, CarbonFractionRow, StockEstimate, agb_to_agc,
     design_stock, load_carbon_fractions, model_stock, rescale_fit,
-    stock_change, weighted_carbon_fraction,
+    weighted_carbon_fraction,
 )
-from agbmap.grid import Grid
+from agbmap.grid import Grid, summarize
 from agbmap.inventory import PlotRecord
 
 
@@ -19,39 +19,39 @@ def grid_100m(values, mask=None):
 
 
 class TestModelStock:
+    # a 2 x 2 grid of 100 m cells is a 4 ha extent; the stocks stage takes the
+    # mean density from predict's map summary and chooses the area
     def test_extent_basis_hand_computed(self):
         # mean density 25 Mg/ha over a 4 ha footprint = 100 Mg = 1e-4 Mt
-        g = grid_100m([[10.0, 20.0], [30.0, 40.0]])
-        est = model_stock(g, year=2019, allometry="CRM")
+        mean = summarize(grid_100m([[10.0, 20.0], [30.0, 40.0]])).mean
+        est = model_stock(mean, 4.0, year=2019, allometry="CRM", area_basis="extent")
         assert est.total_mt == pytest.approx(100.0 / 1e6, rel=1e-12)
         assert est.region_area_ha == pytest.approx(4.0)
         assert est.area_basis == "extent"
         assert (est.quantity, est.method) == ("AGB", "model")
 
     def test_valid_basis_excludes_masked_area(self):
-        g = grid_100m([[10.0, 20.0], [30.0, 40.0]],
-                      mask=[[True, True], [True, False]])
-        ext = model_stock(g, 2019, "CRM", area_basis="extent")
-        val = model_stock(g, 2019, "CRM", area_basis="valid")
+        s = summarize(grid_100m([[10.0, 20.0], [30.0, 40.0]],
+                                mask=[[True, True], [True, False]]))
+        ext = model_stock(s.mean, 4.0, 2019, "CRM", "extent")
+        val = model_stock(s.mean, s.n_valid * 1.0, 2019, "CRM", "valid")
         assert ext.region_area_ha == pytest.approx(4.0)
         assert val.region_area_ha == pytest.approx(3.0)
         assert val.total_mt == pytest.approx(20.0 * 3.0 / 1e6, rel=1e-12)
         assert ext.total_mt == pytest.approx(20.0 * 4.0 / 1e6, rel=1e-12)
 
     def test_explicit_area_overrides(self):
-        g = grid_100m([[50.0]])
-        est = model_stock(g, 2019, "NSVB", region_area_ha=14_129_700.0)
+        est = model_stock(50.0, 14_129_700.0, 2019, "NSVB", "given")
         assert est.area_basis == "given"
         assert est.total_mt == pytest.approx(50.0 * 14_129_700.0 / 1e6)
+        assert est.region_area_ha == 14_129_700.0
 
     def test_all_masked_rejected(self):
-        g = grid_100m([[1.0]], mask=[[False]])
-        with pytest.raises(ValueError):
-            model_stock(g, 2019, "CRM")
-
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(ValueError):
-            model_stock(grid_100m([[1.0]]), 2019, "CRM", area_basis="county")
+        # an all-masked map's summary records no mean
+        s = summarize(grid_100m([[1.0]], mask=[[False]]))
+        assert s.mean is None
+        with pytest.raises(ValueError, match="no valid cells"):
+            model_stock(s.mean, 1.0, 2019, "CRM", "extent")
 
 
 class TestDesignStock:
@@ -137,23 +137,6 @@ class TestConversionAndChange:
             agb_to_agc(agc, 0.5)
         with pytest.raises(ValueError):
             agb_to_agc(self.est(100.0), 1.0)
-
-    def test_change_is_later_minus_earlier(self):
-        d = stock_change(self.est(1038.87, year=2019), self.est(910.29, year=2005))
-        assert d == pytest.approx(128.58)
-        d2 = stock_change(self.est(910.29, year=2005), self.est(1038.87, year=2019))
-        assert d2 == pytest.approx(-128.58)
-
-    def test_change_rejects_mismatches(self):
-        a = self.est(100.0, year=2019)
-        with pytest.raises(ValueError, match="allometry"):
-            stock_change(a, self.est(90.0, year=2005, allometry="NSVB"))
-        with pytest.raises(ValueError, match="method"):
-            stock_change(a, self.est(90.0, year=2005, method="design"))
-        with pytest.raises(ValueError, match="quantity"):
-            stock_change(a, self.est(90.0, year=2005, quantity="AGC"))
-        with pytest.raises(ValueError, match="years"):
-            stock_change(a, self.est(90.0, year=2019))
 
 
 def synthetic_rescale_grids(n=120, noise=0.0, seed=0):

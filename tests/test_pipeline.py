@@ -227,6 +227,65 @@ def test_report_refuses_manifest_from_other_artifact_version(small, tmp_path):
         render_report(config)
 
 
+def manifest_of_another_shape(out):
+    """Rewrite the manifest under `out` as one from another artifact version
+    whose stage records carry a field this code does not know."""
+    manifest_path = out / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["artifact_version"] = ARTIFACT_VERSION + 1
+    for rec in doc["stages"].values():
+        rec["input_sha256"] = {}
+    manifest_path.write_text(json.dumps(doc))
+
+
+def test_run_discards_manifest_of_another_shape(small, tmp_path, caplog):
+    out = tmp_path / "o"
+    config = make_config(small.doc, small.root, output_dir=str(out))
+    run(config, {"ingest"})
+    manifest_of_another_shape(out)
+    assert RunManifest.load(out).stages == {}
+    with pytest.raises(PipelineError, match="missing upstream artifact"):
+        run(config, {"extract"})
+    assert f"artifact version {ARTIFACT_VERSION + 1}" in caplog.text
+    manifest = run(config, {"ingest"})
+    assert manifest.artifact_version == ARTIFACT_VERSION
+    assert list(RunManifest.load(out).stages) == ["ingest"]
+
+
+def test_report_refuses_manifest_of_another_shape(small, tmp_path, capsys):
+    out = tmp_path / "o"
+    config = make_config(small.doc, small.root, output_dir=str(out))
+    run(config, {"ingest"})
+    manifest_of_another_shape(out)
+    with pytest.raises(PipelineError, match=f"version {ARTIFACT_VERSION + 1}.*"
+                                            f"version {ARTIFACT_VERSION}"):
+        render_report(config)
+    assert main(["report", "--config", str(small.cfg_path), "--out", str(out)]) == 2
+    assert f"artifact version {ARTIFACT_VERSION + 1}" in capsys.readouterr().err
+
+
+def test_interrupted_manifest_write_keeps_the_previous_manifest(small, tmp_path,
+                                                                monkeypatch):
+    out = tmp_path / "o"
+    config = make_config(small.doc, small.root, output_dir=str(out))
+    run(config, {"ingest"})
+    before = (out / "manifest.json").read_bytes()
+
+    def interrupted(obj, f, **kwargs):
+        f.write('{"artifact_version": ')
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(config, {"extract"})
+    assert (out / "manifest.json").read_bytes() == before
+    assert list(RunManifest.load(out).stages) == ["ingest"]
+    manifest = run(config, {"extract"})
+    assert list(manifest.stages) == ["ingest", "extract"]
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["manifest.json"]
+
+
 def test_rerun_reproduces_identical_bytes(small):
     plots = small.root / "run" / "ingest" / "plots.csv"
     amap = small.root / "run" / "predict" / "agb_2005_CRM.bin"
@@ -253,18 +312,23 @@ def copy_of_small(small, root):
     return config
 
 
+def drop_year(path, column, year):
+    """Delete the rows of the CSV table at `path` whose `column` is `year`."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    at = rows[0].index(column)
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [rows[0]] + [r for r in rows[1:] if r[at] != year])
+
+
 def test_rerun_with_fewer_years_leaves_no_stale_outputs(small, tmp_path):
     root = tmp_path / "d"
     copy_of_small(small, root)
     for name, column in (("plots.csv", "inventory_year"),
                          ("trees.csv", "inventory_year"),
                          ("carbon_fractions.csv", "year")):
-        with open(root / "inputs" / name, newline="") as f:
-            rows = list(csv.reader(f))
-        at = rows[0].index(column)
-        with open(root / "inputs" / name, "w", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(
-                [rows[0]] + [r for r in rows[1:] if r[at] != "2005"])
+        drop_year(root / "inputs" / name, column, "2005")
     doc = json.loads(json.dumps(small.doc))
     del doc["years"]["2005"]
     config = PipelineConfig.from_document(doc, base_dir=root)
@@ -307,10 +371,12 @@ def test_each_stage_reads_each_raster_once(small, tmp_path, monkeypatch):
     assert len(set(reads)) == len(reads), "a stage read one raster twice"
     assert not [r for r in reads if r[0] in ("validate", "report")]
     # extract and predict read the predictors of every year, predict the
-    # landcover too; assess, agree and stocks read 2 maps a year, diff 4 and
-    # rescale 2 plus the elevation
+    # landcover too; assess and agree read 2 maps a year, diff 4 and rescale 2
+    # plus the elevation; stocks takes the map means from predict's summary
+    # and reads none
     years, predictors = len(config.years), len(config.predictor_names())
-    assert len(reads) == 2 * years * predictors + 13 * years + 1
+    assert len(reads) == 2 * years * predictors + 11 * years + 1
+    assert not [r for r in reads if r[0] == "stocks"]
 
 
 def test_failed_stage_leaves_no_record(small, tmp_path, monkeypatch):
@@ -525,27 +591,95 @@ def test_diff_change_invariant(small):
     assert np.max(np.abs(got[joint] - expect[joint])) < 1e-3
 
 
-def test_stocks_outputs(small):
-    rows = read_rows(small.root / "run" / "stocks" / "stocks.csv")
-    assert {r["quantity"] for r in rows} == {"AGB", "AGC"}
-    assert {r["method"] for r in rows} == {"design", "model"}
-    model_bases = {r["area_basis"] for r in rows if r["method"] == "model"}
-    assert model_bases == {"extent", "valid"}
-    assert any(r["year"] == "2019-2005" for r in rows)
-    # constant CRM carbon fraction halves the AGB total exactly
+def check_stocks(run_dir, config):
+    """Every stock row of `run_dir` against the maps read back, the carbon
+    fractions and the plot table; returns the rows keyed by their columns."""
+    rows = read_rows(run_dir / "stocks" / "stocks.csv")
+    meta = json.loads((run_dir / "stocks" / "stocks.json").read_text())
     by_key = {(r["quantity"], r["method"], r["allometry"], r["area_basis"],
                r["year"]): float(r["total_mt"]) for r in rows}
+    assert len(by_key) == len(rows)
+    areas = {}
+    for year in config.years:
+        for allometry in ("CRM", "NSVB"):
+            g = read_grid(run_dir / "predict" / f"agb_{year}_{allometry}.bin")
+            mean = g.values[g.mask].astype(np.float64).mean()
+            cell_ha = g.cellsize * g.cellsize / 1e4
+            areas = {"extent": g.ncols * g.nrows * cell_ha, "valid": g.mask.sum() * cell_ha}
+            if config.region_area_ha is not None:
+                areas["given"] = config.region_area_ha
+            for basis, area in areas.items():
+                got = by_key[("AGB", "model", allometry, basis, str(year))]
+                assert got == pytest.approx(mean * area / 1e6, rel=1e-12)
+    assert {k[3] for k in by_key if k[1] == "model"} == set(areas)
+    design_area = config.region_area_ha or areas["extent"]
+    assert {float(r["region_area_ha"]) for r in rows if r["method"] == "design"} \
+        == {design_area}
+    plot_years = {r["inventory_year"] for r in read_rows(run_dir / "ingest" / "plots.csv")}
+    assert {k[4] for k in by_key if k[1] == "design" and "-" not in k[4]} == plot_years
+    for (q, m, a, basis, y), v in by_key.items():
+        if q == "AGC" and y in meta["carbon_fractions"]:  # a year, not a change
+            agb = by_key[("AGB", m, a, basis, y)]
+            assert v == pytest.approx(meta["carbon_fractions"][y][a] * agb, rel=1e-12)
+    # a change is the last year's entry minus the first year's of the same key
+    years = sorted(config.years)
+    span = f"{years[-1]}-{years[0]}"
+    changes = {k: v for k, v in by_key.items() if k[4] == span}
+    assert changes == {
+        (*k[:4], span): by_key[k] - by_key[(*k[:4], str(years[0]))]
+        for k in by_key if k[4] == str(years[-1]) and (*k[:4], str(years[0])) in by_key}
+    dm = read_rows(run_dir / "stocks" / "design_minus_model.csv")
+    assert {(r["quantity"], r["allometry"], r["year"]) for r in dm} == {
+        (k[0], k[2], k[4]) for k in by_key if k[1] == "design" and "-" not in k[4]}
+    for r in dm:
+        key = (r["quantity"], r["allometry"], r["year"])
+        assert float(r["design_mt"]) == by_key[(key[0], "design", key[1], "", key[2])]
+        assert float(r["model_mt"]) == by_key[
+            (key[0], "model", key[1], meta["model_basis_for_comparison"], key[2])]
+        diff = float(r["design_mt"]) - float(r["model_mt"])
+        assert float(r["design_minus_model_mt"]) == pytest.approx(diff, abs=1e-9)
+    assert "post-stratification" in meta["note"]
+    return by_key, meta
+
+
+def test_stocks_outputs(small):
+    by_key, meta = check_stocks(small.root / "run", small.config)
+    assert {k[0] for k in by_key} == {"AGB", "AGC"}
+    assert {k[1] for k in by_key} == {"design", "model"}
+    assert any(k[4] == "2019-2005" for k in by_key)
+    # constant CRM carbon fraction halves the AGB total exactly
     for (q, m, a, basis, y), v in by_key.items():
         if q == "AGB" and a == "CRM":
             assert by_key[("AGC", m, a, basis, y)] == pytest.approx(0.5 * v,
                                                                     rel=1e-12)
-    dm = read_rows(small.root / "run" / "stocks" / "design_minus_model.csv")
-    for r in dm:
-        diff = float(r["design_mt"]) - float(r["model_mt"])
-        assert float(r["design_minus_model_mt"]) == pytest.approx(diff, abs=1e-9)
-    meta = json.loads((small.root / "run" / "stocks" / "stocks.json").read_text())
     assert meta["model_basis_for_comparison"] == "extent"
-    assert "post-stratification" in meta["note"]
+
+
+def test_stocks_with_a_given_region_area(small, tmp_path):
+    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"),
+                         region_area_ha=14_129_700.0)
+    run(config)
+    by_key, meta = check_stocks(tmp_path / "o", config)
+    assert meta["model_basis_for_comparison"] == "given"
+    given = [k for k in by_key if k[1] == "model" and k[3] == "given"]
+    assert len(given) == 2 * 2 * 3  # quantity x allometry x (two years and the change)
+    design = [r for r in read_rows(tmp_path / "o" / "stocks" / "stocks.csv")
+              if r["method"] == "design"]
+    assert design and {float(r["region_area_ha"]) for r in design} == {14_129_700.0}
+
+
+def test_stocks_of_a_year_mapped_without_plots(small, tmp_path):
+    # a year with rasters but no plots is mapped by the model fitted on the
+    # other years; it gets model totals and no design totals
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    drop_year(root / "inputs" / "plots.csv", "inventory_year", "2019")
+    run(config)
+    by_key, meta = check_stocks(root / "run", config)
+    assert {k[4] for k in by_key if k[1] == "design"} == {"2005"}
+    assert {k[4] for k in by_key if k[1] == "model"} == {"2005", "2019", "2019-2005"}
+    dm = read_rows(root / "run" / "stocks" / "design_minus_model.csv")
+    assert dm and {r["year"] for r in dm} == {"2005"}
 
 
 def test_rescale_outputs(small):
