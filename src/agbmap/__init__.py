@@ -3,7 +3,7 @@ accuracy assessment."""
 
 from .grid import (
     Grid, GridFormatError, GridSummary,
-    difference, mask_landcover, percent_rank, read_grid, summarize, write_grid,
+    difference, percent_rank, read_grid, summarize, write_grid,
 )
 from .inventory import (
     ALLOMETRIES, MIN_DBH_CM, PLOT_AREA_HA, PLOT_AREA_M2,

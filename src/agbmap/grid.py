@@ -145,20 +145,6 @@ def percent_rank(grid: Grid) -> Grid:
     return grid.with_values(values, grid.mask, units="percent")
 
 
-def mask_landcover(pred: Grid, landcover: Grid, removed_classes) -> Grid:
-    """Mask cells of `pred` whose landcover class is in `removed_classes`.
-
-    Cells masked in the landcover grid are also removed: an unknown class
-    cannot be shown to be retained.
-    """
-    if not pred.aligned_with(landcover):
-        raise ValueError("prediction and landcover grids are not aligned")
-    removed = np.asarray(sorted(float(c) for c in removed_classes), dtype=np.float32)
-    hit = np.isin(landcover.values, removed) & landcover.mask
-    mask = pred.mask & landcover.mask & ~hit
-    return pred.with_values(pred.values, mask)
-
-
 # -- file format ----------------------------------------------------------
 
 # the header's fields and their JSON types; a bool is neither an integer nor a number

@@ -684,12 +684,10 @@ class EnsembleModel:
                              ybar_train=float(doc["ybar_train"]))
 
 
-def predict_grid(model: EnsembleModel, predictors: dict) -> Grid:
-    """Wall-to-wall prediction over aligned predictor grids.
-
-    A cell is predicted only where every predictor is valid. Missing layers
-    and geometry mismatches raise.
-    """
+def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
+    """Prediction over aligned predictor grids at the cells of the boolean `domain`
+    (of their shape) where every predictor is valid; every other cell is masked.
+    Missing layers, misaligned grids and a domain of another shape raise."""
     missing = [name for name in model.feature_names if name not in predictors]
     if missing:
         raise ValueError(f"missing predictor layers: {missing}")
@@ -697,8 +695,10 @@ def predict_grid(model: EnsembleModel, predictors: dict) -> Grid:
     first = grids[0]
     if not all(first.aligned_with(g) for g in grids[1:]):
         raise ValueError("predictor grids are not aligned")
-    mask = np.logical_and.reduce([g.mask for g in grids])
-    values = np.zeros((first.nrows, first.ncols), dtype=np.float64)
+    if np.shape(domain) != first.values.shape:
+        raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
+    mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
+    values = np.zeros(first.values.shape, dtype=np.float64)
     if np.any(mask):
         X = np.column_stack([g.values[mask].astype(np.float64) for g in grids])
         values[mask] = model.predict(X)

@@ -24,7 +24,7 @@ import numpy as np
 from . import carbon as carbon_mod
 from .footprint import PlotFootprint, pixel_overlap_weights, weighted_mean
 from .grid import (
-    GEOMETRY, Grid, difference, finite_number, mask_landcover, percent_rank, read_grid,
+    GEOMETRY, Grid, difference, finite_number, percent_rank, read_grid,
     read_header, summarize, write_grid,
 )
 from .inventory import (
@@ -276,7 +276,7 @@ class StageRecord:
 
 @dataclass
 class RunManifest:
-    artifact_version: int
+    artifact_version: int | None
     config_hash: str
     stages: dict[str, StageRecord] = field(default_factory=dict)
 
@@ -286,13 +286,19 @@ class RunManifest:
 
     @classmethod
     def load(cls, output_dir) -> "RunManifest | None":
+        """The manifest under `output_dir`, None if there is none. One that is
+        not a JSON object naming its artifact version loads as version None."""
         p = cls.path_in(output_dir)
         if not p.is_file():
             return None
-        with open(p, encoding="utf-8") as f:
-            doc = json.load(f)
-        if doc["artifact_version"] != ARTIFACT_VERSION:  # its records may not fit StageRecord
-            return cls(artifact_version=doc["artifact_version"], config_hash="")
+        try:
+            with open(p, encoding="utf-8") as f:
+                doc = json.load(f)
+        except ValueError:  # not JSON, or not UTF-8
+            doc = None
+        version = doc.get("artifact_version") if isinstance(doc, dict) else None
+        if version != ARTIFACT_VERSION:  # its records may not fit StageRecord
+            return cls(artifact_version=version, config_hash="")
         return cls(
             artifact_version=doc["artifact_version"],
             config_hash=doc["config_hash"],
@@ -441,6 +447,21 @@ def _plots_from_rows(rows) -> list[PlotRecord]:
     return out
 
 
+def _sample_footprints(plots, grids) -> np.ndarray:
+    """The area-weighted mean of each grid under each plot's footprint, as a
+    (plots, grids) array; nan where a grid has no valid cell under it. The grids
+    share one geometry, so each plot's overlap weights are computed once."""
+    if not all(grids[0].aligned_with(g) for g in grids[1:]):
+        raise PipelineError("sampled grids are not aligned")
+    means = np.full((len(plots), len(grids)), np.nan)
+    for i, p in enumerate(plots):
+        weights = pixel_overlap_weights(PlotFootprint(p.x, p.y), grids[0])
+        for j, grid in enumerate(grids):
+            v = weighted_mean(grid, weights)
+            means[i, j] = np.nan if v is None else v
+    return means
+
+
 @_stage("ingest")
 def _stage_extract(config: PipelineConfig, out: Path) -> None:
     dev = _plots_from_rows(_read_csv(Path(config.output_dir) / "ingest" / "model_dev.csv"))
@@ -449,27 +470,14 @@ def _stage_extract(config: PipelineConfig, out: Path) -> None:
     rows = []
     n_dropped = 0
     for year in sorted(config.years):
-        layers = {name: read_grid(p)
-                  for name, p in sorted(config.years[year].predictors.items())}
-        for p in [q for q in dev if q.inventory_year == year]:
-            # overlap weights depend only on geometry, shared by all layers
-            weights = pixel_overlap_weights(PlotFootprint(p.x, p.y),
-                                            next(iter(layers.values())))
-            feats = {}
-            usable = True
-            for name in names:
-                v = weighted_mean(layers[name], weights)
-                if v is None:
-                    usable = False
-                    break
-                feats[name] = v
-            if not usable:
-                n_dropped += 1
-                continue
-            row = {"plot_id": p.plot_id, "inventory_year": p.inventory_year,
-                   "agb_crm": p.agb_crm, "agb_nsvb": p.agb_nsvb}
-            row.update(feats)
-            rows.append(row)
+        plots = [p for p in dev if p.inventory_year == year]
+        layers = config.years[year].predictors
+        feats = _sample_footprints(plots, [read_grid(layers[name]) for name in names])
+        covered = ~np.isnan(feats).any(axis=1)
+        n_dropped += int(np.count_nonzero(~covered))
+        rows += [{"plot_id": p.plot_id, "inventory_year": p.inventory_year,
+                  "agb_crm": p.agb_crm, "agb_nsvb": p.agb_nsvb, **dict(zip(names, values))}
+                 for p, values, ok in zip(plots, feats.tolist(), covered) if ok]
     rows.sort(key=lambda r: r["plot_id"])
     if n_dropped:
         LOGGER.warning("extraction dropped %d plots with no overlapping valid cells",
@@ -573,17 +581,21 @@ def _map_path(config: PipelineConfig, kind: str, year: int, allometry: str) -> P
 @_stage("fit")
 def _stage_predict(config: PipelineConfig, out: Path) -> None:
     models = {allometry: _load_model(config, allometry) for allometry in ALLOMETRIES}
+    removed = np.array([float(c) for c in config.removed_landcover_classes], dtype=np.float32)
     map_summaries = {}
     for year in sorted(config.years):
         inputs = config.years[year]
         layers = {name: read_grid(p) for name, p in sorted(inputs.predictors.items())}
         lc = read_grid(inputs.landcover)
+        if not lc.aligned_with(next(iter(layers.values()))):
+            raise PipelineError(f"landcover for {year} is not aligned with its predictors")
+        # the mapped domain: cells of a known landcover class that is not removed
+        domain = lc.mask & ~np.isin(lc.values, removed)
         for allometry, model in models.items():
-            masked = mask_landcover(predict_grid(model, layers), lc,
-                                    config.removed_landcover_classes)
-            write_grid(masked, _map_path(config, "agb", year, allometry))
-            write_grid(percent_rank(masked), _map_path(config, "pctrank", year, allometry))
-            map_summaries[f"{year}_{allometry}"] = asdict(summarize(masked))
+            agb = predict_grid(model, layers, domain)
+            write_grid(agb, _map_path(config, "agb", year, allometry))
+            write_grid(percent_rank(agb), _map_path(config, "pctrank", year, allometry))
+            map_summaries[f"{year}_{allometry}"] = asdict(summarize(agb))
     _write_json(out / "summary.json", {"maps": map_summaries})
 
 
@@ -593,53 +605,47 @@ def _compared_scales(config: PipelineConfig) -> list[float]:
     return [1] + [s for s in config.scales_km if s != 1]
 
 
-@_stage("ingest", "predict")
+@_stage("ingest", "fit", "predict")
 def _stage_assess(config: PipelineConfig, out: Path) -> None:
     rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
     assessment = _plots_from_rows([r for r in rows if r["role"] == "assessment"])
     assessment.sort(key=lambda p: p.plot_id)
+    with open(Path(config.output_dir) / "fit" / "summary.json", encoding="utf-8") as f:
+        fitted = json.load(f)["models"]
+
+    # (plot, allometry) map means; a year's two maps are sampled under its plots together
+    sampled = np.full((len(assessment), len(ALLOMETRIES)), np.nan)
+    for year in sorted(config.years):
+        at = [i for i, p in enumerate(assessment) if p.inventory_year == year]
+        maps = [read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES]
+        sampled[at] = _sample_footprints([assessment[i] for i in at], maps)
 
     summary: dict = {}
-    plot_weights = {}  # shared across allometries; maps share one geometry
-    for allometry in ALLOMETRIES:
-        model = _load_model(config, allometry)
-        maps = {year: read_grid(_map_path(config, "agb", year, allometry))
-                for year in sorted(config.years)}
-        if not plot_weights:
-            geom = next(iter(maps.values()))
-            plot_weights = {
-                p.plot_id: pixel_overlap_weights(PlotFootprint(p.x, p.y), geom)
-                for p in assessment}
-        ys, yhats, locs, pair_rows = [], [], [], []
-        n_outside = 0
-        for p in assessment:
-            yhat = weighted_mean(maps[p.inventory_year], plot_weights[p.plot_id])
-            if yhat is None:
-                n_outside += 1
-                continue
-            ys.append(p.agb(allometry))
-            yhats.append(yhat)
-            locs.append((p.x, p.y))
-            pair_rows.append({"plot_id": p.plot_id, "x_m": p.x, "y_m": p.y,
-                              "inventory_year": p.inventory_year,
-                              "y": p.agb(allometry), "yhat": yhat})
-        if len(ys) < 2:
+    for allometry, column in zip(ALLOMETRIES, sampled.T.tolist()):
+        inside = [(p, yhat) for p, yhat in zip(assessment, column) if not np.isnan(yhat)]
+        if len(inside) < 2:
             raise PipelineError(
-                f"only {len(ys)} assessment plots fall inside the mapped area")
-        pairs = PairedSample(y=np.array(ys), yhat=np.array(yhats))
-        reports = multiscale_assessment(pairs, np.array(locs),
+                f"only {len(inside)} assessment plots fall inside the mapped area")
+        ys = np.array([p.agb(allometry) for p, _ in inside])
+        yhats = np.array([yhat for _, yhat in inside])
+        pair_rows = [{"plot_id": p.plot_id, "x_m": p.x, "y_m": p.y,
+                      "inventory_year": p.inventory_year, "y": p.agb(allometry), "yhat": yhat}
+                     for p, yhat in inside]
+        ybar_train = fitted[allometry]["ybar_train"]
+        reports = multiscale_assessment(PairedSample(y=ys, yhat=yhats),
+                                        np.array([(p.x, p.y) for p, _ in inside]),
                                         spacings_km=_compared_scales(config),
-                                        ybar_train=model.ybar_train)
+                                        ybar_train=ybar_train)
         _write_csv(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
                    [_report_row(rep) for rep in reports])
         _write_csv(out / f"pairs_{allometry}.csv",
                    ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
         plot_level = _report_row(reports[0])
         summary[allometry] = {
-            "n_pairs": len(ys),
-            "n_outside_mapped_area": n_outside,
-            "ybar_train": model.ybar_train,
-            "ks_reference_vs_predicted": ks_statistic(np.array(ys), np.array(yhats)),
+            "n_pairs": len(inside),
+            "n_outside_mapped_area": len(assessment) - len(inside),
+            "ybar_train": ybar_train,
+            "ks_reference_vs_predicted": ks_statistic(ys, yhats),
             "plot_to_pixel": plot_level,
         }
     _write_json(out / "summary.json", summary)
@@ -832,8 +838,8 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.load(out_dir)
     if manifest is not None and manifest.artifact_version != ARTIFACT_VERSION:
-        LOGGER.warning("discarding cached stages built under artifact version %s",
-                       manifest.artifact_version)
+        LOGGER.warning("discarding %s: its cached stages were built under artifact version %s",
+                       RunManifest.path_in(out_dir), manifest.artifact_version)
         manifest = None
     if manifest is None:
         manifest = RunManifest(artifact_version=ARTIFACT_VERSION,
@@ -925,7 +931,7 @@ def render_report(config: PipelineConfig) -> str:
         raise PipelineError(f"no run manifest under {out_dir}; nothing to report")
     if manifest.artifact_version != ARTIFACT_VERSION:
         raise PipelineError(
-            f"run manifest under {out_dir} is from artifact version "
+            f"run manifest {RunManifest.path_in(out_dir)} is from artifact version "
             f"{manifest.artifact_version}, this code writes version {ARTIFACT_VERSION}; "
             "rerun the stages before reporting")
 

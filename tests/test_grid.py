@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agbmap.grid import (
-    Grid, GridFormatError, difference, mask_landcover, percent_rank,
+    Grid, GridFormatError, difference, percent_rank,
     read_grid, read_header, summarize, write_grid,
 )
 
@@ -175,14 +175,6 @@ class TestMapAlgebra:
         pr = percent_rank(g)
         vals = pr.values[pr.mask]
         assert vals.min() == 0.0 and vals.max() == 100.0
-
-    def test_mask_landcover_removes_classes(self):
-        pred = make_grid([[10.0, 20.0, 30.0, 40.0]])
-        lc = make_grid([[3.0, 1.0, 4.0, 3.0]], mask=[[True, True, True, False]])
-        out = mask_landcover(pred, lc, removed_classes={1, 2, 4, 5})
-        # class 3 kept, classes 1/4 removed, unknown landcover removed
-        assert out.mask.tolist() == [[True, False, False, False]]
-        assert out.values[0, 0] == 10.0
 
     def test_summarize(self):
         g = make_grid([[1.0, 2.0], [3.0, 4.0]], mask=[[True, True], [True, False]])

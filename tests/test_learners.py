@@ -867,6 +867,11 @@ def grid_of(values, mask=None):
                 y_origin=0.0, cellsize=30.0, units="", values=values, mask=mask)
 
 
+def everywhere(grid):
+    """The domain of every cell of `grid`."""
+    return np.ones(grid.values.shape, dtype=bool)
+
+
 class TestPredictGrid:
     def setup_method(self):
         rng = np.random.default_rng(0)
@@ -878,7 +883,7 @@ class TestPredictGrid:
     def test_masked_where_any_predictor_masked(self):
         a = grid_of([[1.0, 2.0], [3.0, 4.0]], mask=[[True, True], [False, True]])
         b = grid_of([[5.0, 6.0], [7.0, 8.0]], mask=[[True, False], [True, True]])
-        out = predict_grid(self.ens, {"a": a, "b": b})
+        out = predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
         assert out.mask.tolist() == [[True, False], [False, True]]
         assert out.units == "Mg/ha"
         assert np.all(out.values[out.mask] >= 0)
@@ -886,21 +891,39 @@ class TestPredictGrid:
     def test_values_match_tabular_prediction(self):
         a = grid_of([[1.0, 2.0]])
         b = grid_of([[5.0, 6.0]])
-        out = predict_grid(self.ens, {"a": a, "b": b})
+        out = predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
         ref = self.ens.predict(np.array([[1.0, 5.0], [2.0, 6.0]]))
         assert np.allclose(out.values[0], ref.astype(np.float32))
+
+    def test_masked_outside_the_domain(self):
+        rng = np.random.default_rng(1)
+        a = grid_of(rng.uniform(0, 10, (6, 7)), mask=rng.random((6, 7)) > 0.2)
+        b = grid_of(rng.uniform(0, 10, (6, 7)))
+        domain = rng.random((6, 7)) > 0.5
+        out = predict_grid(self.ens, {"a": a, "b": b}, domain)
+        assert np.array_equal(out.mask, domain & a.mask)
+        assert not out.values[~out.mask].any()
+        # a domain cell is predicted as it is over the whole grid
+        whole = predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
+        assert np.array_equal(out.values[out.mask], whole.values[out.mask])
+
+    @pytest.mark.parametrize("shape", [(6,), (7, 6), (6, 7, 1), (1, 1)])
+    def test_domain_of_another_shape_rejected(self, shape):
+        a = grid_of(np.ones((6, 7)))
+        with pytest.raises(ValueError, match="domain of shape"):
+            predict_grid(self.ens, {"a": a, "b": a}, np.ones(shape, dtype=bool))
 
     def test_missing_layer_rejected(self):
         a = grid_of([[1.0]])
         with pytest.raises(ValueError, match="missing predictor"):
-            predict_grid(self.ens, {"a": a})
+            predict_grid(self.ens, {"a": a}, everywhere(a))
 
     def test_misaligned_rejected(self):
         a = grid_of([[1.0, 2.0]])
         b = Grid(ncols=2, nrows=1, x_origin=15.0, y_origin=0.0, cellsize=30.0,
                  units="", values=np.array([[5.0, 6.0]], dtype=np.float32))
         with pytest.raises(ValueError, match="aligned"):
-            predict_grid(self.ens, {"a": a, "b": b})
+            predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
 
 
 def spy_on_chunks(monkeypatch, fail_at=None):
@@ -1005,7 +1028,8 @@ class TestChunksOnThreads:
                     learners.BoostedTreesModel, EnsembleModel):
             monkeypatch.setattr(cls, "predict", record(cls.predict, f"{cls.__name__}.predict"))
         bodies = spy_on_chunks(monkeypatch)
-        out = learners.predict_grid(ens, grids)
+        domain = everywhere(grids["a"])
+        out = learners.predict_grid(ens, grids, domain)
         assert {name for name, _ in ran} == {"predict_grid", "EnsembleModel.predict",
                                              "KnnModel.predict", "BaggedTreesModel.predict",
                                              "BoostedTreesModel.predict"}
@@ -1013,7 +1037,7 @@ class TestChunksOnThreads:
         assert {ident for _, ident, _ in bodies} - {main}  # a helper took chunks
         monkeypatch.undo()
         monkeypatch.setattr(learners, "_WORKERS", 1)
-        assert np.array_equal(out.values, predict_grid(ens, grids).values)
+        assert np.array_equal(out.values, predict_grid(ens, grids, domain).values)
 
     @pytest.mark.parametrize("name", ["bagged depth 8", "boosted", "knn"])
     @pytest.mark.parametrize("fail_at", [1, 0])  # a helper's chunk, then the caller's

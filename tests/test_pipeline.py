@@ -264,6 +264,28 @@ def test_report_refuses_manifest_of_another_shape(small, tmp_path, capsys):
     assert f"artifact version {ARTIFACT_VERSION + 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:30],
+    lambda raw: b"\xff" + raw,
+    lambda raw: b"[5]",
+    lambda raw: b'{"stages": {}}',
+], ids=["cut to 30 bytes", "not UTF-8", "not an object", "no artifact version"])
+def test_unreadable_manifest_is_discarded_by_run_and_refused_by_report(
+        small, tmp_path, capsys, caplog, corrupt):
+    out = (tmp_path / "o").resolve()
+    cli = ["--config", str(small.cfg_path), "--out", str(out)]
+    assert main(["ingest", *cli]) == 0
+    manifest_path = out / "manifest.json"
+    manifest_path.write_bytes(corrupt(manifest_path.read_bytes()))
+    assert RunManifest.load(out).artifact_version is None
+    capsys.readouterr()
+    assert main(["report", *cli]) == 2
+    assert str(manifest_path) in capsys.readouterr().err
+    assert main(["ingest", *cli]) == 0
+    assert f"discarding {manifest_path}" in caplog.text
+    assert list(RunManifest.load(out).stages) == ["ingest"]
+
+
 def test_interrupted_manifest_write_keeps_the_previous_manifest(small, tmp_path,
                                                                 monkeypatch):
     out = tmp_path / "o"
@@ -453,6 +475,101 @@ def test_predict_outputs(small):
         vals = pr.values[pr.mask]
         assert float(np.min(vals)) >= 0.0 and float(np.max(vals)) <= 100.0
         assert np.array_equal(pr.mask, agb.mask)
+
+
+def test_predict_maps_only_the_landcover_domain(small, tmp_path):
+    # each case of the former grid-level landcover mask, through the stage
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    path = config.years[2005].landcover
+    lc = read_grid(path)
+    rows, cols = np.indices(lc.values.shape)
+    values = np.choose((rows + cols) % 4, [3.0, 1.0, 6.0, 4.0])  # 1 and 4 are removed
+    # masked cells read back as 0.0, a class that is not removed
+    mask = ~((rows < lc.nrows // 3) & (values == 3.0))
+    write_grid(lc.with_values(values, mask), path)
+    run(config, ["predict"])
+
+    layers = [read_grid(p) for p in config.years[2005].predictors.values()]
+    predictable = np.logical_and.reduce([g.mask for g in layers])
+    removed = np.isin(values, small.config.removed_landcover_classes)
+    retained = predictable & mask & ~removed
+    for allometry in ("CRM", "NSVB"):
+        agb = read_grid(root / "run" / "predict" / f"agb_2005_{allometry}.bin")
+        assert np.array_equal(agb.mask, retained)
+        assert np.any(agb.mask), "a retained class is mapped"
+        assert np.any(predictable & removed), "a removed class is masked"
+        assert np.any(predictable & ~mask), "a masked landcover cell is masked"
+
+
+@pytest.mark.parametrize("layer, stage, reported", [
+    ("pred_2005_greenness.bin", "extract", "sampled grids are not aligned"),
+    ("landcover_2005.bin", "predict", "landcover for 2005 is not aligned"),
+])
+def test_stage_refuses_a_shifted_layer(small, tmp_path, layer, stage, reported):
+    # run() does not validate, so the stage that reads the layers checks them
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    path = root / "inputs" / layer
+    grid = read_grid(path)
+    grid.x_origin += grid.cellsize / 2
+    write_grid(grid, path)
+    with pytest.raises(PipelineError, match=reported):
+        run(config, [stage])
+
+
+def test_predict_runs_the_models_on_mapped_cells_only(small, tmp_path, monkeypatch):
+    config = copy_of_small(small, tmp_path / "d")
+    rows, predict = [], EnsembleModel.predict
+
+    def counting(self, X):
+        rows.append(len(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(EnsembleModel, "predict", counting)
+    run(config, ["predict"])
+    summary = json.loads((tmp_path / "d" / "run" / "predict" / "summary.json").read_text())
+    assert len(rows) == len(summary["maps"])
+    assert sum(rows) == sum(m["n_valid"] for m in summary["maps"].values())
+
+
+def test_overlap_weights_once_per_plot_across_extract_and_assess(small, tmp_path,
+                                                                  monkeypatch):
+    import agbmap.pipeline
+
+    config = copy_of_small(small, tmp_path / "d")
+    footprints, weights = [], agbmap.pipeline.pixel_overlap_weights
+    monkeypatch.setattr(agbmap.pipeline, "pixel_overlap_weights",
+                        lambda fp, grid: footprints.append(fp) or weights(fp, grid))
+    run(config, ["extract", "assess"])
+    ingest = json.loads((tmp_path / "d" / "run" / "ingest" / "summary.json").read_text())
+    assert len(footprints) == ingest["n_model_dev"] + ingest["n_assessment"]
+    assert len(set(footprints)) == len(footprints)
+
+
+def test_plot_over_no_mapped_cell_is_outside_for_both_allometries(small, tmp_path):
+    from agbmap import PlotFootprint, pixel_overlap_weights
+
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    before = json.loads((root / "run" / "assess" / "summary.json").read_text())
+    plot = read_rows(root / "run" / "assess" / "pairs_CRM.csv")[0]
+    for allometry in ("CRM", "NSVB"):
+        path = root / "run" / "predict" / f"agb_{plot['inventory_year']}_{allometry}.bin"
+        agb = read_grid(path)
+        w = pixel_overlap_weights(PlotFootprint(float(plot["x_m"]), float(plot["y_m"])), agb)
+        mask = agb.mask.copy()
+        mask[w.rows, w.cols] = False
+        write_grid(agb.with_values(agb.values, mask), path)
+    run(config, ["assess"])
+
+    after = json.loads((root / "run" / "assess" / "summary.json").read_text())
+    for allometry in ("CRM", "NSVB"):
+        assert (after[allometry]["n_outside_mapped_area"]
+                == before[allometry]["n_outside_mapped_area"] + 1)
+        assert after[allometry]["n_pairs"] == before[allometry]["n_pairs"] - 1
+        pairs = read_rows(root / "run" / "assess" / f"pairs_{allometry}.csv")
+        assert plot["plot_id"] not in {r["plot_id"] for r in pairs}
 
 
 def test_assess_outputs(small):
@@ -807,6 +924,19 @@ def test_cli_missing_upstream_is_exit_2(small, tmp_path, capsys):
     assert main(["fit", "--config", str(small.cfg_path),
                  "--out", str(tmp_path / "fresh")]) == 2
     assert "missing upstream artifact" in capsys.readouterr().err
+
+
+def test_cli_assess_needs_fit(small, tmp_path, capsys):
+    # assess takes ybar_train from fit's summary, so a failed fit stops it
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    features = root / "run" / "extract" / "features.csv"
+    features.write_text(features.read_text().splitlines(keepends=True)[0])
+    cli = ["--config", str(root / "config.json")]
+    assert main(["fit", *cli]) == 2
+    assert main(["assess", *cli]) == 2
+    err = capsys.readouterr().err
+    assert "missing upstream artifact: stage 'assess' needs 'fit'" in err
 
 
 def test_cli_seed_override_changes_hash(small, tmp_path, capsys):
