@@ -9,13 +9,13 @@ that carry design-based numbers must say so.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import Grid
+from .tables import number, read_table
 
 LOGGER = logging.getLogger(__name__)
 
@@ -47,25 +47,14 @@ class CarbonFractionRow:
     year: int
 
 
+# the carbon fraction table's columns, in CarbonFractionRow field order
+CARBON_FRACTION_COLUMNS = {"species_code": str, "fraction": number, "agb_share": number,
+                           "year": int}
+
+
 def load_carbon_fractions(path) -> list[CarbonFractionRow]:
-    required = {"species_code", "fraction", "agb_share", "year"}
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or []))
-            raise ValueError(f"carbon fraction table {path} is missing columns: {missing}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                rows.append(CarbonFractionRow(
-                    species_code=row["species_code"],
-                    fraction=float(row["fraction"]),
-                    agb_share=float(row["agb_share"]),
-                    year=int(row["year"]),
-                ))
-            except (TypeError, ValueError, KeyError) as e:
-                raise ValueError(f"malformed carbon fraction row at {path}:{i}: {e}") from e
-    return rows
+    return [CarbonFractionRow(*row.values())
+            for row in read_table(path, "carbon fraction", CARBON_FRACTION_COLUMNS)]
 
 
 def weighted_carbon_fraction(rows) -> float:

@@ -9,13 +9,14 @@ forested fraction of the plot.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .tables import number, optional_number, read_table
 
 LOGGER = logging.getLogger(__name__)
 
@@ -70,77 +71,49 @@ class PlotPartition:
     holdout_panel: int
 
 
+def _number_where(ok, why: str):
+    """The `number` parser, rejecting a value where `ok(value)` is false."""
+    def parse(text: str) -> float:
+        value = number(text)
+        if not ok(value):
+            raise ValueError(f"{value!r} {why}")
+        return value
+    return parse
+
+
+_non_negative = _number_where(lambda v: v >= 0, "is negative")
+
+# each table's columns, in the field order of its record, with their cell parsers
+TREE_COLUMNS = {
+    "plot_id": str, "subplot": int, "species_code": str,
+    "dbh_cm": _number_where(lambda v: v > 0, "is not positive"),
+    "agb_crm_kg": _non_negative, "agb_nsvb_kg": _non_negative, "inventory_year": int,
+}
+PLOT_COLUMNS = {
+    "plot_id": str, "x_m": number, "y_m": number, "inventory_year": int, "panel": int,
+    "forested_fraction": _number_where(lambda v: 0 <= v <= 1, "is outside [0, 1]"),
+    "max_canopy_height_m": optional_number,
+}
+
+
 def load_trees(path) -> list[TreeRecord]:
     """Read a tree table, dropping records below the 12.7 cm diameter threshold.
 
-    Expected columns: plot_id, subplot, species_code, dbh_cm, agb_crm_kg,
-    agb_nsvb_kg, inventory_year. Sub-threshold trees are counted and reported
-    as a warning; malformed rows raise.
+    Sub-threshold trees are counted and reported as a warning; malformed rows
+    raise.
     """
-    required = {"plot_id", "subplot", "species_code", "dbh_cm",
-                "agb_crm_kg", "agb_nsvb_kg", "inventory_year"}
-    records = []
-    n_small = 0
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or []))
-            raise ValueError(f"tree table {path} is missing columns: {missing}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                rec = TreeRecord(
-                    plot_id=row["plot_id"],
-                    subplot=int(row["subplot"]),
-                    species_code=row["species_code"],
-                    dbh_cm=float(row["dbh_cm"]),
-                    agb_crm_kg=float(row["agb_crm_kg"]),
-                    agb_nsvb_kg=float(row["agb_nsvb_kg"]),
-                    inventory_year=int(row["inventory_year"]),
-                )
-            except (TypeError, ValueError, KeyError) as e:
-                raise ValueError(f"malformed tree row at {path}:{i}: {e}") from e
-            if not (rec.dbh_cm > 0) or rec.agb_crm_kg < 0 or rec.agb_nsvb_kg < 0:
-                raise ValueError(f"malformed tree row at {path}:{i}: non-physical measurement")
-            if rec.dbh_cm < MIN_DBH_CM:
-                n_small += 1
-                continue
-            records.append(rec)
-    if n_small:
+    records = [TreeRecord(*row.values()) for row in read_table(path, "tree", TREE_COLUMNS)]
+    kept = [rec for rec in records if rec.dbh_cm >= MIN_DBH_CM]
+    if len(kept) < len(records):
         LOGGER.warning("dropped %d trees below the %.1f cm diameter threshold",
-                       n_small, MIN_DBH_CM)
-    return records
+                       len(records) - len(kept), MIN_DBH_CM)
+    return kept
 
 
 def load_plots(path) -> list[PlotRecord]:
     """Read a plot table. AGB densities start at zero; attach them with
     :func:`aggregate_plot_agb`. A blank max_canopy_height_m becomes None."""
-    required = {"plot_id", "x_m", "y_m", "inventory_year", "panel",
-                "forested_fraction", "max_canopy_height_m"}
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or []))
-            raise ValueError(f"plot table {path} is missing columns: {missing}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                height_txt = (row["max_canopy_height_m"] or "").strip()
-                rec = PlotRecord(
-                    plot_id=row["plot_id"],
-                    x=float(row["x_m"]),
-                    y=float(row["y_m"]),
-                    inventory_year=int(row["inventory_year"]),
-                    panel=int(row["panel"]),
-                    forested_fraction=float(row["forested_fraction"]),
-                    max_canopy_height_m=float(height_txt) if height_txt else None,
-                )
-            except (TypeError, ValueError, KeyError) as e:
-                raise ValueError(f"malformed plot row at {path}:{i}: {e}") from e
-            if not 0.0 <= rec.forested_fraction <= 1.0:
-                raise ValueError(f"malformed plot row at {path}:{i}: "
-                                 f"forested_fraction outside [0, 1]")
-            records.append(rec)
-    return records
+    return [PlotRecord(*row.values()) for row in read_table(path, "plot", PLOT_COLUMNS)]
 
 
 def aggregate_plot_agb(trees: Iterable[TreeRecord], allometry: str,

@@ -16,7 +16,7 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,8 @@ from .grid import (
     read_header, summarize, write_grid,
 )
 from .inventory import (
-    ALLOMETRIES, PlotRecord, aggregate_plot_agb, attach_densities, filter_model_dev,
-    load_plots, load_trees, select_single_inventory, split_by_panel,
+    ALLOMETRIES, PLOT_COLUMNS, PlotRecord, aggregate_plot_agb, attach_densities,
+    filter_model_dev, load_plots, load_trees, select_single_inventory, split_by_panel,
 )
 from .learners import (
     DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search, of_type,
@@ -39,6 +39,7 @@ from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
     multiscale_assessment, multiscale_pairs, willmott_dr,
 )
+from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
@@ -50,6 +51,9 @@ TEST_METRIC_COLUMNS = ("allometry", "n", "mae", "pct_mae", "rmse", "pct_rmse",
                        "me", "r2", "dr")
 AGREEMENT_COLUMNS = ("scale_km", "n", "ac", "ac_systematic", "ac_unsystematic",
                      "gmfr_intercept", "gmfr_slope")
+# ingest's plot tables: the input plot columns, then the attached densities, in
+# PlotRecord field order; plots.csv adds each plot's role
+INGEST_PLOT_COLUMNS = {**PLOT_COLUMNS, "agb_crm": number, "agb_nsvb": number}
 
 
 class ConfigError(ValueError):
@@ -273,6 +277,14 @@ class StageRecord:
     config_hash: str
     elapsed_s: float
 
+    @staticmethod
+    def fits(doc) -> bool:
+        """Whether `doc`, as read from JSON, is the body of a stage record."""
+        return (isinstance(doc, dict) and doc.keys() == {"outputs", "config_hash", "elapsed_s"}
+                and isinstance(doc["outputs"], list)
+                and all(isinstance(p, str) for p in doc["outputs"])
+                and isinstance(doc["config_hash"], str) and finite_number(doc["elapsed_s"]))
+
 
 @dataclass
 class RunManifest:
@@ -287,7 +299,8 @@ class RunManifest:
     @classmethod
     def load(cls, output_dir) -> "RunManifest | None":
         """The manifest under `output_dir`, None if there is none. One that is
-        not a JSON object naming its artifact version loads as version None."""
+        not a JSON object naming its artifact version, or whose body at the
+        current version is damaged, loads as version None."""
         p = cls.path_in(output_dir)
         if not p.is_file():
             return None
@@ -299,6 +312,10 @@ class RunManifest:
         version = doc.get("artifact_version") if isinstance(doc, dict) else None
         if version != ARTIFACT_VERSION:  # its records may not fit StageRecord
             return cls(artifact_version=version, config_hash="")
+        stages = doc.get("stages")
+        if not (isinstance(doc.get("config_hash"), str) and isinstance(stages, dict)
+                and all(StageRecord.fits(rec) for rec in stages.values())):
+            return cls(artifact_version=None, config_hash="")
         return cls(
             artifact_version=doc["artifact_version"],
             config_hash=doc["config_hash"],
@@ -319,28 +336,6 @@ class RunManifest:
 
 
 # -- small output helpers -------------------------------------------------
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt_cell(row[k]) for k in fieldnames) + "\n")
-
-
-def _read_csv(path) -> list[dict]:
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
-
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
@@ -396,31 +391,14 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
     partition = split_by_panel(attached, config.holdout_panel, seed=[config.seed, 102])
     model_dev = filter_model_dev(partition.dev)
 
-    def plot_dict(p: PlotRecord, role=None) -> dict:
-        d = {
-            "plot_id": p.plot_id, "x_m": p.x, "y_m": p.y,
-            "inventory_year": p.inventory_year, "panel": p.panel,
-            "forested_fraction": p.forested_fraction,
-            "max_canopy_height_m": p.max_canopy_height_m,
-            "agb_crm": p.agb_crm, "agb_nsvb": p.agb_nsvb,
-        }
-        if role is not None:
-            d["role"] = role
-        return d
+    def row(p: PlotRecord) -> dict:
+        return dict(zip(INGEST_PLOT_COLUMNS, astuple(p)))
 
-    all_rows = ([plot_dict(p, "development") for p in partition.dev]
-                + [plot_dict(p, "assessment") for p in partition.assessment])
-    all_rows.sort(key=lambda r: r["plot_id"])
-    _write_csv(out / "plots.csv",
-               ["plot_id", "x_m", "y_m", "inventory_year", "panel",
-                "forested_fraction", "max_canopy_height_m", "agb_crm",
-                "agb_nsvb", "role"], all_rows)
-
-    dev_rows = sorted((plot_dict(p) for p in model_dev), key=lambda r: r["plot_id"])
-    _write_csv(out / "model_dev.csv",
-               ["plot_id", "x_m", "y_m", "inventory_year", "panel",
-                "forested_fraction", "max_canopy_height_m", "agb_crm",
-                "agb_nsvb"], dev_rows)
+    # both tables in plot-id order, the order of `attached`
+    write_table(out / "plots.csv", [*INGEST_PLOT_COLUMNS, "role"],
+                [{**row(p), "role": "assessment" if p.panel == partition.holdout_panel
+                  else "development"} for p in attached])
+    write_table(out / "model_dev.csv", INGEST_PLOT_COLUMNS, map(row, model_dev))
 
     _write_json(out / "summary.json", {
         "n_plot_rows": len(plot_rows),
@@ -433,18 +411,11 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
     })
 
 
-def _plots_from_rows(rows) -> list[PlotRecord]:
-    out = []
-    for r in rows:
-        height = r["max_canopy_height_m"]
-        out.append(PlotRecord(
-            plot_id=r["plot_id"], x=float(r["x_m"]), y=float(r["y_m"]),
-            inventory_year=int(r["inventory_year"]), panel=int(r["panel"]),
-            forested_fraction=float(r["forested_fraction"]),
-            max_canopy_height_m=float(height) if height not in ("", "None") else None,
-            agb_crm=float(r["agb_crm"]), agb_nsvb=float(r["agb_nsvb"]),
-        ))
-    return out
+def _read_plots(config: PipelineConfig, name: str, role=None) -> list[PlotRecord]:
+    """The records of ingest's plot table `name`; given a `role`, only its plots."""
+    columns = {**INGEST_PLOT_COLUMNS, "role": str} if role else INGEST_PLOT_COLUMNS
+    rows = read_table(Path(config.output_dir) / "ingest" / name, "ingest plot", columns)
+    return [PlotRecord(*row.values()) for row in rows if row.pop("role", role) == role]
 
 
 def _sample_footprints(plots, grids) -> np.ndarray:
@@ -464,7 +435,7 @@ def _sample_footprints(plots, grids) -> np.ndarray:
 
 @_stage("ingest")
 def _stage_extract(config: PipelineConfig, out: Path) -> None:
-    dev = _plots_from_rows(_read_csv(Path(config.output_dir) / "ingest" / "model_dev.csv"))
+    dev = _read_plots(config, "model_dev.csv")
     names = config.predictor_names()
 
     rows = []
@@ -483,8 +454,8 @@ def _stage_extract(config: PipelineConfig, out: Path) -> None:
         LOGGER.warning("extraction dropped %d plots with no overlapping valid cells",
                        n_dropped)
 
-    _write_csv(out / "features.csv",
-               ["plot_id", "inventory_year", "agb_crm", "agb_nsvb"] + names, rows)
+    write_table(out / "features.csv",
+                ["plot_id", "inventory_year", "agb_crm", "agb_nsvb", *names], rows)
     _write_json(out / "summary.json", {
         "n_rows": len(rows),
         "n_dropped_no_coverage": n_dropped,
@@ -494,14 +465,15 @@ def _stage_extract(config: PipelineConfig, out: Path) -> None:
 
 @_stage("extract")
 def _stage_fit(config: PipelineConfig, out: Path) -> None:
-    rows = _read_csv(Path(config.output_dir) / "extract" / "features.csv")
+    names = config.predictor_names()
+    rows = list(read_table(Path(config.output_dir) / "extract" / "features.csv", "features",
+                           dict.fromkeys(["agb_crm", "agb_nsvb", *names], number)))
     if len(rows) < 10:
         raise PipelineError(f"only {len(rows)} feature rows; too few to fit models")
-    names = config.predictor_names()
-    X = np.array([[float(r[name]) for name in names] for r in rows], dtype=np.float64)
+    X = np.array([[r[name] for name in names] for r in rows], dtype=np.float64)
     y_by_allom = {
-        "CRM": np.array([float(r["agb_crm"]) for r in rows]),
-        "NSVB": np.array([float(r["agb_nsvb"]) for r in rows]),
+        "CRM": np.array([r["agb_crm"] for r in rows]),
+        "NSVB": np.array([r["agb_nsvb"] for r in rows]),
     }
 
     n = len(rows)
@@ -564,7 +536,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
             "test_metrics": test_metrics,
         }
 
-    _write_csv(out / "test_metrics.csv", TEST_METRIC_COLUMNS, test_rows)
+    write_table(out / "test_metrics.csv", TEST_METRIC_COLUMNS, test_rows)
     _write_json(out / "summary.json", summary)
 
 
@@ -607,9 +579,7 @@ def _compared_scales(config: PipelineConfig) -> list[float]:
 
 @_stage("ingest", "fit", "predict")
 def _stage_assess(config: PipelineConfig, out: Path) -> None:
-    rows = _read_csv(Path(config.output_dir) / "ingest" / "plots.csv")
-    assessment = _plots_from_rows([r for r in rows if r["role"] == "assessment"])
-    assessment.sort(key=lambda p: p.plot_id)
+    assessment = _read_plots(config, "plots.csv", "assessment")
     with open(Path(config.output_dir) / "fit" / "summary.json", encoding="utf-8") as f:
         fitted = json.load(f)["models"]
 
@@ -636,10 +606,10 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
                                         np.array([(p.x, p.y) for p, _ in inside]),
                                         spacings_km=_compared_scales(config),
                                         ybar_train=ybar_train)
-        _write_csv(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
-                   [_report_row(rep) for rep in reports])
-        _write_csv(out / f"pairs_{allometry}.csv",
-                   ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
+        write_table(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
+                    [_report_row(rep) for rep in reports])
+        write_table(out / f"pairs_{allometry}.csv",
+                    ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
         plot_level = _report_row(reports[0])
         summary[allometry] = {
             "n_pairs": len(inside),
@@ -687,7 +657,7 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
 
         rows = [_agreement_row(*scale)
                 for scale in multiscale_pairs(y, yhat, locs, _compared_scales(config))]
-        _write_csv(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows)
+        write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows)
         summary[str(year)] = {"n_joint_cells": int(y.size), "cell_level": rows[0]}
     _write_json(out / "summary.json", summary)
 
@@ -720,7 +690,7 @@ def _stage_diff(config: PipelineConfig, out: Path) -> None:
 @_stage("ingest", "predict")
 def _stage_stocks(config: PipelineConfig, out: Path) -> None:
     # reads no raster: map means come from predict's summary, geometry from one header
-    plots = _plots_from_rows(_read_csv(Path(config.output_dir) / "ingest" / "plots.csv"))
+    plots = _read_plots(config, "plots.csv")
     fraction_rows = carbon_mod.load_carbon_fractions(config.carbon_fractions)
     with open(Path(config.output_dir) / "predict" / "summary.json", encoding="utf-8") as f:
         maps = json.load(f)["maps"]
@@ -766,9 +736,9 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
                     "total_mt": table[key].total_mt - table[(*key[:4], first)].total_mt}
                    for key in keys
                    if first != last and key[4] == last and (*key[:4], first) in table]
-    _write_csv(out / "stocks.csv",
-               ["quantity", "method", "allometry", "area_basis", "year",
-                "total_mt", "region_area_ha"], stock_rows + change_rows)
+    write_table(out / "stocks.csv",
+                ["quantity", "method", "allometry", "area_basis", "year",
+                 "total_mt", "region_area_ha"], stock_rows + change_rows)
 
     # design minus model, the sign convention used for comparison columns
     diff_rows = []
@@ -778,9 +748,9 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
             m = table[(quantity, "model", allometry, model_basis, year)].total_mt
             diff_rows.append({"quantity": quantity, "allometry": allometry, "year": year,
                               "design_mt": d, "model_mt": m, "design_minus_model_mt": d - m})
-    _write_csv(out / "design_minus_model.csv",
-               ["quantity", "allometry", "year", "design_mt", "model_mt",
-                "design_minus_model_mt"], diff_rows)
+    write_table(out / "design_minus_model.csv",
+                ["quantity", "allometry", "year", "design_mt", "model_mt",
+                 "design_minus_model_mt"], diff_rows)
 
     _write_json(out / "stocks.json", {
         "note": carbon_mod.DESIGN_ESTIMATOR_NOTE,
@@ -802,15 +772,8 @@ def _stage_rescale(config: PipelineConfig, out: Path) -> None:
                                      n_sample=config.rescale_sample,
                                      train_frac=config.train_frac,
                                      seed=[config.seed, 701, y_idx])
-        rows.append({"year": year, "intercept": fit.intercept,
-                     "coef_source": fit.coef_source,
-                     "coef_elevation": fit.coef_elevation,
-                     "n_train": fit.n_train, "n_test": fit.n_test,
-                     "test_rmse": fit.test_rmse, "test_mae": fit.test_mae,
-                     "test_me": fit.test_me, "test_r2": fit.test_r2})
-    _write_csv(out / "rescale.csv",
-               ["year", "intercept", "coef_source", "coef_elevation", "n_train",
-                "n_test", "test_rmse", "test_mae", "test_me", "test_r2"], rows)
+        rows.append({"year": year, **asdict(fit)})
+    write_table(out / "rescale.csv", rows[0], rows)
     _write_json(out / "summary.json", {str(r["year"]): r for r in rows})
 
 
@@ -951,6 +914,11 @@ def render_report(config: PipelineConfig) -> str:
         found = recorded(stage, name)
         return found[0] if found else None
 
+    def table(title, path, columns, places=2):
+        """A recorded table's `columns` as text, each cell formatted from its text."""
+        rows = read_table(path, path.stem, dict.fromkeys(columns, str))
+        return _render_table(title, columns, rows, places) + [""]
+
     p = stage_file("ingest", "summary.json")
     if p:
         with open(p, encoding="utf-8") as f:
@@ -962,17 +930,13 @@ def render_report(config: PipelineConfig) -> str:
 
     p = stage_file("fit", "test_metrics.csv")
     if p:
-        lines += _render_table("model test-set metrics", TEST_METRIC_COLUMNS,
-                               _read_csv(p))
-        lines.append("")
+        lines += table("model test-set metrics", p, TEST_METRIC_COLUMNS)
 
     for allometry in ALLOMETRIES:
         p = stage_file("assess", f"assessment_{allometry}.csv")
         if p:
-            lines += _render_table(
-                f"map assessment, {allometry} (scale 1 = plot to pixel)",
-                ASSESSMENT_COLUMNS, _read_csv(p))
-            lines.append("")
+            lines += table(f"map assessment, {allometry} (scale 1 = plot to pixel)",
+                           p, ASSESSMENT_COLUMNS)
 
     p = stage_file("assess", "summary.json")
     if p:
@@ -986,9 +950,8 @@ def render_report(config: PipelineConfig) -> str:
 
     for p in recorded("agree", "agreement_*.csv"):
         year = p.stem.split("_")[-1]
-        lines += _render_table(f"two-map agreement, {year} (CRM vs NSVB)",
-                               AGREEMENT_COLUMNS, _read_csv(p), places=4)
-        lines.append("")
+        lines += table(f"two-map agreement, {year} (CRM vs NSVB)", p, AGREEMENT_COLUMNS,
+                       places=4)
 
     p = stage_file("diff", "summary.json")
     if p:
@@ -1014,9 +977,7 @@ def render_report(config: PipelineConfig) -> str:
 
     p = stage_file("rescale", "rescale.csv")
     if p:
-        lines += _render_table("allometry rescaling (NSVB from CRM and elevation)",
-                               ["year", "intercept", "coef_source", "coef_elevation",
-                                "n_train", "n_test", "test_rmse", "test_r2"],
-                               _read_csv(p), places=4)
-        lines.append("")
+        lines += table("allometry rescaling (NSVB from CRM and elevation)", p,
+                       ["year", "intercept", "coef_source", "coef_elevation",
+                        "n_train", "n_test", "test_rmse", "test_r2"], places=4)
     return "\n".join(lines)

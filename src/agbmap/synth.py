@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .carbon import CARBON_FRACTION_COLUMNS
 from .grid import Grid, write_grid
-from .inventory import PLOT_AREA_HA
+from .inventory import PLOT_AREA_HA, PLOT_COLUMNS, TREE_COLUMNS
+from .tables import write_table
 
 YEARS = (2005, 2019)
 # classes 1, 2, 4, 5 stand in for developed, cropland, water, and barren
@@ -121,13 +123,6 @@ def _tree_rows(rng, plot_id, year, crm_density, nsvb_density):
             "inventory_year": year,
         })
     return rows
-
-
-def _write_csv(path, fieldnames, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            f.write(",".join(str(row[k]) for k in fieldnames) + "\n")
 
 
 def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
@@ -245,12 +240,8 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
             })
             tree_rows.extend(_tree_rows(rng_plot, pid, year, crm_d, nsvb_d))
 
-    _write_csv(inputs / "plots.csv",
-               ["plot_id", "x_m", "y_m", "inventory_year", "panel",
-                "forested_fraction", "max_canopy_height_m"], plot_rows)
-    _write_csv(inputs / "trees.csv",
-               ["plot_id", "subplot", "species_code", "dbh_cm",
-                "agb_crm_kg", "agb_nsvb_kg", "inventory_year"], tree_rows)
+    write_table(inputs / "plots.csv", PLOT_COLUMNS, plot_rows)
+    write_table(inputs / "trees.csv", TREE_COLUMNS, tree_rows)
 
     rng_frac = np.random.default_rng([seed, 7])
     frac_rows = []
@@ -265,8 +256,7 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
                 "agb_share": repr(float(share)),
                 "year": year,
             })
-    _write_csv(inputs / "carbon_fractions.csv",
-               ["species_code", "fraction", "agb_share", "year"], frac_rows)
+    write_table(inputs / "carbon_fractions.csv", CARBON_FRACTION_COLUMNS, frac_rows)
 
     config = {
         "seed": seed,

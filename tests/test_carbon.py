@@ -115,9 +115,10 @@ class TestCarbonFractions:
 
     def test_loader_malformed_value(self, tmp_path):
         p = tmp_path / "frac.csv"
-        p.write_text("species_code,fraction,agb_share,year\noak,high,0.6,2019\n")
-        with pytest.raises(ValueError, match="frac.csv:2"):
-            load_carbon_fractions(p)
+        for bad in ("high", "nan", "inf", "-Infinity"):
+            p.write_text(f"species_code,fraction,agb_share,year\noak,{bad},0.6,2019\n")
+            with pytest.raises(ValueError, match="frac.csv:2"):
+                load_carbon_fractions(p)
 
 
 class TestConversionAndChange:

@@ -83,12 +83,14 @@ class TestLoaders:
 
     def test_load_trees_malformed_row(self, tmp_path):
         p = tmp_path / "trees.csv"
-        p.write_text(
-            "plot_id,subplot,species_code,dbh_cm,agb_crm_kg,agb_nsvb_kg,inventory_year\n"
-            "p1,1,318,not_a_number,100,105,2019\n"
-        )
-        with pytest.raises(ValueError, match="malformed"):
-            load_trees(p)
+        for bad in ("not_a_number", "nan", "inf", "-Infinity"):
+            p.write_text(
+                "plot_id,subplot,species_code,dbh_cm,agb_crm_kg,agb_nsvb_kg,inventory_year\n"
+                "p1,1,318,30,100,105,2019\n"
+                f"p1,1,318,30,{bad},105,2019\n"
+            )
+            with pytest.raises(ValueError, match="malformed tree row at .*trees.csv:3"):
+                load_trees(p)
 
     def test_load_trees_missing_column(self, tmp_path):
         p = tmp_path / "trees.csv"
@@ -116,6 +118,16 @@ class TestLoaders:
         )
         with pytest.raises(ValueError):
             load_plots(p)
+
+    def test_load_plots_non_finite_coordinate(self, tmp_path):
+        p = tmp_path / "plots.csv"
+        for bad in ("nan", "inf", "-Infinity"):
+            p.write_text(
+                "plot_id,x_m,y_m,inventory_year,panel,forested_fraction,max_canopy_height_m\n"
+                f"p1,{bad},0,2019,1,1.0,\n"
+            )
+            with pytest.raises(ValueError, match="plots.csv:2: x_m"):
+                load_plots(p)
 
 
 class TestSingleInventory:

@@ -269,7 +269,13 @@ def test_report_refuses_manifest_of_another_shape(small, tmp_path, capsys):
     lambda raw: b"\xff" + raw,
     lambda raw: b"[5]",
     lambda raw: b'{"stages": {}}',
-], ids=["cut to 30 bytes", "not UTF-8", "not an object", "no artifact version"])
+    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION}).encode(),
+    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
+                            "stages": {"ingest": {}}}).encode(),
+    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
+                            "stages": []}).encode(),
+], ids=["cut to 30 bytes", "not UTF-8", "not an object", "no artifact version",
+        "no body", "stage record without fields", "stages not an object"])
 def test_unreadable_manifest_is_discarded_by_run_and_refused_by_report(
         small, tmp_path, capsys, caplog, corrupt):
     out = (tmp_path / "o").resolve()
@@ -875,6 +881,54 @@ def test_cli_bad_cell_is_found_by_the_stage_that_reads_it(small, tmp_path, capsy
     assert validate(PipelineConfig.load(config)) == []
     assert main(["ingest", "--config", str(config), "--stages", "extract"]) == 2
     assert "mask bytes must be 0 or 1" in capsys.readouterr().err
+
+
+def test_cli_non_finite_tree_biomass_is_exit_2(small, tmp_path, capsys):
+    # ingest reads the tree table; a nan biomass must stop it, not a later fit
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    trees = root / "inputs" / "trees.csv"
+    with open(trees, newline="") as f:
+        rows = list(csv.reader(f))
+    rows[3][rows[0].index("agb_crm_kg")] = "nan"
+    with open(trees, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    assert main(["ingest", "--config", str(root / "config.json")]) == 2
+    assert "trees.csv:4" in capsys.readouterr().err
+
+
+def test_plot_id_with_comma_and_quote_survives_ingest_through_assess(small, tmp_path):
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    old, new = read_rows(root / "run" / "extract" / "features.csv")[0]["plot_id"], 'P,"0'
+    for name in ("plots.csv", "trees.csv"):
+        path = root / "inputs" / name
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        at = rows[0].index("plot_id")
+        with open(path, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [rows[0]] + [[new if i == at and cell == old else cell
+                              for i, cell in enumerate(r)] for r in rows[1:]])
+    run(config, ["ingest", "extract", "fit", "predict", "assess"])
+    for table in ("ingest/plots.csv", "ingest/model_dev.csv", "extract/features.csv"):
+        ids = {r["plot_id"] for r in read_rows(root / "run" / table)}
+        assert new in ids and old not in ids, table
+
+
+def test_fit_names_the_features_table_missing_a_column(small, tmp_path):
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    features = root / "run" / "extract" / "features.csv"
+    rows = read_rows(features)
+    with open(features, "w", newline="") as f:
+        writer = csv.DictWriter(f, [c for c in rows[0] if c != "dist_age"],
+                                extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(ValueError, match=r"extract/features\.csv is missing columns: "
+                                         r"\['dist_age'\]"):
+        run(config, {"fit"})
 
 
 def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
