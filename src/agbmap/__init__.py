@@ -11,10 +11,7 @@ from .inventory import (
     aggregate_plot_agb, attach_densities, filter_model_dev,
     load_plots, load_trees, select_single_inventory, split_by_panel,
 )
-from .footprint import (
-    OverlapWeights, PlotFootprint, extract_weighted_mean, pixel_overlap_weights,
-    weighted_mean,
-)
+from .footprint import OverlapWeights, PlotFootprint, pixel_overlap_weights, weighted_mean
 from .hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
 from .metrics import (
     AcDecomposition, Ecdf, GmfrFit, MetricsReport, PairedSample,

@@ -129,12 +129,3 @@ def weighted_mean(grid: Grid, weights: OverlapWeights) -> float | None:
     wv = weights.weights[valid]
     vals = grid.values[weights.rows[valid], weights.cols[valid]].astype(np.float64)
     return float(np.sum(wv * vals) / np.sum(wv))
-
-
-def extract_weighted_mean(grid: Grid, footprint: PlotFootprint) -> float | None:
-    """Area-weighted mean of valid cell values under the footprint.
-
-    Returns None when no valid cell carries weight (footprint outside the grid
-    or fully over masked cells).
-    """
-    return weighted_mean(grid, pixel_overlap_weights(footprint, grid))

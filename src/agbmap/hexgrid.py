@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
+# centers per block of `assign_lattice`: its temporaries (~60 B each) stay in cache
+LATTICE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -90,6 +92,50 @@ def covering_hexgrid(points, spacing: float) -> HexGrid:
     return make_hexgrid((xmin, ymin, xmax, ymax), spacing)
 
 
+def _nearest_cells(x, y, hexgrid: HexGrid):
+    """(rows, cols) of each point's cell by `assign`'s rule, where `x` and `y`
+    broadcast together: point coordinates, or an x axis and a column of ys."""
+    r = hexgrid.circumradius
+    # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
+    # column floor(u) or floor(u) + 1, one of each parity; within a column a
+    # cell spans its centroid +- sqrt(3)*r/2 in y, so it lies in row floor(v)
+    # or floor(v) + 1. Columns and dx^2 depend on x alone, rows and dy^2 on y
+    # and the parity, so on a lattice each center costs only the sums below.
+    c_est = np.floor((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
+    candidates = []  # (squared distance, row, col) of four cells
+    for parity in (0, 1):
+        col = c_est + (c_est + parity) % 2
+        dx2 = (x - (hexgrid.x0 + col * (1.5 * r))) ** 2
+        off = parity * (SQRT3 * r / 2.0)
+        r_est = np.floor((y - hexgrid.y0 - off) / (SQRT3 * r)).astype(np.int64)
+        candidates += [(dx2 + (y - (hexgrid.y0 + row * (SQRT3 * r) + off)) ** 2, row, col)
+                       for row in (r_est, r_est + 1)]
+    d2, rows, cols = zip(*candidates)
+
+    nearest = np.minimum(np.minimum(d2[0], d2[1]), np.minimum(d2[2], d2[3]))
+    hits = [d == nearest for d in d2]
+    # the first candidate at the nearest distance; a point with a nan
+    # coordinate has none and stays outside the tessellation
+    row = np.select(hits, rows, default=hexgrid.row_min - 1)
+    col = np.select(hits, cols, default=hexgrid.col_min)
+    # among exact-distance ties, the lowest (row, col) wins
+    tied = np.nonzero(sum(hit.view(np.uint8) for hit in hits) > 1)
+    if tied[0].size:
+        for hit, *cand in zip(hits, rows, cols):
+            cand_row, cand_col = (np.broadcast_to(a, row.shape)[tied] for a in cand)
+            lower = hit[tied] & ((cand_row < row[tied])
+                                 | ((cand_row == row[tied]) & (cand_col < col[tied])))
+            row[tied], col[tied] = np.where(lower, (cand_row, cand_col), (row[tied], col[tied]))
+
+    inside = ((row >= hexgrid.row_min) & (row <= hexgrid.row_max)
+              & (col >= hexgrid.col_min) & (col <= hexgrid.col_max))
+    if not np.all(inside):
+        bad = tuple(np.argwhere(~inside)[0])
+        px, py = (np.broadcast_to(v, row.shape)[bad] for v in (x, y))
+        raise ValueError(f"point ({px}, {py}) falls outside the tessellation")
+    return row, col
+
+
 def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     """Assign each point (n,2 array) to its cell; returns an (n,2) array of
     (row, col) ids.
@@ -100,60 +146,39 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    x = pts[:, 0]
-    y = pts[:, 1]
-    r = hexgrid.circumradius
-
-    # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
-    # column floor(u) or floor(u) + 1; within a column a cell spans its
-    # centroid +- sqrt(3)*r/2 in y, so it lies in row floor(v) or floor(v) + 1
-    c_est = np.floor((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
-    span = hexgrid.col_max - hexgrid.col_min + 3
-    best = None  # nearest candidate so far: distance, (row, col) order, row, col
-    for dc in (0, 1):
-        col = c_est + dc
-        off = (col % 2) * (SQRT3 * r / 2.0)
-        r_est = np.floor((y - hexgrid.y0 - off) / (SQRT3 * r)).astype(np.int64)
-        for dr in (0, 1):
-            row = r_est + dr
-            cx, cy = hexgrid.center(row, col)
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            order = (row - (hexgrid.row_min - 1)) * span + (col - (hexgrid.col_min - 1))
-            if best is None:
-                best = (d2, order, row, col.copy())  # `col` serves the next rows too
-                continue
-            # among exact-distance ties, the lowest (row, col) wins
-            closer = (d2 < best[0]) | ((d2 == best[0]) & (order < best[1]))
-            for kept, new in zip(best, (d2, order, row, col)):
-                np.copyto(kept, new, where=closer)
-    rows, cols = best[2], best[3]
-
-    inside = ((rows >= hexgrid.row_min) & (rows <= hexgrid.row_max)
-              & (cols >= hexgrid.col_min) & (cols <= hexgrid.col_max))
-    if not np.all(inside):
-        bad = int(np.nonzero(~inside)[0][0])
-        raise ValueError(
-            f"point ({x[bad]}, {y[bad]}) falls outside the tessellation")
-    return np.stack([rows, cols], axis=1)
+    return np.stack(_nearest_cells(pts[:, 0], pts[:, 1], hexgrid), axis=1)
 
 
-def aggregate_pairs(pairs, locations: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
+def assign_lattice(xs, ys, hexgrid: HexGrid) -> np.ndarray:
+    """The cell of every lattice center (xs[j], ys[i]): a (len(ys), len(xs), 2)
+    array of (row, col) ids, each what `assign` gives for that center. Rows
+    are assigned in blocks of about `LATTICE_BLOCK_CELLS` centers."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    ids = np.empty((ys.size, xs.size, 2), dtype=np.int64)
+    step = max(1, LATTICE_BLOCK_CELLS // max(1, xs.size))
+    for lo in range(0, ys.size, step):
+        ids[lo:lo + step] = np.stack(
+            _nearest_cells(xs, ys[lo:lo + step, None], hexgrid), axis=-1)
+    return ids
+
+
+def aggregate_pairs(pairs, ids: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     """Unweighted per-cell means of paired values: per-cell sums over counts,
     members added in input order.
 
-    `pairs` needs `y` and `yhat` array attributes; `locations` is the matching
-    (n, 2) coordinate array. Returns an (n_hex, 2) float64 array of
-    (y mean, yhat mean), one row per cell with at least one member, ordered
-    by cell id.
+    `pairs` needs `y` and `yhat` array attributes; `ids` is the matching
+    (n, 2) array of (row, col) cell ids, as `assign` gives. Returns an
+    (n_hex, 2) float64 array of (y mean, yhat mean), one row per cell with at
+    least one member, ordered by cell id.
     """
     y = np.asarray(pairs.y, dtype=np.float64)
     yhat = np.asarray(pairs.yhat, dtype=np.float64)
-    locs = np.asarray(locations, dtype=np.float64)
-    if locs.shape != (y.size, 2):
-        raise ValueError("locations must be an (n, 2) array matching the pairs")
+    ids = np.asarray(ids)
+    if ids.shape != (y.size, 2):
+        raise ValueError("ids must be an (n, 2) array matching the pairs")
     if y.size == 0:
         return np.empty((0, 2))
-    ids = assign(locs, hexgrid)
     # packed (row, col) key, so dense bins run in cell-id order
     span = hexgrid.col_max - hexgrid.col_min + 1
     key = (ids[:, 0] - hexgrid.row_min) * span + (ids[:, 1] - hexgrid.col_min)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hexgrid import aggregate_pairs, covering_hexgrid
+from .hexgrid import aggregate_pairs, assign, covering_hexgrid
 
 
 @dataclass
@@ -230,7 +230,8 @@ def multiscale_pairs(y, yhat, locations,
         if s_km == 1:
             out.append((float(s_km), pairs.y, pairs.yhat))
             continue
-        means = aggregate_pairs(pairs, locs, covering_hexgrid(locs, float(s_km) * 1000.0))
+        hexgrid = covering_hexgrid(locs, float(s_km) * 1000.0)
+        means = aggregate_pairs(pairs, assign(locs, hexgrid), hexgrid)
         out.append((float(s_km), means[:, 0], means[:, 1]))
     return out
 

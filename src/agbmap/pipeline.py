@@ -27,6 +27,7 @@ from .grid import (
     GEOMETRY, Grid, difference, finite_number, percent_rank, read_grid,
     read_header, summarize, write_grid,
 )
+from .hexgrid import aggregate_pairs, assign_lattice, covering_hexgrid
 from .inventory import (
     ALLOMETRIES, PLOT_COLUMNS, PlotRecord, aggregate_plot_agb, attach_densities,
     filter_model_dev, load_plots, load_trees, select_single_inventory, split_by_panel,
@@ -37,7 +38,7 @@ from .learners import (
 )
 from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
-    multiscale_assessment, multiscale_pairs, willmott_dr,
+    multiscale_assessment, willmott_dr,
 )
 from .tables import number, read_table, write_table
 
@@ -291,6 +292,7 @@ class RunManifest:
     artifact_version: int | None
     config_hash: str
     stages: dict[str, StageRecord] = field(default_factory=dict)
+    unusable: str | None = None  # why the manifest read from disk cannot be used
 
     @staticmethod
     def path_in(output_dir) -> Path:
@@ -299,8 +301,9 @@ class RunManifest:
     @classmethod
     def load(cls, output_dir) -> "RunManifest | None":
         """The manifest under `output_dir`, None if there is none. One that is
-        not a JSON object naming its artifact version, or whose body at the
-        current version is damaged, loads as version None."""
+        not UTF-8 JSON, not an object, of another artifact version or with a
+        body that does not fit the current one loads without stages, and
+        `unusable` says which; all but the other version load as version None."""
         p = cls.path_in(output_dir)
         if not p.is_file():
             return None
@@ -308,14 +311,17 @@ class RunManifest:
             with open(p, encoding="utf-8") as f:
                 doc = json.load(f)
         except ValueError:  # not JSON, or not UTF-8
-            doc = None
-        version = doc.get("artifact_version") if isinstance(doc, dict) else None
+            return cls(None, "", unusable="it is not UTF-8 JSON")
+        if not (isinstance(doc, dict) and "artifact_version" in doc):
+            return cls(None, "", unusable="it is not a JSON object naming its artifact version")
+        version = doc["artifact_version"]
         if version != ARTIFACT_VERSION:  # its records may not fit StageRecord
-            return cls(artifact_version=version, config_hash="")
+            return cls(version, "", unusable=f"it is from artifact version {version}, "
+                                             f"and this code writes version {ARTIFACT_VERSION}")
         stages = doc.get("stages")
         if not (isinstance(doc.get("config_hash"), str) and isinstance(stages, dict)
                 and all(StageRecord.fits(rec) for rec in stages.values())):
-            return cls(artifact_version=None, config_hash="")
+            return cls(None, "", unusable=f"its body does not fit artifact version {version}")
         return cls(
             artifact_version=doc["artifact_version"],
             config_hash=doc["config_hash"],
@@ -644,22 +650,41 @@ def _agreement_row(scale_km, y, yhat) -> dict:
 
 @_stage("predict")
 def _stage_agree(config: PipelineConfig, out: Path) -> None:
-    summary = {}
+    # per year: the values of the cells valid in both maps, then the cell
+    # centers of the window bounding them (the whole grid if there are none)
+    # and their row-major indices in it
+    years = {}
     for year in sorted(config.years):
-        crm = read_grid(_map_path(config, "agb", year, "CRM"))
-        nsvb = read_grid(_map_path(config, "agb", year, "NSVB"))
+        crm, nsvb = (read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES)
         joint = crm.mask & nsvb.mask
-        y = crm.values[joint].astype(np.float64)
-        yhat = nsvb.values[joint].astype(np.float64)
-        xs, ys_axis = crm.cell_centers()
-        rows_at, cols_at = np.nonzero(joint)  # row-major, as `crm.values[joint]`
-        locs = np.column_stack([xs[cols_at], ys_axis[rows_at]])
+        window = tuple(slice(any_.argmax(), any_.size - any_[::-1].argmax())
+                       for any_ in (joint.any(axis=1), joint.any(axis=0)))
+        xs, ys = crm.cell_centers()
+        years[year] = (crm.values[joint].astype(np.float64), nsvb.values[joint].astype(np.float64),
+                       xs[window[1]], ys[window[0]], np.flatnonzero(joint[window]))
+    rows = {year: [] for year in years}
+    for s_km in _compared_scales(config):
+        # this scale's tessellation and cell ids per window, shared by the
+        # years whose joint cells span equal windows
+        lattices = {}
+        for year, (y, yhat, xs, ys, at) in years.items():
+            if s_km != 1 and y.size:
+                key = (xs.tobytes(), ys.tobytes())
+                if key not in lattices:
+                    # the bbox of the joint cells: xs run west to east, ys north to south
+                    hexgrid = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]],
+                                               float(s_km) * 1000.0)
+                    lattices[key] = hexgrid, assign_lattice(xs, ys, hexgrid)
+                hexgrid, ids = lattices[key]
+                y, yhat = aggregate_pairs(PairedSample(y=y, yhat=yhat),
+                                          np.take(ids.reshape(-1, 2), at, axis=0), hexgrid).T
+            rows[year].append(_agreement_row(float(s_km), y, yhat))
 
-        rows = [_agreement_row(*scale)
-                for scale in multiscale_pairs(y, yhat, locs, _compared_scales(config))]
-        write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows)
-        summary[str(year)] = {"n_joint_cells": int(y.size), "cell_level": rows[0]}
-    _write_json(out / "summary.json", summary)
+    for year in years:
+        write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows[year])
+    _write_json(out / "summary.json", {
+        str(year): {"n_joint_cells": int(y.size), "cell_level": rows[year][0]}
+        for year, (y, *_) in years.items()})
 
 
 @_stage("predict")
@@ -800,9 +825,8 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.load(out_dir)
-    if manifest is not None and manifest.artifact_version != ARTIFACT_VERSION:
-        LOGGER.warning("discarding %s: its cached stages were built under artifact version %s",
-                       RunManifest.path_in(out_dir), manifest.artifact_version)
+    if manifest is not None and manifest.unusable:
+        LOGGER.warning("discarding %s: %s", RunManifest.path_in(out_dir), manifest.unusable)
         manifest = None
     if manifest is None:
         manifest = RunManifest(artifact_version=ARTIFACT_VERSION,
@@ -892,11 +916,9 @@ def render_report(config: PipelineConfig) -> str:
     manifest = RunManifest.load(out_dir)
     if manifest is None:
         raise PipelineError(f"no run manifest under {out_dir}; nothing to report")
-    if manifest.artifact_version != ARTIFACT_VERSION:
-        raise PipelineError(
-            f"run manifest {RunManifest.path_in(out_dir)} is from artifact version "
-            f"{manifest.artifact_version}, this code writes version {ARTIFACT_VERSION}; "
-            "rerun the stages before reporting")
+    if manifest.unusable:
+        raise PipelineError(f"run manifest {RunManifest.path_in(out_dir)} cannot be used: "
+                            f"{manifest.unusable}; rerun the stages before reporting")
 
     lines = ["run report", "==========",
              f"output directory: {out_dir}",

@@ -3,14 +3,15 @@
 A table is read against a column table, a mapping from each column it must
 hold to the parser of that column's cells; other columns are ignored. A
 missing column, a short row or a cell its parser rejects fails naming the
-file and line. A written cell is quoted only when it holds a comma, a quote or
-a line feed.
+file and line. A written cell is quoted only when it holds a comma, a quote, a
+line feed or a carriage return.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
 Columns = Mapping[str, Callable[[str], object]]
@@ -55,6 +56,9 @@ def write_table(path, columns: Iterable[str], rows: Iterable[Mapping]) -> None:
     A float is written as its repr and None as an empty cell."""
     columns = list(columns)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
+        # the writer quotes a cell holding a character of its row terminator:
+        # it ends rows in "\r\n", and each row is written ending in "\n" alone
+        writer = csv.writer(SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n")),
+                            lineterminator="\r\n")
         writer.writerow(columns)
         writer.writerows([row[name] for name in columns] for row in rows)

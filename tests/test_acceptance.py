@@ -14,9 +14,9 @@ import numpy as np
 
 from agbmap import (
     Grid, PairedSample, PipelineConfig, StockEstimate, ac_decompose,
-    agb_to_agc, assign, basic_metrics, extract_weighted_mean, fit_stack,
-    ks_statistic, make_hexgrid, multiscale_assessment, pixel_overlap_weights,
-    rescale_fit, run, synthesize, willmott_dr, PlotFootprint,
+    agb_to_agc, assign, basic_metrics, fit_stack, ks_statistic, make_hexgrid,
+    multiscale_assessment, pixel_overlap_weights, rescale_fit, run, synthesize,
+    weighted_mean, willmott_dr, PlotFootprint,
 )
 
 
@@ -200,8 +200,8 @@ def test_05_footprint_extraction_matches_monte_carlo():
         fx = rng.uniform(margin, ncols * cs - margin)
         fy = rng.uniform(margin, nrows * cs - margin)
         fp = PlotFootprint(fx, fy)
-        got = extract_weighted_mean(grid, fp)
         w = pixel_overlap_weights(fp, grid)
+        got = weighted_mean(grid, w)
         assert abs(w.total - 673.36) <= 0.001 * 673.36
 
         centers = np.array(fp.subplot_centers())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agbmap.footprint import (
-    SUBPLOT_AREA_M2, PlotFootprint, extract_weighted_mean, pixel_overlap_weights,
+    SUBPLOT_AREA_M2, PlotFootprint, pixel_overlap_weights, weighted_mean,
 )
 from agbmap.grid import Grid
 from agbmap.inventory import PLOT_AREA_M2
@@ -172,7 +172,8 @@ class TestExtraction:
     def test_constant_grid_returns_constant(self):
         vals = np.full((40, 40), 123.25, dtype=np.float32)
         grid = flat_grid(values=vals)
-        got = extract_weighted_mean(grid, PlotFootprint(x=600.0, y=600.0))
+        fp = PlotFootprint(x=600.0, y=600.0)
+        got = weighted_mean(grid, pixel_overlap_weights(fp, grid))
         assert got == pytest.approx(123.25, rel=1e-9)
 
     def test_matches_monte_carlo_mean(self):
@@ -180,7 +181,7 @@ class TestExtraction:
         vals = rng.uniform(0, 300, size=(40, 40)).astype(np.float32)
         grid = flat_grid(values=vals)
         fp = PlotFootprint(x=617.3, y=512.9)
-        got = extract_weighted_mean(grid, fp)
+        got = weighted_mean(grid, pixel_overlap_weights(fp, grid))
         x, y = mc_points(fp, 400_000, rng)
         col = np.floor(x / 30.0).astype(int)
         row = np.floor((grid.y_max - y) / 30.0).astype(int)
@@ -193,13 +194,16 @@ class TestExtraction:
         # mask the east half; remaining valid cells all hold 50
         mask[:, 20:] = False
         grid = flat_grid(values=vals, mask=mask)
-        got = extract_weighted_mean(grid, PlotFootprint(x=600.0, y=600.0))
+        fp = PlotFootprint(x=600.0, y=600.0)
+        got = weighted_mean(grid, pixel_overlap_weights(fp, grid))
         assert got == pytest.approx(50.0, rel=1e-9)
 
     def test_fully_masked_returns_none(self):
         grid = flat_grid(mask=np.zeros((40, 40), dtype=bool))
-        assert extract_weighted_mean(grid, PlotFootprint(x=600.0, y=600.0)) is None
+        fp = PlotFootprint(x=600.0, y=600.0)
+        assert weighted_mean(grid, pixel_overlap_weights(fp, grid)) is None
 
     def test_outside_grid_returns_none(self):
         grid = flat_grid()
-        assert extract_weighted_mean(grid, PlotFootprint(x=-5000.0, y=0.0)) is None
+        fp = PlotFootprint(x=-5000.0, y=0.0)
+        assert weighted_mean(grid, pixel_overlap_weights(fp, grid)) is None

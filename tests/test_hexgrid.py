@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agbmap.hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
+from agbmap import hexgrid
+from agbmap.hexgrid import (
+    HexGrid, aggregate_pairs, assign, assign_lattice, covering_hexgrid, make_hexgrid,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,6 +111,86 @@ class TestAssignment:
         assert max(vals) / min(vals) < 1.2
 
 
+def lattice(x0, y0, cellsize, ncols, nrows):
+    """Cell-center axes of a raster, as `Grid.cell_centers` gives them."""
+    xs = x0 + (np.arange(ncols) + 0.5) * cellsize
+    ys = y0 + (nrows - np.arange(nrows) - 0.5) * cellsize
+    return xs, ys
+
+
+def per_point(xs, ys, hg):
+    """`assign` on every center (xs[j], ys[i]), shaped as a lattice."""
+    x, y = np.meshgrid(xs, ys)
+    return assign(np.column_stack([x.ravel(), y.ravel()]), hg).reshape(len(ys), len(xs), 2)
+
+
+class TestLatticeAssignment:
+    def test_vertical_edge_midpoints_take_lower_id(self):
+        # rows of a 600 m tessellation are 6 cells of 100 m apart, so the
+        # centroids of column 0 and the midpoints between them are centers
+        xs, ys = lattice(0.0, 0.0, 100.0, 12, 12)
+        hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], 600.0)
+        ids = assign_lattice(xs, ys, hg)
+        (_, y_low), (_, y_high) = hg.center(0, 0), hg.center(1, 0)
+        i = int(np.flatnonzero(ys == (y_low + y_high) / 2.0)[0])
+        assert (xs[0] - hg.x0) ** 2 + (ys[i] - y_low) ** 2 == \
+            (xs[0] - hg.x0) ** 2 + (ys[i] - y_high) ** 2
+        assert tuple(ids[i, 0]) == (0, 0)
+        assert np.array_equal(ids, per_point(xs, ys, hg))
+
+    def test_every_edge_midpoint_takes_lower_id(self):
+        # rows 2 apart, so centroid and midpoint ys are exact halves; the xs
+        # are the centroid columns and the midpoints between them
+        hg = make_hexgrid((0.0, 0.0, 12.0, 12.0), spacing=2.0)
+        assert SQRT3 * hg.circumradius == 2.0
+        col_xs = hg.center(0, np.arange(hg.col_min, hg.col_max + 1))[0]
+        xs = np.sort(np.concatenate([col_xs, (col_xs[:-1] + col_xs[1:]) / 2.0]))
+        ys = np.arange(0.0, 12.5, 0.5)[::-1]
+        ids = assign_lattice(xs, ys, hg)
+        x, y = np.meshgrid(xs, ys)
+        brute = brute_assign(np.column_stack([x.ravel(), y.ravel()]), hg)
+        assert np.array_equal(ids.reshape(-1, 2), brute)
+        # the midpoint of the edge between (1, 0) and the lower (0, 1) is a tie
+        mid = [np.flatnonzero(ys == 1.5)[0], np.flatnonzero(xs == col_xs[1] / 2.0)[0]]
+        assert tuple(ids[mid[0], mid[1]]) == (0, 1)
+
+    def test_center_outside_rejected(self):
+        hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
+        with pytest.raises(ValueError, match="outside"):
+            assign_lattice([50.0, 1e5], [50.0], hg)
+
+    def test_blocks_of_rows_agree_with_one_block(self, monkeypatch):
+        xs, ys = lattice(-3e4, 2e4, 30.0, 50, 90)
+        hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], 700.0)
+        whole = assign_lattice(xs, ys, hg)
+        monkeypatch.setattr(hexgrid, "LATTICE_BLOCK_CELLS", 7 * len(xs))
+        assert np.array_equal(assign_lattice(xs, ys, hg), whole)
+        assert np.array_equal(whole, per_point(xs, ys, hg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x0=st.integers(-10**6, 10**6), y0=st.integers(-10**6, 10**6),
+       cellsize=st.sampled_from([25.0, 30.0, 100.0, 300.0, 1000.0 / 3]),
+       # an even number of cells per spacing puts column-0 centroids and
+       # the midpoints of their vertical edges on centers (exact ties)
+       cells_per_spacing=st.one_of(st.integers(1, 4).map(lambda m: 2.0 * m),
+                                   st.floats(1.5, 40.0)),
+       shape=st.tuples(st.integers(1, 30), st.integers(1, 30)), data=st.data())
+def test_lattice_ids_equal_per_point_assign(x0, y0, cellsize, cells_per_spacing, shape, data):
+    nrows, ncols = shape
+    xs, ys = lattice(float(x0), float(y0), cellsize, ncols, nrows)
+    # a window cut from the larger lattice, its tessellation over its corners
+    r0 = data.draw(st.integers(0, nrows - 1))
+    r1 = data.draw(st.integers(r0 + 1, nrows))
+    c0 = data.draw(st.integers(0, ncols - 1))
+    c1 = data.draw(st.integers(c0 + 1, ncols))
+    xs, ys = xs[c0:c1], ys[r0:r1]
+    hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], cells_per_spacing * cellsize)
+    ids = assign_lattice(xs, ys, hg)
+    assert ids.shape == (len(ys), len(xs), 2)
+    assert np.array_equal(ids, per_point(xs, ys, hg))
+
+
 class TestAggregation:
     def test_unweighted_means_by_cell(self):
         hg = make_hexgrid((0, 0, 10000, 10000), spacing=3000.0)
@@ -115,7 +198,7 @@ class TestAggregation:
         b = hg.center(1, 1)
         locs = np.array([a, a, b], dtype=float)
         pairs = Pairs(y=[10.0, 20.0, 7.0], yhat=[12.0, 18.0, 5.0])
-        means = aggregate_pairs(pairs, locs, hg)
+        means = aggregate_pairs(pairs, assign(locs, hg), hg)
         # rows in cell-id order: (0, 0) holds the first two points, (1, 1) the third
         assert means.dtype == np.float64
         assert means.tolist() == [[15.0, 15.0], [7.0, 5.0]]
@@ -123,17 +206,17 @@ class TestAggregation:
     def test_only_occupied_cells_emitted(self):
         hg = make_hexgrid((0, 0, 100000, 100000), spacing=5000.0)
         locs = np.array([[50.0, 50.0]])
-        means = aggregate_pairs(Pairs([1.0], [2.0]), locs, hg)
+        means = aggregate_pairs(Pairs([1.0], [2.0]), assign(locs, hg), hg)
         assert means.shape == (1, 2)
 
     def test_location_shape_checked(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
         with pytest.raises(ValueError):
-            aggregate_pairs(Pairs([1.0], [2.0]), np.zeros((2, 2)), hg)
+            aggregate_pairs(Pairs([1.0], [2.0]), assign(np.zeros((2, 2)), hg), hg)
 
     def test_empty_input_gives_no_cells(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
-        assert aggregate_pairs(Pairs([], []), np.zeros((0, 2)), hg).shape == (0, 2)
+        assert aggregate_pairs(Pairs([], []), assign(np.zeros((0, 2)), hg), hg).shape == (0, 2)
 
 
 def in_order_mean(values):
@@ -176,8 +259,8 @@ def test_grouping_matches_dict_reference(seed, n_random, n_stacked, n_ties, spac
     locs = locs[rng.permutation(len(locs))]
     pairs = Pairs(rng.gamma(2.0, 50.0, len(locs)), rng.normal(100.0, 40.0, len(locs)))
     ref = dict_grouping(pairs, locs, hg)
-    assert aggregate_pairs(pairs, locs, hg).tolist() == [[y_mean, yhat_mean]
-                                                         for _, _, y_mean, yhat_mean in ref]
+    assert aggregate_pairs(pairs, assign(locs, hg), hg).tolist() == [
+        [y_mean, yhat_mean] for _, _, y_mean, yhat_mean in ref]
 
 
 def test_equals_block_fed_add_at_accumulator():
@@ -208,4 +291,4 @@ def test_equals_block_fed_add_at_accumulator():
     assert any(pairs.y[key == k].mean() != sums[k, 0] / count[k]
                for k in np.flatnonzero(occupied))
     expected = sums[occupied] / count[occupied, None]
-    assert aggregate_pairs(pairs, locs, hg).tolist() == expected.tolist()
+    assert aggregate_pairs(pairs, assign(locs, hg), hg).tolist() == expected.tolist()

@@ -264,31 +264,36 @@ def test_report_refuses_manifest_of_another_shape(small, tmp_path, capsys):
     assert f"artifact version {ARTIFACT_VERSION + 1}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda raw: raw[:30],
-    lambda raw: b"\xff" + raw,
-    lambda raw: b"[5]",
-    lambda raw: b'{"stages": {}}',
-    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION}).encode(),
-    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
-                            "stages": {"ingest": {}}}).encode(),
-    lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
-                            "stages": []}).encode(),
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda raw: raw[:30], "it is not UTF-8 JSON"),
+    (lambda raw: b"\xff" + raw, "it is not UTF-8 JSON"),
+    (lambda raw: b"[5]", "it is not a JSON object naming its artifact version"),
+    (lambda raw: b'{"stages": {}}', "it is not a JSON object naming its artifact version"),
+    (lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION}).encode(),
+     f"its body does not fit artifact version {ARTIFACT_VERSION}"),
+    (lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
+                             "stages": {"ingest": {}}}).encode(),
+     f"its body does not fit artifact version {ARTIFACT_VERSION}"),
+    (lambda raw: json.dumps({"artifact_version": ARTIFACT_VERSION, "config_hash": "",
+                             "stages": []}).encode(),
+     f"its body does not fit artifact version {ARTIFACT_VERSION}"),
 ], ids=["cut to 30 bytes", "not UTF-8", "not an object", "no artifact version",
         "no body", "stage record without fields", "stages not an object"])
 def test_unreadable_manifest_is_discarded_by_run_and_refused_by_report(
-        small, tmp_path, capsys, caplog, corrupt):
+        small, tmp_path, capsys, caplog, corrupt, reason):
     out = (tmp_path / "o").resolve()
     cli = ["--config", str(small.cfg_path), "--out", str(out)]
     assert main(["ingest", *cli]) == 0
     manifest_path = out / "manifest.json"
     manifest_path.write_bytes(corrupt(manifest_path.read_bytes()))
     assert RunManifest.load(out).artifact_version is None
+    assert RunManifest.load(out).unusable == reason
     capsys.readouterr()
     assert main(["report", *cli]) == 2
-    assert str(manifest_path) in capsys.readouterr().err
+    assert f"run manifest {manifest_path} cannot be used: {reason};" in capsys.readouterr().err
     assert main(["ingest", *cli]) == 0
-    assert f"discarding {manifest_path}" in caplog.text
+    assert f"discarding {manifest_path}: {reason}" in caplog.text
+    assert "version None" not in caplog.text
     assert list(RunManifest.load(out).stages) == ["ingest"]
 
 
@@ -695,6 +700,70 @@ def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
                 assert all(r[m] == "" for m in metrics)
     # the single cell: one hex at every scale, no metric anywhere
     assert n_joint == 1 and n_hexes == [1] * len(n_hexes)
+
+
+def agreement_by_point(config, year, path):
+    """Write to `path` the agreement table of `year` built with per-point
+    `assign` on the centers of the joint cells, through `multiscale_pairs`."""
+    from agbmap.metrics import multiscale_pairs
+    from agbmap.pipeline import AGREEMENT_COLUMNS, _agreement_row
+    from agbmap.tables import write_table
+
+    crm, nsvb = (read_grid(Path(config.output_dir) / "predict" / f"agb_{year}_{a}.bin")
+                 for a in ("CRM", "NSVB"))
+    joint = crm.mask & nsvb.mask
+    xs, ys = crm.cell_centers()
+    rows, cols = np.nonzero(joint)
+    scales = [1] + [s for s in config.scales_km if s != 1]
+    compared = multiscale_pairs(crm.values[joint], nsvb.values[joint],
+                                np.column_stack([xs[cols], ys[rows]]), scales)
+    write_table(path, AGREEMENT_COLUMNS, [_agreement_row(*scale) for scale in compared])
+    return path.read_bytes()
+
+
+def joint_window(config, year):
+    """First and last row, then column, holding a cell valid in both maps."""
+    crm, nsvb = (read_grid(Path(config.output_dir) / "predict" / f"agb_{year}_{a}.bin")
+                 for a in ("CRM", "NSVB"))
+    joint = crm.mask & nsvb.mask
+    return [(int(i[0]), int(i[-1])) for i in map(np.flatnonzero, (joint.any(1), joint.any(0)))]
+
+
+def test_agree_shares_each_scale_lattice_between_equal_windows(small, tmp_path, monkeypatch):
+    import agbmap.pipeline
+
+    config = copy_of_small(small, tmp_path / "d")
+    years = sorted(config.years)
+    scales = [s for s in config.scales_km if s != 1]
+    calls = []
+    original = agbmap.pipeline.assign_lattice
+
+    def counting(xs, ys, hexgrid):
+        calls.append(hexgrid.spacing)
+        return original(xs, ys, hexgrid)
+
+    def tables_equal_per_point_reference():
+        for year in years:
+            table = Path(config.output_dir) / "agree" / f"agreement_{year}.csv"
+            assert table.read_bytes() == agreement_by_point(config, year, tmp_path / "ref.csv")
+
+    monkeypatch.setattr(agbmap.pipeline, "assign_lattice", counting)
+    assert joint_window(config, years[0]) == joint_window(config, years[1])
+    run(config, ["agree"])
+    assert calls == [s * 1000.0 for s in scales]
+    tables_equal_per_point_reference()
+
+    # one year's joint cells cut to a smaller window: each year its own lattice
+    crm_path = Path(config.output_dir) / "predict" / f"agb_{years[0]}_CRM.bin"
+    crm = read_grid(crm_path)
+    keep = np.zeros_like(crm.mask)
+    keep[5:30, 3:40] = True
+    write_grid(crm.with_values(crm.values, crm.mask & keep, units=crm.units), crm_path)
+    assert joint_window(config, years[0]) != joint_window(config, years[1])
+    calls.clear()
+    run(config, ["agree"])
+    assert calls == [s * 1000.0 for s in scales for _ in years]
+    tables_equal_per_point_reference()
 
 
 def test_diff_change_invariant(small):

@@ -48,10 +48,12 @@ def test_write_table_formats_and_quotes_cells(tmp_path):
     write_table(p, ("id", "x", "n", "h"), [
         {"id": 'P,"0', "x": 0.1, "n": 3, "h": None},
         {"id": "a\nb", "x": 1e-20, "n": 0, "h": 1.0, "ignored": "z"},
+        {"id": "c\rd", "x": 2.5, "n": 1, "h": None},
     ])
-    assert p.read_text() == 'id,x,n,h\n"P,""0",0.1,3,\n"a\nb",1e-20,0,1.0\n'
+    assert p.read_bytes() == b'id,x,n,h\n"P,""0",0.1,3,\n"a\nb",1e-20,0,1.0\n"c\rd",2.5,1,\n'
     columns = {"id": str, "x": number, "n": int, "h": optional_number}
     assert list(read_table(p, "test", columns)) == [
         {"id": 'P,"0', "x": 0.1, "n": 3, "h": None},
         {"id": "a\nb", "x": 1e-20, "n": 0, "h": 1.0},
+        {"id": "c\rd", "x": 2.5, "n": 1, "h": None},
     ]
