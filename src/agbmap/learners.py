@@ -7,16 +7,13 @@ out-of-fold predictions; final ensemble predictions are truncated below at
 zero, since the target is a nonnegative density.
 
 Every fit is a pure function of (data, hyperparameters, seed). Trees grow
-level by level in batches, each tree on its own rows: all trees of a bagged
-fit, or tree t of a boosted fit on features presorted once, and those of all k
-folds of a cross-validation at once; a single fit is the batch of one. Each
-bagged tree draws from its own rng, spawned from the fit's. So a fit's first t
-trees cut at depth d are the fit of those hyperparameters, and model selection
-cross-validates each nested family of specs once. A tree model's trees are one
-node table in level order, tree t at node t, numbered as the grower numbers
-them and stored so in the model file; predict walks all trees at once over
-chunks of cells, each tree as many steps as it is deep. Forest and knn predicts
-run chunks on every CPU, one per worker in flight; maps are the same bits at any count.
+level by level in batches, each on its own rows and target: a bagged batch's
+trees in groups, or tree t of every boosted fit on features presorted once; a
+single fit is the batch of one. Each bagged tree draws from its own rng, spawned
+from the fit's. So a fit's first t trees cut at depth d are the fit of those
+hyperparameters, and model selection grows each nested family of specs once, in
+one batch: the k folds and the fit on all rows of every target (allometry).
+Predicts run over chunks of cells on every CPU, the same bits at any count.
 """
 
 from __future__ import annotations
@@ -34,9 +31,10 @@ MODEL_FORMAT_VERSION = 2
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
 # // trees) and distances of a knn query (chunk = this // training rows), one chunk
-# per worker in flight, and split costs of a tree level (candidates = this // rows
-# of the widest node); a predict's workers are the CPUs this process may run on
+# per worker (a CPU this process may run on) in flight, and split costs of a tree
+# level (candidates = this // 8 // rows of the widest node: passes that stay in cache)
 _CHUNK_ENTRIES = 65_536
+_GROUP_TREES = 128  # bagged trees per grower call: bounds its (trees, rows) arrays
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -222,14 +220,14 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
             draws = np.concatenate([rngs[b].random((c, p)) for b, c in zip(owner, count)])
             feats = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :max_features], axis=1)
         # score each (node, feature) candidate, in padded passes of at most
-        # _CHUNK_ENTRIES entries, widest nodes first
+        # _CHUNK_ENTRIES // 8 entries, widest nodes first
         K, flat = feats.shape[1], perm.ravel()
         cand, cand_f = np.repeat(node, K), feats.ravel()
         cand_at, m_all = cand_f * perm.shape[1] + start[cand], size[cand]
         cost_min, j_min = np.empty(cand.size), np.empty(cand.size, dtype=np.int64)
         by_width = np.argsort(-m_all, kind="stable")
         while by_width.size:
-            c, by_width = np.split(by_width, [max(1, _CHUNK_ENTRIES // m_all[by_width[0]])])
+            c, by_width = np.split(by_width, [max(1, _CHUNK_ENTRIES // 8 // m_all[by_width[0]])])
             m, col = m_all[c][:, None], np.arange(m_all[c[0]])
             e = flat[cand_at[c][:, None] + np.minimum(col, m - 1)]  # pads with the last row
             xs, ys = xe[e * p + cand_f[c][:, None]], np.where(col < m, ye[e], 0.0)
@@ -252,7 +250,7 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
             level[name][split] = column
         # each row of `perm` sorts its rows by child, left before right, and
         # drops the rows of leaves
-        rank = np.full(size.size, -1)
+        rank = np.full(size.size, -1, dtype=np.int16 if S < 2 ** 14 else np.int64)  # radix-sorted
         rank[split] = np.arange(S)
         r = rank[slot]
         goes_left = np.zeros(B * n, dtype=bool)
@@ -326,8 +324,8 @@ class KnnModel:
         self.k = k
         self.mu = self.sigma = self.X = self.y = None
 
-    def _fit_batch(self, models, X, y, keep, rngs) -> None:
-        for m, rows in zip(models, keep):  # one fold at a time
+    def _fit_batch(self, models, X, Y, keep, rngs) -> None:
+        for m, y, rows in zip(models, Y, keep):  # one fold at a time
             Xr, m.y = X[rows], y[rows]
             if m.k > Xr.shape[0]:
                 raise ValueError(f"k={m.k} exceeds the {Xr.shape[0]} training rows")
@@ -389,14 +387,14 @@ class _TreeModel:
                                 for name, dtype in _TREE_ARRAYS.items()}, m.n_trees)
         return m
 
-    def nested(self, trees: int, max_depth) -> "_TreeModel":
-        """This model's first `trees` trees cut at `max_depth`: the model a fit
-        with those hyperparameters makes from the same data and seed."""
-        m = type(self)(trees=trees, **{**{a: getattr(self, a) for a in self._ARGS},
-                                       "max_depth": max_depth})
+    def nested(self, spec: LearnerSpec) -> "_TreeModel":
+        """The model a fit of `spec`, of this model's family, makes from the same
+        data and seed: this model's first trees cut at the spec's depth."""
+        m = type(self)(**spec.hp)
         setattr(m, self._FITTED, getattr(self, self._FITTED))
         if self.forest is not None:
-            m.forest = _Forest(_gather(np.arange(trees), max_depth, **self.forest.table), trees)
+            m.forest = _Forest(_gather(range(m.n_trees), m.max_depth, **self.forest.table),
+                               m.n_trees)
         return m
 
 
@@ -418,25 +416,28 @@ class BaggedTreesModel(_TreeModel):
         self.n_trees = trees
         self.max_depth = max_depth
         self.max_features = max_features
-        self.forest = None
-        self.constant = None
+        self.forest = self.constant = None
 
-    def _fit_batch(self, models, X, y, keep, rngs) -> None:
-        for m, rows in zip(models, keep):
+    def _fit_batch(self, models, X, Y, keep, rngs) -> None:
+        for m, y, rows in zip(models, Y, keep):
             m.forest, m.constant = None, float(y[rows].mean()) if self.max_depth == 0 else None
         if self.max_depth == 0:
             return
-        T, p, sizes = self.n_trees, X.shape[1], np.repeat(keep.sum(axis=1), self.n_trees)
+        T, G, tables = self.n_trees, _GROUP_TREES, []
         rngs = [r for rng in rngs for r in rng.spawn(T)]  # tree t of models[b] is b * T + t
-        boot = np.zeros((len(rngs), sizes.max()), dtype=np.int64)  # padded with row 0
-        for b, (rows, r) in enumerate(zip(np.repeat(keep, T, axis=0), rngs)):
-            boot[b, :sizes[b]] = np.flatnonzero(rows)[r.integers(0, sizes[b], size=sizes[b])]
-        Xb = X[boot]
-        table, _ = _grow(Xb, y[boot], np.argsort(Xb, axis=1, kind="stable"),
-                         np.arange(boot.shape[1]) < sizes[:, None], self.max_depth,
-                         self.features_drawn(p), rngs)
+        of, sizes = np.repeat(np.arange(len(models)), T), np.repeat(keep.sum(axis=1), T)
+        for g in (slice(lo, lo + G) for lo in range(0, len(rngs), G)):  # each tree as if alone
+            boot = np.zeros((len(rngs[g]), sizes[g].max()), dtype=np.int64)  # padded with row 0
+            for i, (b, size, r) in enumerate(zip(of[g], sizes[g], rngs[g])):
+                boot[i, :size] = np.flatnonzero(keep[b])[r.integers(0, size, size=size)]
+            Xb = X[boot]
+            tables.append(_grow(Xb, Y[of[g, None], boot], np.argsort(Xb, axis=1, kind="stable"),
+                                np.arange(boot.shape[1]) < sizes[g, None], self.max_depth,
+                                self.features_drawn(X.shape[1]), rngs[g])[0])
+        table, roots = _concat(tables)
+        roots = np.repeat(roots, G)[:len(rngs)] + np.arange(len(rngs)) % G  # of each tree
         for b, m in enumerate(models):
-            m.forest = _Forest(_gather(np.arange(b * T, (b + 1) * T), None, **table), T)
+            m.forest = _Forest(_gather(roots[b * T:(b + 1) * T], None, **table), T)
 
     def features_drawn(self, p: int) -> int:
         """How many of p features each split draws: fits that draw as many
@@ -462,19 +463,18 @@ class BoostedTreesModel(_TreeModel):
         self.n_trees = trees
         self.learning_rate = float(learning_rate)
         self.max_depth = max_depth
-        self.init_value = None
-        self.forest = None
+        self.init_value = self.forest = None
 
-    def _fit_batch(self, models, X, y, keep, rngs) -> None:
-        """Fit models[b] on the rows keep[b]: tree t of every model grows in one
-        batch, on X presorted once, from each model's own mean and residuals."""
-        init = np.array([y[rows].mean() for rows in keep])
+    def _fit_batch(self, models, X, Y, keep, rngs) -> None:
+        """Fit models[b] on the rows keep[b] of Y[b]: tree t of every model grows in
+        one batch, on X presorted once, from each model's own mean and residuals."""
+        init = np.array([y[rows].mean() for y, rows in zip(Y, keep)])
         current = np.repeat(init[:, None], X.shape[0], axis=1)
         Xb, order = (np.repeat(a[None], len(keep), axis=0)  # X is the same for every tree
                      for a in (X, np.argsort(X, axis=0, kind="stable")))
         tables = []
         for _ in range(self.n_trees):
-            table, fitted = _grow(Xb, y - current, order, keep, self.max_depth, X.shape[1], None)
+            table, fitted = _grow(Xb, Y - current, order, keep, self.max_depth, X.shape[1], None)
             current = current + self.learning_rate * fitted
             tables.append(table)
         cat, roots = _concat(tables)
@@ -498,26 +498,20 @@ def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
 
     The spec's hyperparameters are its model class's constructor arguments
     (defaults fill those it leaves out); `seed` seeds the fit's rng. Given
-    `held_out`, a list of k row-index arrays, it fits k models in one batch
-    and returns them: model i is the fit on the rows outside `held_out[i]`
-    from seed `[seed, i]`. A single fit is the batch of one. Each kind fits a
-    batch in `_fit_batch(models, X, y, keep, rngs)`: models[b] on the rows
-    keep[b] of X, y from rngs[b], with its own hyperparameters.
+    `held_out`, B row-index arrays, and B seeds, it returns B models fitted in
+    one batch: model b fits y (or y[b], for a y of B rows) on the rows outside
+    held_out[b] from seed[b], in `_fit_batch(models, X, Y, keep, rngs)`.
     """
     spec.validate()
     X = _as_2d(X)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must match the rows of X")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
     folds = [[]] if held_out is None else held_out
-    keep = np.ones((len(folds), X.shape[0]), dtype=bool)
-    for rows, out in zip(keep, folds):
-        rows[out] = False
-    seeds = [seed] if held_out is None else [[seed, i] for i in range(len(folds))]
+    keep = np.array([~np.isin(np.arange(X.shape[0]), out) for out in folds])
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape not in ((X.shape[0],), keep.shape) or not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite and match the rows of X")
     models = [_MODEL_CLASSES[spec.kind](**spec.hp) for _ in folds]
-    models[0]._fit_batch(models, X, y, keep, [np.random.default_rng(s) for s in seeds])
+    models[0]._fit_batch(models, X, np.broadcast_to(y, keep.shape), keep,
+                         [np.random.default_rng(s) for s in ([seed] if held_out is None else seed)])
     return models[0] if held_out is None else models
 
 
@@ -546,53 +540,65 @@ def _family(spec: LearnerSpec, p: int):
     return spec.kind, tuple(sorted(args.items()))
 
 
-def cv_predict(specs, X, y, k: int = 5, seed=0) -> np.ndarray:
+def cv_predict(specs, X, y, k: int = 5, seed=0, final_seed=None):
     """Out-of-fold predictions of one nested family under a seeded k-fold split.
 
     The k folds fit the family's head (most trees, greatest depth) in one batch,
     and each predicts with each member's nested part of it: column j is the
-    cross-validation of `specs[j]` alone.
+    cross-validation of `specs[j]` alone. A (targets, n) y takes a seed per
+    target and gives (targets, n, specs). Given `final_seed`, a seed per target,
+    the batch also fits the head on all rows of each: the result is `(oof, fits)`.
     """
-    specs, X = list(specs), _as_2d(X)
+    specs, X, y = list(specs), _as_2d(X), np.asarray(y, dtype=np.float64)
     if not specs or len({_family(s, X.shape[1]) for s in specs}) != 1:
         raise ValueError("cv_predict needs the specs of one nested family")
-    members = [_MODEL_CLASSES[s.kind](**s.hp) for s in specs]  # unfitted: their arguments
     head = specs[0]
     if head.kind != "knn":
-        depths = [m.max_depth for m in members]
-        deepest = None if None in depths else max(depths)
-        head = LearnerSpec.make(head.kind, **{**head.hp, "max_depth": deepest,
-                                              "trees": max(m.n_trees for m in members)})
-    oof = np.empty((X.shape[0], len(specs)), dtype=np.float64)
-    folds = kfold_indices(X.shape[0], k, seed)
-    for test_idx, model in zip(folds, train_base(head, X, y, seed, held_out=folds)):
-        for j, (spec, member) in enumerate(zip(specs, members)):
-            fit = model if spec == head else model.nested(member.n_trees, member.max_depth)
-            oof[test_idx, j] = fit.predict(X[test_idx])
-    return oof
+        depths = [_MODEL_CLASSES[s.kind](**s.hp).max_depth for s in specs]  # defaults filled in
+        head = LearnerSpec.make(head.kind, **{**head.hp, "trees": max(s.hp["trees"] for s in specs),
+                                              "max_depth": None if None in depths else max(depths)})
+    Y, seeds = (y, seed) if y.ndim == 2 else (y[None], [seed])
+    folds = [(a, out, [s, i]) for a, s in enumerate(seeds)
+             for i, out in enumerate(kfold_indices(X.shape[0], k, s))]
+    of, held_out, member_seeds = zip(*folds, *((a, [], s) for a, s in enumerate(final_seed or [])))
+    models = train_base(head, X, Y[list(of)], list(member_seeds), held_out=list(held_out))
+    oof = np.empty((len(Y), X.shape[0], len(specs)))
+    for (a, test_idx, _), model in zip(folds, models):
+        for j, spec in enumerate(specs):
+            fit = model if spec == head else model.nested(spec)
+            oof[a, test_idx, j] = fit.predict(X[test_idx])
+    oof = oof if y.ndim == 2 else oof[0]
+    return oof if final_seed is None else (oof, models[len(folds):])
 
 
-def grid_search(specs, X, y, k: int = 5, seed=0):
+def grid_search(specs, X, y, k: int = 5, seed=0, final_seed=None):
     """Pick the spec with the lowest k-fold CV RMSE; ties keep grid order.
 
     Each nested family of specs is cross-validated once, on the same seeded
     folds. Returns `(best, best_oof, scores)`: the winner, its out-of-fold
     predictions (those of `cv_predict([best], X, y, k, seed)`) and `(spec,
-    rmse)` in grid order.
+    rmse)` in grid order; a (targets, n) y with a seed per target, a list of
+    them. Given `final_seed`, a seed per target, each adds the winner's fit on
+    all rows from it, as `train_base` fits it, cut from its family's head.
     """
-    specs, X = list(specs), _as_2d(X)
+    specs, X, y = list(specs), _as_2d(X), np.asarray(y, dtype=np.float64)
     if not specs:
         raise ValueError("empty hyperparameter grid")
-    y = np.asarray(y, dtype=np.float64)
     families: dict = {}
     for spec in specs:
         families.setdefault(_family(spec, X.shape[1]), []).append(spec)
-    oof = {}
-    for family in families.values():
-        oof.update(zip(family, cv_predict(family, X, y, k=k, seed=seed).T))
-    scores = [(spec, float(np.sqrt(np.mean((y - oof[spec]) ** 2)))) for spec in specs]
-    best = min(scores, key=lambda score: score[1])[0]
-    return best, oof[best], scores
+    Y, seeds = (y, seed) if y.ndim == 2 else (y[None], [seed])
+    got = [(family, cv_predict(family, X, Y, k=k, seed=seeds, final_seed=final_seed or []))
+           for family in families.values()]
+    results = []
+    for a, target in enumerate(Y):
+        oof = {s: col for family, (cols, _) in got for s, col in zip(family, cols[a].T)}
+        scores = [(spec, float(np.sqrt(np.mean((target - oof[spec]) ** 2)))) for spec in specs]
+        best = min(scores, key=lambda score: score[1])[0]
+        final = [fits[a] if best.kind == "knn" else fits[a].nested(best)
+                 for family, (_, fits) in got if fits and best in family]
+        results.append((best, oof[best], scores, *final))
+    return results if y.ndim == 2 else results[0]
 
 
 @dataclass
@@ -604,17 +610,15 @@ class StackFit:
     rank_deficient: bool
 
     def apply(self, columns) -> np.ndarray:
-        columns = _as_2d(columns)
-        return self.intercept + columns @ self.coefficients
+        return self.intercept + _as_2d(columns) @ self.coefficients
 
     def to_dict(self) -> dict:
         return {**vars(self), "coefficients": self.coefficients.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "StackFit":
-        return StackFit(intercept=float(d["intercept"]),
-                        coefficients=np.array(d["coefficients"], dtype=np.float64),
-                        rank_deficient=bool(d["rank_deficient"]))
+        return StackFit(float(d["intercept"]), np.array(d["coefficients"], dtype=np.float64),
+                        bool(d["rank_deficient"]))
 
 
 def fit_stack(oof, y) -> StackFit:
@@ -629,8 +633,7 @@ def fit_stack(oof, y) -> StackFit:
         raise ValueError("y must match the rows of the prediction matrix")
     A = np.column_stack([np.ones(oof.shape[0]), oof])
     sol, _res, rank, _sv = np.linalg.lstsq(A, y, rcond=None)
-    return StackFit(intercept=float(sol[0]),
-                    coefficients=sol[1:].copy(),
+    return StackFit(intercept=float(sol[0]), coefficients=sol[1:].copy(),
                     rank_deficient=bool(rank < A.shape[1]))
 
 
@@ -658,17 +661,14 @@ class EnsembleModel:
         return np.maximum(self.stack.apply(self.base_predictions(X)), 0.0)
 
     def to_json(self) -> str:
-        doc = {
+        return json.dumps({
             "format_version": MODEL_FORMAT_VERSION,
             "feature_names": self.feature_names,
             "ybar_train": self.ybar_train,
             "stack": self.stack.to_dict(),
-            "base": [
-                {"spec": s.to_dict(), "model": m.to_dict()}
-                for s, m in zip(self.specs, self.models)
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
+            "base": [{"spec": s.to_dict(), "model": m.to_dict()}
+                     for s, m in zip(self.specs, self.models)],
+        }, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "EnsembleModel":

@@ -33,8 +33,7 @@ from .inventory import (
     filter_model_dev, load_plots, load_trees, select_single_inventory, split_by_panel,
 )
 from .learners import (
-    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search, of_type,
-    predict_grid, train_base,
+    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search, of_type, predict_grid,
 )
 from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
@@ -477,10 +476,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     if len(rows) < 10:
         raise PipelineError(f"only {len(rows)} feature rows; too few to fit models")
     X = np.array([[r[name] for name in names] for r in rows], dtype=np.float64)
-    y_by_allom = {
-        "CRM": np.array([r["agb_crm"] for r in rows]),
-        "NSVB": np.array([r["agb_nsvb"] for r in rows]),
-    }
+    Y = np.array([[r["agb_crm"] for r in rows], [r["agb_nsvb"] for r in rows]])  # as ALLOMETRIES
 
     n = len(rows)
     rng = np.random.default_rng([config.seed, 301])
@@ -491,39 +487,37 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
         raise ConfigError(f"cv_folds {config.cv_folds} exceeds the {n_train} training rows "
                           f"({n} model-development rows, one held out for testing)")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-
+    smallest = n_train - -(-n_train // config.cv_folds)  # a fold's fewest training rows
     grids = config.spec_grids()
+    for spec in grids.get("knn", []):
+        if spec.hp["k"] > smallest:
+            raise ConfigError(f"learner_grids.knn k {spec.hp['k']} exceeds the {smallest} "
+                              f"training rows of a fold ({config.cv_folds} folds of {n_train} "
+                              "training rows)")
     kinds = sorted(grids)
     summary: dict = {
         "n_rows": n, "n_train": int(n_train), "n_test": int(n - n_train),
         "kinds": kinds, "models": {},
     }
+    # one search per kind: each family grows both allometries' folds and final fits together
+    Xtr, Xte, Ytr = X[train_idx], X[test_idx], Y[:, train_idx]
+    searched = [grid_search(grids[kind], Xtr, Ytr, k=config.cv_folds,
+                            seed=[[config.seed, 310, a, k_idx] for a in range(len(Y))],
+                            final_seed=[[config.seed, 320, a, k_idx] for a in range(len(Y))])
+                for k_idx, kind in enumerate(kinds)]
     test_rows = []
     for a_idx, allometry in enumerate(ALLOMETRIES):
-        y = y_by_allom[allometry]
-        Xtr, ytr = X[train_idx], y[train_idx]
-        Xte, yte = X[test_idx], y[test_idx]
-
-        chosen: list[LearnerSpec] = []
-        oof_cols = []
-        model_info = {}
-        for k_idx, kind in enumerate(kinds):
-            best, oof, scores = grid_search(grids[kind], Xtr, ytr, k=config.cv_folds,
-                                            seed=[config.seed, 310, a_idx, k_idx])
-            chosen.append(best)
-            oof_cols.append(oof)
-            model_info[kind] = {
-                "chosen": best.to_dict(),
-                "cv_rmse": {json.dumps(s.to_dict(), sort_keys=True): r
-                            for s, r in scores},
-            }
+        ytr, yte = Ytr[a_idx], Y[a_idx, test_idx]
+        chosen, oof_cols, scores, models = zip(*(results[a_idx] for results in searched))
+        model_info = {kind: {"chosen": best.to_dict(),
+                             "cv_rmse": {json.dumps(s.to_dict(), sort_keys=True): r
+                                         for s, r in kind_scores}}
+                      for kind, best, kind_scores in zip(kinds, chosen, scores)}
         stack = fit_stack(np.column_stack(oof_cols), ytr)
         if stack.rank_deficient:
             LOGGER.warning("stacking design for %s is rank deficient; "
                            "minimal-norm coefficients used", allometry)
-        models = [train_base(spec, Xtr, ytr, seed=[config.seed, 320, a_idx, k_idx])
-                  for k_idx, spec in enumerate(chosen)]
-        ens = EnsembleModel(specs=chosen, models=models, stack=stack,
+        ens = EnsembleModel(specs=list(chosen), models=list(models), stack=stack,
                             feature_names=names, ybar_train=float(ytr.mean()))
         with open(out / f"model_{allometry}.json", "w", encoding="utf-8") as f:
             f.write(ens.to_json())

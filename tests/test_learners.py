@@ -196,8 +196,9 @@ class TestTrees:
         X, y = toy_data(40)
         once = train_base(LearnerSpec.make(kind, **hp), X, y, seed=4)
         twice, keep = learners._MODEL_CLASSES[kind](**hp), np.ones((1, 40), dtype=bool)
-        twice._fit_batch([twice], X[::-1] + 1.0, y[::-1] * 2.0, keep, [np.random.default_rng(9)])
-        twice._fit_batch([twice], X, y, keep, [np.random.default_rng(4)])
+        twice._fit_batch([twice], X[::-1] + 1.0, y[None, ::-1] * 2.0, keep,
+                         [np.random.default_rng(9)])
+        twice._fit_batch([twice], X, y[None], keep, [np.random.default_rng(4)])
         assert twice.to_dict() == once.to_dict()
         q = toy_data(30, seed=6)[0]
         assert np.array_equal(twice.predict(q), once.predict(q))
@@ -532,7 +533,7 @@ class TestNestedFits:
             spec = LearnerSpec.make("bagged_trees", trees=trees, max_depth=max_depth,
                                     max_features=max_features)
             alone = train_base(spec, X, y, seed=[4, 1])
-            assert same_tree(model.nested(trees, max_depth).to_dict(), alone.to_dict())
+            assert same_tree(model.nested(spec).to_dict(), alone.to_dict())
 
     def test_boosted(self):
         X, y = toy_data(50)
@@ -541,9 +542,9 @@ class TestNestedFits:
         for trees in (30, 12, 1):
             spec = LearnerSpec.make("boosted_trees", trees=trees, learning_rate=0.1, max_depth=3)
             alone = train_base(spec, X, y, seed=0)
-            assert same_tree(model.nested(trees, 3).to_dict(), alone.to_dict())
+            assert same_tree(model.nested(spec).to_dict(), alone.to_dict())
             q = toy_data(40, seed=5)[0]
-            assert np.array_equal(model.nested(trees, 3).predict(q), alone.predict(q))
+            assert np.array_equal(model.nested(spec).predict(q), alone.predict(q))
 
     @pytest.mark.parametrize("kind,family", [
         ("bagged_trees", [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
@@ -577,8 +578,7 @@ def per_fold_cv(specs, X, y, k, seed) -> np.ndarray:
         train = np.setdiff1d(np.arange(X.shape[0]), test_idx)
         model = train_base(specs[0], X[train], y[train], seed=[seed, i])
         for j, spec in enumerate(specs):
-            fit = model if spec.kind == "knn" else model.nested(spec.hp["trees"],
-                                                                spec.hp["max_depth"])
+            fit = model if spec.kind == "knn" else model.nested(spec)
             oof[test_idx, j] = fit.predict(X[test_idx])
     return oof
 
@@ -775,6 +775,107 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search([], np.zeros((5, 1)), np.zeros(5))
+
+
+ONE_BATCH_GRIDS = {
+    "boosted_trees": [{"trees": 6, "learning_rate": 0.1, "max_depth": 2},
+                      {"trees": 3, "learning_rate": 0.1, "max_depth": 2},
+                      {"trees": 5, "learning_rate": 0.3, "max_depth": 2}],
+    "bagged_trees": [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
+                     {"trees": 4, "max_depth": None, "max_features": "sqrt"},
+                     {"trees": 3, "max_depth": 0}],
+    "knn": [{"k": 2}, {"k": 7}],
+}
+
+
+def one_target_oracle(specs, X, y, k, seed, final_seed):
+    """grid_search for one target as separate calls: one batched fit of each
+    family's head per fold set, then the winner grown again on all rows."""
+    families = {}
+    for spec in specs:
+        families.setdefault(learners._family(spec, X.shape[1]), []).append(spec)
+    oof = {}
+    for family in families.values():
+        head = family[0]
+        if head.kind != "knn":
+            depths = [learners._MODEL_CLASSES[s.kind](**s.hp).max_depth for s in family]
+            head = LearnerSpec.make(head.kind, **{
+                **head.hp, "trees": max(s.hp["trees"] for s in family),
+                "max_depth": None if None in depths else max(depths)})
+        folds = kfold_indices(X.shape[0], k, seed)
+        models = train_base(head, X, y, [[seed, i] for i in range(k)], held_out=folds)
+        for spec in family:
+            oof[spec] = np.empty(X.shape[0])
+            for test_idx, model in zip(folds, models):
+                fit = model if spec.kind == "knn" else model.nested(spec)
+                oof[spec][test_idx] = fit.predict(X[test_idx])
+    scores = [(s, float(np.sqrt(np.mean((y - oof[s]) ** 2)))) for s in specs]
+    best = min(scores, key=lambda score: score[1])[0]
+    return best, oof[best], scores, train_base(best, X, y, final_seed)
+
+
+class TestOneBatchSelection:
+    """One grid_search serves several targets: each family grows every
+    target's folds and fit on all rows in one train_base call, and each
+    target's result is that of searching it alone and refitting the winner."""
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_two_targets_equal_the_per_target_oracle(self, monkeypatch, cap):
+        X, y = toy_data(40, p=4, seed=2)
+        Y = np.vstack([y, np.round(2.0 * y[::-1] + X[:, 3], 1)])
+        seeds = [[5, 310, a, 1] for a in range(2)]
+        finals = [[5, 320, a, 1] for a in range(2)]
+        if cap is not None:
+            monkeypatch.setattr(learners, "_GROUP_TREES", cap)
+        grown, grow = [], learners._grow
+        fits, train = [], learners.train_base
+        monkeypatch.setattr(learners, "_grow", lambda *a: grown.append(
+            (a[0].shape[0], a[-1] is not None)) or grow(*a))
+        monkeypatch.setattr(learners, "train_base", lambda *a, **kw: fits.append(a[0]) or
+                            train(*a, **kw))
+        results = {kind: grid_search([LearnerSpec.make(kind, **hp) for hp in grid], X, Y, k=5,
+                                     seed=seeds, final_seed=finals)
+                   for kind, grid in ONE_BATCH_GRIDS.items()}
+        monkeypatch.undo()
+        # one train_base call per family: 2 boosted, 2 bagged, 2 knn
+        assert sorted(spec.kind for spec in fits) == sorted(
+            ["boosted_trees"] * 2 + ["bagged_trees"] * 2 + ["knn"] * 2)
+        bagged = [trees for trees, is_bagged in grown if is_bagged]
+        if cap is not None:  # the 6-tree head, 2 targets x (5 folds + 1): 72 trees
+            assert len(bagged) >= 3 and max(bagged) <= cap and sum(bagged) == 72
+        else:
+            assert bagged == [72]
+        for kind, per_target in results.items():
+            specs = [LearnerSpec.make(kind, **hp) for hp in ONE_BATCH_GRIDS[kind]]
+            assert len(per_target) == 2
+            for a, (best, best_oof, scores, final) in enumerate(per_target):
+                want = one_target_oracle(specs, X, Y[a], 5, seeds[a], finals[a])
+                assert best == want[0]
+                assert best_oof.tobytes() == want[1].tobytes()
+                assert scores == want[2]
+                assert json.dumps(final.to_dict()) == json.dumps(want[3].to_dict())
+
+    def test_each_members_part_of_the_fit_on_all_rows_is_its_own_fit(self):
+        # at p = 6 "sqrt" and "third" both draw 2 features, so they share a
+        # head; each member's part of it keeps the member's own arguments
+        X, y = toy_data(30, p=6, seed=5)
+        family = [LearnerSpec.make("bagged_trees", **hp) for hp in (
+            {"trees": 5, "max_depth": 2, "max_features": "sqrt"},
+            {"trees": 3, "max_depth": None, "max_features": "third"},
+            {"trees": 5, "max_depth": 1, "max_features": "third"})]
+        oof, [full] = cv_predict(family, X, y, k=5, seed=3, final_seed=[9])
+        assert np.array_equal(oof, cv_predict(family, X, y, k=5, seed=3))
+        for spec in family:
+            assert json.dumps(full.nested(spec).to_dict()) == \
+                json.dumps(train_base(spec, X, y, 9).to_dict())
+
+    def test_one_target_with_a_final_seed(self):
+        X, y = toy_data(30, seed=4)
+        specs = [LearnerSpec.make("bagged_trees", **hp) for hp in ONE_BATCH_GRIDS["bagged_trees"]]
+        best, best_oof, scores, final = grid_search(specs, X, y, k=5, seed=3, final_seed=[9])
+        assert (best, scores) == grid_search(specs, X, y, k=5, seed=3)[::2]
+        assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=3)[:, 0])
+        assert json.dumps(final.to_dict()) == json.dumps(train_base(best, X, y, 9).to_dict())
 
 
 class TestStacking:

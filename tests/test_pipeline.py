@@ -646,11 +646,11 @@ def fit_cv_calls(small, tmp_path, monkeypatch, doc):
 
 def test_fit_cross_validates_each_family_once(small, tmp_path, monkeypatch):
     # the winner's out-of-fold column comes from model selection, not from a
-    # second cross-validation
+    # second cross-validation, and one call serves both allometries
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch, small.doc)
     families = {nested_family(s.kind, s.hp) for grid in config.spec_grids().values()
                 for s in grid}
-    assert len(calls) == 2 * len(families)
+    assert len(calls) == len(families)
 
 
 def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, monkeypatch):
@@ -665,10 +665,36 @@ def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, 
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch,
                                  {**small.doc, "learner_grids": grids})
     specs = [s for grid in config.spec_grids().values() for s in grid]
-    assert len(calls) == 2 * 7
+    assert len(calls) == 7
     assert all(len({nested_family(s.kind, s.hp) for s in family}) == 1 for family in calls)
     assert sorted(map(repr, (s for family in calls for s in family))) == \
-        sorted(map(repr, 2 * specs))
+        sorted(map(repr, specs))
+
+
+def test_fit_models_equal_a_search_and_refit_per_allometry(small, tmp_path, monkeypatch):
+    # one grid_search per kind serves both allometries, and each family grows
+    # the final fits with the folds; every model file still holds what
+    # searching its allometry alone and growing the winner again gives
+    import agbmap.pipeline
+    from agbmap.learners import grid_search, train_base
+
+    config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
+    run(config, ["ingest", "extract"])
+    searches, original = [], agbmap.pipeline.grid_search
+    monkeypatch.setattr(agbmap.pipeline, "grid_search", lambda specs, X, Y, **kw: searches.append(
+        (list(specs), X, Y, kw)) or original(specs, X, Y, **kw))
+    run(config, ["fit"])
+    monkeypatch.undo()
+    assert [specs[0].kind for specs, *_ in searches] == sorted(config.spec_grids())
+    for a, allometry in enumerate(["CRM", "NSVB"]):
+        doc = json.loads((tmp_path / "o" / "fit" / f"model_{allometry}.json").read_text())
+        for (specs, X, Y, kw), base in zip(searches, doc["base"], strict=True):
+            assert Y.shape == (2, X.shape[0])
+            best, _, _ = grid_search(specs, X, Y[a], k=kw["k"], seed=kw["seed"][a])
+            assert best.to_dict() == base["spec"]
+            alone = train_base(best, X, Y[a], kw["final_seed"][a])
+            assert json.dumps(alone.to_dict(), sort_keys=True) == \
+                json.dumps(base["model"], sort_keys=True)
 
 
 def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
@@ -1035,6 +1061,27 @@ def test_cli_more_cv_folds_than_training_rows_is_exit_1(tmp_path, capsys):
     rows = read_rows(out / "run" / "extract" / "features.csv")
     err = capsys.readouterr().err
     assert f"cv_folds 500 exceeds the {len(rows) - 1} training rows ({len(rows)} model" in err
+
+
+def test_cli_knn_k_above_a_folds_training_rows_is_exit_1(tmp_path, capsys):
+    # a fold fit keeps fewer rows than the training set, known only after extract;
+    # fit refuses the grid before any tree grows
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--cells", "60", "--plots", "40"]) == 0
+    config = out / "config.json"
+    doc = load_doc(config)
+    config.write_text(json.dumps({**doc, "learner_grids": {
+        **doc["learner_grids"], "knn": [{"k": 3}, {"k": 25}]}}))
+    assert main(["ingest", "--config", str(config), "--stages", "extract"]) == 0
+    n = len(read_rows(out / "run" / "extract" / "features.csv"))
+    n_train = int(round(0.8 * n))  # the default train_frac
+    smallest = n_train - -(-n_train // 5)
+    assert 3 <= smallest < 25
+    assert main(["fit", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert (f"learner_grids.knn k 25 exceeds the {smallest} training rows of a fold "
+            f"(5 folds of {n_train} training rows)") in err
+    assert not (out / "run" / "fit" / "model_CRM.json").exists()
 
 
 def test_cli_unknown_extra_stage_is_exit_1(small, capsys):
