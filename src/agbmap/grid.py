@@ -136,10 +136,13 @@ def percent_rank(grid: Grid) -> Grid:
     n = vals.size
     if n < 2:
         raise ValueError("percent_rank needs at least two valid cells")
-    ordered = np.sort(vals)
-    # minimum rank for ties: 1 + number of strictly smaller values
-    ranks = np.searchsorted(ordered, vals, side="left") + 1
-    pct = 100.0 * (ranks - 1) / (n - 1)
+    order = np.argsort(vals)
+    ordered, smaller = vals[order], np.empty(n, dtype=np.int64)
+    # minimum rank for ties: 1 + the number of strictly smaller values, which is
+    # where the value's run of equal values starts in sorted order (any sort kind)
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    smaller[order] = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+    pct = 100.0 * smaller / (n - 1)
     values = np.zeros(grid.values.shape, dtype=np.float64)
     values[grid.mask] = pct
     return grid.with_values(values, grid.mask, units="percent")

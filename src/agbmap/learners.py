@@ -291,14 +291,16 @@ class _Forest:
             level, tree = np.concatenate([left[level], right[level]]), np.tile(tree, 2)
         self.roots = np.argsort(-depth, kind="stable")  # deepest first; tree t is node t
         self.unsort = np.argsort(self.roots)
-        self.walking = [int(np.count_nonzero(depth > step)) for step in range(depth.max())]
+        self.walking = [int(np.count_nonzero(depth > step)) for step in range(1, depth.max())]
 
     def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
         def walk(lo, hi):
-            xt, m = np.ascontiguousarray(X[lo:hi].T).ravel(), hi - lo  # feature-major
-            cells, at = np.arange(m), self.feature * m  # xt[at[node] + cell] is x[cell, feature]
-            node = np.repeat(self.roots[:, None], m, axis=1)  # (trees, cells)
+            xt, m, root = np.ascontiguousarray(X[lo:hi].T), hi - lo, self.roots  # feature-major
+            # (trees, cells): all cells start at each root, so step one compares whole rows of xt
+            node = np.where(xt[self.feature[root]] > self.threshold[root][:, None],
+                            self.child[2 * root + 1][:, None], self.child[2 * root][:, None])
+            cells, at, xt = np.arange(m), self.feature * m, xt.ravel()  # xt[at[node] + cell]
             for k in self.walking:  # the k deepest trees take this step
                 top = node[:k]
                 go_right = xt[at[top] + cells] > self.threshold[top]
@@ -335,12 +337,17 @@ class KnnModel:
 
     def predict(self, X) -> np.ndarray:
         Q = (_as_2d(X).T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
-        def query(lo, hi):
-            q = Q[:, lo:hi]
-            # (training rows, cells) of exact differences summed feature by
-            # feature; the stable sort resolves ties by training-row order
-            d2 = sum((self.X[:, f, None] - q[f]) ** 2 for f in range(len(q)))
-            nearest = np.argsort(d2.T, axis=1, kind="stable")[:, : self.k]
+        XT = np.ascontiguousarray(self.X.T)
+        def query(lo, hi):  # (cells, training rows) of exact differences summed feature by feature
+            d2 = (Q[0, lo:hi, None] - XT[0]) ** 2
+            for qf, xf in zip(Q[1:, lo:hi], XT[1:]):
+                d2 += (qf[:, None] - xf) ** 2
+            if not d2.max() < np.inf:  # an inf or nan distance would tie the masked rows
+                return self.y[np.argsort(d2, axis=1, kind="stable")[:, :self.k]].mean(axis=1)
+            nearest, cells = np.empty((hi - lo, self.k), dtype=np.intp), np.arange(hi - lo)
+            for j in range(self.k):  # argmin's ties go to the lower row, as in a stable sort
+                nearest[:, j] = pick = d2.argmin(axis=1)
+                d2[cells, pick] = np.inf
             return self.y[nearest].mean(axis=1)
 
         return _by_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // self.X.shape[0]), query)
@@ -486,11 +493,7 @@ class BoostedTreesModel(_TreeModel):
         return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)
 
 
-_MODEL_CLASSES = {
-    "knn": KnnModel,
-    "bagged_trees": BaggedTreesModel,
-    "boosted_trees": BoostedTreesModel,
-}
+_MODEL_CLASSES = {cls.kind: cls for cls in (KnnModel, BaggedTreesModel, BoostedTreesModel)}
 
 
 def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
@@ -652,13 +655,10 @@ class EnsembleModel:
     feature_names: list[str]
     ybar_train: float
 
-    def base_predictions(self, X) -> np.ndarray:
-        X = _as_2d(X)
-        return np.column_stack([m.predict(X) for m in self.models])
-
     def predict(self, X) -> np.ndarray:
         """Stacked prediction, truncated below at zero."""
-        return np.maximum(self.stack.apply(self.base_predictions(X)), 0.0)
+        return np.maximum(self.stack.apply(np.column_stack([m.predict(X) for m in self.models])),
+                          0.0)
 
     def to_json(self) -> str:
         return json.dumps({

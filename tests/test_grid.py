@@ -176,6 +176,26 @@ class TestMapAlgebra:
         vals = pr.values[pr.mask]
         assert vals.min() == 0.0 and vals.max() == 100.0
 
+    @pytest.mark.parametrize("case", ["tie-heavy", "one distinct value", "two valid cells"])
+    def test_percent_rank_matches_sort_and_binary_search(self, case):
+        # the minimum rank of each value as a binary search of the sorted
+        # values finds it: 1 + the number of strictly smaller values
+        rng = np.random.default_rng(7)
+        if case == "tie-heavy":
+            values, mask = np.round(rng.normal(0.0, 4.0, (250, 400))), rng.random((250, 400)) > 0.1
+        elif case == "one distinct value":
+            values, mask = np.full((300, 300), 2.5), np.ones((300, 300), dtype=bool)
+            values[123, 45] = -1.0
+        else:
+            values, mask = rng.normal(size=(3, 4)), np.zeros((3, 4), dtype=bool)
+            mask[0, 3] = mask[2, 1] = True
+        g = make_grid(values, mask=mask)
+        vals = g.values[g.mask].astype(np.float64)
+        ranks = np.searchsorted(np.sort(vals), vals, side="left") + 1
+        expect = np.zeros(g.values.shape)
+        expect[g.mask] = 100.0 * (ranks - 1) / (vals.size - 1)
+        assert np.array_equal(percent_rank(g).values, expect.astype(np.float32))
+
     def test_summarize(self):
         g = make_grid([[1.0, 2.0], [3.0, 4.0]], mask=[[True, True], [True, False]])
         s = summarize(g)

@@ -9,7 +9,7 @@ import pytest
 from agbmap import learners
 from agbmap.grid import Grid
 from agbmap.learners import (
-    DEFAULT_GRIDS, EnsembleModel, LearnerSpec, StackFit,
+    DEFAULT_GRIDS, EnsembleModel, KnnModel, LearnerSpec, StackFit,
     cv_predict, fit_stack, grid_search, kfold_indices, predict_grid, train_base,
 )
 
@@ -146,6 +146,45 @@ class TestKnn:
         chunked = model.predict(q)
         monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 40 * q.shape[0])
         assert np.array_equal(chunked, model.predict(q))
+
+    def test_overflowing_distances_keep_training_row_order(self):
+        # sigma ~ 8e-151 standardizes the query's 1e10 past sqrt(max float), so
+        # every squared distance is inf: the k nearest are rows 0-2 in row order
+        X = np.array([[0.0, 0.0], [1e-150, 1.0], [0.0, 2.0], [2e-150, 3.0], [0.0, 4.0]])
+        y = np.array([1.0, 10.0, 100.0, 1000.0, 10000.0])
+        model = train_base(LearnerSpec.make("knn", k=3), X, y, seed=0)
+        with np.errstate(over="ignore"):  # one chunk: it runs on this thread
+            assert np.all(np.isinf(((1e10 - model.mu[0]) / model.sigma[0] - model.X[:, 0]) ** 2))
+            assert np.array_equal(model.predict(np.array([[1e10, 3.0]])), [37.0])
+
+    @pytest.mark.parametrize("k", [2, 4, 5, 6])
+    def test_finite_distances_before_infinite_ones(self, k):
+        # rows 1, 3 and 5 lie too far for a finite squared distance: a query
+        # takes the finite rows nearest first, then the infinite ones by row
+        model = KnnModel.from_dict({"k": k, "mu": [0.0], "sigma": [1.0],
+                                    "X": [[0.0], [1e200], [1.0], [-1e200], [2.0], [1e300]],
+                                    "y": [1.0, 10.0, 100.0, 1000.0, 10000.0, 1e5]})
+        order = [0, 2, 4, 1, 3, 5]  # of a query at 0.4
+        want = model.y[order[:k]].mean()
+        with np.errstate(over="ignore"):  # one chunk: it runs on this thread
+            assert np.array_equal(model.predict(np.array([[0.4], [0.4]])), [want, want])
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 25])
+    def test_matches_a_stable_sort_of_the_distances(self, monkeypatch, k):
+        # duplicated training rows and queries on training rows tie distances,
+        # within a cell and at its k-th distance; cells span several chunks
+        rng = np.random.default_rng(k)
+        X = np.round(rng.normal(size=(120, 3)) * [1.0, 10.0, 0.1], 1)
+        X = np.vstack([X, X[rng.choice(120, 40)]])
+        y = rng.gamma(2.0, 50.0, size=len(X))
+        q = np.vstack([np.round(rng.normal(size=(150, 3)) * [1.0, 10.0, 0.1], 1),
+                       X[rng.choice(len(X), 50)]])
+        model = train_base(LearnerSpec.make("knn", k=k), X, y, seed=0)
+        Q = (q - model.mu) / model.sigma
+        d2 = sum((Q[:, f, None] - model.X[:, f]) ** 2 for f in range(3))
+        want = model.y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 37 * len(X))  # chunks of 37 cells
+        assert np.array_equal(model.predict(q), want)
 
 
 class TestTrees:
@@ -311,6 +350,44 @@ class TestForestMatchesPerTreeWalk:
         n = {None: 1, "non-multiple": 2 * chunk + chunk // 3}.get(offset)
         n = chunk + offset if n is None else n
         q = np.random.default_rng(n).uniform(-1, 11, size=(n, X.shape[1]))
+        assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
+
+    @pytest.mark.parametrize("chunk_cells", [None, 3])
+    def test_leaf_roots_among_deep_trees(self, monkeypatch, chunk_cells):
+        # single-leaf trees (a boosted fit on equal targets) between deep bagged
+        # trees, one forest: every cell starts at the roots, and a leaf root
+        # keeps it, whatever the tree's place in the deepest-first walk
+        X, y = toy_data(60)
+        deep = train_base(LearnerSpec.make("bagged_trees", trees=6, max_depth=None,
+                                           max_features=None), X, y, seed=3)
+        flat = train_base(LearnerSpec.make("boosted_trees", trees=5, learning_rate=0.1),
+                          X, np.full_like(y, 2.5), seed=0)
+        cat, at = learners._concat([deep.forest.table, flat.forest.table])
+        roots = [at[1], at[0], at[0] + 1, at[1] + 1, at[1] + 2, at[0] + 2, at[0] + 3,
+                 at[1] + 3, at[0] + 4, at[0] + 5, at[1] + 4]
+        table = learners._gather(roots, None, **cat)
+        forest = learners._Forest(table, len(roots))
+        q = np.vstack([toy_data(10, seed=8)[0], on_thresholds(deep, X)[:7]])
+        want = []
+        for x in q:  # one cell, one tree at a time: start + w * v0 + w * v1 + ...
+            acc = 0.75
+            for t in range(len(roots)):
+                node = t
+                while table["feature"][node] >= 0:
+                    go_left = x[table["feature"][node]] <= table["threshold"][node]
+                    node = table["left" if go_left else "right"][node]
+                acc += 0.5 * table["value"][node]
+            want.append(acc)
+        if chunk_cells:
+            monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * len(roots))
+        assert np.array_equal(forest.accumulate(q, 0.75, 0.5), want)
+
+    def test_boosted_depth_zero(self):
+        X, y = toy_data(40)
+        model = train_base(LearnerSpec.make("boosted_trees", trees=7, learning_rate=0.3,
+                                            max_depth=0), X, y, seed=0)
+        assert model.forest.walking == []
+        q = toy_data(30, seed=8)[0]
         assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
 
     def test_json_round_trip(self):
@@ -937,7 +1014,7 @@ class TestEnsemble:
     def test_in_sample_not_worse_than_bases(self):
         X, y = toy_data(60, noise=4.0)
         ens = small_ensemble(X, y)
-        base = ens.base_predictions(X)
+        base = np.column_stack([m.predict(X) for m in ens.models])
         stack_rmse = np.sqrt(np.mean((y - ens.predict(X)) ** 2))
         for j in range(base.shape[1]):
             base_rmse = np.sqrt(np.mean((y - base[:, j]) ** 2))
