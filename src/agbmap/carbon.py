@@ -9,7 +9,6 @@ that carry design-based numbers must say so.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .grid import Grid
 from .tables import number, read_table
 
-LOGGER = logging.getLogger(__name__)
 
 # fixed carbon fraction of aboveground biomass under the component-ratio method
 CRM_CARBON_FRACTION = 0.5

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from .pipeline import (
-    STAGE_ORDER, ConfigError, PipelineConfig, PipelineError, render_report,
-    run, validate,
+    STAGE_ORDER, ConfigError, PipelineConfig, render_report, run, validate,
 )
 from .synth import synthesize
 
@@ -107,9 +106,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 1
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"error: {e}", file=sys.stderr)
         return 2

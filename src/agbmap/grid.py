@@ -47,7 +47,7 @@ class Grid:
             raise ValueError("grid must have at least one column and one row")
         if not self.cellsize > 0:
             raise ValueError("cellsize must be positive")
-        values = np.asarray(self.values, dtype=np.float32)
+        values = np.asarray(self.values, dtype=np.float32, order="C")
         if values.shape != (self.nrows, self.ncols):
             raise ValueError(
                 f"values shape {values.shape} does not match "
@@ -56,15 +56,13 @@ class Grid:
         if self.mask is None:
             mask = np.ones((self.nrows, self.ncols), dtype=bool)
         else:
-            mask = np.asarray(self.mask, dtype=bool)
+            mask = np.array(self.mask, dtype=bool, order="C")
         if mask.shape != values.shape:
             raise ValueError("mask shape does not match values shape")
-        if not np.all(np.isfinite(values[mask])):
+        values = np.where(mask, values, 0)  # a new C-order array, as mask is
+        if not np.isfinite(values).all():
             raise ValueError("valid cells must hold finite values")
-        values = values.copy()
-        values[~mask] = 0.0
         values.flags.writeable = False
-        mask = mask.copy()
         mask.flags.writeable = False
         self.values = values
         self.mask = mask
@@ -120,10 +118,7 @@ def difference(a: Grid, b: Grid) -> Grid:
     """Cellwise a - b; a cell is masked if it is masked in either operand."""
     if not a.aligned_with(b):
         raise ValueError("grids are not aligned")
-    mask = a.mask & b.mask
-    values = np.zeros_like(a.values)
-    values[mask] = a.values[mask] - b.values[mask]
-    return a.with_values(values, mask)
+    return a.with_values(a.values - b.values, a.mask & b.mask)
 
 
 def percent_rank(grid: Grid) -> Grid:
@@ -143,7 +138,7 @@ def percent_rank(grid: Grid) -> Grid:
     starts = np.r_[True, ordered[1:] != ordered[:-1]]
     smaller[order] = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
     pct = 100.0 * smaller / (n - 1)
-    values = np.zeros(grid.values.shape, dtype=np.float64)
+    values = np.zeros(grid.values.shape, dtype=np.float32)
     values[grid.mask] = pct
     return grid.with_values(values, grid.mask, units="percent")
 
@@ -164,8 +159,8 @@ def write_grid(grid: Grid, path) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        f.write(grid.values.astype("<f4").tobytes(order="C"))
-        f.write(grid.mask.astype(np.uint8).tobytes(order="C"))
+        f.write(grid.values.astype("<f4", copy=False).data)  # C order; a bool is one byte
+        f.write(grid.mask.data)
 
 
 def finite_number(value) -> bool:
@@ -200,6 +195,8 @@ def read_header(path) -> dict:
     floats = ("x_origin", "y_origin", "cellsize")
     if not all(finite_number(header[key]) for key in floats):
         raise GridFormatError("grid origins and cellsize must be finite")
+    if not header["cellsize"] > 0:
+        raise GridFormatError(f"cellsize must be positive, got {header['cellsize']!r}")
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
         raise GridFormatError("grid dimensions must be positive")
@@ -221,7 +218,7 @@ def read_grid(path) -> Grid:
     mask = np.frombuffer(payload, dtype=np.uint8, offset=4 * n).reshape(shape)
     if np.any(mask > 1):
         raise GridFormatError("mask bytes must be 0 or 1")
-    mask = mask.astype(bool)
-    if not np.all(np.isfinite(values[mask])):
-        raise GridFormatError("non-finite value in a valid cell")
-    return Grid(values=values, mask=mask, **header)
+    try:
+        return Grid(values=values, mask=mask, **header)
+    except ValueError as e:  # a non-finite value in a valid cell
+        raise GridFormatError(str(e)) from e

@@ -698,7 +698,7 @@ def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
     if np.shape(domain) != first.values.shape:
         raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
     mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
-    values = np.zeros(first.values.shape, dtype=np.float64)
+    values = np.zeros(first.values.shape, dtype=np.float32)
     if np.any(mask):
         X = np.column_stack([g.values[mask].astype(np.float64) for g in grids])
         values[mask] = model.predict(X)

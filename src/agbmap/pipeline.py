@@ -45,6 +45,11 @@ LOGGER = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 5
 
+# the method's fixed numbers: fit's cross-validation folds, and the share of
+# rows (plots in fit, sampled cells in rescale) fitted rather than tested
+CV_FOLDS = 5
+TRAIN_FRAC = 0.8
+
 ASSESSMENT_COLUMNS = ("scale_km", "n", "pph", "mae", "pct_mae", "rmse",
                       "pct_rmse", "me", "r2", "dr")
 TEST_METRIC_COLUMNS = ("allometry", "n", "mae", "pct_mae", "rmse", "pct_rmse",
@@ -86,9 +91,6 @@ class PipelineConfig:
     years: dict[int, YearInputs]
     learner_grids: dict[str, list[dict]] | None = None
     region_area_ha: float | None = None
-    cv_folds: int = 5
-    train_frac: float = 0.8
-    rescale_sample: int = 1_000_000
     config_hash: str = ""
 
     @classmethod
@@ -219,17 +221,10 @@ def validate(config: PipelineConfig) -> list[str]:
         findings.append("scales_km entries must be positive finite numbers")
     if any(not finite_number(c) for c in config.removed_landcover_classes):
         findings.append("removed_landcover_classes entries must be finite numbers")
-    if not (finite_number(config.train_frac) and 0.0 < config.train_frac < 1.0):
-        findings.append(f"train_frac must be a number in (0, 1), got {config.train_frac!r}")
-    if not (of_type(config.cv_folds, int) and config.cv_folds >= 2):
-        findings.append("cv_folds must be an integer >= 2")
     if config.region_area_ha is not None and not (finite_number(config.region_area_ha)
                                                   and config.region_area_ha > 0):
         findings.append(
             f"region_area_ha must be a positive finite number, got {config.region_area_ha!r}")
-    # rescale_fit needs at least 3 sampled cells, one per coefficient
-    if not (of_type(config.rescale_sample, int) and config.rescale_sample >= 3):
-        findings.append(f"rescale_sample must be an integer >= 3, got {config.rescale_sample!r}")
 
     try:
         grids = config.spec_grids()
@@ -481,18 +476,14 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     n = len(rows)
     rng = np.random.default_rng([config.seed, 301])
     perm = rng.permutation(n)
-    n_train = int(round(config.train_frac * n))
-    n_train = min(max(n_train, config.cv_folds), n - 1)
-    if n_train < config.cv_folds:  # known only now: validate does not count the rows
-        raise ConfigError(f"cv_folds {config.cv_folds} exceeds the {n_train} training rows "
-                          f"({n} model-development rows, one held out for testing)")
+    n_train = int(round(TRAIN_FRAC * n))  # 8 <= n_train <= n - 2 for n >= 10
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    smallest = n_train - -(-n_train // config.cv_folds)  # a fold's fewest training rows
+    smallest = n_train - -(-n_train // CV_FOLDS)  # a fold's fewest training rows
     grids = config.spec_grids()
     for spec in grids.get("knn", []):
         if spec.hp["k"] > smallest:
             raise ConfigError(f"learner_grids.knn k {spec.hp['k']} exceeds the {smallest} "
-                              f"training rows of a fold ({config.cv_folds} folds of {n_train} "
+                              f"training rows of a fold ({CV_FOLDS} folds of {n_train} "
                               "training rows)")
     kinds = sorted(grids)
     summary: dict = {
@@ -501,7 +492,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     }
     # one search per kind: each family grows both allometries' folds and final fits together
     Xtr, Xte, Ytr = X[train_idx], X[test_idx], Y[:, train_idx]
-    searched = [grid_search(grids[kind], Xtr, Ytr, k=config.cv_folds,
+    searched = [grid_search(grids[kind], Xtr, Ytr, k=CV_FOLDS,
                             seed=[[config.seed, 310, a, k_idx] for a in range(len(Y))],
                             final_seed=[[config.seed, 320, a, k_idx] for a in range(len(Y))])
                 for k_idx, kind in enumerate(kinds)]
@@ -787,9 +778,7 @@ def _stage_rescale(config: PipelineConfig, out: Path) -> None:
     for y_idx, year in enumerate(sorted(config.years)):
         nsvb = read_grid(_map_path(config, "agb", year, "NSVB"))
         crm = read_grid(_map_path(config, "agb", year, "CRM"))
-        fit = carbon_mod.rescale_fit(nsvb, crm, elevation,
-                                     n_sample=config.rescale_sample,
-                                     train_frac=config.train_frac,
+        fit = carbon_mod.rescale_fit(nsvb, crm, elevation, train_frac=TRAIN_FRAC,
                                      seed=[config.seed, 701, y_idx])
         rows.append({"year": year, **asdict(fit)})
     write_table(out / "rescale.csv", rows[0], rows)

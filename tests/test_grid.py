@@ -40,6 +40,15 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             g.values[0, 0] = 9.0
 
+    def test_caller_arrays_neither_frozen_nor_aliased(self):
+        values = np.array([[1.0, 2.0]], dtype=np.float32)
+        mask = np.array([[True, False]])
+        g = make_grid(values, mask=mask)
+        assert values.flags.writeable and mask.flags.writeable
+        values[0, 0], mask[0, 1] = 9.0, True
+        assert np.array_equal(g.values, [[1.0, 0.0]])
+        assert np.array_equal(g.mask, [[True, False]])
+
     def test_alignment_requires_all_five_fields(self):
         a = make_grid([[1.0]])
         assert a.aligned_with(make_grid([[2.0]]))
@@ -103,10 +112,11 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("key,value", [
         ("ncols", 2.5), ("ncols", 2.0), ("ncols", "2"), ("nrows", True), ("nrows", None),
         ("x_origin", None), ("y_origin", "0"), ("x_origin", float("inf")), ("y_origin", 10**400),
-        ("cellsize", True), ("cellsize", float("nan")), ("units", None), ("units", 5),
+        ("cellsize", True), ("cellsize", float("nan")), ("cellsize", 0), ("cellsize", -30.0),
+        ("units", None), ("units", 5),
     ])
     def test_mistyped_header_field(self, tmp_path, key, value):
-        # the payload matches a 1 x 2 grid, so only the header type is wrong
+        # the payload matches a 1 x 2 grid, so only the header field is wrong
         p = tmp_path / "g.bin"
         write_grid(make_grid([[1.0, 2.0]]), p)
         header, payload = p.read_bytes().split(b"\n", 1)

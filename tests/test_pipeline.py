@@ -135,8 +135,7 @@ def test_validate_reports_misaligned_raster(small, tmp_path):
 # not finite as floats; `math.isfinite` would raise on the integer
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
                          ids=["nan", "inf", "-inf", "10**400"])
-@pytest.mark.parametrize("key", ["scales_km", "removed_landcover_classes", "train_frac",
-                                 "region_area_ha"])
+@pytest.mark.parametrize("key", ["scales_km", "removed_landcover_classes", "region_area_ha"])
 def test_validate_rejects_non_finite_numbers(small, key, value):
     if key in ("scales_km", "removed_landcover_classes"):
         value = [5, value]
@@ -145,20 +144,16 @@ def test_validate_rejects_non_finite_numbers(small, key, value):
 
 
 def test_validate_reports_domain_problems(small):
-    config = make_config(small.doc, small.root, holdout_panel=9,
-                         train_frac=1.5)
+    config = make_config(small.doc, small.root, holdout_panel=9)
     findings = validate(config)
     assert any("holdout_panel" in f for f in findings)
-    assert any("train_frac" in f for f in findings)
     config = make_config(small.doc, small.root, scales_km=[])
     assert any("scales_km" in f for f in validate(config))
     # bool is an int subclass and True == 1, a valid panel
     config = make_config(small.doc, small.root, holdout_panel=True)
     assert any("holdout_panel" in f for f in validate(config))
     # each is a finding, not an exception here or a failure in a late stage
-    for key, values in (("train_frac", ["abc", None, True]),
-                        ("region_area_ha", ["x", 0, True]),
-                        ("rescale_sample", [0, 2, -5, 1.5, 3.0, "abc", True, None]),
+    for key, values in (("region_area_ha", ["x", 0, True]),
                         ("scales_km", [[True, 5], [5, False]]),
                         ("removed_landcover_classes", [[True], [3, False]])):
         for value in values:
@@ -168,7 +163,6 @@ def test_validate_reports_domain_problems(small):
                   {"knn": 5}, {"knn": [5]}, {"knn": [[1]]}):
         findings = validate(make_config(small.doc, small.root, learner_grids=grids))
         assert any("learner grid" in f for f in findings), grids
-    assert validate(make_config(small.doc, small.root, rescale_sample=3)) == []
 
 
 # -- run orchestration ----------------------------------------------------
@@ -936,7 +930,6 @@ def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
 @pytest.mark.parametrize("key, literal, reported", [
     ("scales_km", "[5, NaN]", "scales_km"),
     ("removed_landcover_classes", "[Infinity]", "removed_landcover_classes"),
-    ("train_frac", "NaN", "train_frac"),
     ("region_area_ha", "-Infinity", "region_area_ha"),
     ("learner_grids", '{"boosted_trees": [{"trees": 3, "learning_rate": NaN}]}',
      "learning_rate"),
@@ -1050,17 +1043,16 @@ def test_cli_malformed_value_is_exit_1(small, tmp_path, capsys, key, value, repo
     assert "invalid configuration" in err and reported in err
 
 
-def test_cli_more_cv_folds_than_training_rows_is_exit_1(tmp_path, capsys):
-    # the row count is known only after ingest and extract, so fit reports it
-    out = tmp_path / "d"
-    assert main(["synth", "--out", str(out), "--seed", "2",
-                 "--cells", "32", "--plots", "40"]) == 0
-    config = out / "config.json"
-    config.write_text(json.dumps({**load_doc(config), "cv_folds": 500}))
-    assert main(["ingest", "--config", str(config), "--stages", "extract,fit"]) == 1
-    rows = read_rows(out / "run" / "extract" / "features.csv")
+@pytest.mark.parametrize("key, value", [("cv_folds", 5), ("train_frac", 0.8),
+                                        ("rescale_sample", 1_000_000)])
+def test_cli_fixed_method_number_is_an_unknown_key(small, tmp_path, capsys, key, value):
+    # the folds, the fit/test split and the rescaling sample are the method's, not options
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**small.doc, key: value}))
+    assert main(["ingest", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert f"cv_folds 500 exceeds the {len(rows) - 1} training rows ({len(rows)} model" in err
+    assert "unknown configuration keys" in err and repr(key) in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_knn_k_above_a_folds_training_rows_is_exit_1(tmp_path, capsys):
@@ -1074,7 +1066,7 @@ def test_cli_knn_k_above_a_folds_training_rows_is_exit_1(tmp_path, capsys):
         **doc["learner_grids"], "knn": [{"k": 3}, {"k": 25}]}}))
     assert main(["ingest", "--config", str(config), "--stages", "extract"]) == 0
     n = len(read_rows(out / "run" / "extract" / "features.csv"))
-    n_train = int(round(0.8 * n))  # the default train_frac
+    n_train = int(round(0.8 * n))  # fit's fixed share of training rows
     smallest = n_train - -(-n_train // 5)
     assert 3 <= smallest < 25
     assert main(["fit", "--config", str(config)]) == 1
