@@ -112,8 +112,17 @@ def load_trees(path) -> list[TreeRecord]:
 
 def load_plots(path) -> list[PlotRecord]:
     """Read a plot table. AGB densities start at zero; attach them with
-    :func:`aggregate_plot_agb`. A blank max_canopy_height_m becomes None."""
-    return [PlotRecord(*row.values()) for row in read_table(path, "plot", PLOT_COLUMNS)]
+    :func:`aggregate_plot_agb`. A blank max_canopy_height_m becomes None. A plot
+    id listed twice in one inventory year raises."""
+    plots, seen = [], set()
+    for row in read_table(path, "plot", PLOT_COLUMNS):
+        plots.append(PlotRecord(*row.values()))
+        key = (plots[-1].plot_id, plots[-1].inventory_year)
+        if key in seen:
+            raise ValueError(f"plot table {path} lists plot {key[0]!r} twice "
+                             f"in inventory year {key[1]}")
+        seen.add(key)
+    return plots
 
 
 def aggregate_plot_agb(trees: Iterable[TreeRecord], allometry: str,

@@ -13,6 +13,7 @@ single fit is the batch of one. Each bagged tree draws from its own rng, spawned
 from the fit's. So a fit's first t trees cut at depth d are the fit of those
 hyperparameters, and model selection grows each nested family of specs once, in
 one batch: the k folds and the fit on all rows of every target (allometry).
+A tree model keeps only its node table; each predict builds its walk from it.
 Predicts run over chunks of cells on every CPU, the same bits at any count.
 """
 
@@ -263,54 +264,46 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
     return cat, cat["value"][leaf_of].reshape(B, n)
 
 
-class _Forest:
-    """The `trees` trees of one model as one level-order node table (tree t
-    at node t), walked all at once.
-
-    Leaves point at themselves with a +inf threshold, so a walk of as many
-    gather, compare and child lookup steps as a tree is deep takes every cell
-    to its leaf in that tree, with no leaf test. The walk keeps the trees
-    deepest first, so each step is one slice.
+def _accumulate(table: dict, trees: int, X: np.ndarray, start: float, weight: float) -> np.ndarray:
+    """`start + weight * v0 + weight * v1 + ...` per row of X, summed in tree
+    order, over the `trees` trees of a node table. In its walk, leaves point at
+    themselves with a +inf threshold, so as many gather, compare and child
+    lookup steps as a tree is deep take every cell to its leaf in that tree,
+    with no leaf test; the trees walk deepest first, so each step is one slice.
     """
+    leaf = table["feature"] < 0
+    ids = np.arange(leaf.size)
+    left, right = (np.where(leaf, ids, table[side]) for side in ("left", "right"))
+    feature = np.where(leaf, 0, table["feature"])
+    threshold = np.where(leaf, np.inf, table["threshold"])
+    child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
+    depth = np.zeros(trees, dtype=np.int64)  # of each tree
+    level = tree = np.arange(trees)  # a level's nodes and their trees
+    while level.size:
+        inner = ~leaf[level]
+        level, tree = level[inner], tree[inner]
+        depth[tree] += 1  # once per tree with a split on this level
+        level, tree = np.concatenate([left[level], right[level]]), np.tile(tree, 2)
+    roots = np.argsort(-depth, kind="stable")  # deepest first; tree t is node t
+    unsort = np.argsort(roots)
+    walking = [int(np.count_nonzero(depth > step)) for step in range(1, depth.max())]
 
-    def __init__(self, table: dict, trees: int):
-        self.table = table  # as stored
-        leaf = table["feature"] < 0
-        ids = np.arange(leaf.size)
-        left, right = (np.where(leaf, ids, table[side]) for side in ("left", "right"))
-        self.feature = np.where(leaf, 0, table["feature"])
-        self.threshold = np.where(leaf, np.inf, table["threshold"])
-        self.child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
-        self.value = table["value"]
-        depth = np.zeros(trees, dtype=np.int64)  # of each tree
-        level = tree = np.arange(trees)  # a level's nodes and their trees
-        while level.size:
-            inner = ~leaf[level]
-            level, tree = level[inner], tree[inner]
-            depth[tree] += 1  # once per tree with a split on this level
-            level, tree = np.concatenate([left[level], right[level]]), np.tile(tree, 2)
-        self.roots = np.argsort(-depth, kind="stable")  # deepest first; tree t is node t
-        self.unsort = np.argsort(self.roots)
-        self.walking = [int(np.count_nonzero(depth > step)) for step in range(1, depth.max())]
+    def walk(lo, hi):
+        xt, m = np.ascontiguousarray(X[lo:hi].T), hi - lo  # feature-major
+        # (trees, cells): all cells start at each root, so step one compares whole rows of xt
+        node = np.where(xt[feature[roots]] > threshold[roots][:, None],
+                        child[2 * roots + 1][:, None], child[2 * roots][:, None])
+        cells, at, xt = np.arange(m), feature * m, xt.ravel()  # xt[at[node] + cell]
+        for k in walking:  # the k deepest trees take this step
+            top = node[:k]
+            go_right = xt[at[top] + cells] > threshold[top]
+            node[:k] = child[2 * top + go_right]
+        leaves = weight * table["value"][node[unsort]]
+        leaves[0] += start
+        # cumsum adds row after row, the order of a per-tree `acc +=` loop
+        return np.cumsum(leaves, axis=0)[-1]
 
-    def accumulate(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
-        """`start + weight * v0 + weight * v1 + ...` per row, summed in tree order."""
-        def walk(lo, hi):
-            xt, m, root = np.ascontiguousarray(X[lo:hi].T), hi - lo, self.roots  # feature-major
-            # (trees, cells): all cells start at each root, so step one compares whole rows of xt
-            node = np.where(xt[self.feature[root]] > self.threshold[root][:, None],
-                            self.child[2 * root + 1][:, None], self.child[2 * root][:, None])
-            cells, at, xt = np.arange(m), self.feature * m, xt.ravel()  # xt[at[node] + cell]
-            for k in self.walking:  # the k deepest trees take this step
-                top = node[:k]
-                go_right = xt[at[top] + cells] > self.threshold[top]
-                node[:k] = self.child[2 * top + go_right]
-            leaf = weight * self.value[node[self.unsort]]
-            leaf[0] += start
-            # cumsum adds row after row, the order of a per-tree `acc +=` loop
-            return np.cumsum(leaf, axis=0)[-1]
-
-        return _by_chunks(X.shape[0], max(1, _CHUNK_ENTRIES // self.roots.size), walk)
+    return _by_chunks(X.shape[0], max(1, _CHUNK_ENTRIES // trees), walk)
 
 
 # -- learner kinds --------------------------------------------------------
@@ -367,9 +360,10 @@ class KnnModel:
 class _TreeModel:
     """Model JSON of the tree kinds: `trees`, the other constructor arguments
     (`_ARGS`), the one fitted scalar (`_FITTED`) and `fitted_trees`, the
-    forest's level-order node table as one object of `_TREE_ARRAYS` columns
-    (null for a model that grows no trees). Each kind keeps its own
-    `predict`: the benchmark tracer books it by class.
+    model's level-order node table as one object of `_TREE_ARRAYS` columns
+    (null for a model that grows no trees). That table, `table`, is the only
+    array a model keeps: each predict builds its walk from it. Each kind keeps
+    its own `predict`: the benchmark tracer books it by class.
     """
 
     kind: str
@@ -381,8 +375,8 @@ class _TreeModel:
             "kind": self.kind, "trees": self.n_trees,
             **{name: getattr(self, name) for name in self._ARGS},
             self._FITTED: getattr(self, self._FITTED),
-            "fitted_trees": None if self.forest is None else
-                            {name: column.tolist() for name, column in self.forest.table.items()},
+            "fitted_trees": None if self.table is None else
+                            {name: column.tolist() for name, column in self.table.items()},
         }
 
     @classmethod
@@ -390,8 +384,8 @@ class _TreeModel:
         m = cls(trees=int(d["trees"]), **{name: d[name] for name in cls._ARGS})
         setattr(m, cls._FITTED, d[cls._FITTED])
         if d["fitted_trees"] is not None:
-            m.forest = _Forest({name: np.array(d["fitted_trees"][name], dtype=dtype)
-                                for name, dtype in _TREE_ARRAYS.items()}, m.n_trees)
+            m.table = {name: np.array(d["fitted_trees"][name], dtype=dtype)
+                       for name, dtype in _TREE_ARRAYS.items()}
         return m
 
     def nested(self, spec: LearnerSpec) -> "_TreeModel":
@@ -399,9 +393,8 @@ class _TreeModel:
         data and seed: this model's first trees cut at the spec's depth."""
         m = type(self)(**spec.hp)
         setattr(m, self._FITTED, getattr(self, self._FITTED))
-        if self.forest is not None:
-            m.forest = _Forest(_gather(range(m.n_trees), m.max_depth, **self.forest.table),
-                               m.n_trees)
+        if self.table is not None:
+            m.table = _gather(range(m.n_trees), m.max_depth, **self.table)
         return m
 
 
@@ -423,11 +416,11 @@ class BaggedTreesModel(_TreeModel):
         self.n_trees = trees
         self.max_depth = max_depth
         self.max_features = max_features
-        self.forest = self.constant = None
+        self.table = self.constant = None
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         for m, y, rows in zip(models, Y, keep):
-            m.forest, m.constant = None, float(y[rows].mean()) if self.max_depth == 0 else None
+            m.table, m.constant = None, float(y[rows].mean()) if self.max_depth == 0 else None
         if self.max_depth == 0:
             return
         T, G, tables = self.n_trees, _GROUP_TREES, []
@@ -442,9 +435,10 @@ class BaggedTreesModel(_TreeModel):
                                 np.arange(boot.shape[1]) < sizes[g, None], self.max_depth,
                                 self.features_drawn(X.shape[1]), rngs[g])[0])
         table, roots = _concat(tables)
+        del tables  # members are gathered from `_concat`'s copy alone
         roots = np.repeat(roots, G)[:len(rngs)] + np.arange(len(rngs)) % G  # of each tree
         for b, m in enumerate(models):
-            m.forest = _Forest(_gather(roots[b * T:(b + 1) * T], None, **table), T)
+            m.table = _gather(roots[b * T:(b + 1) * T], None, **table)
 
     def features_drawn(self, p: int) -> int:
         """How many of p features each split draws: fits that draw as many
@@ -456,7 +450,7 @@ class BaggedTreesModel(_TreeModel):
         X = _as_2d(X)
         if self.constant is not None:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
-        return self.forest.accumulate(X, 0.0, 1.0) / self.n_trees
+        return _accumulate(self.table, self.n_trees, X, 0.0, 1.0) / self.n_trees
 
 
 class BoostedTreesModel(_TreeModel):
@@ -470,7 +464,7 @@ class BoostedTreesModel(_TreeModel):
         self.n_trees = trees
         self.learning_rate = float(learning_rate)
         self.max_depth = max_depth
-        self.init_value = self.forest = None
+        self.init_value = self.table = None
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         """Fit models[b] on the rows keep[b] of Y[b]: tree t of every model grows in
@@ -485,12 +479,13 @@ class BoostedTreesModel(_TreeModel):
             current = current + self.learning_rate * fitted
             tables.append(table)
         cat, roots = _concat(tables)
+        del tables  # members are gathered from `_concat`'s copy alone
         for b, m in enumerate(models):  # tree t of models[b] is node roots[t] + b
             m.init_value = float(init[b])
-            m.forest = _Forest(_gather(roots + b, None, **cat), self.n_trees)
+            m.table = _gather(roots + b, None, **cat)
 
     def predict(self, X) -> np.ndarray:
-        return self.forest.accumulate(_as_2d(X), self.init_value, self.learning_rate)
+        return _accumulate(self.table, self.n_trees, _as_2d(X), self.init_value, self.learning_rate)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (KnnModel, BaggedTreesModel, BoostedTreesModel)}

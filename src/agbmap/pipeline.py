@@ -65,6 +65,16 @@ class ConfigError(ValueError):
     """Structurally invalid configuration document."""
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object of the configuration; a key it gives twice raises (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"configuration repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 class PipelineError(RuntimeError):
     """Stage execution failure (missing artifacts, stale cache, bad data)."""
 
@@ -100,7 +110,7 @@ class PipelineConfig:
         path = Path(path)
         try:
             with open(path, encoding="utf-8") as f:
-                raw = json.load(f)
+                raw = json.load(f, object_pairs_hook=_unique_keys)
         except OSError as e:
             raise ConfigError(f"cannot read configuration {path}: {e}") from e
         except json.JSONDecodeError as e:
@@ -133,11 +143,15 @@ class PipelineConfig:
             return p if p.is_absolute() else base / p
 
         years: dict[int, YearInputs] = {}
+        keys: dict[int, str] = {}
         for year_key, entry in raw["years"].items():
             try:
                 year = int(year_key)
             except (TypeError, ValueError):
                 raise ConfigError(f"year key {year_key!r} is not an integer") from None
+            if year in keys:
+                raise ConfigError(f"year keys {keys[year]!r} and {year_key!r} both name {year}")
+            keys[year] = year_key
             if not isinstance(entry, dict) or set(entry) != {"predictors", "landcover"}:
                 raise ConfigError(
                     f"year {year} must define exactly 'predictors' and 'landcover'")

@@ -32,8 +32,9 @@ def optional_number(text: str) -> float | None:
 
 def read_table(path, what: str, columns: Columns) -> Iterator[dict]:
     """Yield each row of the table at `path` as {column: parsed cell}, in the
-    order of `columns`; `what` names the table in error messages."""
-    with open(path, newline="", encoding="utf-8") as f:
+    order of `columns`; `what` names the table in error messages. A leading
+    UTF-8 byte-order mark, as spreadsheets write, is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:

@@ -110,6 +110,16 @@ class TestLoaders:
         assert plots[1].max_canopy_height_m == 0.5
         assert plots[0].panel == 3
 
+    def test_load_plots_refuses_a_plot_twice_in_one_year(self, tmp_path):
+        p = tmp_path / "plots.csv"
+        header = "plot_id,x_m,y_m,inventory_year,panel,forested_fraction,max_canopy_height_m\n"
+        p.write_text(header + "p1,0,0,2005,1,1.0,\np1,0,0,2019,1,1.0,\n")
+        assert [r.inventory_year for r in load_plots(p)] == [2005, 2019]
+        p.write_text(header + "p1,0,0,2019,1,1.0,\np2,0,0,2019,1,1.0,\np1,50,9,2019,2,0.5,\n")
+        with pytest.raises(ValueError, match="plots.csv lists plot 'p1' twice in inventory "
+                                             "year 2019"):
+            load_plots(p)
+
     def test_load_plots_bad_fraction(self, tmp_path):
         p = tmp_path / "plots.csv"
         p.write_text(

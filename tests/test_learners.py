@@ -362,11 +362,10 @@ class TestForestMatchesPerTreeWalk:
                                            max_features=None), X, y, seed=3)
         flat = train_base(LearnerSpec.make("boosted_trees", trees=5, learning_rate=0.1),
                           X, np.full_like(y, 2.5), seed=0)
-        cat, at = learners._concat([deep.forest.table, flat.forest.table])
+        cat, at = learners._concat([deep.table, flat.table])
         roots = [at[1], at[0], at[0] + 1, at[1] + 1, at[1] + 2, at[0] + 2, at[0] + 3,
                  at[1] + 3, at[0] + 4, at[0] + 5, at[1] + 4]
         table = learners._gather(roots, None, **cat)
-        forest = learners._Forest(table, len(roots))
         q = np.vstack([toy_data(10, seed=8)[0], on_thresholds(deep, X)[:7]])
         want = []
         for x in q:  # one cell, one tree at a time: start + w * v0 + w * v1 + ...
@@ -380,13 +379,13 @@ class TestForestMatchesPerTreeWalk:
             want.append(acc)
         if chunk_cells:
             monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * len(roots))
-        assert np.array_equal(forest.accumulate(q, 0.75, 0.5), want)
+        assert np.array_equal(learners._accumulate(table, len(roots), q, 0.75, 0.5), want)
 
     def test_boosted_depth_zero(self):
         X, y = toy_data(40)
         model = train_base(LearnerSpec.make("boosted_trees", trees=7, learning_rate=0.3,
                                             max_depth=0), X, y, seed=0)
-        assert model.forest.walking == []
+        assert np.all(model.table["feature"] < 0)  # every node is a leaf
         q = toy_data(30, seed=8)[0]
         assert np.array_equal(model.predict(q), per_tree_model_predict(model, q))
 

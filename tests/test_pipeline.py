@@ -105,6 +105,22 @@ def test_config_boolean_seed_rejected(small):
         make_config(small.doc, small.root, seed=True)
 
 
+@pytest.mark.parametrize("other, reported", [
+    ("2005", "configuration repeats the key '2005' in one object"),
+    (" 2005", "year keys '2005' and ' 2005' both name 2005"),
+    ("02005", "year keys '2005' and '02005' both name 2005"),
+], ids=["repeated key", "leading space", "leading zero"])
+def test_cli_two_year_keys_of_one_year_is_exit_1(small, tmp_path, capsys, other, reported):
+    # int() reads each as 2005, and json keeps the last of two equal keys: the
+    # document would otherwise map 2005 to the 2019 inputs
+    text = json.dumps(small.doc)
+    assert text.count('"2019": ') == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"2019": ', f'"{other}": '))
+    assert main(["ingest", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert reported in capsys.readouterr().err
+
+
 def test_config_hash_tracks_content(small):
     again = PipelineConfig.load(small.cfg_path)
     assert again.config_hash == small.config.config_hash
@@ -983,6 +999,22 @@ def test_cli_non_finite_tree_biomass_is_exit_2(small, tmp_path, capsys):
         csv.writer(f, lineterminator="\n").writerows(rows)
     assert main(["ingest", "--config", str(root / "config.json")]) == 2
     assert "trees.csv:4" in capsys.readouterr().err
+
+
+def test_cli_plot_listed_twice_in_one_year_is_exit_2(small, tmp_path, capsys):
+    # ingest would otherwise keep one of the two rows at random
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    plots = root / "inputs" / "plots.csv"
+    with open(plots, newline="") as f:
+        rows = list(csv.reader(f))
+    again = list(rows[1])
+    again[rows[0].index("x_m")] = str(float(again[rows[0].index("x_m")]) + 300.0)
+    with open(plots, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows + [again])
+    assert main(["ingest", "--config", str(root / "config.json")]) == 2
+    pid, year = again[rows[0].index("plot_id")], again[rows[0].index("inventory_year")]
+    assert f"plots.csv lists plot '{pid}' twice in inventory year {year}" in capsys.readouterr().err
 
 
 def test_plot_id_with_comma_and_quote_survives_ingest_through_assess(small, tmp_path):

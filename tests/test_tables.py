@@ -25,6 +25,13 @@ def test_read_table_parses_its_columns_and_ignores_the_others(tmp_path):
     assert list(read_table(p, "test", {"a": str, "b": int})) == [{"a": "one", "b": 2}]
 
 
+def test_read_table_skips_a_byte_order_mark(tmp_path):
+    # as a spreadsheet exports UTF-8 CSV
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,b\none,2\n")
+    assert list(read_table(p, "test", {"a": str, "b": int})) == [{"a": "one", "b": 2}]
+
+
 def test_read_table_names_missing_columns_in_column_order(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("b\n1\n")
