@@ -14,8 +14,8 @@ from .inventory import (
 from .footprint import OverlapWeights, PlotFootprint, pixel_overlap_weights, weighted_mean
 from .hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid
 from .metrics import (
-    AcDecomposition, Ecdf, GmfrFit, MetricsReport, PairedSample,
-    ac_decompose, basic_metrics, ecdf, gmfr_fit, ks_statistic,
+    AcDecomposition, GmfrFit, MetricsReport, PairedSample,
+    ac_decompose, basic_metrics, error_metrics, gmfr_fit, ks_statistic,
     multiscale_assessment, willmott_dr,
 )
 from .learners import (

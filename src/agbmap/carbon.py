@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid
+from .metrics import MetricsReport, PairedSample, error_metrics
 from .tables import number, read_table
 
 
@@ -163,25 +164,16 @@ def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
     beta = np.linalg.solve(G, At.T @ yt)
 
     n_test = n - n_train
-    if n_test == 0:
-        rmse = mae = me = r2 = None
-    else:
-        ys = tgt[n_train:]
-        pred = A[n_train:] @ beta
-        e = ys - pred
-        rmse = float(np.sqrt(np.mean(e ** 2)))
-        mae = float(np.mean(np.abs(e)))
-        me = float(np.mean(e))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = None if ss_tot == 0.0 else float(1.0 - np.sum(e ** 2) / ss_tot)
+    test = (error_metrics(PairedSample(y=tgt[n_train:], yhat=A[n_train:] @ beta))
+            if n_test else MetricsReport(n=0))
     return RescaleFit(
         intercept=float(beta[0]),
         coef_source=float(beta[1]),
         coef_elevation=float(beta[2]),
         n_train=n_train,
         n_test=n_test,
-        test_rmse=rmse,
-        test_mae=mae,
-        test_me=me,
-        test_r2=r2,
+        test_rmse=test.rmse,
+        test_mae=test.mae,
+        test_me=test.me,
+        test_r2=test.r2,
     )

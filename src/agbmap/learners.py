@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, finite_number
+from .metrics import PairedSample, error_metrics
 
 MODEL_FORMAT_VERSION = 2
 
@@ -591,7 +592,7 @@ def grid_search(specs, X, y, k: int = 5, seed=0, final_seed=None):
     results = []
     for a, target in enumerate(Y):
         oof = {s: col for family, (cols, _) in got for s, col in zip(family, cols[a].T)}
-        scores = [(spec, float(np.sqrt(np.mean((target - oof[spec]) ** 2)))) for spec in specs]
+        scores = [(spec, error_metrics(PairedSample(target, oof[spec])).rmse) for spec in specs]
         best = min(scores, key=lambda score: score[1])[0]
         final = [fits[a] if best.kind == "knn" else fits[a].nested(best)
                  for family, (_, fits) in got if fits and best in family]

@@ -44,12 +44,12 @@ class MetricsReport:
     example a scale with a single occupied cell)."""
 
     n: int
-    rmse: float | None
-    mae: float | None
-    me: float | None
-    pct_rmse: float | None
-    pct_mae: float | None
-    r2: float | None
+    rmse: float | None = None
+    mae: float | None = None
+    me: float | None = None
+    pct_rmse: float | None = None
+    pct_mae: float | None = None
+    r2: float | None = None
     dr: float | None = None
     pph: float | None = None
     scale_km: float | None = None
@@ -77,33 +77,31 @@ class AcDecomposition:
     d: float
 
 
+def error_metrics(pairs: PairedSample) -> MetricsReport:
+    """n, RMSE, MAE, ME and R2; R2 is None when the reference has no variance."""
+    e = pairs.y - pairs.yhat
+    ss_tot = float(np.sum((pairs.y - pairs.y.mean()) ** 2))
+    return MetricsReport(
+        n=pairs.n,
+        rmse=float(np.sqrt(np.mean(e ** 2))),
+        mae=float(np.mean(np.abs(e))),
+        me=float(np.mean(e)),
+        r2=None if ss_tot == 0.0 else float(1.0 - np.sum(e ** 2) / ss_tot),
+    )
+
+
 def basic_metrics(pairs: PairedSample, ybar_train: float) -> MetricsReport:
-    """RMSE, MAE, ME, R2 and percent variants against a fixed normalizer.
+    """The error metrics, their percent variants against a fixed normalizer,
+    and Willmott's dr.
 
     pct_rmse = 100*RMSE/ybar_train and likewise for MAE; ybar_train must be
-    positive. R2 is None when the reference has no variance.
+    positive.
     """
     if not ybar_train > 0:
         raise ValueError("ybar_train must be positive for percent metrics")
-    e = pairs.y - pairs.yhat
-    n = pairs.n
-    rmse = float(np.sqrt(np.mean(e ** 2)))
-    mae = float(np.mean(np.abs(e)))
-    me = float(np.mean(e))
-    ss_tot = float(np.sum((pairs.y - pairs.y.mean()) ** 2))
-    if n < 2 or ss_tot == 0.0:
-        r2 = None
-    else:
-        r2 = float(1.0 - np.sum(e ** 2) / ss_tot)
-    return MetricsReport(
-        n=n,
-        rmse=rmse,
-        mae=mae,
-        me=me,
-        pct_rmse=100.0 * rmse / ybar_train,
-        pct_mae=100.0 * mae / ybar_train,
-        r2=r2,
-    )
+    rep = error_metrics(pairs)
+    return replace(rep, pct_rmse=100.0 * rep.rmse / ybar_train,
+                   pct_mae=100.0 * rep.mae / ybar_train, dr=willmott_dr(pairs))
 
 
 def willmott_dr(pairs: PairedSample) -> float | None:
@@ -170,42 +168,22 @@ def ac_decompose(pairs: PairedSample) -> AcDecomposition:
     )
 
 
-@dataclass
-class Ecdf:
-    """Right-continuous empirical distribution: F(q) = fraction of values <= q."""
-
-    xs: np.ndarray
-    fs: np.ndarray
-    n: int
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        idx = np.searchsorted(self.xs, q, side="right")
-        out = np.where(idx > 0, self.fs[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-
-def ecdf(values) -> Ecdf:
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    if vals.size == 0:
-        raise ValueError("empirical distribution of an empty sample")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
-    xs, counts = np.unique(vals, return_counts=True)
-    fs = np.cumsum(counts) / vals.size
-    return Ecdf(xs=xs, fs=fs, n=int(vals.size))
-
-
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance: sup |F_a - F_b|.
 
-    For right-continuous step functions the supremum is attained at a pooled
-    sample point, so it is evaluated there exactly.
+    F(q) is the fraction of a sample's values <= q. For these right-continuous
+    step functions the supremum is attained at a pooled sample point, so it is
+    evaluated there exactly. Empty and non-finite samples raise.
     """
-    fa = ecdf(a)
-    fb = ecdf(b)
-    pooled = np.union1d(fa.xs, fb.xs)
-    return float(np.max(np.abs(fa(pooled) - fb(pooled))))
+    samples = [np.sort(np.asarray(v, dtype=np.float64).ravel()) for v in (a, b)]
+    for v in samples:
+        if v.size == 0:
+            raise ValueError("empirical distribution of an empty sample")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
+    pooled = np.union1d(*samples)
+    fa, fb = (np.searchsorted(v, pooled, side="right") / v.size for v in samples)
+    return float(np.max(np.abs(fa - fb)))
 
 
 def multiscale_pairs(y, yhat, locations,
@@ -250,11 +228,8 @@ def multiscale_assessment(pairs: PairedSample, locations, spacings_km, *,
     for s_km, y, yhat in multiscale_pairs(pairs.y, pairs.yhat, locations, spacings_km):
         pph = None if s_km == 1 else pairs.n / y.size
         if s_km != 1 and y.size < 2:
-            out.append(MetricsReport(
-                n=y.size, rmse=None, mae=None, me=None, pct_rmse=None,
-                pct_mae=None, r2=None, dr=None, pph=pph, scale_km=s_km))
-            continue
-        sample = PairedSample(y=y, yhat=yhat)
-        rep = basic_metrics(sample, ybar_train)
-        out.append(replace(rep, dr=willmott_dr(sample), pph=pph, scale_km=s_km))
+            rep = MetricsReport(n=y.size)
+        else:
+            rep = basic_metrics(PairedSample(y=y, yhat=yhat), ybar_train)
+        out.append(replace(rep, pph=pph, scale_km=s_km))
     return out

@@ -37,7 +37,7 @@ from .learners import (
 )
 from .metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
-    multiscale_assessment, willmott_dr,
+    multiscale_assessment,
 )
 from .tables import number, read_table, write_table
 
@@ -357,11 +357,6 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _report_row(rep) -> dict:
-    row = asdict(rep)
-    return {k: row[k] for k in ASSESSMENT_COLUMNS}
-
-
 # -- stages ---------------------------------------------------------------
 
 # stage name -> stage function, in run order. `run()` looks each function up
@@ -528,8 +523,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
             f.write(ens.to_json())
 
         pairs = PairedSample(y=yte, yhat=ens.predict(Xte))
-        row = _report_row(basic_metrics(pairs, ybar_train=float(ytr.mean())))
-        row["dr"] = willmott_dr(pairs)
+        row = asdict(basic_metrics(pairs, ybar_train=float(ytr.mean())))
         test_metrics = {k: row[k] for k in TEST_METRIC_COLUMNS[1:]}
         test_rows.append({"allometry": allometry, **test_metrics})
         summary["models"][allometry] = {
@@ -612,10 +606,10 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
                                         spacings_km=_compared_scales(config),
                                         ybar_train=ybar_train)
         write_table(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
-                    [_report_row(rep) for rep in reports])
+                    [asdict(rep) for rep in reports])
         write_table(out / f"pairs_{allometry}.csv",
                     ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
-        plot_level = _report_row(reports[0])
+        plot_level = asdict(reports[0])
         summary[allometry] = {
             "n_pairs": len(inside),
             "n_outside_mapped_area": len(assessment) - len(inside),
@@ -627,21 +621,18 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
 
 
 def _agreement_row(scale_km, y, yhat) -> dict:
-    row = {"scale_km": scale_km, "n": int(y.size), "ac": None,
-           "ac_systematic": None, "ac_unsystematic": None,
-           "gmfr_intercept": None, "gmfr_slope": None}
+    """One agreement row, None where undefined: AC needs the GMFR line and d != 0."""
+    row = dict.fromkeys(AGREEMENT_COLUMNS)
+    row.update(scale_km=scale_km, n=int(y.size))
     if y.size < 2:
         return row
     pairs = PairedSample(y=y, yhat=yhat)
     try:
+        line = gmfr_fit(pairs)
+        row.update(gmfr_intercept=line.a, gmfr_slope=line.b)
         dec = ac_decompose(pairs)
         row.update(ac=dec.ac, ac_systematic=dec.ac_systematic,
                    ac_unsystematic=dec.ac_unsystematic)
-    except ValueError:
-        pass
-    try:
-        line = gmfr_fit(pairs)
-        row.update(gmfr_intercept=line.a, gmfr_slope=line.b)
     except ValueError:
         pass
     return row
@@ -907,8 +898,9 @@ def _render_table(title, fieldnames, rows, places=2) -> list[str]:
 
 
 def render_report(config: PipelineConfig) -> str:
-    """Human-readable summary of everything the run produced so far, from the
-    tables and summaries the stages recorded; it reads no raster."""
+    """Human-readable summary of everything the run produced so far from the
+    current configuration, from the tables and summaries the stages recorded;
+    it reads no raster."""
     out_dir = Path(config.output_dir)
     manifest = RunManifest.load(out_dir)
     if manifest is None:
@@ -917,15 +909,22 @@ def render_report(config: PipelineConfig) -> str:
         raise PipelineError(f"run manifest {RunManifest.path_in(out_dir)} cannot be used: "
                             f"{manifest.unusable}; rerun the stages before reporting")
 
+    # a stage built from another configuration is named, never shown as current
+    current = {s: rec for s, rec in manifest.stages.items()
+               if rec.config_hash == config.config_hash}
+    others = [s for s in STAGE_ORDER if s in manifest.stages and s not in current]
     lines = ["run report", "==========",
              f"output directory: {out_dir}",
-             f"configuration hash: {manifest.config_hash}",
-             f"stages completed: {', '.join(s for s in STAGE_ORDER if s in manifest.stages)}",
-             ""]
+             f"configuration hash: {config.config_hash}",
+             f"stages completed: {', '.join(s for s in STAGE_ORDER if s in current)}"]
+    if others:
+        lines.append(f"stages built from another configuration, not shown: {', '.join(others)}")
+    lines.append("")
 
     def recorded(stage, pattern):
-        """The files the manifest records for `stage` that match `pattern`."""
-        rec = manifest.stages.get(stage)
+        """The files the manifest records for `stage`, built from the current
+        configuration, that match `pattern`."""
+        rec = current.get(stage)
         paths = [out_dir / p for p in rec.outputs] if rec else []
         return [p for p in paths if p.match(pattern) and p.is_file()]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,33 @@ class TestRescaleFit:
         b = rescale_fit(tgt, src, elev, n_sample=500, seed=7)
         assert (a.intercept, a.coef_source, a.test_rmse) == \
                (b.intercept, b.coef_source, b.test_rmse)
+
+    def test_test_metrics_match_plain_loops_over_held_out_cells(self):
+        # a grid smaller than n_sample: every joint cell is drawn, in the order
+        # of one seeded permutation, and the last fifth is held out
+        tgt, src, elev = synthetic_rescale_grids(n=12, noise=3.0)
+        mask = np.ones((12, 12), dtype=bool)
+        mask[2:4, 5:9] = False
+        tgt = tgt.with_values(tgt.values.copy(), mask=mask)
+        fit = rescale_fit(tgt, src, elev, n_sample=1000, train_frac=0.8, seed=5)
+        flat = np.nonzero(mask.ravel())[0]
+        chosen = flat[np.random.default_rng(5).permutation(flat.size)]
+        n_train = int(round(0.8 * flat.size))
+        assert (fit.n_train, fit.n_test) == (n_train, flat.size - n_train)
+        ys, yh = [], []
+        for cell in chosen[n_train:].tolist():
+            ys.append(float(tgt.values.ravel()[cell]))
+            yh.append(fit.intercept + fit.coef_source * float(src.values.ravel()[cell])
+                      + fit.coef_elevation * float(elev.values.ravel()[cell]))
+        e = [a - b for a, b in zip(ys, yh)]
+        n = len(e)
+        ybar = sum(ys) / n
+        ss_res = sum(v * v for v in e)
+        assert fit.test_rmse == pytest.approx(math.sqrt(ss_res / n), rel=1e-9)
+        assert fit.test_mae == pytest.approx(sum(abs(v) for v in e) / n, rel=1e-9)
+        assert fit.test_me == pytest.approx(sum(e) / n, rel=1e-9, abs=1e-9)
+        assert fit.test_r2 == pytest.approx(
+            1 - ss_res / sum((v - ybar) ** 2 for v in ys), rel=1e-9)
 
     def test_masked_cells_excluded(self):
         tgt, src, elev = synthetic_rescale_grids(n=30, noise=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agbmap.metrics import (
-    PairedSample, ac_decompose, basic_metrics, ecdf, gmfr_fit, ks_statistic,
+    PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
     multiscale_assessment, multiscale_pairs, willmott_dr,
 )
 
@@ -85,6 +85,14 @@ class TestBasicMetrics:
             assert rep.r2 == pytest.approx(o_r2(y, yhat), rel=1e-9)
             assert rep.pct_rmse == pytest.approx(100 * rep.rmse / 100.0, rel=1e-12)
             assert rep.pct_mae == pytest.approx(100 * rep.mae / 100.0, rel=1e-12)
+
+    def test_dr_is_willmotts(self):
+        rng = np.random.default_rng(22)
+        for n in (2, 7, 40):
+            pairs = PairedSample(*randpairs(rng, n))
+            assert basic_metrics(pairs, ybar_train=50.0).dr == willmott_dr(pairs)
+        constant = PairedSample(y=[2.0, 2.0], yhat=[1.0, 3.0])
+        assert basic_metrics(constant, 2.0).dr is None
 
     def test_perfect_prediction(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -226,20 +234,6 @@ class TestAcDecomposition:
 
 
 class TestEcdfKs:
-    def test_ecdf_step_values(self):
-        f = ecdf([1.0, 2.0, 2.0, 4.0])
-        assert f(0.5) == 0.0
-        assert f(1.0) == 0.25
-        assert f(2.0) == 0.75
-        assert f(3.9) == 0.75
-        assert f(4.0) == 1.0
-        assert f(100.0) == 1.0
-
-    def test_ecdf_right_continuous_at_max(self):
-        f = ecdf([5.0])
-        assert f(5.0) == 1.0
-        assert f(4.999999) == 0.0
-
     def test_ks_self_is_zero(self):
         v = np.random.default_rng(0).normal(size=50)
         assert ks_statistic(v, v.copy()) == 0.0
@@ -267,8 +261,11 @@ class TestEcdfKs:
             assert ks_statistic(a, b) == pytest.approx(d_ref, rel=1e-12, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf([])
+        for a, b in (([], [1.0]), ([1.0], [])):
+            with pytest.raises(ValueError, match="empty sample"):
+                ks_statistic(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            ks_statistic([1.0, np.nan], [1.0])
 
 
 class TestMultiscale:

@@ -1146,7 +1146,62 @@ def test_cli_report(small, capsys):
     stdout = capsys.readouterr().out
     assert "stocks and stock changes" in stdout
     assert "map assessment, CRM" in stdout
-    assert small.config.config_hash in stdout
+    assert f"configuration hash: {small.config.config_hash}" in stdout
+    assert "another configuration" not in stdout
+
+
+def test_cli_report_shows_only_stages_of_the_current_configuration(tmp_path, capsys):
+    data = tmp_path / "d"
+    cli = ["--config", str(data / "config.json")]
+    assert main(["synth", "--out", str(data), "--seed", "3", "--cells", "60",
+                 "--plots", "40"]) == 0
+    assert main(["rescale", *cli, "--stages",
+                 "ingest,extract,fit,predict,assess,agree,diff,stocks"]) == 0
+    capsys.readouterr()
+    assert main(["ingest", *cli, "--seed", "99"]) == 0
+    assert main(["report", *cli, "--seed", "99"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reseeded = PipelineConfig.load(data / "config.json", {"seed": 99}).config_hash
+    manifest = RunManifest.load(data / "run")
+    assert {s for s, rec in manifest.stages.items() if rec.config_hash != reseeded} == \
+        {"extract", "fit", "predict", "assess", "agree", "diff", "stocks", "rescale"}
+    assert f"configuration hash: {reseeded}" in lines
+    assert "stages completed: ingest" in lines
+    assert ("stages built from another configuration, not shown: extract, fit, predict, "
+            "assess, agree, diff, stocks, rescale") in lines
+    text = "\n".join(lines)
+    for title in ("model test-set metrics", "map assessment", "KS distance",
+                  "two-map agreement", "difference layers", "stocks and stock changes",
+                  "allometry rescaling"):
+        assert title not in text
+    # the seed-3 configuration sees its own eight stages, and not the seed-99 ingest
+    assert main(["report", *cli]) == 0
+    text = capsys.readouterr().out
+    assert "stages completed: extract, fit, predict, assess, agree, diff, stocks, rescale" in text
+    assert "not shown: ingest\n" in text
+    assert "plots:" not in text and "allometry rescaling" in text
+
+
+def test_agreement_row_leaves_undefined_statistics_empty():
+    from agbmap.pipeline import AGREEMENT_COLUMNS, _agreement_row
+
+    def row(y, yhat):
+        out = _agreement_row(5.0, np.array(y, dtype=float), np.array(yhat, dtype=float))
+        assert list(out) == list(AGREEMENT_COLUMNS)
+        assert (out["scale_km"], out["n"]) == (5.0, len(y))
+        return out
+
+    statistics = AGREEMENT_COLUMNS[2:]
+    for y, yhat in (([], []), ([4.0], [5.0])):  # fewer than two pairs
+        assert all(row(y, yhat)[k] is None for k in statistics)
+    # a reference without variance: no line, no AC
+    assert all(row([3.0, 3.0, 3.0], [1.0, 2.0, 4.0])[k] is None for k in statistics)
+    # d = 0 with variance in both: the line exists, AC does not
+    out = row([0.0, 2.0, 1.0, 1.0], [1.0, 1.0, 0.0, 2.0])
+    assert (out["gmfr_intercept"], out["gmfr_slope"]) == (0.0, 1.0)
+    assert out["ac"] is out["ac_systematic"] is out["ac_unsystematic"] is None
+    # the ordinary case fills every statistic
+    assert all(row([1.0, 2.0, 4.0], [1.5, 2.5, 3.0])[k] is not None for k in statistics)
 
 
 def test_cli_report_without_run_is_exit_2(small, tmp_path, capsys):
