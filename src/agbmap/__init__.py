@@ -8,8 +8,8 @@ from .grid import (
 from .inventory import (
     ALLOMETRIES, MIN_DBH_CM, PLOT_AREA_HA, PLOT_AREA_M2,
     PlotPartition, PlotRecord, TreeRecord,
-    aggregate_plot_agb, attach_densities, filter_model_dev,
-    load_plots, load_trees, select_single_inventory, split_by_panel,
+    attach_densities, filter_model_dev, load_plots, load_trees,
+    select_single_inventory, split_by_panel,
 )
 from .footprint import OverlapWeights, PlotFootprint, pixel_overlap_weights, weighted_mean
 from .hexgrid import HexGrid, aggregate_pairs, assign, make_hexgrid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -99,10 +100,19 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "synth":
-            return _handle_synth(args)
-        if args.command == "report":
-            return _handle_report(args)
-        return _handle_stage(args)
+            code = _handle_synth(args)
+        elif args.command == "report":
+            code = _handle_report(args)
+        else:
+            code = _handle_stage(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # standard output is written only once the requested work is done, and
+        # its reader has closed it. Python flushes stdout again at exit, so
+        # point it at devnull (the SIGPIPE note of the `signal` module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 1

@@ -112,7 +112,7 @@ def load_trees(path) -> list[TreeRecord]:
 
 def load_plots(path) -> list[PlotRecord]:
     """Read a plot table. AGB densities start at zero; attach them with
-    :func:`aggregate_plot_agb`. A blank max_canopy_height_m becomes None. A plot
+    :func:`attach_densities`. A blank max_canopy_height_m becomes None. A plot
     id listed twice in one inventory year raises."""
     plots, seen = [], set()
     for row in read_table(path, "plot", PLOT_COLUMNS):
@@ -125,32 +125,25 @@ def load_plots(path) -> list[PlotRecord]:
     return plots
 
 
-def aggregate_plot_agb(trees: Iterable[TreeRecord], allometry: str,
-                       plot_ids: Iterable[str] | None = None) -> dict[str, float]:
-    """Plot-level AGB density in Mg/ha: sum of tree kg over the full plot area.
+def attach_densities(plots: Sequence[PlotRecord],
+                     trees: Iterable[TreeRecord]) -> list[PlotRecord]:
+    """Copy plot records with both AGB densities in Mg/ha filled in: the kg of
+    the trees listed under the plot's id and inventory year, summed in tree
+    order, over the full plot area (0.0 for a treeless plot).
 
-    density = sum(kg) / 0.0673336 ha / 1000. Pass `plot_ids` to guarantee an
-    entry (possibly 0.0 for a treeless plot) for every listed plot.
+    density = sum(kg) / 0.0673336 ha / 1000.
     """
-    if allometry not in ALLOMETRIES:
-        raise ValueError(f"unknown allometry {allometry!r}")
-    totals: dict[str, float] = {}
-    if plot_ids is not None:
-        for pid in plot_ids:
-            totals[pid] = 0.0
+    totals: dict[tuple[str, int], list[float]] = {}
     for t in trees:
-        kg = t.agb_crm_kg if allometry == "CRM" else t.agb_nsvb_kg
-        totals[t.plot_id] = totals.get(t.plot_id, 0.0) + kg
-    return {pid: kg / PLOT_AREA_HA / 1000.0 for pid, kg in totals.items()}
-
-
-def attach_densities(plots: Sequence[PlotRecord], crm: dict[str, float],
-                     nsvb: dict[str, float]) -> list[PlotRecord]:
-    """Copy plot records with AGB densities filled in (0.0 where absent)."""
-    return [
-        replace(p, agb_crm=crm.get(p.plot_id, 0.0), agb_nsvb=nsvb.get(p.plot_id, 0.0))
-        for p in plots
-    ]
+        kg = totals.setdefault((t.plot_id, t.inventory_year), [0.0, 0.0])
+        kg[0] += t.agb_crm_kg
+        kg[1] += t.agb_nsvb_kg
+    attached = []
+    for p in plots:
+        crm, nsvb = totals.get((p.plot_id, p.inventory_year), (0.0, 0.0))
+        attached.append(replace(p, agb_crm=crm / PLOT_AREA_HA / 1000.0,
+                                agb_nsvb=nsvb / PLOT_AREA_HA / 1000.0))
+    return attached
 
 
 def select_single_inventory(plots: Sequence[PlotRecord], seed: int) -> list[PlotRecord]:
@@ -192,8 +185,6 @@ def split_by_panel(plots: Sequence[PlotRecord], holdout_panel, seed: int) -> Plo
             raise ValueError(f"holdout panel {holdout} has no plots")
     assessment = [p for p in plots if p.panel == holdout]
     dev = [p for p in plots if p.panel != holdout]
-    if not assessment:
-        raise ValueError(f"holdout panel {holdout} has no plots")
     if not dev:
         raise ValueError("holdout panel leaves no development plots")
     return PlotPartition(dev=dev, assessment=assessment, holdout_panel=holdout)

@@ -16,6 +16,7 @@ import logging
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .grid import (
 )
 from .hexgrid import aggregate_pairs, assign_lattice, covering_hexgrid
 from .inventory import (
-    ALLOMETRIES, PLOT_COLUMNS, PlotRecord, aggregate_plot_agb, attach_densities,
-    filter_model_dev, load_plots, load_trees, select_single_inventory, split_by_panel,
+    ALLOMETRIES, PLOT_COLUMNS, PlotRecord, attach_densities, filter_model_dev,
+    load_plots, load_trees, select_single_inventory, split_by_panel,
 )
 from .learners import (
     DEFAULT_GRIDS, EnsembleModel, LearnerSpec, fit_stack, grid_search, of_type, predict_grid,
@@ -56,6 +57,10 @@ TEST_METRIC_COLUMNS = ("allometry", "n", "mae", "pct_mae", "rmse", "pct_rmse",
                        "me", "r2", "dr")
 AGREEMENT_COLUMNS = ("scale_km", "n", "ac", "ac_systematic", "ac_unsystematic",
                      "gmfr_intercept", "gmfr_slope")
+STOCK_COLUMNS = ("quantity", "method", "allometry", "area_basis", "year", "total_mt",
+                 "region_area_ha")
+DESIGN_MINUS_MODEL_COLUMNS = ("quantity", "allometry", "year", "design_mt", "model_mt",
+                              "design_minus_model_mt")
 # ingest's plot tables: the input plot columns, then the attached densities, in
 # PlotRecord field order; plots.csv adds each plot's role
 INGEST_PLOT_COLUMNS = {**PLOT_COLUMNS, "agb_crm": number, "agb_nsvb": number}
@@ -131,6 +136,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown configuration keys: {unknown}")
         if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
             raise ConfigError("seed must be an integer")
+        if raw["seed"] < 0:  # numpy seeds no generator from it
+            raise ConfigError(f"seed must be non-negative, got {raw['seed']}")
         if not isinstance(raw["years"], dict) or not raw["years"]:
             raise ConfigError("years must be a non-empty object")
 
@@ -384,31 +391,21 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
     if stray:
         raise PipelineError(f"plots reference inventory years with no rasters: {stray}")
 
-    selected = select_single_inventory(plot_rows, seed=[config.seed, 101])
-    by_year: dict[int, list[PlotRecord]] = {}
-    for p in selected:
-        by_year.setdefault(p.inventory_year, []).append(p)
-    attached: list[PlotRecord] = []
-    for year in sorted(by_year):
-        year_trees = [t for t in trees if t.inventory_year == year]
-        ids = [p.plot_id for p in by_year[year]]
-        crm = aggregate_plot_agb(year_trees, "CRM", plot_ids=ids)
-        nsvb = aggregate_plot_agb(year_trees, "NSVB", plot_ids=ids)
-        attached.extend(attach_densities(by_year[year], crm, nsvb))
-    attached.sort(key=lambda p: p.plot_id)
-
-    partition = split_by_panel(attached, config.holdout_panel, seed=[config.seed, 102])
+    selected = select_single_inventory(attach_densities(plot_rows, trees),
+                                       seed=[config.seed, 101])
+    partition = split_by_panel(selected, config.holdout_panel, seed=[config.seed, 102])
     model_dev = filter_model_dev(partition.dev)
 
     def row(p: PlotRecord) -> dict:
         return dict(zip(INGEST_PLOT_COLUMNS, astuple(p)))
 
-    # both tables in plot-id order, the order of `attached`
+    # both tables in plot-id order, the order of `selected`
     write_table(out / "plots.csv", [*INGEST_PLOT_COLUMNS, "role"],
                 [{**row(p), "role": "assessment" if p.panel == partition.holdout_panel
-                  else "development"} for p in attached])
+                  else "development"} for p in selected])
     write_table(out / "model_dev.csv", INGEST_PLOT_COLUMNS, map(row, model_dev))
 
+    per_year = Counter(p.inventory_year for p in selected)
     _write_json(out / "summary.json", {
         "n_plot_rows": len(plot_rows),
         "n_selected": len(selected),
@@ -416,7 +413,7 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
         "n_model_dev": len(model_dev),
         "n_assessment": len(partition.assessment),
         "holdout_panel": partition.holdout_panel,
-        "per_year": {str(y): len(v) for y, v in sorted(by_year.items())},
+        "per_year": {str(y): n for y, n in sorted(per_year.items())},
     })
 
 
@@ -427,18 +424,23 @@ def _read_plots(config: PipelineConfig, name: str, role=None) -> list[PlotRecord
     return [PlotRecord(*row.values()) for row in rows if row.pop("role", role) == role]
 
 
-def _sample_footprints(plots, grids) -> np.ndarray:
-    """The area-weighted mean of each grid under each plot's footprint, as a
-    (plots, grids) array; nan where a grid has no valid cell under it. The grids
-    share one geometry, so each plot's overlap weights are computed once."""
-    if not all(grids[0].aligned_with(g) for g in grids[1:]):
-        raise PipelineError("sampled grids are not aligned")
-    means = np.full((len(plots), len(grids)), np.nan)
-    for i, p in enumerate(plots):
-        weights = pixel_overlap_weights(PlotFootprint(p.x, p.y), grids[0])
-        for j, grid in enumerate(grids):
-            v = weighted_mean(grid, weights)
-            means[i, j] = np.nan if v is None else v
+def _sample_footprints(plots, layers: dict[int, list[Path]]) -> np.ndarray:
+    """The area-weighted mean of each layer of a plot's inventory year under its
+    footprint, as a (plots, layers) array in plot order; nan where a layer has
+    no valid cell under it. `layers` maps each year to its layer paths, equally
+    many for every year, and each year's are read once. They share one
+    geometry, so each plot's overlap weights are computed once."""
+    means = np.full((len(plots), len(next(iter(layers.values())))), np.nan)
+    for year, paths in layers.items():
+        grids = [read_grid(path) for path in paths]
+        if not all(grids[0].aligned_with(g) for g in grids[1:]):
+            raise PipelineError("sampled grids are not aligned")
+        for i, p in enumerate(plots):
+            if p.inventory_year == year:
+                weights = pixel_overlap_weights(PlotFootprint(p.x, p.y), grids[0])
+                for j, grid in enumerate(grids):
+                    v = weighted_mean(grid, weights)
+                    means[i, j] = np.nan if v is None else v
     return means
 
 
@@ -447,18 +449,13 @@ def _stage_extract(config: PipelineConfig, out: Path) -> None:
     dev = _read_plots(config, "model_dev.csv")
     names = config.predictor_names()
 
-    rows = []
-    n_dropped = 0
-    for year in sorted(config.years):
-        plots = [p for p in dev if p.inventory_year == year]
-        layers = config.years[year].predictors
-        feats = _sample_footprints(plots, [read_grid(layers[name]) for name in names])
-        covered = ~np.isnan(feats).any(axis=1)
-        n_dropped += int(np.count_nonzero(~covered))
-        rows += [{"plot_id": p.plot_id, "inventory_year": p.inventory_year,
-                  "agb_crm": p.agb_crm, "agb_nsvb": p.agb_nsvb, **dict(zip(names, values))}
-                 for p, values, ok in zip(plots, feats.tolist(), covered) if ok]
-    rows.sort(key=lambda r: r["plot_id"])
+    feats = _sample_footprints(dev, {year: [inputs.predictors[name] for name in names]
+                                     for year, inputs in config.years.items()})
+    covered = ~np.isnan(feats).any(axis=1)
+    n_dropped = int(np.count_nonzero(~covered))
+    rows = [{"plot_id": p.plot_id, "inventory_year": p.inventory_year,
+             "agb_crm": p.agb_crm, "agb_nsvb": p.agb_nsvb, **dict(zip(names, values))}
+            for p, values, ok in zip(dev, feats.tolist(), covered) if ok]
     if n_dropped:
         LOGGER.warning("extraction dropped %d plots with no overlapping valid cells",
                        n_dropped)
@@ -583,11 +580,8 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
         fitted = json.load(f)["models"]
 
     # (plot, allometry) map means; a year's two maps are sampled under its plots together
-    sampled = np.full((len(assessment), len(ALLOMETRIES)), np.nan)
-    for year in sorted(config.years):
-        at = [i for i, p in enumerate(assessment) if p.inventory_year == year]
-        maps = [read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES]
-        sampled[at] = _sample_footprints([assessment[i] for i in at], maps)
+    sampled = _sample_footprints(assessment, {
+        year: [_map_path(config, "agb", year, a) for a in ALLOMETRIES] for year in config.years})
 
     summary: dict = {}
     for allometry, column in zip(ALLOMETRIES, sampled.T.tolist()):
@@ -751,9 +745,7 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
                     "total_mt": table[key].total_mt - table[(*key[:4], first)].total_mt}
                    for key in keys
                    if first != last and key[4] == last and (*key[:4], first) in table]
-    write_table(out / "stocks.csv",
-                ["quantity", "method", "allometry", "area_basis", "year",
-                 "total_mt", "region_area_ha"], stock_rows + change_rows)
+    write_table(out / "stocks.csv", STOCK_COLUMNS, stock_rows + change_rows)
 
     # design minus model, the sign convention used for comparison columns
     diff_rows = []
@@ -763,9 +755,7 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
             m = table[(quantity, "model", allometry, model_basis, year)].total_mt
             diff_rows.append({"quantity": quantity, "allometry": allometry, "year": year,
                               "design_mt": d, "model_mt": m, "design_minus_model_mt": d - m})
-    write_table(out / "design_minus_model.csv",
-                ["quantity", "allometry", "year", "design_mt", "model_mt",
-                 "design_minus_model_mt"], diff_rows)
+    write_table(out / "design_minus_model.csv", DESIGN_MINUS_MODEL_COLUMNS, diff_rows)
 
     _write_json(out / "stocks.json", {
         "note": carbon_mod.DESIGN_ESTIMATOR_NOTE,
@@ -979,19 +969,13 @@ def render_report(config: PipelineConfig) -> str:
         lines += _render_table("difference layers", ["layer", "n", "mean", "min", "max"], rows)
         lines.append("")
 
-    p = stage_file("stocks", "stocks.json")
+    p = stage_file("stocks", "stocks.csv")
     if p:
-        with open(p, encoding="utf-8") as f:
-            s = json.load(f)
-        lines += _render_table("stocks and stock changes (Mt)",
-                               ["quantity", "method", "allometry", "area_basis",
-                                "year", "total_mt"], s["stocks"])
-        lines.append("")
-        lines += _render_table("design minus model (Mt)",
-                               ["quantity", "allometry", "year", "design_mt",
-                                "model_mt", "design_minus_model_mt"],
-                               s["design_minus_model"])
-        lines += ["", f"note: {s['note']}", ""]
+        lines += table("stocks and stock changes (Mt)", p, STOCK_COLUMNS[:-1])
+    p = stage_file("stocks", "design_minus_model.csv")
+    if p:
+        lines += table("design minus model (Mt)", p, DESIGN_MINUS_MODEL_COLUMNS)
+        lines += [f"note: {carbon_mod.DESIGN_ESTIMATOR_NOTE}", ""]
 
     p = stage_file("rescale", "rescale.csv")
     if p:

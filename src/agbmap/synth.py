@@ -132,6 +132,8 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
     Layout under out_dir: inputs/ holds rasters and tables, config.json points
     at them with relative paths, and the configured output directory is run/.
     """
+    if seed < 0:  # numpy seeds no generator from it
+        raise ValueError(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from agbmap.inventory import (
     MIN_DBH_CM, PLOT_AREA_HA, PLOT_AREA_M2, PlotRecord, TreeRecord,
-    aggregate_plot_agb, attach_densities, filter_model_dev,
-    load_plots, load_trees, select_single_inventory, split_by_panel,
+    attach_densities, filter_model_dev, load_plots, load_trees,
+    select_single_inventory, split_by_panel,
 )
 
 
@@ -32,39 +33,48 @@ class TestAggregation:
         # total kg numerically equal to the plot area in m^2 -> 10 Mg/ha
         trees = [tree(crm_kg=PLOT_AREA_M2 / 2, nsvb_kg=PLOT_AREA_M2 / 2),
                  tree(crm_kg=PLOT_AREA_M2 / 2, nsvb_kg=PLOT_AREA_M2 / 2)]
-        out = aggregate_plot_agb(trees, "CRM")
-        assert out["p1"] == pytest.approx(10.0, rel=1e-12)
+        [out] = attach_densities([plot()], trees)
+        assert out.agb_crm == pytest.approx(10.0, rel=1e-12)
+        assert out.agb_nsvb == pytest.approx(10.0, rel=1e-12)
 
     def test_single_tree_density(self):
-        out = aggregate_plot_agb([tree(crm_kg=PLOT_AREA_M2 / 10)], "CRM")
-        assert out["p1"] == pytest.approx(1.0, rel=1e-12)
+        [out] = attach_densities([plot()], [tree(crm_kg=PLOT_AREA_M2 / 10)])
+        assert out.agb_crm == pytest.approx(1.0, rel=1e-12)
 
     def test_oracle_direct_sum(self):
         rng = np.random.default_rng(5)
         trees = [tree(plot_id=f"p{i % 3}", crm_kg=float(rng.uniform(1, 500)),
                       nsvb_kg=float(rng.uniform(1, 500)))
                  for i in range(40)]
-        for allom, pick in (("CRM", lambda t: t.agb_crm_kg),
-                            ("NSVB", lambda t: t.agb_nsvb_kg)):
-            got = aggregate_plot_agb(trees, allom)
-            for pid in ("p0", "p1", "p2"):
-                total = sum(pick(t) for t in trees if t.plot_id == pid)
-                assert got[pid] == pytest.approx(total / PLOT_AREA_HA / 1000.0, rel=1e-12)
+        out = attach_densities([plot(pid) for pid in ("p0", "p1", "p2")], trees)
+        for p in out:
+            for allom, pick in (("CRM", lambda t: t.agb_crm_kg),
+                                ("NSVB", lambda t: t.agb_nsvb_kg)):
+                total = sum(pick(t) for t in trees if t.plot_id == p.plot_id)
+                assert p.agb(allom) == pytest.approx(total / PLOT_AREA_HA / 1000.0, rel=1e-12)
 
     def test_treeless_plot_reports_zero(self):
-        out = aggregate_plot_agb([], "CRM", plot_ids=["empty"])
-        assert out == {"empty": 0.0}
+        [out] = attach_densities([plot("empty")], [tree("p1")])
+        assert out.agb_crm == 0.0 and out.agb_nsvb == 0.0
 
-    def test_unknown_allometry_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_plot_agb([], "FIA")
+    def test_plot_measured_in_both_years_gets_only_its_years_trees(self):
+        trees = [tree(crm_kg=PLOT_AREA_M2 / 10, nsvb_kg=PLOT_AREA_M2 / 5, year=2005),
+                 tree(crm_kg=PLOT_AREA_M2 / 2, nsvb_kg=PLOT_AREA_M2 / 4, year=2019),
+                 tree(crm_kg=PLOT_AREA_M2 / 2, nsvb_kg=PLOT_AREA_M2 / 4, year=2019)]
+        early, late = attach_densities([plot(year=2005), plot(year=2019)], trees)
+        assert (early.agb_crm, early.agb_nsvb) == pytest.approx((1.0, 2.0), rel=1e-12)
+        assert (late.agb_crm, late.agb_nsvb) == pytest.approx((10.0, 5.0), rel=1e-12)
+        assert (early.inventory_year, late.inventory_year) == (2005, 2019)
 
     def test_attach_densities(self):
+        kg = PLOT_AREA_HA * 1000.0  # 1 Mg/ha
         plots = [plot("a"), plot("b")]
-        out = attach_densities(plots, crm={"a": 12.5}, nsvb={"a": 13.0, "b": 1.0})
-        assert out[0].agb_crm == 12.5 and out[0].agb_nsvb == 13.0
-        assert out[1].agb_crm == 0.0 and out[1].agb_nsvb == 1.0
-        assert out[0].agb("CRM") == 12.5 and out[0].agb("NSVB") == 13.0
+        out = attach_densities(plots, [tree("a", crm_kg=12.5 * kg, nsvb_kg=13.0 * kg),
+                                       tree("b", crm_kg=0.0, nsvb_kg=1.0 * kg)])
+        assert out[0].agb_crm == pytest.approx(12.5) and out[0].agb_nsvb == pytest.approx(13.0)
+        assert out[1].agb_crm == 0.0 and out[1].agb_nsvb == pytest.approx(1.0)
+        assert out[0].agb("CRM") == out[0].agb_crm and out[0].agb("NSVB") == out[0].agb_nsvb
+        assert plots[0].agb_crm == 0.0, "the records passed in are left as they are"
 
 
 class TestLoaders:
@@ -197,8 +207,7 @@ class TestModelDevFilter:
             plot("open_unknown", ff=0.0, height=None),
             plot("mixed", ff=0.5, height=None),
         ]
-        plots = attach_densities(plots, crm={p.plot_id: 50.0 for p in plots},
-                                 nsvb={p.plot_id: 55.0 for p in plots})
+        plots = [replace(p, agb_crm=50.0, agb_nsvb=55.0) for p in plots]
         with caplog.at_level("WARNING"):
             kept = filter_model_dev(plots)
         ids = [p.plot_id for p in kept]

@@ -568,6 +568,28 @@ def test_overlap_weights_once_per_plot_across_extract_and_assess(small, tmp_path
     assert len(set(footprints)) == len(footprints)
 
 
+def test_sample_footprints_takes_each_plot_on_its_own_years_layers(small):
+    from agbmap import PlotFootprint, pixel_overlap_weights, weighted_mean
+    from agbmap.pipeline import _read_plots, _sample_footprints
+
+    plots = _read_plots(small.config, "plots.csv")
+    early, late = ([p for p in plots if p.inventory_year == year] for year in (2005, 2019))
+    assert early and late
+    interleaved = [p for pair in zip(late, early) for p in pair]
+    names = small.config.predictor_names()
+    layers = {year: [inputs.predictors[name] for name in names]
+              for year, inputs in small.config.years.items()}
+
+    want = []
+    for p in interleaved:
+        grids = [read_grid(path) for path in layers[p.inventory_year]]
+        weights = pixel_overlap_weights(PlotFootprint(p.x, p.y), grids[0])
+        want.append([weighted_mean(grid, weights) for grid in grids])
+    want = np.array(want, dtype=float)  # None, a footprint over no valid cell, reads nan
+    got = _sample_footprints(interleaved, layers)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_plot_over_no_mapped_cell_is_outside_for_both_allometries(small, tmp_path):
     from agbmap import PlotFootprint, pixel_overlap_weights
 
@@ -928,6 +950,55 @@ def test_cli_synth_then_ingest(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "completed stages: ingest" in stdout
     assert "configuration hash" in stdout
+
+
+@pytest.mark.parametrize("given", ["option", "file"])
+def test_cli_negative_seed_is_exit_1_and_keeps_cached_work(small, tmp_path, capsys, given):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    cli = ["ingest", "--config", str(root / "config.json")]
+    if given == "option":
+        cli += ["--seed", "-1"]
+    else:
+        (root / "config.json").write_text(json.dumps({**small.doc, "seed": -1}))
+    ingest = root / "run" / "ingest"
+    files = {p.name: p.read_bytes() for p in ingest.iterdir()}
+    record = RunManifest.load(root / "run").stages["ingest"]
+    assert main(cli) == 1
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in ingest.iterdir()} == files
+    assert RunManifest.load(root / "run").stages["ingest"] == record
+
+
+def test_cli_synth_negative_seed_creates_nothing(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["report", "ingest"])
+def test_cli_stdout_closed_by_its_reader_is_exit_0(small, tmp_path, command):
+    import os
+    import subprocess
+    import sys
+
+    import agbmap
+
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    src = str(Path(agbmap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "agbmap.cli", command, "--config", str(root / "config.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    assert "error:" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
