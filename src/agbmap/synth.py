@@ -12,6 +12,7 @@ relationship through elevation so the rescaling stage has something to find.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +35,17 @@ RESCALE_SLOPE_SOURCE = 1.135
 RESCALE_SLOPE_ELEV = -0.023
 
 
-def _smooth_field(rng, xx, yy, n_waves=6, wavelengths=(6e3, 45e3)):
-    """Sum of random plane waves, standardized to zero mean and unit spread."""
-    f = np.zeros_like(xx)
+def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
+    """Sum of random plane waves over the cell centers (xs west to east, ys
+    north to south), standardized to zero mean and unit spread."""
+    f = np.zeros((len(ys), len(xs)))
     for _ in range(n_waves):
         wl = rng.uniform(*wavelengths)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         k = 2.0 * np.pi / wl
-        f += rng.uniform(0.5, 1.0) * np.sin(k * (np.cos(theta) * xx
-                                                 + np.sin(theta) * yy) + phase)
+        f += rng.uniform(0.5, 1.0) * np.sin(k * (np.cos(theta) * xs
+                                                 + np.sin(theta) * ys[:, None]) + phase)
     f -= f.mean()
     sd = f.std()
     return f / sd if sd > 0 else f
@@ -54,16 +56,10 @@ def _standardize(a):
     return (a - a.mean()) / (sd if sd > 0 else 1.0)
 
 
-def _cell_index(grid: Grid, x, y):
-    col = int(np.floor((x - grid.x_origin) / grid.cellsize))
-    row = int(np.floor((grid.y_max - y) / grid.cellsize))
-    return row, col
-
-
-def _landcover(rng, xx, yy, elev, forest_potential):
-    lc = np.full(xx.shape, 3.0)
-    wet = _smooth_field(rng, xx, yy, n_waves=4)
-    use = _smooth_field(rng, xx, yy, n_waves=4)
+def _landcover(rng, xs, ys, elev, forest_potential):
+    lc = np.full(elev.shape, 3.0)
+    wet = _smooth_field(rng, xs, ys, n_waves=4)
+    use = _smooth_field(rng, xs, ys, n_waves=4)
     lc[forest_potential > 0.4] = 6.0
     lc[(forest_potential > -0.3) & (forest_potential <= 0.4)] = 7.0
     lc[wet < np.quantile(wet, 0.06)] = 8.0
@@ -75,21 +71,16 @@ def _landcover(rng, xx, yy, elev, forest_potential):
     return lc
 
 
-def _predictors(rng, agb, elev, xx, yy):
-    """Six layers: three informative, one weakly informative, two nuisance."""
+def _predictors(rng, agb, elev, xs, ys):
+    """The six layers in PREDICTOR_NAMES order, one at a time: three
+    informative, one weakly informative, two nuisance."""
     z = _standardize(agb)
-    layers = {
-        "brightness": -0.6 * z + 0.3 * _smooth_field(rng, xx, yy)
-                      + rng.normal(0.0, 0.25, agb.shape),
-        "greenness": agb / (agb + 120.0) + rng.normal(0.0, 0.03, agb.shape),
-        "wetness": 0.8 * z + rng.normal(0.0, 0.35, agb.shape),
-        "ratio_a": 0.25 * z + 0.5 * _standardize(elev)
-                   + rng.normal(0.0, 0.3, agb.shape),
-        "ratio_b": _smooth_field(rng, xx, yy) + rng.normal(0.0, 0.2, agb.shape),
-        "dist_age": _smooth_field(rng, xx, yy, n_waves=3)
-                    + rng.normal(0.0, 0.2, agb.shape),
-    }
-    return {name: layers[name] for name in PREDICTOR_NAMES}
+    yield -0.6 * z + 0.3 * _smooth_field(rng, xs, ys) + rng.normal(0.0, 0.25, agb.shape)
+    yield agb / (agb + 120.0) + rng.normal(0.0, 0.03, agb.shape)
+    yield 0.8 * z + rng.normal(0.0, 0.35, agb.shape)
+    yield 0.25 * z + 0.5 * _standardize(elev) + rng.normal(0.0, 0.3, agb.shape)
+    yield _smooth_field(rng, xs, ys) + rng.normal(0.0, 0.2, agb.shape)
+    yield _smooth_field(rng, xs, ys, n_waves=3) + rng.normal(0.0, 0.2, agb.shape)
 
 
 def _tree_rows(rng, plot_id, year, crm_density, nsvb_density):
@@ -131,65 +122,65 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
 
     Layout under out_dir: inputs/ holds rasters and tables, config.json points
     at them with relative paths, and the configured output directory is run/.
+    A negative seed or n_plots, fewer than 4 columns or rows, or a cellsize
+    that is not positive raises ValueError before anything is created.
     """
     if seed < 0:  # numpy seeds no generator from it
         raise ValueError(f"seed must be non-negative, got {seed}")
+    for name, cells in (("ncols", ncols), ("nrows", nrows)):
+        if cells < 4:  # plots keep two cells from each edge
+            raise ValueError(f"{name} must be at least 4, got {cells}")
+    if n_plots < 0:
+        raise ValueError(f"n_plots must be non-negative, got {n_plots}")
+    if not cellsize > 0:
+        raise ValueError(f"cellsize must be positive, got {cellsize}")
     out = Path(out_dir)
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
 
+    def write(values, units, name):
+        write_grid(Grid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0,
+                        cellsize=cellsize, units=units,
+                        values=np.asarray(values, dtype=np.float32)),
+                   inputs / f"{name}.bin")
+        return f"inputs/{name}.bin"
+
     xs = (np.arange(ncols) + 0.5) * cellsize
     ys = (nrows - np.arange(nrows) - 0.5) * cellsize
-    xx, yy = np.meshgrid(xs, ys)
 
     rng_land = np.random.default_rng([seed, 1])
-    elev = 600.0 + 260.0 * _smooth_field(rng_land, xx, yy, n_waves=5)
-    elev = np.clip(elev, 0.0, None)
-    forest_potential = _smooth_field(rng_land, xx, yy, n_waves=5)
+    elev = np.clip(600.0 + 260.0 * _smooth_field(rng_land, xs, ys, n_waves=5), 0.0, None)
+    forest_potential = _smooth_field(rng_land, xs, ys, n_waves=5)
+    elevation_path = write(elev, "m", "elevation")
 
-    def make_grid(values, units):
-        return Grid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0,
-                    cellsize=cellsize, units=units,
-                    values=np.asarray(values, dtype=np.float32))
-
-    write_grid(make_grid(elev, "m"), inputs / "elevation.bin")
-
-    landcover = {}
-    agb_true = {}
-    rng_lc = np.random.default_rng([seed, 2])
-    lc05 = _landcover(rng_lc, xx, yy, elev, forest_potential)
-    lc19 = lc05.copy()
+    lc05 = _landcover(np.random.default_rng([seed, 2]), xs, ys, elev, forest_potential)
     # one compact conversion blob so the later year loses mapped area
-    blob = _smooth_field(np.random.default_rng([seed, 3]), xx, yy, n_waves=3)
-    lc19[(blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES)] = 1.0
-    landcover[2005], landcover[2019] = lc05, lc19
+    blob = _smooth_field(np.random.default_rng([seed, 3]), xs, ys, n_waves=3)
+    lc19 = np.where((blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES),
+                    1.0, lc05)
+    del blob
 
     rng_agb = np.random.default_rng([seed, 4])
-    base = (150.0 / (1.0 + np.exp(-1.3 * forest_potential))
-            + 35.0 * _smooth_field(rng_agb, xx, yy)
-            + 0.03 * (800.0 - elev))
-    agb05 = np.clip(base, 0.0, 350.0)
+    agb05 = np.clip(150.0 / (1.0 + np.exp(-1.3 * forest_potential))
+                    + 35.0 * _smooth_field(rng_agb, xs, ys)
+                    + 0.03 * (800.0 - elev), 0.0, 350.0)
+    del forest_potential
     agb05[np.isin(lc05, REMOVED_CLASSES)] = 0.0
-    growth = 1.10 + 0.04 * _smooth_field(rng_agb, xx, yy, n_waves=4)
-    agb19 = np.clip(agb05 * growth + 6.0, 0.0, 380.0)
+    agb19 = np.clip(agb05 * (1.10 + 0.04 * _smooth_field(rng_agb, xs, ys, n_waves=4)) + 6.0,
+                    0.0, 380.0)
     agb19[agb05 == 0.0] = 0.0
     agb19[np.isin(lc19, REMOVED_CLASSES)] = 0.0
-    agb_true[2005], agb_true[2019] = agb05, agb19
+    landcover = dict(zip(YEARS, (lc05, lc19)))
+    agb_true = dict(zip(YEARS, (agb05, agb19)))
 
     year_paths = {}
     for year in YEARS:
-        lc_path = inputs / f"landcover_{year}.bin"
-        write_grid(make_grid(landcover[year], "class"), lc_path)
-        rng_pred = np.random.default_rng([seed, 5, year])
-        preds = _predictors(rng_pred, agb_true[year], elev, xx, yy)
-        pred_paths = {}
-        for name, layer in preds.items():
-            p = inputs / f"pred_{year}_{name}.bin"
-            write_grid(make_grid(layer, ""), p)
-            pred_paths[name] = f"inputs/pred_{year}_{name}.bin"
+        layers = _predictors(np.random.default_rng([seed, 5, year]),
+                             agb_true[year], elev, xs, ys)
         year_paths[str(year)] = {
-            "predictors": pred_paths,
-            "landcover": f"inputs/landcover_{year}.bin",
+            "landcover": write(landcover[year], "class", f"landcover_{year}"),
+            "predictors": {name: write(layer, "", f"pred_{year}_{name}")
+                           for name, layer in zip(PREDICTOR_NAMES, layers)},
         }
 
     # -- plots and trees --------------------------------------------------
@@ -197,7 +188,6 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
     margin = 2.0 * cellsize
     plot_rows = []
     tree_rows = []
-    demo_grid = make_grid(agb05, "")
     for i in range(n_plots):
         pid = f"P{i:04d}"
         x = float(rng_plot.uniform(margin, ncols * cellsize - margin))
@@ -205,8 +195,8 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
         panel = int(rng_plot.integers(1, 6))
         u = rng_plot.random()
         years = YEARS if u < 0.3 else (YEARS[int(rng_plot.integers(0, 2))],)
+        row, col = math.floor((nrows * cellsize - y) / cellsize), math.floor(x / cellsize)
         for year in years:
-            row, col = _cell_index(demo_grid, x, y)
             on_removed = landcover[year][row, col] in REMOVED_CLASSES
             crm_true = float(agb_true[year][row, col])
             nsvb_true = 0.0 if crm_true == 0.0 else max(
@@ -218,18 +208,12 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
                 height = (round(rng_plot.uniform(1.5, 8.0), 1)
                           if rng_plot.random() < 0.25
                           else round(rng_plot.uniform(0.0, 1.0), 1))
-            elif u2 < 0.13:
-                # partially forested: measured but unusable for model fitting
-                forested = round(rng_plot.uniform(0.1, 0.9), 2)
+            else:
+                # partially forested below 0.13: measured but unusable for model fitting
+                forested = round(rng_plot.uniform(0.1, 0.9), 2) if u2 < 0.13 else 1.0
                 frac_noise = rng_plot.normal(1.0, 0.08)
                 crm_d = max(0.0, crm_true * forested * frac_noise)
                 nsvb_d = max(0.0, nsvb_true * forested * frac_noise)
-                height = ""
-            else:
-                forested = 1.0
-                frac_noise = rng_plot.normal(1.0, 0.08)
-                crm_d = max(0.0, crm_true * frac_noise)
-                nsvb_d = max(0.0, nsvb_true * frac_noise)
                 height = ""
             plot_rows.append({
                 "plot_id": pid,
@@ -269,7 +253,7 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
         "trees": "inputs/trees.csv",
         "plots": "inputs/plots.csv",
         "carbon_fractions": "inputs/carbon_fractions.csv",
-        "elevation": "inputs/elevation.bin",
+        "elevation": elevation_path,
         "years": year_paths,
         "learner_grids": {
             "knn": [{"k": 3}, {"k": 10}],

@@ -2,9 +2,10 @@
 
 A table is read against a column table, a mapping from each column it must
 hold to the parser of that column's cells; other columns are ignored. A
-missing column, a short row or a cell its parser rejects fails naming the
-file and line. A written cell is quoted only when it holds a comma, a quote, a
-line feed or a carriage return.
+missing column or one the header names twice fails naming the file. A row
+that ends before a column the table must hold, a row longer than the header
+or a cell its parser rejects fails naming the file and line. A written cell is
+quoted only when it holds a comma, a quote, a line feed or a carriage return.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ def read_table(path, what: str, columns: Columns) -> Iterator[dict]:
     UTF-8 byte-order mark, as spreadsheets write, is skipped."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
-        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        header = reader.fieldnames or []
+        missing = [name for name in columns if name not in header]
         if missing:
             raise ValueError(f"{what} table {path} is missing columns: {missing}")
+        twice = [name for name in columns if header.count(name) > 1]
+        if twice:
+            raise ValueError(f"{what} table {path} names columns more than once: {twice}")
         for row in reader:
+            if None in row:  # DictReader's key for the cells past the header
+                raise ValueError(f"malformed {what} row at {path}:{reader.line_num}: "
+                                 f"the row has more cells than the header's {len(header)}")
             parsed = {}
             for name, parse in columns.items():
                 try:

@@ -86,6 +86,83 @@ def test_synth_landcover_covers_forest_and_removed_classes(small):
     assert present & set(int(c) for c in small.config.removed_landcover_classes)
 
 
+def _meshgrid_smooth_field(rng, xx, yy, n_waves=6, wavelengths=(6e3, 45e3)):
+    """The plane-wave field evaluated on meshgrid coordinates (xx, yy)."""
+    f = np.zeros_like(xx)
+    for _ in range(n_waves):
+        wl = rng.uniform(*wavelengths)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        k = 2.0 * np.pi / wl
+        f += rng.uniform(0.5, 1.0) * np.sin(k * (np.cos(theta) * xx
+                                                 + np.sin(theta) * yy) + phase)
+    f -= f.mean()
+    sd = f.std()
+    return f / sd if sd > 0 else f
+
+
+@pytest.mark.parametrize("n_waves", [3, 6])
+def test_smooth_field_from_the_axes_matches_the_meshgrid_form(n_waves):
+    from agbmap.synth import _smooth_field
+
+    ncols, nrows, cellsize = 37, 23, 250.0
+    xs = (np.arange(ncols) + 0.5) * cellsize
+    ys = (nrows - np.arange(nrows) - 0.5) * cellsize
+    field = _smooth_field(np.random.default_rng(4), xs, ys, n_waves=n_waves)
+    assert field.shape == (nrows, ncols)
+    xx, yy = np.meshgrid(xs, ys)
+    assert np.array_equal(field, _meshgrid_smooth_field(np.random.default_rng(4), xx, yy,
+                                                        n_waves=n_waves))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_synth_memory_grows_by_less_than_150_bytes_per_cell(tmp_path):
+    # Run in a child, whose peak RSS is that of synthesize and its imports alone.
+    # The child reads VmHWM, the peak of its own address space: ru_maxrss would
+    # start at this test process's peak, which Linux carries across exec.
+    # 15 float64 layers held at once would take 120 bytes per cell.
+    import os
+    import subprocess
+    import sys
+
+    import agbmap
+
+    ncols, nrows = 800, 700
+    code = (
+        "import sys\n"
+        "from agbmap.synth import synthesize\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in f\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
+        f"synthesize(sys.argv[1], ncols={ncols}, nrows={nrows})\n"
+        "print(peak() - before)\n"
+    )
+    src = str(Path(agbmap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d")], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    per_cell = int(done.stdout) / (ncols * nrows)
+    assert per_cell < 150, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
+
+
+@pytest.mark.parametrize("cellsize", [0.0, -30.0, float("nan")])
+def test_synth_refuses_a_cellsize_that_is_not_positive(tmp_path, cellsize):
+    with pytest.raises(ValueError, match="cellsize must be positive"):
+        synthesize(tmp_path / "d", cellsize=cellsize)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_builds_the_smallest_grid_it_allows(tmp_path):
+    # plots keep two cells from each edge, so 4 cells a side leave them one line
+    config = PipelineConfig.load(synthesize(tmp_path / "d", ncols=4, nrows=6, n_plots=5))
+    assert validate(config) == []
+    assert read_grid(tmp_path / "d" / "inputs" / "elevation.bin").values.shape == (6, 4)
+
+
 # -- configuration loading and validation ---------------------------------
 
 def test_config_missing_key_rejected(small):
@@ -973,6 +1050,18 @@ def test_cli_negative_seed_is_exit_1_and_keeps_cached_work(small, tmp_path, caps
 def test_cli_synth_negative_seed_creates_nothing(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 2
     assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, reported", [
+    (["--cells", "0"], "ncols must be at least 4, got 0"),
+    (["--cells", "-3"], "ncols must be at least 4, got -3"),
+    (["--cells", "3"], "ncols must be at least 4, got 3"),
+    (["--plots", "-1"], "n_plots must be non-negative, got -1"),
+], ids=["zero cells", "negative cells", "too few cells for the plot margin", "negative plots"])
+def test_cli_synth_size_it_cannot_build_creates_nothing(tmp_path, capsys, args, reported):
+    assert main(["synth", "--out", str(tmp_path / "d"), *args]) == 2
+    assert f"error: {reported}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -42,12 +42,24 @@ def test_read_table_names_missing_columns_in_column_order(tmp_path):
 @pytest.mark.parametrize("body, reported", [
     ('a,b\n"x\ny",1\nz,nan\n', "t.csv:4: b: 'nan' is not a finite number"),
     ("a,b\nx,1\n\nz\n", "t.csv:4: b: the row ends before this column"),
-], ids=["line of a record after a quoted line feed", "short row after a blank line"])
+    # as an unquoted comma in a text cell writes it, shifting the cells after it
+    ("a,b\nx,1\nP,2,3\n", "t.csv:3: the row has more cells than the header's 2"),
+], ids=["line of a record after a quoted line feed", "short row after a blank line",
+        "row longer than the header"])
 def test_read_table_names_the_line_of_a_malformed_row(tmp_path, body, reported):
     p = tmp_path / "t.csv"
     p.write_text(body)
     with pytest.raises(ValueError, match=f"malformed test row at .*{reported}"):
         list(read_table(p, "test", {"a": str, "b": number}))
+
+
+def test_read_table_refuses_a_column_named_twice(tmp_path):
+    # the reader would keep the last of the two cells; an extra column named twice is ignored
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,a,x,x\n1,2,3,4,5\n")
+    with pytest.raises(ValueError, match=r"test table .*t.csv names columns more than once: \['a'\]"):
+        list(read_table(p, "test", {"a": number, "b": number}))
+    assert list(read_table(p, "test", {"b": number})) == [{"b": 2.0}]
 
 
 def test_write_table_formats_and_quotes_cells(tmp_path):
