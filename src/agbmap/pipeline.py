@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -390,6 +390,16 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
     stray = sorted({p.inventory_year for p in plot_rows} - known_years)
     if stray:
         raise PipelineError(f"plots reference inventory years with no rasters: {stray}")
+    # a tree under no (plot id, inventory year) of the plot table adds to no density
+    measured = {(p.plot_id, p.inventory_year) for p in plot_rows}
+    orphans = [t for t in trees if (t.plot_id, t.inventory_year) not in measured]
+    if trees and len(orphans) == len(trees):
+        raise PipelineError(f"none of the {len(trees)} trees in {config.trees} matches the "
+                            f"plot id and inventory year of a plot in {config.plots}")
+    if orphans:
+        LOGGER.warning("%d trees match no plot id and inventory year of the plot table; "
+                       "the first is plot %r in %d", len(orphans), orphans[0].plot_id,
+                       orphans[0].inventory_year)
 
     selected = select_single_inventory(attach_densities(plot_rows, trees),
                                        seed=[config.seed, 101])
@@ -441,6 +451,7 @@ def _sample_footprints(plots, layers: dict[int, list[Path]]) -> np.ndarray:
                 for j, grid in enumerate(grids):
                     v = weighted_mean(grid, weights)
                     means[i, j] = np.nan if v is None else v
+        del grids  # released before the next year's layers are read
     return means
 
 
@@ -506,10 +517,6 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     for a_idx, allometry in enumerate(ALLOMETRIES):
         ytr, yte = Ytr[a_idx], Y[a_idx, test_idx]
         chosen, oof_cols, scores, models = zip(*(results[a_idx] for results in searched))
-        model_info = {kind: {"chosen": best.to_dict(),
-                             "cv_rmse": {json.dumps(s.to_dict(), sort_keys=True): r
-                                         for s, r in kind_scores}}
-                      for kind, best, kind_scores in zip(kinds, chosen, scores)}
         stack = fit_stack(np.column_stack(oof_cols), ytr)
         if stack.rank_deficient:
             LOGGER.warning("stacking design for %s is rank deficient; "
@@ -521,15 +528,11 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
 
         pairs = PairedSample(y=yte, yhat=ens.predict(Xte))
         row = asdict(basic_metrics(pairs, ybar_train=float(ytr.mean())))
-        test_metrics = {k: row[k] for k in TEST_METRIC_COLUMNS[1:]}
-        test_rows.append({"allometry": allometry, **test_metrics})
+        test_rows.append({"allometry": allometry, **row})
         summary["models"][allometry] = {
-            "base": model_info,
-            "stack_intercept": stack.intercept,
-            "stack_coefficients": list(stack.coefficients),
-            "rank_deficient": bool(stack.rank_deficient),
+            "cv_rmse": {kind: {json.dumps(s.to_dict(), sort_keys=True): r for s, r in kind_scores}
+                        for kind, kind_scores in zip(kinds, scores)},
             "ybar_train": float(ytr.mean()),
-            "test_metrics": test_metrics,
         }
 
     write_table(out / "test_metrics.csv", TEST_METRIC_COLUMNS, test_rows)
@@ -561,9 +564,14 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
         domain = lc.mask & ~np.isin(lc.values, removed)
         for allometry, model in models.items():
             agb = predict_grid(model, layers, domain)
+            summary = summarize(agb)
+            if summary.n_valid < 2:  # too few to rank
+                raise PipelineError(
+                    f"the {allometry} map of {year} has {summary.n_valid} valid cells, fewer than "
+                    "the 2 it needs; check removed_landcover_classes against the landcover classes")
             write_grid(agb, _map_path(config, "agb", year, allometry))
             write_grid(percent_rank(agb), _map_path(config, "pctrank", year, allometry))
-            map_summaries[f"{year}_{allometry}"] = asdict(summarize(agb))
+            map_summaries[f"{year}_{allometry}"] = asdict(summary)
     _write_json(out / "summary.json", {"maps": map_summaries})
 
 
@@ -594,22 +602,19 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
         pair_rows = [{"plot_id": p.plot_id, "x_m": p.x, "y_m": p.y,
                       "inventory_year": p.inventory_year, "y": p.agb(allometry), "yhat": yhat}
                      for p, yhat in inside]
-        ybar_train = fitted[allometry]["ybar_train"]
         reports = multiscale_assessment(PairedSample(y=ys, yhat=yhats),
                                         np.array([(p.x, p.y) for p, _ in inside]),
                                         spacings_km=_compared_scales(config),
-                                        ybar_train=ybar_train)
+                                        ybar_train=fitted[allometry]["ybar_train"])
         write_table(out / f"assessment_{allometry}.csv", ASSESSMENT_COLUMNS,
                     [asdict(rep) for rep in reports])
         write_table(out / f"pairs_{allometry}.csv",
                     ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
-        plot_level = asdict(reports[0])
         summary[allometry] = {
             "n_pairs": len(inside),
             "n_outside_mapped_area": len(assessment) - len(inside),
-            "ybar_train": ybar_train,
             "ks_reference_vs_predicted": ks_statistic(ys, yhats),
-            "plot_to_pixel": plot_level,
+            "plot_to_pixel": asdict(reports[0]),
         }
     _write_json(out / "summary.json", summary)
 
@@ -667,8 +672,7 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
     for year in years:
         write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows[year])
     _write_json(out / "summary.json", {
-        str(year): {"n_joint_cells": int(y.size), "cell_level": rows[year][0]}
-        for year, (y, *_) in years.items()})
+        str(year): {"n_joint_cells": int(y.size)} for year, (y, *_) in years.items()})
 
 
 @_stage("predict")
@@ -757,11 +761,9 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
                               "design_mt": d, "model_mt": m, "design_minus_model_mt": d - m})
     write_table(out / "design_minus_model.csv", DESIGN_MINUS_MODEL_COLUMNS, diff_rows)
 
-    _write_json(out / "stocks.json", {
+    _write_json(out / "summary.json", {
         "note": carbon_mod.DESIGN_ESTIMATOR_NOTE,
         "carbon_fractions": {str(y): fractions[y] for y in years},
-        "stocks": stock_rows + change_rows,
-        "design_minus_model": diff_rows,
         "model_basis_for_comparison": model_basis,
     })
 
@@ -777,7 +779,6 @@ def _stage_rescale(config: PipelineConfig, out: Path) -> None:
                                      seed=[config.seed, 701, y_idx])
         rows.append({"year": year, **asdict(fit)})
     write_table(out / "rescale.csv", rows[0], rows)
-    _write_json(out / "summary.json", {str(r["year"]): r for r in rows})
 
 
 STAGE_ORDER = tuple(_STAGES)

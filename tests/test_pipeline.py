@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -115,38 +116,85 @@ def test_smooth_field_from_the_axes_matches_the_meshgrid_form(n_waves):
                                                         n_waves=n_waves))
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
-def test_synth_memory_grows_by_less_than_150_bytes_per_cell(tmp_path):
-    # Run in a child, whose peak RSS is that of synthesize and its imports alone.
-    # The child reads VmHWM, the peak of its own address space: ru_maxrss would
-    # start at this test process's peak, which Linux carries across exec.
-    # 15 float64 layers held at once would take 120 bytes per cell.
+def vmhwm_growth(setup, measured, *argv):
+    """The bytes by which the statement `measured` raises the peak RSS of a
+    fresh Python child that ran `setup` first; both see `argv` as sys.argv[1:].
+    The child reads VmHWM, the peak of its own address space: ru_maxrss would
+    start at this test process's peak, which Linux carries across exec."""
     import os
     import subprocess
     import sys
 
     import agbmap
 
-    ncols, nrows = 800, 700
     code = (
         "import sys\n"
-        "from agbmap.synth import synthesize\n"
+        f"{setup}\n"
         "def peak():\n"
         "    with open('/proc/self/status') as f:\n"
         "        return next(int(line.split()[1]) * 1024 for line in f\n"
         "                    if line.startswith('VmHWM:'))\n"
         "before = peak()\n"
-        f"synthesize(sys.argv[1], ncols={ncols}, nrows={nrows})\n"
+        f"{measured}\n"
         "print(peak() - before)\n"
     )
     src = str(Path(agbmap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d")], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
-    per_cell = int(done.stdout) / (ncols * nrows)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_synth_memory_grows_by_less_than_150_bytes_per_cell(tmp_path):
+    # Run in a child, whose peak RSS is that of synthesize and its imports alone.
+    # 15 float64 layers held at once would take 120 bytes per cell.
+    ncols, nrows = 800, 700
+    grown = vmhwm_growth("from agbmap.synth import synthesize",
+                         f"synthesize(sys.argv[1], ncols={ncols}, nrows={nrows})",
+                         tmp_path / "d")
+    per_cell = grown / (ncols * nrows)
     assert per_cell < 150, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
+
+
+RASTER_COLS, RASTER_ROWS = 800, 700
+
+
+@pytest.fixture(scope="module")
+def raster_cache(tmp_path_factory):
+    """The configuration of an 800 x 700 synth whose stages up to predict ran
+    once; tiny learner grids keep fit and predict quick."""
+    root = tmp_path_factory.mktemp("raster")
+    cfg_path = Path(synthesize(root, seed=3, ncols=RASTER_COLS, nrows=RASTER_ROWS,
+                               n_plots=80))
+    doc = load_doc(cfg_path)
+    doc["learner_grids"] = {
+        "knn": [{"k": 3}], "bagged_trees": [{"trees": 2, "max_depth": 3}],
+        "boosted_trees": [{"trees": 2, "learning_rate": 0.1, "max_depth": 2}]}
+    cfg_path.write_text(json.dumps(doc))
+    run(PipelineConfig.load(cfg_path), ["ingest", "extract", "fit", "predict"])
+    return cfg_path
+
+
+# Peak RSS growth per cell of one layer that each raster stage may cause, run
+# alone on `raster_cache`: a little above what it takes now (extract 47, predict
+# 222, assess 26, agree 103, diff 60, rescale 93). A stage that needs less
+# lowers its ceiling.
+STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 230, "assess": 28, "agree": 110,
+                        "diff": 65, "rescale": 100}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+@pytest.mark.parametrize("stage", list(STAGE_BYTES_PER_CELL))
+def test_raster_stage_memory_per_cell_stays_under_its_ceiling(raster_cache, stage):
+    grown = vmhwm_growth("from agbmap.pipeline import PipelineConfig, run\n"
+                         "config = PipelineConfig.load(sys.argv[1])",
+                         "run(config, [sys.argv[2]])", raster_cache, stage)
+    per_cell = grown / (RASTER_COLS * RASTER_ROWS)
+    assert per_cell < STAGE_BYTES_PER_CELL[stage], \
+        f"{stage} grew RSS by {per_cell:.1f} bytes per cell"
 
 
 @pytest.mark.parametrize("cellsize", [0.0, -30.0, float("nan")])
@@ -406,12 +454,17 @@ def test_interrupted_manifest_write_keeps_the_previous_manifest(small, tmp_path,
     assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["manifest.json"]
 
 
+def output_digests(out):
+    """The sha256 of every file under `out` but the manifest, which holds timings."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
 def test_rerun_reproduces_identical_bytes(small):
-    plots = small.root / "run" / "ingest" / "plots.csv"
-    amap = small.root / "run" / "predict" / "agb_2005_CRM.bin"
-    before = (plots.read_bytes(), amap.read_bytes())
-    run(small.config, {"ingest", "predict"})
-    assert (plots.read_bytes(), amap.read_bytes()) == before
+    before = output_digests(small.root / "run")
+    assert "ingest/plots.csv" in before and "predict/agb_2005_CRM.bin" in before
+    run(small.config)
+    assert output_digests(small.root / "run") == before
 
 
 def test_requested_stage_reuses_cached_upstream(small):
@@ -922,7 +975,7 @@ def check_stocks(run_dir, config):
     """Every stock row of `run_dir` against the maps read back, the carbon
     fractions and the plot table; returns the rows keyed by their columns."""
     rows = read_rows(run_dir / "stocks" / "stocks.csv")
-    meta = json.loads((run_dir / "stocks" / "stocks.json").read_text())
+    meta = json.loads((run_dir / "stocks" / "summary.json").read_text())
     by_key = {(r["quantity"], r["method"], r["allometry"], r["area_basis"],
                r["year"]): float(r["total_mt"]) for r in rows}
     assert len(by_key) == len(rows)
@@ -1015,6 +1068,55 @@ def test_rescale_outputs(small):
     for r in rows:
         assert 0.8 < float(r["coef_source"]) < 1.4
         assert float(r["test_r2"]) > 0.8
+
+
+def test_summaries_hold_only_numbers_no_table_or_model_file_holds(small):
+    run_dir = small.root / "run"
+
+    def summary(stage):
+        return json.loads((run_dir / stage / "summary.json").read_text())
+
+    maps = [f"{y}_{a}" for y in (2005, 2019) for a in ("CRM", "NSVB")]
+    assert set(summary("ingest")) == {"n_plot_rows", "n_selected", "n_development",
+                                      "n_model_dev", "n_assessment", "holdout_panel",
+                                      "per_year"}
+    assert set(summary("extract")) == {"n_rows", "n_dropped_no_coverage", "predictors"}
+    fit = summary("fit")
+    assert set(fit) == {"n_rows", "n_train", "n_test", "kinds", "models"}
+    assert set(fit["models"]) == {"CRM", "NSVB"}
+    for entry in fit["models"].values():
+        assert set(entry) == {"cv_rmse", "ybar_train"}
+        assert sorted(entry["cv_rmse"]) == fit["kinds"]
+    predict = summary("predict")
+    assert set(predict) == {"maps"} and sorted(predict["maps"]) == sorted(maps)
+    for entry in predict["maps"].values():
+        assert set(entry) == {"n_valid", "mean", "min", "max", "sum"}
+    assess = summary("assess")
+    assert set(assess) == {"CRM", "NSVB"}
+    for entry in assess.values():
+        # plot_to_pixel stays while the benchmark reads it there
+        assert set(entry) == {"n_pairs", "n_outside_mapped_area",
+                              "ks_reference_vs_predicted", "plot_to_pixel"}
+
+    def joint_cells(year):
+        crm, nsvb = (read_grid(run_dir / "predict" / f"agb_{year}_{a}.bin")
+                     for a in ("CRM", "NSVB"))
+        return int(np.count_nonzero(crm.mask & nsvb.mask))
+
+    assert summary("agree") == {year: {"n_joint_cells": joint_cells(year)}
+                                for year in ("2005", "2019")}
+    assert set(summary("diff")) == {
+        "agb_diff_2005", "pctrank_diff_2005", "agb_diff_2019", "pctrank_diff_2019",
+        "change_CRM", "change_NSVB", "change_diff"}
+    assert set(summary("stocks")) == {"note", "carbon_fractions",
+                                      "model_basis_for_comparison"}
+    # stocks.json copied stocks.csv and design_minus_model.csv, and rescale's
+    # summary copied rescale.csv, row for row
+    assert small.manifest.stages["stocks"].outputs == [
+        "stocks/design_minus_model.csv", "stocks/stocks.csv", "stocks/summary.json"]
+    assert small.manifest.stages["rescale"].outputs == ["rescale/rescale.csv"]
+    assert not (run_dir / "stocks" / "stocks.json").exists()
+    assert not (run_dir / "rescale" / "summary.json").exists()
 
 
 # -- command line ---------------------------------------------------------
@@ -1175,6 +1277,61 @@ def test_cli_plot_listed_twice_in_one_year_is_exit_2(small, tmp_path, capsys):
     assert main(["ingest", "--config", str(root / "config.json")]) == 2
     pid, year = again[rows[0].index("plot_id")], again[rows[0].index("inventory_year")]
     assert f"plots.csv lists plot '{pid}' twice in inventory year {year}" in capsys.readouterr().err
+
+
+def rename_tree_plots(trees, keep):
+    """Prefix the plot id of every row of the tree table `trees` for which
+    `keep(plot_id)` is false with "X"; returns how many of the renamed trees
+    ingest keeps (those at or above the diameter threshold)."""
+    from agbmap.inventory import MIN_DBH_CM
+
+    with open(trees, newline="") as f:
+        rows = list(csv.reader(f))
+    at, dbh = rows[0].index("plot_id"), rows[0].index("dbh_cm")
+    renamed = [r for r in rows[1:] if not keep(r[at])]
+    for r in renamed:
+        r[at] = "X" + r[at]
+    with open(trees, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    return sum(float(r[dbh]) >= MIN_DBH_CM for r in renamed)
+
+
+def test_ingest_warns_of_trees_that_match_no_plot(small, tmp_path, caplog):
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    first = next(r for r in read_rows(root / "inputs" / "trees.csv") if float(r["dbh_cm"]) >= 12.7)
+    n = rename_tree_plots(root / "inputs" / "trees.csv", lambda pid: pid != first["plot_id"])
+    assert n > 0
+    run(config, ["ingest"])
+    assert (f"{n} trees match no plot id and inventory year of the plot table; "
+            f"the first is plot 'X{first['plot_id']}' in {first['inventory_year']}"
+            in caplog.text)
+
+
+def test_ingest_of_trees_from_another_survey_is_exit_2(small, tmp_path, capsys):
+    # every plot would otherwise get zero densities, found only by assess
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    n = rename_tree_plots(root / "inputs" / "trees.csv", lambda pid: False)
+    assert main(["ingest", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"none of the {n} trees in {root / 'inputs' / 'trees.csv'} matches" in err
+    assert str(root / "inputs" / "plots.csv") in err
+
+
+def test_cli_map_without_valid_cells_is_exit_2_naming_it(small, tmp_path, capsys):
+    # a percent rank needs two valid cells; predict says which map has fewer
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    lc = read_grid(config.years[2005].landcover)
+    removed = float(small.config.removed_landcover_classes[0])
+    write_grid(lc.with_values(np.full(lc.values.shape, removed), lc.mask),
+               config.years[2005].landcover)
+    assert main(["predict", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert "the CRM map of 2005 has 0 valid cells" in err
+    assert "removed_landcover_classes" in err
+    assert not (root / "run" / "predict" / "agb_2005_CRM.bin").exists()
 
 
 def test_plot_id_with_comma_and_quote_survives_ingest_through_assess(small, tmp_path):
