@@ -13,8 +13,9 @@ single fit is the batch of one. Each bagged tree draws from its own rng, spawned
 from the fit's. So a fit's first t trees cut at depth d are the fit of those
 hyperparameters, and model selection grows each nested family of specs once, in
 one batch: the k folds and the fit on all rows of every target (allometry).
-A tree model keeps only its node table; each predict builds its walk from it.
-Predicts run over chunks of cells on every CPU, the same bits at any count.
+A tree model keeps only its level-order node table, and a model file whose
+models the predicts would misread is refused. Predicts run over chunks of cells
+on every CPU, each worker in buffers of its own, with the same bits at any count.
 """
 
 from __future__ import annotations
@@ -40,17 +41,12 @@ _GROUP_TREES = 128  # bagged trees per grower call: bounds its (trees, rows) arr
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# default hyperparameter grids for model selection
-DEFAULT_GRIDS: dict[str, list[dict]] = {
+DEFAULT_GRIDS: dict[str, list[dict]] = {  # hyperparameter grids for model selection
     "knn": [{"k": k} for k in (1, 5, 10, 25)],
-    "bagged_trees": [
-        {"trees": t, "max_depth": d, "max_features": m}
-        for t in (100, 300) for d in (8, 16, None) for m in ("sqrt", "third")
-    ],
-    "boosted_trees": [
-        {"trees": t, "learning_rate": lr, "max_depth": d}
-        for t in (200, 500) for lr in (0.05, 0.1) for d in (3, 6)
-    ],
+    "bagged_trees": [{"trees": t, "max_depth": d, "max_features": m}
+                     for t in (100, 300) for d in (8, 16, None) for m in ("sqrt", "third")],
+    "boosted_trees": [{"trees": t, "learning_rate": lr, "max_depth": d}
+                      for t in (200, 500) for lr in (0.05, 0.1) for d in (3, 6)],
 }
 
 
@@ -101,10 +97,6 @@ class LearnerSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "hyperparameters": self.hp}
 
-    @staticmethod
-    def from_dict(d: dict) -> "LearnerSpec":
-        return LearnerSpec.make(d["kind"], **d["hyperparameters"])
-
 
 def _as_2d(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
@@ -115,16 +107,19 @@ def _as_2d(X) -> np.ndarray:
     return X
 
 
-def _by_chunks(n: int, chunk: int, values) -> np.ndarray:
-    """`values(lo, hi)` of each chunk of range(n) in one array. The caller and w - 1
-    helper threads, w = min(_WORKERS, chunks), take every w-th chunk; the bodies
-    call no public function or model `predict`, so every span opens on the caller."""
-    out, starts = np.empty(n, dtype=np.float64), range(0, n, chunk)
+def _by_chunks(n: int, chunk: int, values, per_cell: dict) -> np.ndarray:
+    """`values(lo, hi, buffers)` of each chunk of range(n) in one array. The caller and
+    w - 1 helper threads, w = min(_WORKERS, chunks), take every w-th chunk, each in arrays
+    it allocates once: `buffers[name]` is a (k, hi - lo) prefix of its `per_cell[name]`,
+    (k, dtype). The bodies call no public function or model `predict`: spans open here."""
+    out, starts, m = np.empty(n, dtype=np.float64), range(0, n, chunk), min(chunk, n)
     w = min(_WORKERS, len(starts))
 
     def take(i):
-        for lo in starts[i::w]:
-            out[lo:lo + chunk] = values(lo, min(lo + chunk, n))
+        own = {name: (k, np.empty(k * m, dtype)) for name, (k, dtype) in per_cell.items()}
+        for lo, hi in ((lo, min(lo + chunk, n)) for lo in starts[i::w]):
+            out[lo:hi] = values(lo, hi, {name: a[:k * (hi - lo)].reshape(k, hi - lo)
+                                         for name, (k, a) in own.items()})
 
     with ThreadPoolExecutor(max(w - 1, 1)) as pool:  # a thread starts on its first submit
         helpers = pool.map(take, range(1, w))
@@ -267,44 +262,49 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
 
 def _accumulate(table: dict, trees: int, X: np.ndarray, start: float, weight: float) -> np.ndarray:
     """`start + weight * v0 + weight * v1 + ...` per row of X, summed in tree
-    order, over the `trees` trees of a node table. In its walk, leaves point at
-    themselves with a +inf threshold, so as many gather, compare and child
-    lookup steps as a tree is deep take every cell to its leaf in that tree,
-    with no leaf test; the trees walk deepest first, so each step is one slice.
-    """
-    leaf = table["feature"] < 0
-    ids = np.arange(leaf.size)
-    left, right = (np.where(leaf, ids, table[side]) for side in ("left", "right"))
-    feature = np.where(leaf, 0, table["feature"])
+    order, over the `trees` trees of a level-order node table, where each right
+    child follows its left. In the walk a leaf is its own left child with a +inf
+    threshold, so a step is `node = left[node] + (x > threshold)`, and as many steps
+    as a tree is deep take every cell to its leaf with no leaf test. The trees walk
+    deepest first, so a step is one slice of a worker's buffers and allocates nothing."""
+    leaf, (n, p), chunk = table["feature"] < 0, X.shape, max(1, _CHUNK_ENTRIES // trees)
+    left = np.where(leaf, np.arange(leaf.size), table["left"])
+    feature = np.where(leaf, 0, table["feature"]).astype(np.intp)
     threshold = np.where(leaf, np.inf, table["threshold"])
-    child = np.stack([left, right], axis=1).ravel()  # child[2 * node + go_right]
-    depth = np.zeros(trees, dtype=np.int64)  # of each tree
-    level = tree = np.arange(trees)  # a level's nodes and their trees
-    while level.size:
-        inner = ~leaf[level]
-        level, tree = level[inner], tree[inner]
-        depth[tree] += 1  # once per tree with a split on this level
-        level, tree = np.concatenate([left[level], right[level]]), np.tile(tree, 2)
+    depth, tree, lo = np.zeros(trees, dtype=np.int64), np.arange(trees), 0
+    while tree.size:  # the tree of each node of the level at ids lo, lo + 1, ...
+        split = tree[~leaf[lo:lo + tree.size]]
+        depth[split] += 1  # once per tree with a split on this level
+        lo, tree = lo + tree.size, np.repeat(split, 2)
     roots = np.argsort(-depth, kind="stable")  # deepest first; tree t is node t
     unsort = np.argsort(roots)
     walking = [int(np.count_nonzero(depth > step)) for step in range(1, depth.max())]
+    cells, full = np.arange(min(chunk, n)), feature * min(chunk, n)
+    root_feature, root_threshold, root_left = feature[roots], threshold[roots, None], left[roots]
 
-    def walk(lo, hi):
-        xt, m = np.ascontiguousarray(X[lo:hi].T), hi - lo  # feature-major
-        # (trees, cells): all cells start at each root, so step one compares whole rows of xt
-        node = np.where(xt[feature[roots]] > threshold[roots][:, None],
-                        child[2 * roots + 1][:, None], child[2 * roots][:, None])
-        cells, at, xt = np.arange(m), feature * m, xt.ravel()  # xt[at[node] + cell]
+    def walk(lo, hi, b):
+        m, xt, x, node, i = hi - lo, b["xt"], b["x"], b["node"], b["i"]
+        xt[...] = X[lo:hi].T  # feature-major: xt.ravel()[at[node] + c] is cell c's feature
+        at = full if m == cells.size else feature * m
+        # all cells start at each root, so step one compares whole rows of xt
+        np.take(xt, root_feature, axis=0, out=x, mode="clip")
+        np.add(root_left[:, None], np.greater(x, root_threshold, out=b["go"]), out=node)
         for k in walking:  # the k deepest trees take this step
-            top = node[:k]
-            go_right = xt[at[top] + cells] > threshold[top]
-            node[:k] = child[2 * top + go_right]
-        leaves = weight * table["value"][node[unsort]]
+            top, go = node[:k], b["go"][:k]
+            np.add(np.take(at, top, out=i[:k], mode="clip"), cells[:m], out=i[:k])
+            np.greater(np.take(xt.ravel(), i[:k], out=x[:k], mode="clip"),
+                       np.take(threshold, top, out=b["thr"][:k], mode="clip"), out=go)
+            np.add(np.take(left, top, out=i[:k], mode="clip"), go, out=top)
+        np.take(node, unsort, axis=0, out=i, mode="clip")  # rows back in tree order
+        leaves = np.multiply(np.take(table["value"], i, out=x, mode="clip"), weight, out=x)
         leaves[0] += start
-        # cumsum adds row after row, the order of a per-tree `acc +=` loop
-        return np.cumsum(leaves, axis=0)[-1]
+        if m == 1:  # one cell: `sum` would add pairwise
+            return np.cumsum(leaves, axis=0)[-1]
+        # row after row, the order of a per-tree `acc +=` loop; -0.0 + v is v
+        return np.add.reduce(leaves, axis=0, out=b["thr"][0], initial=-0.0)
 
-    return _by_chunks(X.shape[0], max(1, _CHUNK_ENTRIES // trees), walk)
+    per_cell = {"xt": (p, float), "go": (trees, bool), "x": (trees, float), "thr": (trees, float)}
+    return _by_chunks(n, chunk, walk, {**per_cell, "node": (trees, np.intp), "i": (trees, np.intp)})
 
 
 # -- learner kinds --------------------------------------------------------
@@ -331,11 +331,13 @@ class KnnModel:
 
     def predict(self, X) -> np.ndarray:
         Q = (_as_2d(X).T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
-        XT = np.ascontiguousarray(self.X.T)
-        def query(lo, hi):  # (cells, training rows) of exact differences summed feature by feature
-            d2 = (Q[0, lo:hi, None] - XT[0]) ** 2
+        XT, n = np.ascontiguousarray(self.X.T), self.X.shape[0]
+
+        def query(lo, hi, b):  # (cells, training rows) of exact differences, feature by feature
+            d2, diff = b["d2"].reshape(hi - lo, n), b["diff"].reshape(hi - lo, n)
+            np.square(np.subtract(Q[0, lo:hi, None], XT[0], out=d2), out=d2)
             for qf, xf in zip(Q[1:, lo:hi], XT[1:]):
-                d2 += (qf[:, None] - xf) ** 2
+                d2 += np.square(np.subtract(qf[:, None], xf, out=diff), out=diff)
             if not d2.max() < np.inf:  # an inf or nan distance would tie the masked rows
                 return self.y[np.argsort(d2, axis=1, kind="stable")[:, :self.k]].mean(axis=1)
             nearest, cells = np.empty((hi - lo, self.k), dtype=np.intp), np.arange(hi - lo)
@@ -344,7 +346,8 @@ class KnnModel:
                 d2[cells, pick] = np.inf
             return self.y[nearest].mean(axis=1)
 
-        return _by_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // self.X.shape[0]), query)
+        return _by_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // n), query,
+                          dict.fromkeys(("d2", "diff"), (n, np.float64)))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k,
@@ -357,15 +360,18 @@ class KnnModel:
             setattr(m, name, np.array(d[name], dtype=np.float64))
         return m
 
+    def _sound(self, p: int) -> bool:  # else predict zips features short or repeats a row
+        rows, arrays = self.y.size if self.y.ndim == 1 else -1, map(vars(self).get, self._FITTED)
+        return (self.X.shape == (rows, p) and self.mu.shape == self.sigma.shape == (p,)
+                and 1 <= self.k <= rows and all(np.isfinite(a).all() for a in arrays))
+
 
 class _TreeModel:
     """Model JSON of the tree kinds: `trees`, the other constructor arguments
-    (`_ARGS`), the one fitted scalar (`_FITTED`) and `fitted_trees`, the
-    model's level-order node table as one object of `_TREE_ARRAYS` columns
-    (null for a model that grows no trees). That table, `table`, is the only
-    array a model keeps: each predict builds its walk from it. Each kind keeps
-    its own `predict`: the benchmark tracer books it by class.
-    """
+    (`_ARGS`), the one fitted scalar (`_FITTED`) and `fitted_trees`, the node
+    table `table` as one object of `_TREE_ARRAYS` columns (null when no trees
+    grow), the only array a model keeps. Each kind keeps its own `predict`: the
+    benchmark tracer books it by class."""
 
     kind: str
     _ARGS: tuple[str, ...]
@@ -389,6 +395,19 @@ class _TreeModel:
                        for name, dtype in _TREE_ARRAYS.items()}
         return m
 
+    def _sound(self, p: int) -> bool:
+        """Whether the walk (clipped gathers, children at `left`, `left + 1`) reads it right."""
+        t, T, fitted = self.table, self.n_trees, getattr(self, self._FITTED)
+        bagged = self.kind == "bagged_trees"
+        if t is None or bagged and fitted is not None:  # a bagged constant grows no trees
+            return t is None and bagged and finite_number(fitted)
+        inner = t["feature"] >= 0
+        left = np.where(inner, T + 2 * np.cumsum(inner) - 2, -1)  # of the level order
+        return (T >= 1 and all(c.shape == (T + 2 * inner.sum(),) for c in t.values())
+                and np.array_equal(t["left"], left) and np.array_equal(t["right"] - left, inner)
+                and np.all(t["feature"] < p) and np.isfinite(t["threshold"][inner]).all()
+                and np.isfinite(t["value"]).all() and (bagged or finite_number(fitted)))
+
     def nested(self, spec: LearnerSpec) -> "_TreeModel":
         """The model a fit of `spec`, of this model's family, makes from the same
         data and seed: this model's first trees cut at the spec's depth."""
@@ -400,14 +419,11 @@ class _TreeModel:
 
 
 class BaggedTreesModel(_TreeModel):
-    """Bootstrap-aggregated trees with a random feature subset per split.
-
-    Each tree draws its bootstrap sample and then its split candidates from
-    its own rng, spawned from the fit's, so the first t trees of a fit cut at
-    depth d are the fit of (t, d). max_depth=0 degenerates to the constant
-    mean-of-targets predictor: with no splits allowed there is nothing for
-    resampling to vary, so no trees are grown.
-    """
+    """Bootstrap-aggregated trees with a random feature subset per split. Each
+    tree draws its bootstrap sample and then its split candidates from its own
+    rng, spawned from the fit's, so the first t trees of a fit cut at depth d are
+    the fit of (t, d). max_depth=0 is the constant mean of the targets: with no
+    splits allowed, resampling has nothing to vary, so no trees are grown."""
 
     kind = "bagged_trees"
     _ARGS = ("max_depth", "max_features")
@@ -493,14 +509,12 @@ _MODEL_CLASSES = {cls.kind: cls for cls in (KnnModel, BaggedTreesModel, BoostedT
 
 
 def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
-    """Fit one base learner; the result is a pure function of the inputs.
-
-    The spec's hyperparameters are its model class's constructor arguments
-    (defaults fill those it leaves out); `seed` seeds the fit's rng. Given
-    `held_out`, B row-index arrays, and B seeds, it returns B models fitted in
-    one batch: model b fits y (or y[b], for a y of B rows) on the rows outside
-    held_out[b] from seed[b], in `_fit_batch(models, X, Y, keep, rngs)`.
-    """
+    """Fit one base learner; the result is a pure function of the inputs. The
+    spec's hyperparameters are its model class's constructor arguments (defaults
+    fill those it leaves out); `seed` seeds the fit's rng. Given `held_out`, B
+    row-index arrays, and B seeds, it returns B models fitted in one batch: model b
+    fits y (or y[b], for a y of B rows) on the rows outside held_out[b] from
+    seed[b], in `_fit_batch(models, X, Y, keep, rngs)`."""
     spec.validate()
     X = _as_2d(X)
     folds = [[]] if held_out is None else held_out
@@ -611,21 +625,11 @@ class StackFit:
     def apply(self, columns) -> np.ndarray:
         return self.intercept + _as_2d(columns) @ self.coefficients
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "coefficients": self.coefficients.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "StackFit":
-        return StackFit(float(d["intercept"]), np.array(d["coefficients"], dtype=np.float64),
-                        bool(d["rank_deficient"]))
-
 
 def fit_stack(oof, y) -> StackFit:
-    """Least-squares stacking weights on out-of-fold columns.
-
-    Coefficients are unconstrained. A rank-deficient design (collinear
-    columns) takes the minimal-norm solution and is flagged.
-    """
+    """Least-squares stacking weights on out-of-fold columns, unconstrained. A
+    rank-deficient design (collinear columns) takes the minimal-norm solution and
+    is flagged."""
     oof = _as_2d(oof)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (oof.shape[0],):
@@ -638,12 +642,9 @@ def fit_stack(oof, y) -> StackFit:
 
 @dataclass
 class EnsembleModel:
-    """Fitted base models plus the stacking combination.
-
-    `feature_names` fixes the predictor order for tabular and raster
-    prediction; `ybar_train` (mean training reference) rides along for
-    percent-metric normalization downstream.
-    """
+    """Fitted base models plus the stacking combination. `feature_names` fixes
+    the predictor order for tabular and raster prediction; `ybar_train` (mean
+    training reference) rides along for percent-metric normalization downstream."""
 
     specs: list[LearnerSpec]
     models: list[object]
@@ -661,7 +662,7 @@ class EnsembleModel:
             "format_version": MODEL_FORMAT_VERSION,
             "feature_names": self.feature_names,
             "ybar_train": self.ybar_train,
-            "stack": self.stack.to_dict(),
+            "stack": {**vars(self.stack), "coefficients": self.stack.coefficients.tolist()},
             "base": [{"spec": s.to_dict(), "model": m.to_dict()}
                      for s, m in zip(self.specs, self.models)],
         }, sort_keys=True)
@@ -672,12 +673,15 @@ class EnsembleModel:
         version = doc.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
-        specs = [LearnerSpec.from_dict(entry["spec"]) for entry in doc["base"]]
-        models = [_MODEL_CLASSES[spec.kind].from_dict(entry["model"])
-                  for spec, entry in zip(specs, doc["base"])]
-        return EnsembleModel(specs=specs, models=models, stack=StackFit.from_dict(doc["stack"]),
-                             feature_names=list(doc["feature_names"]),
-                             ybar_train=float(doc["ybar_train"]))
+        base, names, st = doc["base"], list(doc["feature_names"]), doc["stack"]
+        specs = [LearnerSpec.make(e["spec"]["kind"], **e["spec"]["hyperparameters"]) for e in base]
+        models = [_MODEL_CLASSES[s.kind].from_dict(e["model"]) for s, e in zip(specs, base)]
+        for i, m in enumerate(models):  # the predicts trust what `_sound` checks
+            if not m._sound(len(names)):
+                raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")
+        stack = StackFit(float(st["intercept"]), np.array(st["coefficients"], dtype=np.float64),
+                         bool(st["rank_deficient"]))
+        return EnsembleModel(specs, models, stack, names, float(doc["ybar_train"]))
 
 
 def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:

@@ -542,7 +542,10 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
 def _load_model(config: PipelineConfig, allometry: str) -> EnsembleModel:
     p = Path(config.output_dir) / "fit" / f"model_{allometry}.json"
     with open(p, encoding="utf-8") as f:
-        return EnsembleModel.from_json(f.read())
+        try:
+            return EnsembleModel.from_json(f.read())
+        except (KeyError, TypeError, ValueError) as e:  # a malformed model is a ValueError
+            raise ValueError(f"model file {p}: {type(e).__name__}: {e}") from e
 
 
 def _map_path(config: PipelineConfig, kind: str, year: int, allometry: str) -> Path:

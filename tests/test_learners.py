@@ -251,6 +251,77 @@ class TestTrees:
         assert not np.array_equal(a.predict(q), b.predict(q))
 
 
+def per_tree_accumulate(table, trees, q, start, weight) -> np.ndarray:
+    """start, then `acc += weight * value` of each tree's leaf, one tree at a time."""
+    acc = np.full(len(q), start, dtype=np.float64)
+    for t in range(trees):
+        node = np.full(len(q), t)
+        while np.any(inner := table["feature"][node] >= 0):
+            at = node[inner]
+            go_right = q[np.flatnonzero(inner), table["feature"][at]] > table["threshold"][at]
+            node[inner] = np.where(go_right, table["right"][at], table["left"][at])
+        acc += weight * table["value"][node]
+    return acc
+
+
+def leaf_roots_table():
+    """Single-leaf trees between deep ones, in one level-order table."""
+    X, y = toy_data(60)
+    deep = train_base(LearnerSpec.make("bagged_trees", trees=6, max_depth=None,
+                                       max_features=None), X, y, seed=3)
+    flat = train_base(LearnerSpec.make("boosted_trees", trees=5, learning_rate=0.1),
+                      X, np.full_like(y, 2.5), seed=0)
+    cat, at = learners._concat([deep.table, flat.table])
+    roots = [at[1], at[0], at[0] + 1, at[1] + 1, at[1] + 2, at[0] + 2, at[0] + 3,
+             at[1] + 3, at[0] + 4, at[0] + 5, at[1] + 4]
+    return learners._gather(roots, None, **cat), len(roots)
+
+
+class TestWalkInSmallChunks:
+    """Chunks of 1, 2, 3 and 7 cells, the last of one cell: the walk's buffers are
+    reused from chunk to chunk, and each cell's sum runs in tree order, as a per-tree
+    `acc +=` loop adds (also in a one-cell chunk, where numpy's `sum` is pairwise)."""
+
+    CELLS = 43  # 43 % 2 == 43 % 3 == 43 % 7 == 1
+
+    @pytest.mark.parametrize("chunk_cells", [1, 2, 3, 7])
+    @pytest.mark.parametrize("kind", ["bagged", "boosted", "leaf roots"])
+    def test_sums_of_the_walk_equal_a_per_tree_loop(self, monkeypatch, kind, chunk_cells):
+        X, y = toy_data(60)
+        if kind == "leaf roots":
+            (table, trees), start, weight = leaf_roots_table(), 0.75, 0.5
+        elif kind == "bagged":
+            model = train_base(LearnerSpec.make("bagged_trees", trees=40, max_depth=None,
+                                                max_features="sqrt"), X, y * 1e3, seed=1)
+            table, trees, start, weight = model.table, 40, 0.0, 1.0
+        else:
+            model = train_base(LearnerSpec.make("boosted_trees", trees=40, learning_rate=0.3,
+                                                max_depth=4), X, y * 1e3, seed=1)
+            table, trees, start, weight = model.table, 40, model.init_value, 0.3
+        q = np.random.default_rng(chunk_cells).uniform(-1, 11, size=(self.CELLS, X.shape[1]))
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * trees)
+        for workers in (1, 2):
+            monkeypatch.setattr(learners, "_WORKERS", workers)
+            got = learners._accumulate(table, trees, q, start, weight)
+            assert np.array_equal(got, per_tree_accumulate(table, trees, q, start, weight))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 2, 3, 7])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_knn_with_ties_equals_a_stable_sort(self, monkeypatch, chunk_cells, k):
+        # 12 points 3 times each: a query on a training row ties at distance 0
+        X, y = toy_data(12, p=3)
+        X, y = np.repeat(X, 3, axis=0), np.arange(36.0) ** 2
+        model = train_base(LearnerSpec.make("knn", k=k), X, y, seed=0)
+        q = np.vstack([X, np.random.default_rng(k).uniform(0, 10, size=(self.CELLS - 36, 3))])
+        Q = (q - model.mu) / model.sigma
+        d2 = sum((Q[:, f, None] - model.X[:, f]) ** 2 for f in range(3))
+        want = model.y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * len(X))
+        for workers in (1, 2):
+            monkeypatch.setattr(learners, "_WORKERS", workers)
+            assert np.array_equal(model.predict(q), want)
+
+
 def canonical(table, node=0) -> list:
     """The tree below `node` of a node table as nested lists [value, feature,
     threshold, left, right], independent of how the table numbers its nodes;
@@ -1038,6 +1109,86 @@ class TestEnsemble:
                 EnsembleModel.from_json(json.dumps(doc))
 
 
+def model_file_doc() -> dict:
+    """The model file document of an ensemble of every kind on 4 features."""
+    X, y = toy_data(60)
+    specs = [LearnerSpec.make("knn", k=3),
+             LearnerSpec.make("bagged_trees", trees=4, max_depth=3, max_features=None),
+             LearnerSpec.make("boosted_trees", trees=3, learning_rate=0.1, max_depth=2)]
+    ens = EnsembleModel(specs=specs, models=[train_base(s, X, y, seed=i)
+                                             for i, s in enumerate(specs)],
+                        stack=StackFit(0.0, np.full(3, 1 / 3), False),
+                        feature_names=[f"f{j}" for j in range(4)], ybar_train=float(y.mean()))
+    return json.loads(ens.to_json())
+
+
+def inner_node(model, which=0) -> int:
+    """Id of the `which`-th inner node of a tree model document's table."""
+    return [i for i, f in enumerate(model["fitted_trees"]["feature"]) if f >= 0][which]
+
+
+def set_node(name, value, which=0, inner=True):
+    """An edit of one cell of column `name`: at an inner node, or at a leaf."""
+    def edit(model):
+        table = model["fitted_trees"]
+        node = (inner_node(model, which) if inner else
+                [i for i, f in enumerate(table["feature"]) if f < 0][which])
+        table[name][node] = value(model, node) if callable(value) else value
+    return edit
+
+
+def share_children(model):  # the second inner node takes the first one's children
+    table, a, b = model["fitted_trees"], inner_node(model, 0), inner_node(model, 1)
+    table["left"][b], table["right"][b] = table["left"][a], table["right"][a]
+
+
+def back_to_root(model):  # the last inner node's children are nodes 0 and 1
+    table, node = model["fitted_trees"], inner_node(model, -1)
+    table["left"][node], table["right"][node] = 0, 1
+
+
+MALFORMED_MODELS = {  # name: (base model, edit of its document)
+    "knn k above the training rows": (0, lambda m: m.update(k=1000)),
+    "knn k of zero": (0, lambda m: m.update(k=0)),
+    "knn X narrower than the features": (0, lambda m: m.update(X=[r[:-1] for r in m["X"]])),
+    "knn mu narrower than the features": (0, lambda m: m["mu"].pop()),
+    "knn sigma wider than the features": (0, lambda m: m["sigma"].append(1.0)),
+    "knn y shorter than X": (0, lambda m: m["y"].pop()),
+    "knn nan in X": (0, lambda m: m["X"][0].__setitem__(0, float("nan"))),
+    "short value column": (1, lambda m: m["fitted_trees"]["value"].pop()),
+    "a tree more than the table holds": (1, lambda m: m.update(trees=m["trees"] + 1)),
+    "inner node with left -1": (1, set_node("left", -1)),
+    "right five past left": (1, set_node("right", lambda m, i: m["fitted_trees"]["left"][i] + 5)),
+    "child pointing back at node 0": (1, back_to_root),
+    "two parents sharing children": (1, share_children),
+    "leaf with a child": (1, set_node("left", 5, inner=False)),
+    "feature -2 at an inner node": (1, set_node("feature", -2)),
+    "feature past the last feature": (1, set_node("feature", 4)),
+    "nan threshold": (1, set_node("threshold", float("nan"))),
+    "infinite leaf value": (1, set_node("value", float("inf"), inner=False)),
+    "bagged constant beside its table": (1, lambda m: m.update(constant=1.0)),
+    "boosted nan init_value": (2, lambda m: m.update(init_value=float("nan"))),
+    "boosted without its table": (2, lambda m: m.update(fitted_trees=None)),
+}
+
+
+class TestMalformedModelFiles:
+    """A model file the predicts would misread is refused when it is loaded."""
+
+    def test_the_unedited_file_loads(self):
+        text = json.dumps(model_file_doc())
+        assert EnsembleModel.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("name", list(MALFORMED_MODELS))
+    def test_refused(self, name):
+        doc = model_file_doc()
+        base, edit = MALFORMED_MODELS[name]
+        edit(doc["base"][base]["model"])
+        kind = doc["base"][base]["spec"]["kind"]
+        with pytest.raises(ValueError, match=f"malformed {kind} model: base {base} on 4 features"):
+            EnsembleModel.from_json(json.dumps(doc))
+
+
 def grid_of(values, mask=None):
     values = np.asarray(values, dtype=np.float32)
     return Grid(ncols=values.shape[1], nrows=values.shape[0], x_origin=0.0,
@@ -1108,13 +1259,13 @@ def spy_on_chunks(monkeypatch, fail_at=None):
     the body of chunk number `fail_at` raises instead."""
     calls, by_chunks = [], learners._by_chunks
 
-    def spy(n, chunk, values):
-        def body(lo, hi):
+    def spy(n, chunk, values, per_cell):
+        def body(lo, hi, buffers):
             calls.append((lo, threading.get_ident(), threading.active_count()))
             if fail_at is not None and lo == fail_at * chunk:
                 raise RuntimeError(f"chunk body at cell {lo}")
-            return values(lo, hi)
-        return by_chunks(n, chunk, body)
+            return values(lo, hi, buffers)
+        return by_chunks(n, chunk, body, per_cell)
 
     monkeypatch.setattr(learners, "_by_chunks", spy)
     return calls

@@ -1192,6 +1192,22 @@ def test_cli_stdout_closed_by_its_reader_is_exit_0(small, tmp_path, command):
     assert "error:" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+def test_cli_predict_refuses_a_malformed_model_file_naming_it(small, tmp_path, capsys):
+    # a split on a feature past the last one the model file names
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    path = root / "run" / "fit" / "model_CRM.json"
+    doc = json.loads(path.read_text())
+    base = next(b for b in doc["base"] if b["model"].get("fitted_trees"))
+    table = base["model"]["fitted_trees"]
+    table["feature"][next(i for i, f in enumerate(table["feature"]) if f >= 0)] = len(
+        doc["feature_names"])
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {path}" in err and f"malformed {base['spec']['kind']} model" in err
+
+
 def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
     # a mistyped header field is a validation finding, not a crash
     shutil.copytree(small.root / "inputs", tmp_path / "inputs")
