@@ -13,9 +13,10 @@ single fit is the batch of one. Each bagged tree draws from its own rng, spawned
 from the fit's. So a fit's first t trees cut at depth d are the fit of those
 hyperparameters, and model selection grows each nested family of specs once, in
 one batch: the k folds and the fit on all rows of every target (allometry).
-A tree model keeps only its level-order node table, and a model file whose
-models the predicts would misread is refused. Predicts run over chunks of cells
-on every CPU, each worker in buffers of its own, with the same bits at any count.
+A model keeps its spec, the one record of its hyperparameters, and a tree model
+only its level-order node table besides; a model file the predicts would misread is
+refused. Predicts run over chunks of cells on every CPU, each worker in buffers of
+its own, with the same bits at any count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .grid import Grid, finite_number
 from .metrics import PairedSample, error_metrics
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
 # // trees) and distances of a knn query (chunk = this // training rows), one chunk
@@ -60,7 +61,7 @@ class LearnerSpec:
     hyperparameters: tuple
 
     @staticmethod
-    def make(kind: str, **hyperparameters) -> "LearnerSpec":
+    def make(kind: str, /, **hyperparameters) -> "LearnerSpec":
         spec = LearnerSpec(kind=kind, hyperparameters=tuple(sorted(hyperparameters.items())))
         spec.validate()
         return spec
@@ -70,29 +71,28 @@ class LearnerSpec:
         return dict(self.hyperparameters)
 
     def validate(self) -> None:
-        hp = self.hp
+        hp, bagged = self.hp, self.kind == "bagged_trees"
+        allowed = {"knn": {"k"}, "bagged_trees": {"trees", "max_depth", "max_features"},
+                   "boosted_trees": {"trees", "max_depth", "learning_rate"}}.get(self.kind)
+        if allowed is None:
+            raise ValueError(f"unknown learner kind {self.kind!r}")
+        extra = sorted(set(hp) - allowed)
+        if extra:  # before a missing name: a misspelt one is both
+            raise ValueError(f"unknown hyperparameters for {self.kind}: {extra}")
         if self.kind == "knn":
-            allowed = {"k"}
             if not (of_type(hp.get("k"), int) and hp["k"] >= 1):
                 raise ValueError("knn needs an integer k >= 1")
-        elif self.kind in ("bagged_trees", "boosted_trees"):
-            bagged = self.kind == "bagged_trees"
-            allowed = {"trees", "max_depth", "max_features" if bagged else "learning_rate"}
-            if not (of_type(hp.get("trees"), int) and hp["trees"] >= 1):
-                raise ValueError(f"{self.kind} needs an integer trees >= 1")
-            lr = hp.get("learning_rate")
-            if not bagged and not (finite_number(lr) and lr >= 0):
-                raise ValueError("learning_rate must be a nonnegative finite number")
-            d = hp.get("max_depth")
-            if d is not None and not (of_type(d, int) and d >= 0):
-                raise ValueError("max_depth must be None or an integer >= 0")
-            if bagged and hp.get("max_features") not in ("sqrt", "third", None):
-                raise ValueError("max_features must be 'sqrt', 'third' or None")
-        else:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
-        extra = set(hp) - allowed
-        if extra:
-            raise ValueError(f"unknown hyperparameters for {self.kind}: {sorted(extra)}")
+            return
+        if not (of_type(hp.get("trees"), int) and hp["trees"] >= 1):
+            raise ValueError(f"{self.kind} needs an integer trees >= 1")
+        lr = hp.get("learning_rate")
+        if not bagged and not (finite_number(lr) and lr >= 0):
+            raise ValueError("learning_rate must be a nonnegative finite number")
+        d = hp.get("max_depth")
+        if d is not None and not (of_type(d, int) and d >= 0):
+            raise ValueError("max_depth must be None or an integer >= 0")
+        if bagged and hp.get("max_features") not in ("sqrt", "third", None):
+            raise ValueError("max_features must be 'sqrt', 'third' or None")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "hyperparameters": self.hp}
@@ -316,22 +316,22 @@ class KnnModel:
     kind = "knn"
     _FITTED = ("mu", "sigma", "X", "y")  # float arrays of the model JSON
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self, spec: LearnerSpec):
+        self.spec = spec
         self.mu = self.sigma = self.X = self.y = None
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         for m, y, rows in zip(models, Y, keep):  # one fold at a time
             Xr, m.y = X[rows], y[rows]
-            if m.k > Xr.shape[0]:
-                raise ValueError(f"k={m.k} exceeds the {Xr.shape[0]} training rows")
+            if self.spec.hp["k"] > Xr.shape[0]:
+                raise ValueError(f"k={self.spec.hp['k']} exceeds the {Xr.shape[0]} training rows")
             m.mu, m.sigma = Xr.mean(axis=0), Xr.std(axis=0)
             m.sigma[m.sigma == 0.0] = 1.0
             m.X = (Xr - m.mu) / m.sigma
 
     def predict(self, X) -> np.ndarray:
         Q = (_as_2d(X).T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
-        XT, n = np.ascontiguousarray(self.X.T), self.X.shape[0]
+        XT, n, k = np.ascontiguousarray(self.X.T), self.X.shape[0], self.spec.hp["k"]
 
         def query(lo, hi, b):  # (cells, training rows) of exact differences, feature by feature
             d2, diff = b["d2"].reshape(hi - lo, n), b["diff"].reshape(hi - lo, n)
@@ -339,9 +339,9 @@ class KnnModel:
             for qf, xf in zip(Q[1:, lo:hi], XT[1:]):
                 d2 += np.square(np.subtract(qf[:, None], xf, out=diff), out=diff)
             if not d2.max() < np.inf:  # an inf or nan distance would tie the masked rows
-                return self.y[np.argsort(d2, axis=1, kind="stable")[:, :self.k]].mean(axis=1)
-            nearest, cells = np.empty((hi - lo, self.k), dtype=np.intp), np.arange(hi - lo)
-            for j in range(self.k):  # argmin's ties go to the lower row, as in a stable sort
+                return self.y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+            nearest, cells = np.empty((hi - lo, k), dtype=np.intp), np.arange(hi - lo)
+            for j in range(k):  # argmin's ties go to the lower row, as in a stable sort
                 nearest[:, j] = pick = d2.argmin(axis=1)
                 d2[cells, pick] = np.inf
             return self.y[nearest].mean(axis=1)
@@ -350,54 +350,51 @@ class KnnModel:
                           dict.fromkeys(("d2", "diff"), (n, np.float64)))
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "k": self.k,
-                **{name: getattr(self, name).tolist() for name in self._FITTED}}
+        return {name: getattr(self, name).tolist() for name in self._FITTED}
 
-    @staticmethod
-    def from_dict(d: dict) -> "KnnModel":
-        m = KnnModel(k=int(d["k"]))
-        for name in KnnModel._FITTED:
-            setattr(m, name, np.array(d[name], dtype=np.float64))
-        return m
+    def _fill(self, fitted: dict) -> None:  # from its model JSON
+        for name in self._FITTED:
+            setattr(self, name, np.array(fitted[name], dtype=np.float64))
 
     def _sound(self, p: int) -> bool:  # else predict zips features short or repeats a row
         rows, arrays = self.y.size if self.y.ndim == 1 else -1, map(vars(self).get, self._FITTED)
         return (self.X.shape == (rows, p) and self.mu.shape == self.sigma.shape == (p,)
-                and 1 <= self.k <= rows and all(np.isfinite(a).all() for a in arrays))
+                and self.spec.hp["k"] <= rows and all(np.isfinite(a).all() for a in arrays))
 
 
 class _TreeModel:
-    """Model JSON of the tree kinds: `trees`, the other constructor arguments
-    (`_ARGS`), the one fitted scalar (`_FITTED`) and `fitted_trees`, the node
-    table `table` as one object of `_TREE_ARRAYS` columns (null when no trees
-    grow), the only array a model keeps. Each kind keeps its own `predict`: the
-    benchmark tracer books it by class."""
+    """Model JSON of the tree kinds: the one fitted scalar (`_FITTED`) and
+    `fitted_trees`, the node table `table` as one object of `_TREE_ARRAYS` columns
+    (null when no trees grow), the only array a model keeps. A fit reads `hp`: the
+    spec's hyperparameters, `_DEFAULTS` filling those it leaves out. Each kind keeps
+    its own `predict`: the benchmark tracer books it by class."""
 
     kind: str
-    _ARGS: tuple[str, ...]
+    _DEFAULTS: dict
     _FITTED: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "trees": self.n_trees,
-            **{name: getattr(self, name) for name in self._ARGS},
-            self._FITTED: getattr(self, self._FITTED),
-            "fitted_trees": None if self.table is None else
-                            {name: column.tolist() for name, column in self.table.items()},
-        }
+    def __init__(self, spec: LearnerSpec):
+        self.spec, self.table = spec, None
+        setattr(self, self._FITTED, None)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "_TreeModel":
-        m = cls(trees=int(d["trees"]), **{name: d[name] for name in cls._ARGS})
-        setattr(m, cls._FITTED, d[cls._FITTED])
-        if d["fitted_trees"] is not None:
-            m.table = {name: np.array(d["fitted_trees"][name], dtype=dtype)
-                       for name, dtype in _TREE_ARRAYS.items()}
-        return m
+    @property
+    def hp(self) -> dict:
+        return {**self._DEFAULTS, **self.spec.hp}
+
+    def to_dict(self) -> dict:
+        return {self._FITTED: getattr(self, self._FITTED),
+                "fitted_trees": None if self.table is None else
+                                {name: column.tolist() for name, column in self.table.items()}}
+
+    def _fill(self, fitted: dict) -> None:  # from its model JSON
+        setattr(self, self._FITTED, fitted[self._FITTED])
+        if fitted["fitted_trees"] is not None:
+            self.table = {name: np.array(fitted["fitted_trees"][name], dtype=dtype)
+                          for name, dtype in _TREE_ARRAYS.items()}
 
     def _sound(self, p: int) -> bool:
         """Whether the walk (clipped gathers, children at `left`, `left + 1`) reads it right."""
-        t, T, fitted = self.table, self.n_trees, getattr(self, self._FITTED)
+        t, T, fitted = self.table, self.hp["trees"], getattr(self, self._FITTED)
         bagged = self.kind == "bagged_trees"
         if t is None or bagged and fitted is not None:  # a bagged constant grows no trees
             return t is None and bagged and finite_number(fitted)
@@ -411,10 +408,10 @@ class _TreeModel:
     def nested(self, spec: LearnerSpec) -> "_TreeModel":
         """The model a fit of `spec`, of this model's family, makes from the same
         data and seed: this model's first trees cut at the spec's depth."""
-        m = type(self)(**spec.hp)
+        m = type(self)(spec)
         setattr(m, self._FITTED, getattr(self, self._FITTED))
         if self.table is not None:
-            m.table = _gather(range(m.n_trees), m.max_depth, **self.table)
+            m.table = _gather(range(spec.hp["trees"]), m.hp["max_depth"], **self.table)
         return m
 
 
@@ -426,21 +423,15 @@ class BaggedTreesModel(_TreeModel):
     splits allowed, resampling has nothing to vary, so no trees are grown."""
 
     kind = "bagged_trees"
-    _ARGS = ("max_depth", "max_features")
+    _DEFAULTS = {"max_depth": None, "max_features": "sqrt"}
     _FITTED = "constant"
 
-    def __init__(self, trees: int, max_depth=None, max_features="sqrt"):
-        self.n_trees = trees
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.table = self.constant = None
-
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
+        T, depth, G, tables = self.hp["trees"], self.hp["max_depth"], _GROUP_TREES, []
         for m, y, rows in zip(models, Y, keep):
-            m.table, m.constant = None, float(y[rows].mean()) if self.max_depth == 0 else None
-        if self.max_depth == 0:
+            m.table, m.constant = None, float(y[rows].mean()) if depth == 0 else None
+        if depth == 0:
             return
-        T, G, tables = self.n_trees, _GROUP_TREES, []
         rngs = [r for rng in rngs for r in rng.spawn(T)]  # tree t of models[b] is b * T + t
         of, sizes = np.repeat(np.arange(len(models)), T), np.repeat(keep.sum(axis=1), T)
         for g in (slice(lo, lo + G) for lo in range(0, len(rngs), G)):  # each tree as if alone
@@ -449,7 +440,7 @@ class BaggedTreesModel(_TreeModel):
                 boot[i, :size] = np.flatnonzero(keep[b])[r.integers(0, size, size=size)]
             Xb = X[boot]
             tables.append(_grow(Xb, Y[of[g, None], boot], np.argsort(Xb, axis=1, kind="stable"),
-                                np.arange(boot.shape[1]) < sizes[g, None], self.max_depth,
+                                np.arange(boot.shape[1]) < sizes[g, None], depth,
                                 self.features_drawn(X.shape[1]), rngs[g])[0])
         table, roots = _concat(tables)
         del tables  # members are gathered from `_concat`'s copy alone
@@ -460,28 +451,22 @@ class BaggedTreesModel(_TreeModel):
     def features_drawn(self, p: int) -> int:
         """How many of p features each split draws: fits that draw as many
         grow the same trees, whatever `max_features` names the count."""
-        k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.max_features]
+        k = {None: p, "sqrt": np.sqrt(p), "third": p / 3}[self.hp["max_features"]]
         return max(1, int(round(k)))
 
     def predict(self, X) -> np.ndarray:
-        X = _as_2d(X)
+        X, T = _as_2d(X), self.hp["trees"]
         if self.constant is not None:
             return np.full(X.shape[0], self.constant, dtype=np.float64)
-        return _accumulate(self.table, self.n_trees, X, 0.0, 1.0) / self.n_trees
+        return _accumulate(self.table, T, X, 0.0, 1.0) / T
 
 
 class BoostedTreesModel(_TreeModel):
     """Least-squares gradient boosting: mean start, shrunken residual trees."""
 
     kind = "boosted_trees"
-    _ARGS = ("learning_rate", "max_depth")
+    _DEFAULTS = {"max_depth": 3}
     _FITTED = "init_value"
-
-    def __init__(self, trees: int, learning_rate: float, max_depth=3):
-        self.n_trees = trees
-        self.learning_rate = float(learning_rate)
-        self.max_depth = max_depth
-        self.init_value = self.table = None
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         """Fit models[b] on the rows keep[b] of Y[b]: tree t of every model grows in
@@ -490,10 +475,10 @@ class BoostedTreesModel(_TreeModel):
         current = np.repeat(init[:, None], X.shape[0], axis=1)
         Xb, order = (np.repeat(a[None], len(keep), axis=0)  # X is the same for every tree
                      for a in (X, np.argsort(X, axis=0, kind="stable")))
-        tables = []
-        for _ in range(self.n_trees):
-            table, fitted = _grow(Xb, Y - current, order, keep, self.max_depth, X.shape[1], None)
-            current = current + self.learning_rate * fitted
+        tables, hp = [], self.hp
+        for _ in range(hp["trees"]):
+            table, fitted = _grow(Xb, Y - current, order, keep, hp["max_depth"], X.shape[1], None)
+            current = current + hp["learning_rate"] * fitted
             tables.append(table)
         cat, roots = _concat(tables)
         del tables  # members are gathered from `_concat`'s copy alone
@@ -502,17 +487,17 @@ class BoostedTreesModel(_TreeModel):
             m.table = _gather(roots + b, None, **cat)
 
     def predict(self, X) -> np.ndarray:
-        return _accumulate(self.table, self.n_trees, _as_2d(X), self.init_value, self.learning_rate)
+        hp = self.hp
+        return _accumulate(self.table, hp["trees"], _as_2d(X), self.init_value, hp["learning_rate"])
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (KnnModel, BaggedTreesModel, BoostedTreesModel)}
 
 
 def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
-    """Fit one base learner; the result is a pure function of the inputs. The
-    spec's hyperparameters are its model class's constructor arguments (defaults
-    fill those it leaves out); `seed` seeds the fit's rng. Given `held_out`, B
-    row-index arrays, and B seeds, it returns B models fitted in one batch: model b
+    """Fit one base learner; the result is a pure function of the inputs. Each model
+    is made from the spec and keeps it; `seed` seeds the fit's rng. Given `held_out`,
+    B row-index arrays, and B seeds, it returns B models fitted in one batch: model b
     fits y (or y[b], for a y of B rows) on the rows outside held_out[b] from
     seed[b], in `_fit_batch(models, X, Y, keep, rngs)`."""
     spec.validate()
@@ -522,7 +507,7 @@ def train_base(spec: LearnerSpec, X, y, seed, held_out=None):
     y = np.asarray(y, dtype=np.float64)
     if y.shape not in ((X.shape[0],), keep.shape) or not np.all(np.isfinite(y)):
         raise ValueError("y must be finite and match the rows of X")
-    models = [_MODEL_CLASSES[spec.kind](**spec.hp) for _ in folds]
+    models = [_MODEL_CLASSES[spec.kind](spec) for _ in folds]
     models[0]._fit_batch(models, X, np.broadcast_to(y, keep.shape), keep,
                          [np.random.default_rng(s) for s in ([seed] if held_out is None else seed)])
     return models[0] if held_out is None else models
@@ -539,13 +524,13 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
 
 
 def _family(spec: LearnerSpec, p: int):
-    """Specs of one family nest: one kind, and the same arguments besides
-    `trees` and, for bagged trees that grow any, `max_depth`. Bagged trees on
-    p features compare the count `max_features` draws, not its name."""
+    """Specs of one family nest: one kind, and the same hyperparameters (defaults
+    filled in) besides `trees` and, for bagged trees that grow any, `max_depth`.
+    Bagged trees on p features compare the count `max_features` draws, not its name."""
     if spec.kind == "knn":
         return spec
-    model = _MODEL_CLASSES[spec.kind](**spec.hp)
-    args = {a: getattr(model, a) for a in model._ARGS}
+    model = _MODEL_CLASSES[spec.kind](spec)
+    args = {a: v for a, v in model.hp.items() if a != "trees"}
     if spec.kind == "bagged_trees":
         args["max_features"] = model.features_drawn(p)
         if args["max_depth"] != 0:
@@ -567,7 +552,7 @@ def cv_predict(specs, X, y, k: int = 5, seed=0, final_seed=None):
         raise ValueError("cv_predict needs the specs of one nested family")
     head = specs[0]
     if head.kind != "knn":
-        depths = [_MODEL_CLASSES[s.kind](**s.hp).max_depth for s in specs]  # defaults filled in
+        depths = [_MODEL_CLASSES[s.kind](s).hp["max_depth"] for s in specs]  # defaults filled in
         head = LearnerSpec.make(head.kind, **{**head.hp, "trees": max(s.hp["trees"] for s in specs),
                                               "max_depth": None if None in depths else max(depths)})
     Y, seeds = (y, seed) if y.ndim == 2 else (y[None], [seed])
@@ -642,15 +627,12 @@ def fit_stack(oof, y) -> StackFit:
 
 @dataclass
 class EnsembleModel:
-    """Fitted base models plus the stacking combination. `feature_names` fixes
-    the predictor order for tabular and raster prediction; `ybar_train` (mean
-    training reference) rides along for percent-metric normalization downstream."""
+    """Fitted base models, each keeping its spec, plus the stacking combination.
+    `feature_names` fixes the predictor order for tabular and raster prediction."""
 
-    specs: list[LearnerSpec]
     models: list[object]
     stack: StackFit
     feature_names: list[str]
-    ybar_train: float
 
     def predict(self, X) -> np.ndarray:
         """Stacked prediction, truncated below at zero."""
@@ -661,10 +643,8 @@ class EnsembleModel:
         return json.dumps({
             "format_version": MODEL_FORMAT_VERSION,
             "feature_names": self.feature_names,
-            "ybar_train": self.ybar_train,
             "stack": {**vars(self.stack), "coefficients": self.stack.coefficients.tolist()},
-            "base": [{"spec": s.to_dict(), "model": m.to_dict()}
-                     for s, m in zip(self.specs, self.models)],
+            "base": [{"spec": m.spec.to_dict(), "model": m.to_dict()} for m in self.models],
         }, sort_keys=True)
 
     @staticmethod
@@ -675,13 +655,18 @@ class EnsembleModel:
             raise ValueError(f"unsupported model format version {version!r}")
         base, names, st = doc["base"], list(doc["feature_names"]), doc["stack"]
         specs = [LearnerSpec.make(e["spec"]["kind"], **e["spec"]["hyperparameters"]) for e in base]
-        models = [_MODEL_CLASSES[s.kind].from_dict(e["model"]) for s, e in zip(specs, base)]
-        for i, m in enumerate(models):  # the predicts trust what `_sound` checks
+        models = [_MODEL_CLASSES[s.kind](s) for s in specs]
+        for i, (m, e) in enumerate(zip(models, base)):  # the predicts trust what `_sound` checks
+            m._fill(e["model"])
             if not m._sound(len(names)):
                 raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")
-        stack = StackFit(float(st["intercept"]), np.array(st["coefficients"], dtype=np.float64),
-                         bool(st["rank_deficient"]))
-        return EnsembleModel(specs, models, stack, names, float(doc["ybar_train"]))
+        coefficients = np.array(st["coefficients"], dtype=np.float64)
+        if not (coefficients.shape == (len(models),) and np.isfinite(coefficients).all()
+                and finite_number(st["intercept"]) and isinstance(st["rank_deficient"], bool)):
+            raise ValueError(f"malformed stack: it needs {len(models)} finite coefficients, one "
+                             "per base model, a finite intercept and a bool rank_deficient")
+        stack = StackFit(float(st["intercept"]), coefficients, st["rank_deficient"])
+        return EnsembleModel(models, stack, names)
 
 
 def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:

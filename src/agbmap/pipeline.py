@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 6
+ARTIFACT_VERSION = 7
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -476,7 +476,6 @@ def _stage_extract(config: PipelineConfig, out: Path) -> None:
     _write_json(out / "summary.json", {
         "n_rows": len(rows),
         "n_dropped_no_coverage": n_dropped,
-        "predictors": names,
     })
 
 
@@ -503,10 +502,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
                               f"training rows of a fold ({CV_FOLDS} folds of {n_train} "
                               "training rows)")
     kinds = sorted(grids)
-    summary: dict = {
-        "n_rows": n, "n_train": int(n_train), "n_test": int(n - n_train),
-        "kinds": kinds, "models": {},
-    }
+    summary: dict = {"n_rows": n, "n_train": int(n_train), "models": {}}
     # one search per kind: each family grows both allometries' folds and final fits together
     Xtr, Xte, Ytr = X[train_idx], X[test_idx], Y[:, train_idx]
     searched = [grid_search(grids[kind], Xtr, Ytr, k=CV_FOLDS,
@@ -516,13 +512,12 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     test_rows = []
     for a_idx, allometry in enumerate(ALLOMETRIES):
         ytr, yte = Ytr[a_idx], Y[a_idx, test_idx]
-        chosen, oof_cols, scores, models = zip(*(results[a_idx] for results in searched))
+        _, oof_cols, scores, models = zip(*(results[a_idx] for results in searched))
         stack = fit_stack(np.column_stack(oof_cols), ytr)
         if stack.rank_deficient:
             LOGGER.warning("stacking design for %s is rank deficient; "
                            "minimal-norm coefficients used", allometry)
-        ens = EnsembleModel(specs=list(chosen), models=list(models), stack=stack,
-                            feature_names=names, ybar_train=float(ytr.mean()))
+        ens = EnsembleModel(models=list(models), stack=stack, feature_names=names)
         with open(out / f"model_{allometry}.json", "w", encoding="utf-8") as f:
             f.write(ens.to_json())
 

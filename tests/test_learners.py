@@ -161,9 +161,10 @@ class TestKnn:
     def test_finite_distances_before_infinite_ones(self, k):
         # rows 1, 3 and 5 lie too far for a finite squared distance: a query
         # takes the finite rows nearest first, then the infinite ones by row
-        model = KnnModel.from_dict({"k": k, "mu": [0.0], "sigma": [1.0],
-                                    "X": [[0.0], [1e200], [1.0], [-1e200], [2.0], [1e300]],
-                                    "y": [1.0, 10.0, 100.0, 1000.0, 10000.0, 1e5]})
+        model = KnnModel(LearnerSpec.make("knn", k=k))
+        model._fill({"mu": [0.0], "sigma": [1.0],
+                     "X": [[0.0], [1e200], [1.0], [-1e200], [2.0], [1e300]],
+                     "y": [1.0, 10.0, 100.0, 1000.0, 10000.0, 1e5]})
         order = [0, 2, 4, 1, 3, 5]  # of a query at 0.4
         want = model.y[order[:k]].mean()
         with np.errstate(over="ignore"):  # one chunk: it runs on this thread
@@ -234,11 +235,12 @@ class TestTrees:
         # a batch fit sets every fitted attribute of the models it is given
         X, y = toy_data(40)
         once = train_base(LearnerSpec.make(kind, **hp), X, y, seed=4)
-        twice, keep = learners._MODEL_CLASSES[kind](**hp), np.ones((1, 40), dtype=bool)
+        twice = learners._MODEL_CLASSES[kind](LearnerSpec.make(kind, **hp))
+        keep = np.ones((1, 40), dtype=bool)
         twice._fit_batch([twice], X[::-1] + 1.0, y[None, ::-1] * 2.0, keep,
                          [np.random.default_rng(9)])
         twice._fit_batch([twice], X, y[None], keep, [np.random.default_rng(4)])
-        assert twice.to_dict() == once.to_dict()
+        assert entry(twice) == entry(once)
         q = toy_data(30, seed=6)[0]
         assert np.array_equal(twice.predict(q), once.predict(q))
 
@@ -336,7 +338,12 @@ def model_trees(model) -> list:
     """A tree model's trees in model order, canonical, from its model JSON."""
     d = model.to_dict()
     return [] if d["fitted_trees"] is None else [canonical(d["fitted_trees"], t)
-                                                 for t in range(d["trees"])]
+                                                 for t in range(model.spec.hp["trees"])]
+
+
+def entry(model) -> dict:
+    """A base model as its model file's entry holds it: its spec and its fitted state."""
+    return {"spec": model.spec.to_dict(), "model": model.to_dict()}
 
 
 def same_tree(a, b):
@@ -360,7 +367,7 @@ def per_tree_predict(tree: list, X) -> np.ndarray:
 def per_tree_model_predict(model, X) -> np.ndarray:
     """Frozen copy of the per-tree accumulate loops of both tree kinds."""
     d, trees = model.to_dict(), model_trees(model)
-    if d["kind"] == "bagged_trees":
+    if model.spec.kind == "bagged_trees":
         if d["constant"] is not None:
             return np.full(X.shape[0], d["constant"], dtype=np.float64)
         acc = np.zeros(X.shape[0], dtype=np.float64)
@@ -369,7 +376,7 @@ def per_tree_model_predict(model, X) -> np.ndarray:
         return acc / len(trees)
     acc = np.full(X.shape[0], d["init_value"], dtype=np.float64)
     for tree in trees:
-        acc += d["learning_rate"] * per_tree_predict(tree, X)
+        acc += model.spec.hp["learning_rate"] * per_tree_predict(tree, X)
     return acc
 
 
@@ -465,10 +472,8 @@ class TestForestMatchesPerTreeWalk:
         specs = [LearnerSpec.make("bagged_trees", trees=12, max_depth=None, max_features="third"),
                  LearnerSpec.make("boosted_trees", trees=30, learning_rate=0.1, max_depth=3)]
         models = [train_base(s, X, y, seed=[1, i]) for i, s in enumerate(specs)]
-        ens = EnsembleModel(specs=specs, models=models,
-                            stack=StackFit(0.5, np.array([0.6, 0.4]), False),
-                            feature_names=[f"f{j}" for j in range(X.shape[1])],
-                            ybar_train=float(y.mean()))
+        ens = EnsembleModel(models=models, stack=StackFit(0.5, np.array([0.6, 0.4]), False),
+                            feature_names=[f"f{j}" for j in range(X.shape[1])])
         text = ens.to_json()
         clone = EnsembleModel.from_json(text)
         assert clone.to_json() == text
@@ -486,7 +491,8 @@ class TestForestMatchesPerTreeWalk:
 
     def test_model_json_keys_of_each_kind(self):
         # one serializer writes both kinds; `fitted_trees` is the node table
-        # as one object of columns, null when no trees are grown
+        # as one object of columns, null when no trees are grown; the
+        # hyperparameters are the spec's alone
         X, y = toy_data(30)
         cases = [("bagged_trees", {"trees": 3, "max_depth": 4, "max_features": "third"},
                   "constant", None),
@@ -497,15 +503,18 @@ class TestForestMatchesPerTreeWalk:
         for kind, hp, scalar, value in cases:
             model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=3)
             d = model.to_dict()
-            assert sorted(d) == sorted(["kind", *hp, scalar, "fitted_trees"])
-            assert {k: d[k] for k in ("kind", *hp, scalar)} == {"kind": kind, **hp, scalar: value}
+            assert sorted(d) == sorted([scalar, "fitted_trees"])
+            assert model.spec.to_dict() == {"kind": kind, "hyperparameters": hp}
+            assert d[scalar] == value
             if hp["max_depth"] == 0:
                 assert d["fitted_trees"] is None
             else:
                 assert sorted(d["fitted_trees"]) == sorted(learners._TREE_ARRAYS)
                 assert len(model_trees(model)) == 3
-            clone = type(model).from_dict(json.loads(json.dumps(d)))
+            clone = type(model)(model.spec)
+            clone._fill(json.loads(json.dumps(d)))
             assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
+            assert clone.spec == model.spec
             assert np.array_equal(clone.predict(X), model.predict(X))
 
     def test_each_model_kind_defines_its_own_predict(self):
@@ -662,8 +671,11 @@ class TestLevelWiseGrower:
             tree, fitted = frozen_fit(X, y - current, max_depth)
             current = current + hp["learning_rate"] * fitted
             trees.append(canonical(tree))
-        frozen = {"kind": "boosted_trees", **hp, "init_value": init, "fitted_trees": trees}
-        assert same_tree({**model.to_dict(), "fitted_trees": model_trees(model)}, frozen)
+        frozen = {"spec": {"kind": "boosted_trees", "hyperparameters": hp},
+                  "model": {"init_value": init, "fitted_trees": trees}}
+        got = entry(model)
+        assert same_tree({**got, "model": {**got["model"], "fitted_trees": model_trees(model)}},
+                         frozen)
 
 
 class TestNestedFits:
@@ -680,7 +692,7 @@ class TestNestedFits:
             spec = LearnerSpec.make("bagged_trees", trees=trees, max_depth=max_depth,
                                     max_features=max_features)
             alone = train_base(spec, X, y, seed=[4, 1])
-            assert same_tree(model.nested(spec).to_dict(), alone.to_dict())
+            assert same_tree(entry(model.nested(spec)), entry(alone))
 
     def test_boosted(self):
         X, y = toy_data(50)
@@ -689,7 +701,7 @@ class TestNestedFits:
         for trees in (30, 12, 1):
             spec = LearnerSpec.make("boosted_trees", trees=trees, learning_rate=0.1, max_depth=3)
             alone = train_base(spec, X, y, seed=0)
-            assert same_tree(model.nested(spec).to_dict(), alone.to_dict())
+            assert same_tree(entry(model.nested(spec)), entry(alone))
             q = toy_data(40, seed=5)[0]
             assert np.array_equal(model.nested(spec).predict(q), alone.predict(q))
 
@@ -915,7 +927,7 @@ class TestGridSearch:
         assert scores == want
         assert best == want_best
         assert np.array_equal(best_oof, alone[want_best])
-        final, reference = (train_base(s, X, y, seed=[2, 320, 0, 1]).to_dict()
+        final, reference = (entry(train_base(s, X, y, seed=[2, 320, 0, 1]))
                             for s in (best, want_best))
         assert json.dumps(final) == json.dumps(reference)
 
@@ -945,7 +957,7 @@ def one_target_oracle(specs, X, y, k, seed, final_seed):
     for family in families.values():
         head = family[0]
         if head.kind != "knn":
-            depths = [learners._MODEL_CLASSES[s.kind](**s.hp).max_depth for s in family]
+            depths = [learners._MODEL_CLASSES[s.kind](s).hp["max_depth"] for s in family]
             head = LearnerSpec.make(head.kind, **{
                 **head.hp, "trees": max(s.hp["trees"] for s in family),
                 "max_depth": None if None in depths else max(depths)})
@@ -1000,7 +1012,7 @@ class TestOneBatchSelection:
                 assert best == want[0]
                 assert best_oof.tobytes() == want[1].tobytes()
                 assert scores == want[2]
-                assert json.dumps(final.to_dict()) == json.dumps(want[3].to_dict())
+                assert json.dumps(entry(final)) == json.dumps(entry(want[3]))
 
     def test_each_members_part_of_the_fit_on_all_rows_is_its_own_fit(self):
         # at p = 6 "sqrt" and "third" both draw 2 features, so they share a
@@ -1013,8 +1025,8 @@ class TestOneBatchSelection:
         oof, [full] = cv_predict(family, X, y, k=5, seed=3, final_seed=[9])
         assert np.array_equal(oof, cv_predict(family, X, y, k=5, seed=3))
         for spec in family:
-            assert json.dumps(full.nested(spec).to_dict()) == \
-                json.dumps(train_base(spec, X, y, 9).to_dict())
+            assert json.dumps(entry(full.nested(spec))) == \
+                json.dumps(entry(train_base(spec, X, y, 9)))
 
     def test_one_target_with_a_final_seed(self):
         X, y = toy_data(30, seed=4)
@@ -1022,7 +1034,7 @@ class TestOneBatchSelection:
         best, best_oof, scores, final = grid_search(specs, X, y, k=5, seed=3, final_seed=[9])
         assert (best, scores) == grid_search(specs, X, y, k=5, seed=3)[::2]
         assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=3)[:, 0])
-        assert json.dumps(final.to_dict()) == json.dumps(train_base(best, X, y, 9).to_dict())
+        assert json.dumps(entry(final)) == json.dumps(entry(train_base(best, X, y, 9)))
 
 
 class TestStacking:
@@ -1067,9 +1079,8 @@ def small_ensemble(X, y, seed=0):
     oof = np.column_stack([cv_predict([s], X, y, k=5, seed=seed)[:, 0] for s in specs])
     stack = fit_stack(oof, y)
     models = [train_base(s, X, y, seed=[seed, i]) for i, s in enumerate(specs)]
-    return EnsembleModel(specs=specs, models=models, stack=stack,
-                         feature_names=[f"f{j}" for j in range(X.shape[1])],
-                         ybar_train=float(y.mean()))
+    return EnsembleModel(models=models, stack=stack,
+                         feature_names=[f"f{j}" for j in range(X.shape[1])])
 
 
 class TestEnsemble:
@@ -1097,13 +1108,14 @@ class TestEnsemble:
         q = toy_data(25, seed=3)[0]
         assert np.array_equal(clone.predict(q), ens.predict(q))
         assert clone.feature_names == ens.feature_names
-        assert clone.ybar_train == ens.ybar_train
+        assert [m.spec for m in clone.models] == [m.spec for m in ens.models]
 
     def test_unsupported_version_rejected(self):
         X, y = toy_data(20)
         doc = json.loads(small_ensemble(X, y).to_json())
-        # format 1 stored one node table per tree, numbered depth first
-        for version in (1, learners.MODEL_FORMAT_VERSION + 1, None):
+        # format 1 stored one node table per tree, numbered depth first, and
+        # format 2 wrote each hyperparameter in both a base's spec and its model
+        for version in (1, 2, learners.MODEL_FORMAT_VERSION + 1, None):
             doc["format_version"] = version
             with pytest.raises(ValueError, match="unsupported model format version"):
                 EnsembleModel.from_json(json.dumps(doc))
@@ -1115,10 +1127,9 @@ def model_file_doc() -> dict:
     specs = [LearnerSpec.make("knn", k=3),
              LearnerSpec.make("bagged_trees", trees=4, max_depth=3, max_features=None),
              LearnerSpec.make("boosted_trees", trees=3, learning_rate=0.1, max_depth=2)]
-    ens = EnsembleModel(specs=specs, models=[train_base(s, X, y, seed=i)
-                                             for i, s in enumerate(specs)],
+    ens = EnsembleModel(models=[train_base(s, X, y, seed=i) for i, s in enumerate(specs)],
                         stack=StackFit(0.0, np.full(3, 1 / 3), False),
-                        feature_names=[f"f{j}" for j in range(4)], ybar_train=float(y.mean()))
+                        feature_names=[f"f{j}" for j in range(4)])
     return json.loads(ens.to_json())
 
 
@@ -1147,29 +1158,47 @@ def back_to_root(model):  # the last inner node's children are nodes 0 and 1
     table["left"][node], table["right"][node] = 0, 1
 
 
-MALFORMED_MODELS = {  # name: (base model, edit of its document)
-    "knn k above the training rows": (0, lambda m: m.update(k=1000)),
-    "knn k of zero": (0, lambda m: m.update(k=0)),
-    "knn X narrower than the features": (0, lambda m: m.update(X=[r[:-1] for r in m["X"]])),
-    "knn mu narrower than the features": (0, lambda m: m["mu"].pop()),
-    "knn sigma wider than the features": (0, lambda m: m["sigma"].append(1.0)),
-    "knn y shorter than X": (0, lambda m: m["y"].pop()),
-    "knn nan in X": (0, lambda m: m["X"][0].__setitem__(0, float("nan"))),
-    "short value column": (1, lambda m: m["fitted_trees"]["value"].pop()),
-    "a tree more than the table holds": (1, lambda m: m.update(trees=m["trees"] + 1)),
-    "inner node with left -1": (1, set_node("left", -1)),
-    "right five past left": (1, set_node("right", lambda m, i: m["fitted_trees"]["left"][i] + 5)),
-    "child pointing back at node 0": (1, back_to_root),
-    "two parents sharing children": (1, share_children),
-    "leaf with a child": (1, set_node("left", 5, inner=False)),
-    "feature -2 at an inner node": (1, set_node("feature", -2)),
-    "feature past the last feature": (1, set_node("feature", 4)),
-    "nan threshold": (1, set_node("threshold", float("nan"))),
-    "infinite leaf value": (1, set_node("value", float("inf"), inner=False)),
-    "bagged constant beside its table": (1, lambda m: m.update(constant=1.0)),
-    "boosted nan init_value": (2, lambda m: m.update(init_value=float("nan"))),
-    "boosted without its table": (2, lambda m: m.update(fitted_trees=None)),
+def fitted(base):  # where a base's fitted model is in the document
+    return "base", base, "model"
+
+
+def hyperparameters(base):  # where a base's hyperparameters are: its spec's
+    return "base", base, "spec", "hyperparameters"
+
+
+NAN = float("nan")
+MALFORMED_MODELS = {  # name: (where in the document, edit of what is there)
+    "knn k above the training rows": (hyperparameters(0), lambda hp: hp.update(k=1000)),
+    "knn k of zero": (hyperparameters(0), lambda hp: hp.update(k=0)),
+    "knn X narrower than the features": (fitted(0), lambda m: m.update(X=[r[:-1] for r in m["X"]])),
+    "knn mu narrower than the features": (fitted(0), lambda m: m["mu"].pop()),
+    "knn sigma wider than the features": (fitted(0), lambda m: m["sigma"].append(1.0)),
+    "knn y shorter than X": (fitted(0), lambda m: m["y"].pop()),
+    "knn nan in X": (fitted(0), lambda m: m["X"][0].__setitem__(0, NAN)),
+    "short value column": (fitted(1), lambda m: m["fitted_trees"]["value"].pop()),
+    "a tree more than the table holds": (hyperparameters(1),
+                                         lambda hp: hp.update(trees=hp["trees"] + 1)),
+    "inner node with left -1": (fitted(1), set_node("left", -1)),
+    "right five past left": (fitted(1), set_node("right",
+                                                 lambda m, i: m["fitted_trees"]["left"][i] + 5)),
+    "child pointing back at node 0": (fitted(1), back_to_root),
+    "two parents sharing children": (fitted(1), share_children),
+    "leaf with a child": (fitted(1), set_node("left", 5, inner=False)),
+    "feature -2 at an inner node": (fitted(1), set_node("feature", -2)),
+    "feature past the last feature": (fitted(1), set_node("feature", 4)),
+    "nan threshold": (fitted(1), set_node("threshold", NAN)),
+    "infinite leaf value": (fitted(1), set_node("value", float("inf"), inner=False)),
+    "bagged constant beside its table": (fitted(1), lambda m: m.update(constant=1.0)),
+    "boosted nan init_value": (fitted(2), lambda m: m.update(init_value=NAN)),
+    "boosted nan learning_rate": (hyperparameters(2), lambda hp: hp.update(learning_rate=NAN)),
+    "boosted without its table": (fitted(2), lambda m: m.update(fitted_trees=None)),
+    "two stack coefficients for three bases": (("stack",), lambda st: st["coefficients"].pop()),
+    "nan stack intercept": (("stack",), lambda st: st.update(intercept=NAN)),
+    "rank_deficient not a bool": (("stack",), lambda st: st.update(rank_deficient="no")),
 }
+# what a refusal says, where a spec or the stack refuses it
+REFUSALS = {"knn k of zero": "knn needs an integer k >= 1",
+            "boosted nan learning_rate": "learning_rate must be a nonnegative finite number"}
 
 
 class TestMalformedModelFiles:
@@ -1182,10 +1211,17 @@ class TestMalformedModelFiles:
     @pytest.mark.parametrize("name", list(MALFORMED_MODELS))
     def test_refused(self, name):
         doc = model_file_doc()
-        base, edit = MALFORMED_MODELS[name]
-        edit(doc["base"][base]["model"])
-        kind = doc["base"][base]["spec"]["kind"]
-        with pytest.raises(ValueError, match=f"malformed {kind} model: base {base} on 4 features"):
+        (top, *path), edit = MALFORMED_MODELS[name]
+        part = doc[top]
+        for key in path:
+            part = part[key]
+        edit(part)
+        if top == "stack":
+            refusal = "malformed stack: it needs 3 finite coefficients"
+        else:
+            kind = doc["base"][path[0]]["spec"]["kind"]
+            refusal = REFUSALS.get(name, f"malformed {kind} model: base {path[0]} on 4 features")
+        with pytest.raises(ValueError, match=refusal):
             EnsembleModel.from_json(json.dumps(doc))
 
 
@@ -1333,9 +1369,9 @@ class TestChunksOnThreads:
         specs = [LearnerSpec.make("knn", k=3),
                  LearnerSpec.make("bagged_trees", trees=10, max_depth=None),
                  LearnerSpec.make("boosted_trees", trees=10, learning_rate=0.1)]
-        ens = EnsembleModel(specs=specs, models=[train_base(s, X, y, seed=0) for s in specs],
+        ens = EnsembleModel(models=[train_base(s, X, y, seed=0) for s in specs],
                             stack=StackFit(0.0, np.full(3, 1 / 3), False),
-                            feature_names=["a", "b"], ybar_train=float(y.mean()))
+                            feature_names=["a", "b"])
         grids = {name: grid_of(np.random.default_rng(j).uniform(0, 10, (60, 60)))
                  for j, name in enumerate(ens.feature_names)}
         monkeypatch.setattr(learners, "_WORKERS", 2)

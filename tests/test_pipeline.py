@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from agbmap import (
-    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, ConfigError, EnsembleModel, Grid, PipelineConfig,
-    PipelineError, RunManifest, render_report, run, synthesize, validate, write_grid,
+    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, DEFAULT_GRIDS, ConfigError, EnsembleModel, Grid,
+    PipelineConfig, PipelineError, RunManifest, render_report, run, synthesize, validate,
+    write_grid,
 )
 from agbmap.cli import main
 from agbmap.grid import read_grid
@@ -603,10 +604,12 @@ def test_extract_outputs(small):
 
 
 def test_fit_outputs(small):
+    fitted = json.loads((small.root / "run" / "fit" / "summary.json").read_text())["models"]
     for allometry in ("CRM", "NSVB"):
         path = small.root / "run" / "fit" / f"model_{allometry}.json"
         model = EnsembleModel.from_json(path.read_text())
-        assert model.ybar_train > 0
+        assert model.feature_names == small.config.predictor_names()
+        assert fitted[allometry]["ybar_train"] > 0
     rows = read_rows(small.root / "run" / "fit" / "test_metrics.csv")
     assert [r["allometry"] for r in rows] == ["CRM", "NSVB"]
     for r in rows:
@@ -850,9 +853,11 @@ def test_fit_models_equal_a_search_and_refit_per_allometry(small, tmp_path, monk
     assert [specs[0].kind for specs, *_ in searches] == sorted(config.spec_grids())
     for a, allometry in enumerate(["CRM", "NSVB"]):
         doc = json.loads((tmp_path / "o" / "fit" / f"model_{allometry}.json").read_text())
-        for (specs, X, Y, kw), base in zip(searches, doc["base"], strict=True):
+        model = EnsembleModel.from_json(json.dumps(doc))
+        for (specs, X, Y, kw), base, m in zip(searches, doc["base"], model.models, strict=True):
             assert Y.shape == (2, X.shape[0])
             best, _, _ = grid_search(specs, X, Y[a], k=kw["k"], seed=kw["seed"][a])
+            assert best == m.spec
             assert best.to_dict() == base["spec"]
             alone = train_base(best, X, Y[a], kw["final_seed"][a])
             assert json.dumps(alone.to_dict(), sort_keys=True) == \
@@ -1070,6 +1075,30 @@ def test_rescale_outputs(small):
         assert float(r["test_r2"]) > 0.8
 
 
+def test_model_files_hold_each_hyperparameter_once(small):
+    # a base's spec is its only record of its kind and hyperparameters: its
+    # fitted model repeats none of them, and no training mean rides along
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    every = {name for grid in DEFAULT_GRIDS.values() for hp in grid for name in hp}
+    for allometry in ("CRM", "NSVB"):
+        doc = json.loads((small.root / "run" / "fit" / f"model_{allometry}.json").read_text())
+        assert "ybar_train" not in set(keys(doc))
+        assert len(doc["base"]) == len(small.config.spec_grids())
+        for base in doc["base"]:
+            hp, names = base["spec"]["hyperparameters"], list(keys(base))
+            assert hp and set(hp) <= every
+            assert {name: names.count(name) for name in every | {"kind"}} == \
+                {name: int(name in hp or name == "kind") for name in every | {"kind"}}
+
+
 def test_summaries_hold_only_numbers_no_table_or_model_file_holds(small):
     run_dir = small.root / "run"
 
@@ -1080,13 +1109,23 @@ def test_summaries_hold_only_numbers_no_table_or_model_file_holds(small):
     assert set(summary("ingest")) == {"n_plot_rows", "n_selected", "n_development",
                                       "n_model_dev", "n_assessment", "holdout_panel",
                                       "per_year"}
-    assert set(summary("extract")) == {"n_rows", "n_dropped_no_coverage", "predictors"}
+    # the predictor names are the header of features.csv and each model file's
+    # feature_names, the test-row count is test_metrics.csv's n, and the
+    # learner kinds are the keys of each allometry's cv_rmse
+    assert set(summary("extract")) == {"n_rows", "n_dropped_no_coverage"}
+    names = small.config.predictor_names()
+    with open(run_dir / "extract" / "features.csv", newline="") as f:
+        assert next(csv.reader(f))[4:] == names
     fit = summary("fit")
-    assert set(fit) == {"n_rows", "n_train", "n_test", "kinds", "models"}
+    assert set(fit) == {"n_rows", "n_train", "models"}
+    assert [int(r["n"]) for r in read_rows(run_dir / "fit" / "test_metrics.csv")] == \
+        [fit["n_rows"] - fit["n_train"]] * 2
     assert set(fit["models"]) == {"CRM", "NSVB"}
-    for entry in fit["models"].values():
+    for allometry, entry in fit["models"].items():
         assert set(entry) == {"cv_rmse", "ybar_train"}
-        assert sorted(entry["cv_rmse"]) == fit["kinds"]
+        model = json.loads((run_dir / "fit" / f"model_{allometry}.json").read_text())
+        assert model["feature_names"] == names
+        assert list(entry["cv_rmse"]) == [base["spec"]["kind"] for base in model["base"]]
     predict = summary("predict")
     assert set(predict) == {"maps"} and sorted(predict["maps"]) == sorted(maps)
     for entry in predict["maps"].values():
@@ -1399,6 +1438,7 @@ def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
     ("scales_km", "5", "scales_km"),
     ("scales_km", [True, 5], "scales_km"),
     ("learner_grids", {"knn": 5}, "learner grid"),
+    ("learner_grids", {"knn": [{"kind": 3}]}, "unknown hyperparameters for knn: ['kind']"),
 ])
 def test_cli_malformed_value_is_exit_1(small, tmp_path, capsys, key, value, reported):
     bad = tmp_path / "bad.json"
