@@ -15,8 +15,8 @@ hyperparameters, and model selection grows each nested family of specs once, in
 one batch: the k folds and the fit on all rows of every target (allometry).
 A model keeps its spec, the one record of its hyperparameters, and a tree model
 only its level-order node table besides; a model file the predicts would misread is
-refused. Predicts run over chunks of cells on every CPU, each worker in buffers of
-its own, with the same bits at any count.
+refused. A map is predicted in row blocks, each over chunks of cells on every CPU in
+buffers per worker; a cell gets the same bits in any block and at any CPU count.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ MODEL_FORMAT_VERSION = 3
 # level (candidates = this // 8 // rows of the widest node: passes that stay in cache)
 _CHUNK_ENTRIES = 65_536
 _GROUP_TREES = 128  # bagged trees per grower call: bounds its (trees, rows) arrays
+_BLOCK_CELLS = 1 << 15  # cells of a row block of predict_grid: bounds its design matrix
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -108,16 +109,17 @@ def _as_2d(X) -> np.ndarray:
 
 
 def _by_chunks(n: int, chunk: int, values, per_cell: dict) -> np.ndarray:
-    """`values(lo, hi, buffers)` of each chunk of range(n) in one array. The caller and
-    w - 1 helper threads, w = min(_WORKERS, chunks), take every w-th chunk, each in arrays
-    it allocates once: `buffers[name]` is a (k, hi - lo) prefix of its `per_cell[name]`,
-    (k, dtype). The bodies call no public function or model `predict`: spans open here."""
+    """`values(lo, hi, buffers)` of each chunk of range(n) in one array. The caller and w - 1
+    helper threads, w = min(_WORKERS, chunks), take chunk i, then the next none took, in
+    arrays each allocates once: `buffers[name]` is a (k, hi - lo) prefix of `per_cell[name]`,
+    (k, dtype). Bodies call no public function or model `predict`: no span opens off-thread."""
     out, starts, m = np.empty(n, dtype=np.float64), range(0, n, chunk), min(chunk, n)
     w = min(_WORKERS, len(starts))
+    rest = iter(starts[w:])  # shared; a range iterator's next is one step under the GIL
 
     def take(i):
         own = {name: (k, np.empty(k * m, dtype)) for name, (k, dtype) in per_cell.items()}
-        for lo, hi in ((lo, min(lo + chunk, n)) for lo in starts[i::w]):
+        for lo, hi in ((lo, min(lo + chunk, n)) for part in (starts[i:i + 1], rest) for lo in part):
             out[lo:hi] = values(lo, hi, {name: a[:k * (hi - lo)].reshape(k, hi - lo)
                                          for name, (k, a) in own.items()})
 
@@ -318,7 +320,6 @@ class KnnModel:
 
     def __init__(self, spec: LearnerSpec):
         self.spec = spec
-        self.mu = self.sigma = self.X = self.y = None
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         for m, y, rows in zip(models, Y, keep):  # one fold at a time
@@ -375,7 +376,6 @@ class _TreeModel:
 
     def __init__(self, spec: LearnerSpec):
         self.spec, self.table = spec, None
-        setattr(self, self._FITTED, None)
 
     @property
     def hp(self) -> dict:
@@ -608,7 +608,7 @@ class StackFit:
     rank_deficient: bool
 
     def apply(self, columns) -> np.ndarray:
-        return self.intercept + _as_2d(columns) @ self.coefficients
+        return sum((x * c for x, c in zip(_as_2d(columns).T, self.coefficients)), self.intercept)
 
 
 def fit_stack(oof, y) -> StackFit:
@@ -661,10 +661,10 @@ class EnsembleModel:
             if not m._sound(len(names)):
                 raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")
         coefficients = np.array(st["coefficients"], dtype=np.float64)
-        if not (coefficients.shape == (len(models),) and np.isfinite(coefficients).all()
+        if not (models and coefficients.shape == (len(models),) and np.isfinite(coefficients).all()
                 and finite_number(st["intercept"]) and isinstance(st["rank_deficient"], bool)):
             raise ValueError(f"malformed stack: it needs {len(models)} finite coefficients, one "
-                             "per base model, a finite intercept and a bool rank_deficient")
+                             "per base model (>= 1), a finite intercept and a bool rank_deficient")
         stack = StackFit(float(st["intercept"]), coefficients, st["rank_deficient"])
         return EnsembleModel(models, stack, names)
 
@@ -683,8 +683,8 @@ def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
     if np.shape(domain) != first.values.shape:
         raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
     mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
-    values = np.zeros(first.values.shape, dtype=np.float32)
-    if np.any(mask):
-        X = np.column_stack([g.values[mask].astype(np.float64) for g in grids])
-        values[mask] = model.predict(X)
+    values, step = np.zeros(mask.shape, dtype=np.float32), max(1, _BLOCK_CELLS // first.ncols)
+    for rows in (slice(r, r + step) for r in range(0, first.nrows, step)):  # no whole-domain X
+        if (m := mask[rows]).any():
+            values[rows][m] = model.predict(np.stack([g.values[rows][m] for g in grids], axis=1))
     return first.with_values(values, mask, units="Mg/ha")

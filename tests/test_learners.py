@@ -1070,6 +1070,25 @@ class TestStacking:
                 base_rmse = np.sqrt(np.mean((y - oof[:, j]) ** 2))
                 assert stack_rmse <= base_rmse + 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_a_row_gets_the_same_bits_alone_and_in_any_batch(self, n):
+        # columns of mixed magnitude, where a dot product's order or fused
+        # multiply-adds would move the last bits of some rows
+        rng = np.random.default_rng(11)
+        columns = rng.normal(size=(n, 3)) * [1e-3, 1.0, 1e4] + [0.0, 50.0, 0.0]
+        fit = StackFit(float(rng.normal()), rng.normal(size=3), False)
+        whole = fit.apply(columns)
+        alone = np.array([fit.apply(row[None])[0] for row in columns])
+        oracle = []
+        for row in columns:  # the intercept, then each column times its coefficient
+            total = fit.intercept
+            for x, c in zip(row.tolist(), fit.coefficients.tolist()):
+                total = total + x * c
+            oracle.append(total)
+        assert whole.shape == (n,)
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole, oracle)
+
 
 def small_ensemble(X, y, seed=0):
     specs = [
@@ -1224,6 +1243,14 @@ class TestMalformedModelFiles:
         with pytest.raises(ValueError, match=refusal):
             EnsembleModel.from_json(json.dumps(doc))
 
+    def test_a_file_with_no_base_model_refused(self):
+        # an empty stack over no base would leave predict nothing to combine
+        doc = model_file_doc()
+        doc["base"], doc["stack"]["coefficients"] = [], []
+        with pytest.raises(ValueError, match=r"malformed stack: it needs 0 finite coefficients, "
+                                             r"one per base model \(>= 1\)"):
+            EnsembleModel.from_json(json.dumps(doc))
+
 
 def grid_of(values, mask=None):
     values = np.asarray(values, dtype=np.float32)
@@ -1288,6 +1315,53 @@ class TestPredictGrid:
                  units="", values=np.array([[5.0, 6.0]], dtype=np.float32))
         with pytest.raises(ValueError, match="aligned"):
             predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
+
+    def layers(self, shape, seed=2):
+        rng = np.random.default_rng(seed)
+        a = grid_of(rng.uniform(0, 10, shape), mask=rng.random(shape) > 0.15)
+        return {"a": a, "b": grid_of(rng.uniform(0, 10, shape))}, rng.random(shape) > 0.1
+
+    @pytest.mark.parametrize("block_cells", [1, 2, 7])
+    def test_a_cell_gets_the_same_bits_in_any_block(self, monkeypatch, block_cells):
+        # 11 rows of 3 cells: 7 cells make blocks of 2 rows and a 1-row tail
+        layers, domain = self.layers((11, 3))
+        default = predict_grid(self.ens, layers, domain)
+        monkeypatch.setattr(learners, "_BLOCK_CELLS", block_cells)
+        out = predict_grid(self.ens, layers, domain)
+        assert np.array_equal(out.mask, default.mask) and default.mask.sum() > 20
+        assert np.array_equal(out.values, default.values)
+        alone = [self.ens.predict([[layers["a"].values[i, j], layers["b"].values[i, j]]])[0]
+                 for i, j in zip(*np.nonzero(out.mask))]
+        assert np.array_equal(out.values[out.mask], np.array(alone, dtype=np.float32))
+
+    def test_one_cell_and_empty_domains(self, monkeypatch):
+        layers, _ = self.layers((4, 5))
+        i, j = np.argwhere(layers["a"].mask)[-1]
+        one = np.zeros((4, 5), dtype=bool)
+        one[i, j] = True
+        out = predict_grid(self.ens, layers, one)
+        assert np.array_equal(out.mask, one)
+        cell = [[layers["a"].values[i, j], layers["b"].values[i, j]]]
+        assert out.values[i, j] == np.float32(self.ens.predict(cell)[0])
+        calls = []
+        monkeypatch.setattr(EnsembleModel, "predict", lambda model, X: calls.append(X))
+        empty = predict_grid(self.ens, layers, np.zeros((4, 5), dtype=bool))
+        assert not empty.mask.any() and not empty.values.any() and calls == []
+
+    def test_no_model_predict_takes_more_than_a_block(self, monkeypatch):
+        # a design matrix over the whole domain would be one call of every cell
+        layers, domain = self.layers((30, 13))
+        monkeypatch.setattr(learners, "_BLOCK_CELLS", 64)  # 4 rows of 13 cells
+        rows, predict = [], EnsembleModel.predict
+
+        def spy(model, X):
+            rows.append(len(X))
+            return predict(model, X)
+
+        monkeypatch.setattr(EnsembleModel, "predict", spy)
+        out = predict_grid(self.ens, layers, domain)
+        assert len(rows) == 8 and max(rows) <= learners._BLOCK_CELLS
+        assert sum(rows) == out.mask.sum()
 
 
 def spy_on_chunks(monkeypatch, fail_at=None):

@@ -181,9 +181,9 @@ def raster_cache(tmp_path_factory):
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
 # alone on `raster_cache`: a little above what it takes now (extract 47, predict
-# 222, assess 26, agree 103, diff 60, rescale 93). A stage that needs less
+# 99, assess 26, agree 103, diff 60, rescale 93). A stage that needs less
 # lowers its ceiling.
-STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 230, "assess": 28, "agree": 110,
+STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 105, "assess": 28, "agree": 110,
                         "diff": 65, "rescale": 100}
 
 
@@ -1245,6 +1245,18 @@ def test_cli_predict_refuses_a_malformed_model_file_naming_it(small, tmp_path, c
     assert main(["predict", "--config", str(root / "config.json")]) == 2
     err = capsys.readouterr().err
     assert f"model file {path}" in err and f"malformed {base['spec']['kind']} model" in err
+
+
+def test_cli_predict_refuses_a_model_file_with_no_base_model(small, tmp_path, capsys):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    path = root / "run" / "fit" / "model_CRM.json"
+    doc = json.loads(path.read_text())
+    doc["base"], doc["stack"]["coefficients"] = [], []
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {path}" in err and "malformed stack" in err and "(>= 1)" in err
 
 
 def test_cli_unreadable_raster_is_exit_1(small, tmp_path, capsys):
