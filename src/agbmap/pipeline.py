@@ -570,6 +570,7 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
             write_grid(agb, _map_path(config, "agb", year, allometry))
             write_grid(percent_rank(agb), _map_path(config, "pctrank", year, allometry))
             map_summaries[f"{year}_{allometry}"] = asdict(summary)
+        del layers, lc, domain, agb  # before the next year's rasters are read
     _write_json(out / "summary.json", {"maps": map_summaries})
 
 

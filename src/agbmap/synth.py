@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .carbon import CARBON_FRACTION_COLUMNS
-from .grid import Grid, write_grid
+from .grid import Grid, finite_number, write_grid
 from .inventory import PLOT_AREA_HA, PLOT_COLUMNS, TREE_COLUMNS
+from .learners import _by_chunks
 from .tables import write_table
 
 YEARS = (2005, 2019)
@@ -34,30 +37,52 @@ RESCALE_INTERCEPT = 9.555
 RESCALE_SLOPE_SOURCE = 1.135
 RESCALE_SLOPE_ELEV = -0.023
 
+# Fields and predictor layers are built in bands of whole rows of about this
+# many cells, so their float64 temporaries stay small; every value is computed
+# per cell, so a cell gets the same bits in any band.
+_BAND_CELLS = 1 << 15
+
+
+def _band_rows(ncols: int) -> int:
+    return max(1, _BAND_CELLS // ncols)
+
 
 def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
     """Sum of random plane waves over the cell centers (xs west to east, ys
-    north to south), standardized to zero mean and unit spread."""
-    f = np.zeros((len(ys), len(xs)))
+    north to south), standardized to zero mean and unit spread. The waves are
+    drawn first, then summed in bands of rows spread over the worker threads."""
+    waves = []
     for _ in range(n_waves):
         wl = rng.uniform(*wavelengths)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        k = 2.0 * np.pi / wl
-        f += rng.uniform(0.5, 1.0) * np.sin(k * (np.cos(theta) * xs
-                                                 + np.sin(theta) * ys[:, None]) + phase)
+        waves.append((2.0 * np.pi / wl, np.cos(theta), np.sin(theta), phase,
+                      rng.uniform(0.5, 1.0)))
+    ncols = len(xs)
+
+    def band(lo, hi, _):
+        y = ys[lo // ncols:hi // ncols, None]
+        f = np.zeros((len(y), ncols))
+        for k, cos, sin, phase, amplitude in waves:
+            f += amplitude * np.sin(k * (cos * xs + sin * y) + phase)
+        return f.ravel()
+
+    f = _by_chunks(len(ys) * ncols, _band_rows(ncols) * ncols, band, {}).reshape(len(ys), ncols)
     f -= f.mean()
     sd = f.std()
-    return f / sd if sd > 0 else f
+    if sd > 0:
+        f /= sd
+    return f
 
 
-def _standardize(a):
-    sd = a.std()
-    return (a - a.mean()) / (sd if sd > 0 else 1.0)
+def _standardized(a):
+    """Rows of `a` standardized by the whole array's mean and spread."""
+    mean, sd = a.mean(), a.std()
+    return lambda rows: (a[rows] - mean) / (sd if sd > 0 else 1.0)
 
 
 def _landcover(rng, xs, ys, elev, forest_potential):
-    lc = np.full(elev.shape, 3.0)
+    lc = np.full(elev.shape, 3.0, dtype=np.float32)
     wet = _smooth_field(rng, xs, ys, n_waves=4)
     use = _smooth_field(rng, xs, ys, n_waves=4)
     lc[forest_potential > 0.4] = 6.0
@@ -72,15 +97,27 @@ def _landcover(rng, xs, ys, elev, forest_potential):
 
 
 def _predictors(rng, agb, elev, xs, ys):
-    """The six layers in PREDICTOR_NAMES order, one at a time: three
-    informative, one weakly informative, two nuisance."""
-    z = _standardize(agb)
-    yield -0.6 * z + 0.3 * _smooth_field(rng, xs, ys) + rng.normal(0.0, 0.25, agb.shape)
-    yield agb / (agb + 120.0) + rng.normal(0.0, 0.03, agb.shape)
-    yield 0.8 * z + rng.normal(0.0, 0.35, agb.shape)
-    yield 0.25 * z + 0.5 * _standardize(elev) + rng.normal(0.0, 0.3, agb.shape)
-    yield _smooth_field(rng, xs, ys) + rng.normal(0.0, 0.2, agb.shape)
-    yield _smooth_field(rng, xs, ys, n_waves=3) + rng.normal(0.0, 0.2, agb.shape)
+    """The six layers in PREDICTOR_NAMES order, one at a time, as float32: three
+    informative, one weakly informative, two nuisance. Each layer's noise is
+    drawn band by band, which continues the generator's stream as one draw would."""
+    step = _band_rows(len(xs))
+
+    def noisy(signal, sd):
+        layer = np.empty(agb.shape, dtype=np.float32)
+        for r in range(0, len(ys), step):
+            rows = slice(r, r + step)
+            layer[rows] = signal(rows) + rng.normal(0.0, sd, layer[rows].shape)
+        return layer
+
+    z, elev_z = _standardized(agb), _standardized(elev)
+    field = _smooth_field(rng, xs, ys)
+    yield noisy(lambda rows: -0.6 * z(rows) + 0.3 * field[rows], 0.25)
+    del field
+    yield noisy(lambda rows: agb[rows] / (agb[rows] + 120.0), 0.03)
+    yield noisy(lambda rows: 0.8 * z(rows), 0.35)
+    yield noisy(lambda rows: 0.25 * z(rows) + 0.5 * elev_z(rows), 0.3)
+    for n_waves in (6, 3):
+        yield noisy(_smooth_field(rng, xs, ys, n_waves=n_waves).__getitem__, 0.2)
 
 
 def _tree_rows(rng, plot_id, year, crm_density, nsvb_density):
@@ -122,9 +159,16 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
 
     Layout under out_dir: inputs/ holds rasters and tables, config.json points
     at them with relative paths, and the configured output directory is run/.
-    A negative seed or n_plots, fewer than 4 columns or rows, or a cellsize
-    that is not positive raises ValueError before anything is created.
+    Each argument is checked before anything is created, and a bad one raises
+    ValueError naming it: seed, ncols, nrows and n_plots must be integers (not
+    bools), seed and n_plots non-negative, ncols and nrows at least 4, and the
+    cellsize positive and finite, with a finite extent ncols x cellsize and
+    nrows x cellsize.
     """
+    for name, value in (("seed", seed), ("ncols", ncols), ("nrows", nrows),
+                        ("n_plots", n_plots)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if seed < 0:  # numpy seeds no generator from it
         raise ValueError(f"seed must be non-negative, got {seed}")
     for name, cells in (("ncols", ncols), ("nrows", nrows)):
@@ -132,8 +176,12 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
             raise ValueError(f"{name} must be at least 4, got {cells}")
     if n_plots < 0:
         raise ValueError(f"n_plots must be non-negative, got {n_plots}")
-    if not cellsize > 0:
-        raise ValueError(f"cellsize must be positive, got {cellsize}")
+    if not (finite_number(cellsize) and cellsize > 0):
+        raise ValueError(f"cellsize must be positive and finite, got {cellsize!r}")
+    for name, cells in (("ncols", ncols), ("nrows", nrows)):
+        # compared, not multiplied, so an int too large for a float is refused too
+        if not cells <= sys.float_info.max / cellsize:
+            raise ValueError(f"{name} x cellsize must be finite, got {cells} x {cellsize!r}")
     out = Path(out_dir)
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
@@ -156,8 +204,8 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
     lc05 = _landcover(np.random.default_rng([seed, 2]), xs, ys, elev, forest_potential)
     # one compact conversion blob so the later year loses mapped area
     blob = _smooth_field(np.random.default_rng([seed, 3]), xs, ys, n_waves=3)
-    lc19 = np.where((blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES),
-                    1.0, lc05)
+    lc19 = lc05.copy()
+    lc19[(blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES)] = 1.0
     del blob
 
     rng_agb = np.random.default_rng([seed, 4])

@@ -117,6 +117,46 @@ def test_smooth_field_from_the_axes_matches_the_meshgrid_form(n_waves):
                                                         n_waves=n_waves))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("band_rows", [1, 2, 7])
+def test_smooth_field_is_the_same_in_bands_of_any_rows_on_any_workers(monkeypatch, band_rows,
+                                                                       workers):
+    from agbmap import learners, synth
+
+    ncols, nrows, cellsize = 37, 23, 250.0
+    monkeypatch.setattr(synth, "_BAND_CELLS", band_rows * ncols)
+    monkeypatch.setattr(learners, "_WORKERS", workers)
+    xs = (np.arange(ncols) + 0.5) * cellsize
+    ys = (nrows - np.arange(nrows) - 0.5) * cellsize
+    xx, yy = np.meshgrid(xs, ys)
+    assert np.array_equal(synth._smooth_field(np.random.default_rng(4), xs, ys),
+                          _meshgrid_smooth_field(np.random.default_rng(4), xx, yy))
+
+
+def test_synth_writes_the_same_bytes_in_one_row_bands(tmp_path, monkeypatch):
+    from agbmap import synth
+
+    def files(root):
+        synthesize(root, seed=2, ncols=37, nrows=23, n_plots=20)
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    whole = files(tmp_path / "whole")  # 851 cells: one band at the default size
+    monkeypatch.setattr(synth, "_BAND_CELLS", 1)
+    banded = files(tmp_path / "banded")
+    assert len(whole) == 19 and banded == whole
+
+
+@pytest.mark.parametrize("piece", [1, 7, 4096])
+def test_normal_draws_in_pieces_continue_one_stream(piece):
+    # synth draws each predictor layer's noise band by band and relies on this
+    n = 3 * 4096 + 5
+    one = np.random.default_rng(9).normal(0.0, 0.3, n)
+    rng = np.random.default_rng(9)
+    pieces = [rng.normal(0.0, 0.3, min(piece, n - lo)) for lo in range(0, n, piece)]
+    assert np.array_equal(np.concatenate(pieces), one)
+
+
 def vmhwm_growth(setup, measured, *argv):
     """The bytes by which the statement `measured` raises the peak RSS of a
     fresh Python child that ran `setup` first; both see `argv` as sys.argv[1:].
@@ -149,15 +189,15 @@ def vmhwm_growth(setup, measured, *argv):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
-def test_synth_memory_grows_by_less_than_150_bytes_per_cell(tmp_path):
+def test_synth_memory_grows_by_less_than_70_bytes_per_cell(tmp_path):
     # Run in a child, whose peak RSS is that of synthesize and its imports alone.
-    # 15 float64 layers held at once would take 120 bytes per cell.
+    # It takes about 64 now; 15 float64 layers held at once would take 120.
     ncols, nrows = 800, 700
     grown = vmhwm_growth("from agbmap.synth import synthesize",
                          f"synthesize(sys.argv[1], ncols={ncols}, nrows={nrows})",
                          tmp_path / "d")
     per_cell = grown / (ncols * nrows)
-    assert per_cell < 150, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
+    assert per_cell < 70, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
 
 
 RASTER_COLS, RASTER_ROWS = 800, 700
@@ -181,9 +221,9 @@ def raster_cache(tmp_path_factory):
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
 # alone on `raster_cache`: a little above what it takes now (extract 47, predict
-# 99, assess 26, agree 103, diff 60, rescale 93). A stage that needs less
+# 97, assess 26, agree 103, diff 60, rescale 93). A stage that needs less
 # lowers its ceiling.
-STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 105, "assess": 28, "agree": 110,
+STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 103, "assess": 28, "agree": 110,
                         "diff": 65, "rescale": 100}
 
 
@@ -198,10 +238,28 @@ def test_raster_stage_memory_per_cell_stays_under_its_ceiling(raster_cache, stag
         f"{stage} grew RSS by {per_cell:.1f} bytes per cell"
 
 
-@pytest.mark.parametrize("cellsize", [0.0, -30.0, float("nan")])
+@pytest.mark.parametrize("cellsize", [0.0, -30.0, float("nan"), float("inf")])
 def test_synth_refuses_a_cellsize_that_is_not_positive(tmp_path, cellsize):
     with pytest.raises(ValueError, match="cellsize must be positive"):
         synthesize(tmp_path / "d", cellsize=cellsize)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kwargs, reported", [
+    ({"ncols": 8, "nrows": 8, "cellsize": 1e308}, "ncols x cellsize must be finite"),
+    ({"ncols": 8, "nrows": 10**300, "cellsize": 1e10}, "nrows x cellsize must be finite"),
+    ({"ncols": 10**400}, "ncols x cellsize must be finite"),
+    ({"ncols": 10.5}, "ncols must be an integer, got 10.5"),
+    ({"nrows": 10.0}, "nrows must be an integer, got 10.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"n_plots": 2.5}, "n_plots must be an integer, got 2.5"),
+    ({"cellsize": True}, "cellsize must be positive and finite, got True"),
+], ids=["infinite width", "infinite height", "width beyond a float", "fractional ncols",
+        "float nrows", "fractional seed", "bool seed", "fractional n_plots", "bool cellsize"])
+def test_synth_refuses_a_bad_argument_before_creating_anything(tmp_path, kwargs, reported):
+    with pytest.raises(ValueError, match=reported):
+        synthesize(tmp_path / "d", **kwargs)
     assert list(tmp_path.iterdir()) == []
 
 
