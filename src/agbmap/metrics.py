@@ -120,20 +120,24 @@ def willmott_dr(pairs: PairedSample) -> float | None:
     return b / a - 1.0
 
 
-def gmfr_fit(pairs: PairedSample) -> GmfrFit:
-    """Fit the symmetric functional line; both variables need variance."""
-    y = pairs.y
-    yhat = pairs.yhat
-    ybar = y.mean()
-    yhbar = yhat.mean()
-    ss_y = float(np.sum((y - ybar) ** 2))
-    ss_yh = float(np.sum((yhat - yhbar) ** 2))
+def _line_terms(pairs: PairedSample):
+    """Deviations from the means, their sums of squares and the sign of the
+    covariance: (dy, dyh, ss_y, ss_yh, sign). Both variables need variance."""
+    dy = pairs.y - pairs.y.mean()
+    dyh = pairs.yhat - pairs.yhat.mean()
+    ss_y = float(np.sum(dy ** 2))
+    ss_yh = float(np.sum(dyh ** 2))
     if ss_y == 0.0 or ss_yh == 0.0:
         raise ValueError("functional-line fit needs variance in both variables")
-    cov = float(np.sum((y - ybar) * (yhat - yhbar)))
-    sign = -1.0 if cov < 0 else 1.0
+    sign = -1.0 if float(np.sum(dy * dyh)) < 0 else 1.0
+    return dy, dyh, ss_y, ss_yh, sign
+
+
+def gmfr_fit(pairs: PairedSample) -> GmfrFit:
+    """Fit the symmetric functional line; both variables need variance."""
+    _, _, ss_y, ss_yh, sign = _line_terms(pairs)
     b = sign * float(np.sqrt(ss_y / ss_yh))
-    a = float(ybar - b * yhbar)
+    a = float(pairs.y.mean() - b * pairs.yhat.mean())
     return GmfrFit(a=a, b=b)
 
 
@@ -154,10 +158,13 @@ def ac_decompose(pairs: PairedSample) -> AcDecomposition:
     if d == 0.0:
         raise ValueError("degenerate agreement denominator: all values equal")
     ssd = float(np.sum((yhat - y) ** 2))
-    fit = gmfr_fit(pairs)
-    y_fit = fit.a + fit.b * yhat
-    yhat_fit = -fit.a / fit.b + y / fit.b
-    spd_u = float(np.sum(np.abs(yhat - yhat_fit) * np.abs(y - y_fit)))
+    # With the line's slope b = sign * sd_y / sd_yh, each term
+    # |yhat - yhat_fit| * |y - y_fit| equals (dy - b * dyh)**2 / |b|. It is
+    # summed in deviations scaled to unit norm, so neither b nor 1/b is formed:
+    # either can underflow or overflow when the two spreads differ enough.
+    dy, dyh, ss_y, ss_yh, sign = _line_terms(pairs)
+    sd_y, sd_yh = float(np.sqrt(ss_y)), float(np.sqrt(ss_yh))
+    spd_u = sd_y * sd_yh * float(np.sum((dy / sd_y - sign * dyh / sd_yh) ** 2))
     return AcDecomposition(
         ac=1.0 - ssd / d,
         ac_systematic=1.0 - (ssd - spd_u) / d,

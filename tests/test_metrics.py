@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agbmap.metrics import (
@@ -361,6 +361,10 @@ def test_dr_bounded(data):
 
 @settings(max_examples=150, deadline=None)
 @given(paired)
+# Spreads about 1e162 apart: the line's slope or its inverse is not a finite
+# nonzero float.
+@example(([0.0, 7.458472914357855e-159], [0.0, 4746.0]))
+@example(([0.0, 1.0], [0.0, 7.458472914357855e-159]))
 def test_ac_identity_and_bound(data):
     y, yhat = data
     pairs = PairedSample(y=y, yhat=yhat)
