@@ -96,21 +96,19 @@ class GridSummary:
     mean: float | None
     min: float | None
     max: float | None
-    sum: float | None
 
 
 def summarize(grid: Grid) -> GridSummary:
     """Summary statistics over valid cells; None statistics when none are valid."""
     vals = grid.values[grid.mask]
     if vals.size == 0:
-        return GridSummary(n_valid=0, mean=None, min=None, max=None, sum=None)
+        return GridSummary(n_valid=0, mean=None, min=None, max=None)
     v64 = vals.astype(np.float64)
     return GridSummary(
         n_valid=int(vals.size),
         mean=float(v64.mean()),
         min=float(v64.min()),
         max=float(v64.max()),
-        sum=float(v64.sum()),
     )
 
 

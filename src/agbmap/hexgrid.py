@@ -1,11 +1,12 @@
 """Regular flat-top hexagonal tessellations for multi-scale aggregation.
 
 `spacing` is the distance between adjacent cell centroids; the circumradius is
-spacing/sqrt(3) and the cell area is (sqrt(3)/2) * spacing^2. Cell ids are
-(row, col) offset coordinates: columns step 1.5*R in x, rows step
-sqrt(3)*R in y, odd columns shifted up half a row. The tessellation is the
-Voronoi diagram of its centroids, so assignment is nearest-centroid with a
-lexicographic (row, col) tie-break.
+spacing/sqrt(3) and the cell area is (sqrt(3)/2) * spacing^2. Cells sit at
+(row, col) offset coordinates: columns step 1.5*R in x, rows step sqrt(3)*R
+in y, odd columns shifted up half a row. A cell's id is one int64, its
+row-major index in the grid's rectangle of rows and columns, so id order is
+(row, col) order. The tessellation is the Voronoi diagram of its centroids,
+so assignment is nearest-centroid with a lexicographic (row, col) tie-break.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def covering_hexgrid(points, spacing: float) -> HexGrid:
 
 
 def _nearest_cells(x, y, hexgrid: HexGrid):
-    """(rows, cols) of each point's cell by `assign`'s rule, where `x` and `y`
+    """The id of each point's cell by `assign`'s rule, where `x` and `y`
     broadcast together: point coordinates, or an x axis and a column of ys."""
     r = hexgrid.circumradius
     # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
@@ -133,12 +134,12 @@ def _nearest_cells(x, y, hexgrid: HexGrid):
         bad = tuple(np.argwhere(~inside)[0])
         px, py = (np.broadcast_to(v, row.shape)[bad] for v in (x, y))
         raise ValueError(f"point ({px}, {py}) falls outside the tessellation")
-    return row, col
+    span = hexgrid.col_max - hexgrid.col_min + 1
+    return (row - hexgrid.row_min) * span + (col - hexgrid.col_min)
 
 
 def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
-    """Assign each point (n,2 array) to its cell; returns an (n,2) array of
-    (row, col) ids.
+    """Assign each point (n,2 array) to its cell; returns (n,) int64 cell ids.
 
     Equidistant points go to the lower (row, col). Points whose nearest
     centroid falls outside the tessellation raise.
@@ -146,20 +147,19 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    return np.stack(_nearest_cells(pts[:, 0], pts[:, 1], hexgrid), axis=1)
+    return _nearest_cells(pts[:, 0], pts[:, 1], hexgrid)
 
 
 def assign_lattice(xs, ys, hexgrid: HexGrid) -> np.ndarray:
-    """The cell of every lattice center (xs[j], ys[i]): a (len(ys), len(xs), 2)
-    array of (row, col) ids, each what `assign` gives for that center. Rows
+    """The cell of every lattice center (xs[j], ys[i]): a (len(ys), len(xs))
+    int64 array of cell ids, each what `assign` gives for that center. Rows
     are assigned in blocks of about `LATTICE_BLOCK_CELLS` centers."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    ids = np.empty((ys.size, xs.size, 2), dtype=np.int64)
+    ids = np.empty((ys.size, xs.size), dtype=np.int64)
     step = max(1, LATTICE_BLOCK_CELLS // max(1, xs.size))
     for lo in range(0, ys.size, step):
-        ids[lo:lo + step] = np.stack(
-            _nearest_cells(xs, ys[lo:lo + step, None], hexgrid), axis=-1)
+        ids[lo:lo + step] = _nearest_cells(xs, ys[lo:lo + step, None], hexgrid)
     return ids
 
 
@@ -168,22 +168,19 @@ def aggregate_pairs(pairs, ids: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     members added in input order.
 
     `pairs` needs `y` and `yhat` array attributes; `ids` is the matching
-    (n, 2) array of (row, col) cell ids, as `assign` gives. Returns an
-    (n_hex, 2) float64 array of (y mean, yhat mean), one row per cell with at
-    least one member, ordered by cell id.
+    (n,) array of cell ids, as `assign` gives. Returns an (n_hex, 2) float64
+    array of (y mean, yhat mean), one row per cell with at least one member,
+    ordered by cell id.
     """
     y = np.asarray(pairs.y, dtype=np.float64)
     yhat = np.asarray(pairs.yhat, dtype=np.float64)
     ids = np.asarray(ids)
-    if ids.shape != (y.size, 2):
-        raise ValueError("ids must be an (n, 2) array matching the pairs")
+    if ids.shape != (y.size,):
+        raise ValueError("ids must be an (n,) array of cell ids matching the pairs")
     if y.size == 0:
         return np.empty((0, 2))
-    # packed (row, col) key, so dense bins run in cell-id order
-    span = hexgrid.col_max - hexgrid.col_min + 1
-    key = (ids[:, 0] - hexgrid.row_min) * span + (ids[:, 1] - hexgrid.col_min)
-    count = np.bincount(key, minlength=hexgrid.n_cells)
+    count = np.bincount(ids, minlength=hexgrid.n_cells)
     occupied = count > 0
-    sums = np.stack([np.bincount(key, weights=v, minlength=hexgrid.n_cells)
+    sums = np.stack([np.bincount(ids, weights=v, minlength=hexgrid.n_cells)
                      for v in (y, yhat)], axis=1)
     return sums[occupied] / count[occupied, None]

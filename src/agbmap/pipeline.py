@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 8
+ARTIFACT_VERSION = 9
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -640,7 +640,7 @@ def _agreement_row(scale_km, y, yhat) -> dict:
 def _stage_agree(config: PipelineConfig, out: Path) -> None:
     # per year: the values of the cells valid in both maps, then the cell
     # centers of the window bounding them (the whole grid if there are none)
-    # and their row-major indices in it
+    # and their row-major indices in it; no map outlives its year
     years = {}
     for year in sorted(config.years):
         crm, nsvb = (read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES)
@@ -650,6 +650,7 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
         xs, ys = crm.cell_centers()
         years[year] = (crm.values[joint].astype(np.float64), nsvb.values[joint].astype(np.float64),
                        xs[window[1]], ys[window[0]], np.flatnonzero(joint[window]))
+        del crm, nsvb, joint
     rows = {year: [] for year in years}
     for s_km in _compared_scales(config):
         # this scale's tessellation and cell ids per window, shared by the
@@ -664,8 +665,8 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
                                                float(s_km) * 1000.0)
                     lattices[key] = hexgrid, assign_lattice(xs, ys, hexgrid)
                 hexgrid, ids = lattices[key]
-                y, yhat = aggregate_pairs(PairedSample(y=y, yhat=yhat),
-                                          np.take(ids.reshape(-1, 2), at, axis=0), hexgrid).T
+                y, yhat = aggregate_pairs(PairedSample(y=y, yhat=yhat), ids.ravel()[at],
+                                          hexgrid).T
             rows[year].append(_agreement_row(float(s_km), y, yhat))
 
     for year in years:

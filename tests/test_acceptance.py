@@ -227,14 +227,14 @@ def test_06_hex_assignment_matches_brute_force():
         hg = make_hexgrid((0.0, 0.0, side, side), spacing)
         counts[spacing] = hg.n_cells
         got = assign(points, hg)
-        ids = np.array([(r, c) for r in range(hg.row_min, hg.row_max + 1)
-                        for c in range(hg.col_min, hg.col_max + 1)])
-        centers = np.column_stack(hg.center(ids[:, 0], ids[:, 1]))
+        # cell ids unpack to (row, col) with divmod
+        rows, cols = np.divmod(np.arange(hg.n_cells), hg.col_max - hg.col_min + 1)
+        centers = np.column_stack(hg.center(rows + hg.row_min, cols + hg.col_min))
         # nearest centroid over every cell, chunked to bound memory
         for lo in range(0, points.shape[0], 1000):
             chunk = points[lo:lo + 1000]
             d2 = ((chunk[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            nearest = ids[np.argmin(d2, axis=1)]
+            nearest = np.argmin(d2, axis=1)
             assert np.array_equal(got[lo:lo + 1000], nearest)
     # cell count follows inverse-square spacing on a fixed region
     norms = [counts[s] * s * s for s in (5_000.0, 10_000.0, 20_000.0)]

@@ -211,9 +211,9 @@ class TestMapAlgebra:
         s = summarize(g)
         assert s.n_valid == 3
         assert s.mean == pytest.approx(2.0)
-        assert s.min == 1.0 and s.max == 3.0 and s.sum == 6.0
+        assert s.min == 1.0 and s.max == 3.0
 
     def test_summarize_empty(self):
         g = make_grid([[1.0]], mask=[[False]])
         s = summarize(g)
-        assert s.n_valid == 0 and s.mean is None and s.sum is None
+        assert s.n_valid == 0 and s.mean is None and s.max is None

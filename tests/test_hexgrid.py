@@ -18,17 +18,17 @@ class Pairs:
         self.yhat = np.asarray(yhat, dtype=float)
 
 
+def unpack(ids, hg: HexGrid):
+    """(rows, cols) of cell ids."""
+    rows, cols = np.divmod(ids, hg.col_max - hg.col_min + 1)
+    return rows + hg.row_min, cols + hg.col_min
+
+
 def brute_assign(points, hg: HexGrid):
-    """Nearest centroid over every cell, lowest (row, col) on exact ties."""
-    ids = [(r, c) for r in range(hg.row_min, hg.row_max + 1)
-           for c in range(hg.col_min, hg.col_max + 1)]  # already id-sorted
-    cx = np.array([hg.center(r, c)[0] for r, c in ids])
-    cy = np.array([hg.center(r, c)[1] for r, c in ids])
-    out = []
-    for x, y in points:
-        d2 = (x - cx) ** 2 + (y - cy) ** 2
-        out.append(ids[int(np.argmin(d2))])  # argmin returns the first minimum
-    return np.array(out)
+    """Nearest centroid over every cell, lowest id on exact ties."""
+    cx, cy = hg.center(*unpack(np.arange(hg.n_cells), hg))
+    # argmin returns the first minimum
+    return np.array([int(np.argmin((x - cx) ** 2 + (y - cy) ** 2)) for x, y in points])
 
 
 class TestGeometry:
@@ -50,7 +50,7 @@ class TestGeometry:
         hg = make_hexgrid((10, 20, 5010, 4020), spacing=900.0)
         corners = np.array([[10, 20], [5010, 20], [10, 4020], [5010, 4020]], dtype=float)
         ids = assign(corners, hg)
-        assert ids.shape == (4, 2)
+        assert ids.shape == (4,)
 
     def test_bad_bbox_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestGeometry:
         assert len(ids) == hg.n_cells
         assert ids == sorted(ids)
         cx, cy = hg.center(*np.array(ids).T)
-        assert np.array_equal(assign(np.column_stack([cx, cy]), hg), np.array(ids))
+        assert np.array_equal(assign(np.column_stack([cx, cy]), hg), np.arange(hg.n_cells))
 
 
 class TestAssignment:
@@ -84,7 +84,7 @@ class TestAssignment:
         for rc in ((0, 0), (2, 3), (5, 1)):
             x, y = hg.center(*rc)
             got = assign(np.array([[x, y]]), hg)
-            assert tuple(got[0]) == rc
+            assert unpack(got[0], hg) == rc
 
     def test_exact_tie_takes_lower_id(self):
         hg = make_hexgrid((0, 0, 5000, 5000), spacing=600.0)
@@ -93,7 +93,7 @@ class TestAssignment:
         assert x0 == x1
         mid = np.array([[x0, (y0 + y1) / 2.0]])
         got = assign(mid, hg)
-        assert tuple(got[0]) == (0, 0)
+        assert unpack(got[0], hg) == (0, 0)
 
     def test_point_far_outside_rejected(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
@@ -121,7 +121,7 @@ def lattice(x0, y0, cellsize, ncols, nrows):
 def per_point(xs, ys, hg):
     """`assign` on every center (xs[j], ys[i]), shaped as a lattice."""
     x, y = np.meshgrid(xs, ys)
-    return assign(np.column_stack([x.ravel(), y.ravel()]), hg).reshape(len(ys), len(xs), 2)
+    return assign(np.column_stack([x.ravel(), y.ravel()]), hg).reshape(len(ys), len(xs))
 
 
 class TestLatticeAssignment:
@@ -135,7 +135,7 @@ class TestLatticeAssignment:
         i = int(np.flatnonzero(ys == (y_low + y_high) / 2.0)[0])
         assert (xs[0] - hg.x0) ** 2 + (ys[i] - y_low) ** 2 == \
             (xs[0] - hg.x0) ** 2 + (ys[i] - y_high) ** 2
-        assert tuple(ids[i, 0]) == (0, 0)
+        assert unpack(ids[i, 0], hg) == (0, 0)
         assert np.array_equal(ids, per_point(xs, ys, hg))
 
     def test_every_edge_midpoint_takes_lower_id(self):
@@ -149,10 +149,10 @@ class TestLatticeAssignment:
         ids = assign_lattice(xs, ys, hg)
         x, y = np.meshgrid(xs, ys)
         brute = brute_assign(np.column_stack([x.ravel(), y.ravel()]), hg)
-        assert np.array_equal(ids.reshape(-1, 2), brute)
+        assert np.array_equal(ids.ravel(), brute)
         # the midpoint of the edge between (1, 0) and the lower (0, 1) is a tie
         mid = [np.flatnonzero(ys == 1.5)[0], np.flatnonzero(xs == col_xs[1] / 2.0)[0]]
-        assert tuple(ids[mid[0], mid[1]]) == (0, 1)
+        assert unpack(ids[mid[0], mid[1]], hg) == (0, 1)
 
     def test_center_outside_rejected(self):
         hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
@@ -187,7 +187,7 @@ def test_lattice_ids_equal_per_point_assign(x0, y0, cellsize, cells_per_spacing,
     xs, ys = xs[c0:c1], ys[r0:r1]
     hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], cells_per_spacing * cellsize)
     ids = assign_lattice(xs, ys, hg)
-    assert ids.shape == (len(ys), len(xs), 2)
+    assert ids.shape == (len(ys), len(xs))
     assert np.array_equal(ids, per_point(xs, ys, hg))
 
 
@@ -219,6 +219,21 @@ class TestAggregation:
         assert aggregate_pairs(Pairs([], []), assign(np.zeros((0, 2)), hg), hg).shape == (0, 2)
 
 
+def test_ids_run_in_row_col_order_from_row_minus_one():
+    hg = make_hexgrid((0, 0, 1000, 1000), spacing=300.0)
+    assert (hg.row_min, hg.col_min) == (-1, 0)
+    # row -1's last cell comes right before row 0's first
+    locs = np.array([hg.center(0, 0), hg.center(-1, hg.col_max)])
+    ids = assign(locs, hg)
+    assert ids.dtype == np.int64 and ids.tolist() == [hg.col_max + 1, hg.col_max]
+    # so means come out in (row, col) order
+    pairs = Pairs([1.0, 2.0], [3.0, 4.0])
+    assert aggregate_pairs(pairs, ids, hg).tolist() == [[2.0, 4.0], [1.0, 3.0]]
+    # (n, 2) (row, col) ids are refused, not read as n cell ids
+    with pytest.raises(ValueError, match=r"\(n,\)"):
+        aggregate_pairs(pairs, np.array([[0, 0], [-1, hg.col_max]]), hg)
+
+
 def in_order_mean(values):
     """Members summed one by one in input order from 0.0, over their count."""
     total = 0.0
@@ -233,8 +248,8 @@ def dict_grouping(pairs, locations, hg):
     yhat = np.asarray(pairs.yhat, dtype=np.float64)
     ids = assign(np.asarray(locations, dtype=np.float64), hg)
     groups = {}
-    for i, (row, col) in enumerate(ids):
-        groups.setdefault((int(row), int(col)), []).append(i)
+    for i, hex_id in enumerate(ids.tolist()):
+        groups.setdefault(hex_id, []).append(i)
     return [(hex_id, len(members), in_order_mean(y[members]), in_order_mean(yhat[members]))
             for hex_id, members in sorted(groups.items())]
 
@@ -275,9 +290,7 @@ def test_equals_block_fed_add_at_accumulator():
     locs = np.column_stack([cx, cy]) + rng.uniform(-500.0, 500.0, (n, 2))
     # float64 values with full mantissas, so summation order shows in the ulps
     pairs = Pairs(rng.gamma(2.0, 50.0, n) / 3.0, rng.normal(100.0, 40.0, n) / 7.0)
-    ids = assign(locs, hg)
-    span = hg.col_max - hg.col_min + 1
-    key = (ids[:, 0] - hg.row_min) * span + (ids[:, 1] - hg.col_min)
+    key = assign(locs, hg)
     count = np.zeros(hg.n_cells, dtype=np.int64)
     sums = np.zeros((hg.n_cells, 2))
     bounds = [0, 1, 700, 2501, n]
@@ -291,4 +304,4 @@ def test_equals_block_fed_add_at_accumulator():
     assert any(pairs.y[key == k].mean() != sums[k, 0] / count[k]
                for k in np.flatnonzero(occupied))
     expected = sums[occupied] / count[occupied, None]
-    assert aggregate_pairs(pairs, assign(locs, hg), hg).tolist() == expected.tolist()
+    assert aggregate_pairs(pairs, key, hg).tolist() == expected.tolist()
