@@ -21,6 +21,9 @@ from .tables import number, read_table
 # fixed carbon fraction of aboveground biomass under the component-ratio method
 CRM_CARBON_FRACTION = 0.5
 
+# the most jointly valid cells rescale_fit samples
+RESCALE_SAMPLE_CELLS = 1_000_000
+
 DESIGN_ESTIMATOR_NOTE = (
     "design-based totals are simple expansions (mean plot density times region "
     "area) without post-stratification"
@@ -124,14 +127,14 @@ class RescaleFit:
 
 
 def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
-                n_sample: int = 1_000_000, train_frac: float = 0.8,
-                seed=0) -> RescaleFit:
+                train_frac: float = 0.8, seed=0) -> RescaleFit:
     """OLS fit target ~ intercept + source + elevation on sampled cells.
 
-    Draws up to n_sample jointly valid cells without replacement (all of them
-    when fewer exist), splits train/test by train_frac, and solves the normal
-    equations with `np.linalg.solve` after a condition check: a reciprocal
-    2-norm condition number below 1e-10 on the normal matrix raises.
+    Draws up to RESCALE_SAMPLE_CELLS jointly valid cells without replacement
+    (all of them when fewer exist), splits train/test by train_frac, and
+    solves the normal equations with `np.linalg.solve` after a condition
+    check: a reciprocal 2-norm condition number below 1e-10 on the normal
+    matrix raises.
     train_frac=1 leaves the test metrics absent.
     """
     if not (target_grid.aligned_with(source_grid) and target_grid.aligned_with(elevation_grid)):
@@ -143,19 +146,20 @@ def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
     if flat.size < 3:
         raise ValueError("need at least 3 jointly valid cells")
     rng = np.random.default_rng(seed)
-    if flat.size > n_sample:
-        take = rng.choice(flat.size, size=n_sample, replace=False)
+    if flat.size > RESCALE_SAMPLE_CELLS:
+        take = rng.choice(flat.size, size=RESCALE_SAMPLE_CELLS, replace=False)
     else:
         take = rng.permutation(flat.size)
     chosen = flat[take]
-    tgt = target_grid.values.ravel()[chosen].astype(np.float64)
-    src = source_grid.values.ravel()[chosen].astype(np.float64)
-    elev = elevation_grid.values.ravel()[chosen].astype(np.float64)
+    del flat, take
     n = chosen.size
     n_train = int(round(train_frac * n))
     n_train = min(max(n_train, 3), n)
 
-    A = np.column_stack([np.ones(n), src, elev])
+    tgt = target_grid.values.ravel()[chosen].astype(np.float64)
+    A = np.ones((n, 3))  # the design matrix, filled from the sampled cells
+    A[:, 1] = source_grid.values.ravel()[chosen]
+    A[:, 2] = elevation_grid.values.ravel()[chosen]
     At = A[:n_train]
     yt = tgt[:n_train]
     G = At.T @ At

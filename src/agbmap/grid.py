@@ -23,6 +23,16 @@ class GridFormatError(ValueError):
 # the fields two grids share when they are aligned
 GEOMETRY = ("ncols", "nrows", "x_origin", "y_origin", "cellsize")
 
+# cells of a row block: code that works through a raster in blocks of whole rows
+# (predict_grid, assign_lattice, synth's fields and layers) keeps each block's
+# temporaries this small
+ROW_BLOCK_CELLS = 1 << 15
+
+
+def block_rows(ncols: int) -> int:
+    """Rows of a row block on a raster of `ncols` columns: at least one."""
+    return max(1, ROW_BLOCK_CELLS // max(1, ncols))
+
 
 @dataclass
 class Grid:
@@ -100,15 +110,14 @@ class GridSummary:
 
 def summarize(grid: Grid) -> GridSummary:
     """Summary statistics over valid cells; None statistics when none are valid."""
-    vals = grid.values[grid.mask]
+    vals = grid.values[grid.mask].astype(np.float64)
     if vals.size == 0:
         return GridSummary(n_valid=0, mean=None, min=None, max=None)
-    v64 = vals.astype(np.float64)
     return GridSummary(
         n_valid=int(vals.size),
-        mean=float(v64.mean()),
-        min=float(v64.min()),
-        max=float(v64.max()),
+        mean=float(vals.mean()),
+        min=float(vals.min()),
+        max=float(vals.max()),
     )
 
 
@@ -125,19 +134,19 @@ def percent_rank(grid: Grid) -> Grid:
     Ties take the minimum rank, so a grid of identical values maps to all
     zeros. Needs at least two valid cells.
     """
-    vals = grid.values[grid.mask].astype(np.float64)
+    vals = grid.values[grid.mask]
     n = vals.size
     if n < 2:
         raise ValueError("percent_rank needs at least two valid cells")
     order = np.argsort(vals)
     ordered, smaller = vals[order], np.empty(n, dtype=np.int64)
+    del vals
     # minimum rank for ties: 1 + the number of strictly smaller values, which is
     # where the value's run of equal values starts in sorted order (any sort kind)
-    starts = np.r_[True, ordered[1:] != ordered[:-1]]
-    smaller[order] = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    pct = 100.0 * smaller / (n - 1)
+    smaller[order] = np.searchsorted(ordered, ordered)
+    del order, ordered
     values = np.zeros(grid.values.shape, dtype=np.float32)
-    values[grid.mask] = pct
+    values[grid.mask] = 100.0 * smaller / (n - 1)
     return grid.with_values(values, grid.mask, units="percent")
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import block_rows
+
 SQRT3 = math.sqrt(3.0)
-# centers per block of `assign_lattice`: its temporaries (~60 B each) stay in cache
-LATTICE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -152,12 +152,12 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
 
 def assign_lattice(xs, ys, hexgrid: HexGrid) -> np.ndarray:
     """The cell of every lattice center (xs[j], ys[i]): a (len(ys), len(xs))
-    int64 array of cell ids, each what `assign` gives for that center. Rows
-    are assigned in blocks of about `LATTICE_BLOCK_CELLS` centers."""
+    int64 array of cell ids, each what `assign` gives for that center,
+    assigned a row block (`grid.block_rows`) at a time."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     ids = np.empty((ys.size, xs.size), dtype=np.int64)
-    step = max(1, LATTICE_BLOCK_CELLS // max(1, xs.size))
+    step = block_rows(xs.size)
     for lo in range(0, ys.size, step):
         ids[lo:lo + step] = _nearest_cells(xs, ys[lo:lo + step, None], hexgrid)
     return ids

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, finite_number
+from .grid import Grid, block_rows, finite_number
 from .metrics import PairedSample, error_metrics
 
 MODEL_FORMAT_VERSION = 3
@@ -39,7 +39,6 @@ MODEL_FORMAT_VERSION = 3
 # level (candidates = this // 8 // rows of the widest node: passes that stay in cache)
 _CHUNK_ENTRIES = 65_536
 _GROUP_TREES = 128  # bagged trees per grower call: bounds its (trees, rows) arrays
-_BLOCK_CELLS = 1 << 15  # cells of a row block of predict_grid: bounds its design matrix
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -683,7 +682,7 @@ def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
     if np.shape(domain) != first.values.shape:
         raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
     mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
-    values, step = np.zeros(mask.shape, dtype=np.float32), max(1, _BLOCK_CELLS // first.ncols)
+    values, step = np.zeros(mask.shape, dtype=np.float32), block_rows(first.ncols)
     for rows in (slice(r, r + step) for r in range(0, first.nrows, step)):  # no whole-domain X
         if (m := mask[rows]).any():
             values[rows][m] = model.predict(np.stack([g.values[rows][m] for g in grids], axis=1))

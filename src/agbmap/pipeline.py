@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 9
+ARTIFACT_VERSION = 10
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -254,15 +254,9 @@ def validate(config: PipelineConfig) -> list[str]:
     except (ConfigError, ValueError) as e:
         findings.append(f"learner grid: {e}")
 
-    name_sets = {year: set(inputs.predictors) for year, inputs in config.years.items()}
-    reference = None
-    for year in sorted(name_sets):
-        if reference is None:
-            reference = name_sets[year]
-        elif name_sets[year] != reference:
-            findings.append("predictor layer names differ between years; one model "
-                            "must apply to every year")
-            break
+    if len({frozenset(inputs.predictors) for inputs in config.years.values()}) > 1:
+        findings.append("predictor layer names differ between years; one model "
+                        "must apply to every year")
 
     # headers and file sizes only: a stage checks the cells of a layer it reads
     def geometry(path):
@@ -560,6 +554,7 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
             raise PipelineError(f"landcover for {year} is not aligned with its predictors")
         # the mapped domain: cells of a known landcover class that is not removed
         domain = lc.mask & ~np.isin(lc.values, removed)
+        del lc
         for allometry, model in models.items():
             agb = predict_grid(model, layers, domain)
             summary = summarize(agb)
@@ -569,8 +564,9 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
                     "the 2 it needs; check removed_landcover_classes against the landcover classes")
             write_grid(agb, _map_path(config, "agb", year, allometry))
             write_grid(percent_rank(agb), _map_path(config, "pctrank", year, allometry))
+            del agb  # before the next map is predicted
             map_summaries[f"{year}_{allometry}"] = asdict(summary)
-        del layers, lc, domain, agb  # before the next year's rasters are read
+        del layers, domain  # before the next year's rasters are read
     _write_json(out / "summary.json", {"maps": map_summaries})
 
 
@@ -671,8 +667,6 @@ def _stage_agree(config: PipelineConfig, out: Path) -> None:
 
     for year in years:
         write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows[year])
-    _write_json(out / "summary.json", {
-        str(year): {"n_joint_cells": int(y.size)} for year, (y, *_) in years.items()})
 
 
 @_stage("predict")
@@ -688,8 +682,9 @@ def _stage_diff(config: PipelineConfig, out: Path) -> None:
     for year in years:
         agb[year] = {a: read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES}
         emit(f"agb_diff_{year}", difference(agb[year]["NSVB"], agb[year]["CRM"]))
-        ranks = {a: read_grid(_map_path(config, "pctrank", year, a)) for a in ALLOMETRIES}
-        emit(f"pctrank_diff_{year}", difference(ranks["NSVB"], ranks["CRM"]))
+        # the rank maps live only while they are differenced
+        emit(f"pctrank_diff_{year}", difference(
+            *(read_grid(_map_path(config, "pctrank", year, a)) for a in ("NSVB", "CRM"))))
 
     if len(years) >= 2:
         changes = {a: difference(agb[years[-1]][a], agb[years[0]][a]) for a in ALLOMETRIES}

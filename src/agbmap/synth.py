@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .carbon import CARBON_FRACTION_COLUMNS
-from .grid import Grid, finite_number, write_grid
+from .grid import Grid, block_rows, finite_number, write_grid
 from .inventory import PLOT_AREA_HA, PLOT_COLUMNS, TREE_COLUMNS
 from .learners import _by_chunks
 from .tables import write_table
@@ -37,20 +37,12 @@ RESCALE_INTERCEPT = 9.555
 RESCALE_SLOPE_SOURCE = 1.135
 RESCALE_SLOPE_ELEV = -0.023
 
-# Fields and predictor layers are built in bands of whole rows of about this
-# many cells, so their float64 temporaries stay small; every value is computed
-# per cell, so a cell gets the same bits in any band.
-_BAND_CELLS = 1 << 15
-
-
-def _band_rows(ncols: int) -> int:
-    return max(1, _BAND_CELLS // ncols)
-
 
 def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
     """Sum of random plane waves over the cell centers (xs west to east, ys
     north to south), standardized to zero mean and unit spread. The waves are
-    drawn first, then summed in bands of rows spread over the worker threads."""
+    drawn first, then summed in row blocks spread over the worker threads; each
+    value is computed per cell, so a cell gets the same bits in any block."""
     waves = []
     for _ in range(n_waves):
         wl = rng.uniform(*wavelengths)
@@ -67,7 +59,7 @@ def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
             f += amplitude * np.sin(k * (cos * xs + sin * y) + phase)
         return f.ravel()
 
-    f = _by_chunks(len(ys) * ncols, _band_rows(ncols) * ncols, band, {}).reshape(len(ys), ncols)
+    f = _by_chunks(len(ys) * ncols, block_rows(ncols) * ncols, band, {}).reshape(len(ys), ncols)
     f -= f.mean()
     sd = f.std()
     if sd > 0:
@@ -100,7 +92,7 @@ def _predictors(rng, agb, elev, xs, ys):
     """The six layers in PREDICTOR_NAMES order, one at a time, as float32: three
     informative, one weakly informative, two nuisance. Each layer's noise is
     drawn band by band, which continues the generator's stream as one draw would."""
-    step = _band_rows(len(xs))
+    step = block_rows(len(xs))
 
     def noisy(signal, sd):
         layer = np.empty(agb.shape, dtype=np.float32)

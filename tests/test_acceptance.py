@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from agbmap import carbon
 from agbmap import (
     Grid, PairedSample, PipelineConfig, StockEstimate, ac_decompose,
     agb_to_agc, assign, basic_metrics, fit_stack, ks_statistic, make_hexgrid,
@@ -243,7 +244,8 @@ def test_06_hex_assignment_matches_brute_force():
             assert abs(a / b - 1.0) <= 0.2
 
 
-def test_07_rescale_regression_recovers_known_coefficients():
+def test_07_rescale_regression_recovers_known_coefficients(monkeypatch):
+    monkeypatch.setattr(carbon, "RESCALE_SAMPLE_CELLS", 100_000)
     start = time.perf_counter()
     rng = np.random.default_rng(20260822)
     nrows = ncols = 400
@@ -259,8 +261,7 @@ def test_07_rescale_regression_recovers_known_coefficients():
                     values=v.astype(np.float32))
 
     fit = rescale_fit(as_grid(tgt, "Mg/ha"), as_grid(src, "Mg/ha"),
-                      as_grid(elev, "m"), n_sample=100_000, train_frac=0.8,
-                      seed=4)
+                      as_grid(elev, "m"), train_frac=0.8, seed=4)
     elapsed = time.perf_counter() - start
     assert rel_err(fit.intercept, 9.555) <= 0.02
     assert rel_err(fit.coef_source, 1.135) <= 0.02

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from agbmap import carbon
 from agbmap.carbon import (
     CRM_CARBON_FRACTION, CarbonFractionRow, StockEstimate, agb_to_agc,
     design_stock, load_carbon_fractions, model_stock, rescale_fit,
@@ -10,6 +11,7 @@ from agbmap.carbon import (
 )
 from agbmap.grid import Grid, summarize
 from agbmap.inventory import PlotRecord
+from agbmap.metrics import PairedSample, error_metrics
 
 
 def grid_100m(values, mask=None):
@@ -155,9 +157,10 @@ def synthetic_rescale_grids(n=120, noise=0.0, seed=0):
 
 
 class TestRescaleFit:
-    def test_recovers_linear_coefficients(self):
+    def test_recovers_linear_coefficients(self, monkeypatch):
         tgt, src, elev = synthetic_rescale_grids(noise=2.0)
-        fit = rescale_fit(tgt, src, elev, n_sample=10_000, seed=1)
+        monkeypatch.setattr(carbon, "RESCALE_SAMPLE_CELLS", 10_000)
+        fit = rescale_fit(tgt, src, elev, seed=1)
         assert fit.intercept == pytest.approx(9.555, rel=0.05)
         assert fit.coef_source == pytest.approx(1.135, rel=0.01)
         assert fit.coef_elevation == pytest.approx(-0.023, rel=0.05)
@@ -167,27 +170,28 @@ class TestRescaleFit:
 
     def test_noiseless_full_train_has_no_test_metrics(self):
         tgt, src, elev = synthetic_rescale_grids(n=20, noise=0.0)
-        fit = rescale_fit(tgt, src, elev, n_sample=400, train_frac=1.0, seed=0)
+        fit = rescale_fit(tgt, src, elev, train_frac=1.0, seed=0)
         # float32 storage limits exactness; coefficients still pin down tightly
         assert fit.coef_source == pytest.approx(1.135, rel=1e-3)
         assert fit.n_test == 0
         assert fit.test_rmse is None and fit.test_r2 is None
 
-    def test_seeded_sampling_is_deterministic(self):
+    def test_seeded_sampling_is_deterministic(self, monkeypatch):
         tgt, src, elev = synthetic_rescale_grids(n=40, noise=5.0)
-        a = rescale_fit(tgt, src, elev, n_sample=500, seed=7)
-        b = rescale_fit(tgt, src, elev, n_sample=500, seed=7)
+        monkeypatch.setattr(carbon, "RESCALE_SAMPLE_CELLS", 500)
+        a = rescale_fit(tgt, src, elev, seed=7)
+        b = rescale_fit(tgt, src, elev, seed=7)
         assert (a.intercept, a.coef_source, a.test_rmse) == \
                (b.intercept, b.coef_source, b.test_rmse)
 
     def test_test_metrics_match_plain_loops_over_held_out_cells(self):
-        # a grid smaller than n_sample: every joint cell is drawn, in the order
+        # a grid smaller than the sample cap: every joint cell is drawn, in the order
         # of one seeded permutation, and the last fifth is held out
         tgt, src, elev = synthetic_rescale_grids(n=12, noise=3.0)
         mask = np.ones((12, 12), dtype=bool)
         mask[2:4, 5:9] = False
         tgt = tgt.with_values(tgt.values.copy(), mask=mask)
-        fit = rescale_fit(tgt, src, elev, n_sample=1000, train_frac=0.8, seed=5)
+        fit = rescale_fit(tgt, src, elev, train_frac=0.8, seed=5)
         flat = np.nonzero(mask.ravel())[0]
         chosen = flat[np.random.default_rng(5).permutation(flat.size)]
         n_train = int(round(0.8 * flat.size))
@@ -207,6 +211,30 @@ class TestRescaleFit:
         assert fit.test_r2 == pytest.approx(
             1 - ss_res / sum((v - ybar) ** 2 for v in ys), rel=1e-9)
 
+    @pytest.mark.parametrize("cap", [500, 10_000])  # a sample, and every joint cell
+    def test_fit_is_column_stack_and_normal_equations_bit_for_bit(self, monkeypatch, cap):
+        # the reference formulation on the same seeded sample of joint cells
+        tgt, src, elev = synthetic_rescale_grids(n=40, noise=5.0)
+        mask = np.ones((40, 40), dtype=bool)
+        mask[5:9, 10:30] = False
+        tgt = tgt.with_values(tgt.values.copy(), mask=mask)
+        monkeypatch.setattr(carbon, "RESCALE_SAMPLE_CELLS", cap)
+        fit = rescale_fit(tgt, src, elev, train_frac=0.8, seed=3)
+        flat = np.nonzero(mask.ravel())[0]
+        rng = np.random.default_rng(3)
+        chosen = flat[rng.choice(flat.size, size=cap, replace=False) if flat.size > cap
+                      else rng.permutation(flat.size)]
+        y, x_src, x_elev = (g.values.ravel()[chosen].astype(np.float64) for g in (tgt, src, elev))
+        A = np.column_stack([np.ones(chosen.size), x_src, x_elev])
+        n_train = int(round(0.8 * chosen.size))
+        At = A[:n_train]
+        beta = np.linalg.solve(At.T @ At, At.T @ y[:n_train])
+        test = error_metrics(PairedSample(y=y[n_train:], yhat=A[n_train:] @ beta))
+        assert (fit.intercept, fit.coef_source, fit.coef_elevation) == tuple(beta.tolist())
+        assert (fit.n_train, fit.n_test) == (n_train, chosen.size - n_train)
+        assert (fit.test_rmse, fit.test_mae, fit.test_me, fit.test_r2) == \
+            (test.rmse, test.mae, test.me, test.r2)
+
     def test_masked_cells_excluded(self):
         tgt, src, elev = synthetic_rescale_grids(n=30, noise=0.0)
         # corrupt a block of the target but mask it out; fit must not notice
@@ -215,7 +243,7 @@ class TestRescaleFit:
         mask = np.ones((30, 30), dtype=bool)
         mask[:10, :10] = False
         tgt2 = tgt.with_values(vals, mask=mask)
-        fit = rescale_fit(tgt2, src, elev, n_sample=800, seed=0)
+        fit = rescale_fit(tgt2, src, elev, seed=0)
         assert fit.coef_source == pytest.approx(1.135, rel=1e-3)
         assert fit.n_train + fit.n_test == 800
 
@@ -223,7 +251,7 @@ class TestRescaleFit:
         tgt, src, _ = synthetic_rescale_grids(n=20, noise=1.0)
         const = src.with_values(np.full((20, 20), 7.0, dtype=np.float32))
         with pytest.raises(ValueError, match="condition"):
-            rescale_fit(tgt, src, const, n_sample=400, seed=0)
+            rescale_fit(tgt, src, const, seed=0)
 
     def test_misaligned_rejected(self):
         tgt, src, elev = synthetic_rescale_grids(n=20)

@@ -186,7 +186,8 @@ class TestMapAlgebra:
         vals = pr.values[pr.mask]
         assert vals.min() == 0.0 and vals.max() == 100.0
 
-    @pytest.mark.parametrize("case", ["tie-heavy", "one distinct value", "two valid cells"])
+    @pytest.mark.parametrize("case", ["tie-heavy", "one distinct value", "two valid cells",
+                                      "signed zeros"])
     def test_percent_rank_matches_sort_and_binary_search(self, case):
         # the minimum rank of each value as a binary search of the sorted
         # values finds it: 1 + the number of strictly smaller values
@@ -196,6 +197,9 @@ class TestMapAlgebra:
         elif case == "one distinct value":
             values, mask = np.full((300, 300), 2.5), np.ones((300, 300), dtype=bool)
             values[123, 45] = -1.0
+        elif case == "signed zeros":  # -0.0 == 0.0: one run of ties
+            values = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(40, 50))
+            mask = rng.random((40, 50)) > 0.2
         else:
             values, mask = rng.normal(size=(3, 4)), np.zeros((3, 4), dtype=bool)
             mask[0, 3] = mask[2, 1] = True

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agbmap import hexgrid
+from agbmap import grid
 from agbmap.hexgrid import (
     HexGrid, aggregate_pairs, assign, assign_lattice, covering_hexgrid, make_hexgrid,
 )
@@ -163,7 +163,7 @@ class TestLatticeAssignment:
         xs, ys = lattice(-3e4, 2e4, 30.0, 50, 90)
         hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], 700.0)
         whole = assign_lattice(xs, ys, hg)
-        monkeypatch.setattr(hexgrid, "LATTICE_BLOCK_CELLS", 7 * len(xs))
+        monkeypatch.setattr(grid, "ROW_BLOCK_CELLS", 7 * len(xs))
         assert np.array_equal(assign_lattice(xs, ys, hg), whole)
         assert np.array_equal(whole, per_point(xs, ys, hg))
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from agbmap import learners
+from agbmap import grid as grid_mod, learners
 from agbmap.grid import Grid
 from agbmap.learners import (
     DEFAULT_GRIDS, EnsembleModel, KnnModel, LearnerSpec, StackFit,
@@ -1326,7 +1326,7 @@ class TestPredictGrid:
         # 11 rows of 3 cells: 7 cells make blocks of 2 rows and a 1-row tail
         layers, domain = self.layers((11, 3))
         default = predict_grid(self.ens, layers, domain)
-        monkeypatch.setattr(learners, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(grid_mod, "ROW_BLOCK_CELLS", block_cells)
         out = predict_grid(self.ens, layers, domain)
         assert np.array_equal(out.mask, default.mask) and default.mask.sum() > 20
         assert np.array_equal(out.values, default.values)
@@ -1351,7 +1351,7 @@ class TestPredictGrid:
     def test_no_model_predict_takes_more_than_a_block(self, monkeypatch):
         # a design matrix over the whole domain would be one call of every cell
         layers, domain = self.layers((30, 13))
-        monkeypatch.setattr(learners, "_BLOCK_CELLS", 64)  # 4 rows of 13 cells
+        monkeypatch.setattr(grid_mod, "ROW_BLOCK_CELLS", 64)  # 4 rows of 13 cells
         rows, predict = [], EnsembleModel.predict
 
         def spy(model, X):
@@ -1360,7 +1360,7 @@ class TestPredictGrid:
 
         monkeypatch.setattr(EnsembleModel, "predict", spy)
         out = predict_grid(self.ens, layers, domain)
-        assert len(rows) == 8 and max(rows) <= learners._BLOCK_CELLS
+        assert len(rows) == 8 and max(rows) <= grid_mod.ROW_BLOCK_CELLS
         assert sum(rows) == out.mask.sum()
 
 
