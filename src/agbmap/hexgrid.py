@@ -93,9 +93,19 @@ def covering_hexgrid(points, spacing: float) -> HexGrid:
     return make_hexgrid((xmin, ymin, xmax, ymax), spacing)
 
 
+def _refuse_outside(inside, x, y) -> None:
+    """Raise naming the first point, of `x` and `y` broadcast together, where
+    `inside` is False."""
+    if not np.all(inside):
+        bad = tuple(np.argwhere(~inside)[0])
+        px, py = (np.broadcast_to(v, inside.shape)[bad] for v in (x, y))
+        raise ValueError(f"point ({px}, {py}) falls outside the tessellation")
+
+
 def _nearest_cells(x, y, hexgrid: HexGrid):
     """The id of each point's cell by `assign`'s rule, where `x` and `y`
     broadcast together: point coordinates, or an x axis and a column of ys."""
+    _refuse_outside(np.isfinite(x) & np.isfinite(y), x, y)  # before the int casts
     r = hexgrid.circumradius
     # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
     # column floor(u) or floor(u) + 1, one of each parity; within a column a
@@ -115,10 +125,8 @@ def _nearest_cells(x, y, hexgrid: HexGrid):
 
     nearest = np.minimum(np.minimum(d2[0], d2[1]), np.minimum(d2[2], d2[3]))
     hits = [d == nearest for d in d2]
-    # the first candidate at the nearest distance; a point with a nan
-    # coordinate has none and stays outside the tessellation
-    row = np.select(hits, rows, default=hexgrid.row_min - 1)
-    col = np.select(hits, cols, default=hexgrid.col_min)
+    row = np.select(hits, rows)  # the first candidate at the nearest distance
+    col = np.select(hits, cols)
     # among exact-distance ties, the lowest (row, col) wins
     tied = np.nonzero(sum(hit.view(np.uint8) for hit in hits) > 1)
     if tied[0].size:
@@ -128,12 +136,8 @@ def _nearest_cells(x, y, hexgrid: HexGrid):
                                  | ((cand_row == row[tied]) & (cand_col < col[tied])))
             row[tied], col[tied] = np.where(lower, (cand_row, cand_col), (row[tied], col[tied]))
 
-    inside = ((row >= hexgrid.row_min) & (row <= hexgrid.row_max)
-              & (col >= hexgrid.col_min) & (col <= hexgrid.col_max))
-    if not np.all(inside):
-        bad = tuple(np.argwhere(~inside)[0])
-        px, py = (np.broadcast_to(v, row.shape)[bad] for v in (x, y))
-        raise ValueError(f"point ({px}, {py}) falls outside the tessellation")
+    _refuse_outside((row >= hexgrid.row_min) & (row <= hexgrid.row_max)
+                    & (col >= hexgrid.col_min) & (col <= hexgrid.col_max), x, y)
     span = hexgrid.col_max - hexgrid.col_min + 1
     return (row - hexgrid.row_min) * span + (col - hexgrid.col_min)
 

@@ -4,7 +4,9 @@ Error conventions: the residual is reference minus prediction (positive mean
 error means underprediction). Percent metrics rescale by the mean of the
 model-training reference values so they stay comparable across aggregation
 scales. R-squared is computed against the reference mean of the compared
-sample and may be negative; no clamping.
+sample and may be negative; no clamping. Before any square, deviations are
+scaled by a power of two to below 2 in magnitude, and results are scaled back:
+exact for normal values, and no square overflows.
 """
 
 from __future__ import annotations
@@ -72,21 +74,33 @@ class AcDecomposition:
     ac: float
     ac_systematic: float
     ac_unsystematic: float
-    ssd: float
-    spd_u: float
-    d: float
+
+
+def _exponent(*arrays) -> int:
+    """The least k with every |value| of `arrays` below 2**k; 0 when all are 0."""
+    return int(np.frexp(max(max(a.max(), -a.min()) for a in arrays))[1])
+
+
+def _scaled(a: np.ndarray, k: int) -> np.ndarray:
+    """`a` times 2**-k, in place; exact while its values stay normal."""
+    return np.ldexp(a, -k, out=a)
 
 
 def error_metrics(pairs: PairedSample) -> MetricsReport:
     """n, RMSE, MAE, ME and R2; R2 is None when the reference has no variance."""
     e = pairs.y - pairs.yhat
-    ss_tot = float(np.sum((pairs.y - pairs.y.mean()) ** 2))
+    mae, me = float(np.mean(np.abs(e))), float(np.mean(e))
+    k_e = _exponent(e)
+    ss_res = float(np.sum(_scaled(e, k_e) ** 2))  # times 2**(-2 * k_e)
+    dy = pairs.y - pairs.y.mean()
+    k_y = _exponent(dy)
+    ss_tot = float(np.sum(_scaled(dy, k_y) ** 2))  # times 2**(-2 * k_y)
     return MetricsReport(
         n=pairs.n,
-        rmse=float(np.sqrt(np.mean(e ** 2))),
-        mae=float(np.mean(np.abs(e))),
-        me=float(np.mean(e)),
-        r2=None if ss_tot == 0.0 else float(1.0 - np.sum(e ** 2) / ss_tot),
+        rmse=float(np.ldexp(np.sqrt(ss_res / pairs.n), k_e)),
+        mae=mae,
+        me=me,
+        r2=None if ss_tot == 0.0 else float(1.0 - np.ldexp(ss_res / ss_tot, 2 * (k_e - k_y))),
     )
 
 
@@ -121,22 +135,24 @@ def willmott_dr(pairs: PairedSample) -> float | None:
 
 
 def _line_terms(pairs: PairedSample):
-    """Deviations from the means, their sums of squares and the sign of the
-    covariance: (dy, dyh, ss_y, ss_yh, sign). Both variables need variance."""
+    """Deviations from the means, each scaled by its own 2**-k, the two k, the
+    scaled sums of squares and the sign of the covariance: (dy, dyh, k_y, k_yh,
+    ss_y, ss_yh, sign). Both variables need variance."""
     dy = pairs.y - pairs.y.mean()
     dyh = pairs.yhat - pairs.yhat.mean()
-    ss_y = float(np.sum(dy ** 2))
-    ss_yh = float(np.sum(dyh ** 2))
+    k_y, k_yh = _exponent(dy), _exponent(dyh)
+    ss_y = float(np.sum(_scaled(dy, k_y) ** 2))
+    ss_yh = float(np.sum(_scaled(dyh, k_yh) ** 2))
     if ss_y == 0.0 or ss_yh == 0.0:
         raise ValueError("functional-line fit needs variance in both variables")
     sign = -1.0 if float(np.sum(dy * dyh)) < 0 else 1.0
-    return dy, dyh, ss_y, ss_yh, sign
+    return dy, dyh, k_y, k_yh, ss_y, ss_yh, sign
 
 
 def gmfr_fit(pairs: PairedSample) -> GmfrFit:
     """Fit the symmetric functional line; both variables need variance."""
-    _, _, ss_y, ss_yh, sign = _line_terms(pairs)
-    b = sign * float(np.sqrt(ss_y / ss_yh))
+    _, _, k_y, k_yh, ss_y, ss_yh, sign = _line_terms(pairs)
+    b = sign * float(np.ldexp(np.sqrt(ss_y / ss_yh), k_y - k_yh))
     a = float(pairs.y.mean() - b * pairs.yhat.mean())
     return GmfrFit(a=a, b=b)
 
@@ -153,25 +169,26 @@ def ac_decompose(pairs: PairedSample) -> AcDecomposition:
     yhat = pairs.yhat
     ybar = y.mean()
     yhbar = yhat.mean()
-    m = abs(yhbar - ybar)
-    d = float(np.sum((m + np.abs(yhat - yhbar)) * (m + np.abs(y - ybar))))
+    # D, SSD and SPDu are summed times 2**(-2 * k), every value below 2**k
+    k = _exponent(y, yhat)
+    m = np.ldexp(abs(yhbar - ybar), -k)
+    d = float(np.sum((m + _scaled(np.abs(yhat - yhbar), k))
+                     * (m + _scaled(np.abs(y - ybar), k))))
     if d == 0.0:
         raise ValueError("degenerate agreement denominator: all values equal")
-    ssd = float(np.sum((yhat - y) ** 2))
+    ssd = float(np.sum(_scaled(yhat - y, k) ** 2))
     # With the line's slope b = sign * sd_y / sd_yh, each term
     # |yhat - yhat_fit| * |y - y_fit| equals (dy - b * dyh)**2 / |b|. It is
     # summed in deviations scaled to unit norm, so neither b nor 1/b is formed:
     # either can underflow or overflow when the two spreads differ enough.
-    dy, dyh, ss_y, ss_yh, sign = _line_terms(pairs)
+    dy, dyh, k_y, k_yh, ss_y, ss_yh, sign = _line_terms(pairs)
     sd_y, sd_yh = float(np.sqrt(ss_y)), float(np.sqrt(ss_yh))
-    spd_u = sd_y * sd_yh * float(np.sum((dy / sd_y - sign * dyh / sd_yh) ** 2))
+    spd_u = float(np.ldexp(sd_y * sd_yh * np.sum((dy / sd_y - sign * dyh / sd_yh) ** 2),
+                           k_y + k_yh - 2 * k))
     return AcDecomposition(
         ac=1.0 - ssd / d,
         ac_systematic=1.0 - (ssd - spd_u) / d,
         ac_unsystematic=1.0 - spd_u / d,
-        ssd=ssd,
-        spd_u=spd_u,
-        d=d,
     )
 
 

@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 10
+ARTIFACT_VERSION = 11
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -606,7 +606,6 @@ def _stage_assess(config: PipelineConfig, out: Path) -> None:
         write_table(out / f"pairs_{allometry}.csv",
                     ["plot_id", "x_m", "y_m", "inventory_year", "y", "yhat"], pair_rows)
         summary[allometry] = {
-            "n_pairs": len(inside),
             "n_outside_mapped_area": len(assessment) - len(inside),
             "ks_reference_vs_predicted": ks_statistic(ys, yhats),
             "plot_to_pixel": asdict(reports[0]),
@@ -850,13 +849,7 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
 
 # -- report rendering -----------------------------------------------------
 
-def _fmt_num(v, places=2) -> str:
-    if v is None or v == "":
-        return "-"
-    return f"{float(v):.{places}f}"
-
-
-def _cell_text(v, name, places) -> str:
+def _cell_text(v, name="", places=2) -> str:
     if v is None or v == "":
         return "-"
     if isinstance(v, str):
@@ -866,7 +859,7 @@ def _cell_text(v, name, places) -> str:
             return v  # textual label, e.g. a year span or a basis name
     if name in ("n", "year", "n_train", "n_test", "scale_km") and v == int(v):
         return str(int(v))
-    return _fmt_num(v, places)
+    return f"{float(v):.{places}f}"
 
 
 def _render_table(title, fieldnames, rows, places=2) -> list[str]:
@@ -881,6 +874,45 @@ def _render_table(title, fieldnames, rows, places=2) -> list[str]:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return lines
+
+
+def _table_section(title, columns, places=2, note=None):
+    """The section of a recorded table: its `columns` under `title`, each cell
+    formatted from its text, then `note` if given. `{}` in the title takes the
+    last `_` part of the file name."""
+    def render(path) -> list[str]:
+        rows = read_table(path, path.stem, dict.fromkeys(columns, str))
+        lines = _render_table(title.format(path.stem.split("_")[-1]), columns, rows, places)
+        return lines + (["", f"note: {note}"] if note else [])
+    return render
+
+
+# (stage, file pattern, section) in print order. A section renders one
+# recorded file: a table from its path, a `.json` summary from its content.
+_REPORT_SECTIONS = [
+    ("ingest", "summary.json", lambda s: [
+        f"plots: {s['n_selected']} selected ({s['n_model_dev']} model development after "
+        f"filtering, {s['n_assessment']} assessment, holdout panel {s['holdout_panel']})"]),
+    ("fit", "test_metrics.csv", _table_section("model test-set metrics", TEST_METRIC_COLUMNS)),
+    ("assess", "assessment_*.csv", _table_section(
+        "map assessment, {} (scale 1 = plot to pixel)", ASSESSMENT_COLUMNS)),
+    ("assess", "summary.json", lambda s: [
+        f"KS distance, reference vs predicted ({a}): "
+        f"{_cell_text(s[a]['ks_reference_vs_predicted'])}" for a in ALLOMETRIES if a in s]),
+    ("agree", "agreement_*.csv", _table_section(
+        "two-map agreement, {} (CRM vs NSVB)", AGREEMENT_COLUMNS, places=4)),
+    ("diff", "summary.json", lambda s: _render_table(  # keyed by layer name, in file order
+        "difference layers", ["layer", "n", "mean", "min", "max"],
+        [{"layer": layer, "n": v["n_valid"], **v} for layer, v in s.items()])),
+    ("stocks", "stocks.csv", _table_section("stocks and stock changes (Mt)", STOCK_COLUMNS[:-1])),
+    ("stocks", "design_minus_model.csv", _table_section(
+        "design minus model (Mt)", DESIGN_MINUS_MODEL_COLUMNS,
+        note=carbon_mod.DESIGN_ESTIMATOR_NOTE)),
+    ("rescale", "rescale.csv", _table_section(
+        "allometry rescaling (NSVB from CRM and elevation)",
+        ["year", "intercept", "coef_source", "coef_elevation", "n_train", "n_test",
+         "test_rmse", "test_r2"], places=4)),
+]
 
 
 def render_report(config: PipelineConfig) -> str:
@@ -907,75 +939,10 @@ def render_report(config: PipelineConfig) -> str:
         lines.append(f"stages built from another configuration, not shown: {', '.join(others)}")
     lines.append("")
 
-    def recorded(stage, pattern):
-        """The files the manifest records for `stage`, built from the current
-        configuration, that match `pattern`."""
+    for stage, pattern, section in _REPORT_SECTIONS:
         rec = current.get(stage)
-        paths = [out_dir / p for p in rec.outputs] if rec else []
-        return [p for p in paths if p.match(pattern) and p.is_file()]
-
-    def stage_file(stage, name):
-        found = recorded(stage, name)
-        return found[0] if found else None
-
-    def table(title, path, columns, places=2):
-        """A recorded table's `columns` as text, each cell formatted from its text."""
-        rows = read_table(path, path.stem, dict.fromkeys(columns, str))
-        return _render_table(title, columns, rows, places) + [""]
-
-    p = stage_file("ingest", "summary.json")
-    if p:
-        with open(p, encoding="utf-8") as f:
-            s = json.load(f)
-        lines += [f"plots: {s['n_selected']} selected "
-                  f"({s['n_model_dev']} model development after filtering, "
-                  f"{s['n_assessment']} assessment, holdout panel "
-                  f"{s['holdout_panel']})", ""]
-
-    p = stage_file("fit", "test_metrics.csv")
-    if p:
-        lines += table("model test-set metrics", p, TEST_METRIC_COLUMNS)
-
-    for allometry in ALLOMETRIES:
-        p = stage_file("assess", f"assessment_{allometry}.csv")
-        if p:
-            lines += table(f"map assessment, {allometry} (scale 1 = plot to pixel)",
-                           p, ASSESSMENT_COLUMNS)
-
-    p = stage_file("assess", "summary.json")
-    if p:
-        with open(p, encoding="utf-8") as f:
-            s = json.load(f)
-        for allometry in ALLOMETRIES:
-            if allometry in s:
-                lines.append(f"KS distance, reference vs predicted ({allometry}): "
-                             f"{_fmt_num(s[allometry]['ks_reference_vs_predicted'])}")
-        lines.append("")
-
-    for p in recorded("agree", "agreement_*.csv"):
-        year = p.stem.split("_")[-1]
-        lines += table(f"two-map agreement, {year} (CRM vs NSVB)", p, AGREEMENT_COLUMNS,
-                       places=4)
-
-    p = stage_file("diff", "summary.json")
-    if p:
-        with open(p, encoding="utf-8") as f:
-            s = json.load(f)  # keyed by layer name, in file order
-        rows = [{"layer": layer, "n": v["n_valid"], **v} for layer, v in s.items()]
-        lines += _render_table("difference layers", ["layer", "n", "mean", "min", "max"], rows)
-        lines.append("")
-
-    p = stage_file("stocks", "stocks.csv")
-    if p:
-        lines += table("stocks and stock changes (Mt)", p, STOCK_COLUMNS[:-1])
-    p = stage_file("stocks", "design_minus_model.csv")
-    if p:
-        lines += table("design minus model (Mt)", p, DESIGN_MINUS_MODEL_COLUMNS)
-        lines += [f"note: {carbon_mod.DESIGN_ESTIMATOR_NOTE}", ""]
-
-    p = stage_file("rescale", "rescale.csv")
-    if p:
-        lines += table("allometry rescaling (NSVB from CRM and elevation)", p,
-                       ["year", "intercept", "coef_source", "coef_elevation",
-                        "n_train", "n_test", "test_rmse", "test_r2"], places=4)
+        for p in [out_dir / name for name in rec.outputs] if rec else []:
+            if p.match(pattern) and p.is_file():
+                lines += section(json.loads(p.read_text(encoding="utf-8"))
+                                 if p.suffix == ".json" else p) + [""]
     return "\n".join(lines)

@@ -159,6 +159,19 @@ class TestLatticeAssignment:
         with pytest.raises(ValueError, match="outside"):
             assign_lattice([50.0, 1e5], [50.0], hg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinate_rejected(self, bad, axis):
+        # refused with the outside message before any int cast, which would
+        # warn "invalid value encountered in cast" instead
+        hg = make_hexgrid((0, 0, 100, 100), spacing=30.0)
+        point = [50.0, 50.0]
+        point[axis] = bad
+        with pytest.raises(ValueError, match="outside"):
+            assign(np.array([[50.0, 50.0], point]), hg)
+        with pytest.raises(ValueError, match="outside"):
+            assign_lattice([50.0, point[0]], [point[1]], hg)
+
     def test_blocks_of_rows_agree_with_one_block(self, monkeypatch):
         xs, ys = lattice(-3e4, 2e4, 30.0, 50, 90)
         hg = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], 700.0)

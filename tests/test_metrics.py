@@ -224,8 +224,7 @@ class TestAcDecomposition:
     def test_pure_offset_is_fully_systematic(self):
         y = np.array([10.0, 20.0, 30.0, 40.0])
         dec = ac_decompose(PairedSample(y=y, yhat=y + 5.0))
-        assert dec.spd_u == pytest.approx(0.0, abs=1e-10)
-        assert dec.ac_unsystematic == pytest.approx(1.0, abs=1e-12)
+        assert dec.ac_unsystematic == 1.0
         assert dec.ac < 1.0
 
     def test_degenerate_rejected(self):
@@ -375,3 +374,46 @@ def test_ac_identity_and_bound(data):
     assert dec.ac <= 1.0 + 1e-12
     scale = max(1.0, abs(dec.ac))
     assert abs(dec.ac_systematic + dec.ac_unsystematic - 1.0 - dec.ac) <= 1e-12 * scale
+
+
+scalable = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+    )
+)
+
+
+def _statistics(y, yhat, ybar_train):
+    """Every paired statistic, or the error a function refuses with."""
+    pairs = PairedSample(y=y, yhat=yhat)
+    out = {}
+    for name, fn in (("basic", lambda p: basic_metrics(p, ybar_train=ybar_train)),
+                     ("gmfr", gmfr_fit), ("ac", ac_decompose)):
+        try:
+            out[name] = vars(fn(pairs))
+        except ValueError as e:
+            out[name] = str(e)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalable, st.integers(-600, 600))
+# squares that underflow: RMSE 0 beside a nonzero MAE, no line and no AC
+@example(([0.0, 1e-200, 3e-201], [1e-201, 9e-201, 0.0]), 664)
+# squares that overflow
+@example(([1e180, 2e180, 3.5e180], [1.5e180, 2e180, 2.5e180]), -598)
+def test_statistics_follow_a_power_of_two_scaling(data, k):
+    # scaling y and yhat by 2**k is exact, and so is each statistic: RMSE,
+    # MAE, ME and the intercept scale with it, every other one is unchanged
+    y, yhat = (np.array(v, dtype=float) for v in data)
+    base = _statistics(y, yhat, 1.0)
+    scaled = _statistics(np.ldexp(y, k), np.ldexp(yhat, k), np.ldexp(1.0, k))
+    equivariant = {"rmse", "mae", "me", "a"}
+    for name, got in scaled.items():
+        want = base[name]
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got == {f: (np.ldexp(v, k) if f in equivariant and v is not None else v)
+                       for f, v in want.items()}, name

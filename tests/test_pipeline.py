@@ -785,7 +785,12 @@ def test_plot_over_no_mapped_cell_is_outside_for_both_allometries(small, tmp_pat
 
     root = tmp_path / "d"
     config = copy_of_small(small, root)
+
+    def n_pairs(allometry):  # row 1 of the assessment table, plot to pixel
+        return int(read_rows(root / "run" / "assess" / f"assessment_{allometry}.csv")[0]["n"])
+
     before = json.loads((root / "run" / "assess" / "summary.json").read_text())
+    before_n = {allometry: n_pairs(allometry) for allometry in ("CRM", "NSVB")}
     plot = read_rows(root / "run" / "assess" / "pairs_CRM.csv")[0]
     for allometry in ("CRM", "NSVB"):
         path = root / "run" / "predict" / f"agb_{plot['inventory_year']}_{allometry}.bin"
@@ -800,7 +805,7 @@ def test_plot_over_no_mapped_cell_is_outside_for_both_allometries(small, tmp_pat
     for allometry in ("CRM", "NSVB"):
         assert (after[allometry]["n_outside_mapped_area"]
                 == before[allometry]["n_outside_mapped_area"] + 1)
-        assert after[allometry]["n_pairs"] == before[allometry]["n_pairs"] - 1
+        assert n_pairs(allometry) == before_n[allometry] - 1
         pairs = read_rows(root / "run" / "assess" / f"pairs_{allometry}.csv")
         assert plot["plot_id"] not in {r["plot_id"] for r in pairs}
 
@@ -815,7 +820,7 @@ def test_assess_outputs(small):
         assert scales == sorted(scales)
         assert int(rows[0]["n"]) >= 2
         pairs = read_rows(small.root / "run" / "assess" / f"pairs_{allometry}.csv")
-        assert len(pairs) == summary[allometry]["n_pairs"]
+        assert len(pairs) == int(rows[0]["n"])
         ks = summary[allometry]["ks_reference_vs_predicted"]
         assert 0.0 <= ks <= 1.0
 
@@ -1191,8 +1196,8 @@ def test_summaries_hold_only_numbers_no_table_or_model_file_holds(small):
     assert set(assess) == {"CRM", "NSVB"}
     for entry in assess.values():
         # plot_to_pixel stays while the benchmark reads it there
-        assert set(entry) == {"n_pairs", "n_outside_mapped_area",
-                              "ks_reference_vs_predicted", "plot_to_pixel"}
+        assert set(entry) == {"n_outside_mapped_area", "ks_reference_vs_predicted",
+                              "plot_to_pixel"}
 
     def joint_cells(year):
         crm, nsvb = (read_grid(run_dir / "predict" / f"agb_{year}_{a}.bin")
@@ -1661,3 +1666,22 @@ def test_report_text_matches_manifest(small):
     text = render_report(small.config)
     for stage in small.manifest.stages:
         assert stage in text
+
+
+def test_report_prints_its_sections_in_order(small):
+    # each section is a block after a blank line; its first line up to a colon
+    blocks = render_report(small.config).split("\n\n")[1:]
+    assert [b.splitlines()[0].split(":")[0] for b in blocks if b] == [
+        "plots",
+        "model test-set metrics",
+        "map assessment, CRM (scale 1 = plot to pixel)",
+        "map assessment, NSVB (scale 1 = plot to pixel)",
+        "KS distance, reference vs predicted (CRM)",
+        "two-map agreement, 2005 (CRM vs NSVB)",
+        "two-map agreement, 2019 (CRM vs NSVB)",
+        "difference layers",
+        "stocks and stock changes (Mt)",
+        "design minus model (Mt)",
+        "note",
+        "allometry rescaling (NSVB from CRM and elevation)",
+    ]
