@@ -65,6 +65,10 @@ def pixel_overlap_weights(footprint: PlotFootprint, grid: Grid) -> OverlapWeight
     """
     r, cs = SUBPLOT_RADIUS_M, grid.cellsize
     centers = np.array(footprint.subplot_centers())
+    # before the int casts, drop circles more than a cell clear of the grid
+    x, y = centers.T
+    centers = centers[(x + r > grid.x_origin - cs) & (x - r < grid.x_origin + (grid.ncols + 1) * cs)
+                      & (y + r > grid.y_origin - cs) & (y - r < grid.y_max + cs)]
     # a window of n x n cells starting at the cell under each circle's
     # north-west bounding-box corner always covers the circle
     n = math.ceil(2.0 * r / cs) + 1

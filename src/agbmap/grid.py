@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,39 @@ ROW_BLOCK_CELLS = 1 << 15
 def block_rows(ncols: int) -> int:
     """Rows of a row block on a raster of `ncols` columns: at least one."""
     return max(1, ROW_BLOCK_CELLS // max(1, ncols))
+
+
+def row_blocks(nrows: int, ncols: int):
+    """The row slices of a raster of `nrows` x `ncols` cells, one row block each."""
+    step = block_rows(ncols)
+    return (slice(r, r + step) for r in range(0, nrows, step))
+
+
+# threads of `map_chunks`: the CPUs this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def map_chunks(n: int, chunk: int, values, per_cell: dict) -> np.ndarray:
+    """`values(lo, hi, buffers)` of each chunk of range(n) in one array. The caller and w - 1
+    helper threads, w = min(_WORKERS, chunks), take chunk i, then the next none took, in
+    arrays each allocates once: `buffers[name]` is a (k, hi - lo) prefix of `per_cell[name]`,
+    (k, dtype). Bodies call no public function or model `predict`: no span opens off-thread."""
+    out, starts, m = np.empty(n, dtype=np.float64), range(0, n, chunk), min(chunk, n)
+    w = min(_WORKERS, len(starts))
+    rest = iter(starts[w:])  # shared; a range iterator's next is one step under the GIL
+
+    def take(i):
+        own = {name: (k, np.empty(k * m, dtype)) for name, (k, dtype) in per_cell.items()}
+        for lo, hi in ((lo, min(lo + chunk, n)) for part in (starts[i:i + 1], rest) for lo in part):
+            out[lo:hi] = values(lo, hi, {name: a[:k * (hi - lo)].reshape(k, hi - lo)
+                                         for name, (k, a) in own.items()})
+
+    with ThreadPoolExecutor(max(w - 1, 1)) as pool:  # a thread starts on its first submit
+        helpers = pool.map(take, range(1, w))
+        take(0)
+        list(helpers)  # re-raises a helper's exception
+    return out
 
 
 @dataclass

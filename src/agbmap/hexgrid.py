@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import block_rows
+from .grid import row_blocks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -34,10 +34,6 @@ class HexGrid:
     @property
     def circumradius(self) -> float:
         return self.spacing / SQRT3
-
-    @property
-    def cell_area(self) -> float:
-        return (SQRT3 / 2.0) * self.spacing ** 2
 
     @property
     def n_cells(self) -> int:
@@ -102,44 +98,41 @@ def _refuse_outside(inside, x, y) -> None:
         raise ValueError(f"point ({px}, {py}) falls outside the tessellation")
 
 
-def _nearest_cells(x, y, hexgrid: HexGrid):
+def _nearest_cells(x, y, hg: HexGrid):
     """The id of each point's cell by `assign`'s rule, where `x` and `y`
     broadcast together: point coordinates, or an x axis and a column of ys."""
-    _refuse_outside(np.isfinite(x) & np.isfinite(y), x, y)  # before the int casts
-    r = hexgrid.circumradius
-    # a column-c cell spans x0 + 1.5*r*c +- r, so the nearest centroid lies in
+    w, h = 1.5 * hg.circumradius, SQRT3 * hg.circumradius  # column and row steps
+    # refused in metres, before any cast: points (nan and infinities too) more
+    # than two columns or rows beyond the centroids
+    _refuse_outside(((x >= hg.x0 + (hg.col_min - 2) * w) & (x <= hg.x0 + (hg.col_max + 2) * w))
+                    & ((y >= hg.y0 + (hg.row_min - 2) * h)
+                       & (y <= hg.y0 + (hg.row_max + 2.5) * h)), x, y)
+    # a column-c cell spans x0 + w*c +- R, so the nearest centroid lies in
     # column floor(u) or floor(u) + 1, one of each parity; within a column a
-    # cell spans its centroid +- sqrt(3)*r/2 in y, so it lies in row floor(v)
-    # or floor(v) + 1. Columns and dx^2 depend on x alone, rows and dy^2 on y
-    # and the parity, so on a lattice each center costs only the sums below.
-    c_est = np.floor((x - hexgrid.x0) / (1.5 * r)).astype(np.int64)
-    candidates = []  # (squared distance, row, col) of four cells
+    # cell spans its centroid +- h/2, so it lies in row floor(v) or floor(v) + 1.
+    # On a lattice, columns and dx^2 come from x alone, rows and dy^2 from y and
+    # the parity. Candidates lie within three columns of the centroids, so keys
+    # of width span + 6 run in (row, col) order: the nearest wins, then the lowest.
+    span = hg.col_max - hg.col_min + 1
+    c_est = np.floor((x - hg.x0) / w).astype(np.int64)
+    best = None  # (squared distance, key)
     for parity in (0, 1):
         col = c_est + (c_est + parity) % 2
-        dx2 = (x - (hexgrid.x0 + col * (1.5 * r))) ** 2
-        off = parity * (SQRT3 * r / 2.0)
-        r_est = np.floor((y - hexgrid.y0 - off) / (SQRT3 * r)).astype(np.int64)
-        candidates += [(dx2 + (y - (hexgrid.y0 + row * (SQRT3 * r) + off)) ** 2, row, col)
-                       for row in (r_est, r_est + 1)]
-    d2, rows, cols = zip(*candidates)
-
-    nearest = np.minimum(np.minimum(d2[0], d2[1]), np.minimum(d2[2], d2[3]))
-    hits = [d == nearest for d in d2]
-    row = np.select(hits, rows)  # the first candidate at the nearest distance
-    col = np.select(hits, cols)
-    # among exact-distance ties, the lowest (row, col) wins
-    tied = np.nonzero(sum(hit.view(np.uint8) for hit in hits) > 1)
-    if tied[0].size:
-        for hit, *cand in zip(hits, rows, cols):
-            cand_row, cand_col = (np.broadcast_to(a, row.shape)[tied] for a in cand)
-            lower = hit[tied] & ((cand_row < row[tied])
-                                 | ((cand_row == row[tied]) & (cand_col < col[tied])))
-            row[tied], col[tied] = np.where(lower, (cand_row, cand_col), (row[tied], col[tied]))
-
-    _refuse_outside((row >= hexgrid.row_min) & (row <= hexgrid.row_max)
-                    & (col >= hexgrid.col_min) & (col <= hexgrid.col_max), x, y)
-    span = hexgrid.col_max - hexgrid.col_min + 1
-    return (row - hexgrid.row_min) * span + (col - hexgrid.col_min)
+        dx2 = (x - (hg.x0 + col * w)) ** 2
+        off = parity * (h / 2.0)
+        r_est = np.floor((y - hg.y0 - off) / h).astype(np.int64)
+        for row in (r_est, r_est + 1):
+            d2 = dx2 + (y - (hg.y0 + row * h + off)) ** 2
+            key = (row - hg.row_min) * (span + 6) + (col - hg.col_min + 3)
+            if best is not None:
+                take = (d2 < best[0]) | ((d2 == best[0]) & (key < best[1]))
+                d2, key = np.where(take, d2, best[0]), np.where(take, key, best[1])
+            best = d2, key
+    row, col = np.divmod(best[1], span + 6)  # row - row_min, col - col_min + 3
+    col -= 3
+    _refuse_outside((row >= 0) & (row <= hg.row_max - hg.row_min)
+                    & (col >= 0) & (col < span), x, y)
+    return row * span + col
 
 
 def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
@@ -157,13 +150,12 @@ def assign(points: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
 def assign_lattice(xs, ys, hexgrid: HexGrid) -> np.ndarray:
     """The cell of every lattice center (xs[j], ys[i]): a (len(ys), len(xs))
     int64 array of cell ids, each what `assign` gives for that center,
-    assigned a row block (`grid.block_rows`) at a time."""
+    assigned a row block (`grid.row_blocks`) at a time."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     ids = np.empty((ys.size, xs.size), dtype=np.int64)
-    step = block_rows(xs.size)
-    for lo in range(0, ys.size, step):
-        ids[lo:lo + step] = _nearest_cells(xs, ys[lo:lo + step, None], hexgrid)
+    for rows in row_blocks(ys.size, xs.size):
+        ids[rows] = _nearest_cells(xs, ys[rows, None], hexgrid)
     return ids
 
 
@@ -181,8 +173,6 @@ def aggregate_pairs(pairs, ids: np.ndarray, hexgrid: HexGrid) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.shape != (y.size,):
         raise ValueError("ids must be an (n,) array of cell ids matching the pairs")
-    if y.size == 0:
-        return np.empty((0, 2))
     count = np.bincount(ids, minlength=hexgrid.n_cells)
     occupied = count > 0
     sums = np.stack([np.bincount(ids, weights=v, minlength=hexgrid.n_cells)

@@ -22,13 +22,11 @@ buffers per worker; a cell gets the same bits in any block and at any CPU count.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, block_rows, finite_number
+from .grid import Grid, finite_number, map_chunks, row_blocks
 from .metrics import PairedSample, error_metrics
 
 MODEL_FORMAT_VERSION = 3
@@ -39,8 +37,6 @@ MODEL_FORMAT_VERSION = 3
 # level (candidates = this // 8 // rows of the widest node: passes that stay in cache)
 _CHUNK_ENTRIES = 65_536
 _GROUP_TREES = 128  # bagged trees per grower call: bounds its (trees, rows) arrays
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 DEFAULT_GRIDS: dict[str, list[dict]] = {  # hyperparameter grids for model selection
     "knn": [{"k": k} for k in (1, 5, 10, 25)],
@@ -105,28 +101,6 @@ def _as_2d(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
     return X
-
-
-def _by_chunks(n: int, chunk: int, values, per_cell: dict) -> np.ndarray:
-    """`values(lo, hi, buffers)` of each chunk of range(n) in one array. The caller and w - 1
-    helper threads, w = min(_WORKERS, chunks), take chunk i, then the next none took, in
-    arrays each allocates once: `buffers[name]` is a (k, hi - lo) prefix of `per_cell[name]`,
-    (k, dtype). Bodies call no public function or model `predict`: no span opens off-thread."""
-    out, starts, m = np.empty(n, dtype=np.float64), range(0, n, chunk), min(chunk, n)
-    w = min(_WORKERS, len(starts))
-    rest = iter(starts[w:])  # shared; a range iterator's next is one step under the GIL
-
-    def take(i):
-        own = {name: (k, np.empty(k * m, dtype)) for name, (k, dtype) in per_cell.items()}
-        for lo, hi in ((lo, min(lo + chunk, n)) for part in (starts[i:i + 1], rest) for lo in part):
-            out[lo:hi] = values(lo, hi, {name: a[:k * (hi - lo)].reshape(k, hi - lo)
-                                         for name, (k, a) in own.items()})
-
-    with ThreadPoolExecutor(max(w - 1, 1)) as pool:  # a thread starts on its first submit
-        helpers = pool.map(take, range(1, w))
-        take(0)
-        list(helpers)  # re-raises a helper's exception
-    return out
 
 
 # -- regression trees -----------------------------------------------------
@@ -305,7 +279,7 @@ def _accumulate(table: dict, trees: int, X: np.ndarray, start: float, weight: fl
         return np.add.reduce(leaves, axis=0, out=b["thr"][0], initial=-0.0)
 
     per_cell = {"xt": (p, float), "go": (trees, bool), "x": (trees, float), "thr": (trees, float)}
-    return _by_chunks(n, chunk, walk, {**per_cell, "node": (trees, np.intp), "i": (trees, np.intp)})
+    return map_chunks(n, chunk, walk, {**per_cell, "node": (trees, np.intp), "i": (trees, np.intp)})
 
 
 # -- learner kinds --------------------------------------------------------
@@ -346,7 +320,7 @@ class KnnModel:
                 d2[cells, pick] = np.inf
             return self.y[nearest].mean(axis=1)
 
-        return _by_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // n), query,
+        return map_chunks(Q.shape[1], max(1, _CHUNK_ENTRIES // n), query,
                           dict.fromkeys(("d2", "diff"), (n, np.float64)))
 
     def to_dict(self) -> dict:
@@ -682,8 +656,8 @@ def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
     if np.shape(domain) != first.values.shape:
         raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
     mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
-    values, step = np.zeros(mask.shape, dtype=np.float32), block_rows(first.ncols)
-    for rows in (slice(r, r + step) for r in range(0, first.nrows, step)):  # no whole-domain X
+    values = np.zeros(mask.shape, dtype=np.float32)
+    for rows in row_blocks(first.nrows, first.ncols):  # no whole-domain X
         if (m := mask[rows]).any():
             values[rows][m] = model.predict(np.stack([g.values[rows][m] for g in grids], axis=1))
     return first.with_values(values, mask, units="Mg/ha")

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .carbon import CARBON_FRACTION_COLUMNS
-from .grid import Grid, block_rows, finite_number, write_grid
+from .grid import Grid, block_rows, finite_number, map_chunks, row_blocks, write_grid
 from .inventory import PLOT_AREA_HA, PLOT_COLUMNS, TREE_COLUMNS
-from .learners import _by_chunks
 from .tables import write_table
 
 YEARS = (2005, 2019)
@@ -59,7 +58,7 @@ def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
             f += amplitude * np.sin(k * (cos * xs + sin * y) + phase)
         return f.ravel()
 
-    f = _by_chunks(len(ys) * ncols, block_rows(ncols) * ncols, band, {}).reshape(len(ys), ncols)
+    f = map_chunks(len(ys) * ncols, block_rows(ncols) * ncols, band, {}).reshape(len(ys), ncols)
     f -= f.mean()
     sd = f.std()
     if sd > 0:
@@ -92,12 +91,9 @@ def _predictors(rng, agb, elev, xs, ys):
     """The six layers in PREDICTOR_NAMES order, one at a time, as float32: three
     informative, one weakly informative, two nuisance. Each layer's noise is
     drawn band by band, which continues the generator's stream as one draw would."""
-    step = block_rows(len(xs))
-
     def noisy(signal, sd):
         layer = np.empty(agb.shape, dtype=np.float32)
-        for r in range(0, len(ys), step):
-            rows = slice(r, r + step)
+        for rows in row_blocks(len(ys), len(xs)):
             layer[rows] = signal(rows) + rng.normal(0.0, sd, layer[rows].shape)
         return layer
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestOverlapWeights:
         grid = flat_grid()
         w = pixel_overlap_weights(PlotFootprint(x=1e6, y=1e6), grid)
         assert w.weights.size == 0
+
+    @pytest.mark.parametrize("far", [1e300, -1e300, 1.7e308])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_plot_far_off_the_grid_gives_no_cells_and_no_warning(self, far, axis):
+        # the far circles are dropped before the int casts, which would warn
+        # "invalid value encountered in cast" and the squares "overflow"
+        grid = flat_grid(ncols=10, nrows=10)
+        xy = [150.0, 150.0]
+        xy[axis] = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = pixel_overlap_weights(PlotFootprint(*xy), grid)
+        assert w.weights.size == w.cols.size == w.rows.size == 0
 
     def test_straddling_edge_loses_area(self):
         grid = flat_grid()

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agbmap import grid
 from agbmap.hexgrid import (
@@ -32,12 +33,6 @@ def brute_assign(points, hg: HexGrid):
 
 
 class TestGeometry:
-    def test_cell_area_formula(self):
-        hg = make_hexgrid((0, 0, 1000, 1000), spacing=50.0)
-        assert hg.cell_area == pytest.approx((SQRT3 / 2) * 2500.0, rel=1e-12)
-        # 50 km spacing in km units
-        assert (SQRT3 / 2) * 50.0 ** 2 == pytest.approx(2165.06, abs=0.01)
-
     def test_all_six_neighbors_at_spacing_distance(self):
         hg = make_hexgrid((0, 0, 10000, 10000), spacing=700.0)
         x0, y0 = hg.center(3, 2)
@@ -101,7 +96,7 @@ class TestAssignment:
             assign(np.array([[1e5, 1e5]]), hg)
 
     def test_count_scales_inverse_square(self):
-        # a fixed 300x300 km region; cell count ~ area / cell_area
+        # a fixed 300x300 km region; cell count ~ area / cell area
         counts = {}
         for s_km in (5.0, 10.0, 20.0):
             hg = make_hexgrid((0, 0, 300e3, 300e3), spacing=s_km * 1e3)
@@ -202,6 +197,91 @@ def test_lattice_ids_equal_per_point_assign(x0, y0, cellsize, cells_per_spacing,
     ids = assign_lattice(xs, ys, hg)
     assert ids.shape == (len(ys), len(xs))
     assert np.array_equal(ids, per_point(xs, ys, hg))
+
+
+RING = 3  # rows and columns of cells around a tessellation in `ring_reference`
+FAR = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1.7e308, -1.7e308]
+
+
+def ring_reference(x, y, hg: HexGrid):
+    """(row, col) of the nearest centroid to (x, y) over the cells and a ring of
+    RING rows and columns around them, the lowest (row, col) on exact ties; None
+    beyond the ring's centroids (nan too), where the nearest is a ring cell anyway."""
+    rows, cols = np.meshgrid(np.arange(hg.row_min - RING, hg.row_max + RING + 1),
+                             np.arange(hg.col_min - RING, hg.col_max + RING + 1), indexing="ij")
+    rows, cols = rows.ravel(), cols.ravel()  # in (row, col) order
+    cx, cy = hg.center(rows, cols)
+    if not (cx.min() <= x <= cx.max() and cy.min() <= y <= cy.max()):
+        return None
+    i = int(np.argmin((x - cx) ** 2 + (y - cy) ** 2))  # the first minimum
+    return int(rows[i]), int(cols[i])
+
+
+@st.composite
+def tessellated_points(draw):
+    """A tessellation's (bbox, spacing) and points near it: anywhere up to five
+    spacings beyond its bbox; on its and the ring's centroids, on the midpoints
+    of their edges and on their vertices; and far off (nan, infinities, huge
+    finite values)."""
+    x0, y0 = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    width, height = draw(st.floats(1.0, 1e5)), draw(st.floats(1.0, 1e5))
+    spacing = max(width, height) * draw(st.floats(0.025, 2.0))
+    bbox = (x0, y0, x0 + width, y0 + height)
+    hg = make_hexgrid(bbox, spacing)
+    cell = st.tuples(st.integers(hg.row_min - RING, hg.row_max + RING),
+                     st.integers(hg.col_min - RING, hg.col_max + RING))
+    neighbor = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)])
+
+    def centroid(rc):
+        return tuple(float(v) for v in hg.center(*rc))
+
+    def midpoint(rc, step):
+        (xa, ya), (xb, yb) = centroid(rc), centroid((rc[0] + step[0], rc[1] + step[1]))
+        return (xa + xb) / 2.0, (ya + yb) / 2.0
+
+    def vertex(rc, k):
+        (xc, yc), angle = centroid(rc), k * math.pi / 3.0
+        return xc + hg.circumradius * math.cos(angle), yc + hg.circumradius * math.sin(angle)
+
+    pad = 5.0 * spacing
+    near = st.tuples(st.floats(x0 - pad, x0 + width + pad), st.floats(y0 - pad, y0 + height + pad))
+    far = st.one_of(st.tuples(st.sampled_from(FAR), st.floats(y0, y0 + height)),
+                    st.tuples(st.floats(x0, x0 + width), st.sampled_from(FAR)))
+    points = draw(st.lists(st.one_of(near, cell.map(centroid),
+                                     st.builds(midpoint, cell, neighbor),
+                                     st.builds(vertex, cell, st.integers(0, 5)), far),
+                           min_size=1, max_size=12))
+    return bbox, spacing, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tessellated_points())
+@example(case=((0.0, 0.0, 100.0, 100.0), 30.0, [(1e300, 50.0)]))
+def test_assignment_is_the_ring_reference_or_a_refusal(case):
+    """`assign` and `assign_lattice` give each point the cell of the brute-force
+    nearest centroid, and refuse it, without a warning, exactly when that
+    centroid lies in the ring around the tessellation or beyond it."""
+    bbox, spacing, points = case
+    hg = make_hexgrid(bbox, spacing)
+    inside = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in points:
+            ref = ring_reference(x, y, hg)
+            if (ref is not None and hg.row_min <= ref[0] <= hg.row_max
+                    and hg.col_min <= ref[1] <= hg.col_max):
+                want = (ref[0] - hg.row_min) * (hg.col_max - hg.col_min + 1) + ref[1] - hg.col_min
+                assert assign(np.array([[x, y]]), hg).tolist() == [want]
+                assert assign_lattice([x], [y], hg).tolist() == [[want]]
+                inside.append(((x, y), want))
+                continue
+            with pytest.raises(ValueError, match="outside"):
+                assign(np.array([[x, y]]), hg)
+            with pytest.raises(ValueError, match="outside"):
+                assign_lattice([x], [y], hg)
+        if inside:
+            pts, want = zip(*inside)
+            assert assign(np.array(pts), hg).tolist() == list(want)
 
 
 class TestAggregation:

@@ -303,7 +303,7 @@ class TestWalkInSmallChunks:
         q = np.random.default_rng(chunk_cells).uniform(-1, 11, size=(self.CELLS, X.shape[1]))
         monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * trees)
         for workers in (1, 2):
-            monkeypatch.setattr(learners, "_WORKERS", workers)
+            monkeypatch.setattr(grid_mod, "_WORKERS", workers)
             got = learners._accumulate(table, trees, q, start, weight)
             assert np.array_equal(got, per_tree_accumulate(table, trees, q, start, weight))
 
@@ -320,7 +320,7 @@ class TestWalkInSmallChunks:
         want = model.y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
         monkeypatch.setattr(learners, "_CHUNK_ENTRIES", chunk_cells * len(X))
         for workers in (1, 2):
-            monkeypatch.setattr(learners, "_WORKERS", workers)
+            monkeypatch.setattr(grid_mod, "_WORKERS", workers)
             assert np.array_equal(model.predict(q), want)
 
 
@@ -1367,7 +1367,7 @@ class TestPredictGrid:
 def spy_on_chunks(monkeypatch, fail_at=None):
     """Record (chunk start, thread id, live threads) of every chunk body call;
     the body of chunk number `fail_at` raises instead."""
-    calls, by_chunks = [], learners._by_chunks
+    calls, map_chunks = [], learners.map_chunks
 
     def spy(n, chunk, values, per_cell):
         def body(lo, hi, buffers):
@@ -1375,9 +1375,9 @@ def spy_on_chunks(monkeypatch, fail_at=None):
             if fail_at is not None and lo == fail_at * chunk:
                 raise RuntimeError(f"chunk body at cell {lo}")
             return values(lo, hi, buffers)
-        return by_chunks(n, chunk, body, per_cell)
+        return map_chunks(n, chunk, body, per_cell)
 
-    monkeypatch.setattr(learners, "_by_chunks", spy)
+    monkeypatch.setattr(learners, "map_chunks", spy)
     return calls
 
 
@@ -1421,7 +1421,7 @@ class TestChunksOnThreads:
             q[::2] = X[np.arange(0, n, 2) % 40]
             one_worker = None
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(learners, "_WORKERS", workers)
+                monkeypatch.setattr(grid_mod, "_WORKERS", workers)
                 calls.clear()
                 got = model.predict(q)
                 one_worker = got if one_worker is None else one_worker
@@ -1448,7 +1448,7 @@ class TestChunksOnThreads:
                             feature_names=["a", "b"])
         grids = {name: grid_of(np.random.default_rng(j).uniform(0, 10, (60, 60)))
                  for j, name in enumerate(ens.feature_names)}
-        monkeypatch.setattr(learners, "_WORKERS", 2)
+        monkeypatch.setattr(grid_mod, "_WORKERS", 2)
         monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 1000)  # chunks of 20 or 100 cells
         ran, main = [], threading.get_ident()
 
@@ -1474,7 +1474,7 @@ class TestChunksOnThreads:
         assert {ident for _, ident in ran} == {main}
         assert {ident for _, ident, _ in bodies} - {main}  # a helper took chunks
         monkeypatch.undo()
-        monkeypatch.setattr(learners, "_WORKERS", 1)
+        monkeypatch.setattr(grid_mod, "_WORKERS", 1)
         assert np.array_equal(out.values, predict_grid(ens, grids, domain).values)
 
     @pytest.mark.parametrize("name", ["bagged depth 8", "boosted", "knn"])
@@ -1484,7 +1484,7 @@ class TestChunksOnThreads:
         kind, hp = THREADED_MODELS[name]
         model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=0)
         q = toy_data(3 * learners._CHUNK_ENTRIES // 40, seed=1)[0]  # 3 chunks
-        monkeypatch.setattr(learners, "_WORKERS", 2)
+        monkeypatch.setattr(grid_mod, "_WORKERS", 2)
         calls = spy_on_chunks(monkeypatch, fail_at=fail_at)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk body at cell"):

@@ -121,11 +121,11 @@ def test_smooth_field_from_the_axes_matches_the_meshgrid_form(n_waves):
 @pytest.mark.parametrize("band_rows", [1, 2, 7])
 def test_smooth_field_is_the_same_in_bands_of_any_rows_on_any_workers(monkeypatch, band_rows,
                                                                        workers):
-    from agbmap import grid, learners, synth
+    from agbmap import grid, synth
 
     ncols, nrows, cellsize = 37, 23, 250.0
     monkeypatch.setattr(grid, "ROW_BLOCK_CELLS", band_rows * ncols)
-    monkeypatch.setattr(learners, "_WORKERS", workers)
+    monkeypatch.setattr(grid, "_WORKERS", workers)
     xs = (np.arange(ncols) + 0.5) * cellsize
     ys = (nrows - np.arange(nrows) - 0.5) * cellsize
     xx, yy = np.meshgrid(xs, ys)
