@@ -1,10 +1,12 @@
 """Biomass and carbon stock accounting, and the linear rescaling between
 allometry variants.
 
-Stocks are simple expansions: a mean density (Mg/ha) times a region area,
-reported in million metric tons (Mt). The design-based estimator here is a
-plain mean-times-area expansion, not a post-stratified estimator; outputs
-that carry design-based numbers must say so.
+Stocks are in million metric tons (Mt). A model total is a map's sum over its
+valid cells. A design total is the mean plot density times `region_area_ha`,
+which defaults to the extent; it is a plain expansion without
+post-stratification, and outputs that carry it must say so. The two compare
+like for like when the raster covers the design's region and masks what lies
+outside it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class StockEstimate:
     allometry: str       # "CRM" or "NSVB"
     year: int
     total_mt: float      # million metric tons
-    region_area_ha: float
-    area_basis: str | None = None  # model stocks: "extent", "valid", or "given"
+    region_area_ha: float  # model: the map's valid area; design: the region's
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,15 @@ def weighted_carbon_fraction(rows) -> float:
     return sum(r.agb_share * r.fraction for r in rows)
 
 
-def model_stock(mean_density: float | None, area_ha: float, year: int, allometry: str,
-                area_basis: str) -> StockEstimate:
-    """Map-based stock: a map's mean valid-cell density (None if no cell is valid)
-    times an area, labelled with its basis: "extent", "valid" or "given"."""
+def model_stock(mean_density: float | None, valid_area_ha: float, year: int,
+                allometry: str) -> StockEstimate:
+    """Map-based stock, the map's sum: its mean valid-cell density (None if no
+    cell is valid) times the area of its valid cells."""
     if mean_density is None:
         raise ValueError("no valid cells to estimate a stock from")
     return StockEstimate(
         quantity="AGB", method="model", allometry=allometry, year=year,
-        total_mt=mean_density * area_ha / 1e6, region_area_ha=area_ha, area_basis=area_basis,
+        total_mt=mean_density * valid_area_ha / 1e6, region_area_ha=valid_area_ha,
     )
 
 

@@ -69,27 +69,32 @@ def pixel_overlap_weights(footprint: PlotFootprint, grid: Grid) -> OverlapWeight
     x, y = centers.T
     centers = centers[(x + r > grid.x_origin - cs) & (x - r < grid.x_origin + (grid.ncols + 1) * cs)
                       & (y + r > grid.y_origin - cs) & (y - r < grid.y_max + cs)]
-    # a window of n x n cells starting at the cell under each circle's
-    # north-west bounding-box corner always covers the circle
+    # n x n cells from the one under each circle's north-west bounding-box corner
+    # cover the circle; a window of at most the grid's size, moved inside it, holds
+    # their cells in the grid
     n = math.ceil(2.0 * r / cs) + 1
-    k = np.arange(n + 1)
-    col0 = np.floor((centers[:, 0] - r - grid.x_origin) / cs).astype(np.int64)
-    row0 = np.floor((grid.y_max - centers[:, 1] - r) / cs).astype(np.int64)
+    col0 = np.floor((centers[:, 0] - r - grid.x_origin) / cs)
+    row0 = np.floor((grid.y_max - centers[:, 1] - r) / cs)
+    nc, nr = min(n, grid.ncols), min(n, grid.nrows)
+    c = np.clip(col0, 0, grid.ncols - nc).astype(np.int64)[:, None] + np.arange(nc + 1)
+    w = np.clip(row0, 0, grid.nrows - nr).astype(np.int64)[:, None] + np.arange(nr + 1)
     # cell edges relative to each circle's center: x west to east, y north to
     # south; row 0 is the north row
-    ex = grid.x_origin + (col0[:, None] + k) * cs - centers[:, :1]
-    ey = grid.y_max - (row0[:, None] + k) * cs - centers[:, 1:]
+    ex = grid.x_origin + c * cs - centers[:, :1]
+    ey = grid.y_max - w * cs - centers[:, 1:]
     g = _corner_area(ex[:, None, :], ey[:, :, None], r)  # (circle, y edge, x edge)
     area = g[:, :-1, 1:] - g[:, :-1, :-1] - g[:, 1:, 1:] + g[:, 1:, :-1]
 
     # cells whose nearest point lies on or outside the circle carry no area;
-    # zero them exactly rather than keep the round-off of the differences
+    # zero them exactly rather than keep the round-off of the differences;
+    # cells the moved window adds outside the circle's own window carry none
     dx = np.maximum(np.maximum(ex[:, :-1], -ex[:, 1:]), 0.0)
     dy = np.maximum(np.maximum(ey[:, 1:], -ey[:, :-1]), 0.0)
-    cols = np.broadcast_to(col0[:, None, None] + k[None, None, :n], area.shape)
-    rows = np.broadcast_to(row0[:, None, None] + k[None, :n, None], area.shape)
+    cols = np.broadcast_to(c[:, None, :-1], area.shape)
+    rows = np.broadcast_to(w[:, :-1, None], area.shape)
+    col0, row0 = col0[:, None, None], row0[:, None, None]
     keep = ((dx[:, None, :] ** 2 + dy[:, :, None] ** 2 < r * r) & (area > 0.0)
-            & (cols >= 0) & (cols < grid.ncols) & (rows >= 0) & (rows < grid.nrows))
+            & (cols >= col0) & (cols < col0 + n) & (rows >= row0) & (rows < row0 + n))
 
     # the circles are disjoint but may share cells: merge on a packed key,
     # whose order is (col, row) order

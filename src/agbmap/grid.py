@@ -89,6 +89,8 @@ class Grid:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError("grid must have at least one column and one row")
+        if not all(finite_number(getattr(self, key)) for key in GEOMETRY[2:]):  # read_header's rule
+            raise ValueError("grid origins and cellsize must be finite")
         if not self.cellsize > 0:
             raise ValueError("cellsize must be positive")
         values = np.asarray(self.values, dtype=np.float32, order="C")

@@ -44,7 +44,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 11
+ARTIFACT_VERSION = 12
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -57,8 +57,7 @@ TEST_METRIC_COLUMNS = ("allometry", "n", "mae", "pct_mae", "rmse", "pct_rmse",
                        "me", "r2", "dr")
 AGREEMENT_COLUMNS = ("scale_km", "n", "ac", "ac_systematic", "ac_unsystematic",
                      "gmfr_intercept", "gmfr_slope")
-STOCK_COLUMNS = ("quantity", "method", "allometry", "area_basis", "year", "total_mt",
-                 "region_area_ha")
+STOCK_COLUMNS = ("quantity", "method", "allometry", "year", "total_mt", "region_area_ha")
 DESIGN_MINUS_MODEL_COLUMNS = ("quantity", "allometry", "year", "design_mt", "model_mt",
                               "design_minus_model_mt")
 # ingest's plot tables: the input plot columns, then the attached densities, in
@@ -713,44 +712,37 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
 
     header = read_header(_map_path(config, "agb", years[0], ALLOMETRIES[0]))
     cell_ha = header["cellsize"] * header["cellsize"] / 1e4
-    extent_ha = header["ncols"] * header["nrows"] * cell_ha
-    given = config.region_area_ha is not None
-    design_area = config.region_area_ha if given else extent_ha
-    model_basis = "given" if given else "extent"  # design totals are compared with this one
-    areas = {"extent": extent_ha}  # and each map's own "valid" area, set per map below
-    if given:
-        areas["given"] = float(config.region_area_ha)
+    design_area = config.region_area_ha or header["ncols"] * header["nrows"] * cell_ha
 
-    # (quantity, method, allometry, area basis, year) -> estimate; design has basis ""
+    # (quantity, method, allometry, year) -> estimate
     table: dict[tuple, carbon_mod.StockEstimate] = {}
     for year in years:
         year_plots = [p for p in plots if p.inventory_year == year]
         for allometry in ALLOMETRIES:
-            summary = maps[f"{year}_{allometry}"]
-            areas["valid"] = summary["n_valid"] * cell_ha
-            found = [carbon_mod.model_stock(summary["mean"], area, year, allometry, basis)
-                     for basis, area in areas.items()]
+            summary = maps[f"{year}_{allometry}"]  # a map's total is its own sum
+            found = [carbon_mod.model_stock(summary["mean"], summary["n_valid"] * cell_ha,
+                                            year, allometry)]
             if year_plots:  # a year mapped without plots has model totals only
                 found.append(carbon_mod.design_stock(year_plots, design_area, year, allometry))
             for est in found:
                 for e in (est, carbon_mod.agb_to_agc(est, fractions[year][allometry])):
-                    table[(e.quantity, e.method, e.allometry, e.area_basis or "", e.year)] = e
+                    table[(e.quantity, e.method, e.allometry, e.year)] = e
     keys = sorted(table)
 
     stock_rows = [asdict(table[key]) for key in keys]
     first, last = years[0], years[-1]
     change_rows = [{**asdict(table[key]), "year": f"{last}-{first}",
-                    "total_mt": table[key].total_mt - table[(*key[:4], first)].total_mt}
+                    "total_mt": table[key].total_mt - table[(*key[:3], first)].total_mt}
                    for key in keys
-                   if first != last and key[4] == last and (*key[:4], first) in table]
+                   if first != last and key[3] == last and (*key[:3], first) in table]
     write_table(out / "stocks.csv", STOCK_COLUMNS, stock_rows + change_rows)
 
     # design minus model, the sign convention used for comparison columns
     diff_rows = []
-    for quantity, method, allometry, _, year in keys:
+    for quantity, method, allometry, year in keys:
         if method == "design":
-            d = table[(quantity, method, allometry, "", year)].total_mt
-            m = table[(quantity, "model", allometry, model_basis, year)].total_mt
+            d = table[(quantity, method, allometry, year)].total_mt
+            m = table[(quantity, "model", allometry, year)].total_mt
             diff_rows.append({"quantity": quantity, "allometry": allometry, "year": year,
                               "design_mt": d, "model_mt": m, "design_minus_model_mt": d - m})
     write_table(out / "design_minus_model.csv", DESIGN_MINUS_MODEL_COLUMNS, diff_rows)
@@ -758,7 +750,6 @@ def _stage_stocks(config: PipelineConfig, out: Path) -> None:
     _write_json(out / "summary.json", {
         "note": carbon_mod.DESIGN_ESTIMATOR_NOTE,
         "carbon_fractions": {str(y): fractions[y] for y in years},
-        "model_basis_for_comparison": model_basis,
     })
 
 
@@ -856,7 +847,7 @@ def _cell_text(v, name="", places=2) -> str:
         try:
             v = float(v)
         except ValueError:
-            return v  # textual label, e.g. a year span or a basis name
+            return v  # textual label, e.g. a year span or an allometry name
     if name in ("n", "year", "n_train", "n_test", "scale_km") and v == int(v):
         return str(int(v))
     return f"{float(v):.{places}f}"

@@ -23,39 +23,32 @@ def grid_100m(values, mask=None):
 
 
 class TestModelStock:
-    # a 2 x 2 grid of 100 m cells is a 4 ha extent; the stocks stage takes the
-    # mean density from predict's map summary and chooses the area
-    def test_extent_basis_hand_computed(self):
-        # mean density 25 Mg/ha over a 4 ha footprint = 100 Mg = 1e-4 Mt
-        mean = summarize(grid_100m([[10.0, 20.0], [30.0, 40.0]])).mean
-        est = model_stock(mean, 4.0, year=2019, allometry="CRM", area_basis="extent")
-        assert est.total_mt == pytest.approx(100.0 / 1e6, rel=1e-12)
-        assert est.region_area_ha == pytest.approx(4.0)
-        assert est.area_basis == "extent"
-        assert (est.quantity, est.method) == ("AGB", "model")
+    # the stocks stage takes a map's mean density and valid-cell count from
+    # predict's map summary; the model total is the map's own sum
+    def test_constant_map_is_c_times_its_valid_area(self):
+        # c Mg/ha on 3 valid cells of 1 ha, one masked: 3c Mg, whatever the
+        # masked cell's payload
+        c = 25.0
+        s = summarize(grid_100m([[c, c], [c, 1e6]], mask=[[True, True], [True, False]]))
+        est = model_stock(s.mean, s.n_valid * 1.0, year=2019, allometry="CRM")
+        assert est.total_mt == c * 3 * 1.0 / 1e6
+        assert est.region_area_ha == 3.0
+        assert (est.quantity, est.method, est.allometry, est.year) == ("AGB", "model", "CRM", 2019)
 
-    def test_valid_basis_excludes_masked_area(self):
+    def test_sum_of_valid_cells_hand_computed(self):
+        # mean 20 Mg/ha over 3 valid cells of 1 ha = 60 Mg = 6e-5 Mt; the
+        # masked cell adds no area
         s = summarize(grid_100m([[10.0, 20.0], [30.0, 40.0]],
                                 mask=[[True, True], [True, False]]))
-        ext = model_stock(s.mean, 4.0, 2019, "CRM", "extent")
-        val = model_stock(s.mean, s.n_valid * 1.0, 2019, "CRM", "valid")
-        assert ext.region_area_ha == pytest.approx(4.0)
-        assert val.region_area_ha == pytest.approx(3.0)
-        assert val.total_mt == pytest.approx(20.0 * 3.0 / 1e6, rel=1e-12)
-        assert ext.total_mt == pytest.approx(20.0 * 4.0 / 1e6, rel=1e-12)
-
-    def test_explicit_area_overrides(self):
-        est = model_stock(50.0, 14_129_700.0, 2019, "NSVB", "given")
-        assert est.area_basis == "given"
-        assert est.total_mt == pytest.approx(50.0 * 14_129_700.0 / 1e6)
-        assert est.region_area_ha == 14_129_700.0
+        est = model_stock(s.mean, s.n_valid * 1.0, 2019, "NSVB")
+        assert est.total_mt == pytest.approx(60.0 / 1e6, rel=1e-12)
 
     def test_all_masked_rejected(self):
         # an all-masked map's summary records no mean
         s = summarize(grid_100m([[1.0]], mask=[[False]]))
         assert s.mean is None
         with pytest.raises(ValueError, match="no valid cells"):
-            model_stock(s.mean, 1.0, 2019, "CRM", "extent")
+            model_stock(s.mean, 0.0, 2019, "CRM")
 
 
 class TestDesignStock:

@@ -125,6 +125,52 @@ class TestOverlapWeights:
         assert keys == sorted(keys)
 
 
+# plot centers about a 10 x 10 grid whose corner is the origin: its center
+# circle covers the grid, cuts it on each side or across a corner, or an
+# offset subplot (azimuth 120) lies over it
+def small_grid_plots(side):
+    mid = side / 2
+    az = math.radians(120.0)
+    return [(mid, mid), (mid + 7.2, mid), (mid - 7.2, mid), (mid, mid + 7.2), (mid, mid - 7.2),
+            (mid + 5.1, mid - 5.1), (mid - 5.1, mid + 5.1),
+            (mid - OFFSET * math.sin(az), mid - OFFSET * math.cos(az))]
+
+
+class TestWindowClampedToGrid:
+    """Each circle's corners are evaluated on the grid's cells only, and every
+    weight keeps the bits it has on a grid large enough to hold the window."""
+
+    @pytest.mark.parametrize("xy", small_grid_plots(0.5))
+    def test_corners_per_circle_at_most_the_grids(self, xy, monkeypatch):
+        # 0.05 m cells: the unclamped window is 294 x 294 cells per circle
+        from agbmap import footprint
+        shapes, corner_area = [], footprint._corner_area
+        def recording(x, y, r):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return corner_area(x, y, r)
+        monkeypatch.setattr(footprint, "_corner_area", recording)
+        w = pixel_overlap_weights(PlotFootprint(*xy), flat_grid(10, 10, cellsize=0.05))
+        assert w.weights.size > 0
+        assert shapes and all(shape[1:] <= (11, 11) for shape in shapes)
+
+    @pytest.mark.parametrize("xy", small_grid_plots(0.625))
+    def test_weights_keep_their_bits_on_an_extended_grid(self, xy):
+        # cells of 1/16 m on a dyadic origin make every corner coordinate exact
+        # on both grids; the extended grid adds the whole window, n cells, on
+        # every side, so no circle's window is clamped there
+        cs = 0.0625
+        n = math.ceil(2.0 * R / cs) + 1
+        fp = PlotFootprint(*xy)
+        w = pixel_overlap_weights(fp, flat_grid(10, 10, cellsize=cs))
+        big = pixel_overlap_weights(fp, flat_grid(10 + 2 * n, 10 + 2 * n, cellsize=cs,
+                                                  x0=-n * cs, y0=-n * cs))
+        inside = (big.cols >= n) & (big.cols < n + 10) & (big.rows >= n) & (big.rows < n + 10)
+        assert w.weights.size == np.count_nonzero(inside) > 0
+        assert np.array_equal(w.cols, big.cols[inside] - n)
+        assert np.array_equal(w.rows, big.rows[inside] - n)
+        assert w.weights.tobytes() == big.weights[inside].tobytes()
+
+
 def weight_of(w, col, row):
     hit = (w.cols == col) & (w.rows == row)
     assert hit.sum() == 1, (col, row)

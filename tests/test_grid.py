@@ -49,6 +49,13 @@ class TestGridBasics:
         assert np.array_equal(g.values, [[1.0, 0.0]])
         assert np.array_equal(g.mask, [[True, False]])
 
+    @pytest.mark.parametrize("key", ["x_origin", "y_origin", "cellsize"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_origin_or_cellsize_rejected(self, key, value):
+        # write_grid would put NaN or Infinity in a header read_grid refuses
+        with pytest.raises(ValueError, match="must be finite"):
+            make_grid([[1.0]], **{key: value})
+
     def test_alignment_requires_all_five_fields(self):
         a = make_grid([[1.0]])
         assert a.aligned_with(make_grid([[2.0]]))
@@ -69,6 +76,14 @@ class TestRoundTrip:
         assert r.units == g.units
         assert np.array_equal(r.mask, g.mask)
         assert np.array_equal(r.values, g.values)
+
+    @pytest.mark.parametrize("geo", [dict(x_origin=-1.7e308, y_origin=1.7e308, cellsize=5e-324),
+                                     dict(x_origin=1e300, y_origin=-3.0, cellsize=1e300)])
+    def test_any_finite_geometry_round_trips(self, tmp_path, geo):
+        g = make_grid([[1.0, 2.0]], **geo)
+        write_grid(g, tmp_path / "g.bin")
+        r = read_grid(tmp_path / "g.bin")
+        assert r.aligned_with(g) and np.array_equal(r.values, g.values)
 
     def test_binary_round_trip_twice_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)

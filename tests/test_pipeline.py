@@ -1039,52 +1039,57 @@ def test_diff_change_invariant(small):
 
 
 def check_stocks(run_dir, config):
-    """Every stock row of `run_dir` against the maps read back, the carbon
-    fractions and the plot table; returns the rows keyed by their columns."""
+    """Every stock row of `run_dir` against predict's map summaries, the maps
+    read back, the carbon fractions and the plot table; returns the rows keyed
+    by their columns."""
     rows = read_rows(run_dir / "stocks" / "stocks.csv")
     meta = json.loads((run_dir / "stocks" / "summary.json").read_text())
-    by_key = {(r["quantity"], r["method"], r["allometry"], r["area_basis"],
-               r["year"]): float(r["total_mt"]) for r in rows}
+    assert "area_basis" not in rows[0]
+    by_key = {(r["quantity"], r["method"], r["allometry"], r["year"]): float(r["total_mt"])
+              for r in rows}
     assert len(by_key) == len(rows)
-    areas = {}
+    areas = {(r["method"], r["year"]): float(r["region_area_ha"]) for r in rows}
+    maps = json.loads((run_dir / "predict" / "summary.json").read_text())["maps"]
     for year in config.years:
         for allometry in ("CRM", "NSVB"):
             g = read_grid(run_dir / "predict" / f"agb_{year}_{allometry}.bin")
-            mean = g.values[g.mask].astype(np.float64).mean()
             cell_ha = g.cellsize * g.cellsize / 1e4
-            areas = {"extent": g.ncols * g.nrows * cell_ha, "valid": g.mask.sum() * cell_ha}
-            if config.region_area_ha is not None:
-                areas["given"] = config.region_area_ha
-            for basis, area in areas.items():
-                got = by_key[("AGB", "model", allometry, basis, str(year))]
-                assert got == pytest.approx(mean * area / 1e6, rel=1e-12)
-    assert {k[3] for k in by_key if k[1] == "model"} == set(areas)
-    design_area = config.region_area_ha or areas["extent"]
-    assert {float(r["region_area_ha"]) for r in rows if r["method"] == "design"} \
-        == {design_area}
+            extent_ha = g.ncols * g.nrows * cell_ha
+            s = maps[f"{year}_{allometry}"]
+            assert s["n_valid"] == int(g.mask.sum())
+            # one model total per map: its sum over its valid cells, bit for bit
+            # the mean times the valid area, as the summary records them
+            got = by_key[("AGB", "model", allometry, str(year))]
+            assert got == s["mean"] * (s["n_valid"] * cell_ha) / 1e6
+            assert got == pytest.approx(
+                g.values[g.mask].astype(np.float64).sum() * cell_ha / 1e6, rel=1e-9)
+            assert areas[("model", str(year))] == s["n_valid"] * cell_ha
+    design_area = config.region_area_ha or extent_ha
+    assert {a for (m, _), a in areas.items() if m == "design"} == {design_area}
     plot_years = {r["inventory_year"] for r in read_rows(run_dir / "ingest" / "plots.csv")}
-    assert {k[4] for k in by_key if k[1] == "design" and "-" not in k[4]} == plot_years
-    for (q, m, a, basis, y), v in by_key.items():
+    assert {k[3] for k in by_key if k[1] == "design" and "-" not in k[3]} == plot_years
+    for (q, m, a, y), v in by_key.items():
         if q == "AGC" and y in meta["carbon_fractions"]:  # a year, not a change
-            agb = by_key[("AGB", m, a, basis, y)]
+            agb = by_key[("AGB", m, a, y)]
             assert v == pytest.approx(meta["carbon_fractions"][y][a] * agb, rel=1e-12)
     # a change is the last year's entry minus the first year's of the same key
     years = sorted(config.years)
     span = f"{years[-1]}-{years[0]}"
-    changes = {k: v for k, v in by_key.items() if k[4] == span}
+    changes = {k: v for k, v in by_key.items() if k[3] == span}
     assert changes == {
-        (*k[:4], span): by_key[k] - by_key[(*k[:4], str(years[0]))]
-        for k in by_key if k[4] == str(years[-1]) and (*k[:4], str(years[0])) in by_key}
+        (*k[:3], span): by_key[k] - by_key[(*k[:3], str(years[0]))]
+        for k in by_key if k[3] == str(years[-1]) and (*k[:3], str(years[0])) in by_key}
+    # each design total is compared with its map's one model total
     dm = read_rows(run_dir / "stocks" / "design_minus_model.csv")
     assert {(r["quantity"], r["allometry"], r["year"]) for r in dm} == {
-        (k[0], k[2], k[4]) for k in by_key if k[1] == "design" and "-" not in k[4]}
+        (k[0], k[2], k[3]) for k in by_key if k[1] == "design" and "-" not in k[3]}
     for r in dm:
-        key = (r["quantity"], r["allometry"], r["year"])
-        assert float(r["design_mt"]) == by_key[(key[0], "design", key[1], "", key[2])]
-        assert float(r["model_mt"]) == by_key[
-            (key[0], "model", key[1], meta["model_basis_for_comparison"], key[2])]
+        q, a, y = r["quantity"], r["allometry"], r["year"]
+        assert float(r["design_mt"]) == by_key[(q, "design", a, y)]
+        assert float(r["model_mt"]) == by_key[(q, "model", a, y)]
         diff = float(r["design_mt"]) - float(r["model_mt"])
         assert float(r["design_minus_model_mt"]) == pytest.approx(diff, abs=1e-9)
+    assert set(meta) == {"note", "carbon_fractions"}
     assert "post-stratification" in meta["note"]
     return by_key, meta
 
@@ -1093,26 +1098,32 @@ def test_stocks_outputs(small):
     by_key, meta = check_stocks(small.root / "run", small.config)
     assert {k[0] for k in by_key} == {"AGB", "AGC"}
     assert {k[1] for k in by_key} == {"design", "model"}
-    assert any(k[4] == "2019-2005" for k in by_key)
+    # one model row per quantity, allometry and year or change
+    assert sorted(k for k in by_key if k[1] == "model") == sorted(
+        (q, "model", a, y) for q in ("AGB", "AGC") for a in ("CRM", "NSVB")
+        for y in ("2005", "2019", "2019-2005"))
     # constant CRM carbon fraction halves the AGB total exactly
-    for (q, m, a, basis, y), v in by_key.items():
+    for (q, m, a, y), v in by_key.items():
         if q == "AGB" and a == "CRM":
-            assert by_key[("AGC", m, a, basis, y)] == pytest.approx(0.5 * v,
-                                                                    rel=1e-12)
-    assert meta["model_basis_for_comparison"] == "extent"
+            assert by_key[("AGC", m, a, y)] == pytest.approx(0.5 * v, rel=1e-12)
 
 
 def test_stocks_with_a_given_region_area(small, tmp_path):
+    # the region area is the design's alone: the model rows and every model
+    # total keep their bytes, and only the design rows move
     config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"),
                          region_area_ha=14_129_700.0)
     run(config)
-    by_key, meta = check_stocks(tmp_path / "o", config)
-    assert meta["model_basis_for_comparison"] == "given"
-    given = [k for k in by_key if k[1] == "model" and k[3] == "given"]
-    assert len(given) == 2 * 2 * 3  # quantity x allometry x (two years and the change)
-    design = [r for r in read_rows(tmp_path / "o" / "stocks" / "stocks.csv")
-              if r["method"] == "design"]
-    assert design and {float(r["region_area_ha"]) for r in design} == {14_129_700.0}
+    check_stocks(tmp_path / "o", config)
+    base, given = (read_rows(d / "stocks" / "stocks.csv") for d in (small.root / "run", tmp_path / "o"))
+    assert [r for r in given if r["method"] == "model"] == [r for r in base if r["method"] == "model"]
+    design = [r for r in given if r["method"] == "design"]
+    assert len(design) == len([r for r in base if r["method"] == "design"]) > 0
+    assert {float(r["region_area_ha"]) for r in design} == {14_129_700.0}
+    base_dm, given_dm = (read_rows(d / "stocks" / "design_minus_model.csv")
+                         for d in (small.root / "run", tmp_path / "o"))
+    assert [r["model_mt"] for r in given_dm] == [r["model_mt"] for r in base_dm]
+    assert all(g["design_mt"] != b["design_mt"] for g, b in zip(given_dm, base_dm))
 
 
 def test_stocks_of_a_year_mapped_without_plots(small, tmp_path):
@@ -1123,8 +1134,8 @@ def test_stocks_of_a_year_mapped_without_plots(small, tmp_path):
     drop_year(root / "inputs" / "plots.csv", "inventory_year", "2019")
     run(config)
     by_key, meta = check_stocks(root / "run", config)
-    assert {k[4] for k in by_key if k[1] == "design"} == {"2005"}
-    assert {k[4] for k in by_key if k[1] == "model"} == {"2005", "2019", "2019-2005"}
+    assert {k[3] for k in by_key if k[1] == "design"} == {"2005"}
+    assert {k[3] for k in by_key if k[1] == "model"} == {"2005", "2019", "2019-2005"}
     dm = read_rows(root / "run" / "stocks" / "design_minus_model.csv")
     assert dm and {r["year"] for r in dm} == {"2005"}
 
@@ -1214,8 +1225,7 @@ def test_summaries_hold_only_numbers_no_table_or_model_file_holds(small):
         "change_CRM", "change_NSVB", "change_diff"}
     for entry in summary("diff").values():
         assert set(entry) == {"n_valid", "mean", "min", "max"}
-    assert set(summary("stocks")) == {"note", "carbon_fractions",
-                                      "model_basis_for_comparison"}
+    assert set(summary("stocks")) == {"note", "carbon_fractions"}
     # stocks.json copied stocks.csv and design_minus_model.csv, and rescale's
     # summary copied rescale.csv, row for row
     assert small.manifest.stages["stocks"].outputs == [
