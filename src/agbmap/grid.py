@@ -87,12 +87,9 @@ class Grid:
     mask: np.ndarray = field(default=None)  # True where the cell is valid
 
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1:
-            raise ValueError("grid must have at least one column and one row")
-        if not all(finite_number(getattr(self, key)) for key in GEOMETRY[2:]):  # read_header's rule
-            raise ValueError("grid origins and cellsize must be finite")
-        if not self.cellsize > 0:
-            raise ValueError("cellsize must be positive")
+        check_geometry(*(getattr(self, key) for key in GEOMETRY))
+        for key in GEOMETRY[2:]:  # floats, as read_header gives them: a grid read back is aligned
+            setattr(self, key, float(getattr(self, key)))
         values = np.asarray(self.values, dtype=np.float32, order="C")
         if values.shape != (self.nrows, self.ncols):
             raise ValueError(
@@ -213,6 +210,17 @@ def finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
+    """The rule on a grid's geometry, in memory and in a file header: at least
+    one column and one row, finite origins and a positive finite cellsize."""
+    if ncols < 1 or nrows < 1:
+        raise ValueError("grid must have at least one column and one row")
+    if not all(map(finite_number, (x_origin, y_origin, cellsize))):
+        raise ValueError("grid origins and cellsize must be finite")
+    if not cellsize > 0:
+        raise ValueError(f"cellsize must be positive, got {cellsize!r}")
+
+
 def read_header(path) -> dict:
     """The checked header of a grid file written by :func:`write_grid`, as the
     `Grid` fields besides values and mask, without reading the payload. The
@@ -235,18 +243,15 @@ def read_header(path) -> dict:
     byte_order = header.pop("byte_order")
     if byte_order != "little":
         raise GridFormatError(f"unsupported byte order {byte_order!r}")
-    floats = ("x_origin", "y_origin", "cellsize")
-    if not all(finite_number(header[key]) for key in floats):
-        raise GridFormatError("grid origins and cellsize must be finite")
-    if not header["cellsize"] > 0:
-        raise GridFormatError(f"cellsize must be positive, got {header['cellsize']!r}")
+    try:
+        check_geometry(*(header[key] for key in GEOMETRY))
+    except ValueError as e:
+        raise GridFormatError(str(e)) from None
     ncols, nrows = header["ncols"], header["nrows"]
-    if ncols < 1 or nrows < 1:
-        raise GridFormatError("grid dimensions must be positive")
     if size - len(line) != 5 * ncols * nrows:  # a float32 and a mask byte per cell
         raise GridFormatError(
             f"payload holds {size - len(line)} bytes, expected {5 * ncols * nrows}")
-    return {**header, **{key: float(header[key]) for key in floats}}
+    return {**header, **{key: float(header[key]) for key in GEOMETRY[2:]}}
 
 
 def read_grid(path) -> Grid:

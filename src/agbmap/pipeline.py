@@ -6,6 +6,10 @@ Every stage is a pure function of (configuration, input files), seeded from
 the configured seed, so reruns produce byte-identical data outputs. The run
 manifest records what was built from which configuration hash; timings in the
 manifest are the one thing excluded from the byte-identity guarantee.
+
+Every rule on a configured value is checked where the configuration is read,
+by `PipelineConfig.from_document` (`null` is "not given" for `learner_grids` and
+`region_area_ha`); `validate` checks only the files and raster headers it names.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ INGEST_PLOT_COLUMNS = {**PLOT_COLUMNS, "agb_crm": number, "agb_nsvb": number}
 
 
 class ConfigError(ValueError):
-    """Structurally invalid configuration document."""
+    """A configuration document, or one of its values, that breaks its rule."""
 
 
 def _unique_keys(pairs) -> dict:
@@ -103,14 +107,15 @@ class PipelineConfig:
     carbon_fractions: Path
     elevation: Path
     years: dict[int, YearInputs]
-    learner_grids: dict[str, list[dict]] | None = None
+    # optional keys; `null` means "not given": DEFAULT_GRIDS, and the extent's area
+    learner_grids: dict[str, list[LearnerSpec]] | None = None
     region_area_ha: float | None = None
     config_hash: str = ""
 
     @classmethod
     def load(cls, path, overrides=None) -> "PipelineConfig":
         """Read a configuration file; `overrides` replace top-level keys of
-        the document before validation, so they feed the hash too."""
+        the document before it is checked, so they feed the hash too."""
         path = Path(path)
         try:
             with open(path, encoding="utf-8") as f:
@@ -125,6 +130,9 @@ class PipelineConfig:
 
     @classmethod
     def from_document(cls, raw, base_dir) -> "PipelineConfig":
+        """The configuration a JSON document gives. Every rule on a configured
+        value is checked here, and a value that breaks one raises ConfigError
+        naming its key; `validate` checks only the files the paths name."""
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         missing = sorted(_REQUIRED_KEYS - set(raw))
@@ -133,10 +141,22 @@ class PipelineConfig:
         unknown = sorted(set(raw) - _REQUIRED_KEYS - _OPTIONAL_KEYS)
         if unknown:
             raise ConfigError(f"unknown configuration keys: {unknown}")
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+        if not of_type(raw["seed"], int):
             raise ConfigError("seed must be an integer")
         if raw["seed"] < 0:  # numpy seeds no generator from it
             raise ConfigError(f"seed must be non-negative, got {raw['seed']}")
+        panel = raw["holdout_panel"]
+        if panel != "random" and not (of_type(panel, int) and 1 <= panel <= 5):
+            raise ConfigError(f"holdout_panel must be 1..5 or 'random', got {panel!r}")
+        scales, removed = raw["scales_km"], raw["removed_landcover_classes"]
+        if not (isinstance(scales, list) and scales
+                and all(finite_number(s) and s > 0 for s in scales)):
+            raise ConfigError("scales_km must be a non-empty array of positive finite numbers")
+        if not (isinstance(removed, list) and all(map(finite_number, removed))):
+            raise ConfigError("removed_landcover_classes must be an array of finite numbers")
+        area = raw.get("region_area_ha")
+        if area is not None and not (finite_number(area) and area > 0):
+            raise ConfigError(f"region_area_ha must be a positive finite number, got {area!r}")
         if not isinstance(raw["years"], dict) or not raw["years"]:
             raise ConfigError("years must be a non-empty object")
 
@@ -169,45 +189,44 @@ class PipelineConfig:
                             for name, p in preds.items()},
                 landcover=path_of(entry["landcover"], f"landcover for {year}"),
             )
+        if len({frozenset(inputs.predictors) for inputs in years.values()}) > 1:
+            raise ConfigError("predictor layer names differ between years; one model "
+                              "must apply to every year")
 
         grids = raw.get("learner_grids")
-        if grids is not None and (not isinstance(grids, dict) or not grids):
+        grids = DEFAULT_GRIDS if grids is None else grids
+        if not isinstance(grids, dict) or not grids:
             raise ConfigError("learner_grids must be a non-empty object when given")
-        for key in ("scales_km", "removed_landcover_classes"):
-            if not isinstance(raw[key], list):
-                raise ConfigError(f"{key} must be an array")
+        specs = {}
+        for kind, grid in grids.items():
+            if not (isinstance(grid, list) and grid and all(isinstance(hp, dict) for hp in grid)):
+                raise ConfigError(f"learner_grids: the learner grid for {kind!r} must be a "
+                                  "non-empty array of objects")
+            try:
+                specs[kind] = [LearnerSpec.make(kind, **hp) for hp in grid]
+            except ValueError as e:
+                raise ConfigError(f"learner_grids: the learner grid for {kind!r}: {e}") from None
 
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-        cfg = cls(
+        return cls(
             seed=raw["seed"],
             output_dir=path_of(raw["output_dir"], "output_dir"),
-            holdout_panel=raw["holdout_panel"],
-            scales_km=list(raw["scales_km"]),
-            removed_landcover_classes=list(raw["removed_landcover_classes"]),
+            holdout_panel=panel,
+            scales_km=list(scales),
+            removed_landcover_classes=list(removed),
             trees=path_of(raw["trees"], "trees"),
             plots=path_of(raw["plots"], "plots"),
             carbon_fractions=path_of(raw["carbon_fractions"], "carbon_fractions"),
             elevation=path_of(raw["elevation"], "elevation"),
             years=dict(sorted(years.items())),
-            **{key: raw[key] for key in _OPTIONAL_KEYS if key in raw},
+            learner_grids=specs,
+            region_area_ha=area,
             config_hash=hashlib.sha256(canonical.encode()).hexdigest(),
         )
-        return cfg
 
     def predictor_names(self) -> list[str]:
         first = next(iter(self.years.values()))
         return sorted(first.predictors)
-
-    def spec_grids(self) -> dict[str, list[LearnerSpec]]:
-        raw = self.learner_grids if self.learner_grids is not None else DEFAULT_GRIDS
-        out = {}
-        for kind, grid in raw.items():
-            if not (isinstance(grid, list) and all(isinstance(hp, dict) for hp in grid)):
-                raise ConfigError(f"grid for {kind!r} must be an array of objects")
-            out[kind] = [LearnerSpec.make(kind, **hp) for hp in grid]
-            if not out[kind]:
-                raise ConfigError(f"empty hyperparameter grid for {kind!r}")
-        return out
 
 
 # one document key per field; a field without a default is a required key
@@ -217,64 +236,34 @@ _OPTIONAL_KEYS = _KEYS.keys() - _REQUIRED_KEYS
 
 
 def validate(config: PipelineConfig) -> list[str]:
-    """Check paths, domains, and raster alignment. Empty list means valid."""
-    findings: list[str] = []
-
-    for label, p in [("trees", config.trees), ("plots", config.plots),
-                     ("carbon_fractions", config.carbon_fractions),
-                     ("elevation", config.elevation)]:
-        if not Path(p).is_file():
-            findings.append(f"missing file: {label} at {p}")
+    """Check the files a configuration names: each must exist, and each
+    raster's header must be readable, fit its file's size and match the
+    elevation grid. Every configured value was checked when the configuration
+    was read (`PipelineConfig.from_document`). Empty list means valid."""
+    rasters = []  # (label, path) of each raster to align with the elevation grid
     for year, inputs in config.years.items():
-        if not Path(inputs.landcover).is_file():
-            findings.append(f"missing file: landcover for {year} at {inputs.landcover}")
-        for name, p in sorted(inputs.predictors.items()):
-            if not Path(p).is_file():
-                findings.append(f"missing file: predictor {name!r} for {year} at {p}")
-
-    if config.holdout_panel != "random" and not (of_type(config.holdout_panel, int)
-                                                 and 1 <= config.holdout_panel <= 5):
-        findings.append(f"holdout_panel must be 1..5 or 'random', got {config.holdout_panel!r}")
-    if not config.scales_km:
-        findings.append("scales_km is empty")
-    elif any(not finite_number(s) or s <= 0 for s in config.scales_km):
-        findings.append("scales_km entries must be positive finite numbers")
-    if any(not finite_number(c) for c in config.removed_landcover_classes):
-        findings.append("removed_landcover_classes entries must be finite numbers")
-    if config.region_area_ha is not None and not (finite_number(config.region_area_ha)
-                                                  and config.region_area_ha > 0):
-        findings.append(
-            f"region_area_ha must be a positive finite number, got {config.region_area_ha!r}")
-
-    try:
-        grids = config.spec_grids()
-        if not grids:
-            findings.append("no learner kinds configured")
-    except (ConfigError, ValueError) as e:
-        findings.append(f"learner grid: {e}")
-
-    if len({frozenset(inputs.predictors) for inputs in config.years.values()}) > 1:
-        findings.append("predictor layer names differ between years; one model "
-                        "must apply to every year")
+        rasters += [(f"predictor {name!r} for {year}", p)
+                    for name, p in sorted(inputs.predictors.items())]
+        rasters.append((f"landcover for {year}", inputs.landcover))
+    findings = [f"missing file: {label} at {p}" for label, p in [
+        ("trees", config.trees), ("plots", config.plots),
+        ("carbon_fractions", config.carbon_fractions), ("elevation", config.elevation),
+        *rasters] if not Path(p).is_file()]
+    if findings:
+        return findings
 
     # headers and file sizes only: a stage checks the cells of a layer it reads
     def geometry(path):
         header = read_header(path)
         return [header[key] for key in GEOMETRY]
 
-    if not findings:
-        try:
-            ref = geometry(config.elevation)
-            for year, inputs in config.years.items():
-                for name, p in sorted(inputs.predictors.items()):
-                    if geometry(p) != ref:
-                        findings.append(f"alignment: predictor {name!r} for {year} "
-                                        f"does not match the elevation grid")
-                if geometry(inputs.landcover) != ref:
-                    findings.append(f"alignment: landcover for {year} does not "
-                                    f"match the elevation grid")
-        except (OSError, ValueError) as e:
-            findings.append(f"unreadable raster: {e}")
+    try:
+        ref = geometry(config.elevation)
+        for label, p in rasters:
+            if geometry(p) != ref:
+                findings.append(f"alignment: {label} does not match the elevation grid")
+    except (OSError, ValueError) as e:
+        findings.append(f"unreadable raster: {e}")
     return findings
 
 
@@ -488,7 +477,7 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     n_train = int(round(TRAIN_FRAC * n))  # 8 <= n_train <= n - 2 for n >= 10
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     smallest = n_train - -(-n_train // CV_FOLDS)  # a fold's fewest training rows
-    grids = config.spec_grids()
+    grids = config.learner_grids
     for spec in grids.get("knn", []):
         if spec.hp["k"] > smallest:
             raise ConfigError(f"learner_grids.knn k {spec.hp['k']} exceeds the {smallest} "

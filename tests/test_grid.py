@@ -77,10 +77,14 @@ class TestRoundTrip:
         assert np.array_equal(r.mask, g.mask)
         assert np.array_equal(r.values, g.values)
 
+    # an int geometry is held as the float a header gives back, even one
+    # (10**300) that a float cannot hold exactly
     @pytest.mark.parametrize("geo", [dict(x_origin=-1.7e308, y_origin=1.7e308, cellsize=5e-324),
-                                     dict(x_origin=1e300, y_origin=-3.0, cellsize=1e300)])
+                                     dict(x_origin=1e300, y_origin=-3.0, cellsize=1e300),
+                                     dict(x_origin=10**300, y_origin=-3, cellsize=10**300)])
     def test_any_finite_geometry_round_trips(self, tmp_path, geo):
         g = make_grid([[1.0, 2.0]], **geo)
+        assert all(type(getattr(g, key)) is float for key in geo)
         write_grid(g, tmp_path / "g.bin")
         r = read_grid(tmp_path / "g.bin")
         assert r.aligned_with(g) and np.array_equal(r.values, g.values)

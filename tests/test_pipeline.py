@@ -318,18 +318,30 @@ def test_validate_reports_missing_file(small):
     assert any("missing file" in f and "plots" in f for f in findings)
 
 
+def misaligned_copy(path, out):
+    """Write the grid at `path` to `out` with a cellsize one metre larger."""
+    ref = read_grid(path)
+    write_grid(Grid(ncols=ref.ncols, nrows=ref.nrows, x_origin=ref.x_origin,
+                    y_origin=ref.y_origin, cellsize=ref.cellsize + 1.0,
+                    units=ref.units, values=ref.values, mask=ref.mask), out)
+    return str(out)
+
+
 def test_validate_reports_misaligned_raster(small, tmp_path):
-    ref = read_grid(small.config.elevation)
-    off = Grid(ncols=ref.ncols, nrows=ref.nrows, x_origin=ref.x_origin,
-               y_origin=ref.y_origin, cellsize=ref.cellsize + 1.0,
-               units=ref.units, values=np.asarray(ref.values).copy())
-    bad_path = tmp_path / "off.bin"
-    write_grid(off, bad_path)
     doc = json.loads(json.dumps(small.doc))
-    doc["years"]["2005"]["predictors"]["brightness"] = str(bad_path)
+    doc["years"]["2005"]["predictors"]["brightness"] = misaligned_copy(
+        small.config.elevation, tmp_path / "off.bin")
     config = PipelineConfig.from_document(doc, base_dir=small.root)
     findings = validate(config)
     assert any("alignment" in f and "brightness" in f for f in findings)
+
+
+def test_validate_reports_misaligned_landcover(small, tmp_path):
+    doc = json.loads(json.dumps(small.doc))
+    doc["years"]["2019"]["landcover"] = misaligned_copy(
+        small.config.years[2019].landcover, tmp_path / "off.bin")
+    findings = validate(PipelineConfig.from_document(doc, base_dir=small.root))
+    assert findings == ["alignment: landcover for 2019 does not match the elevation grid"]
 
 
 # not finite as floats; `math.isfinite` would raise on the integer
@@ -337,32 +349,77 @@ def test_validate_reports_misaligned_raster(small, tmp_path):
                          ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("key", ["scales_km", "removed_landcover_classes", "region_area_ha"])
 def test_validate_rejects_non_finite_numbers(small, key, value):
+    # refused where the configuration is read, so neither validate nor run sees it
     if key in ("scales_km", "removed_landcover_classes"):
         value = [5, value]
-    findings = validate(make_config(small.doc, small.root, **{key: value}))
-    assert any(key in f for f in findings), findings
+    with pytest.raises(ConfigError, match=key):
+        make_config(small.doc, small.root, **{key: value})
 
 
 def test_validate_reports_domain_problems(small):
-    config = make_config(small.doc, small.root, holdout_panel=9)
-    findings = validate(config)
-    assert any("holdout_panel" in f for f in findings)
-    config = make_config(small.doc, small.root, scales_km=[])
-    assert any("scales_km" in f for f in validate(config))
-    # bool is an int subclass and True == 1, a valid panel
-    config = make_config(small.doc, small.root, holdout_panel=True)
-    assert any("holdout_panel" in f for f in validate(config))
-    # each is a finding, not an exception here or a failure in a late stage
-    for key, values in (("region_area_ha", ["x", 0, True]),
-                        ("scales_km", [[True, 5], [5, False]]),
-                        ("removed_landcover_classes", [[True], [3, False]])):
+    # each is refused where the configuration is read, naming its key, not
+    # found by validate or by a late stage; bool is an int subclass and True
+    # == 1, a valid panel
+    for key, values in (("holdout_panel", [9, 0, True, 1.0, "3", None]),
+                        ("scales_km", [[], [True, 5], [5, False], [2, 0], [2, -1], 5]),
+                        ("removed_landcover_classes", [[True], [3, False], ["1"], 3]),
+                        ("region_area_ha", ["x", 0, -1.0, True])):
         for value in values:
-            findings = validate(make_config(small.doc, small.root, **{key: value}))
-            assert any(key in f for f in findings), (key, value)
+            with pytest.raises(ConfigError, match=key):
+                make_config(small.doc, small.root, **{key: value})
     for grids in ({"knn": [{"k": True}]}, {"bagged_trees": [{"trees": True}]},
-                  {"knn": 5}, {"knn": [5]}, {"knn": [[1]]}):
-        findings = validate(make_config(small.doc, small.root, learner_grids=grids))
-        assert any("learner grid" in f for f in findings), grids
+                  {"knn": 5}, {"knn": [5]}, {"knn": [[1]]}, {"knn": []}, {"svm": [{}]}, {}):
+        with pytest.raises(ConfigError, match="learner_grids"):
+            make_config(small.doc, small.root, learner_grids=grids)
+
+
+@pytest.mark.parametrize("key", ["learner_grids", "region_area_ha"])
+def test_config_null_optional_key_is_not_given(small, key):
+    # `null` takes the default: the built-in grids, and the extent as the design's area
+    doc = {k: v for k, v in small.doc.items() if k != key}
+    given, absent = make_config(doc, small.root, **{key: None}), make_config(doc, small.root)
+    assert getattr(given, key) == getattr(absent, key)
+    assert given.config_hash != absent.config_hash  # the hash reads the document as written
+    if key == "learner_grids":
+        assert {kind: [s.hp for s in specs] for kind, specs in given.learner_grids.items()} \
+            == DEFAULT_GRIDS
+
+
+def test_config_refuses_predictor_names_that_differ_between_years(small):
+    doc = json.loads(json.dumps(small.doc))
+    predictors = doc["years"]["2019"]["predictors"]
+    predictors["renamed"] = predictors.pop(sorted(predictors)[0])
+    with pytest.raises(ConfigError, match="predictor layer names differ between years"):
+        PipelineConfig.from_document(doc, base_dir=small.root)
+
+
+# values the stages would otherwise run with: panel 1 held out, nothing
+# removed from the domain, and a refusal only in assess, after predict
+REFUSED_AT_LOAD = [("holdout_panel", True), ("holdout_panel", 1.0),
+                   ("removed_landcover_classes", [float("nan")]), ("scales_km", [2, 0])]
+
+
+@pytest.mark.parametrize("key, value", REFUSED_AT_LOAD)
+def test_config_load_refuses_a_value_before_run_starts(small, tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**small.doc, key: value, "output_dir": str(tmp_path / "o")}))
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig.load(path)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", REFUSED_AT_LOAD)
+def test_cli_value_refused_at_load_is_exit_1_before_any_stage_runs(small, tmp_path, capsys,
+                                                                   key, value):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    before = (root / "run" / "ingest" / "plots.csv").read_bytes()
+    path = root / "bad.json"
+    path.write_text(json.dumps({**small.doc, key: value}))
+    assert main(["ingest", "--config", str(path), "--stages", "extract"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and key in err
+    assert (root / "run" / "ingest" / "plots.csv").read_bytes() == before
 
 
 # -- run orchestration ----------------------------------------------------
@@ -875,7 +932,7 @@ def test_fit_cross_validates_each_family_once(small, tmp_path, monkeypatch):
     # the winner's out-of-fold column comes from model selection, not from a
     # second cross-validation, and one call serves both allometries
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch, small.doc)
-    families = {nested_family(s.kind, s.hp) for grid in config.spec_grids().values()
+    families = {nested_family(s.kind, s.hp) for grid in config.learner_grids.values()
                 for s in grid}
     assert len(calls) == len(families)
 
@@ -891,7 +948,7 @@ def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, 
     }
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch,
                                  {**small.doc, "learner_grids": grids})
-    specs = [s for grid in config.spec_grids().values() for s in grid]
+    specs = [s for grid in config.learner_grids.values() for s in grid]
     assert len(calls) == 7
     assert all(len({nested_family(s.kind, s.hp) for s in family}) == 1 for family in calls)
     assert sorted(map(repr, (s for family in calls for s in family))) == \
@@ -912,7 +969,7 @@ def test_fit_models_equal_a_search_and_refit_per_allometry(small, tmp_path, monk
         (list(specs), X, Y, kw)) or original(specs, X, Y, **kw))
     run(config, ["fit"])
     monkeypatch.undo()
-    assert [specs[0].kind for specs, *_ in searches] == sorted(config.spec_grids())
+    assert [specs[0].kind for specs, *_ in searches] == sorted(config.learner_grids)
     for a, allometry in enumerate(["CRM", "NSVB"]):
         doc = json.loads((tmp_path / "o" / "fit" / f"model_{allometry}.json").read_text())
         model = EnsembleModel.from_json(json.dumps(doc))
@@ -1164,7 +1221,7 @@ def test_model_files_hold_each_hyperparameter_once(small):
     for allometry in ("CRM", "NSVB"):
         doc = json.loads((small.root / "run" / "fit" / f"model_{allometry}.json").read_text())
         assert "ybar_train" not in set(keys(doc))
-        assert len(doc["base"]) == len(small.config.spec_grids())
+        assert len(doc["base"]) == len(small.config.learner_grids)
         for base in doc["base"]:
             hp, names = base["spec"]["hyperparameters"], list(keys(base))
             assert hp and set(hp) <= every
