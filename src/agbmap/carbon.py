@@ -11,6 +11,7 @@ outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,7 +66,7 @@ def weighted_carbon_fraction(rows) -> float:
     rows = list(rows)
     if not rows:
         raise ValueError("no carbon fraction rows")
-    share_sum = sum(r.agb_share for r in rows)
+    share_sum = math.fsum(r.agb_share for r in rows)  # exactly rounded: in any row order
     if abs(share_sum - 1.0) > 1e-9:
         raise ValueError(f"AGB shares sum to {share_sum!r}, not 1")
     for r in rows:
@@ -73,7 +74,7 @@ def weighted_carbon_fraction(rows) -> float:
             raise ValueError(f"carbon fraction {r.fraction!r} outside (0, 1)")
         if r.agb_share < 0.0:
             raise ValueError("negative AGB share")
-    return sum(r.agb_share * r.fraction for r in rows)
+    return math.fsum(r.agb_share * r.fraction for r in rows)
 
 
 def model_stock(mean_density: float | None, valid_area_ha: float, year: int,

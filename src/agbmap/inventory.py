@@ -128,19 +128,17 @@ def load_plots(path) -> list[PlotRecord]:
 def attach_densities(plots: Sequence[PlotRecord],
                      trees: Iterable[TreeRecord]) -> list[PlotRecord]:
     """Copy plot records with both AGB densities in Mg/ha filled in: the kg of
-    the trees listed under the plot's id and inventory year, summed in tree
-    order, over the full plot area (0.0 for a treeless plot).
+    the trees listed under the plot's id and inventory year, summed exactly
+    rounded (in any tree order), over the full plot area (0.0 for a treeless plot).
 
     density = sum(kg) / 0.0673336 ha / 1000.
     """
-    totals: dict[tuple[str, int], list[float]] = {}
+    kgs: dict[tuple[str, int], list[tuple[float, float]]] = {}
     for t in trees:
-        kg = totals.setdefault((t.plot_id, t.inventory_year), [0.0, 0.0])
-        kg[0] += t.agb_crm_kg
-        kg[1] += t.agb_nsvb_kg
+        kgs.setdefault((t.plot_id, t.inventory_year), []).append((t.agb_crm_kg, t.agb_nsvb_kg))
     attached = []
     for p in plots:
-        crm, nsvb = totals.get((p.plot_id, p.inventory_year), (0.0, 0.0))
+        crm, nsvb = map(math.fsum, zip(*kgs.get((p.plot_id, p.inventory_year), [(0.0, 0.0)])))
         attached.append(replace(p, agb_crm=crm / PLOT_AREA_HA / 1000.0,
                                 agb_nsvb=nsvb / PLOT_AREA_HA / 1000.0))
     return attached
@@ -149,8 +147,9 @@ def attach_densities(plots: Sequence[PlotRecord],
 def select_single_inventory(plots: Sequence[PlotRecord], seed: int) -> list[PlotRecord]:
     """Keep one uniformly random inventory record per plot id.
 
-    Plots measured once pass through unchanged. The draw is seeded and plots
-    are visited in sorted-id order, so the selection is reproducible. Output is
+    Plots measured once pass through unchanged. The draw is seeded, plots are
+    visited in sorted-id order and each one's records taken in inventory-year
+    order, so the selection is reproducible in any input order. Output is
     ordered by plot id.
     """
     groups: dict[str, list[PlotRecord]] = {}
@@ -159,7 +158,7 @@ def select_single_inventory(plots: Sequence[PlotRecord], seed: int) -> list[Plot
     rng = np.random.default_rng(seed)
     chosen = []
     for pid in sorted(groups):
-        group = groups[pid]
+        group = sorted(groups[pid], key=lambda p: p.inventory_year)
         if len(group) == 1:
             chosen.append(group[0])
         else:

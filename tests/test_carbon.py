@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestCarbonFractions:
         rows = [CarbonFractionRow("oak", 0.48, 0.6, 2019),
                 CarbonFractionRow("pine", 0.51, 0.4, 2019)]
         assert weighted_carbon_fraction(rows) == pytest.approx(0.6 * 0.48 + 0.4 * 0.51)
+
+    def test_weighted_fraction_bits_do_not_depend_on_row_order(self):
+        rows = [CarbonFractionRow(f"s{i}", fraction, share, 2019) for i, (fraction, share)
+                in enumerate([(0.47, 0.1), (0.49, 0.2), (0.51, 0.3), (0.48, 0.4)])]
+        want = weighted_carbon_fraction(rows)
+        assert want == math.fsum(r.agb_share * r.fraction for r in rows)
+        for order in itertools.permutations(rows):
+            assert weighted_carbon_fraction(order) == want
 
     def test_shares_must_sum_to_one(self):
         rows = [CarbonFractionRow("oak", 0.48, 0.6, 2019),

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -52,6 +53,15 @@ class TestAggregation:
                                 ("NSVB", lambda t: t.agb_nsvb_kg)):
                 total = sum(pick(t) for t in trees if t.plot_id == p.plot_id)
                 assert p.agb(allom) == pytest.approx(total / PLOT_AREA_HA / 1000.0, rel=1e-12)
+
+    def test_density_bits_do_not_depend_on_tree_order(self):
+        # added in row order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+        trees = [tree(crm_kg=kg, nsvb_kg=2 * kg, subplot=i)
+                 for i, kg in enumerate((0.1, 0.2, 0.3, 1e3, 7.7))]
+        want = attach_densities([plot()], trees)
+        assert want[0].agb_crm == math.fsum(t.agb_crm_kg for t in trees) / PLOT_AREA_HA / 1000.0
+        for order in itertools.permutations(trees):
+            assert attach_densities([plot()], order) == want
 
     def test_treeless_plot_reports_zero(self):
         [out] = attach_densities([plot("empty")], [tree("p1")])
@@ -161,6 +171,15 @@ class TestSingleInventory:
         b = select_single_inventory(plots, seed=42)
         assert [(p.plot_id, p.inventory_year) for p in a] == \
                [(p.plot_id, p.inventory_year) for p in b]
+
+    def test_draw_does_not_depend_on_record_order(self):
+        # a plot's records are drawn from in inventory-year order, not input order
+        records = [plot("a", year=y) for y in (2005, 2012, 2019)] + \
+            [plot("b", year=y) for y in (2019, 2005)]
+        for seed in range(10):
+            want = select_single_inventory(records, seed=seed)
+            for order in itertools.permutations(records):
+                assert select_single_inventory(order, seed=seed) == want
 
     def test_selection_is_roughly_uniform(self):
         plots = [plot("a", year=y) for y in (2005, 2012, 2019)]

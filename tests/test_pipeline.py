@@ -4,18 +4,22 @@ import csv
 import functools
 import hashlib
 import json
+import random
 import shutil
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agbmap import (
     ARTIFACT_VERSION, ASSESSMENT_COLUMNS, DEFAULT_GRIDS, ConfigError, EnsembleModel, Grid,
     PipelineConfig, PipelineError, RunManifest, render_report, run, synthesize, validate,
     write_grid,
 )
+from agbmap.carbon import load_carbon_fractions, weighted_carbon_fraction
 from agbmap.cli import main
 from agbmap.grid import read_grid
 
@@ -1533,6 +1537,61 @@ def test_cli_map_without_valid_cells_is_exit_2_naming_it(small, tmp_path, capsys
     assert "the CRM map of 2005 has 0 valid cells" in err
     assert "removed_landcover_classes" in err
     assert not (root / "run" / "predict" / "agb_2005_CRM.bin").exists()
+
+
+INPUT_TABLES = ("plots.csv", "trees.csv", "carbon_fractions.csv")
+
+
+def shuffle_rows(path, shuffle):
+    """Reorder the data rows of the CSV table at `path` with `shuffle`, in
+    place, keeping its header first."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    shuffle(rows)
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([header, *rows])
+
+
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """A small synth whose ingest ran once on its tables as written."""
+    root = tmp_path_factory.mktemp("ingested")
+    run(PipelineConfig.load(synthesize(root, seed=4, ncols=32, nrows=32, n_plots=60)),
+        ["ingest"])
+    return root
+
+
+@settings(max_examples=25, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_ingest_follows_the_tables_not_their_row_order(ingested, rnd):
+    # a plot's year draw, its densities and the carbon fractions read the
+    # rows each table holds, whatever their order
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "d"
+        shutil.copytree(ingested, root, ignore=shutil.ignore_patterns("run"))
+        for name in INPUT_TABLES:
+            shuffle_rows(root / "inputs" / name, rnd.shuffle)
+        run(PipelineConfig.load(root / "config.json"), ["ingest"])
+        assert files_under(root / "run" / "ingest") == files_under(ingested / "run" / "ingest")
+        fractions = [load_carbon_fractions(r / "inputs" / "carbon_fractions.csv")
+                     for r in (ingested, root)]
+        for year in {row.year for row in fractions[0]}:
+            assert len({weighted_carbon_fraction([row for row in rows if row.year == year])
+                        for rows in fractions}) == 1
+
+
+def test_every_output_follows_the_tables_not_their_row_order(small, tmp_path):
+    root = tmp_path / "d"
+    config = copy_of_small(small, root)
+    for name in INPUT_TABLES:
+        shuffle_rows(root / "inputs" / name, random.Random(19).shuffle)
+    run(config)
+    assert files_under(root / "run") == files_under(small.root / "run")
 
 
 def test_plot_id_with_comma_and_quote_survives_ingest_through_assess(small, tmp_path):
