@@ -87,7 +87,7 @@ class Grid:
     mask: np.ndarray = field(default=None)  # True where the cell is valid
 
     def __post_init__(self):
-        check_geometry(*(getattr(self, key) for key in GEOMETRY))
+        _check_geometry(*(getattr(self, key) for key in GEOMETRY))
         for key in GEOMETRY[2:]:  # floats, as read_header gives them: a grid read back is aligned
             setattr(self, key, float(getattr(self, key)))
         values = np.asarray(self.values, dtype=np.float32, order="C")
@@ -210,7 +210,7 @@ def finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
+def _check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
     """The rule on a grid's geometry, in memory and in a file header: at least
     one column and one row, finite origins and a positive finite cellsize."""
     if ncols < 1 or nrows < 1:
@@ -244,7 +244,7 @@ def read_header(path) -> dict:
     if byte_order != "little":
         raise GridFormatError(f"unsupported byte order {byte_order!r}")
     try:
-        check_geometry(*(header[key] for key in GEOMETRY))
+        _check_geometry(*(header[key] for key in GEOMETRY))
     except ValueError as e:
         raise GridFormatError(str(e)) from None
     ncols, nrows = header["ncols"], header["nrows"]
