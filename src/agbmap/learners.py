@@ -29,7 +29,7 @@ import numpy as np
 from .grid import Grid, finite_number, map_chunks, row_blocks
 from .metrics import PairedSample, error_metrics
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
 # // trees) and distances of a knn query (chunk = this // training rows), one chunk
@@ -337,54 +337,50 @@ class KnnModel:
 
 
 class _TreeModel:
-    """Model JSON of the tree kinds: the one fitted scalar (`_FITTED`) and
-    `fitted_trees`, the node table `table` as one object of `_TREE_ARRAYS` columns
-    (null when no trees grow), the only array a model keeps. A fit reads `hp`: the
-    spec's hyperparameters, `_DEFAULTS` filling those it leaves out. Each kind keeps
-    its own `predict`: the benchmark tracer books it by class."""
+    """Model JSON of the tree kinds: its fitted scalars (`_FITTED`) and
+    `fitted_trees`, the node table `table` as one object of `_TREE_ARRAYS` columns,
+    the only array a model keeps. A fit reads `hp`: the spec's hyperparameters,
+    `_DEFAULTS` filling those it leaves out. Each kind keeps its own `predict`: the
+    benchmark tracer books it by class."""
 
     kind: str
     _DEFAULTS: dict
-    _FITTED: str
+    _FITTED: tuple
 
     def __init__(self, spec: LearnerSpec):
-        self.spec, self.table = spec, None
+        self.spec = spec
 
     @property
     def hp(self) -> dict:
         return {**self._DEFAULTS, **self.spec.hp}
 
     def to_dict(self) -> dict:
-        return {self._FITTED: getattr(self, self._FITTED),
-                "fitted_trees": None if self.table is None else
-                                {name: column.tolist() for name, column in self.table.items()}}
+        return {**{name: getattr(self, name) for name in self._FITTED},
+                "fitted_trees": {name: column.tolist() for name, column in self.table.items()}}
 
     def _fill(self, fitted: dict) -> None:  # from its model JSON
-        setattr(self, self._FITTED, fitted[self._FITTED])
-        if fitted["fitted_trees"] is not None:
-            self.table = {name: np.array(fitted["fitted_trees"][name], dtype=dtype)
-                          for name, dtype in _TREE_ARRAYS.items()}
+        for name in self._FITTED:
+            setattr(self, name, fitted[name])
+        self.table = {name: np.array(fitted["fitted_trees"][name], dtype=dtype)
+                      for name, dtype in _TREE_ARRAYS.items()}
 
     def _sound(self, p: int) -> bool:
         """Whether the walk (clipped gathers, children at `left`, `left + 1`) reads it right."""
-        t, T, fitted = self.table, self.hp["trees"], getattr(self, self._FITTED)
-        bagged = self.kind == "bagged_trees"
-        if t is None or bagged and fitted is not None:  # a bagged constant grows no trees
-            return t is None and bagged and finite_number(fitted)
+        t, T, fitted = self.table, self.hp["trees"], map(vars(self).get, self._FITTED)
         inner = t["feature"] >= 0
         left = np.where(inner, T + 2 * np.cumsum(inner) - 2, -1)  # of the level order
         return (T >= 1 and all(c.shape == (T + 2 * inner.sum(),) for c in t.values())
                 and np.array_equal(t["left"], left) and np.array_equal(t["right"] - left, inner)
                 and np.all(t["feature"] < p) and np.isfinite(t["threshold"][inner]).all()
-                and np.isfinite(t["value"]).all() and (bagged or finite_number(fitted)))
+                and np.isfinite(t["value"]).all() and all(map(finite_number, fitted)))
 
     def nested(self, spec: LearnerSpec) -> "_TreeModel":
         """The model a fit of `spec`, of this model's family, makes from the same
         data and seed: this model's first trees cut at the spec's depth."""
         m = type(self)(spec)
-        setattr(m, self._FITTED, getattr(self, self._FITTED))
-        if self.table is not None:
-            m.table = _gather(range(spec.hp["trees"]), m.hp["max_depth"], **self.table)
+        for name in self._FITTED:
+            setattr(m, name, getattr(self, name))
+        m.table = _gather(range(spec.hp["trees"]), m.hp["max_depth"], **self.table)
         return m
 
 
@@ -392,19 +388,14 @@ class BaggedTreesModel(_TreeModel):
     """Bootstrap-aggregated trees with a random feature subset per split. Each
     tree draws its bootstrap sample and then its split candidates from its own
     rng, spawned from the fit's, so the first t trees of a fit cut at depth d are
-    the fit of (t, d). max_depth=0 is the constant mean of the targets: with no
-    splits allowed, resampling has nothing to vary, so no trees are grown."""
+    the fit of (t, d), max_depth=0 too: t bootstrap means."""
 
     kind = "bagged_trees"
     _DEFAULTS = {"max_depth": None, "max_features": "sqrt"}
-    _FITTED = "constant"
+    _FITTED = ()
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         T, depth, G, tables = self.hp["trees"], self.hp["max_depth"], _GROUP_TREES, []
-        for m, y, rows in zip(models, Y, keep):
-            m.table, m.constant = None, float(y[rows].mean()) if depth == 0 else None
-        if depth == 0:
-            return
         rngs = [r for rng in rngs for r in rng.spawn(T)]  # tree t of models[b] is b * T + t
         of, sizes = np.repeat(np.arange(len(models)), T), np.repeat(keep.sum(axis=1), T)
         for g in (slice(lo, lo + G) for lo in range(0, len(rngs), G)):  # each tree as if alone
@@ -428,10 +419,8 @@ class BaggedTreesModel(_TreeModel):
         return max(1, int(round(k)))
 
     def predict(self, X) -> np.ndarray:
-        X, T = _as_2d(X), self.hp["trees"]
-        if self.constant is not None:
-            return np.full(X.shape[0], self.constant, dtype=np.float64)
-        return _accumulate(self.table, T, X, 0.0, 1.0) / T
+        T = self.hp["trees"]
+        return _accumulate(self.table, T, _as_2d(X), 0.0, 1.0) / T
 
 
 class BoostedTreesModel(_TreeModel):
@@ -439,7 +428,7 @@ class BoostedTreesModel(_TreeModel):
 
     kind = "boosted_trees"
     _DEFAULTS = {"max_depth": 3}
-    _FITTED = "init_value"
+    _FITTED = ("init_value",)
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         """Fit models[b] on the rows keep[b] of Y[b]: tree t of every model grows in
@@ -498,16 +487,15 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
 
 def _family(spec: LearnerSpec, p: int):
     """Specs of one family nest: one kind, and the same hyperparameters (defaults
-    filled in) besides `trees` and, for bagged trees that grow any, `max_depth`.
-    Bagged trees on p features compare the count `max_features` draws, not its name."""
+    filled in) besides `trees` and, for bagged trees, `max_depth`. Bagged trees
+    on p features compare the count `max_features` draws, not its name."""
     if spec.kind == "knn":
         return spec
     model = _MODEL_CLASSES[spec.kind](spec)
     args = {a: v for a, v in model.hp.items() if a != "trees"}
     if spec.kind == "bagged_trees":
         args["max_features"] = model.features_drawn(p)
-        if args["max_depth"] != 0:
-            del args["max_depth"]
+        del args["max_depth"]
     return spec.kind, tuple(sorted(args.items()))
 
 
@@ -630,8 +618,12 @@ class EnsembleModel:
         specs = [LearnerSpec.make(e["spec"]["kind"], **e["spec"]["hyperparameters"]) for e in base]
         models = [_MODEL_CLASSES[s.kind](s) for s in specs]
         for i, (m, e) in enumerate(zip(models, base)):  # the predicts trust what `_sound` checks
-            m._fill(e["model"])
-            if not m._sound(len(names)):
+            try:  # a model of other keys than its kind writes, or a table that is none
+                m._fill(e["model"])
+                sound = e["model"].keys() == m.to_dict().keys() and m._sound(len(names))
+            except (KeyError, TypeError):
+                sound = False
+            if not sound:
                 raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")
         coefficients = np.array(st["coefficients"], dtype=np.float64)
         if not (models and coefficients.shape == (len(models),) and np.isfinite(coefficients).all()

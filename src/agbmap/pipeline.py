@@ -48,7 +48,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 13
+ARTIFACT_VERSION = 14
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -152,8 +152,11 @@ class PipelineConfig:
         if not (isinstance(scales, list) and scales
                 and all(finite_number(s) and s > 0 for s in scales)):
             raise ConfigError("scales_km must be a non-empty array of positive finite numbers")
-        if not (isinstance(removed, list) and all(map(finite_number, removed))):
-            raise ConfigError("removed_landcover_classes must be an array of finite numbers")
+        tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+        if not (isinstance(removed, list) and all(  # predict compares them in float32
+                finite_number(c) and (c == 0 or tiny <= abs(c) <= top) for c in removed)):
+            raise ConfigError("removed_landcover_classes must be an array of finite numbers, each "
+                              f"0 or of a magnitude float32 holds ({tiny:g} to {top:g})")
         area = raw.get("region_area_ha")
         if area is not None and not (finite_number(area) and area > 0):
             raise ConfigError(f"region_area_ha must be a positive finite number, got {area!r}")
@@ -621,36 +624,26 @@ def _agreement_row(scale_km, y, yhat) -> dict:
 
 @_stage("predict")
 def _stage_agree(config: PipelineConfig, out: Path) -> None:
-    # per year: the values of the cells valid in both maps, then the cell
-    # centers of the window bounding them (the whole grid if there are none)
-    # and their row-major indices in it; no map outlives its year
+    # per year: the values of the cells valid in both maps, and where those
+    # cells are; no map outlives its year
     years = {}
     for year in sorted(config.years):
         crm, nsvb = (read_grid(_map_path(config, "agb", year, a)) for a in ALLOMETRIES)
         joint = crm.mask & nsvb.mask
-        window = tuple(slice(any_.argmax(), any_.size - any_[::-1].argmax())
-                       for any_ in (joint.any(axis=1), joint.any(axis=0)))
-        xs, ys = crm.cell_centers()
-        years[year] = (crm.values[joint].astype(np.float64), nsvb.values[joint].astype(np.float64),
-                       xs[window[1]], ys[window[0]], np.flatnonzero(joint[window]))
-        del crm, nsvb, joint
-    rows = {year: [] for year in years}
-    for s_km in _compared_scales(config):
-        # this scale's tessellation and cell ids per window, shared by the
-        # years whose joint cells span equal windows
-        lattices = {}
-        for year, (y, yhat, xs, ys, at) in years.items():
-            if s_km != 1 and y.size:
-                key = (xs.tobytes(), ys.tobytes())
-                if key not in lattices:
-                    # the bbox of the joint cells: xs run west to east, ys north to south
-                    hexgrid = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]],
-                                               float(s_km) * 1000.0)
-                    lattices[key] = hexgrid, assign_lattice(xs, ys, hexgrid)
-                hexgrid, ids = lattices[key]
-                y, yhat = aggregate_pairs(PairedSample(y=y, yhat=yhat), ids.ravel()[at],
-                                          hexgrid).T
-            rows[year].append(_agreement_row(float(s_km), y, yhat))
+        xs, ys = crm.cell_centers()  # the maps share one grid
+        years[year] = (crm.values[joint].astype(np.float64),
+                       nsvb.values[joint].astype(np.float64), joint)
+        del crm, nsvb
+    rows = {year: [_agreement_row(1.0, y, yhat)] for year, (y, yhat, _) in years.items()}
+    for s_km in _compared_scales(config)[1:]:
+        # one tessellation covering the grid's cell centers, shared by every
+        # year: xs run west to east, ys north to south
+        hexgrid = covering_hexgrid([[xs[0], ys[-1]], [xs[-1], ys[0]]], float(s_km) * 1000.0)
+        ids = assign_lattice(xs, ys, hexgrid)
+        for year, (y, yhat, joint) in years.items():
+            means = aggregate_pairs(PairedSample(y=y, yhat=yhat), ids[joint], hexgrid)
+            rows[year].append(_agreement_row(float(s_km), *means.T))
+        del ids  # before the next scale's lattice
 
     for year in years:
         write_table(out / f"agreement_{year}.csv", AGREEMENT_COLUMNS, rows[year])

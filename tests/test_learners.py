@@ -189,11 +189,17 @@ class TestKnn:
 
 
 class TestTrees:
-    def test_bagged_depth0_is_exactly_mean(self):
+    def test_bagged_depth0_is_the_mean_of_its_bootstrap_means(self):
+        # each of the T trees is one leaf, the mean of its bootstrap sample in
+        # draw order; the model adds them in tree order and divides by T
         X, y = toy_data(30)
         spec = LearnerSpec.make("bagged_trees", trees=25, max_depth=0, max_features="sqrt")
         model = train_base(spec, X, y, seed=3)
-        assert np.all(model.predict(X) == y.mean())
+        assert np.all(model.table["feature"] < 0) and model.table["value"].size == 25
+        acc = 0.0
+        for rng in np.random.default_rng(3).spawn(25):
+            acc += y[rng.integers(0, 30, size=30)].sum() / 30
+        assert np.all(model.predict(X) == acc / 25)
 
     def test_boosted_lr0_is_exactly_mean(self):
         X, y = toy_data(30)
@@ -368,8 +374,6 @@ def per_tree_model_predict(model, X) -> np.ndarray:
     """Frozen copy of the per-tree accumulate loops of both tree kinds."""
     d, trees = model.to_dict(), model_trees(model)
     if model.spec.kind == "bagged_trees":
-        if d["constant"] is not None:
-            return np.full(X.shape[0], d["constant"], dtype=np.float64)
         acc = np.zeros(X.shape[0], dtype=np.float64)
         for tree in trees:
             acc += per_tree_predict(tree, X)
@@ -382,7 +386,7 @@ def per_tree_model_predict(model, X) -> np.ndarray:
 
 def on_thresholds(model, X) -> np.ndarray:
     """Rows of X with one feature set exactly to a split threshold (ties go left)."""
-    rows, table = [], model.to_dict()["fitted_trees"] or {"feature": [], "threshold": []}
+    rows, table = [], model.to_dict()["fitted_trees"]
     for f, t in zip(table["feature"], table["threshold"]):
         if f >= 0:
             rows.append(X[len(rows) % len(X)].copy())
@@ -491,26 +495,22 @@ class TestForestMatchesPerTreeWalk:
 
     def test_model_json_keys_of_each_kind(self):
         # one serializer writes both kinds; `fitted_trees` is the node table
-        # as one object of columns, null when no trees are grown; the
-        # hyperparameters are the spec's alone
+        # as one object of columns, at every depth; bagged trees keep nothing
+        # else, boosted trees their `init_value`; the hyperparameters are the
+        # spec's alone
         X, y = toy_data(30)
-        cases = [("bagged_trees", {"trees": 3, "max_depth": 4, "max_features": "third"},
-                  "constant", None),
-                 ("bagged_trees", {"trees": 3, "max_depth": 0, "max_features": "sqrt"},
-                  "constant", float(y.mean())),
+        cases = [("bagged_trees", {"trees": 3, "max_depth": 4, "max_features": "third"}, {}),
+                 ("bagged_trees", {"trees": 3, "max_depth": 0, "max_features": "sqrt"}, {}),
                  ("boosted_trees", {"trees": 3, "learning_rate": 0.25, "max_depth": 2},
-                  "init_value", float(y.mean()))]
-        for kind, hp, scalar, value in cases:
+                  {"init_value": float(y.mean())})]
+        for kind, hp, scalars in cases:
             model = train_base(LearnerSpec.make(kind, **hp), X, y, seed=3)
             d = model.to_dict()
-            assert sorted(d) == sorted([scalar, "fitted_trees"])
+            assert sorted(d) == sorted([*scalars, "fitted_trees"])
             assert model.spec.to_dict() == {"kind": kind, "hyperparameters": hp}
-            assert d[scalar] == value
-            if hp["max_depth"] == 0:
-                assert d["fitted_trees"] is None
-            else:
-                assert sorted(d["fitted_trees"]) == sorted(learners._TREE_ARRAYS)
-                assert len(model_trees(model)) == 3
+            assert {name: d[name] for name in scalars} == scalars
+            assert sorted(d["fitted_trees"]) == sorted(learners._TREE_ARRAYS)
+            assert len(model_trees(model)) == 3
             clone = type(model)(model.spec)
             clone._fill(json.loads(json.dumps(d)))
             assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
@@ -688,11 +688,14 @@ class TestNestedFits:
         head = LearnerSpec.make("bagged_trees", trees=12, max_depth=None,
                                 max_features=max_features)
         model = train_base(head, X, y, seed=[4, 1])
-        for trees, max_depth in ((12, None), (12, 3), (5, None), (5, 1), (1, 6)):
+        q = np.vstack([toy_data(40, p=6, seed=5)[0], on_thresholds(model, X)])
+        for trees, max_depth in ((12, None), (12, 3), (5, None), (5, 1), (1, 6), (12, 0), (5, 0)):
             spec = LearnerSpec.make("bagged_trees", trees=trees, max_depth=max_depth,
                                     max_features=max_features)
             alone = train_base(spec, X, y, seed=[4, 1])
             assert same_tree(entry(model.nested(spec)), entry(alone))
+            assert np.array_equal(model.nested(spec).predict(q), alone.predict(q))
+            assert np.array_equal(alone.predict(q), per_tree_model_predict(alone, q))
 
     def test_boosted(self):
         X, y = toy_data(50)
@@ -709,7 +712,8 @@ class TestNestedFits:
         ("bagged_trees", [{"trees": 6, "max_depth": 2, "max_features": "sqrt"},
                           {"trees": 9, "max_depth": None, "max_features": "sqrt"},
                           {"trees": 3, "max_depth": 5}]),
-        ("bagged_trees", [{"trees": 4, "max_depth": 0}, {"trees": 2, "max_depth": 0}]),
+        ("bagged_trees", [{"trees": 4, "max_depth": 0}, {"trees": 2, "max_depth": 0},
+                          {"trees": 5, "max_depth": None}, {"trees": 3, "max_depth": 1}]),
         ("boosted_trees", [{"trees": 8, "learning_rate": 0.2},
                            {"trees": 3, "learning_rate": 0.2, "max_depth": 3}]),
         ("knn", [{"k": 3}]),
@@ -996,9 +1000,9 @@ class TestOneBatchSelection:
                                      seed=seeds, final_seed=finals)
                    for kind, grid in ONE_BATCH_GRIDS.items()}
         monkeypatch.undo()
-        # one train_base call per family: 2 boosted, 2 bagged, 2 knn
+        # one train_base call per family: 2 boosted, 1 bagged (depths nest), 2 knn
         assert sorted(spec.kind for spec in fits) == sorted(
-            ["boosted_trees"] * 2 + ["bagged_trees"] * 2 + ["knn"] * 2)
+            ["boosted_trees"] * 2 + ["bagged_trees"] + ["knn"] * 2)
         bagged = [trees for trees, is_bagged in grown if is_bagged]
         if cap is not None:  # the 6-tree head, 2 targets x (5 folds + 1): 72 trees
             assert len(bagged) >= 3 and max(bagged) <= cap and sum(bagged) == 72
@@ -1211,6 +1215,11 @@ MALFORMED_MODELS = {  # name: (where in the document, edit of what is there)
     "boosted nan init_value": (fitted(2), lambda m: m.update(init_value=NAN)),
     "boosted nan learning_rate": (hyperparameters(2), lambda hp: hp.update(learning_rate=NAN)),
     "boosted without its table": (fitted(2), lambda m: m.update(fitted_trees=None)),
+    "bagged without its table": (fitted(1), lambda m: m.update(fitted_trees=None)),
+    "bagged table of no columns": (fitted(1), lambda m: m.update(fitted_trees=[])),
+    "bagged table without its value column": (fitted(1), lambda m: m["fitted_trees"].pop("value")),
+    "boosted without init_value": (fitted(2), lambda m: m.pop("init_value")),
+    "knn with a tree table": (fitted(0), lambda m: m.update(fitted_trees={})),
     "two stack coefficients for three bases": (("stack",), lambda st: st["coefficients"].pop()),
     "nan stack intercept": (("stack",), lambda st: st.update(intercept=NAN)),
     "rank_deficient not a bool": (("stack",), lambda st: st.update(rank_deficient="no")),

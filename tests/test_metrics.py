@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agbmap.hexgrid import covering_hexgrid
 from agbmap.metrics import (
     PairedSample, ac_decompose, basic_metrics, gmfr_fit, ks_statistic,
     multiscale_assessment, multiscale_pairs, willmott_dr,
@@ -327,6 +329,36 @@ class TestMultiscale:
                 assert np.array_equal(ys, y) and np.array_equal(yhats, yhat)
             else:
                 assert ys.tolist() == [30.0] and yhats.tolist() == [21.0]
+
+    @pytest.mark.parametrize("locs", [
+        [[500.0, 0.0], [500.0, 700.0], [500.0, 2600.0], [500.0, 9000.0], [500.0, 700.0]],
+        [[0.0, -300.0], [1200.0, -300.0], [4100.0, -300.0], [9500.0, -300.0], [0.0, -300.0]],
+        [[250.0, 750.0]] * 5,
+    ], ids=["one x", "one y", "one point"])
+    def test_pairs_on_locations_of_zero_extent(self, locs):
+        # the covering tessellation pads each axis of zero extent; every
+        # location still falls in its nearest hexagon, searched by brute force
+        # over the tessellation and three more rings of cells, and each scale
+        # but 1 km has one row per occupied hexagon, in (row, col) order
+        locs = np.array(locs)
+        y, yhat = np.array([10.0, 20.0, 60.0, 5.0, 7.0]), np.array([12.0, 18.0, 33.0, 9.0, 1.0])
+        for s_km, ys, yhats in multiscale_pairs(y, yhat, locs, (1, 2, 5, 50)):
+            if s_km == 1:
+                continue
+            hg = covering_hexgrid(locs, s_km * 1000.0)
+            wide = dataclasses.replace(hg, col_min=hg.col_min - 3, col_max=hg.col_max + 3,
+                                       row_min=hg.row_min - 3, row_max=hg.row_max + 3)
+            rows, cols = np.divmod(np.arange(wide.n_cells), wide.col_max - wide.col_min + 1)
+            rows, cols = rows + wide.row_min, cols + wide.col_min  # in (row, col) order
+            cx, cy = wide.center(rows, cols)
+            nearest = [int(np.argmin((px - cx) ** 2 + (py - cy) ** 2)) for px, py in locs]
+            cells = sorted(set(zip(rows[nearest].tolist(), cols[nearest].tolist())))
+            assert all(hg.row_min <= r <= hg.row_max and hg.col_min <= c <= hg.col_max
+                       for r, c in cells)
+            members = [[i for i, at in enumerate(nearest) if (rows[at], cols[at]) == cell]
+                       for cell in cells]
+            assert ys.tolist() == [o_mean(y[m].tolist()) for m in members]
+            assert yhats.tolist() == [o_mean(yhat[m].tolist()) for m in members]
 
 
 # -- property tests --------------------------------------------------------

@@ -225,9 +225,9 @@ def raster_cache(tmp_path_factory):
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
 # alone on `raster_cache`: a little above what it takes now (extract 47, predict
-# 72, assess 26, agree 66, diff 48, rescale 68). A stage that needs less
+# 72, assess 26, agree 65, diff 48, rescale 68). A stage that needs less
 # lowers its ceiling.
-STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 80, "assess": 28, "agree": 76,
+STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 80, "assess": 28, "agree": 74,
                         "diff": 52, "rescale": 73}
 
 
@@ -363,10 +363,12 @@ def test_validate_rejects_non_finite_numbers(small, key, value):
 def test_validate_reports_domain_problems(small):
     # each is refused where the configuration is read, naming its key, not
     # found by validate or by a late stage; bool is an int subclass and True
-    # == 1, a valid panel
+    # == 1, a valid panel; a landcover class float32 cannot hold would overflow
+    # in predict's cast (1e300, -1e39) or become class 0 (1e-50)
     for key, values in (("holdout_panel", [9, 0, True, 1.0, "3", None]),
                         ("scales_km", [[], [True, 5], [5, False], [2, 0], [2, -1], 5]),
-                        ("removed_landcover_classes", [[True], [3, False], ["1"], 3]),
+                        ("removed_landcover_classes", [[True], [3, False], ["1"], 3, [1e300],
+                                                       [5, -1e39], [1e-50]]),
                         ("region_area_ha", ["x", 0, -1.0, True])):
         for value in values:
             with pytest.raises(ConfigError, match=key):
@@ -375,6 +377,25 @@ def test_validate_reports_domain_problems(small):
                   {"knn": 5}, {"knn": [5]}, {"knn": [[1]]}, {"knn": []}, {"svm": [{}]}, {}):
         with pytest.raises(ConfigError, match="learner_grids"):
             make_config(small.doc, small.root, learner_grids=grids)
+
+
+def test_removed_classes_at_float32s_limits_load_and_predict(small, tmp_path):
+    # 0 and float32's largest value load, and predict casts the largest
+    # without an overflow warning (an error in this suite)
+    import agbmap.pipeline
+
+    largest = float(np.finfo(np.float32).max)
+    assert largest == 3.4028234663852886e38
+    assert make_config(small.doc, small.root, removed_landcover_classes=[0, largest])
+    copy_of_small(small, tmp_path / "d")
+    config = make_config(small.doc, tmp_path / "d", removed_landcover_classes=[
+        *small.config.removed_landcover_classes, largest])
+    out = Path(config.output_dir) / "predict"
+    shutil.rmtree(out)
+    out.mkdir()
+    agbmap.pipeline._STAGES["predict"](config, out)
+    for path in (small.root / "run" / "predict").iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("key", ["learner_grids", "region_area_ha"])
@@ -898,13 +919,12 @@ def test_agree_outputs(small):
 
 def nested_family(kind, hp):
     """Specs that nest: the same kind and arguments besides `trees` and, for
-    bagged trees that grow any, `max_depth` (defaults filled in)."""
+    bagged trees, `max_depth` (defaults filled in)."""
     hp = dict(hp)
     hp.pop("trees", None)
     if kind == "bagged_trees":
         hp.setdefault("max_features", "sqrt")
-        if hp.get("max_depth") != 0:
-            hp.pop("max_depth", None)
+        hp.pop("max_depth", None)
     if kind == "boosted_trees":
         hp.setdefault("max_depth", 3)
     return kind, json.dumps(hp, sort_keys=True)
@@ -951,7 +971,7 @@ def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, 
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch,
                                  {**small.doc, "learner_grids": grids})
     specs = [s for grid in config.learner_grids.values() for s in grid]
-    assert len(calls) == 7
+    assert len(calls) == 6  # knn 2, bagged 2 (depth 0 nests too), boosted 2
     assert all(len({nested_family(s.kind, s.hp) for s in family}) == 1 for family in calls)
     assert sorted(map(repr, (s for family in calls for s in family))) == \
         sorted(map(repr, specs))
@@ -1018,20 +1038,25 @@ def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
 
 def agreement_by_point(config, year, path):
     """Write to `path` the agreement table of `year` built with per-point
-    `assign` on the centers of the joint cells, through `multiscale_pairs`."""
-    from agbmap.metrics import multiscale_pairs
+    `assign` of the joint cells' centers to each scale's tessellation covering
+    every cell center of the grid."""
+    from agbmap.hexgrid import aggregate_pairs, assign, covering_hexgrid
+    from agbmap.metrics import PairedSample
     from agbmap.pipeline import AGREEMENT_COLUMNS, _agreement_row
     from agbmap.tables import write_table
 
     crm, nsvb = (read_grid(Path(config.output_dir) / "predict" / f"agb_{year}_{a}.bin")
                  for a in ("CRM", "NSVB"))
     joint = crm.mask & nsvb.mask
-    xs, ys = crm.cell_centers()
-    rows, cols = np.nonzero(joint)
-    scales = [1] + [s for s in config.scales_km if s != 1]
-    compared = multiscale_pairs(crm.values[joint], nsvb.values[joint],
-                                np.column_stack([xs[cols], ys[rows]]), scales)
-    write_table(path, AGREEMENT_COLUMNS, [_agreement_row(*scale) for scale in compared])
+    centers = np.stack(np.meshgrid(*crm.cell_centers()), axis=-1)  # (rows, cols, 2)
+    pairs = PairedSample(y=crm.values[joint].astype(np.float64),
+                         yhat=nsvb.values[joint].astype(np.float64))
+    rows = [_agreement_row(1.0, pairs.y, pairs.yhat)]
+    for s_km in (s for s in config.scales_km if s != 1):
+        hexgrid = covering_hexgrid(centers.reshape(-1, 2), float(s_km) * 1000.0)
+        means = aggregate_pairs(pairs, assign(centers[joint], hexgrid), hexgrid)
+        rows.append(_agreement_row(float(s_km), means[:, 0], means[:, 1]))
+    write_table(path, AGREEMENT_COLUMNS, rows)
     return path.read_bytes()
 
 
@@ -1043,7 +1068,10 @@ def joint_window(config, year):
     return [(int(i[0]), int(i[-1])) for i in map(np.flatnonzero, (joint.any(1), joint.any(0)))]
 
 
-def test_agree_shares_each_scale_lattice_between_equal_windows(small, tmp_path, monkeypatch):
+def test_agree_assigns_each_scale_once_for_every_year(small, tmp_path, monkeypatch):
+    # each scale is one tessellation covering the grid's cell centers, its
+    # lattice assigned once and shared by every year, whatever cells a year's
+    # maps hold
     import agbmap.pipeline
 
     config = copy_of_small(small, tmp_path / "d")
@@ -1062,12 +1090,12 @@ def test_agree_shares_each_scale_lattice_between_equal_windows(small, tmp_path, 
             assert table.read_bytes() == agreement_by_point(config, year, tmp_path / "ref.csv")
 
     monkeypatch.setattr(agbmap.pipeline, "assign_lattice", counting)
-    assert joint_window(config, years[0]) == joint_window(config, years[1])
     run(config, ["agree"])
     assert calls == [s * 1000.0 for s in scales]
     tables_equal_per_point_reference()
 
-    # one year's joint cells cut to a smaller window: each year its own lattice
+    # one year's joint cells cut to a sub-window: still one lattice per scale,
+    # and that year's hexagons are the grid's, not the sub-window's
     crm_path = Path(config.output_dir) / "predict" / f"agb_{years[0]}_CRM.bin"
     crm = read_grid(crm_path)
     keep = np.zeros_like(crm.mask)
@@ -1076,7 +1104,7 @@ def test_agree_shares_each_scale_lattice_between_equal_windows(small, tmp_path, 
     assert joint_window(config, years[0]) != joint_window(config, years[1])
     calls.clear()
     run(config, ["agree"])
-    assert calls == [s * 1000.0 for s in scales for _ in years]
+    assert calls == [s * 1000.0 for s in scales]
     tables_equal_per_point_reference()
 
 
@@ -1588,6 +1616,35 @@ def test_every_output_follows_the_tables_not_their_row_order(small, tmp_path):
     config = copy_of_small(small, root)
     for name in INPUT_TABLES:
         shuffle_rows(root / "inputs" / name, random.Random(19).shuffle)
+    run(config)
+    assert files_under(root / "run") == files_under(small.root / "run")
+
+
+def with_keys_reversed(value):
+    """`value` with the keys of every JSON object in it in reverse order;
+    arrays keep their order."""
+    if isinstance(value, dict):
+        return {key: with_keys_reversed(v) for key, v in reversed(value.items())}
+    if isinstance(value, list):
+        return [with_keys_reversed(v) for v in value]
+    return value
+
+
+def test_every_output_follows_the_configuration_not_its_key_order(small, tmp_path):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    doc = load_doc(root / "config.json")
+    flipped = with_keys_reversed(doc)
+    year = next(iter(doc["years"]))
+    spec = doc["learner_grids"]["bagged_trees"][0]
+    for before, after in ((doc, flipped), (doc["years"], flipped["years"]),
+                          (doc["years"][year]["predictors"], flipped["years"][year]["predictors"]),
+                          (doc["learner_grids"], flipped["learner_grids"]),
+                          (spec, flipped["learner_grids"]["bagged_trees"][0])):
+        assert len(before) > 1 and list(after) == list(before)[::-1]
+    (root / "config.json").write_text(json.dumps(flipped, indent=2))
+    config = PipelineConfig.load(root / "config.json")
+    assert config.config_hash == small.config.config_hash
     run(config)
     assert files_under(root / "run") == files_under(small.root / "run")
 
