@@ -9,7 +9,9 @@ manifest are the one thing excluded from the byte-identity guarantee.
 
 Every rule on a configured value is checked where the configuration is read,
 by `PipelineConfig.from_document` (`null` is "not given" for `learner_grids` and
-`region_area_ha`); `validate` checks only the files and raster headers it names.
+`region_area_ha`); `validate` checks only the files and raster headers it names,
+and `run` calls it before any stage, so the library and the CLI refuse the same
+files. The stages trust that the input rasters share one grid.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ INGEST_PLOT_COLUMNS = {**PLOT_COLUMNS, "agb_crm": number, "agb_nsvb": number}
 
 
 class ConfigError(ValueError):
-    """A configuration document, or one of its values, that breaks its rule."""
+    """A configuration document, one of its values, or a file it names, that
+    breaks its rule; or a stage name that `run` does not know."""
 
 
 def _unique_keys(pairs) -> dict:
@@ -241,32 +244,34 @@ _OPTIONAL_KEYS = _KEYS.keys() - _REQUIRED_KEYS
 def validate(config: PipelineConfig) -> list[str]:
     """Check the files a configuration names: each must exist, and each
     raster's header must be readable, fit its file's size and match the
-    elevation grid. Every configured value was checked when the configuration
-    was read (`PipelineConfig.from_document`). Empty list means valid."""
-    rasters = []  # (label, path) of each raster to align with the elevation grid
+    elevation grid. Every raster is checked on its own, so one unreadable
+    header hides no other finding. Every configured value was checked when the
+    configuration was read (`PipelineConfig.from_document`); `run` calls this
+    before any stage and refuses a configuration with any finding. Empty list
+    means valid."""
+    rasters = [("elevation", config.elevation)]  # the first is the reference grid
     for year, inputs in config.years.items():
         rasters += [(f"predictor {name!r} for {year}", p)
                     for name, p in sorted(inputs.predictors.items())]
         rasters.append((f"landcover for {year}", inputs.landcover))
     findings = [f"missing file: {label} at {p}" for label, p in [
         ("trees", config.trees), ("plots", config.plots),
-        ("carbon_fractions", config.carbon_fractions), ("elevation", config.elevation),
-        *rasters] if not Path(p).is_file()]
+        ("carbon_fractions", config.carbon_fractions), *rasters] if not Path(p).is_file()]
     if findings:
         return findings
 
     # headers and file sizes only: a stage checks the cells of a layer it reads
-    def geometry(path):
-        header = read_header(path)
-        return [header[key] for key in GEOMETRY]
-
-    try:
-        ref = geometry(config.elevation)
-        for label, p in rasters:
-            if geometry(p) != ref:
-                findings.append(f"alignment: {label} does not match the elevation grid")
-    except (OSError, ValueError) as e:
-        findings.append(f"unreadable raster: {e}")
+    geometries = {}
+    for label, p in rasters:
+        try:
+            header = read_header(p)
+        except (OSError, ValueError) as e:
+            findings.append(f"unreadable raster: {label} at {p}: {e}")
+        else:
+            geometries[label] = [header[key] for key in GEOMETRY]
+    ref = geometries.pop("elevation", None)
+    findings += [f"alignment: {label} does not match the elevation grid"
+                 for label, geometry in geometries.items() if ref is not None and geometry != ref]
     return findings
 
 
@@ -424,12 +429,11 @@ def _sample_footprints(plots, layers: dict[int, list[Path]]) -> np.ndarray:
     footprint, as a (plots, layers) array in plot order; nan where a layer has
     no valid cell under it. `layers` maps each year to its layer paths, equally
     many for every year, and each year's are read once. They share one
-    geometry, so each plot's overlap weights are computed once."""
+    geometry (`run` checked the input layers, and a year's maps come from one
+    predict on that grid), so each plot's overlap weights are computed once."""
     means = np.full((len(plots), len(next(iter(layers.values())))), np.nan)
     for year, paths in layers.items():
         grids = [read_grid(path) for path in paths]
-        if not all(grids[0].aligned_with(g) for g in grids[1:]):
-            raise PipelineError("sampled grids are not aligned")
         for i, p in enumerate(plots):
             if p.inventory_year == year:
                 weights = pixel_overlap_weights(PlotFootprint(p.x, p.y), grids[0])
@@ -541,8 +545,6 @@ def _stage_predict(config: PipelineConfig, out: Path) -> None:
         inputs = config.years[year]
         layers = {name: read_grid(p) for name, p in sorted(inputs.predictors.items())}
         lc = read_grid(inputs.landcover)
-        if not lc.aligned_with(next(iter(layers.values()))):
-            raise PipelineError(f"landcover for {year} is not aligned with its predictors")
         # the mapped domain: cells of a known landcover class that is not removed
         domain = lc.mask & ~np.isin(lc.values, removed)
         del lc
@@ -754,7 +756,9 @@ STAGE_ORDER = tuple(_STAGES)
 def run(config: PipelineConfig, stages=None) -> RunManifest:
     """Execute the requested stages in dependency order.
 
-    Stages not requested are reused from cache: their manifest entries must
+    An unknown stage name, or any `validate` finding (all of them are listed),
+    is a ConfigError raised before the output directory is touched. Stages
+    not requested are reused from cache: their manifest entries must
     exist, come from a manifest of the current artifact version, match the
     current configuration hash, and still have their files on disk.
     Requested stages always re-execute (outputs are deterministic). Their
@@ -765,7 +769,10 @@ def run(config: PipelineConfig, stages=None) -> RunManifest:
     requested = set(STAGE_ORDER if stages is None else stages)
     unknown = sorted(requested - set(STAGE_ORDER))
     if unknown:
-        raise ValueError(f"unknown stages: {unknown}")
+        raise ConfigError(f"unknown stages: {unknown}")
+    findings = validate(config)
+    if findings:
+        raise ConfigError("; ".join(findings))
     ordered = [s for s in STAGE_ORDER if s in requested]
 
     out_dir = Path(config.output_dir)

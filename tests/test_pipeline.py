@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -348,6 +349,28 @@ def test_validate_reports_misaligned_landcover(small, tmp_path):
     assert findings == ["alignment: landcover for 2019 does not match the elevation grid"]
 
 
+def test_validate_checks_every_raster_past_an_unreadable_one(small, tmp_path):
+    # each header is read on its own: an unreadable layer is named with its
+    # path, and neither it nor an unreadable elevation hides another finding
+    doc = json.loads(json.dumps(small.doc))
+    truncated = tmp_path / "short.bin"
+    truncated.write_bytes(Path(small.config.years[2005].predictors["brightness"])
+                          .read_bytes()[:-1])
+    doc["years"]["2005"]["predictors"]["brightness"] = str(truncated)
+    doc["years"]["2019"]["landcover"] = misaligned_copy(
+        small.config.years[2019].landcover, tmp_path / "off.bin")
+    findings = validate(PipelineConfig.from_document(doc, base_dir=small.root))
+    assert len(findings) == 2
+    assert findings[0].startswith(
+        f"unreadable raster: predictor 'brightness' for 2005 at {truncated}: payload holds")
+    assert findings[1] == "alignment: landcover for 2019 does not match the elevation grid"
+
+    doc["elevation"] = str(truncated)
+    findings = validate(PipelineConfig.from_document(doc, base_dir=small.root))
+    assert [f.split(" at ")[0] for f in findings] == [
+        "unreadable raster: elevation", "unreadable raster: predictor 'brightness' for 2005"]
+
+
 # not finite as floats; `math.isfinite` would raise on the integer
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
                          ids=["nan", "inf", "-inf", "10**400"])
@@ -450,6 +473,26 @@ def test_cli_value_refused_at_load_is_exit_1_before_any_stage_runs(small, tmp_pa
 def test_run_unknown_stage_rejected(small):
     with pytest.raises(ValueError, match="unknown stages"):
         run(small.config, {"extract", "bogus"})
+
+
+def test_run_refuses_a_year_on_another_grid_before_it_creates_the_output(small, tmp_path):
+    # with every 2005 layer 5 km east of 2019's, agree would bin 2005 on 2019's
+    # cell centers and stocks take the cell area from one header
+    root = tmp_path / "d"
+    shutil.copytree(small.root / "inputs", root / "inputs")
+    (root / "config.json").write_text(json.dumps(small.doc))
+    config = PipelineConfig.load(root / "config.json")
+    inputs = config.years[2005]
+    for path in [*inputs.predictors.values(), inputs.landcover]:
+        grid = read_grid(path)
+        grid.x_origin += 5000.0
+        write_grid(grid, path)
+    with pytest.raises(ConfigError) as refused:
+        run(config)
+    findings = str(refused.value).split("; ")
+    assert len(findings) == len(inputs.predictors) + 1
+    assert all(f.startswith("alignment: ") and "for 2005 does not match" in f for f in findings)
+    assert not (root / "run").exists()
 
 
 def test_run_requires_upstream_artifacts(small, tmp_path):
@@ -794,19 +837,22 @@ def test_predict_maps_only_the_landcover_domain(small, tmp_path):
 
 
 @pytest.mark.parametrize("layer, stage, reported", [
-    ("pred_2005_greenness.bin", "extract", "sampled grids are not aligned"),
-    ("landcover_2005.bin", "predict", "landcover for 2005 is not aligned"),
+    ("pred_2005_greenness.bin", "extract", "predictor 'greenness' for 2005"),
+    ("landcover_2005.bin", "predict", "landcover for 2005"),
 ])
 def test_stage_refuses_a_shifted_layer(small, tmp_path, layer, stage, reported):
-    # run() does not validate, so the stage that reads the layers checks them
+    # run() validates before any stage, so the stage that reads the layer never
+    # runs and the earlier stages' outputs and the manifest keep their bytes
     root = tmp_path / "d"
     config = copy_of_small(small, root)
     path = root / "inputs" / layer
     grid = read_grid(path)
     grid.x_origin += grid.cellsize / 2
     write_grid(grid, path)
-    with pytest.raises(PipelineError, match=reported):
+    before = {p: p.read_bytes() for p in (root / "run").rglob("*") if p.is_file()}
+    with pytest.raises(ConfigError, match=re.escape(f"alignment: {reported} does not match")):
         run(config, [stage])
+    assert {p: p.read_bytes() for p in (root / "run").rglob("*") if p.is_file()} == before
 
 
 def test_predict_runs_the_models_on_mapped_cells_only(small, tmp_path, monkeypatch):
