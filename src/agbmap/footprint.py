@@ -50,10 +50,6 @@ class OverlapWeights:
     rows: np.ndarray
     weights: np.ndarray
 
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
 
 def pixel_overlap_weights(footprint: PlotFootprint, grid: Grid) -> OverlapWeights:
     """Overlap area between the footprint and every intersected grid cell.

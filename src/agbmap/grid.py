@@ -74,7 +74,8 @@ class Grid:
 
     Masked cells carry no value; their payload slot is canonicalized to 0.0 so
     that serialization is a pure function of the logical content. Arrays are
-    frozen after construction.
+    read-only: an array that is read-only, views only read-only memory and has
+    its dtype and C order is kept, and any other is copied.
     """
 
     ncols: int
@@ -90,25 +91,28 @@ class Grid:
         _check_geometry(*(getattr(self, key) for key in GEOMETRY))
         for key in GEOMETRY[2:]:  # floats, as read_header gives them: a grid read back is aligned
             setattr(self, key, float(getattr(self, key)))
-        values = np.asarray(self.values, dtype=np.float32, order="C")
+        values, mask = self.values, self.mask
+        if not _kept(values, np.float32):
+            values = np.array(values, dtype=np.float32, order="C")
         if values.shape != (self.nrows, self.ncols):
             raise ValueError(
                 f"values shape {values.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})"
             )
-        if self.mask is None:
-            mask = np.ones((self.nrows, self.ncols), dtype=bool)
-        else:
-            mask = np.array(self.mask, dtype=bool, order="C")
+        if mask is None:
+            mask = np.ones(values.shape, dtype=bool)
+        elif not _kept(mask, bool):
+            mask = np.array(mask, dtype=bool, order="C")
         if mask.shape != values.shape:
             raise ValueError("mask shape does not match values shape")
-        values = np.where(mask, values, 0)  # a new C-order array, as mask is
+        if values.flags.writeable:  # a copy it owns
+            np.copyto(values, 0, where=~mask)
+        elif np.any(values.view(np.uint32), where=~mask):  # a masked slot that is not +0.0
+            values = np.where(mask, values, np.float32(0))
         if not np.isfinite(values).all():
             raise ValueError("valid cells must hold finite values")
-        values.flags.writeable = False
-        mask.flags.writeable = False
-        self.values = values
-        self.mask = mask
+        values.flags.writeable = mask.flags.writeable = False
+        self.values, self.mask = values, mask
 
     # -- geometry ---------------------------------------------------------
 
@@ -210,6 +214,15 @@ def finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _kept(a, dtype) -> bool:
+    """Whether `a` is an array of `dtype` in C order that no array it views lets anyone write."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
+        return False
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 def _check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
     """The rule on a grid's geometry, in memory and in a file header: at least
     one column and one row, finite origins and a positive finite cellsize."""
@@ -258,14 +271,15 @@ def read_grid(path) -> Grid:
     """Read a grid written by :func:`write_grid`."""
     header = read_header(path)
     shape = (header["nrows"], header["ncols"])
-    n = shape[0] * shape[1]
+    values, mask = np.empty(shape, dtype="<f4"), np.empty(shape, dtype=bool)
     with open(path, "rb") as f:
         f.readline()
-        payload = f.read()
-    values = np.frombuffer(payload, dtype="<f4", count=n).reshape(shape)
-    mask = np.frombuffer(payload, dtype=np.uint8, offset=4 * n).reshape(shape)
-    if np.any(mask > 1):
+        got = f.readinto(values) + f.readinto(mask)
+    if got != values.nbytes + mask.nbytes:  # the file shrank since its header was read
+        raise GridFormatError(f"payload holds {got} bytes, expected {values.nbytes + mask.nbytes}")
+    if mask.view(np.uint8).max() > 1:
         raise GridFormatError("mask bytes must be 0 or 1")
+    values.flags.writeable = mask.flags.writeable = False  # so the grid keeps them
     try:
         return Grid(values=values, mask=mask, **header)
     except ValueError as e:  # a non-finite value in a valid cell

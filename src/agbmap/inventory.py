@@ -68,7 +68,6 @@ class PlotRecord:
 class PlotPartition:
     dev: list[PlotRecord]
     assessment: list[PlotRecord]
-    holdout_panel: int
 
 
 def _number_where(ok, why: str):
@@ -166,27 +165,16 @@ def select_single_inventory(plots: Sequence[PlotRecord], seed: int) -> list[Plot
     return chosen
 
 
-def split_by_panel(plots: Sequence[PlotRecord], holdout_panel, seed: int) -> PlotPartition:
-    """Hold out one inventory panel for assessment; the rest is development.
-
-    `holdout_panel` is a panel number or the string "random", which draws one
-    of the panels present (seeded). Either side coming up empty is an error.
-    """
-    panels = sorted({p.panel for p in plots})
-    if not panels:
-        raise ValueError("no plots to split")
-    if holdout_panel == "random":
-        rng = np.random.default_rng(seed)
-        holdout = panels[int(rng.integers(0, len(panels)))]
-    else:
-        holdout = int(holdout_panel)
-        if holdout not in panels:
-            raise ValueError(f"holdout panel {holdout} has no plots")
-    assessment = [p for p in plots if p.panel == holdout]
-    dev = [p for p in plots if p.panel != holdout]
+def split_by_panel(plots: Sequence[PlotRecord], holdout_panel: int) -> PlotPartition:
+    """Hold out the inventory panel numbered `holdout_panel` for assessment; the
+    rest is development. Either side coming up empty is an error."""
+    assessment = [p for p in plots if p.panel == holdout_panel]
+    dev = [p for p in plots if p.panel != holdout_panel]
+    if not assessment:
+        raise ValueError(f"holdout panel {holdout_panel} has no plots")
     if not dev:
         raise ValueError("holdout panel leaves no development plots")
-    return PlotPartition(dev=dev, assessment=assessment, holdout_panel=holdout)
+    return PlotPartition(dev=dev, assessment=assessment)
 
 
 def filter_model_dev(plots: Sequence[PlotRecord]) -> list[PlotRecord]:

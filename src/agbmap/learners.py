@@ -499,65 +499,60 @@ def _family(spec: LearnerSpec, p: int):
     return spec.kind, tuple(sorted(args.items()))
 
 
-def cv_predict(specs, X, y, k: int = 5, seed=0, final_seed=None):
-    """Out-of-fold predictions of one nested family under a seeded k-fold split.
+def cv_predict(specs, X, Y, k: int, seeds, final_seeds):
+    """Out-of-fold predictions of one nested family under seeded k-fold splits.
 
-    The k folds fit the family's head (most trees, greatest depth) in one batch,
-    and each predicts with each member's nested part of it: column j is the
-    cross-validation of `specs[j]` alone. A (targets, n) y takes a seed per
-    target and gives (targets, n, specs). Given `final_seed`, a seed per target,
-    the batch also fits the head on all rows of each: the result is `(oof, fits)`.
+    Y holds one target per row, each with a seed and a final seed. One batch fits
+    the family's head (most trees, greatest depth) on every target's k folds and
+    on all its rows from its final seed. Returns `(oof, fits)`: oof[a, :, j] is the
+    cross-validation of `specs[j]` alone on target a, each fold predicting with the
+    member's nested part of the head, and fits[a] the head on all rows of target a.
     """
-    specs, X, y = list(specs), _as_2d(X), np.asarray(y, dtype=np.float64)
+    specs, X, Y = list(specs), _as_2d(X), np.asarray(Y, dtype=np.float64)
     if not specs or len({_family(s, X.shape[1]) for s in specs}) != 1:
         raise ValueError("cv_predict needs the specs of one nested family")
+    if Y.ndim != 2 or not len(Y) == len(seeds) == len(final_seeds):
+        raise ValueError("Y needs one target per row, each with a seed and a final seed")
     head = specs[0]
     if head.kind != "knn":
         depths = [_MODEL_CLASSES[s.kind](s).hp["max_depth"] for s in specs]  # defaults filled in
         head = LearnerSpec.make(head.kind, **{**head.hp, "trees": max(s.hp["trees"] for s in specs),
                                               "max_depth": None if None in depths else max(depths)})
-    Y, seeds = (y, seed) if y.ndim == 2 else (y[None], [seed])
     folds = [(a, out, [s, i]) for a, s in enumerate(seeds)
              for i, out in enumerate(kfold_indices(X.shape[0], k, s))]
-    of, held_out, member_seeds = zip(*folds, *((a, [], s) for a, s in enumerate(final_seed or [])))
+    of, held_out, member_seeds = zip(*folds, *((a, [], s) for a, s in enumerate(final_seeds)))
     models = train_base(head, X, Y[list(of)], list(member_seeds), held_out=list(held_out))
     oof = np.empty((len(Y), X.shape[0], len(specs)))
     for (a, test_idx, _), model in zip(folds, models):
         for j, spec in enumerate(specs):
             fit = model if spec == head else model.nested(spec)
             oof[a, test_idx, j] = fit.predict(X[test_idx])
-    oof = oof if y.ndim == 2 else oof[0]
-    return oof if final_seed is None else (oof, models[len(folds):])
+    return oof, models[len(folds):]
 
 
-def grid_search(specs, X, y, k: int = 5, seed=0, final_seed=None):
-    """Pick the spec with the lowest k-fold CV RMSE; ties keep grid order.
+def grid_search(specs, X, Y, k: int, seeds, final_seeds):
+    """Pick, per target, the spec with the lowest k-fold CV RMSE; ties keep grid order.
 
-    Each nested family of specs is cross-validated once, on the same seeded
-    folds. Returns `(best, best_oof, scores)`: the winner, its out-of-fold
-    predictions (those of `cv_predict([best], X, y, k, seed)`) and `(spec,
-    rmse)` in grid order; a (targets, n) y with a seed per target, a list of
-    them. Given `final_seed`, a seed per target, each adds the winner's fit on
-    all rows from it, as `train_base` fits it, cut from its family's head.
+    Each nested family of specs is cross-validated once (`cv_predict`, these
+    arguments). Returns one `(best, best_oof, scores, final)` per target: the
+    winner, its out-of-fold predictions, `(spec, rmse)` in grid order, and the
+    winner's fit on all rows, as `train_base` fits it from the target's final seed.
     """
-    specs, X, y = list(specs), _as_2d(X), np.asarray(y, dtype=np.float64)
+    specs, X, Y = list(specs), _as_2d(X), np.asarray(Y, dtype=np.float64)
     if not specs:
         raise ValueError("empty hyperparameter grid")
     families: dict = {}
     for spec in specs:
         families.setdefault(_family(spec, X.shape[1]), []).append(spec)
-    Y, seeds = (y, seed) if y.ndim == 2 else (y[None], [seed])
-    got = [(family, cv_predict(family, X, Y, k=k, seed=seeds, final_seed=final_seed or []))
-           for family in families.values()]
+    got = [(f, *cv_predict(f, X, Y, k, seeds, final_seeds)) for f in families.values()]
     results = []
     for a, target in enumerate(Y):
-        oof = {s: col for family, (cols, _) in got for s, col in zip(family, cols[a].T)}
+        oof = {s: col for family, cols, _ in got for s, col in zip(family, cols[a].T)}
         scores = [(spec, error_metrics(PairedSample(target, oof[spec])).rmse) for spec in specs]
         best = min(scores, key=lambda score: score[1])[0]
-        final = [fits[a] if best.kind == "knn" else fits[a].nested(best)
-                 for family, (_, fits) in got if fits and best in family]
-        results.append((best, oof[best], scores, *final))
-    return results if y.ndim == 2 else results[0]
+        fit = next(fits[a] for family, _, fits in got if best in family)
+        results.append((best, oof[best], scores, fit if best.kind == "knn" else fit.nested(best)))
+    return results
 
 
 @dataclass

@@ -87,7 +87,8 @@ def _scaled(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def error_metrics(pairs: PairedSample) -> MetricsReport:
-    """n, RMSE, MAE, ME and R2; R2 is None when the reference has no variance."""
+    """n, RMSE, MAE, ME and R2; R2 is None when the reference has no variance,
+    or so little beside the errors that R2 lies below the float range."""
     e = pairs.y - pairs.yhat
     mae, me = float(np.mean(np.abs(e))), float(np.mean(e))
     k_e = _exponent(e)
@@ -95,12 +96,14 @@ def error_metrics(pairs: PairedSample) -> MetricsReport:
     dy = pairs.y - pairs.y.mean()
     k_y = _exponent(dy)
     ss_tot = float(np.sum(_scaled(dy, k_y) ** 2))  # times 2**(-2 * k_y)
+    with np.errstate(over="ignore"):  # an R2 below the float range overflows to -inf
+        r2 = float(1.0 - np.ldexp(ss_res / ss_tot, 2 * (k_e - k_y))) if ss_tot else None
     return MetricsReport(
         n=pairs.n,
         rmse=float(np.ldexp(np.sqrt(ss_res / pairs.n), k_e)),
         mae=mae,
         me=me,
-        r2=None if ss_tot == 0.0 else float(1.0 - np.ldexp(ss_res / ss_tot, 2 * (k_e - k_y))),
+        r2=None if r2 == -np.inf else r2,
     )
 
 

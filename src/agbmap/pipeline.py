@@ -102,7 +102,7 @@ class YearInputs:
 class PipelineConfig:
     seed: int
     output_dir: Path
-    holdout_panel: object          # 1..5 or "random"
+    holdout_panel: int             # 1..5, the inventory panel held out for assessment
     scales_km: list[float]
     removed_landcover_classes: list[float]
     trees: Path
@@ -149,8 +149,8 @@ class PipelineConfig:
         if raw["seed"] < 0:  # numpy seeds no generator from it
             raise ConfigError(f"seed must be non-negative, got {raw['seed']}")
         panel = raw["holdout_panel"]
-        if panel != "random" and not (of_type(panel, int) and 1 <= panel <= 5):
-            raise ConfigError(f"holdout_panel must be 1..5 or 'random', got {panel!r}")
+        if not (of_type(panel, int) and 1 <= panel <= 5):
+            raise ConfigError(f"holdout_panel must be an integer 1..5, got {panel!r}")
         scales, removed = raw["scales_km"], raw["removed_landcover_classes"]
         if not (isinstance(scales, list) and scales
                 and all(finite_number(s) and s > 0 for s in scales)):
@@ -393,7 +393,7 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
 
     selected = select_single_inventory(attach_densities(plot_rows, trees),
                                        seed=[config.seed, 101])
-    partition = split_by_panel(selected, config.holdout_panel, seed=[config.seed, 102])
+    partition = split_by_panel(selected, config.holdout_panel)
     model_dev = filter_model_dev(partition.dev)
 
     def row(p: PlotRecord) -> dict:
@@ -401,7 +401,7 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
 
     # both tables in plot-id order, the order of `selected`
     write_table(out / "plots.csv", [*INGEST_PLOT_COLUMNS, "role"],
-                [{**row(p), "role": "assessment" if p.panel == partition.holdout_panel
+                [{**row(p), "role": "assessment" if p.panel == config.holdout_panel
                   else "development"} for p in selected])
     write_table(out / "model_dev.csv", INGEST_PLOT_COLUMNS, map(row, model_dev))
 
@@ -412,7 +412,7 @@ def _stage_ingest(config: PipelineConfig, out: Path) -> None:
         "n_development": len(partition.dev),
         "n_model_dev": len(model_dev),
         "n_assessment": len(partition.assessment),
-        "holdout_panel": partition.holdout_panel,
+        "holdout_panel": config.holdout_panel,
         "per_year": {str(y): n for y, n in sorted(per_year.items())},
     })
 
@@ -494,9 +494,9 @@ def _stage_fit(config: PipelineConfig, out: Path) -> None:
     summary: dict = {"n_rows": n, "n_train": int(n_train), "models": {}}
     # one search per kind: each family grows both allometries' folds and final fits together
     Xtr, Xte, Ytr = X[train_idx], X[test_idx], Y[:, train_idx]
-    searched = [grid_search(grids[kind], Xtr, Ytr, k=CV_FOLDS,
-                            seed=[[config.seed, 310, a, k_idx] for a in range(len(Y))],
-                            final_seed=[[config.seed, 320, a, k_idx] for a in range(len(Y))])
+    searched = [grid_search(grids[kind], Xtr, Ytr, CV_FOLDS,
+                            [[config.seed, 310, a, k_idx] for a in range(len(Y))],
+                            [[config.seed, 320, a, k_idx] for a in range(len(Y))])
                 for k_idx, kind in enumerate(kinds)]
     test_rows = []
     for a_idx, allometry in enumerate(ALLOMETRIES):

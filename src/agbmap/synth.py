@@ -37,14 +37,14 @@ RESCALE_SLOPE_SOURCE = 1.135
 RESCALE_SLOPE_ELEV = -0.023
 
 
-def _smooth_field(rng, xs, ys, n_waves=6, wavelengths=(6e3, 45e3)):
+def _smooth_field(rng, xs, ys, n_waves=6):
     """Sum of random plane waves over the cell centers (xs west to east, ys
     north to south), standardized to zero mean and unit spread. The waves are
     drawn first, then summed in row blocks spread over the worker threads; each
     value is computed per cell, so a cell gets the same bits in any block."""
     waves = []
     for _ in range(n_waves):
-        wl = rng.uniform(*wavelengths)
+        wl = rng.uniform(6e3, 45e3)  # wavelength, m
         theta = rng.uniform(0.0, 2.0 * np.pi)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         waves.append((2.0 * np.pi / wl, np.cos(theta), np.sin(theta), phase,

@@ -203,7 +203,7 @@ def test_05_footprint_extraction_matches_monte_carlo():
         fp = PlotFootprint(fx, fy)
         w = pixel_overlap_weights(fp, grid)
         got = weighted_mean(grid, w)
-        assert abs(w.total - 673.36) <= 0.001 * 673.36
+        assert abs(w.weights.sum() - 673.36) <= 0.001 * 673.36
 
         centers = np.array(fp.subplot_centers())
         pick = rng.integers(0, 4, n_points)

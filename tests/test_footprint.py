@@ -69,13 +69,13 @@ class TestOverlapWeights:
         grid = flat_grid()
         fp = PlotFootprint(x=600.0, y=520.0)
         w = pixel_overlap_weights(fp, grid)
-        assert w.total == pytest.approx(PLOT_AREA_M2, rel=2e-4)
+        assert w.weights.sum() == pytest.approx(PLOT_AREA_M2, rel=2e-4)
 
     def test_total_area_various_cellsizes(self):
         for cs, x, y in ((10.0, 140.7, 143.3), (30.0, 500.01, 444.44), (90.0, 800.5, 900.25)):
             grid = flat_grid(ncols=30, nrows=30, cellsize=cs)
             w = pixel_overlap_weights(PlotFootprint(x=x, y=y), grid)
-            assert w.total == pytest.approx(PLOT_AREA_M2, rel=2e-4), cs
+            assert w.weights.sum() == pytest.approx(PLOT_AREA_M2, rel=2e-4), cs
 
     def test_weights_match_monte_carlo(self):
         rng = np.random.default_rng(99)
@@ -114,8 +114,8 @@ class TestOverlapWeights:
         grid = flat_grid()
         # plot center on the west edge: roughly half the footprint is off-grid
         w = pixel_overlap_weights(PlotFootprint(x=0.0, y=600.0), grid)
-        assert 0 < w.total < PLOT_AREA_M2
-        assert w.total == pytest.approx(PLOT_AREA_M2 / 2, rel=0.15)
+        assert 0 < w.weights.sum() < PLOT_AREA_M2
+        assert w.weights.sum() == pytest.approx(PLOT_AREA_M2 / 2, rel=0.15)
 
     def test_weights_are_positive_and_sorted_ids(self):
         grid = flat_grid()
@@ -202,7 +202,7 @@ class TestExactGeometry:
     def test_interior_total_is_exact(self):
         grid = flat_grid()
         w = pixel_overlap_weights(PlotFootprint(x=617.3, y=512.9), grid)
-        assert w.total == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
+        assert w.weights.sum() == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
 
     @settings(max_examples=200, deadline=None)
     @given(cs=st.floats(5.0, 300.0),
@@ -212,7 +212,7 @@ class TestExactGeometry:
         grid = flat_grid(ncols=n, nrows=n, cellsize=cs)
         fp = PlotFootprint(x=x, y=y)
         w = pixel_overlap_weights(fp, grid)
-        assert w.total == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
+        assert w.weights.sum() == pytest.approx(PLOT_AREA_M2, rel=1e-12, abs=0)
         centers = np.array(fp.subplot_centers())
         for col, row, wt in zip(w.cols, w.rows, w.weights):
             x0 = col * cs

@@ -49,6 +49,25 @@ class TestGridBasics:
         assert np.array_equal(g.values, [[1.0, 0.0]])
         assert np.array_equal(g.mask, [[True, False]])
 
+    def test_only_arrays_no_one_can_write_are_kept(self):
+        def read_only(a):
+            a.flags.writeable = False
+            return a
+
+        values = read_only(np.array([[1.0, 2.0]], dtype=np.float32))
+        mask = read_only(np.array([[True, True]]))
+        g = make_grid(values, mask=mask)
+        assert g.values is values and g.mask is mask
+        writable = np.array([[1.0, 2.0]], dtype=np.float32)  # a read-only view of it is copied
+        view = read_only(writable.view())
+        assert not np.shares_memory(make_grid(view).values, writable)
+        # a kept array with a masked -0.0 is copied with +0.0 there, the caller's left as is
+        signed = read_only(np.array([[1.0, -0.0]], dtype=np.float32))
+        g = make_grid(signed, mask=read_only(np.array([[True, False]])))
+        assert g.values is not signed
+        assert g.values.tobytes() == make_grid([[1.0, 0.0]]).values.tobytes()
+        assert np.signbit(signed[0, 1])
+
     @pytest.mark.parametrize("key", ["x_origin", "y_origin", "cellsize"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_origin_or_cellsize_rejected(self, key, value):
@@ -105,6 +124,17 @@ class TestMalformedFiles:
         write_grid(g, p)
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(GridFormatError):
+            read_grid(p)
+
+    def test_payload_truncated_after_its_header_was_read(self, tmp_path, monkeypatch):
+        import agbmap.grid
+
+        p = tmp_path / "g.bin"
+        write_grid(make_grid([[1.0, 2.0], [3.0, 4.0]]), p)
+        header = read_header(p)
+        p.write_bytes(p.read_bytes()[:-3])
+        monkeypatch.setattr(agbmap.grid, "read_header", lambda path: header)
+        with pytest.raises(GridFormatError, match="payload holds 17 bytes, expected 20"):
             read_grid(p)
 
     def test_header_holds_the_grid_fields(self, tmp_path):

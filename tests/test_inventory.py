@@ -194,27 +194,20 @@ class TestSingleInventory:
 class TestPanelSplit:
     def test_holdout_panel(self):
         plots = [plot(f"p{i}", panel=1 + i % 5) for i in range(20)]
-        part = split_by_panel(plots, holdout_panel=3, seed=0)
-        assert part.holdout_panel == 3
-        assert all(p.panel == 3 for p in part.assessment)
+        part = split_by_panel(plots, holdout_panel=3)
+        assert part.assessment and all(p.panel == 3 for p in part.assessment)
         assert all(p.panel != 3 for p in part.dev)
         assert len(part.dev) + len(part.assessment) == 20
-
-    def test_random_holdout_is_seeded(self):
-        plots = [plot(f"p{i}", panel=1 + i % 5) for i in range(20)]
-        a = split_by_panel(plots, "random", seed=7)
-        b = split_by_panel(plots, "random", seed=7)
-        assert a.holdout_panel == b.holdout_panel
 
     def test_missing_panel_rejected(self):
         plots = [plot("p1", panel=1)]
         with pytest.raises(ValueError):
-            split_by_panel(plots, holdout_panel=9, seed=0)
+            split_by_panel(plots, holdout_panel=9)
 
     def test_single_panel_rejected(self):
         plots = [plot(f"p{i}", panel=2) for i in range(4)]
         with pytest.raises(ValueError):
-            split_by_panel(plots, holdout_panel=2, seed=0)
+            split_by_panel(plots, holdout_panel=2)
 
 
 class TestModelDevFilter:

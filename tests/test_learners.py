@@ -721,16 +721,33 @@ class TestNestedFits:
     def test_family_columns_equal_each_member_alone(self, kind, family):
         X, y = toy_data(45)
         specs = [LearnerSpec.make(kind, **hp) for hp in family]
-        together = cv_predict(specs, X, y, k=5, seed=[3, 1])
-        assert together.shape == (45, len(specs))
+        together, fits = cv_predict(specs, X, y[None], 5, [[3, 1]], [9])
+        assert together.shape == (1, 45, len(specs)) and len(fits) == 1
         for j, spec in enumerate(specs):
-            assert np.array_equal(together[:, j], cv_predict([spec], X, y, k=5, seed=[3, 1])[:, 0])
+            assert np.array_equal(together[0, :, j], cv_oof([spec], X, y, 5, [3, 1])[:, 0])
 
     def test_cv_predict_refuses_specs_of_two_families(self):
         X, y = toy_data(20)
         specs = [LearnerSpec.make("boosted_trees", trees=3, learning_rate=lr) for lr in (0.1, 0.2)]
         with pytest.raises(ValueError, match="one nested family"):
-            cv_predict(specs, X, y)
+            cv_predict(specs, X, y[None], 5, [0], [0])
+
+    @pytest.mark.parametrize("targets, seeds, final_seeds", [
+        (0, [0], [0]), (2, [0], [0, 1]), (2, [0, 1], [0]), (1, [0, 1], [0, 1])])
+    def test_cv_predict_refuses_targets_without_one_seed_and_final_seed_each(
+            self, targets, seeds, final_seeds):
+        # a 1-D y (targets 0) holds no row of targets; a target without a seed
+        # would leave its out-of-fold rows unset
+        X, y = toy_data(20)
+        Y = y if targets == 0 else np.vstack([y, -y][:targets])
+        spec = LearnerSpec.make("knn", k=3)
+        with pytest.raises(ValueError, match="one target per row"):
+            cv_predict([spec], X, Y, 5, seeds, final_seeds)
+
+
+def cv_oof(specs, X, y, k, seed) -> np.ndarray:
+    """cv_predict's (n, specs) out-of-fold columns for the one target y."""
+    return cv_predict(specs, X, y[None], k, [seed], [0])[0][0]
 
 
 def per_fold_cv(specs, X, y, k, seed) -> np.ndarray:
@@ -772,10 +789,10 @@ class TestBatchedFolds:
         batched = learners.train_base
         monkeypatch.setattr(learners, "train_base", lambda *a, **kw: calls.append(a) or
                             batched(*a, **kw))
-        oof = cv_predict(specs, X, y, k=k, seed=7)
+        oof, _ = cv_predict(specs, X, y[None], k, [7], [9])
         monkeypatch.undo()
         assert len(calls) == 1
-        assert np.array_equal(oof, per_fold_cv(specs, X, y, k, 7))
+        assert np.array_equal(oof[0], per_fold_cv(specs, X, y, k, 7))
 
     @pytest.mark.parametrize("max_depth", [2, None])
     @pytest.mark.parametrize("max_features", [5, 2])
@@ -859,21 +876,20 @@ class TestCrossValidation:
         for kind, hp in (("knn", {"k": 3}),
                          ("bagged_trees", {"trees": 5, "max_depth": 4, "max_features": None}),
                          ("boosted_trees", {"trees": 5, "learning_rate": 0.1, "max_depth": 2})):
-            oof = cv_predict([LearnerSpec.make(kind, **hp)], X, y, k=5, seed=1)
+            oof = cv_oof([LearnerSpec.make(kind, **hp)], X, y, 5, 1)
             assert np.allclose(oof, 5.0), kind
 
     def test_oof_deterministic(self):
         X, y = toy_data(30)
         spec = LearnerSpec.make("bagged_trees", trees=8, max_depth=6, max_features="sqrt")
-        assert np.array_equal(cv_predict([spec], X, y, k=5, seed=7),
-                              cv_predict([spec], X, y, k=5, seed=7))
+        assert np.array_equal(cv_oof([spec], X, y, 5, 7), cv_oof([spec], X, y, 5, 7))
 
 
 class TestGridSearch:
     def test_minimizes_cv_rmse(self):
         X, y = toy_data(60)
         specs = [LearnerSpec.make("knn", k=k) for k in (1, 5, 10, 25)]
-        best, _, scores = grid_search(specs, X, y, k=5, seed=3)
+        [(best, _, scores, _)] = grid_search(specs, X, y[None], 5, [3], [9])
         assert [s for s, _ in scores] == specs
         rmses = [r for _, r in scores]
         assert best == scores[int(np.argmin(rmses))][0]
@@ -883,7 +899,7 @@ class TestGridSearch:
         X = np.random.default_rng(5).uniform(size=(20, 2))
         y = np.full(20, 7.0)  # every spec scores identically (RMSE 0)
         specs = [LearnerSpec.make("knn", k=k) for k in (5, 2, 3)]
-        best, _, _ = grid_search(specs, X, y, k=5, seed=0)
+        [(best, _, _, _)] = grid_search(specs, X, y[None], 5, [0], [9])
         assert best == specs[0]
 
     @pytest.mark.parametrize("kind,grid", [
@@ -905,8 +921,8 @@ class TestGridSearch:
         X, y = toy_data(45)
         specs = [LearnerSpec.make(kind, **hp) for hp in grid]
         seed = [2, 310, 0, 1]
-        best, best_oof, scores = grid_search(specs, X, y, k=5, seed=seed)
-        assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=seed)[:, 0])
+        [(best, best_oof, scores, _)] = grid_search(specs, X, y[None], 5, [seed], [9])
+        assert np.array_equal(best_oof, cv_oof([best], X, y, 5, seed)[:, 0])
         rmse = float(np.sqrt(np.mean((y - best_oof) ** 2)))
         assert rmse == dict(scores)[best] == min(r for _, r in scores)
 
@@ -919,25 +935,25 @@ class TestGridSearch:
             {"trees": 6, "max_depth": None, "max_features": "third"},
             {"trees": 4, "max_depth": 3, "max_features": None})]
         seed = [2, 310, 0, 1]
-        alone = {s: cv_predict([s], X, y, k=5, seed=seed)[:, 0] for s in specs}
+        alone = {s: cv_oof([s], X, y, 5, seed)[:, 0] for s in specs}
         want = [(s, float(np.sqrt(np.mean((y - alone[s]) ** 2)))) for s in specs]
         want_best = min(want, key=lambda score: score[1])[0]
         calls = []
         counted = learners.cv_predict
         monkeypatch.setattr(learners, "cv_predict",
                             lambda *a, **kw: calls.append(a) or counted(*a, **kw))
-        best, best_oof, scores = grid_search(specs, X, y, k=5, seed=seed)
+        [(best, best_oof, scores, final)] = grid_search(specs, X, y[None], 5, [seed],
+                                                        [[2, 320, 0, 1]])
         assert len(calls) == len(specs) - 1  # one per drawn count, not per name
         assert scores == want
         assert best == want_best
         assert np.array_equal(best_oof, alone[want_best])
-        final, reference = (entry(train_base(s, X, y, seed=[2, 320, 0, 1]))
-                            for s in (best, want_best))
-        assert json.dumps(final) == json.dumps(reference)
+        reference = train_base(want_best, X, y, seed=[2, 320, 0, 1])
+        assert json.dumps(entry(final)) == json.dumps(entry(reference))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            grid_search([], np.zeros((5, 1)), np.zeros(5))
+            grid_search([], np.zeros((5, 1)), np.zeros((1, 5)), 5, [0], [0])
 
 
 ONE_BATCH_GRIDS = {
@@ -996,8 +1012,8 @@ class TestOneBatchSelection:
             (a[0].shape[0], a[-1] is not None)) or grow(*a))
         monkeypatch.setattr(learners, "train_base", lambda *a, **kw: fits.append(a[0]) or
                             train(*a, **kw))
-        results = {kind: grid_search([LearnerSpec.make(kind, **hp) for hp in grid], X, Y, k=5,
-                                     seed=seeds, final_seed=finals)
+        results = {kind: grid_search([LearnerSpec.make(kind, **hp) for hp in grid], X, Y, 5,
+                                     seeds, finals)
                    for kind, grid in ONE_BATCH_GRIDS.items()}
         monkeypatch.undo()
         # one train_base call per family: 2 boosted, 1 bagged (depths nest), 2 knn
@@ -1026,8 +1042,8 @@ class TestOneBatchSelection:
             {"trees": 5, "max_depth": 2, "max_features": "sqrt"},
             {"trees": 3, "max_depth": None, "max_features": "third"},
             {"trees": 5, "max_depth": 1, "max_features": "third"})]
-        oof, [full] = cv_predict(family, X, y, k=5, seed=3, final_seed=[9])
-        assert np.array_equal(oof, cv_predict(family, X, y, k=5, seed=3))
+        oof, [full] = cv_predict(family, X, y[None], 5, [3], [9])
+        assert np.array_equal(oof, cv_predict(family, X, y[None], 5, [3], [10])[0])
         for spec in family:
             assert json.dumps(entry(full.nested(spec))) == \
                 json.dumps(entry(train_base(spec, X, y, 9)))
@@ -1035,9 +1051,9 @@ class TestOneBatchSelection:
     def test_one_target_with_a_final_seed(self):
         X, y = toy_data(30, seed=4)
         specs = [LearnerSpec.make("bagged_trees", **hp) for hp in ONE_BATCH_GRIDS["bagged_trees"]]
-        best, best_oof, scores, final = grid_search(specs, X, y, k=5, seed=3, final_seed=[9])
-        assert (best, scores) == grid_search(specs, X, y, k=5, seed=3)[::2]
-        assert np.array_equal(best_oof, cv_predict([best], X, y, k=5, seed=3)[:, 0])
+        [(best, best_oof, scores, final)] = grid_search(specs, X, y[None], 5, [3], [9])
+        assert (best, scores) == grid_search(specs, X, y[None], 5, [3], [10])[0][::2]
+        assert np.array_equal(best_oof, cv_oof([best], X, y, 5, 3)[:, 0])
         assert json.dumps(entry(final)) == json.dumps(entry(train_base(best, X, y, 9)))
 
 
@@ -1099,7 +1115,7 @@ def small_ensemble(X, y, seed=0):
         LearnerSpec.make("knn", k=3),
         LearnerSpec.make("boosted_trees", trees=20, learning_rate=0.1, max_depth=2),
     ]
-    oof = np.column_stack([cv_predict([s], X, y, k=5, seed=seed)[:, 0] for s in specs])
+    oof = np.column_stack([cv_oof([s], X, y, 5, seed)[:, 0] for s in specs])
     stack = fit_stack(oof, y)
     models = [train_base(s, X, y, seed=[seed, i]) for i, s in enumerate(specs)]
     return EnsembleModel(models=models, stack=stack,

@@ -111,6 +111,12 @@ class TestBasicMetrics:
         pairs = PairedSample(y=[2.0, 2.0, 2.0], yhat=[1.0, 2.0, 3.0])
         assert basic_metrics(pairs, 2.0).r2 is None
 
+    def test_r2_below_the_float_range_is_none(self):
+        # 1 - 0.5 / (2 * (4.7e-240) ** 2) is about -2.3e478: no float holds it
+        pairs = PairedSample(y=[0.0, 9.400196375905042e-240], yhat=[0.0, 1.0])
+        rep = basic_metrics(pairs, 1.0)
+        assert rep.r2 is None and rep.rmse == np.sqrt(0.5)
+
     def test_nonpositive_normalizer_rejected(self):
         pairs = PairedSample(y=[1.0], yhat=[1.0])
         with pytest.raises(ValueError):
@@ -373,6 +379,7 @@ paired = st.integers(2, 40).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(paired)
+@example(([0.0, 9.400196375905042e-240], [0.0, 1.0]))  # an R2 below the float range
 def test_rmse_dominates_mae_dominates_me(data):
     y, yhat = data
     pairs = PairedSample(y=y, yhat=yhat)

@@ -205,6 +205,22 @@ def test_synth_memory_grows_by_less_than_70_bytes_per_cell(tmp_path):
     assert per_cell < 70, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_read_grid_memory_grows_by_less_than_8_bytes_per_cell(tmp_path):
+    # The grid holds 5 bytes per cell (a float32 and a mask byte); read into its
+    # final arrays, it takes about 6. A read that also holds the whole payload,
+    # or copies it into the grid's arrays, takes 11.
+    ncols, nrows = 1500, 1500
+    rng = np.random.default_rng(6)
+    write_grid(Grid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cellsize=30.0,
+                    units="Mg/ha", values=rng.uniform(0, 300, (nrows, ncols)),
+                    mask=rng.random((nrows, ncols)) < 0.8), tmp_path / "g.bin")
+    grown = vmhwm_growth("from agbmap.grid import read_grid", "grid = read_grid(sys.argv[1])",
+                         tmp_path / "g.bin")
+    per_cell = grown / (ncols * nrows)
+    assert per_cell < 8, f"read_grid grew RSS by {per_cell:.1f} bytes per cell"
+
+
 RASTER_COLS, RASTER_ROWS = 800, 700
 
 
@@ -225,11 +241,11 @@ def raster_cache(tmp_path_factory):
 
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
-# alone on `raster_cache`: a little above what it takes now (extract 47, predict
-# 72, assess 26, agree 65, diff 48, rescale 68). A stage that needs less
-# lowers its ceiling.
-STAGE_BYTES_PER_CELL = {"extract": 52, "predict": 80, "assess": 28, "agree": 74,
-                        "diff": 52, "rescale": 73}
+# alone on `raster_cache`: a little above what it takes now (extract 39, predict
+# 70, assess 18, agree 59, diff 47, rescale 62), with grids read into their final
+# arrays. A stage that needs less lowers its ceiling.
+STAGE_BYTES_PER_CELL = {"extract": 43, "predict": 80, "assess": 21, "agree": 63,
+                        "diff": 52, "rescale": 66}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
@@ -440,10 +456,12 @@ def test_config_refuses_predictor_names_that_differ_between_years(small):
         PipelineConfig.from_document(doc, base_dir=small.root)
 
 
-# values the stages would otherwise run with: panel 1 held out, nothing
-# removed from the domain, and a refusal only in assess, after predict
+# values the stages would otherwise run with: panel 1 held out, nothing removed
+# from the domain, and a refusal only in assess, after predict; a "random" panel
+# would fail only in ingest, after its directory was emptied
 REFUSED_AT_LOAD = [("holdout_panel", True), ("holdout_panel", 1.0),
-                   ("removed_landcover_classes", [float("nan")]), ("scales_km", [2, 0])]
+                   ("removed_landcover_classes", [float("nan")]), ("scales_km", [2, 0]),
+                   ("holdout_panel", "random")]
 
 
 @pytest.mark.parametrize("key, value", REFUSED_AT_LOAD)
@@ -1033,20 +1051,21 @@ def test_fit_models_equal_a_search_and_refit_per_allometry(small, tmp_path, monk
     config = make_config(small.doc, small.root, output_dir=str(tmp_path / "o"))
     run(config, ["ingest", "extract"])
     searches, original = [], agbmap.pipeline.grid_search
-    monkeypatch.setattr(agbmap.pipeline, "grid_search", lambda specs, X, Y, **kw: searches.append(
-        (list(specs), X, Y, kw)) or original(specs, X, Y, **kw))
+    monkeypatch.setattr(agbmap.pipeline, "grid_search", lambda specs, X, Y, *args: searches.append(
+        (list(specs), X, Y, args)) or original(specs, X, Y, *args))
     run(config, ["fit"])
     monkeypatch.undo()
     assert [specs[0].kind for specs, *_ in searches] == sorted(config.learner_grids)
     for a, allometry in enumerate(["CRM", "NSVB"]):
         doc = json.loads((tmp_path / "o" / "fit" / f"model_{allometry}.json").read_text())
         model = EnsembleModel.from_json(json.dumps(doc))
-        for (specs, X, Y, kw), base, m in zip(searches, doc["base"], model.models, strict=True):
+        for (specs, X, Y, (k, seeds, finals)), base, m in zip(searches, doc["base"],
+                                                              model.models, strict=True):
             assert Y.shape == (2, X.shape[0])
-            best, _, _ = grid_search(specs, X, Y[a], k=kw["k"], seed=kw["seed"][a])
+            [(best, *_)] = grid_search(specs, X, Y[a:a + 1], k, seeds[a:a + 1], finals[a:a + 1])
             assert best == m.spec
             assert best.to_dict() == base["spec"]
-            alone = train_base(best, X, Y[a], kw["final_seed"][a])
+            alone = train_base(best, X, Y[a], finals[a])
             assert json.dumps(alone.to_dict(), sort_keys=True) == \
                 json.dumps(base["model"], sort_keys=True)
 
@@ -1112,6 +1131,34 @@ def joint_window(config, year):
                  for a in ("CRM", "NSVB"))
     joint = crm.mask & nsvb.mask
     return [(int(i[0]), int(i[-1])) for i in map(np.flatnonzero, (joint.any(1), joint.any(0)))]
+
+
+def test_a_1_km_scale_is_the_unaggregated_row_and_never_hexagons(small, tmp_path, monkeypatch):
+    # both tables start with the plot- or cell-level row, labelled 1 km; a
+    # configured 1 is that row, so [1, 2] writes the tables [2] writes
+    import agbmap.metrics
+    import agbmap.pipeline
+
+    spacings = []
+    for module in (agbmap.metrics, agbmap.pipeline):
+        original = module.covering_hexgrid
+        monkeypatch.setattr(module, "covering_hexgrid", lambda points, spacing, original=original:
+                            spacings.append(spacing) or original(points, spacing))
+    tables = {}
+    for scales in ([1, 2], [2]):
+        config = make_config(small.doc, small.root, scales_km=scales)
+        for stage in ("assess", "agree"):
+            out = tmp_path / str(scales[0]) / stage
+            out.mkdir(parents=True)
+            agbmap.pipeline._STAGES[stage](config, out)
+        tables[scales[0]] = {p.relative_to(tmp_path / str(scales[0])): p.read_bytes()
+                             for p in (tmp_path / str(scales[0])).rglob("*.csv")}
+    assert tables[1] == tables[2]
+    assert spacings and set(spacings) == {2000.0}
+    for name in ("assessment_CRM.csv", "assessment_NSVB.csv",
+                 *(f"agreement_{year}.csv" for year in sorted(small.config.years))):
+        [path] = (tmp_path / "1").rglob(name)
+        assert [r["scale_km"] for r in read_rows(path)] == ["1.0", "2.0"]
 
 
 def test_agree_assigns_each_scale_once_for_every_year(small, tmp_path, monkeypatch):
