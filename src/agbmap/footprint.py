@@ -56,8 +56,8 @@ def pixel_overlap_weights(footprint: PlotFootprint, grid: Grid) -> OverlapWeight
 
     Cells outside the grid extent are dropped, so a footprint straddling the
     edge yields weights summing to less than the footprint area, and one
-    entirely outside yields no entries. Cell validity is ignored here; masking
-    belongs to extraction. Entries are sorted by (col, row).
+    entirely outside yields no entries. Cell validity is ignored here: extraction
+    (`weighted_mean`) skips cells with no value. Entries are sorted by (col, row).
     """
     r, cs = SUBPLOT_RADIUS_M, grid.cellsize
     centers = np.array(footprint.subplot_centers())
@@ -123,14 +123,14 @@ def weighted_mean(grid: Grid, weights: OverlapWeights) -> float | None:
     """Weighted mean of valid cell values under precomputed overlap weights.
 
     The weights must have been computed against a grid sharing this grid's
-    geometry; only the values and mask may differ. Returns None when no valid
-    cell carries weight.
+    geometry; only the values may differ. A cell is valid where its value is
+    not NaN. Returns None when no valid cell carries weight.
     """
     if weights.weights.size == 0:
         return None
-    valid = grid.mask[weights.rows, weights.cols]
+    vals = grid.values[weights.rows, weights.cols]
+    valid = ~np.isnan(vals)
     if not np.any(valid):
         return None
     wv = weights.weights[valid]
-    vals = grid.values[weights.rows[valid], weights.cols[valid]].astype(np.float64)
-    return float(np.sum(wv * vals) / np.sum(wv))
+    return float(np.sum(wv * vals[valid].astype(np.float64)) / np.sum(wv))

@@ -1,4 +1,4 @@
-"""Single-band raster grids with an explicit validity mask.
+"""Single-band raster grids of float32 values, NaN where a cell has no value.
 
 Grids are stored north-to-south, west-to-east (row 0 is the northernmost row).
 The origin is the outer corner of the south-west cell, so the cell (col, row)
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,51 +68,41 @@ def map_chunks(n: int, chunk: int, values, per_cell: dict) -> np.ndarray:
     return out
 
 
-@dataclass
 class Grid:
-    """A rectangular raster with float32 values and a boolean validity mask.
+    """A rectangular raster of float32 values, NaN where a cell has no value.
 
-    Masked cells carry no value; their payload slot is canonicalized to 0.0 so
-    that serialization is a pure function of the logical content. Arrays are
-    read-only: an array that is read-only, views only read-only memory and has
-    its dtype and C order is kept, and any other is copied.
+    Every such cell holds the one quiet NaN 0x7FC00000, so that serialization is
+    a pure function of the logical content, and no cell holds an infinity. The
+    array is read-only: one that is read-only, views only read-only memory and
+    has float32 dtype, C order and no other NaN is kept, and any other is copied.
     """
 
-    ncols: int
-    nrows: int
-    x_origin: float
-    y_origin: float
-    cellsize: float
-    units: str
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)  # True where the cell is valid
-
-    def __post_init__(self):
-        _check_geometry(*(getattr(self, key) for key in GEOMETRY))
-        for key in GEOMETRY[2:]:  # floats, as read_header gives them: a grid read back is aligned
-            setattr(self, key, float(getattr(self, key)))
-        values, mask = self.values, self.mask
+    def __init__(self, ncols: int, nrows: int, x_origin: float, y_origin: float,
+                 cellsize: float, units: str, values, mask=None):
+        _check_geometry(ncols, nrows, x_origin, y_origin, cellsize)
+        self.ncols, self.nrows, self.units = ncols, nrows, units
+        # floats, as read_header gives them: a grid read back is aligned
+        self.x_origin, self.y_origin, self.cellsize = map(float, (x_origin, y_origin, cellsize))
         if not _kept(values, np.float32):
             values = np.array(values, dtype=np.float32, order="C")
-        if values.shape != (self.nrows, self.ncols):
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"(nrows, ncols)=({self.nrows}, {self.ncols})"
-            )
-        if mask is None:
-            mask = np.ones(values.shape, dtype=bool)
-        elif not _kept(mask, bool):
-            mask = np.array(mask, dtype=bool, order="C")
-        if mask.shape != values.shape:
-            raise ValueError("mask shape does not match values shape")
-        if values.flags.writeable:  # a copy it owns
-            np.copyto(values, 0, where=~mask)
-        elif np.any(values.view(np.uint32), where=~mask):  # a masked slot that is not +0.0
-            values = np.where(mask, values, np.float32(0))
-        if not np.isfinite(values).all():
-            raise ValueError("valid cells must hold finite values")
-        values.flags.writeable = mask.flags.writeable = False
-        self.values, self.mask = values, mask
+        if values.shape != (nrows, ncols):
+            raise ValueError(f"values of shape {values.shape} on a grid of {nrows} x {ncols} cells")
+        if mask is not None:  # True where a cell has a value; NaN goes where it is False
+            if np.shape(mask) != values.shape:
+                raise ValueError("mask shape does not match values shape")
+            values = np.where(mask, values, np.float32(np.nan))
+        bits = values.view(np.uint32)  # each cell finite or the quiet NaN, by row blocks
+        if not all((np.isfinite(values[rows]) | (bits[rows] == 0x7FC00000)).all()
+                   for rows in row_blocks(nrows, ncols)):
+            if np.isinf(values).any():
+                raise ValueError("cells must not hold an infinity")
+            values = np.where(np.isnan(values), np.float32(np.nan), values)  # -NaN is 0xFFC00000
+        values.flags.writeable = False
+        self.values = values
+
+    @property
+    def mask(self) -> np.ndarray:  # True where a cell has a value; computed on each use
+        return ~np.isnan(self.values)
 
     # -- geometry ---------------------------------------------------------
 
@@ -130,11 +120,10 @@ class Grid:
         ys = self.y_origin + (self.nrows - np.arange(self.nrows) - 0.5) * self.cellsize
         return xs, ys
 
-    def with_values(self, values: np.ndarray, mask: np.ndarray | None = None,
-                    units: str | None = None) -> "Grid":
+    def with_values(self, values: np.ndarray, units: str | None = None) -> "Grid":
         """New grid on the same geometry with different content."""
         return Grid(**{key: getattr(self, key) for key in GEOMETRY},
-                    units=self.units if units is None else units, values=values, mask=mask)
+                    units=self.units if units is None else units, values=values)
 
 
 @dataclass
@@ -159,10 +148,12 @@ def summarize(grid: Grid) -> GridSummary:
 
 
 def difference(a: Grid, b: Grid) -> Grid:
-    """Cellwise a - b; a cell is masked if it is masked in either operand."""
+    """Cellwise a - b; NaN, no value, where either operand has none."""
     if not a.aligned_with(b):
         raise ValueError("grids are not aligned")
-    return a.with_values(a.values - b.values, a.mask & b.mask)
+    values = a.values - b.values
+    values.flags.writeable = False  # so the grid keeps it
+    return a.with_values(values)
 
 
 def percent_rank(grid: Grid) -> Grid:
@@ -171,7 +162,8 @@ def percent_rank(grid: Grid) -> Grid:
     Ties take the minimum rank, so a grid of identical values maps to all
     zeros. Needs at least two valid cells.
     """
-    vals = grid.values[grid.mask]
+    valid = grid.mask
+    vals = grid.values[valid]
     n = vals.size
     if n < 2:
         raise ValueError("percent_rank needs at least two valid cells")
@@ -182,29 +174,30 @@ def percent_rank(grid: Grid) -> Grid:
     # where the value's run of equal values starts in sorted order (any sort kind)
     smaller[order] = np.searchsorted(ordered, ordered)
     del order, ordered
-    values = np.zeros(grid.values.shape, dtype=np.float32)
-    values[grid.mask] = 100.0 * smaller / (n - 1)
-    return grid.with_values(values, grid.mask, units="percent")
+    values = np.full(grid.values.shape, np.nan, dtype=np.float32)
+    values[valid] = 100.0 * smaller / (n - 1)
+    values.flags.writeable = False  # so the grid keeps it
+    return grid.with_values(values, units="percent")
 
 
 # -- file format ----------------------------------------------------------
 
 # the header's fields and their JSON types; a bool is neither an integer nor a number
 _HEADER_TYPES = {"ncols": int, "nrows": int, "x_origin": (int, float), "y_origin": (int, float),
-                 "cellsize": (int, float), "units": str, "byte_order": str}
+                 "cellsize": (int, float), "units": str, "byte_order": str, "format": str}
 
 
 def write_grid(grid: Grid, path) -> None:
-    """Write a grid to `path`: one JSON header line, then row-major
-    little-endian float32 values (north row first), then one validity byte
-    per cell.
+    """Write a grid to `path`: one JSON header line, padded with spaces so that
+    the values start at a multiple of 4 bytes, then row-major little-endian
+    float32 values (north row first), NaN where a cell has no value.
     """
-    header = {**{key: getattr(grid, key) for key in (*GEOMETRY, "units")}, "byte_order": "little"}
+    header = {**{key: getattr(grid, key) for key in (*GEOMETRY, "units")},
+              "byte_order": "little", "format": "float32-nan"}
+    line = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        f.write(grid.values.astype("<f4", copy=False).data)  # C order; a bool is one byte
-        f.write(grid.mask.data)
+        f.write(line + b" " * (-(len(line) + 1) % 4) + b"\n")
+        f.write(grid.values.astype("<f4", copy=False).data)  # C order
 
 
 def finite_number(value) -> bool:
@@ -236,8 +229,8 @@ def _check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
 
 def read_header(path) -> dict:
     """The checked header of a grid file written by :func:`write_grid`, as the
-    `Grid` fields besides values and mask, without reading the payload. The
-    file's size must fit the header's ncols and nrows."""
+    `Grid` fields besides its values, without reading them. The file's size
+    must fit the header's ncols and nrows."""
     with open(path, "rb") as f:
         line = f.readline()
         size = os.fstat(f.fileno()).st_size
@@ -247,40 +240,41 @@ def read_header(path) -> dict:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise GridFormatError(f"malformed header: {e}") from e
+    if isinstance(header, dict) and "format" not in header:
+        raise GridFormatError("old format of float32 values and a mask byte per cell: not read")
     if not isinstance(header, dict) or set(header) != set(_HEADER_TYPES):
         raise GridFormatError("header must hold exactly the grid geometry fields")
     wrong = [key for key, types in _HEADER_TYPES.items()
              if isinstance(header[key], bool) or not isinstance(header[key], types)]
     if wrong:
         raise GridFormatError(f"header fields of the wrong type: {wrong}")
-    byte_order = header.pop("byte_order")
-    if byte_order != "little":
-        raise GridFormatError(f"unsupported byte order {byte_order!r}")
+    for key, want in (("byte_order", "little"), ("format", "float32-nan")):
+        if (got := header.pop(key)) != want:
+            raise GridFormatError(f"unsupported {key} {got!r}")
     try:
         _check_geometry(*(header[key] for key in GEOMETRY))
     except ValueError as e:
         raise GridFormatError(str(e)) from None
+    if len(line) % 4:
+        raise GridFormatError(f"header of {len(line)} bytes is not padded to a multiple of 4")
     ncols, nrows = header["ncols"], header["nrows"]
-    if size - len(line) != 5 * ncols * nrows:  # a float32 and a mask byte per cell
+    if size - len(line) != 4 * ncols * nrows:  # a float32 per cell
         raise GridFormatError(
-            f"payload holds {size - len(line)} bytes, expected {5 * ncols * nrows}")
+            f"payload holds {size - len(line)} bytes, expected {4 * ncols * nrows}")
     return {**header, **{key: float(header[key]) for key in GEOMETRY[2:]}}
 
 
 def read_grid(path) -> Grid:
-    """Read a grid written by :func:`write_grid`."""
+    """Read a grid written by :func:`write_grid`; its cells are checked as `Grid` checks them."""
     header = read_header(path)
-    shape = (header["nrows"], header["ncols"])
-    values, mask = np.empty(shape, dtype="<f4"), np.empty(shape, dtype=bool)
+    values = np.empty((header["nrows"], header["ncols"]), dtype="<f4")
     with open(path, "rb") as f:
         f.readline()
-        got = f.readinto(values) + f.readinto(mask)
-    if got != values.nbytes + mask.nbytes:  # the file shrank since its header was read
-        raise GridFormatError(f"payload holds {got} bytes, expected {values.nbytes + mask.nbytes}")
-    if mask.view(np.uint8).max() > 1:
-        raise GridFormatError("mask bytes must be 0 or 1")
-    values.flags.writeable = mask.flags.writeable = False  # so the grid keeps them
+        got = f.readinto(values)
+    if got != values.nbytes:  # the file shrank since its header was read
+        raise GridFormatError(f"payload holds {got} bytes, expected {values.nbytes}")
+    values.flags.writeable = False  # so the grid keeps it
     try:
-        return Grid(values=values, mask=mask, **header)
-    except ValueError as e:  # a non-finite value in a valid cell
+        return Grid(values=values, **header)
+    except ValueError as e:  # an infinity
         raise GridFormatError(str(e)) from e

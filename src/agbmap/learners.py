@@ -631,8 +631,8 @@ class EnsembleModel:
 
 def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
     """Prediction over aligned predictor grids at the cells of the boolean `domain`
-    (of their shape) where every predictor is valid; every other cell is masked.
-    Missing layers, misaligned grids and a domain of another shape raise."""
+    (of their shape) where every predictor has a value; every other cell has none. Missing
+    layers, misaligned grids, a domain of another shape and a non-finite prediction raise."""
     missing = [name for name in model.feature_names if name not in predictors]
     if missing:
         raise ValueError(f"missing predictor layers: {missing}")
@@ -642,9 +642,13 @@ def predict_grid(model: EnsembleModel, predictors: dict, domain) -> Grid:
         raise ValueError("predictor grids are not aligned")
     if np.shape(domain) != first.values.shape:
         raise ValueError(f"domain of shape {np.shape(domain)} on grids of {first.values.shape}")
-    mask = np.logical_and.reduce([np.asarray(domain, dtype=bool)] + [g.mask for g in grids])
-    values = np.zeros(mask.shape, dtype=np.float32)
-    for rows in row_blocks(first.nrows, first.ncols):  # no whole-domain X
-        if (m := mask[rows]).any():
-            values[rows][m] = model.predict(np.stack([g.values[rows][m] for g in grids], axis=1))
-    return first.with_values(values, mask, units="Mg/ha")
+    values = np.full(first.values.shape, np.nan, dtype=np.float32)
+    for rows in row_blocks(first.nrows, first.ncols):  # no whole-domain X or validity
+        block = [g.values[rows] for g in grids]  # a NaN would walk left: `x > threshold`
+        if (m := np.logical_and.reduce([domain[rows], *(~np.isnan(v) for v in block)])).any():
+            yhat = model.predict(np.stack([v[m] for v in block], axis=1))
+            if not np.isfinite(yhat).all():  # NaN would read as a cell with no value
+                raise ValueError("the model predicts a value that is not finite")
+            values[rows][m] = yhat
+    values.flags.writeable = False  # so the grid keeps it
+    return first.with_values(values, units="Mg/ha")

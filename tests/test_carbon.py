@@ -192,7 +192,7 @@ class TestRescaleFit:
         tgt, src, elev = synthetic_rescale_grids(n=12, noise=3.0)
         mask = np.ones((12, 12), dtype=bool)
         mask[2:4, 5:9] = False
-        tgt = tgt.with_values(tgt.values.copy(), mask=mask)
+        tgt = tgt.with_values(np.where(mask, tgt.values, np.nan))
         fit = rescale_fit(tgt, src, elev, train_frac=0.8, seed=5)
         flat = np.nonzero(mask.ravel())[0]
         chosen = flat[np.random.default_rng(5).permutation(flat.size)]
@@ -219,7 +219,7 @@ class TestRescaleFit:
         tgt, src, elev = synthetic_rescale_grids(n=40, noise=5.0)
         mask = np.ones((40, 40), dtype=bool)
         mask[5:9, 10:30] = False
-        tgt = tgt.with_values(tgt.values.copy(), mask=mask)
+        tgt = tgt.with_values(np.where(mask, tgt.values, np.nan))
         monkeypatch.setattr(carbon, "RESCALE_SAMPLE_CELLS", cap)
         fit = rescale_fit(tgt, src, elev, train_frac=0.8, seed=3)
         flat = np.nonzero(mask.ravel())[0]
@@ -244,7 +244,7 @@ class TestRescaleFit:
         vals[:10, :10] = 9999.0
         mask = np.ones((30, 30), dtype=bool)
         mask[:10, :10] = False
-        tgt2 = tgt.with_values(vals, mask=mask)
+        tgt2 = tgt.with_values(np.where(mask, vals, np.nan))
         fit = rescale_fit(tgt2, src, elev, seed=0)
         assert fit.coef_source == pytest.approx(1.135, rel=1e-3)
         assert fit.n_train + fit.n_test == 800
@@ -266,6 +266,6 @@ class TestRescaleFit:
         tgt, src, elev = synthetic_rescale_grids(n=20)
         mask = np.zeros((20, 20), dtype=bool)
         mask[0, :2] = True
-        tgt2 = tgt.with_values(tgt.values.copy(), mask=mask)
+        tgt2 = tgt.with_values(np.where(mask, tgt.values, np.nan))
         with pytest.raises(ValueError, match="at least 3"):
             rescale_fit(tgt2, src, elev)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,19 @@ from agbmap.grid import (
     Grid, GridFormatError, difference, percent_rank,
     read_grid, read_header, summarize, write_grid,
 )
+
+
+QUIET_NAN = 0x7FC00000  # the bits of every cell with no value
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+
+def rewrite_header(path, header, payload):
+    """Write `header` as a grid file's padded first line, then `payload`."""
+    line = json.dumps(header).encode()
+    path.write_bytes(line + b" " * (-(len(line) + 1) % 4) + b"\n" + payload)
 
 
 def make_grid(values, mask=None, **kw):
@@ -18,17 +32,23 @@ def make_grid(values, mask=None, **kw):
 
 
 class TestGridBasics:
-    def test_masked_cells_are_canonicalized_to_zero(self):
+    def test_masked_cells_hold_the_one_quiet_nan(self):
         g = make_grid([[1.0, 2.0]], mask=[[True, False]])
-        assert g.values[0, 1] == 0.0
+        assert bits(g.values).tolist() == [[bits(1.0), QUIET_NAN]]
+        assert g.mask.tolist() == [[True, False]]
 
     def test_nonfinite_valid_cell_rejected(self):
-        with pytest.raises(ValueError):
-            make_grid([[np.nan, 2.0]])
+        # a NaN is a cell with no value; an infinity is refused
+        g = make_grid([[np.nan, 2.0]])
+        assert g.mask.tolist() == [[False, True]] and bits(g.values[0, 0]) == QUIET_NAN
+        for inf in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="infinity"):
+                make_grid([[inf, 2.0]])
 
     def test_nonfinite_masked_cell_allowed(self):
-        g = make_grid([[np.nan, 2.0]], mask=[[False, True]])
-        assert g.values[0, 0] == 0.0
+        for value in (np.nan, np.inf, -np.inf):
+            g = make_grid([[value, 2.0]], mask=[[False, True]])
+            assert bits(g.values[0, 0]) == QUIET_NAN
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -46,27 +66,34 @@ class TestGridBasics:
         g = make_grid(values, mask=mask)
         assert values.flags.writeable and mask.flags.writeable
         values[0, 0], mask[0, 1] = 9.0, True
-        assert np.array_equal(g.values, [[1.0, 0.0]])
+        assert bits(g.values).tolist() == [[bits(1.0), QUIET_NAN]]
         assert np.array_equal(g.mask, [[True, False]])
+        # nor through with_values
+        h = g.with_values(values)
+        assert values.flags.writeable and not np.shares_memory(h.values, values)
+        values[0, 0] = 7.0
+        assert h.values.tolist() == [[9.0, 2.0]]
 
     def test_only_arrays_no_one_can_write_are_kept(self):
         def read_only(a):
             a.flags.writeable = False
             return a
 
-        values = read_only(np.array([[1.0, 2.0]], dtype=np.float32))
-        mask = read_only(np.array([[True, True]]))
-        g = make_grid(values, mask=mask)
-        assert g.values is values and g.mask is mask
+        values = read_only(np.array([[1.0, np.nan]], dtype=np.float32))
+        assert make_grid(values).values is values
         writable = np.array([[1.0, 2.0]], dtype=np.float32)  # a read-only view of it is copied
         view = read_only(writable.view())
         assert not np.shares_memory(make_grid(view).values, writable)
-        # a kept array with a masked -0.0 is copied with +0.0 there, the caller's left as is
-        signed = read_only(np.array([[1.0, -0.0]], dtype=np.float32))
-        g = make_grid(signed, mask=read_only(np.array([[True, False]])))
-        assert g.values is not signed
-        assert g.values.tobytes() == make_grid([[1.0, 0.0]]).values.tobytes()
-        assert np.signbit(signed[0, 1])
+        # a kept array with another NaN, as -x gives, is copied with the quiet NaN
+        # there, the caller's left as is; a valid -0.0 keeps its sign
+        other = read_only(-np.array([[np.nan, -0.0]], dtype=np.float32))
+        assert bits(other).tolist() == [[0xFFC00000, 0]]
+        g = make_grid(other)
+        assert g.values is not other
+        assert bits(g.values).tolist() == [[QUIET_NAN, 0]]
+        assert bits(other).tolist() == [[0xFFC00000, 0]]
+        signed = read_only(np.array([[-0.0, np.nan]], dtype=np.float32))
+        assert make_grid(signed).values is signed and np.signbit(signed[0, 0])
 
     @pytest.mark.parametrize("key", ["x_origin", "y_origin", "cellsize"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -94,7 +121,7 @@ class TestRoundTrip:
         assert r.aligned_with(g)
         assert r.units == g.units
         assert np.array_equal(r.mask, g.mask)
-        assert np.array_equal(r.values, g.values)
+        assert r.values.tobytes() == g.values.tobytes()
 
     # an int geometry is held as the float a header gives back, even one
     # (10**300) that a float cannot hold exactly
@@ -107,6 +134,40 @@ class TestRoundTrip:
         write_grid(g, tmp_path / "g.bin")
         r = read_grid(tmp_path / "g.bin")
         assert r.aligned_with(g) and np.array_equal(r.values, g.values)
+
+    @pytest.mark.parametrize("units", ["", "m", "Mg", "Mg/ha", "percent"])
+    def test_file_is_a_padded_header_then_4_bytes_per_cell(self, tmp_path, units):
+        # the units' lengths move the header through every remainder mod 4
+        g = make_grid(np.arange(15.0).reshape(3, 5), mask=np.arange(15).reshape(3, 5) % 4 > 0,
+                      units=units)
+        p = tmp_path / "g.bin"
+        write_grid(g, p)
+        raw = p.read_bytes()
+        line = raw[:raw.index(b"\n") + 1]
+        assert len(line) % 4 == 0 and os.path.getsize(p) == len(line) + 4 * 15
+        assert line.rstrip(b" \n") == json.dumps(json.loads(line), sort_keys=True).encode()
+        assert json.loads(line)["format"] == "float32-nan"
+        assert raw[len(line):] == g.values.astype("<f4").tobytes()
+        assert read_grid(p).values.tobytes() == g.values.tobytes()
+
+    def test_other_nan_is_stored_and_written_as_the_quiet_nan(self, tmp_path):
+        values = -np.array([[np.nan, 1.0]], dtype=np.float32)
+        g = make_grid(values)
+        p = tmp_path / "g.bin"
+        write_grid(g, p)
+        assert p.read_bytes()[-8:-4] == np.uint32(QUIET_NAN).astype("<u4").tobytes()
+        # a file that holds another NaN reads back with the quiet one
+        raw = bytearray(p.read_bytes())
+        raw[-8:-4] = np.uint32(0xFFC00000).astype("<u4").tobytes()
+        p.write_bytes(bytes(raw))
+        r = read_grid(p)
+        assert bits(r.values).tolist() == [[QUIET_NAN, bits(-1.0)]]
+
+    def test_valid_negative_zero_keeps_its_sign(self, tmp_path):
+        g = make_grid([[-0.0, 0.0]], mask=[[True, True]])
+        write_grid(g, tmp_path / "g.bin")
+        r = read_grid(tmp_path / "g.bin")
+        assert bits(r.values).tolist() == [[0x80000000, 0]] and r.mask.all()
 
     def test_binary_round_trip_twice_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -134,7 +195,7 @@ class TestMalformedFiles:
         header = read_header(p)
         p.write_bytes(p.read_bytes()[:-3])
         monkeypatch.setattr(agbmap.grid, "read_header", lambda path: header)
-        with pytest.raises(GridFormatError, match="payload holds 17 bytes, expected 20"):
+        with pytest.raises(GridFormatError, match="payload holds 13 bytes, expected 16"):
             read_grid(p)
 
     def test_header_holds_the_grid_fields(self, tmp_path):
@@ -165,28 +226,56 @@ class TestMalformedFiles:
         ("units", None), ("units", 5),
     ])
     def test_mistyped_header_field(self, tmp_path, key, value):
-        # the payload matches a 1 x 2 grid, so only the header field is wrong
+        # the payload matches a 1 x 2 grid and the header is padded, so only
+        # the header field is wrong
         p = tmp_path / "g.bin"
         write_grid(make_grid([[1.0, 2.0]]), p)
         header, payload = p.read_bytes().split(b"\n", 1)
-        p.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
+        rewrite_header(p, {**json.loads(header), key: value}, payload)
         for reader in (read_header, read_grid):
-            with pytest.raises(GridFormatError):
+            with pytest.raises(GridFormatError) as refused:
                 reader(p)
+            assert "padded" not in str(refused.value)
 
-    @pytest.mark.parametrize("corrupt", ["mask_byte", "nan_in_valid_cell"])
+    @pytest.mark.parametrize("corrupt", ["infinity", "negative infinity"])
     def test_corrupt_binary_payload(self, tmp_path, corrupt):
         p = tmp_path / "g.bin"
         write_grid(make_grid([[1.0, 2.0]]), p)
         raw = bytearray(p.read_bytes())
-        if corrupt == "mask_byte":
-            raw[-1] = 2
-        else:
-            raw[-10:-6] = np.array([np.nan], dtype="<f4").tobytes()
+        raw[-8:-4] = np.array([np.inf if corrupt == "infinity" else -np.inf], "<f4").tobytes()
         p.write_bytes(bytes(raw))
         read_header(p)  # the cells are checked when they are read
-        with pytest.raises(GridFormatError):
+        with pytest.raises(GridFormatError, match="infinity"):
             read_grid(p)
+
+    def test_old_format_of_a_mask_byte_per_cell_refused(self, tmp_path):
+        p = tmp_path / "g.bin"
+        header = dict(byte_order="little", cellsize=30.0, ncols=2, nrows=1, units="Mg/ha",
+                      x_origin=0.0, y_origin=0.0)
+        p.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                      + np.array([1.0, 2.0], "<f4").tobytes() + b"\x01\x01")
+        for reader in (read_header, read_grid):
+            with pytest.raises(GridFormatError, match="old format of float32 values and a "
+                                                      "mask byte per cell"):
+                reader(p)
+
+    @pytest.mark.parametrize("change", ["other format", "unpadded header"])
+    def test_header_of_another_format_or_unpadded_refused(self, tmp_path, change):
+        p = tmp_path / "g.bin"
+        write_grid(make_grid([[1.0, 2.0]]), p)
+        header, payload = p.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        if change == "other format":
+            rewrite_header(p, {**header, "format": "float64-nan"}, payload)
+            reported = "unsupported format 'float64-nan'"
+        else:
+            line = json.dumps(header, sort_keys=True).encode() + b"\n"
+            p.write_bytes(b" " * (len(line) % 4 == 0) + line + payload)
+            reported = "is not padded to a multiple of 4"
+        for reader in (read_header, read_grid):
+            with pytest.raises(GridFormatError, match=reported):
+                reader(p)
+
 
 
 class TestMapAlgebra:
@@ -255,9 +344,9 @@ class TestMapAlgebra:
         g = make_grid(values, mask=mask)
         vals = g.values[g.mask].astype(np.float64)
         ranks = np.searchsorted(np.sort(vals), vals, side="left") + 1
-        expect = np.zeros(g.values.shape)
+        expect = np.full(g.values.shape, np.nan)
         expect[g.mask] = 100.0 * (ranks - 1) / (vals.size - 1)
-        assert np.array_equal(percent_rank(g).values, expect.astype(np.float32))
+        assert percent_rank(g).values.tobytes() == expect.astype(np.float32).tobytes()
 
     def test_summarize(self):
         g = make_grid([[1.0, 2.0], [3.0, 4.0]], mask=[[True, True], [True, False]])

@@ -1318,7 +1318,7 @@ class TestPredictGrid:
         domain = rng.random((6, 7)) > 0.5
         out = predict_grid(self.ens, {"a": a, "b": b}, domain)
         assert np.array_equal(out.mask, domain & a.mask)
-        assert not out.values[~out.mask].any()
+        assert (out.values[~out.mask].view(np.uint32) == 0x7FC00000).all()  # the quiet NaN
         # a domain cell is predicted as it is over the whole grid
         whole = predict_grid(self.ens, {"a": a, "b": b}, everywhere(a))
         assert np.array_equal(out.values[out.mask], whole.values[out.mask])
@@ -1354,7 +1354,7 @@ class TestPredictGrid:
         monkeypatch.setattr(grid_mod, "ROW_BLOCK_CELLS", block_cells)
         out = predict_grid(self.ens, layers, domain)
         assert np.array_equal(out.mask, default.mask) and default.mask.sum() > 20
-        assert np.array_equal(out.values, default.values)
+        assert out.values.tobytes() == default.values.tobytes()
         alone = [self.ens.predict([[layers["a"].values[i, j], layers["b"].values[i, j]]])[0]
                  for i, j in zip(*np.nonzero(out.mask))]
         assert np.array_equal(out.values[out.mask], np.array(alone, dtype=np.float32))
@@ -1371,7 +1371,33 @@ class TestPredictGrid:
         calls = []
         monkeypatch.setattr(EnsembleModel, "predict", lambda model, X: calls.append(X))
         empty = predict_grid(self.ens, layers, np.zeros((4, 5), dtype=bool))
-        assert not empty.mask.any() and not empty.values.any() and calls == []
+        assert (empty.values.view(np.uint32) == 0x7FC00000).all() and calls == []
+
+    def test_a_nan_predictor_cell_is_a_missing_cell_never_a_prediction(self, monkeypatch):
+        # the walk steps `left + (x > threshold)`: a NaN would go left silently
+        a = grid_of(np.arange(12.0).reshape(3, 4))
+        nan = a.values.copy()
+        nan[1, 2] = nan[2, 0] = np.nan
+        layers = {"a": a.with_values(nan), "b": a}
+        seen, predict = [], EnsembleModel.predict
+        monkeypatch.setattr(EnsembleModel, "predict",
+                            lambda model, X: seen.append(np.isnan(X).any()) or predict(model, X))
+        out = predict_grid(self.ens, layers, everywhere(a))
+        assert out.mask.tolist() == [[True] * 4, [True, True, False, True],
+                                     [False, True, True, True]]
+        assert seen == [False]
+
+    def test_a_model_file_edited_to_predict_nan_raises(self):
+        # every base predicts above 1 here, so stack weights of +-1e308 give
+        # inf - inf: NaN, which would read as a cell with no value
+        doc = json.loads(self.ens.to_json())
+        doc["stack"]["coefficients"] = [1e308, -1e308]
+        model = EnsembleModel.from_json(json.dumps(doc))
+        a = grid_of([[4.0, 5.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(model.predict(np.array([[4.0, 4.0]]))).all()
+            with pytest.raises(ValueError, match="predicts a value that is not finite"):
+                predict_grid(model, {"a": a, "b": a}, everywhere(a))
 
     def test_no_model_predict_takes_more_than_a_block(self, monkeypatch):
         # a design matrix over the whole domain would be one call of every cell

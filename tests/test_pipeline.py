@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agbmap import (
-    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, DEFAULT_GRIDS, ConfigError, EnsembleModel, Grid,
-    PipelineConfig, PipelineError, RunManifest, render_report, run, synthesize, validate,
+    ARTIFACT_VERSION, ASSESSMENT_COLUMNS, DEFAULT_GRIDS, STAGE_ORDER, ConfigError, EnsembleModel,
+    Grid, PipelineConfig, PipelineError, RunManifest, render_report, run, synthesize, validate,
     write_grid,
 )
 from agbmap.carbon import load_carbon_fractions, weighted_carbon_fraction
@@ -205,20 +205,41 @@ def test_synth_memory_grows_by_less_than_70_bytes_per_cell(tmp_path):
     assert per_cell < 70, f"synthesize grew RSS by {per_cell:.0f} bytes per cell"
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
-def test_read_grid_memory_grows_by_less_than_8_bytes_per_cell(tmp_path):
-    # The grid holds 5 bytes per cell (a float32 and a mask byte); read into its
-    # final arrays, it takes about 6. A read that also holds the whole payload,
-    # or copies it into the grid's arrays, takes 11.
-    ncols, nrows = 1500, 1500
-    rng = np.random.default_rng(6)
+def write_random_grid(path, ncols, nrows, seed):
+    """A grid of values in [0, 300) with about a fifth of its cells missing."""
+    rng = np.random.default_rng(seed)
     write_grid(Grid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cellsize=30.0,
                     units="Mg/ha", values=rng.uniform(0, 300, (nrows, ncols)),
-                    mask=rng.random((nrows, ncols)) < 0.8), tmp_path / "g.bin")
+                    mask=rng.random((nrows, ncols)) < 0.8), path)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_read_grid_memory_grows_by_less_than_5_bytes_per_cell(tmp_path):
+    # The grid holds 4 bytes per cell, NaN where a cell has no value; read into
+    # its final array and checked in row blocks, it takes about 4.2. A whole-grid
+    # mask or check temporary takes 5 or more, and a read that also holds the
+    # whole payload, or copies it into the grid's array, takes 8.
+    ncols, nrows = 1500, 1500
+    write_random_grid(tmp_path / "g.bin", ncols, nrows, seed=6)
     grown = vmhwm_growth("from agbmap.grid import read_grid", "grid = read_grid(sys.argv[1])",
                          tmp_path / "g.bin")
     per_cell = grown / (ncols * nrows)
-    assert per_cell < 8, f"read_grid grew RSS by {per_cell:.1f} bytes per cell"
+    assert per_cell < 5, f"read_grid grew RSS by {per_cell:.1f} bytes per cell"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_difference_memory_grows_by_less_than_5_bytes_per_cell(tmp_path):
+    # The difference holds 4 bytes per cell, and the grid keeps the fresh array
+    # `difference` hands it; a second copy of it, or a mask beside it, takes 8
+    # or more (10 with both).
+    ncols, nrows = 1500, 1500
+    for seed, name in enumerate(("a.bin", "b.bin")):
+        write_random_grid(tmp_path / name, ncols, nrows, seed)
+    grown = vmhwm_growth("from agbmap.grid import difference, read_grid\n"
+                         "a, b = read_grid(sys.argv[1]), read_grid(sys.argv[2])",
+                         "d = difference(a, b)", tmp_path / "a.bin", tmp_path / "b.bin")
+    per_cell = grown / (ncols * nrows)
+    assert per_cell < 5, f"difference grew RSS by {per_cell:.1f} bytes per cell"
 
 
 RASTER_COLS, RASTER_ROWS = 800, 700
@@ -241,11 +262,11 @@ def raster_cache(tmp_path_factory):
 
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
-# alone on `raster_cache`: a little above what it takes now (extract 39, predict
-# 70, assess 18, agree 59, diff 47, rescale 62), with grids read into their final
-# arrays. A stage that needs less lowers its ceiling.
-STAGE_BYTES_PER_CELL = {"extract": 43, "predict": 80, "assess": 21, "agree": 63,
-                        "diff": 52, "rescale": 66}
+# alone on `raster_cache`: a little above what it takes now (extract 31, predict
+# 62, assess 15, agree 57, diff 40, rescale 59), with grids of 4 bytes per cell
+# read into their final arrays. A stage that needs less lowers its ceiling.
+STAGE_BYTES_PER_CELL = {"extract": 35, "predict": 72, "assess": 18, "agree": 61,
+                        "diff": 45, "rescale": 63}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
@@ -839,7 +860,7 @@ def test_predict_maps_only_the_landcover_domain(small, tmp_path):
     values = np.choose((rows + cols) % 4, [3.0, 1.0, 6.0, 4.0])  # 1 and 4 are removed
     # masked cells read back as 0.0, a class that is not removed
     mask = ~((rows < lc.nrows // 3) & (values == 3.0))
-    write_grid(lc.with_values(values, mask), path)
+    write_grid(lc.with_values(np.where(mask, values, np.nan)), path)
     run(config, ["predict"])
 
     layers = [read_grid(p) for p in config.years[2005].predictors.values()]
@@ -942,7 +963,7 @@ def test_plot_over_no_mapped_cell_is_outside_for_both_allometries(small, tmp_pat
         w = pixel_overlap_weights(PlotFootprint(float(plot["x_m"]), float(plot["y_m"])), agb)
         mask = agb.mask.copy()
         mask[w.rows, w.cols] = False
-        write_grid(agb.with_values(agb.values, mask), path)
+        write_grid(agb.with_values(np.where(mask, agb.values, np.nan)), path)
     run(config, ["assess"])
 
     after = json.loads((root / "run" / "assess" / "summary.json").read_text())
@@ -1084,7 +1105,7 @@ def test_agree_survives_joint_cells_of_zero_extent(small, tmp_path):
     one_cell[int(np.flatnonzero(joint[:, col])[0]), col] = True
     metrics = ["ac", "ac_systematic", "ac_unsystematic", "gmfr_intercept", "gmfr_slope"]
     for keep in (one_column, one_cell):
-        write_grid(crm.with_values(crm.values, crm.mask & keep, units=crm.units), crm_path)
+        write_grid(crm.with_values(np.where(keep, crm.values, np.nan)), crm_path)
         run(config, ["agree"])
         rows = read_rows(tmp_path / "o" / "agree" / "agreement_2005.csv")
         assert [float(r["scale_km"]) for r in rows] == [1.0] + [
@@ -1193,7 +1214,7 @@ def test_agree_assigns_each_scale_once_for_every_year(small, tmp_path, monkeypat
     crm = read_grid(crm_path)
     keep = np.zeros_like(crm.mask)
     keep[5:30, 3:40] = True
-    write_grid(crm.with_values(crm.values, crm.mask & keep, units=crm.units), crm_path)
+    write_grid(crm.with_values(np.where(keep, crm.values, np.nan)), crm_path)
     assert joint_window(config, years[0]) != joint_window(config, years[1])
     calls.clear()
     run(config, ["agree"])
@@ -1560,17 +1581,36 @@ def test_cli_raster_of_wrong_size_is_exit_1(small, tmp_path, capsys, change):
 
 
 def test_cli_bad_cell_is_found_by_the_stage_that_reads_it(small, tmp_path, capsys):
-    # a bad mask byte passes validate's header check; extract reads the layer
+    # an infinity passes validate's header check; extract reads the layer
     shutil.copytree(small.root / "inputs", tmp_path / "inputs")
     layer = tmp_path / "inputs" / "pred_2005_greenness.bin"
     raw = bytearray(layer.read_bytes())
-    raw[-1] = 2
+    raw[-4:] = np.array([np.inf], "<f4").tobytes()
     layer.write_bytes(bytes(raw))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(small.doc))
     assert validate(PipelineConfig.load(config)) == []
     assert main(["ingest", "--config", str(config), "--stages", "extract"]) == 2
-    assert "mask bytes must be 0 or 1" in capsys.readouterr().err
+    assert "cells must not hold an infinity" in capsys.readouterr().err
+
+
+def test_cli_raster_of_the_old_format_is_exit_1(small, tmp_path, capsys):
+    # float32 values and then a mask byte per cell, under a header that names
+    # no format: refused by validate before any stage, naming the format
+    shutil.copytree(small.root / "inputs", tmp_path / "inputs")
+    layer = tmp_path / "inputs" / "pred_2019_wetness.bin"
+    grid = read_grid(layer)
+    header = {key: getattr(grid, key) for key in ("ncols", "nrows", "x_origin", "y_origin",
+                                                   "cellsize", "units")}
+    layer.write_bytes(json.dumps({**header, "byte_order": "little"}, sort_keys=True).encode()
+                      + b"\n" + grid.values.astype("<f4").tobytes() + grid.mask.tobytes())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small.doc))
+    assert main(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "unreadable raster: predictor 'wetness' for 2019" in err
+    assert "old format of float32 values and a mask byte per cell" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_non_finite_tree_biomass_is_exit_2(small, tmp_path, capsys):
@@ -1649,7 +1689,7 @@ def test_cli_map_without_valid_cells_is_exit_2_naming_it(small, tmp_path, capsys
     config = copy_of_small(small, root)
     lc = read_grid(config.years[2005].landcover)
     removed = float(small.config.removed_landcover_classes[0])
-    write_grid(lc.with_values(np.full(lc.values.shape, removed), lc.mask),
+    write_grid(lc.with_values(np.where(lc.mask, removed, np.nan)),
                config.years[2005].landcover)
     assert main(["predict", "--config", str(root / "config.json")]) == 2
     err = capsys.readouterr().err
@@ -1711,6 +1751,60 @@ def test_every_output_follows_the_tables_not_their_row_order(small, tmp_path):
         shuffle_rows(root / "inputs" / name, random.Random(19).shuffle)
     run(config)
     assert files_under(root / "run") == files_under(small.root / "run")
+
+
+# the model-file keys that hold feature-space values: split thresholds, and
+# knn's feature means and scales (its training rows are stored standardized)
+FEATURE_SPACE_KEYS = {"threshold", "mu", "sigma"}
+
+
+def doubled_in_feature_space(before, after, key=None) -> bool:
+    """Whether the JSON value `after` is `before` with every number under a
+    `FEATURE_SPACE_KEYS` key exactly doubled and every other value equal."""
+    if isinstance(before, dict):
+        return before.keys() == after.keys() and all(
+            doubled_in_feature_space(before[k], after[k], k) for k in before)
+    if isinstance(before, list):
+        return len(before) == len(after) and all(
+            doubled_in_feature_space(b, a, key) for b, a in zip(before, after))
+    want = 2 * before if key in FEATURE_SPACE_KEYS else before
+    return type(after) is type(before) and after == want
+
+
+def test_doubling_every_predictor_changes_no_output(tmp_path):
+    # A predictor enters only through comparisons and standardization, which
+    # doubling commutes with exactly, so every output of all nine stages keeps
+    # its bytes; only the feature-space values of the model files and of
+    # features.csv double, exactly.
+    runs = {}
+    for name in ("original", "doubled"):
+        config = PipelineConfig.load(synthesize(tmp_path / name, seed=5, ncols=48, nrows=48,
+                                                n_plots=120))
+        if name == "doubled":
+            for inputs in config.years.values():
+                for path in inputs.predictors.values():
+                    grid = read_grid(path)
+                    write_grid(grid.with_values(grid.values * 2), path)
+        run(config)
+        runs[name] = files_under(Path(config.output_dir))
+    original, doubled = runs["original"], runs["doubled"]
+    assert original.keys() == doubled.keys()
+    assert {name.split("/")[0] for name in original} == set(STAGE_ORDER)
+    names = PipelineConfig.load(tmp_path / "original" / "config.json").predictor_names()
+    for name, before in original.items():
+        after = doubled[name]
+        if name.startswith("fit/model_"):
+            assert before != after and doubled_in_feature_space(json.loads(before),
+                                                                json.loads(after)), name
+        elif name == "extract/features.csv":
+            rows = [list(csv.DictReader(text.decode().splitlines())) for text in (before, after)]
+            assert len(rows[0]) == len(rows[1]) > 50
+            for b, a in zip(*rows):
+                assert a.keys() == b.keys()
+                assert all(float(a[k]) == 2 * float(b[k]) if k in names else a[k] == b[k]
+                           for k in b), b["plot_id"]
+        else:
+            assert before == after, name
 
 
 def with_keys_reversed(value):
