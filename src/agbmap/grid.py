@@ -75,11 +75,15 @@ class Grid:
     a pure function of the logical content, and no cell holds an infinity. The
     array is read-only: one that is read-only, views only read-only memory and
     has float32 dtype, C order and no other NaN is kept, and any other is copied.
+    Sizes are ints (a numpy integer is taken as its int) and units a string.
     """
 
     def __init__(self, ncols: int, nrows: int, x_origin: float, y_origin: float,
                  cellsize: float, units: str, values, mask=None):
+        ncols, nrows = (int(n) if isinstance(n, np.integer) else n for n in (ncols, nrows))
         _check_geometry(ncols, nrows, x_origin, y_origin, cellsize)
+        if not isinstance(units, str):  # else the file written is one read_header refuses
+            raise ValueError(f"units must be a string, got {units!r}")
         self.ncols, self.nrows, self.units = ncols, nrows, units
         # floats, as read_header gives them: a grid read back is aligned
         self.x_origin, self.y_origin, self.cellsize = map(float, (x_origin, y_origin, cellsize))
@@ -217,8 +221,12 @@ def _kept(a, dtype) -> bool:
 
 
 def _check_geometry(ncols, nrows, x_origin, y_origin, cellsize) -> None:
-    """The rule on a grid's geometry, in memory and in a file header: at least
-    one column and one row, finite origins and a positive finite cellsize."""
+    """The rule on a grid's geometry, in memory and in a file header: int sizes (not
+    bools) of at least one column and one row, finite origins and a positive finite
+    cellsize."""
+    for name, cells in (("ncols", ncols), ("nrows", nrows)):
+        if not isinstance(cells, int) or isinstance(cells, bool):
+            raise ValueError(f"{name} must be an int, got {cells!r}")
     if ncols < 1 or nrows < 1:
         raise ValueError("grid must have at least one column and one row")
     if not all(map(finite_number, (x_origin, y_origin, cellsize))):

@@ -29,7 +29,7 @@ import numpy as np
 from .grid import Grid, finite_number, map_chunks, row_blocks
 from .metrics import PairedSample, error_metrics
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # entries of the per-chunk work arrays: node ids of a forest walk (chunk = this
 # // trees) and distances of a knn query (chunk = this // training rows), one chunk
@@ -108,40 +108,43 @@ def _as_2d(X) -> np.ndarray:
 # A node table holds trees in level order, as `_grow` makes it and the model
 # JSON stores it: tree t is node t, and each later level lists the children of
 # the level above, left (x[feature] <= threshold) then right, in parent order.
-# `left` and `right` are ids in the table, -1 at leaves, which have feature -1
-# and threshold 0.
-_TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64,  # as in the model JSON
-                "left": np.int32, "right": np.int32, "value": np.float64}
+# Leaves have feature -1 and threshold 0. The order implies the children.
+_TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "value": np.float64}
+
+
+def _left(feature) -> np.ndarray:
+    """Each node's left child in a level-order table, -1 at leaves; right is left + 1. With
+    t trees, the size less twice the splits, split k (from 0) has children t + 2k, t + 2k + 1."""
+    inner = np.asarray(feature) >= 0
+    return np.where(inner, inner.size - 2 * inner.sum() + 2 * np.cumsum(inner) - 2, -1)
 
 
 def _concat(tables: list[dict]) -> tuple[dict, np.ndarray]:
-    """Node tables end to end, children offset per table; and each one's first node."""
-    sizes = [t["value"].size for t in tables]
-    roots = np.cumsum([0] + sizes[:-1])
+    """Level-order tables end to end, each split's left child in `left` (the whole is
+    not in level order); and each table's first node."""
+    roots = np.cumsum([0] + [t["value"].size for t in tables[:-1]])
     cat = {name: np.concatenate([t[name] for t in tables]) for name in _TREE_ARRAYS}
-    for side in ("left", "right"):
-        cat[side] = np.where(cat["feature"] < 0, -1, cat[side] + np.repeat(roots, sizes))
+    cat["left"] = np.concatenate([_left(t["feature"]) + r for t, r in zip(tables, roots)])
     return cat, roots
 
 
-def _gather(roots, max_depth, feature, threshold, left, right, value) -> dict:
+def _gather(roots, max_depth, feature, threshold, value, left=None) -> dict:
     """The trees at `roots` of a node table, cut at `max_depth`, as a new
     level-order table: nodes numbered in the order a breadth-first walk visits
-    them, children left then right in parent order, so tree t is node t."""
+    them, children left then right in parent order, so tree t is node t. `left`
+    gives each split's left child if the table is not level order."""
+    left = _left(feature) if left is None else left
     levels = [np.asarray(roots)]
     while max_depth is None or len(levels) <= max_depth:
-        split = levels[-1][feature[levels[-1]] >= 0]
+        split = left[levels[-1][feature[levels[-1]] >= 0]]
         if not split.size:
             break
-        levels.append(np.column_stack([left[split], right[split]]).ravel())
+        levels.append(np.column_stack([split, split + 1]).ravel())
     old = np.concatenate(levels)
     inner = feature[old] >= 0
     inner[old.size - levels[-1].size:] = False  # the last level is all leaves or cut
-    children = np.arange(levels[0].size, old.size)
     table = {"feature": np.where(inner, feature[old], -1),
-             "threshold": np.where(inner, threshold[old], 0.0),
-             "left": np.full(old.size, -1), "right": np.full(old.size, -1), "value": value[old]}
-    table["left"][inner], table["right"][inner] = children[0::2], children[1::2]
+             "threshold": np.where(inner, threshold[old], 0.0), "value": value[old]}
     return {name: table[name].astype(dtype) for name, dtype in _TREE_ARRAYS.items()}
 
 
@@ -156,7 +159,7 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
     going to the first feature, then the first midpoint. With `max_features`
     below p, each tree's rng draws that many candidate features per node, one
     call per level. Returns a node table (tree b rooted at node b) and each kept
-    row's leaf value, (trees, n).
+    row's leaf value, 0 at the other rows, (trees, n).
     """
     B, n, p = X.shape
     xe, ye = X.reshape(-1), y.reshape(-1)  # row e = b * n + i has feature f at xe[e * p + f]
@@ -165,11 +168,9 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
     perm = np.vstack([(order + n * np.arange(B)[:, None, None]).transpose(2, 0, 1).reshape(p, -1),
                       np.arange(B * n)])
     perm = perm[keep.reshape(-1)[perm]].reshape(p + 1, -1)
-    size, tree, ids, table = keep.sum(axis=1), np.arange(B), np.arange(B), []
-    leaf_of = np.zeros(B * n, dtype=np.int64)
+    size, tree, table, fitted = keep.sum(axis=1), np.arange(B), [], np.zeros(B * n)
     while True:
         start, slot = np.cumsum(size) - size, np.repeat(np.arange(size.size), size)
-        leaf_of[perm[-1]] = ids[slot]
         y_rows, width, sums = ye[perm[-1]], np.maximum(size, 7), np.empty(size.size)
         # numpy sums each row of a 2-D array as it sums a 1-D one, and fewer than
         # 8 values one by one from 0.0, so padding to 7 with zeros keeps `mean`
@@ -177,9 +178,10 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
             same, col = np.flatnonzero(width == w), np.arange(w)
             at = np.minimum(start[same, None] + col, y_rows.size - 1)
             sums[same] = np.where(col < size[same, None], y_rows[at], 0.0).sum(axis=1)
-        level = {"value": sums / size, "threshold": np.zeros(size.size),
-                 **{name: np.full(size.size, -1) for name in ("feature", "left", "right")}}
+        level = {"feature": np.full(size.size, -1), "threshold": np.zeros(size.size),
+                 "value": sums / size}
         table.append(level)
+        fitted[perm[-1]] = level["value"][slot]  # until a deeper level's
         lo_y, hi_y = np.minimum.reduceat(y_rows, start), np.maximum.reduceat(y_rows, start)
         node = np.flatnonzero((size >= 2) & (lo_y < hi_y) & (max_depth is None
                                                               or len(table) <= max_depth))
@@ -216,10 +218,7 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
         lo_x, hi_x = xe[flat[cand_at[pick] + j_min[pick] + [[0], [1]]] * p + f]
         mid = lo_x + (hi_x - lo_x) / 2.0
         thr = np.where((lo_x < mid) & (mid < hi_x), mid, lo_x)
-        children = ids[-1] + 1 + np.arange(2 * S)
-        for name, column in (("feature", f), ("threshold", thr),
-                             ("left", children[0::2]), ("right", children[1::2])):
-            level[name][split] = column
+        level["feature"][split], level["threshold"][split] = f, thr
         # each row of `perm` sorts its rows by child, left before right, and
         # drops the rows of leaves
         rank = np.full(size.size, -1, dtype=np.int16 if S < 2 ** 14 else np.int64)  # radix-sorted
@@ -230,20 +229,20 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
         key = np.where(r < 0, 2 * S, 2 * r + ~goes_left[perm])
         size = np.bincount(key[-1], minlength=2 * S + 1)[:-1]
         perm = perm[np.arange(p + 1)[:, None], np.argsort(key, axis=1, kind="stable")]
-        perm, tree, ids = perm[:, :size.sum()], np.repeat(tree[split], 2), children
+        perm, tree = perm[:, :size.sum()], np.repeat(tree[split], 2)
     cat = {name: np.concatenate([level[name] for level in table]) for name in table[0]}
-    return cat, cat["value"][leaf_of].reshape(B, n)
+    return cat, fitted.reshape(B, n)
 
 
 def _accumulate(table: dict, trees: int, X: np.ndarray, start: float, weight: float) -> np.ndarray:
     """`start + weight * v0 + weight * v1 + ...` per row of X, summed in tree
-    order, over the `trees` trees of a level-order node table, where each right
-    child follows its left. In the walk a leaf is its own left child with a +inf
+    order, over the `trees` trees of a level-order node table, each right child
+    at its left + 1 (`_left`). In the walk a leaf is its own left child with a +inf
     threshold, so a step is `node = left[node] + (x > threshold)`, and as many steps
     as a tree is deep take every cell to its leaf with no leaf test. The trees walk
     deepest first, so a step is one slice of a worker's buffers and allocates nothing."""
     leaf, (n, p), chunk = table["feature"] < 0, X.shape, max(1, _CHUNK_ENTRIES // trees)
-    left = np.where(leaf, np.arange(leaf.size), table["left"])
+    left = np.where(leaf, np.arange(leaf.size), _left(table["feature"]))
     feature = np.where(leaf, 0, table["feature"]).astype(np.intp)
     threshold = np.where(leaf, np.inf, table["threshold"])
     depth, tree, lo = np.zeros(trees, dtype=np.int64), np.arange(trees), 0
@@ -337,8 +336,8 @@ class KnnModel:
 
 
 class _TreeModel:
-    """Model JSON of the tree kinds: its fitted scalars (`_FITTED`) and
-    `fitted_trees`, the node table `table` as one object of `_TREE_ARRAYS` columns,
+    """Model JSON of the tree kinds: its fitted scalars (`_FITTED`) and `fitted_trees`,
+    the level-order node table `table` as one object of exactly the `_TREE_ARRAYS` columns,
     the only array a model keeps. A fit reads `hp`: the spec's hyperparameters,
     `_DEFAULTS` filling those it leaves out. Each kind keeps its own `predict`: the
     benchmark tracer books it by class."""
@@ -361,16 +360,15 @@ class _TreeModel:
     def _fill(self, fitted: dict) -> None:  # from its model JSON
         for name in self._FITTED:
             setattr(self, name, fitted[name])
-        self.table = {name: np.array(fitted["fitted_trees"][name], dtype=dtype)
-                      for name, dtype in _TREE_ARRAYS.items()}
+        self.table = {name: np.array(column, dtype=_TREE_ARRAYS[name])  # KeyError on another
+                      for name, column in fitted["fitted_trees"].items()}  # column, as `left`
 
     def _sound(self, p: int) -> bool:
-        """Whether the walk (clipped gathers, children at `left`, `left + 1`) reads it right."""
+        """Whether the walk (clipped gathers) reads all three columns right: with each of `trees
+        + 2 * splits` entries, a split a root reaches has its children after it, in the table."""
         t, T, fitted = self.table, self.hp["trees"], map(vars(self).get, self._FITTED)
         inner = t["feature"] >= 0
-        left = np.where(inner, T + 2 * np.cumsum(inner) - 2, -1)  # of the level order
-        return (T >= 1 and all(c.shape == (T + 2 * inner.sum(),) for c in t.values())
-                and np.array_equal(t["left"], left) and np.array_equal(t["right"] - left, inner)
+        return (all(c.shape == (T + 2 * inner.sum(),) for c in t.values())
                 and np.all(t["feature"] < p) and np.isfinite(t["threshold"][inner]).all()
                 and np.isfinite(t["value"]).all() and all(map(finite_number, fitted)))
 
@@ -608,7 +606,8 @@ class EnsembleModel:
         doc = json.loads(text)
         version = doc.get("format_version")
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version!r}")
+            raise ValueError(f"unsupported model format version {version!r}: this code reads "
+                             f"format {MODEL_FORMAT_VERSION}; run fit again to write one")
         base, names, st = doc["base"], list(doc["feature_names"]), doc["stack"]
         specs = [LearnerSpec.make(e["spec"]["kind"], **e["spec"]["hyperparameters"]) for e in base]
         models = [_MODEL_CLASSES[s.kind](s) for s in specs]
@@ -616,7 +615,7 @@ class EnsembleModel:
             try:  # a model of other keys than its kind writes, or a table that is none
                 m._fill(e["model"])
                 sound = e["model"].keys() == m.to_dict().keys() and m._sound(len(names))
-            except (KeyError, TypeError):
+            except (AttributeError, KeyError, TypeError):
                 sound = False
             if not sound:
                 raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")

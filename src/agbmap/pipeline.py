@@ -50,7 +50,7 @@ from .tables import number, read_table, write_table
 
 LOGGER = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 15
+ARTIFACT_VERSION = 16
 
 # the method's fixed numbers: fit's cross-validation folds, and the share of
 # rows (plots in fit, sampled cells in rescale) fitted rather than tested
@@ -155,6 +155,8 @@ class PipelineConfig:
         if not (isinstance(scales, list) and scales
                 and all(finite_number(s) and s > 0 for s in scales)):
             raise ConfigError("scales_km must be a non-empty array of positive finite numbers")
+        if len(set(scales)) < len(scales):  # as numbers: 2 and 2.0 are one scale
+            raise ConfigError(f"scales_km must not name a scale twice, got {scales}")
         tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
         if not (isinstance(removed, list) and all(  # predict compares them in float32
                 finite_number(c) and (c == 0 or tiny <= abs(c) <= top) for c in removed)):

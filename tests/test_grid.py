@@ -102,6 +102,24 @@ class TestGridBasics:
         with pytest.raises(ValueError, match="must be finite"):
             make_grid([[1.0]], **{key: value})
 
+    @pytest.mark.parametrize("key, value", [("ncols", 1.0), ("ncols", True), ("nrows", 1.0),
+                                            ("nrows", False)],
+                             ids=["float ncols", "bool ncols", "float nrows", "bool nrows"])
+    def test_size_that_is_no_int_rejected_naming_it(self, key, value):
+        # write_grid would write a header read_grid refuses, or fail in the middle
+        with pytest.raises(ValueError, match=f"{key} must be an int, got {value!r}"):
+            make_grid([[1.0]], **{key: value})
+
+    def test_units_that_are_no_string_rejected(self):
+        with pytest.raises(ValueError, match="units must be a string, got 5"):
+            make_grid([[1.0]], units=5)
+
+    def test_numpy_integer_sizes_are_taken_as_ints(self, tmp_path):
+        grid = make_grid(np.ones((2, 3)), ncols=np.int64(3), nrows=np.uint8(2))
+        assert type(grid.ncols) is int and type(grid.nrows) is int
+        write_grid(grid, tmp_path / "g.bin")
+        assert read_grid(tmp_path / "g.bin").aligned_with(grid)
+
     def test_alignment_requires_all_five_fields(self):
         a = make_grid([[1.0]])
         assert a.aligned_with(make_grid([[2.0]]))

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agbmap import grid as grid_mod, learners
 from agbmap.grid import Grid
@@ -259,15 +260,26 @@ class TestTrees:
         assert not np.array_equal(a.predict(q), b.predict(q))
 
 
+def implied_children(table) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) of each node of a level-order table, -1 at leaves: after the
+    roots come the splits' children, two each, in the order of the splits."""
+    feature = np.asarray(table["feature"])
+    split = np.flatnonzero(feature >= 0)
+    left, right = np.full(feature.size, -1), np.full(feature.size, -1)
+    left[split] = feature.size - 2 * split.size + 2 * np.arange(split.size)
+    right[split] = left[split] + 1
+    return left, right
+
+
 def per_tree_accumulate(table, trees, q, start, weight) -> np.ndarray:
     """start, then `acc += weight * value` of each tree's leaf, one tree at a time."""
-    acc = np.full(len(q), start, dtype=np.float64)
+    acc, (left, right) = np.full(len(q), start, dtype=np.float64), implied_children(table)
     for t in range(trees):
         node = np.full(len(q), t)
         while np.any(inner := table["feature"][node] >= 0):
             at = node[inner]
             go_right = q[np.flatnonzero(inner), table["feature"][at]] > table["threshold"][at]
-            node[inner] = np.where(go_right, table["right"][at], table["left"][at])
+            node[inner] = np.where(go_right, right[at], left[at])
         acc += weight * table["value"][node]
     return acc
 
@@ -330,12 +342,15 @@ class TestWalkInSmallChunks:
             assert np.array_equal(model.predict(q), want)
 
 
-def canonical(table, node=0) -> list:
-    """The tree below `node` of a node table as nested lists [value, feature,
-    threshold, left, right], independent of how the table numbers its nodes;
-    a child id of -1 stays -1."""
-    kids = [canonical(table, int(c)) if c >= 0 else int(c)
-            for c in (table["left"][node], table["right"][node])]
+def canonical(table, node=0, children=None) -> list:
+    """The tree below `node` of a level-order node table (or of one with `left` and
+    `right` columns) as nested lists [value, feature, threshold, left, right],
+    independent of how the table numbers its nodes; a child id of -1 stays -1."""
+    if children is None:
+        children = ((table["left"], table["right"]) if "left" in table
+                    else implied_children(table))
+    kids = [canonical(table, int(c), children) if c >= 0 else int(c)
+            for c in (children[0][node], children[1][node])]
     return [float(table["value"][node]), int(table["feature"][node]),
             float(table["threshold"][node]), *kids]
 
@@ -449,14 +464,14 @@ class TestForestMatchesPerTreeWalk:
                  at[1] + 3, at[0] + 4, at[0] + 5, at[1] + 4]
         table = learners._gather(roots, None, **cat)
         q = np.vstack([toy_data(10, seed=8)[0], on_thresholds(deep, X)[:7]])
-        want = []
+        want, children = [], implied_children(table)
         for x in q:  # one cell, one tree at a time: start + w * v0 + w * v1 + ...
             acc = 0.75
             for t in range(len(roots)):
                 node = t
                 while table["feature"][node] >= 0:
                     go_left = x[table["feature"][node]] <= table["threshold"][node]
-                    node = table["left" if go_left else "right"][node]
+                    node = children[0 if go_left else 1][node]
                 acc += 0.5 * table["value"][node]
             want.append(acc)
         if chunk_cells:
@@ -831,13 +846,20 @@ class TestLevelOrderTable:
         table = {name: np.array(column)
                  for name, column in model.to_dict()["fitted_trees"].items()}
         T, inner = hp["trees"], table["feature"] >= 0
+        assert sorted(table) == ["feature", "threshold", "value"]
+        assert table["value"].size == T + 2 * inner.sum()
         # nodes 0..T-1 are the roots; every other node is a child, numbered in
         # the order a breadth-first walk reaches it: left then right, in
-        # parent order, after its parent
-        children = np.column_stack([table["left"][inner], table["right"][inner]])
-        assert np.array_equal(children.ravel(), np.arange(T, table["value"].size))
-        assert np.all(children > np.flatnonzero(inner)[:, None])
-        assert np.all(table["left"][~inner] == -1) and np.all(table["right"][~inner] == -1)
+        # parent order, after its parent; so the order implies the children
+        left, right = implied_children(table)
+        assert np.array_equal(learners._left(table["feature"]), left)
+        level, reached = np.arange(T), []
+        while level.size:
+            reached.extend(level.tolist())
+            split = level[inner[level]]
+            level = np.column_stack([left[split], right[split]]).ravel()
+        assert reached == list(range(table["value"].size))
+        assert np.all(left[inner] > np.flatnonzero(inner))
         if kind == "bagged_trees":  # a single fit is a batch of one: `_grow`'s table as is
             [(grown_table, _)] = grown
             gathered = learners._gather(np.arange(T), None, **grown_table)
@@ -850,6 +872,82 @@ class TestLevelOrderTable:
         assert stumps["value"].size == T
         assert same_tree([canonical(stumps, t) for t in range(T)],
                          [[float(v), -1, 0.0, -1, -1] for v in table["value"][:T]])
+
+
+@st.composite
+def sized_tables(draw):
+    """(table, trees, X): a random `feature` column on 3 features of `trees + 2 *
+    splits` entries, the one rule the loader keeps, with 1-5 trees, split nodes
+    anywhere (so tails that no root reaches), and thresholds, values and rows of
+    few distinct values, so rows tie thresholds."""
+    trees, splits = draw(st.integers(1, 5)), draw(st.integers(0, 12))
+    size = trees + 2 * splits
+    feature = np.full(size, -1, dtype=np.int32)
+    feature[draw(st.permutations(range(size)))[:splits]] = draw(
+        st.lists(st.integers(0, 2), min_size=splits, max_size=splits))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = {"feature": feature,
+             "threshold": np.where(feature >= 0, rng.integers(0, 5, size) / 2.0, 0.0),
+             "value": rng.normal(size=size).round(2)}
+    return table, trees, rng.integers(-1, 6, (draw(st.integers(1, 9)), 3)) / 2.0
+
+
+def reached(table, trees) -> list:
+    """The nodes a root reaches over the implied children, in breadth-first order."""
+    left, _ = implied_children(table)
+    level, out = np.arange(trees), []
+    while level.size:
+        out.extend(level.tolist())
+        split = level[table["feature"][level] >= 0]
+        level = np.column_stack([left[split], left[split] + 1]).ravel()
+    return out
+
+
+def leaf_value(table, left, node, x) -> float:
+    """A recursive walk from `node` to its leaf over the children `left` implies."""
+    f = table["feature"][node]
+    if f < 0:
+        return float(table["value"][node])
+    return leaf_value(table, left, left[node] + int(x[f] > table["threshold"][node]), x)
+
+
+class TestAnySizedTableWalksSafely:
+    """The loader keeps only the size rule (each column of `trees + 2 * splits`
+    entries); any table it admits walks inside itself, as a per-tree loop does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sized_tables())
+    def test_walk(self, case):
+        table, trees, X = case
+        model = learners.BoostedTreesModel(LearnerSpec.make(
+            "boosted_trees", trees=trees, learning_rate=0.5, max_depth=None))
+        model.init_value, model.table = 0.25, table
+        assert model._sound(3)
+        left, nodes, size = learners._left(table["feature"]), reached(table, trees), trees
+        size += 2 * np.count_nonzero(table["feature"] >= 0)
+        # the children of a split a root reaches come after it, inside the table;
+        # so the nodes no root reaches are the table's tail
+        for node in nodes:
+            if table["feature"][node] >= 0:
+                assert node < left[node] and left[node] + 1 < size
+        assert nodes == list(range(len(nodes)))
+        want = []
+        for x in X:  # start, then `acc += weight * leaf` one tree at a time
+            acc = 0.25
+            for t in range(trees):
+                acc = acc + 0.5 * leaf_value(table, left, t, x)
+            want.append(acc)
+        got = learners._accumulate(table, trees, X, 0.25, 0.5)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert model.predict(X).tobytes() == got.tobytes()
+        # the tail's splits shuffled among it, new thresholds and values: the
+        # same predictions, bit for bit
+        tail, rng = np.arange(len(nodes), size), np.random.default_rng(size)
+        other = {name: column.copy() for name, column in table.items()}
+        other["feature"][tail] = rng.permutation(other["feature"][tail])
+        other["threshold"][tail] = rng.normal(size=tail.size)
+        other["value"][tail] = rng.normal(size=tail.size) * 1e6
+        assert learners._accumulate(other, trees, X, 0.25, 0.5).tobytes() == got.tobytes()
 
 
 class TestCrossValidation:
@@ -1187,14 +1285,12 @@ def set_node(name, value, which=0, inner=True):
     return edit
 
 
-def share_children(model):  # the second inner node takes the first one's children
-    table, a, b = model["fitted_trees"], inner_node(model, 0), inner_node(model, 1)
-    table["left"][b], table["right"][b] = table["left"][a], table["right"][a]
-
-
-def back_to_root(model):  # the last inner node's children are nodes 0 and 1
-    table, node = model["fitted_trees"], inner_node(model, -1)
-    table["left"][node], table["right"][node] = 0, 1
+def as_format_4(doc):  # format 4 stored each table's children in `left` and `right`
+    doc["format_version"] = 4
+    for base in doc["base"]:
+        if "fitted_trees" in base["model"]:
+            table = base["model"]["fitted_trees"]
+            table["left"], table["right"] = (c.tolist() for c in implied_children(table))
 
 
 def fitted(base):  # where a base's fitted model is in the document
@@ -1217,12 +1313,6 @@ MALFORMED_MODELS = {  # name: (where in the document, edit of what is there)
     "short value column": (fitted(1), lambda m: m["fitted_trees"]["value"].pop()),
     "a tree more than the table holds": (hyperparameters(1),
                                          lambda hp: hp.update(trees=hp["trees"] + 1)),
-    "inner node with left -1": (fitted(1), set_node("left", -1)),
-    "right five past left": (fitted(1), set_node("right",
-                                                 lambda m, i: m["fitted_trees"]["left"][i] + 5)),
-    "child pointing back at node 0": (fitted(1), back_to_root),
-    "two parents sharing children": (fitted(1), share_children),
-    "leaf with a child": (fitted(1), set_node("left", 5, inner=False)),
     "feature -2 at an inner node": (fitted(1), set_node("feature", -2)),
     "feature past the last feature": (fitted(1), set_node("feature", 4)),
     "nan threshold": (fitted(1), set_node("threshold", NAN)),
@@ -1234,15 +1324,19 @@ MALFORMED_MODELS = {  # name: (where in the document, edit of what is there)
     "bagged without its table": (fitted(1), lambda m: m.update(fitted_trees=None)),
     "bagged table of no columns": (fitted(1), lambda m: m.update(fitted_trees=[])),
     "bagged table without its value column": (fitted(1), lambda m: m["fitted_trees"].pop("value")),
+    "a table with a `left` column": (fitted(1), lambda m: m["fitted_trees"].update(
+        left=implied_children(m["fitted_trees"])[0].tolist())),
     "boosted without init_value": (fitted(2), lambda m: m.pop("init_value")),
     "knn with a tree table": (fitted(0), lambda m: m.update(fitted_trees={})),
     "two stack coefficients for three bases": (("stack",), lambda st: st["coefficients"].pop()),
     "nan stack intercept": (("stack",), lambda st: st.update(intercept=NAN)),
     "rank_deficient not a bool": (("stack",), lambda st: st.update(rank_deficient="no")),
+    "a format-4 file": ((), as_format_4),
 }
-# what a refusal says, where a spec or the stack refuses it
+# what a refusal says, where a spec, the stack or the format version refuses it
 REFUSALS = {"knn k of zero": "knn needs an integer k >= 1",
-            "boosted nan learning_rate": "learning_rate must be a nonnegative finite number"}
+            "boosted nan learning_rate": "learning_rate must be a nonnegative finite number",
+            "a format-4 file": "unsupported model format version 4: .*format 5; run fit again"}
 
 
 class TestMalformedModelFiles:
@@ -1255,16 +1349,18 @@ class TestMalformedModelFiles:
     @pytest.mark.parametrize("name", list(MALFORMED_MODELS))
     def test_refused(self, name):
         doc = model_file_doc()
-        (top, *path), edit = MALFORMED_MODELS[name]
-        part = doc[top]
-        for key in path:
+        where, edit = MALFORMED_MODELS[name]
+        part = doc
+        for key in where:
             part = part[key]
         edit(part)
-        if top == "stack":
+        if name in REFUSALS:
+            refusal = REFUSALS[name]
+        elif where[0] == "stack":
             refusal = "malformed stack: it needs 3 finite coefficients"
         else:
-            kind = doc["base"][path[0]]["spec"]["kind"]
-            refusal = REFUSALS.get(name, f"malformed {kind} model: base {path[0]} on 4 features")
+            kind = doc["base"][where[1]]["spec"]["kind"]
+            refusal = f"malformed {kind} model: base {where[1]} on 4 features"
         with pytest.raises(ValueError, match=refusal):
             EnsembleModel.from_json(json.dumps(doc))
 

@@ -305,6 +305,14 @@ def test_synth_refuses_a_bad_argument_before_creating_anything(tmp_path, kwargs,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_takes_numpy_integer_sizes(tmp_path):
+    # they pass its check as integers; each grid must take them as ints
+    config = PipelineConfig.load(synthesize(tmp_path / "d", ncols=np.int64(20), nrows=20,
+                                            n_plots=5))
+    assert validate(config) == []
+    assert read_grid(tmp_path / "d" / "inputs" / "elevation.bin").values.shape == (20, 20)
+
+
 def test_synth_builds_the_smallest_grid_it_allows(tmp_path):
     # plots keep two cells from each edge, so 4 cells a side leave them one line
     config = PipelineConfig.load(synthesize(tmp_path / "d", ncols=4, nrows=6, n_plots=5))
@@ -418,6 +426,16 @@ def test_validate_rejects_non_finite_numbers(small, key, value):
         value = [5, value]
     with pytest.raises(ConfigError, match=key):
         make_config(small.doc, small.root, **{key: value})
+
+
+@pytest.mark.parametrize("scales", [[2, 5, 2.0], [1, 1], [5, 2, 5.0, 1]])
+def test_load_refuses_a_scale_named_twice(small, tmp_path, scales):
+    # assess and agree would compute and write its rows twice; scales compare
+    # as numbers, so 2 and 2.0 are one scale
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**small.doc, "scales_km": scales}))
+    with pytest.raises(ConfigError, match=r"scales_km must not name a scale twice, got \["):
+        PipelineConfig.load(path)
 
 
 def test_validate_reports_domain_problems(small):
@@ -1525,6 +1543,26 @@ def test_cli_predict_refuses_a_malformed_model_file_naming_it(small, tmp_path, c
     assert f"model file {path}" in err and f"malformed {base['spec']['kind']} model" in err
 
 
+def test_cli_predict_refuses_a_format_4_model_file(small, tmp_path, capsys):
+    # format 4 stored each node table's children in `left` and `right` columns
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    path = root / "run" / "fit" / "model_CRM.json"
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 4
+    for base in doc["base"]:
+        if "fitted_trees" in base["model"]:
+            table = base["model"]["fitted_trees"]
+            inner = np.array(table["feature"]) >= 0
+            left = np.where(inner, inner.size - 2 * inner.sum() + 2 * np.cumsum(inner) - 2, -1)
+            table["left"], table["right"] = left.tolist(), np.where(inner, left + 1, -1).tolist()
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {path}" in err and "unsupported model format version 4" in err
+    assert "run fit again" in err
+
+
 def test_cli_predict_refuses_a_model_file_with_no_base_model(small, tmp_path, capsys):
     root = tmp_path / "d"
     copy_of_small(small, root)
@@ -1884,6 +1922,7 @@ def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
     ("removed_landcover_classes", 3, "removed_landcover_classes"),
     ("scales_km", "5", "scales_km"),
     ("scales_km", [True, 5], "scales_km"),
+    ("scales_km", [2, 5, 2.0, 1, 1], "scales_km must not name a scale twice"),
     ("learner_grids", {"knn": 5}, "learner grid"),
     ("learner_grids", {"knn": [{"kind": 3}]}, "unknown hyperparameters for knn: ['kind']"),
 ])
