@@ -13,10 +13,11 @@ single fit is the batch of one. Each bagged tree draws from its own rng, spawned
 from the fit's. So a fit's first t trees cut at depth d are the fit of those
 hyperparameters, and model selection grows each nested family of specs once, in
 one batch: the k folds and the fit on all rows of every target (allometry).
-A model keeps its spec, the one record of its hyperparameters, and a tree model
-only its level-order node table besides; a model file the predicts would misread is
-refused. A map is predicted in row blocks, each over chunks of cells on every CPU in
-buffers per worker; a cell gets the same bits in any block and at any CPU count.
+A model keeps its spec, the one record of its hyperparameters, and a tree model only its
+level-order table of feature, threshold and value (the order implies the children); a
+model file the predicts would misread is refused. A map is predicted in row blocks, each
+over chunks of cells on every CPU in buffers per worker; a cell gets the same bits in any
+block and at any CPU count.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ def _left(feature) -> np.ndarray:
 
 
 def _concat(tables: list[dict]) -> tuple[dict, np.ndarray]:
-    """Level-order tables end to end, each split's left child in `left` (the whole is
-    not in level order); and each table's first node."""
+    """Level-order tables end to end, each split's left child in `left`; each one's first node."""
     roots = np.cumsum([0] + [t["value"].size for t in tables[:-1]])
     cat = {name: np.concatenate([t[name] for t in tables]) for name in _TREE_ARRAYS}
     cat["left"] = np.concatenate([_left(t["feature"]) + r for t, r in zip(tables, roots)])
