@@ -1922,9 +1922,9 @@ def test_cli_validation_failure_is_exit_1(small, tmp_path, capsys):
     ("removed_landcover_classes", 3, "removed_landcover_classes"),
     ("scales_km", "5", "scales_km"),
     ("scales_km", [True, 5], "scales_km"),
-    ("scales_km", [2, 5, 2.0, 1, 1], "scales_km must not name a scale twice"),
     ("learner_grids", {"knn": 5}, "learner grid"),
     ("learner_grids", {"knn": [{"kind": 3}]}, "unknown hyperparameters for knn: ['kind']"),
+    ("scales_km", [2, 5, 2.0, 1, 1], "scales_km must not name a scale twice"),
 ])
 def test_cli_malformed_value_is_exit_1(small, tmp_path, capsys, key, value, reported):
     bad = tmp_path / "bad.json"
