@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid
-from .metrics import MetricsReport, PairedSample, error_metrics
+from .metrics import MetricsReport, PairedSample, error_metrics, least_squares
 from .tables import number, read_table
 
 
@@ -134,9 +134,8 @@ def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
 
     Draws up to RESCALE_SAMPLE_CELLS jointly valid cells without replacement
     (all of them when fewer exist), splits train/test by train_frac, and
-    solves the normal equations with `np.linalg.solve` after a condition
-    check: a reciprocal 2-norm condition number below 1e-10 on the normal
-    matrix raises.
+    fits the training cells with `least_squares`; a design it flags rank
+    deficient (after centring, as from a constant or collinear column) raises.
     train_frac=1 leaves the test metrics absent.
     """
     if not (target_grid.aligned_with(source_grid) and target_grid.aligned_with(elevation_grid)):
@@ -158,24 +157,22 @@ def rescale_fit(target_grid: Grid, source_grid: Grid, elevation_grid: Grid,
     n_train = int(round(train_frac * n))
     n_train = min(max(n_train, 3), n)
 
-    tgt = target_grid.values.ravel()[chosen].astype(np.float64)
-    A = np.ones((n, 3))  # the design matrix, filled from the sampled cells
-    A[:, 1] = source_grid.values.ravel()[chosen]
-    A[:, 2] = elevation_grid.values.ravel()[chosen]
-    At = A[:n_train]
-    yt = tgt[:n_train]
-    G = At.T @ At
-    if 1.0 / np.linalg.cond(G) < 1e-10:
+    # float32 samples; least_squares and the test predictions work in float64
+    tgt, src, elev = (g.values.ravel()[chosen] for g in (target_grid, source_grid, elevation_grid))
+    del chosen
+    intercept, (c_source, c_elevation), rank_deficient = least_squares(
+        [src[:n_train], elev[:n_train]], tgt[:n_train])
+    if rank_deficient:
         raise ValueError("collinear rescale design (condition estimate too small)")
-    beta = np.linalg.solve(G, At.T @ yt)
 
     n_test = n - n_train
-    test = (error_metrics(PairedSample(y=tgt[n_train:], yhat=A[n_train:] @ beta))
-            if n_test else MetricsReport(n=0))
+    yhat = (intercept + c_source * src[n_train:].astype(np.float64)
+            + c_elevation * elev[n_train:].astype(np.float64))
+    test = error_metrics(PairedSample(y=tgt[n_train:], yhat=yhat)) if n_test else MetricsReport(n=0)
     return RescaleFit(
-        intercept=float(beta[0]),
-        coef_source=float(beta[1]),
-        coef_elevation=float(beta[2]),
+        intercept=intercept,
+        coef_source=float(c_source),
+        coef_elevation=float(c_elevation),
         n_train=n_train,
         n_test=n_test,
         test_rmse=test.rmse,

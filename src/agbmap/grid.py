@@ -79,7 +79,7 @@ class Grid:
     """
 
     def __init__(self, ncols: int, nrows: int, x_origin: float, y_origin: float,
-                 cellsize: float, units: str, values, mask=None):
+                 cellsize: float, units: str, values):
         ncols, nrows = (int(n) if isinstance(n, np.integer) else n for n in (ncols, nrows))
         _check_geometry(ncols, nrows, x_origin, y_origin, cellsize)
         if not isinstance(units, str):  # else the file written is one read_header refuses
@@ -91,10 +91,6 @@ class Grid:
             values = np.array(values, dtype=np.float32, order="C")
         if values.shape != (nrows, ncols):
             raise ValueError(f"values of shape {values.shape} on a grid of {nrows} x {ncols} cells")
-        if mask is not None:  # True where a cell has a value; NaN goes where it is False
-            if np.shape(mask) != values.shape:
-                raise ValueError("mask shape does not match values shape")
-            values = np.where(mask, values, np.float32(np.nan))
         bits = values.view(np.uint32)  # each cell finite or the quiet NaN, by row blocks
         if not all((np.isfinite(values[rows]) | (bits[rows] == 0x7FC00000)).all()
                    for rows in row_blocks(nrows, ncols)):

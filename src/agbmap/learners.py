@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, finite_number, map_chunks, row_blocks
-from .metrics import PairedSample, error_metrics
+from .metrics import PairedSample, error_metrics, least_squares
 
 MODEL_FORMAT_VERSION = 5
 
@@ -555,7 +555,8 @@ def grid_search(specs, X, Y, k: int, seeds, final_seeds):
 
 @dataclass
 class StackFit:
-    """OLS combination of base-model prediction columns, with intercept."""
+    """OLS combination of base-model prediction columns, with intercept, as
+    `metrics.least_squares` fits it; `rank_deficient` flags a minimal-norm fit."""
 
     intercept: float
     coefficients: np.ndarray
@@ -566,17 +567,13 @@ class StackFit:
 
 
 def fit_stack(oof, y) -> StackFit:
-    """Least-squares stacking weights on out-of-fold columns, unconstrained. A
-    rank-deficient design (collinear columns) takes the minimal-norm solution and
-    is flagged."""
+    """Least-squares stacking weights on out-of-fold columns, unconstrained, by
+    `least_squares`: collinear or constant columns of the centred design take the
+    minimal-norm solution and are flagged."""
     oof = _as_2d(oof)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (oof.shape[0],):
+    if np.shape(y) != (oof.shape[0],):
         raise ValueError("y must match the rows of the prediction matrix")
-    A = np.column_stack([np.ones(oof.shape[0]), oof])
-    sol, _res, rank, _sv = np.linalg.lstsq(A, y, rcond=None)
-    return StackFit(intercept=float(sol[0]), coefficients=sol[1:].copy(),
-                    rank_deficient=bool(rank < A.shape[1]))
+    return StackFit(*least_squares(oof.T, y))
 
 
 @dataclass
@@ -612,10 +609,10 @@ class EnsembleModel:
         specs = [LearnerSpec.make(e["spec"]["kind"], **e["spec"]["hyperparameters"]) for e in base]
         models = [_MODEL_CLASSES[s.kind](s) for s in specs]
         for i, (m, e) in enumerate(zip(models, base)):  # the predicts trust what `_sound` checks
-            try:  # a model of other keys than its kind writes, or a table that is none
+            try:  # other keys than its kind writes, a table that is none or not numbers
                 m._fill(e["model"])
                 sound = e["model"].keys() == m.to_dict().keys() and m._sound(len(names))
-            except (AttributeError, KeyError, TypeError):
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
                 sound = False
             if not sound:
                 raise ValueError(f"malformed {m.kind} model: base {i} on {len(names)} features")

@@ -6,7 +6,8 @@ model-training reference values so they stay comparable across aggregation
 scales. R-squared is computed against the reference mean of the compared
 sample and may be negative; no clamping. Before any square, deviations are
 scaled by a power of two to below 2 in magnitude, and results are scaled back:
-exact for normal values, and no square overflows.
+exact for normal values, and no square overflows. `least_squares`, the solve of
+both the stack and the rescale bridge, scales its centred columns the same way.
 """
 
 from __future__ import annotations
@@ -84,6 +85,28 @@ def _exponent(*arrays) -> int:
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
     """`a` times 2**-k, in place; exact while its values stay normal."""
     return np.ldexp(a, -k, out=a)
+
+
+def least_squares(columns, y) -> tuple[float, np.ndarray, bool]:
+    """OLS fit of y on feature-major `columns` and an intercept: (intercept,
+    coefficients, rank_deficient). Each column and y is centred in float64 and
+    scaled by a power of two to below 1, so scaling any of them by 2**k scales
+    the fit exactly. `lstsq` solves the normal equations of that design with
+    rcond 1e-10; a rank below the column count (collinear or constant columns)
+    takes the minimal-norm solution and is flagged."""
+    z = np.empty((len(columns) + 1, np.shape(y)[0]))  # the columns, then y
+    means, ks = [], []
+    for row, a in zip(z, [*columns, y]):
+        row[:] = a
+        means.append(float(row.mean()))
+        row -= means[-1]
+        ks.append(_exponent(row))
+        _scaled(row, ks[-1])
+    x, t = z[:-1], z[-1]
+    sol, _res, rank, _sv = np.linalg.lstsq(x @ x.T, x @ t, rcond=1e-10)
+    coefficients = np.ldexp(sol, ks[-1] - np.array(ks[:-1]))
+    intercept = means[-1] - sum(c * m for c, m in zip(coefficients.tolist(), means))
+    return intercept, coefficients, bool(rank < len(columns))
 
 
 def error_metrics(pairs: PairedSample) -> MetricsReport:

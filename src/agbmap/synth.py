@@ -75,14 +75,16 @@ def _standardized(a):
 def _landcover(rng, xs, ys, elev, forest_potential):
     lc = np.full(elev.shape, 3.0, dtype=np.float32)
     wet = _smooth_field(rng, xs, ys, n_waves=4)
+    wetter, wettest = (wet < np.quantile(wet, q) for q in (0.06, 0.02))
+    del wet  # marked before `use` is drawn: one field at a time
     use = _smooth_field(rng, xs, ys, n_waves=4)
     lc[forest_potential > 0.4] = 6.0
     lc[(forest_potential > -0.3) & (forest_potential <= 0.4)] = 7.0
-    lc[wet < np.quantile(wet, 0.06)] = 8.0
+    lc[wetter] = 8.0
     lc[use > np.quantile(use, 0.92)] = 1.0
     band = (use > np.quantile(use, 0.84)) & (use <= np.quantile(use, 0.92))
     lc[band] = 2.0
-    lc[wet < np.quantile(wet, 0.02)] = 4.0
+    lc[wettest] = 4.0
     lc[elev > np.quantile(elev, 0.985)] = 5.0
     return lc
 
@@ -190,34 +192,28 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
     elevation_path = write(elev, "m", "elevation")
 
     lc05 = _landcover(np.random.default_rng([seed, 2]), xs, ys, elev, forest_potential)
-    # one compact conversion blob so the later year loses mapped area
-    blob = _smooth_field(np.random.default_rng([seed, 3]), xs, ys, n_waves=3)
-    lc19 = lc05.copy()
-    lc19[(blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES)] = 1.0
-    del blob
-
     rng_agb = np.random.default_rng([seed, 4])
     agb05 = np.clip(150.0 / (1.0 + np.exp(-1.3 * forest_potential))
                     + 35.0 * _smooth_field(rng_agb, xs, ys)
                     + 0.03 * (800.0 - elev), 0.0, 350.0)
     del forest_potential
     agb05[np.isin(lc05, REMOVED_CLASSES)] = 0.0
+
+    # one compact conversion blob so the later year loses mapped area; each
+    # field draws from its own stream, so the order of the fields is free
+    blob = _smooth_field(np.random.default_rng([seed, 3]), xs, ys, n_waves=3)
+    lc19 = lc05.copy()
+    lc19[(blob > np.quantile(blob, 0.97)) & ~np.isin(lc05, REMOVED_CLASSES)] = 1.0
+    del blob
     agb19 = np.clip(agb05 * (1.10 + 0.04 * _smooth_field(rng_agb, xs, ys, n_waves=4)) + 6.0,
                     0.0, 380.0)
     agb19[agb05 == 0.0] = 0.0
     agb19[np.isin(lc19, REMOVED_CLASSES)] = 0.0
     landcover = dict(zip(YEARS, (lc05, lc19)))
     agb_true = dict(zip(YEARS, (agb05, agb19)))
-
-    year_paths = {}
-    for year in YEARS:
-        layers = _predictors(np.random.default_rng([seed, 5, year]),
-                             agb_true[year], elev, xs, ys)
-        year_paths[str(year)] = {
-            "landcover": write(landcover[year], "class", f"landcover_{year}"),
-            "predictors": {name: write(layer, "", f"pred_{year}_{name}")
-                           for name, layer in zip(PREDICTOR_NAMES, layers)},
-        }
+    del lc05, lc19, agb05, agb19
+    year_paths = {str(year): {"landcover": write(landcover[year], "class", f"landcover_{year}")}
+                  for year in YEARS}
 
     # -- plots and trees --------------------------------------------------
     rng_plot = np.random.default_rng([seed, 6])
@@ -264,6 +260,15 @@ def synthesize(out_dir, seed: int = 0, ncols: int = 200, nrows: int = 200,
 
     write_table(inputs / "plots.csv", PLOT_COLUMNS, plot_rows)
     write_table(inputs / "trees.csv", TREE_COLUMNS, tree_rows)
+    del landcover
+
+    # the predictors last, each year's from its own stream: a year's AGB is
+    # dropped once its layers are written, and each layer once it is written
+    for year in YEARS:
+        layers = _predictors(np.random.default_rng([seed, 5, year]),
+                             agb_true.pop(year), elev, xs, ys)
+        year_paths[str(year)]["predictors"] = {
+            name: write(next(layers), "", f"pred_{year}_{name}") for name in PREDICTOR_NAMES}
 
     rng_frac = np.random.default_rng([seed, 7])
     frac_rows = []

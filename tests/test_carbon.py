@@ -12,15 +12,14 @@ from agbmap.carbon import (
 )
 from agbmap.grid import Grid, summarize
 from agbmap.inventory import PlotRecord
-from agbmap.metrics import PairedSample, error_metrics
+from agbmap.metrics import PairedSample, error_metrics, least_squares
 
 
-def grid_100m(values, mask=None):
-    # 100 m cells, so each cell is exactly 1 ha
-    values = np.asarray(values, dtype=np.float32)
+def grid_100m(values, mask=True):
+    # 100 m cells, so each cell is exactly 1 ha; NaN where `mask` is False
+    values = np.where(mask, np.asarray(values, dtype=np.float32), np.float32(np.nan))
     return Grid(ncols=values.shape[1], nrows=values.shape[0], x_origin=0.0,
-                y_origin=0.0, cellsize=100.0, units="Mg/ha", values=values,
-                mask=mask)
+                y_origin=0.0, cellsize=100.0, units="Mg/ha", values=values)
 
 
 class TestModelStock:
@@ -214,7 +213,7 @@ class TestRescaleFit:
             1 - ss_res / sum((v - ybar) ** 2 for v in ys), rel=1e-9)
 
     @pytest.mark.parametrize("cap", [500, 10_000])  # a sample, and every joint cell
-    def test_fit_is_column_stack_and_normal_equations_bit_for_bit(self, monkeypatch, cap):
+    def test_fit_is_least_squares_on_the_seeded_sample_bit_for_bit(self, monkeypatch, cap):
         # the reference formulation on the same seeded sample of joint cells
         tgt, src, elev = synthetic_rescale_grids(n=40, noise=5.0)
         mask = np.ones((40, 40), dtype=bool)
@@ -227,12 +226,14 @@ class TestRescaleFit:
         chosen = flat[rng.choice(flat.size, size=cap, replace=False) if flat.size > cap
                       else rng.permutation(flat.size)]
         y, x_src, x_elev = (g.values.ravel()[chosen].astype(np.float64) for g in (tgt, src, elev))
-        A = np.column_stack([np.ones(chosen.size), x_src, x_elev])
         n_train = int(round(0.8 * chosen.size))
-        At = A[:n_train]
-        beta = np.linalg.solve(At.T @ At, At.T @ y[:n_train])
-        test = error_metrics(PairedSample(y=y[n_train:], yhat=A[n_train:] @ beta))
-        assert (fit.intercept, fit.coef_source, fit.coef_elevation) == tuple(beta.tolist())
+        a, (b_src, b_elev), deficient = least_squares([x_src[:n_train], x_elev[:n_train]],
+                                                      y[:n_train])
+        yhat = [a + b_src * s + b_elev * e  # the intercept, then each term in turn
+                for s, e in zip(x_src[n_train:].tolist(), x_elev[n_train:].tolist())]
+        test = error_metrics(PairedSample(y=y[n_train:], yhat=yhat))
+        assert not deficient
+        assert (fit.intercept, fit.coef_source, fit.coef_elevation) == (a, b_src, b_elev)
         assert (fit.n_train, fit.n_test) == (n_train, chosen.size - n_train)
         assert (fit.test_rmse, fit.test_mae, fit.test_me, fit.test_r2) == \
             (test.rmse, test.mae, test.me, test.r2)

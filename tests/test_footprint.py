@@ -15,11 +15,11 @@ R = 7.32
 OFFSET = 36.6
 
 
-def flat_grid(ncols=40, nrows=40, cellsize=30.0, x0=0.0, y0=0.0, values=None, mask=None):
+def flat_grid(ncols=40, nrows=40, cellsize=30.0, x0=0.0, y0=0.0, values=None, mask=True):
     if values is None:
         values = np.zeros((nrows, ncols), dtype=np.float32)
-    return Grid(ncols=ncols, nrows=nrows, x_origin=x0, y_origin=y0,
-                cellsize=cellsize, units="Mg/ha", values=values, mask=mask)
+    return Grid(ncols=ncols, nrows=nrows, x_origin=x0, y_origin=y0, cellsize=cellsize,
+                units="Mg/ha", values=np.where(mask, values, np.float32(np.nan)))
 
 
 def mc_points(fp, n, rng):

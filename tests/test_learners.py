@@ -1316,6 +1316,8 @@ MALFORMED_MODELS = {  # name: (where in the document, edit of what is there)
     "feature -2 at an inner node": (fitted(1), set_node("feature", -2)),
     "feature past the last feature": (fitted(1), set_node("feature", 4)),
     "nan threshold": (fitted(1), set_node("threshold", NAN)),
+    "a threshold that is not a number": (fitted(1), set_node("threshold", "x")),
+    "a feature beyond int32": (fitted(1), set_node("feature", 2**40)),
     "infinite leaf value": (fitted(1), set_node("value", float("inf"), inner=False)),
     "bagged constant beside its table": (fitted(1), lambda m: m.update(constant=1.0)),
     "boosted nan init_value": (fitted(2), lambda m: m.update(init_value=NAN)),
@@ -1373,10 +1375,10 @@ class TestMalformedModelFiles:
             EnsembleModel.from_json(json.dumps(doc))
 
 
-def grid_of(values, mask=None):
-    values = np.asarray(values, dtype=np.float32)
+def grid_of(values, mask=True):  # NaN where `mask` is False
+    values = np.where(mask, np.asarray(values, dtype=np.float32), np.float32(np.nan))
     return Grid(ncols=values.shape[1], nrows=values.shape[0], x_origin=0.0,
-                y_origin=0.0, cellsize=30.0, units="", values=values, mask=mask)
+                y_origin=0.0, cellsize=30.0, units="", values=values)
 
 
 def everywhere(grid):

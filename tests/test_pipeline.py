@@ -1,6 +1,7 @@
 """End-to-end pipeline, configuration, and CLI behavior on a small dataset."""
 
 import csv
+import fnmatch
 import functools
 import hashlib
 import json
@@ -22,7 +23,7 @@ from agbmap import (
 )
 from agbmap.carbon import load_carbon_fractions, weighted_carbon_fraction
 from agbmap.cli import main
-from agbmap.grid import read_grid
+from agbmap.grid import GEOMETRY, read_grid
 
 SEED = 11
 CELLS = 48
@@ -196,7 +197,9 @@ def vmhwm_growth(setup, measured, *argv):
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
 def test_synth_memory_grows_by_less_than_70_bytes_per_cell(tmp_path):
     # Run in a child, whose peak RSS is that of synthesize and its imports alone.
-    # It takes about 64 now; 15 float64 layers held at once would take 120.
+    # It takes about 56 now, 60 when the modules' bytecode is cached (the
+    # imports then leave less freed heap to reuse); 15 float64 layers held at
+    # once would take 120.
     ncols, nrows = 800, 700
     grown = vmhwm_growth("from agbmap.synth import synthesize",
                          f"synthesize(sys.argv[1], ncols={ncols}, nrows={nrows})",
@@ -208,9 +211,10 @@ def test_synth_memory_grows_by_less_than_70_bytes_per_cell(tmp_path):
 def write_random_grid(path, ncols, nrows, seed):
     """A grid of values in [0, 300) with about a fifth of its cells missing."""
     rng = np.random.default_rng(seed)
+    values = rng.uniform(0, 300, (nrows, ncols))
     write_grid(Grid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cellsize=30.0,
-                    units="Mg/ha", values=rng.uniform(0, 300, (nrows, ncols)),
-                    mask=rng.random((nrows, ncols)) < 0.8), path)
+                    units="Mg/ha", values=np.where(rng.random((nrows, ncols)) < 0.8, values,
+                                                   np.nan)), path)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
@@ -263,10 +267,10 @@ def raster_cache(tmp_path_factory):
 
 # Peak RSS growth per cell of one layer that each raster stage may cause, run
 # alone on `raster_cache`: a little above what it takes now (extract 31, predict
-# 62, assess 15, agree 57, diff 40, rescale 59), with grids of 4 bytes per cell
+# 62, assess 15, agree 57, diff 40, rescale 48), with grids of 4 bytes per cell
 # read into their final arrays. A stage that needs less lowers its ceiling.
 STAGE_BYTES_PER_CELL = {"extract": 35, "predict": 72, "assess": 18, "agree": 61,
-                        "diff": 45, "rescale": 63}
+                        "diff": 45, "rescale": 52}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
@@ -373,7 +377,7 @@ def misaligned_copy(path, out):
     ref = read_grid(path)
     write_grid(Grid(ncols=ref.ncols, nrows=ref.nrows, x_origin=ref.x_origin,
                     y_origin=ref.y_origin, cellsize=ref.cellsize + 1.0,
-                    units=ref.units, values=ref.values, mask=ref.mask), out)
+                    units=ref.units, values=ref.values), out)
     return str(out)
 
 
@@ -1543,6 +1547,24 @@ def test_cli_predict_refuses_a_malformed_model_file_naming_it(small, tmp_path, c
     assert f"model file {path}" in err and f"malformed {base['spec']['kind']} model" in err
 
 
+@pytest.mark.parametrize("column, value", [("threshold", "x"), ("feature", 2**40)],
+                         ids=["a threshold that is not a number", "a feature beyond int32"])
+def test_cli_predict_refuses_a_tree_table_numpy_cannot_read(small, tmp_path, capsys, column,
+                                                           value):
+    root = tmp_path / "d"
+    copy_of_small(small, root)
+    path = root / "run" / "fit" / "model_CRM.json"
+    doc = json.loads(path.read_text())
+    i, base = next((i, b) for i, b in enumerate(doc["base"]) if b["model"].get("fitted_trees"))
+    table = base["model"]["fitted_trees"]
+    table[column][next(node for node, f in enumerate(table["feature"]) if f >= 0)] = value
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {path}" in err
+    assert f"malformed {base['spec']['kind']} model: base {i}" in err
+
+
 def test_cli_predict_refuses_a_format_4_model_file(small, tmp_path, capsys):
     # format 4 stored each node table's children in `left` and `right` columns
     root = tmp_path / "d"
@@ -1843,6 +1865,99 @@ def test_doubling_every_predictor_changes_no_output(tmp_path):
                            for k in b), b["plot_id"]
         else:
             assert before == after, name
+
+
+# Which values of each output scale with the tree masses: a file's fields are
+# CSV columns, JSON leaves (keys and list indices joined by "/") or, in a grid,
+# "values"; fnmatch patterns. Every field of every output not listed here is
+# unchanged when every mass is scaled.
+MASS_SCALED = {
+    "ingest/plots.csv": {"agb_crm", "agb_nsvb"},
+    "ingest/model_dev.csv": {"agb_crm", "agb_nsvb"},
+    "extract/features.csv": {"agb_crm", "agb_nsvb"},
+    "fit/model_*.json": {"stack/intercept", "base/*/model/init_value", "base/*/model/y/*",
+                         "base/*/model/fitted_trees/value/*"},
+    "fit/summary.json": {"models/*/cv_rmse/*", "models/*/ybar_train"},
+    "fit/test_metrics.csv": {"mae", "rmse", "me"},
+    "predict/agb_*.bin": {"values"},
+    "predict/summary.json": {"maps/*/max", "maps/*/mean", "maps/*/min"},
+    "assess/assessment_*.csv": {"mae", "rmse", "me"},
+    "assess/pairs_*.csv": {"y", "yhat"},
+    "assess/summary.json": {"*/plot_to_pixel/mae", "*/plot_to_pixel/rmse",
+                            "*/plot_to_pixel/me"},
+    "agree/agreement_*.csv": {"gmfr_intercept"},
+    "diff/agb_diff_*.bin": {"values"},
+    "diff/change_*.bin": {"values"},
+    "diff/summary.json": {"agb_diff_*/m*", "change_*/m*"},
+    "stocks/stocks.csv": {"total_mt"},
+    "stocks/design_minus_model.csv": {"design_mt", "model_mt", "design_minus_model_mt"},
+    "rescale/rescale.csv": {"intercept", "coef_elevation", "test_rmse", "test_mae", "test_me"},
+}
+
+
+def output_fields(path: Path) -> list:
+    """(field, value) of every value of an output file, in file order."""
+    if path.suffix == ".bin":
+        grid = read_grid(path)
+        return [(key, getattr(grid, key)) for key in (*GEOMETRY, "units")] + [
+            ("values", grid.values)]
+    if path.suffix == ".csv":
+        return [(column, cell) for row in read_rows(path) for column, cell in row.items()]
+
+    def leaves(value, at):
+        if not isinstance(value, (dict, list)):
+            return [(at, value)]
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for k, v in items for leaf in leaves(v, f"{at}/{k}" if at else str(k))]
+    return leaves(json.loads(path.read_text()), "")
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_scaling_every_tree_mass_scales_every_agb_output_exactly(tmp_path, factor):
+    # Every AGB number is linear in the tree masses, and a power of two scales
+    # every sum, mean and least-squares fit over them exactly; so each value
+    # MASS_SCALED lists is scaled by exactly `factor`, and every other value of
+    # all nine stages keeps its bits.
+    roots = {}
+    for name in ("original", "scaled"):
+        roots[name] = tmp_path / name
+        config = PipelineConfig.load(synthesize(roots[name], seed=5, ncols=48, nrows=48,
+                                                n_plots=120))
+        if name == "scaled":
+            trees = roots[name] / "inputs" / "trees.csv"
+            rows = read_rows(trees)
+            for row in rows:
+                for column in ("agb_crm_kg", "agb_nsvb_kg"):
+                    row[column] = repr(float(row[column]) * factor)
+            with open(trees, "w", newline="") as f:
+                writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+        run(config)
+    names = sorted(files_under(roots["original"] / "run"))
+    assert names == sorted(files_under(roots["scaled"] / "run"))
+    assert {name.split("/")[0] for name in names} == set(STAGE_ORDER)
+    for pattern in MASS_SCALED:
+        assert any(fnmatch.fnmatchcase(name, pattern) for name in names), pattern
+    for name in names:
+        before, after = (output_fields(roots[r] / "run" / name) for r in ("original", "scaled"))
+        assert [f for f, _ in after] == [f for f, _ in before], name
+        scaled = [pattern for file, fields in MASS_SCALED.items()
+                  if fnmatch.fnmatchcase(name, file) for pattern in fields]
+        moved = 0
+        for (field, b), (_, a) in zip(before, after):
+            if not any(fnmatch.fnmatchcase(field, pattern) for pattern in scaled):
+                same = np.array_equal(a, b, equal_nan=True) if field == "values" else a == b
+                assert same, (name, field)
+            elif field == "values":
+                assert np.array_equal(a, b * np.float32(factor), equal_nan=True), name
+                moved += int(np.any(b[~np.isnan(b)]))
+            elif b in ("", None):
+                assert a == b, (name, field)
+            else:  # a number, or a CSV cell that holds one
+                assert type(a) is type(b) and float(a) == factor * float(b), (name, field, b, a)
+                moved += float(b) != 0
+        assert moved or not scaled, f"{name}: no value listed as scaled is nonzero"
 
 
 def with_keys_reversed(value):
