@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline configuration JSON")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
     common.add_argument("--out", default=None,
                         help="override the configured output directory")
 
@@ -51,12 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> PipelineConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = str(Path(args.out).resolve())
-    return PipelineConfig.load(args.config, overrides)
+    out = {} if args.out is None else {"output_dir": str(Path(args.out).resolve())}
+    return PipelineConfig.load(args.config, out)
 
 
 def _handle_synth(args) -> int:

@@ -6,13 +6,14 @@ trees. Base models are combined by an ordinary least-squares stack fitted on
 out-of-fold predictions; final ensemble predictions are truncated below at
 zero, since the target is a nonnegative density.
 
-Every fit is a pure function of (data, hyperparameters, seed). Trees grow
-level by level in batches, each on its own rows and target: a bagged batch's
-trees in groups, or tree t of every boosted fit on features presorted once; a
-single fit is the batch of one. Each bagged tree draws from its own rng, spawned
-from the fit's. So a fit's first t trees cut at depth d are the fit of those
-hyperparameters, and model selection grows each nested family of specs once, in
-one batch: the k folds and the fit on all rows of every target (allometry).
+Every fit is a pure function of (data, hyperparameters, seed). Trees grow level by level
+in batches, each on its own rows and target: a bagged batch's trees in groups, or tree t of
+every boosted fit on features presorted once; a single fit is the batch of one. Each bagged
+tree draws from its own rng, spawned from the fit's. So a fit's first t trees cut at depth d
+are the fit of those hyperparameters, and a knn fit keeps every row and serves any k. A
+family is the specs of one kind that differ only in its nesting arguments (for knn, k);
+model selection grows each family once, in one batch: the folds and the fit on all rows of
+every target (allometry).
 A model keeps its spec, the one record of its hyperparameters, and a tree model only its
 level-order table of feature, threshold and value (the order implies the children); a
 model file the predicts would misread is refused. A map is predicted in row blocks, each
@@ -284,27 +285,46 @@ def _accumulate(table: dict, trees: int, X: np.ndarray, start: float, weight: fl
 # -- learner kinds --------------------------------------------------------
 
 
-class KnnModel:
-    """k-nearest-neighbor mean with internally standardized features."""
+class _Model:
+    """A model keeps its spec and its fitted state, `_FITTED`. A fit reads `hp`: the spec's
+    hyperparameters, `_DEFAULTS` filling those it leaves out. Specs of a kind that differ
+    only in its nesting arguments `_NESTS` are a family, which one fit serves (`nested`)."""
 
-    kind = "knn"
-    _FITTED = ("mu", "sigma", "X", "y")  # float arrays of the model JSON
+    _DEFAULTS: dict = {}
 
     def __init__(self, spec: LearnerSpec):
         self.spec = spec
 
+    @property
+    def hp(self) -> dict:
+        return {**self._DEFAULTS, **self.spec.hp}
+
+    def nested(self, spec: LearnerSpec) -> "_Model":
+        """The fit of `spec`, of this model's family, on the same data and seed."""
+        m = type(self)(spec)
+        vars(m).update({name: getattr(self, name) for name in self._FITTED})
+        return m
+
+
+class KnnModel(_Model):
+    """k-nearest-neighbor mean with internally standardized features; a fit serves any k."""
+
+    kind = "knn"
+    _NESTS = ("k",)
+    _FITTED = ("mu", "sigma", "X", "y")  # float arrays of the model JSON
+
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
         for m, y, rows in zip(models, Y, keep):  # one fold at a time
             Xr, m.y = X[rows], y[rows]
-            if self.spec.hp["k"] > Xr.shape[0]:
-                raise ValueError(f"k={self.spec.hp['k']} exceeds the {Xr.shape[0]} training rows")
+            if self.hp["k"] > Xr.shape[0]:
+                raise ValueError(f"k={self.hp['k']} exceeds the {Xr.shape[0]} training rows")
             m.mu, m.sigma = Xr.mean(axis=0), Xr.std(axis=0)
             m.sigma[m.sigma == 0.0] = 1.0
             m.X = (Xr - m.mu) / m.sigma
 
     def predict(self, X) -> np.ndarray:
         Q = (_as_2d(X).T - self.mu[:, None]) / self.sigma[:, None]  # feature-major
-        XT, n, k = np.ascontiguousarray(self.X.T), self.X.shape[0], self.spec.hp["k"]
+        XT, n, k = np.ascontiguousarray(self.X.T), self.X.shape[0], self.hp["k"]
 
         def query(lo, hi, b):  # (cells, training rows) of exact differences, feature by feature
             d2, diff = b["d2"].reshape(hi - lo, n), b["diff"].reshape(hi - lo, n)
@@ -332,26 +352,13 @@ class KnnModel:
     def _sound(self, p: int) -> bool:  # else predict zips features short or repeats a row
         rows, arrays = self.y.size if self.y.ndim == 1 else -1, map(vars(self).get, self._FITTED)
         return (self.X.shape == (rows, p) and self.mu.shape == self.sigma.shape == (p,)
-                and self.spec.hp["k"] <= rows and all(np.isfinite(a).all() for a in arrays))
+                and self.hp["k"] <= rows and all(np.isfinite(a).all() for a in arrays))
 
 
-class _TreeModel:
-    """Model JSON of the tree kinds: its fitted scalars (`_FITTED`) and `fitted_trees`,
-    the level-order node table `table` as one object of exactly the `_TREE_ARRAYS` columns,
-    the only array a model keeps. A fit reads `hp`: the spec's hyperparameters,
-    `_DEFAULTS` filling those it leaves out. Each kind keeps its own `predict`: the
-    benchmark tracer books it by class."""
-
-    kind: str
-    _DEFAULTS: dict
-    _FITTED: tuple
-
-    def __init__(self, spec: LearnerSpec):
-        self.spec = spec
-
-    @property
-    def hp(self) -> dict:
-        return {**self._DEFAULTS, **self.spec.hp}
+class _TreeModel(_Model):
+    """Model JSON of the tree kinds: its fitted scalars (`_FITTED`) and `fitted_trees`, the
+    level-order node table `table` as one object of exactly the `_TREE_ARRAYS` columns, the
+    only array a model keeps. Each kind keeps its own `predict`: the tracer books it by class."""
 
     def to_dict(self) -> dict:
         return {**{name: getattr(self, name) for name in self._FITTED},
@@ -372,12 +379,8 @@ class _TreeModel:
                 and np.all(t["feature"] < p) and np.isfinite(t["threshold"][inner]).all()
                 and np.isfinite(t["value"]).all() and all(map(finite_number, fitted)))
 
-    def nested(self, spec: LearnerSpec) -> "_TreeModel":
-        """The model a fit of `spec`, of this model's family, makes from the same
-        data and seed: this model's first trees cut at the spec's depth."""
-        m = type(self)(spec)
-        for name in self._FITTED:
-            setattr(m, name, getattr(self, name))
+    def nested(self, spec: LearnerSpec) -> "_TreeModel":  # the first trees, cut at its depth
+        m = super().nested(spec)
         m.table = _gather(range(spec.hp["trees"]), m.hp["max_depth"], **self.table)
         return m
 
@@ -390,6 +393,7 @@ class BaggedTreesModel(_TreeModel):
 
     kind = "bagged_trees"
     _DEFAULTS = {"max_depth": None, "max_features": "sqrt"}
+    _NESTS = ("trees", "max_depth")
     _FITTED = ()
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
@@ -426,6 +430,7 @@ class BoostedTreesModel(_TreeModel):
 
     kind = "boosted_trees"
     _DEFAULTS = {"max_depth": 3}
+    _NESTS = ("trees",)
     _FITTED = ("init_value",)
 
     def _fit_batch(self, models, X, Y, keep, rngs) -> None:
@@ -484,38 +489,37 @@ def kfold_indices(n: int, k: int, seed) -> list[np.ndarray]:
 
 
 def _family(spec: LearnerSpec, p: int):
-    """Specs of one family nest: one kind, and the same hyperparameters (defaults
-    filled in) besides `trees` and, for bagged trees, `max_depth`. Bagged trees
-    on p features compare the count `max_features` draws, not its name."""
-    if spec.kind == "knn":
-        return spec
+    """A family is the specs of one kind that differ only in its nesting arguments
+    `_NESTS` (defaults filled in): `k` of knn, `trees` of boosted trees, `trees` and
+    `max_depth` of bagged trees, which on p features compare the count `max_features`
+    draws, not its name."""
     model = _MODEL_CLASSES[spec.kind](spec)
-    args = {a: v for a, v in model.hp.items() if a != "trees"}
+    args = {a: v for a, v in model.hp.items() if a not in model._NESTS}
     if spec.kind == "bagged_trees":
         args["max_features"] = model.features_drawn(p)
-        del args["max_depth"]
     return spec.kind, tuple(sorted(args.items()))
 
 
 def cv_predict(specs, X, Y, k: int, seeds, final_seeds):
     """Out-of-fold predictions of one nested family under seeded k-fold splits.
 
-    Y holds one target per row, each with a seed and a final seed. One batch fits
-    the family's head (most trees, greatest depth) on every target's k folds and
-    on all its rows from its final seed. Returns `(oof, fits)`: oof[a, :, j] is the
-    cross-validation of `specs[j]` alone on target a, each fold predicting with the
-    member's nested part of the head, and fits[a] the head on all rows of target a.
+    A family is the specs of one kind that differ only in its nesting arguments (for
+    knn, k). Y holds one target per row, each with a seed and a final seed. One batch
+    fits the family's head, the greatest of each nesting argument (a depth of None the
+    greatest), on every target's k folds and on all its rows from its final seed.
+    Returns `(oof, fits)`: oof[a, :, j] is the cross-validation of `specs[j]` alone on
+    target a, each fold predicting with the member's nested part of the head, and
+    fits[a] the head on all rows of target a.
     """
     specs, X, Y = list(specs), _as_2d(X), np.asarray(Y, dtype=np.float64)
     if not specs or len({_family(s, X.shape[1]) for s in specs}) != 1:
         raise ValueError("cv_predict needs the specs of one nested family")
     if Y.ndim != 2 or not len(Y) == len(seeds) == len(final_seeds):
         raise ValueError("Y needs one target per row, each with a seed and a final seed")
-    head = specs[0]
-    if head.kind != "knn":
-        depths = [_MODEL_CLASSES[s.kind](s).hp["max_depth"] for s in specs]  # defaults filled in
-        head = LearnerSpec.make(head.kind, **{**head.hp, "trees": max(s.hp["trees"] for s in specs),
-                                              "max_depth": None if None in depths else max(depths)})
+    cls = _MODEL_CLASSES[specs[0].kind]
+    nests = {a: [cls(s).hp[a] for s in specs] for a in cls._NESTS}  # defaults filled in
+    head = LearnerSpec.make(cls.kind, **{**specs[0].hp, **{a: None if None in v else max(v)
+                                                            for a, v in nests.items()}})
     folds = [(a, out, [s, i]) for a, s in enumerate(seeds)
              for i, out in enumerate(kfold_indices(X.shape[0], k, s))]
     of, held_out, member_seeds = zip(*folds, *((a, [], s) for a, s in enumerate(final_seeds)))
@@ -549,7 +553,7 @@ def grid_search(specs, X, Y, k: int, seeds, final_seeds):
         scores = [(spec, error_metrics(PairedSample(target, oof[spec])).rmse) for spec in specs]
         best = min(scores, key=lambda score: score[1])[0]
         fit = next(fits[a] for family, _, fits in got if best in family)
-        results.append((best, oof[best], scores, fit if best.kind == "knn" else fit.nested(best)))
+        results.append((best, oof[best], scores, fit.nested(best)))
     return results
 
 

@@ -188,6 +188,34 @@ class TestKnn:
         monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 37 * len(X))  # chunks of 37 cells
         assert np.array_equal(model.predict(q), want)
 
+    def test_one_fit_serves_every_k(self, monkeypatch):
+        # a fit keeps every training row whatever its k, so the k = 9 fit cut to k
+        # is the fit of k: on tied distances across chunks of 37 cells, and on
+        # distances that overflow (the stable-sort path; 6 rows, so a k = 6 head)
+        rng = np.random.default_rng(9)
+        X = np.round(rng.normal(size=(120, 3)) * [1.0, 10.0, 0.1], 1)
+        X = np.vstack([X, X[rng.choice(120, 40)]])
+        y = rng.gamma(2.0, 50.0, size=len(X))
+        q = np.vstack([np.round(rng.normal(size=(150, 3)) * [1.0, 10.0, 0.1], 1),
+                       X[rng.choice(len(X), 50)]])
+        monkeypatch.setattr(learners, "_CHUNK_ENTRIES", 37 * len(X))
+        head = train_base(LearnerSpec.make("knn", k=9), X, y, seed=0)
+        far = {"mu": [0.0], "sigma": [1.0], "X": [[0.0], [1e200], [1.0], [-1e200], [2.0], [1e300]],
+               "y": [1.0, 10.0, 100.0, 1000.0, 10000.0, 1e5]}
+        far_head = KnnModel(LearnerSpec.make("knn", k=6))
+        far_head._fill(far)
+        for k in (1, 4, 9):
+            spec = LearnerSpec.make("knn", k=k)
+            alone = train_base(spec, X, y, seed=0)
+            assert head.nested(spec).to_dict() == alone.to_dict()
+            assert np.array_equal(head.nested(spec).predict(q), alone.predict(q))
+            spec = LearnerSpec.make("knn", k=min(k, 6))
+            far_alone = KnnModel(spec)
+            far_alone._fill(far)
+            with np.errstate(over="ignore"):  # one chunk: it runs on this thread
+                assert np.array_equal(far_head.nested(spec).predict(np.array([[0.4], [-3.0]])),
+                                      far_alone.predict(np.array([[0.4], [-3.0]])))
+
 
 class TestTrees:
     def test_bagged_depth0_is_the_mean_of_its_bootstrap_means(self):
@@ -732,6 +760,7 @@ class TestNestedFits:
         ("boosted_trees", [{"trees": 8, "learning_rate": 0.2},
                            {"trees": 3, "learning_rate": 0.2, "max_depth": 3}]),
         ("knn", [{"k": 3}]),
+        ("knn", [{"k": 4}, {"k": 1}, {"k": 9}]),
     ])
     def test_family_columns_equal_each_member_alone(self, kind, family):
         X, y = toy_data(45)
@@ -765,16 +794,24 @@ def cv_oof(specs, X, y, k, seed) -> np.ndarray:
     return cv_predict(specs, X, y[None], k, [seed], [0])[0][0]
 
 
+def family_head(family) -> LearnerSpec:
+    """The spec whose fit serves every member of a family: the family's greatest
+    trees, max_depth (None the greatest) and k, defaults filled in."""
+    hps = [learners._MODEL_CLASSES[s.kind](s).hp for s in family]
+    values = {a: [hp[a] for hp in hps] for a in ("trees", "max_depth", "k") if a in hps[0]}
+    return LearnerSpec.make(family[0].kind, **{**hps[0], **{
+        a: None if None in v else max(v) for a, v in values.items()}})
+
+
 def per_fold_cv(specs, X, y, k, seed) -> np.ndarray:
-    """cv_predict as one fit per fold of the family head, specs[0], each
-    member predicting with its nested part of the head."""
+    """cv_predict as one fit per fold of the family head, each member
+    predicting with its nested part of the head."""
     oof = np.empty((X.shape[0], len(specs)))
     for i, test_idx in enumerate(kfold_indices(X.shape[0], k, seed)):
         train = np.setdiff1d(np.arange(X.shape[0]), test_idx)
-        model = train_base(specs[0], X[train], y[train], seed=[seed, i])
+        model = train_base(family_head(specs), X[train], y[train], seed=[seed, i])
         for j, spec in enumerate(specs):
-            fit = model if spec.kind == "knn" else model.nested(spec)
-            oof[test_idx, j] = fit.predict(X[test_idx])
+            oof[test_idx, j] = model.nested(spec).predict(X[test_idx])
     return oof
 
 
@@ -795,6 +832,7 @@ class TestBatchedFolds:
         ("boosted_trees", [{"trees": 12, "learning_rate": 0.1, "max_depth": 3},
                            {"trees": 5, "learning_rate": 0.1, "max_depth": 3}]),
         ("boosted_trees", [{"trees": 6, "learning_rate": 0.3, "max_depth": None}]),
+        ("knn", [{"k": 4}, {"k": 1}, {"k": 9}]),
     ])
     def test_columns_equal_one_fit_per_fold(self, monkeypatch, n, k, kind, family):
         X, y = toy_data(n, p=5, seed=n)
@@ -1073,19 +1111,13 @@ def one_target_oracle(specs, X, y, k, seed, final_seed):
         families.setdefault(learners._family(spec, X.shape[1]), []).append(spec)
     oof = {}
     for family in families.values():
-        head = family[0]
-        if head.kind != "knn":
-            depths = [learners._MODEL_CLASSES[s.kind](s).hp["max_depth"] for s in family]
-            head = LearnerSpec.make(head.kind, **{
-                **head.hp, "trees": max(s.hp["trees"] for s in family),
-                "max_depth": None if None in depths else max(depths)})
         folds = kfold_indices(X.shape[0], k, seed)
-        models = train_base(head, X, y, [[seed, i] for i in range(k)], held_out=folds)
+        models = train_base(family_head(family), X, y, [[seed, i] for i in range(k)],
+                            held_out=folds)
         for spec in family:
             oof[spec] = np.empty(X.shape[0])
             for test_idx, model in zip(folds, models):
-                fit = model if spec.kind == "knn" else model.nested(spec)
-                oof[spec][test_idx] = fit.predict(X[test_idx])
+                oof[spec][test_idx] = model.nested(spec).predict(X[test_idx])
     scores = [(s, float(np.sqrt(np.mean((y - oof[s]) ** 2)))) for s in specs]
     best = min(scores, key=lambda score: score[1])[0]
     return best, oof[best], scores, train_base(best, X, y, final_seed)
@@ -1114,9 +1146,9 @@ class TestOneBatchSelection:
                                      seeds, finals)
                    for kind, grid in ONE_BATCH_GRIDS.items()}
         monkeypatch.undo()
-        # one train_base call per family: 2 boosted, 1 bagged (depths nest), 2 knn
+        # one train_base call per family: 2 boosted, 1 bagged (depths nest), 1 knn (k nests)
         assert sorted(spec.kind for spec in fits) == sorted(
-            ["boosted_trees"] * 2 + ["bagged_trees"] + ["knn"] * 2)
+            ["boosted_trees"] * 2 + ["bagged_trees"] + ["knn"])
         bagged = [trees for trees, is_bagged in grown if is_bagged]
         if cap is not None:  # the 6-tree head, 2 targets x (5 folds + 1): 72 trees
             assert len(bagged) >= 3 and max(bagged) <= cap and sum(bagged) == 72

@@ -1026,9 +1026,10 @@ def test_agree_outputs(small):
 
 def nested_family(kind, hp):
     """Specs that nest: the same kind and arguments besides `trees` and, for
-    bagged trees, `max_depth` (defaults filled in)."""
+    bagged trees, `max_depth`, and knn's `k` (defaults filled in)."""
     hp = dict(hp)
     hp.pop("trees", None)
+    hp.pop("k", None)
     if kind == "bagged_trees":
         hp.setdefault("max_features", "sqrt")
         hp.pop("max_depth", None)
@@ -1078,7 +1079,7 @@ def test_fit_cross_validates_every_spec_within_one_family_call(small, tmp_path, 
     config, calls = fit_cv_calls(small, tmp_path, monkeypatch,
                                  {**small.doc, "learner_grids": grids})
     specs = [s for grid in config.learner_grids.values() for s in grid]
-    assert len(calls) == 6  # knn 2, bagged 2 (depth 0 nests too), boosted 2
+    assert len(calls) == 5  # knn 1 (k nests), bagged 2 (depth 0 nests too), boosted 2
     assert all(len({nested_family(s.kind, s.hp) for s in family}) == 1 for family in calls)
     assert sorted(map(repr, (s for family in calls for s in family))) == \
         sorted(map(repr, specs))
@@ -1470,15 +1471,11 @@ def test_cli_synth_then_ingest(tmp_path, capsys):
     assert "configuration hash" in stdout
 
 
-@pytest.mark.parametrize("given", ["option", "file"])
-def test_cli_negative_seed_is_exit_1_and_keeps_cached_work(small, tmp_path, capsys, given):
+def test_cli_negative_seed_is_exit_1_and_keeps_cached_work(small, tmp_path, capsys):
     root = tmp_path / "d"
     copy_of_small(small, root)
     cli = ["ingest", "--config", str(root / "config.json")]
-    if given == "option":
-        cli += ["--seed", "-1"]
-    else:
-        (root / "config.json").write_text(json.dumps({**small.doc, "seed": -1}))
+    (root / "config.json").write_text(json.dumps({**small.doc, "seed": -1}))
     ingest = root / "run" / "ingest"
     files = {p.name: p.read_bytes() for p in ingest.iterdir()}
     record = RunManifest.load(root / "run").stages["ingest"]
@@ -2107,14 +2104,6 @@ def test_cli_assess_needs_fit(small, tmp_path, capsys):
     assert "missing upstream artifact: stage 'assess' needs 'fit'" in err
 
 
-def test_cli_seed_override_changes_hash(small, tmp_path, capsys):
-    assert main(["ingest", "--config", str(small.cfg_path),
-                 "--seed", "99", "--out", str(tmp_path / "o")]) == 0
-    stdout = capsys.readouterr().out
-    line = [l for l in stdout.splitlines() if "configuration hash" in l][0]
-    assert line.split()[-1] != small.config.config_hash
-
-
 def test_cli_report(small, capsys):
     assert main(["report", "--config", str(small.cfg_path)]) == 0
     stdout = capsys.readouterr().out
@@ -2132,10 +2121,13 @@ def test_cli_report_shows_only_stages_of_the_current_configuration(tmp_path, cap
     assert main(["rescale", *cli, "--stages",
                  "ingest,extract,fit,predict,assess,agree,diff,stocks"]) == 0
     capsys.readouterr()
-    assert main(["ingest", *cli, "--seed", "99"]) == 0
-    assert main(["report", *cli, "--seed", "99"]) == 0
+    # a copy of the configuration with another seed, next to it: the same run directory
+    doc = json.loads((data / "config.json").read_text())
+    (data / "config_99.json").write_text(json.dumps({**doc, "seed": 99}))
+    assert main(["ingest", "--config", str(data / "config_99.json")]) == 0
+    assert main(["report", "--config", str(data / "config_99.json")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    reseeded = PipelineConfig.load(data / "config.json", {"seed": 99}).config_hash
+    reseeded = PipelineConfig.load(data / "config_99.json").config_hash
     manifest = RunManifest.load(data / "run")
     assert {s for s, rec in manifest.stages.items() if rec.config_hash != reseeded} == \
         {"extract", "fit", "predict", "assess", "agree", "diff", "stocks", "rescale"}
