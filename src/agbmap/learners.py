@@ -154,8 +154,9 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
 
     X is (trees, n, p), y (trees, n), `order` X's stable argsort along axis 1
     and `keep` (trees, n) marks the rows each tree is grown on. A node is a leaf
-    at `max_depth`, below two rows or with equal targets; its value is the mean
-    of its targets in row order. Otherwise it splits at the midpoint between
+    at `max_depth`, below two rows or with equal targets; its value is numpy's
+    pairwise sum of its targets in row order over their count, as `mean` takes
+    it, one `reduceat` per level. Otherwise it splits at the midpoint between
     distinct sorted values that minimizes the summed child squared error, ties
     going to the first feature, then the first midpoint. With `max_features`
     below p, each tree's rng draws that many candidate features per node, one
@@ -172,15 +173,12 @@ def _grow(X, y, order, keep, max_depth, max_features, rngs) -> tuple[dict, np.nd
     size, tree, table, fitted = keep.sum(axis=1), np.arange(B), [], np.zeros(B * n)
     while True:
         start, slot = np.cumsum(size) - size, np.repeat(np.arange(size.size), size)
-        y_rows, width, sums = ye[perm[-1]], np.maximum(size, 7), np.empty(size.size)
-        # numpy sums each row of a 2-D array as it sums a 1-D one, and fewer than
-        # 8 values one by one from 0.0, so padding to 7 with zeros keeps `mean`
-        for w in np.unique(width):
-            same, col = np.flatnonzero(width == w), np.arange(w)
-            at = np.minimum(start[same, None] + col, y_rows.size - 1)
-            sums[same] = np.where(col < size[same, None], y_rows[at], 0.0).sum(axis=1)
-        level = {"feature": np.full(size.size, -1), "threshold": np.zeros(size.size),
-                 "value": sums / size}
+        y_rows = ye[perm[-1]]
+        # `mean` sums 0.0 + the pairwise sum of a node's targets, and `reduceat` a segment's
+        # first value + the pairwise sum of the rest: so each node's segment leads with 0.0
+        sums = np.add.reduceat(np.insert(y_rows, start, 0.0), start + np.arange(size.size))
+        level = {"feature": np.full(size.size, -1, dtype=_TREE_ARRAYS["feature"]),
+                 "threshold": np.zeros(size.size), "value": sums / size}
         table.append(level)
         fitted[perm[-1]] = level["value"][slot]  # until a deeper level's
         lo_y, hi_y = np.minimum.reduceat(y_rows, start), np.maximum.reduceat(y_rows, start)

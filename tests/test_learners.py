@@ -667,6 +667,7 @@ def grower_cases():
         "adjacent_floats": (np.column_stack([np.where(np.arange(20) % 3, 1 + 2**-51, 1 + 2**-52),
                                              X[:20, 1]]), y[:20]),
         "wide": toy_data(300, p=5, seed=3),
+        "paper_size": toy_data(1100, p=4, seed=6),  # nodes of more than 1024 rows
     }
 
 
@@ -719,6 +720,34 @@ class TestLevelWiseGrower:
         got = entry(model)
         assert same_tree({**got, "model": {**got["model"], "fitted_trees": model_trees(model)}},
                          frozen)
+
+
+class TestNodeMeans:
+    """Each node's value has the bits of numpy's `mean` of its targets in row
+    order, whatever the node's size, for nodes of every size in one level."""
+
+    # below 8 values numpy sums one by one; from 8 it unrolls by 8, and above 128
+    # it splits in halves: sizes on either side of each regime and recursion
+    SIZES = [*range(1, 10), 15, 16, 17, 127, 128, 129, 130, 255, 256, 257, 1000, 1031, 2049]
+
+    def test_every_leaf_is_numpys_mean_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        sizes = self.SIZES + [9, 130]  # all -0.0, then mixed signed zeros
+        B, n = len(sizes), max(sizes) + 40
+        y = rng.lognormal(0.0, 2.0, size=(B, n)) * rng.choice([-1.0, 1.0], size=(B, n))
+        y[-2] = -0.0
+        y[-1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        keep = np.zeros((B, n), dtype=bool)
+        for b, size in enumerate(sizes):
+            keep[b, rng.choice(n, size=size, replace=False)] = True
+        X = rng.uniform(size=(B, n, 1))
+        table, fitted = learners._grow(X, y, np.argsort(X, axis=1, kind="stable"), keep,
+                                       0, 1, None)
+        for b in range(B):
+            want = y[b, keep[b]].mean().tobytes()
+            assert table["value"][b].tobytes() == want, sizes[b]
+            assert all(v.tobytes() == want for v in fitted[b, keep[b]])
+        assert np.all(fitted[~keep] == 0.0)
 
 
 class TestNestedFits:
