@@ -126,8 +126,6 @@ def weighted_mean(grid: Grid, weights: OverlapWeights) -> float | None:
     geometry; only the values may differ. A cell is valid where its value is
     not NaN. Returns None when no valid cell carries weight.
     """
-    if weights.weights.size == 0:
-        return None
     vals = grid.values[weights.rows, weights.cols]
     valid = ~np.isnan(vals)
     if not np.any(valid):

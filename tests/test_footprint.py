@@ -125,50 +125,62 @@ class TestOverlapWeights:
         assert keys == sorted(keys)
 
 
-# plot centers about a 10 x 10 grid whose corner is the origin: its center
-# circle covers the grid, cuts it on each side or across a corner, or an
+# plot centers relative to the middle of a small grid: on a 10 x 10 grid the
+# center circle covers the grid, cuts it on each side or across a corner, or an
 # offset subplot (azimuth 120) lies over it
-def small_grid_plots(side):
-    mid = side / 2
+def small_grid_plots():
     az = math.radians(120.0)
-    return [(mid, mid), (mid + 7.2, mid), (mid - 7.2, mid), (mid, mid + 7.2), (mid, mid - 7.2),
-            (mid + 5.1, mid - 5.1), (mid - 5.1, mid + 5.1),
-            (mid - OFFSET * math.sin(az), mid - OFFSET * math.cos(az))]
+    return [(0.0, 0.0), (7.2, 0.0), (-7.2, 0.0), (0.0, 7.2), (0.0, -7.2), (5.1, -5.1),
+            (-5.1, 5.1), (-OFFSET * math.sin(az), -OFFSET * math.cos(az))]
+
+
+def plot_over(grid, xy):
+    return PlotFootprint(grid.x_origin + grid.ncols * grid.cellsize / 2 + xy[0],
+                         grid.y_origin + grid.nrows * grid.cellsize / 2 + xy[1])
 
 
 class TestWindowClampedToGrid:
     """Each circle's corners are evaluated on the grid's cells only, and every
     weight keeps the bits it has on a grid large enough to hold the window."""
 
-    @pytest.mark.parametrize("xy", small_grid_plots(0.5))
+    @pytest.mark.parametrize("xy", small_grid_plots())
     def test_corners_per_circle_at_most_the_grids(self, xy, monkeypatch):
-        # 0.05 m cells: the unclamped window is 294 x 294 cells per circle
+        # 0.05 m cells: the unclamped window is 294 x 294 cells per circle; the
+        # clamp bounds the work by the grid's size, so a raster whose cells are
+        # tiny against a subplot (one in degrees, say) stays cheap
         from agbmap import footprint
         shapes, corner_area = [], footprint._corner_area
         def recording(x, y, r):
             shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
             return corner_area(x, y, r)
         monkeypatch.setattr(footprint, "_corner_area", recording)
-        w = pixel_overlap_weights(PlotFootprint(*xy), flat_grid(10, 10, cellsize=0.05))
-        assert w.weights.size > 0
-        assert shapes and all(shape[1:] <= (11, 11) for shape in shapes)
+        for side in (1, 3, 10):
+            grid = flat_grid(side, side, cellsize=0.05)
+            shapes.clear()
+            w = pixel_overlap_weights(plot_over(grid, xy), grid)
+            assert w.weights.size > 0, side
+            assert shapes and all(shape[1:] <= (side + 1, side + 1) for shape in shapes), side
 
-    @pytest.mark.parametrize("xy", small_grid_plots(0.625))
+    @pytest.mark.parametrize("xy", small_grid_plots())
     def test_weights_keep_their_bits_on_an_extended_grid(self, xy):
         # cells of 1/16 m on a dyadic origin make every corner coordinate exact
         # on both grids; the extended grid adds the whole window, n cells, on
-        # every side, so no circle's window is clamped there
+        # every side, so every circle's window lies inside it
         cs = 0.0625
         n = math.ceil(2.0 * R / cs) + 1
-        fp = PlotFootprint(*xy)
-        w = pixel_overlap_weights(fp, flat_grid(10, 10, cellsize=cs))
-        big = pixel_overlap_weights(fp, flat_grid(10 + 2 * n, 10 + 2 * n, cellsize=cs,
-                                                  x0=-n * cs, y0=-n * cs))
-        inside = (big.cols >= n) & (big.cols < n + 10) & (big.rows >= n) & (big.rows < n + 10)
-        assert w.weights.size == np.count_nonzero(inside) > 0
-        assert np.array_equal(w.cols, big.cols[inside] - n)
-        assert np.array_equal(w.rows, big.rows[inside] - n)
-        assert w.weights.tobytes() == big.weights[inside].tobytes()
+        for side in (1, 2, 3, 10):
+            grid = flat_grid(side, side, cellsize=cs)
+            fp = plot_over(grid, xy)
+            w = pixel_overlap_weights(fp, grid)
+            big = pixel_overlap_weights(fp, flat_grid(side + 2 * n, side + 2 * n, cellsize=cs,
+                                                      x0=-n * cs, y0=-n * cs))
+            inside = ((big.cols >= n) & (big.cols < n + side)
+                      & (big.rows >= n) & (big.rows < n + side))
+            assert w.weights.size == np.count_nonzero(inside), side
+            assert np.array_equal(w.cols, big.cols[inside] - n), side
+            assert np.array_equal(w.rows, big.rows[inside] - n), side
+            assert w.weights.tobytes() == big.weights[inside].tobytes(), side
+            assert w.weights.size > 0, side
 
 
 def weight_of(w, col, row):
